@@ -15,42 +15,24 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "which figure: 12|14|15|dbt|all")
-		scale      = flag.Float64("scale", 1.0, "workload dynamic scale")
-		stepOut    = flag.String("step-json", "", "run the step-throughput microbench (baseline vs predecoded vs compiled) and write the record to this file")
-		compileOut = flag.String("compile-json", "", "with -step-json: also write the compiled-backend record (BENCH_compile.json schema) to this file")
-		graphOut   = flag.String("graph-json", "", "run the full coverage matrix cold then hot against a graph cell cache and write the record to this file")
+		fig   = flag.String("fig", "all", "which figure: 12|14|15|dbt|all")
+		scale = flag.Float64("scale", 1.0, "workload dynamic scale")
 	)
 	app := cli.App{CkptInterval: -1}
 	app.BindFlags(flag.CommandLine)
 	flag.Parse()
 	fatalIf(app.Open())
-	if *stepOut != "" {
-		fatalIf(writeStepJSON(*stepOut, *compileOut, *scale))
-		fatalIf(app.Close())
-		return
-	}
-	if *graphOut != "" {
-		fatalIf(writeGraphJSON(*graphOut, minF(*scale, 0.05), app.Workers, app.CkptInterval))
-		fatalIf(app.Close())
-		return
-	}
 	reg := app.Registry()
 	workers, ckptIv := &app.Workers, &app.CkptInterval
 
@@ -111,157 +93,6 @@ func main() {
 	}
 	run(*fig)
 	fatalIf(app.Close())
-}
-
-// stepRecord is the -step-json schema CI gates on: the predecoded
-// interpreter must beat the per-step baseline, and the block-compiled
-// backend must beat the predecoded plan, each by the committed factor
-// with a byte-identical architectural outcome.
-type stepRecord struct {
-	Workload       string  `json:"workload"`
-	Scale          float64 `json:"scale"`
-	Steps          uint64  `json:"steps"`
-	Reps           int     `json:"reps"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	NumCPU         int     `json:"num_cpu"`
-	RunSec         float64 `json:"run_sec"`
-	PlanSec        float64 `json:"plan_sec"`
-	CompileSec     float64 `json:"compile_sec"`
-	Speedup        float64 `json:"speedup"`
-	CompileSpeedup float64 `json:"compile_speedup"`
-	Identical      bool    `json:"identical"`
-}
-
-// compileRecord is the BENCH_compile.json schema: just the compiled-vs-plan
-// leg of the step microbench, the gate the acceptance criteria pin.
-type compileRecord struct {
-	Workload       string  `json:"workload"`
-	Scale          float64 `json:"scale"`
-	Steps          uint64  `json:"steps"`
-	Reps           int     `json:"reps"`
-	PlanSec        float64 `json:"plan_sec"`
-	CompileSec     float64 `json:"compile_sec"`
-	CompileSpeedup float64 `json:"compile_speedup"`
-	Identical      bool    `json:"identical"`
-}
-
-func writeStepJSON(path, compilePath string, scale float64) error {
-	r, err := bench.StepThroughput("164.gzip", scale, 3)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatStep(r))
-	rec := stepRecord{
-		Workload: r.Workload, Scale: scale, Steps: r.Steps, Reps: r.Reps,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		RunSec: r.RunSec, PlanSec: r.PlanSec, CompileSec: r.CompileSec,
-		Speedup: r.Speedup, CompileSpeedup: r.CompileSpeedup, Identical: r.Identical,
-	}
-	if err := writeJSON(path, rec); err != nil {
-		return err
-	}
-	if compilePath == "" {
-		return nil
-	}
-	return writeJSON(compilePath, compileRecord{
-		Workload: r.Workload, Scale: scale, Steps: r.Steps, Reps: r.Reps,
-		PlanSec: r.PlanSec, CompileSec: r.CompileSec,
-		CompileSpeedup: r.CompileSpeedup, Identical: r.Identical,
-	})
-}
-
-// graphRecord is the BENCH_graph.json schema: the full coverage matrix
-// run twice against one on-disk graph cell cache — the cold pass executes
-// and stores every cell, the hot pass (a fresh registry and a fresh cache
-// handle over the same directory, so hits come off disk, not memory)
-// loads them — with the byte-identity verdict across the two matrices.
-type graphRecord struct {
-	Workloads    []string `json:"workloads"`
-	Techniques   []string `json:"techniques"`
-	Scale        float64  `json:"scale"`
-	Samples      int      `json:"samples"`
-	Seed         int64    `json:"seed"`
-	CkptInterval int64    `json:"ckpt_interval"`
-	GOMAXPROCS   int      `json:"gomaxprocs"`
-	NumCPU       int      `json:"num_cpu"`
-	Cells        int      `json:"cells"`
-	ColdSec      float64  `json:"cold_sec"`
-	HotSec       float64  `json:"hot_sec"`
-	// Speedup is cold wall-clock over hot wall-clock: what a content-keyed
-	// re-run saves when nothing invalidated. CI gates on >= 10.
-	Speedup float64 `json:"speedup"`
-	// Hot-pass cache accounting: every cell must hit, none may execute.
-	HotHits   uint64 `json:"hot_hits"`
-	HotMisses uint64 `json:"hot_misses"`
-	// Identical reports the cold and hot formatted matrices matched byte
-	// for byte.
-	Identical bool `json:"identical"`
-}
-
-// writeGraphJSON times the cold and hot coverage-matrix passes over a
-// temporary cache directory.
-func writeGraphJSON(path string, scale float64, workers int, ckptInterval int64) error {
-	dir, err := os.MkdirTemp("", "cfc-graph-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	const samples, seed = 200, 1
-	pass := func() (string, uint64, uint64, time.Duration, error) {
-		m := obs.NewRegistry()
-		cfg := bench.CoverageConfig{
-			Scale: scale, Samples: samples, Seed: seed,
-			Graph: graph.New(dir),
-		}
-		cfg.Metrics, cfg.Workers, cfg.CkptInterval = m, workers, ckptInterval
-		start := time.Now()
-		reports, err := bench.CoverageMatrix(context.Background(), cfg)
-		if err != nil {
-			return "", 0, 0, 0, err
-		}
-		d := time.Since(start)
-		snap := m.Snapshot()
-		return bench.FormatCoverageMatrix(reports),
-			snap.Counters["graph_cache_hits_total"], snap.Counters["graph_cache_misses_total"], d, nil
-	}
-	coldText, _, _, coldDur, err := pass()
-	if err != nil {
-		return err
-	}
-	hotText, hotHits, hotMisses, hotDur, err := pass()
-	if err != nil {
-		return err
-	}
-	fmt.Print(hotText)
-	rec := graphRecord{
-		Workloads:    bench.DefaultCoverageWorkloads,
-		Techniques:   bench.CoverageTechniques,
-		Scale:        scale,
-		Samples:      samples,
-		Seed:         seed,
-		CkptInterval: ckptInterval,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		Cells:        len(bench.DefaultCoverageWorkloads) * len(bench.CoverageTechniques),
-		ColdSec:      coldDur.Seconds(),
-		HotSec:       hotDur.Seconds(),
-		HotHits:      hotHits,
-		HotMisses:    hotMisses,
-		Identical:    coldText == hotText,
-	}
-	if hotDur > 0 {
-		rec.Speedup = coldDur.Seconds() / hotDur.Seconds()
-	}
-	return writeJSON(path, rec)
-}
-
-func writeJSON(path string, rec any) error {
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // minF caps the campaign scale: fault injection runs the program once per

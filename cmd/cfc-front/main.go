@@ -21,31 +21,21 @@
 // unreachable replicas from the ring, re-routing their sessions to
 // survivors (which restore warm state from the shared artifact store,
 // when one is configured) and failing their queued requests fast.
-//
-// -front-json runs the fan-out benchmark instead: three in-process
-// replicas behind a front versus one replica alone on the same
-// campaign, recording the sharded speedup and whether the merged stream
-// matched the single-server stream byte for byte.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/front"
-	"repro/internal/obs"
-	"repro/internal/session"
 )
 
 func main() {
@@ -57,14 +47,9 @@ func main() {
 		replicaCap = flag.Int("replica-cap", front.DefaultReplicaCap, "in-flight request cap per replica")
 		weights    = flag.String("tenant-weights", "", "fair-share weights as tenant=w pairs, e.g. ci=3,adhoc=1")
 		poll       = flag.Duration("poll", 500*time.Millisecond, "replica health poll interval")
-		frontOut   = flag.String("front-json", "", "run the fan-out benchmark, write the record here, and exit")
 	)
 	flag.Parse()
 
-	if *frontOut != "" {
-		fatalIf(writeFrontJSON(*frontOut))
-		return
-	}
 	if *replicas == "" {
 		fatalIf(fmt.Errorf("-replicas is required (comma-separated cfc-serve URLs)"))
 	}
@@ -114,197 +99,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cfc-front: shutting down")
 		hs.Shutdown(context.Background())
 	}
-}
-
-// frontRecord is the -front-json schema: one campaign run whole on a
-// single replica versus sharded across three replicas, with the
-// byte-identity verdict on the front's merged stream.
-type frontRecord struct {
-	Workload     string    `json:"workload"`
-	Technique    string    `json:"technique"`
-	Samples      int       `json:"samples"`
-	Shards       int       `json:"shards"`
-	CkptInterval int64     `json:"ckpt_interval"`
-	GOMAXPROCS   int       `json:"gomaxprocs"`
-	NumCPU       int       `json:"num_cpu"`
-	SingleSec    float64   `json:"single_sec"`
-	ShardSecs    []float64 `json:"shard_secs"`
-	// FanoutSec is the critical path: the slowest shard, each timed on
-	// its replica in isolation — the fleet wall-clock with one shard per
-	// machine, which the benchmark host (often a 1-2 core CI box running
-	// all three replicas) cannot exhibit directly.
-	FanoutSec float64 `json:"fanout_sec"`
-	// WallSec is the observed wall-clock of the front's real concurrent
-	// fan-out on this host, informational: it converges to FanoutSec as
-	// the host gives each replica its own core.
-	WallSec float64 `json:"wall_sec"`
-	// Speedup is SingleSec over FanoutSec: what sharding one campaign
-	// across a fleet saves. CI gates on >= 2.
-	Speedup float64 `json:"speedup"`
-	// Identical reports the front's merged fan-out record matched the
-	// single-server record byte for byte (elapsed/workers excluded).
-	Identical bool `json:"identical"`
-}
-
-// writeFrontJSON measures the fan-out end to end over real HTTP: three
-// in-process replicas behind a front. The byte-identity verdict comes
-// from the front's real concurrent ?fanout=3 merge; the speedup comes
-// from timing each shard on its replica in isolation (sequentially, so
-// replicas sharing this host's cores don't contend) and taking the
-// slowest shard as the fleet's critical path. Each replica is pinned to
-// one worker so the comparison isolates the horizontal effect rather
-// than intra-replica parallelism.
-func writeFrontJSON(path string) error {
-	const (
-		nShards = 3
-		samples = 6000
-		seed    = 1
-	)
-	req := session.Request{
-		Workload: "164.gzip", Scale: 0.05, Technique: "RCF", Style: "CMOVcc",
-		Policy: "ALLBB", CkptInterval: -1, Workers: 1,
-		Campaigns: []session.SpecJSON{{Seed: seed, Samples: samples}},
-	}
-
-	newReplica := func() (*http.Server, string, error) {
-		reg := obs.NewRegistry()
-		srv := &session.Server{Registry: session.NewRegistry(session.Config{Metrics: reg}), Metrics: reg}
-		hs := &http.Server{Handler: srv.Handler()}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		go hs.Serve(ln)
-		return hs, "http://" + ln.Addr().String(), nil
-	}
-
-	var urls []string
-	for i := 0; i < nShards; i++ {
-		hs, url, err := newReplica()
-		if err != nil {
-			return err
-		}
-		defer hs.Close()
-		urls = append(urls, url)
-	}
-	f := front.New(front.Config{Replicas: urls})
-	fhs := &http.Server{Handler: f.Handler()}
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go fhs.Serve(fln)
-	defer fhs.Close()
-	frontURL := "http://" + fln.Addr().String()
-
-	post := func(url string, body []byte) (session.RecordJSON, time.Duration, error) {
-		var rec session.RecordJSON
-		start := time.Now()
-		resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			return rec, 0, err
-		}
-		defer resp.Body.Close()
-		dec := json.NewDecoder(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			var e session.ErrorJSON
-			dec.Decode(&e)
-			return rec, 0, fmt.Errorf("%s: %s: %s", url, resp.Status, e.Error)
-		}
-		if err := dec.Decode(&rec); err != nil {
-			return rec, 0, err
-		}
-		if rec.Error != "" {
-			return rec, 0, fmt.Errorf("campaign error: %s", rec.Error)
-		}
-		return rec, time.Since(start), nil
-	}
-
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	// Warm every replica's session first (a tiny shard on each via the
-	// front, plus the whole-campaign home), so both timed runs measure
-	// steady-state injection, not translator warm-up.
-	warm := req
-	warm.Campaigns = []session.SpecJSON{{Seed: seed + 1000, Samples: nShards}}
-	warmBody, err := json.Marshal(warm)
-	if err != nil {
-		return err
-	}
-	if _, _, err := post(frontURL+"/v1/campaigns?fanout="+strconv.Itoa(nShards), warmBody); err != nil {
-		return fmt.Errorf("warm fan-out: %w", err)
-	}
-	if _, _, err := post(urls[0]+"/v1/campaigns", warmBody); err != nil {
-		return fmt.Errorf("warm single: %w", err)
-	}
-
-	singleRec, singleDur, err := post(urls[0]+"/v1/campaigns", body)
-	if err != nil {
-		return fmt.Errorf("single run: %w", err)
-	}
-	fanRec, fanDur, err := post(frontURL+"/v1/campaigns?fanout="+strconv.Itoa(nShards), body)
-	if err != nil {
-		return fmt.Errorf("fan-out run: %w", err)
-	}
-
-	// The critical path: the same campaign's shards, each timed alone on
-	// its own replica (the replicas carry no cell cache, so every run
-	// executes), so one shard's measurement never steals this host's
-	// cycles from another.
-	var shardSecs []float64
-	critical := 0.0
-	for i, sh := range front.ShardSpecs(req.Campaigns[0], nShards) {
-		sreq := req
-		sreq.Campaigns = []session.SpecJSON{sh}
-		sbody, err := json.Marshal(sreq)
-		if err != nil {
-			return err
-		}
-		_, dur, err := post(urls[i%len(urls)]+"/v1/campaigns", sbody)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		shardSecs = append(shardSecs, dur.Seconds())
-		if s := dur.Seconds(); s > critical {
-			critical = s
-		}
-	}
-
-	rec := frontRecord{
-		Workload:     req.Workload,
-		Technique:    req.Technique,
-		Samples:      samples,
-		Shards:       nShards,
-		CkptInterval: req.CkptInterval,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		SingleSec:    singleDur.Seconds(),
-		ShardSecs:    shardSecs,
-		FanoutSec:    critical,
-		WallSec:      fanDur.Seconds(),
-		Identical:    normalizeRecord(singleRec) == normalizeRecord(fanRec),
-	}
-	if critical > 0 {
-		rec.Speedup = singleDur.Seconds() / critical
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// normalizeRecord renders a record with its legitimately varying fields
-// (wall clock, worker count, cache temperature) zeroed, for the
-// byte-identity verdict.
-func normalizeRecord(rec session.RecordJSON) string {
-	rec.ElapsedSec = 0
-	rec.Workers = 0
-	rec.Cached = false
-	out, _ := json.Marshal(rec)
-	return string(out)
 }
 
 func fatalIf(err error) {

@@ -6,17 +6,13 @@
 // and its stated future work.
 //
 // -workers shards the samples across a goroutine pool; the classified
-// report is bit-identical for every worker count. -json additionally runs
-// the campaign at one worker and at the requested count, checks the two
-// reports agree, and writes a throughput record suitable for CI.
+// report is bit-identical for every worker count.
 //
 // -ckpt-interval selects the injection engine: 0 replays every sample from
 // the start (the original engine), -1 (the default) checkpoints the clean
 // run at an auto-sized step interval and resumes each sample from the
 // nearest checkpoint, and a positive value sets the interval explicitly.
-// Reports are byte-identical across all settings. -ckpt-json times both
-// engines at one and four workers, verifies the reports match byte for
-// byte, and writes the speedup record suitable for CI.
+// Reports are byte-identical across all settings.
 package main
 
 import (
@@ -26,8 +22,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"reflect"
-	"runtime"
 	"syscall"
 
 	"repro/internal/bench"
@@ -35,28 +29,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/inject"
-	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 func main() {
 	var (
-		workload = flag.String("workload", "164.gzip", "workload name")
-		scale    = flag.Float64("scale", 0.1, "workload dynamic scale")
-		tech     = flag.String("technique", "RCF", "none|EdgCF|RCF|ECF")
-		style    = flag.String("style", "CMOVcc", "Jcc|CMOVcc")
-		policy   = flag.String("policy", "ALLBB", "ALLBB|RET-BE|RET|END")
-		samples  = flag.Int("samples", 500, "number of injected faults")
-		seed     = flag.Int64("seed", 1, "PRNG seed")
-		matrix   = flag.Bool("matrix", false, "run the full coverage matrix instead")
-		jsonOut  = flag.String("json", "", "write a throughput benchmark record to this file")
-		ckptOut  = flag.String("ckpt-json", "",
-			"write a checkpoint-vs-replay engine benchmark record to this file")
+		workload  = flag.String("workload", "164.gzip", "workload name")
+		scale     = flag.Float64("scale", 0.1, "workload dynamic scale")
+		tech      = flag.String("technique", "RCF", "none|EdgCF|RCF|ECF")
+		style     = flag.String("style", "CMOVcc", "Jcc|CMOVcc")
+		policy    = flag.String("policy", "ALLBB", "ALLBB|RET-BE|RET|END")
+		samples   = flag.Int("samples", 500, "number of injected faults")
+		seed      = flag.Int64("seed", 1, "PRNG seed")
+		matrix    = flag.Bool("matrix", false, "run the full coverage matrix instead")
 		reportOut = flag.String("report-json", "",
 			"write the normalized campaign report (JSON) to this file")
-		scaleOut = flag.String("scale-json", "",
-			"write a worker-scaling benchmark record (checkpoint engine at 1..N workers) to this file")
 	)
 	app := cli.App{CkptInterval: -1}
 	app.BindFlags(flag.CommandLine)
@@ -86,24 +73,10 @@ func main() {
 	fatalIf(err)
 	cfg := core.Config{Technique: *tech, Style: *style, Policy: *policy, SampleOffset: app.SampleOffset}
 	cfg.CkptInterval = app.CkptInterval
-
-	if *jsonOut != "" {
-		// The determinism-check runs stay unobserved so the snapshot and
-		// trace describe exactly one campaign: the reported one below.
-		fatalIf(writeBenchJSON(ctx, *jsonOut, p, cfg, *samples, *seed, app.Workers))
-	}
-	if *ckptOut != "" {
-		fatalIf(writeCkptJSON(ctx, *ckptOut, p, cfg, *samples, *seed))
-	}
-	if *scaleOut != "" {
-		fatalIf(writeScaleJSON(ctx, *scaleOut, p, cfg, *samples, *seed))
-	}
-
 	cfg.Options = app.Options()
 	var rep *inject.Report
 	if g := app.Graph(); g != nil {
-		// The benchmark modes above re-run for wall-clock and bypass the
-		// cache by design; the report itself is a cell.
+		// The report is a cell of the campaign graph.
 		key := graph.KeyFor(p, *tech, *style, *policy, *samples, *seed,
 			cfg.SampleOffset, cfg.CkptInterval, cfg.Backend, 0)
 		var cached bool
@@ -154,259 +127,15 @@ func writeReportJSON(path string, rep *inject.Report) error {
 		Samples:      rep.Samples,
 		SampleOffset: rep.SampleOffset,
 		NotFired:     rep.NotFired,
-		Executed:    rep.Executed,
-		ShortOffset: rep.ShortOffset,
-		ShortLive:   rep.ShortLive,
-		Report:      inject.FormatNormalized(rep),
+		Executed:     rep.Executed,
+		ShortOffset:  rep.ShortOffset,
+		ShortLive:    rep.ShortLive,
+		Report:       inject.FormatNormalized(rep),
 	}, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// benchRecord is the schema of the -json output, one file per campaign.
-type benchRecord struct {
-	Workload      string     `json:"workload"`
-	Technique     string     `json:"technique"`
-	Samples       int        `json:"samples"`
-	Seed          int64      `json:"seed"`
-	GOMAXPROCS    int        `json:"gomaxprocs"`
-	NumCPU        int        `json:"num_cpu"`
-	Runs          []benchRun `json:"runs"`
-	Speedup       float64    `json:"speedup"`
-	Deterministic bool       `json:"deterministic"`
-}
-
-type benchRun struct {
-	Workers    int     `json:"workers"`
-	ElapsedSec float64 `json:"elapsed_sec"`
-	RunsPerSec float64 `json:"runs_per_sec"`
-}
-
-// writeBenchJSON measures the same campaign serially and at the requested
-// worker count, verifies the classified results are identical, and records
-// both timings so CI can track campaign throughput.
-func writeBenchJSON(ctx context.Context, path string, p *isa.Program, cfg core.Config, samples int, seed int64, workers int) error {
-	parallel := par.Workers(workers, samples)
-	cfg.Workers = 1
-	serial, err := core.InjectCtx(ctx, p, cfg, samples, seed)
-	if err != nil {
-		return err
-	}
-	multi := serial
-	if parallel != 1 {
-		cfg.Workers = parallel
-		multi, err = core.InjectCtx(ctx, p, cfg, samples, seed)
-		if err != nil {
-			return err
-		}
-	}
-	rec := benchRecord{
-		Workload:      p.Name,
-		Technique:     cfg.Technique,
-		Samples:       samples,
-		Seed:          seed,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		Deterministic: sameReport(serial, multi),
-		Runs: []benchRun{
-			{Workers: 1, ElapsedSec: serial.Elapsed.Seconds(), RunsPerSec: serial.Throughput()},
-		},
-	}
-	if parallel != 1 {
-		rec.Runs = append(rec.Runs, benchRun{
-			Workers: parallel, ElapsedSec: multi.Elapsed.Seconds(), RunsPerSec: multi.Throughput(),
-		})
-		if multi.Elapsed > 0 {
-			rec.Speedup = serial.Elapsed.Seconds() / multi.Elapsed.Seconds()
-		}
-	} else {
-		rec.Speedup = 1
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// ckptRecord is the schema of the -ckpt-json output: both engines timed
-// at each worker count, with the byte-identity verdict.
-type ckptRecord struct {
-	Workload     string    `json:"workload"`
-	Technique    string    `json:"technique"`
-	Samples      int       `json:"samples"`
-	Seed         int64     `json:"seed"`
-	CkptInterval int64     `json:"ckpt_interval"`
-	GOMAXPROCS   int       `json:"gomaxprocs"`
-	NumCPU       int       `json:"num_cpu"`
-	Runs         []ckptRun `json:"runs"`
-	// Speedup is the single-worker engine comparison: replay wall-clock
-	// over checkpoint wall-clock, parallel scaling factored out.
-	Speedup   float64 `json:"speedup"`
-	Identical bool    `json:"identical"`
-}
-
-type ckptRun struct {
-	Workers   int     `json:"workers"`
-	ReplaySec float64 `json:"replay_sec"`
-	CkptSec   float64 `json:"ckpt_sec"`
-	Speedup   float64 `json:"speedup"`
-	Identical bool    `json:"identical"`
-}
-
-// writeCkptJSON runs the same campaign under the full-replay engine and
-// the checkpoint-and-resume engine at one and four workers, verifies the
-// classified reports are byte-identical, and records the wall-clock
-// speedup the checkpoint engine delivers.
-func writeCkptJSON(ctx context.Context, path string, p *isa.Program, cfg core.Config, samples int, seed int64) error {
-	iv := cfg.CkptInterval
-	if iv == 0 {
-		iv = -1
-	}
-	rec := ckptRecord{
-		Workload:     p.Name,
-		Technique:    cfg.Technique,
-		Samples:      samples,
-		Seed:         seed,
-		CkptInterval: iv,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		Identical:    true,
-	}
-	for _, w := range []int{1, 4} {
-		rcfg := cfg
-		rcfg.CkptInterval, rcfg.Workers = 0, w
-		replay, err := core.InjectCtx(ctx, p, rcfg, samples, seed)
-		if err != nil {
-			return err
-		}
-		ccfg := cfg
-		ccfg.CkptInterval, ccfg.Workers = iv, w
-		ck, err := core.InjectCtx(ctx, p, ccfg, samples, seed)
-		if err != nil {
-			return err
-		}
-		run := ckptRun{
-			Workers:   w,
-			ReplaySec: replay.Elapsed.Seconds(),
-			CkptSec:   ck.Elapsed.Seconds(),
-			Identical: sameReport(replay, ck) && inject.FormatNormalized(replay) == inject.FormatNormalized(ck),
-		}
-		if ck.Elapsed > 0 {
-			run.Speedup = replay.Elapsed.Seconds() / ck.Elapsed.Seconds()
-		}
-		if w == 1 {
-			rec.Speedup = run.Speedup
-		}
-		rec.Identical = rec.Identical && run.Identical
-		rec.Runs = append(rec.Runs, run)
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// scaleRecord is the schema of the -scale-json output: the replay engine
-// at one worker as the baseline, then the checkpoint engine at growing
-// worker counts, so the record shows worker scaling composing with
-// checkpoint amortization (total = replay_1w / ckpt_Nw).
-type scaleRecord struct {
-	Workload     string     `json:"workload"`
-	Technique    string     `json:"technique"`
-	Samples      int        `json:"samples"`
-	Seed         int64      `json:"seed"`
-	CkptInterval int64      `json:"ckpt_interval"`
-	GOMAXPROCS   int        `json:"gomaxprocs"`
-	NumCPU       int        `json:"num_cpu"`
-	ReplaySec    float64    `json:"replay_sec"` // replay engine, 1 worker
-	Runs         []scaleRun `json:"runs"`
-	// BestSpeedup is the largest composed factor observed across the
-	// worker sweep.
-	BestSpeedup float64 `json:"best_speedup"`
-	Identical   bool    `json:"identical"`
-}
-
-type scaleRun struct {
-	Workers int     `json:"workers"`
-	CkptSec float64 `json:"ckpt_sec"`
-	// Speedup is composed: serial replay wall-clock over this run's
-	// wall-clock (engine gain x worker scaling).
-	Speedup   float64 `json:"speedup"`
-	Identical bool    `json:"identical"`
-}
-
-// writeScaleJSON sweeps the checkpoint engine across worker counts against
-// a single-worker full-replay baseline, verifying byte-identity at every
-// point. The sweep stops at min(8, NumCPU) workers — beyond the core count
-// the sharding only adds scheduling noise.
-func writeScaleJSON(ctx context.Context, path string, p *isa.Program, cfg core.Config, samples int, seed int64) error {
-	iv := cfg.CkptInterval
-	if iv == 0 {
-		iv = -1
-	}
-	rcfg := cfg
-	rcfg.CkptInterval, rcfg.Workers = 0, 1
-	replay, err := core.InjectCtx(ctx, p, rcfg, samples, seed)
-	if err != nil {
-		return err
-	}
-	rec := scaleRecord{
-		Workload:     p.Name,
-		Technique:    cfg.Technique,
-		Samples:      samples,
-		Seed:         seed,
-		CkptInterval: iv,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NumCPU:       runtime.NumCPU(),
-		ReplaySec:    replay.Elapsed.Seconds(),
-		Identical:    true,
-	}
-	maxWorkers := runtime.NumCPU()
-	if maxWorkers > 8 {
-		maxWorkers = 8
-	}
-	for w := 1; w <= maxWorkers; w *= 2 {
-		ccfg := cfg
-		ccfg.CkptInterval, ccfg.Workers = iv, w
-		ck, err := core.InjectCtx(ctx, p, ccfg, samples, seed)
-		if err != nil {
-			return err
-		}
-		run := scaleRun{
-			Workers:   w,
-			CkptSec:   ck.Elapsed.Seconds(),
-			Identical: sameReport(replay, ck) && inject.FormatNormalized(replay) == inject.FormatNormalized(ck),
-		}
-		if ck.Elapsed > 0 {
-			run.Speedup = replay.Elapsed.Seconds() / ck.Elapsed.Seconds()
-		}
-		if run.Speedup > rec.BestSpeedup {
-			rec.BestSpeedup = run.Speedup
-		}
-		rec.Identical = rec.Identical && run.Identical
-		rec.Runs = append(rec.Runs, run)
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// sameReport compares everything a campaign classifies — including the
-// merged per-sample translator statistics — ignoring the timing fields
-// that legitimately differ between runs.
-func sameReport(a, b *inject.Report) bool {
-	return a.NotFired == b.NotFired &&
-		a.LatencySum == b.LatencySum &&
-		a.LatencyN == b.LatencyN &&
-		a.Translator == b.Translator &&
-		reflect.DeepEqual(a.Totals, b.Totals) &&
-		reflect.DeepEqual(a.ByCat, b.ByCat)
 }
 
 func fatalIf(err error) {

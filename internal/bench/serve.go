@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -53,8 +54,12 @@ func Handler(srv *session.Server) http.Handler {
 			return
 		}
 		defer release()
+		raw, ok := session.ReadBody(w, r)
+		if !ok {
+			return
+		}
 		var req BenchRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 			session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)

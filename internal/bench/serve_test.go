@@ -96,7 +96,8 @@ func TestBenchHandlerStreamsSuite(t *testing.T) {
 	}
 }
 
-// TestBenchHandlerRejectsBadBody: unknown fields are a 400, not a stream.
+// TestBenchHandlerRejectsBadBody: unknown fields are a 400 and an oversized
+// body a 413, not a stream.
 func TestBenchHandlerRejectsBadBody(t *testing.T) {
 	metrics := obs.NewRegistry()
 	reg := session.NewRegistry(session.Config{Metrics: metrics})
@@ -104,13 +105,22 @@ func TestBenchHandlerRejectsBadBody(t *testing.T) {
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL, "application/json", strings.NewReader(`{"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		body string
+		want int
+	}{
+		{`{"bogus":1}`, http.StatusBadRequest},
+		{`{"bogus":"` + strings.Repeat("x", session.MaxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %s, want 400", resp.Status)
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: status %s, want %d", len(tc.body), resp.Status, tc.want)
+		}
 	}
 }
 

@@ -63,6 +63,20 @@ func ParseBackend(s string) (Backend, error) {
 // Compiled reports whether the backend uses the compiled tier.
 func (b Backend) Compiled() bool { return b == BackendAuto || b == BackendCompile }
 
+// Run advances m on backend b until a stop or the step budget: the step
+// oracle over the plan's code, the predecoded plan, or the compiled engine
+// e (a nil e runs the plan).
+func Run(b Backend, e *Engine, m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
+	switch b {
+	case BackendStep:
+		return m.Run(p.Code(), maxSteps)
+	case BackendPlan:
+		return m.RunPlan(p, maxSteps)
+	default: // BackendAuto, BackendCompile
+		return e.Run(m, p, maxSteps)
+	}
+}
+
 // Stats counts compiled-backend activity. Counter sums are order-independent,
 // so per-sample totals merged across workers are worker-invariant.
 type Stats struct {

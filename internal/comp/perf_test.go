@@ -1,6 +1,7 @@
 package comp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,21 +21,22 @@ type outcome struct {
 	direct uint64
 	indir  uint64
 	sig    uint64
-	outLen int
+	output []int32
 }
 
 func capture(m *cpu.Machine, stop cpu.Stop) outcome {
 	return outcome{
 		stop: stop, regs: m.Regs, flags: m.Flags, ip: m.IP,
 		steps: m.Steps, cycles: m.Cycles, direct: m.DirectBranches,
-		indir: m.IndirectBranches, sig: m.SigChecks, outLen: len(m.Output),
+		indir: m.IndirectBranches, sig: m.SigChecks, output: m.Output,
 	}
 }
 
 const testMaxSteps = uint64(1) << 62
 
-// TestCompiledMatchesPlanOnWorkloads runs every workload under RunPlan and
-// the compiled backend and requires identical outcomes.
+// TestCompiledMatchesPlanOnWorkloads runs every workload under the step
+// oracle (Machine.Run), RunPlan and the compiled backend, requires each to
+// halt, and requires identical outcomes down to the full output stream.
 func TestCompiledMatchesPlanOnWorkloads(t *testing.T) {
 	for _, prof := range workloads.All() {
 		p, err := prof.Build(0.05)
@@ -42,22 +44,36 @@ func TestCompiledMatchesPlanOnWorkloads(t *testing.T) {
 			t.Fatalf("%s: build: %v", prof.Name, err)
 		}
 		plan := cpu.NewPlan(p.Code, nil)
-		m := cpu.New()
-		m.Reset(p)
-		want := capture(m, m.RunPlan(&plan, testMaxSteps))
-
 		eng := NewEngine(p.Code, nil, 0)
-		m2 := cpu.New()
-		m2.Reset(p)
-		got := capture(m2, eng.Run(m2, &plan, testMaxSteps))
-		if got != want {
-			t.Errorf("%s: compiled outcome differs\n got: %+v\nwant: %+v", prof.Name, got, want)
+		arms := []struct {
+			name string
+			run  func(m *cpu.Machine) cpu.Stop
+		}{
+			{"step", func(m *cpu.Machine) cpu.Stop { return m.Run(p.Code, testMaxSteps) }},
+			{"plan", func(m *cpu.Machine) cpu.Stop { return m.RunPlan(&plan, testMaxSteps) }},
+			{"compile", func(m *cpu.Machine) cpu.Stop { return eng.Run(m, &plan, testMaxSteps) }},
+		}
+		var want outcome
+		for i, arm := range arms {
+			m := cpu.New()
+			m.Reset(p)
+			got := capture(m, arm.run(m))
+			if got.stop.Reason != cpu.StopHalt {
+				t.Errorf("%s: %s run ended with %v, want halt", prof.Name, arm.name, got.stop)
+			}
+			if i == 0 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %s outcome differs from step\n got: %+v\nwant: %+v", prof.Name, arm.name, got, want)
+			}
 		}
 	}
 }
 
 // TestCompiledThroughput reports the compiled backend's speedup over
-// RunPlan on 164.gzip; informational (the CI gate runs via cfc-bench).
+// RunPlan on 164.gzip; informational only (skipped under -short).
 func TestCompiledThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -97,7 +113,7 @@ func TestCompiledThroughput(t *testing.T) {
 		m.Reset(p)
 		return capture(m, eng.Run(m, &plan, testMaxSteps))
 	})
-	if planOut != compOut {
+	if !reflect.DeepEqual(planOut, compOut) {
 		t.Fatalf("outcome mismatch\n got: %+v\nwant: %+v", compOut, planOut)
 	}
 	t.Logf("steps=%d plan=%.4fs compiled=%.4fs speedup=%.2fx",

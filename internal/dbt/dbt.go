@@ -316,16 +316,8 @@ func (d *DBT) Resume(m *cpu.Machine, prefix Stats) {
 func (d *DBT) Advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 	for {
 		d.plan.Sync(d.cache)
-		var stop cpu.Stop
-		switch d.opts.Backend {
-		case comp.BackendStep:
-			stop = m.Run(d.cache, maxSteps)
-		case comp.BackendPlan:
-			stop = m.RunPlan(&d.plan, maxSteps)
-		default: // BackendAuto, BackendCompile
-			d.comp.Sync(d.cache)
-			stop = d.comp.Run(m, &d.plan, maxSteps)
-		}
+		d.comp.Sync(d.cache)
+		stop := comp.Run(d.opts.Backend, d.comp, m, &d.plan, maxSteps)
 		if stop.Reason != cpu.StopTrapOut {
 			return stop
 		}

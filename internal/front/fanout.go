@@ -11,6 +11,10 @@ import (
 	"repro/internal/session"
 )
 
+// maxShardReplyBytes bounds one replica's shard reply: a single campaign
+// record carrying its structured report.
+const maxShardReplyBytes = 16 << 20
+
 // fanoutCampaigns splits every campaign of the batch into n contiguous
 // sample shards, runs each shard on its own replica (the key's ring
 // owner first, then its successors, so shard 0 still rides the warm
@@ -56,11 +60,10 @@ func (f *Front) fanoutCampaigns(w http.ResponseWriter, req *http.Request, body *
 	}
 }
 
-// ShardSpecs splits spec into n contiguous shards covering the same
+// shardSpecs splits spec into n contiguous shards covering the same
 // global sample range: sizes differ by at most one, empty shards
-// dropped (more shards than samples). Exported for the fan-out
-// benchmark and for tools that shard manually.
-func ShardSpecs(spec session.SpecJSON, n int) []session.SpecJSON {
+// dropped (more shards than samples).
+func shardSpecs(spec session.SpecJSON, n int) []session.SpecJSON {
 	base, rem := spec.Samples/n, spec.Samples%n
 	shards := make([]session.SpecJSON, 0, n)
 	offset := spec.SampleOffset
@@ -81,7 +84,7 @@ func ShardSpecs(spec session.SpecJSON, n int) []session.SpecJSON {
 // runSharded executes one campaign as shards across owners and merges.
 // Cached is true only when every shard answered from its graph cache.
 func (f *Front) runSharded(req *http.Request, body *session.Request, spec session.SpecJSON, owners []string, tenant string, n int) (*inject.Report, bool, error) {
-	shards := ShardSpecs(spec, n)
+	shards := shardSpecs(spec, n)
 	if len(shards) == 0 {
 		// A zero-sample campaign still needs one (empty) run for its record.
 		shards = []session.SpecJSON{spec}
@@ -155,9 +158,12 @@ func (f *Front) runShard(req *http.Request, body *session.Request, shard session
 		return rec, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	out, err := io.ReadAll(io.LimitReader(resp.Body, maxShardReplyBytes+1))
 	if err != nil {
 		return rec, err
+	}
+	if len(out) > maxShardReplyBytes {
+		return rec, fmt.Errorf("shard reply over %d bytes", maxShardReplyBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e session.ErrorJSON

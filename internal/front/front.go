@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -132,9 +131,8 @@ func keyOf(body *session.Request) string {
 }
 
 func (f *Front) handleCampaigns(w http.ResponseWriter, req *http.Request) {
-	raw, err := io.ReadAll(req.Body)
-	if err != nil {
-		session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
+	raw, ok := session.ReadBody(w, req)
+	if !ok {
 		return
 	}
 	var body session.Request
@@ -146,6 +144,7 @@ func (f *Front) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	}
 	fanout := 1
 	if q := req.URL.Query().Get("fanout"); q != "" {
+		var err error
 		fanout, err = strconv.Atoi(q)
 		if err != nil || fanout < 1 {
 			session.WriteError(w, http.StatusBadRequest, "bad request: fanout %q", q)

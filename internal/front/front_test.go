@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -245,5 +246,70 @@ func TestFrontMergedMetrics(t *testing.T) {
 	}
 	if got := snap.Counters["session_warm_builds_total"]; got != 2 {
 		t.Errorf("merged session_warm_builds_total = %d, want 2", got)
+	}
+}
+
+// frontOverFake starts a front over one fake replica that answers
+// /healthz as ready and serves /v1/campaigns with campaigns, so a test
+// controls exactly what the front sees. It returns the front's URL.
+func frontOverFake(t *testing.T, campaigns http.HandlerFunc) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(session.HealthJSON{Status: "ok"})
+	})
+	mux.HandleFunc("POST /v1/campaigns", campaigns)
+	rep := httptest.NewServer(mux)
+	t.Cleanup(rep.Close)
+	f := New(Config{Replicas: []string{rep.URL}})
+	f.health.poll()
+	ts := httptest.NewServer(f.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// An oversized request body answers 413 in the ErrorJSON shape at the
+// front itself, on both the proxy and the fan-out path: no byte of it
+// reaches a replica.
+func TestFrontRejectsOversizedBody(t *testing.T) {
+	var posts atomic.Int64
+	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+		posts.Add(1)
+		session.WriteError(w, http.StatusInternalServerError, "replica reached")
+	})
+
+	body := `{"workload":"` + strings.Repeat("x", session.MaxRequestBytes) + `"}`
+	for _, path := range []string{"/v1/campaigns", "/v1/campaigns?fanout=2"} {
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e session.ErrorJSON
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || e.Error == "" {
+			t.Errorf("%s: status %d, error %q (%v); want 413 with an error body", path, resp.StatusCode, e.Error, derr)
+		}
+	}
+	if n := posts.Load(); n != 0 {
+		t.Errorf("replica received %d posts, want 0", n)
+	}
+}
+
+// A replica's shard reply is read up to a bound: a runaway reply becomes
+// a campaign error record instead of an unbounded buffer in the front.
+func TestFrontBoundsShardReply(t *testing.T) {
+	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		json.NewEncoder(w).Encode(session.RecordJSON{Report: strings.Repeat("x", maxShardReplyBytes)})
+	})
+
+	resp, out := postRaw(t, url+"/v1/campaigns?fanout=2", batchReq("RCF", session.SpecJSON{Seed: 1, Samples: 4}))
+	var rec session.RecordJSON
+	if err := json.Unmarshal(out, &rec); err != nil {
+		t.Fatalf("fanout stream (%d): %v", resp.StatusCode, err)
+	}
+	if !strings.Contains(rec.Error, "shard reply over") {
+		t.Errorf("record error = %q, want the shard-reply bound", rec.Error)
 	}
 }

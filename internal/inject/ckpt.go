@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/ckpt"
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -349,7 +350,7 @@ func runStaticCkptSamples(ctx context.Context, p *isa.Program, g *cfg.Graph, se 
 			for stop.Reason == cpu.StopOutOfSteps && m.Steps < cfgn.MaxSteps {
 				if f.Fired {
 					if short = shortCircuitKind(log, f, li); short == shortNone {
-						stop = se.run(v, m, cfgn.MaxSteps)
+						stop = comp.Run(se.backend, v, m, &se.plan, cfgn.MaxSteps)
 					}
 					break
 				}
@@ -357,7 +358,7 @@ func runStaticCkptSamples(ctx context.Context, p *isa.Program, g *cfg.Graph, se 
 				if target > cfgn.MaxSteps {
 					target = cfgn.MaxSteps
 				}
-				stop = se.run(v, m, target)
+				stop = comp.Run(se.backend, v, m, &se.plan, target)
 			}
 
 			cst := se.stats(v)

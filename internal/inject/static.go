@@ -23,13 +23,12 @@ import (
 // its chain-hit counters merge worker-invariantly.
 type staticExec struct {
 	backend comp.Backend
-	code    []isa.Instr
 	plan    cpu.Plan
 	eng     *comp.Engine // frozen; nil for interpreter backends
 }
 
 func newStaticExec(p *isa.Program, g *cfg.Graph, backend comp.Backend) *staticExec {
-	se := &staticExec{backend: backend, code: p.Code, plan: cpu.NewPlan(p.Code, nil)}
+	se := &staticExec{backend: backend, plan: cpu.NewPlan(p.Code, nil)}
 	if backend.Compiled() {
 		se.eng = comp.NewEngine(p.Code, nil, 0)
 		starts := make([]uint32, len(g.Blocks))
@@ -56,18 +55,6 @@ func (se *staticExec) view() *comp.Engine {
 		return nil
 	}
 	return se.eng.Clone()
-}
-
-// run advances m on the selected backend until a stop or the step budget.
-func (se *staticExec) run(v *comp.Engine, m *cpu.Machine, maxSteps uint64) cpu.Stop {
-	switch se.backend {
-	case comp.BackendStep:
-		return m.Run(se.code, maxSteps)
-	case comp.BackendPlan:
-		return m.RunPlan(&se.plan, maxSteps)
-	default: // BackendAuto, BackendCompile
-		return v.Run(m, &se.plan, maxSteps)
-	}
 }
 
 // stats returns the view's accumulated per-sample work.
@@ -184,7 +171,7 @@ func (cfgn Config) runStaticWarm(ctx context.Context, p *isa.Program, label stri
 		m.Reset(p)
 		m.Fault = f
 		v := se.view()
-		stop := se.run(v, m, cfgn.MaxSteps)
+		stop := comp.Run(se.backend, v, m, &se.plan, cfgn.MaxSteps)
 		results[i].comp = se.stats(v)
 		cpu.TraceRunOutcome(cfgn.Trace, m, stop)
 		if !f.Fired {

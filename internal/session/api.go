@@ -7,7 +7,9 @@ package session
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/obs"
@@ -22,7 +24,27 @@ const (
 	DefaultMaxScale = 1.0
 	// DefaultMaxWorkers bounds the requested worker fan-out.
 	DefaultMaxWorkers = 256
+	// MaxRequestBytes bounds a request body read off the wire, at the
+	// replicas and the front door alike.
+	MaxRequestBytes = 1 << 20
 )
+
+// ReadBody reads req's body, at most MaxRequestBytes of it. On failure it
+// answers the request itself — 413 for an oversized body, 400 otherwise,
+// both in the ErrorJSON shape — and reports false.
+func ReadBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, MaxRequestBytes))
+	if err == nil {
+		return raw, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", MaxRequestBytes)
+	} else {
+		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
+	}
+	return nil, false
+}
 
 // Limits bounds what one request may ask for. The zero value means the
 // defaults; every route on the serve mux validates through the same

@@ -7,6 +7,7 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -334,8 +335,12 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	defer release()
+	raw, ok := ReadBody(w, req)
+	if !ok {
+		return
+	}
 	var body Request
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request: %v", err)

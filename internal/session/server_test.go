@@ -157,8 +157,8 @@ func TestBatchMatchesCLIByteForByte(t *testing.T) {
 	}
 }
 
-// Malformed or out-of-range requests fail fast with 400 before any
-// campaign runs.
+// Malformed or out-of-range requests fail fast with 400, and oversized
+// ones with 413, before any campaign runs.
 func TestCampaignValidation(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := &Server{Registry: NewRegistry(Config{Metrics: reg}), Metrics: reg, Limits: Limits{MaxSamples: 100}}
@@ -202,6 +202,20 @@ func TestCampaignValidation(t *testing.T) {
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400", resp.StatusCode)
+		}
+	})
+
+	t.Run("oversized body", func(t *testing.T) {
+		body := `{"workload":"` + strings.Repeat("x", MaxRequestBytes) + `"}`
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e ErrorJSON
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || e.Error == "" {
+			t.Errorf("status %d, error %q (%v); want 413 with an error body", resp.StatusCode, e.Error, derr)
 		}
 	})
 
