@@ -193,45 +193,72 @@ func (l *Log) lastAtOrBefore(key func(*Point) uint64, limit uint64) int {
 }
 
 // Replayer materializes machines at checkpoints of one log. It keeps a
-// working memory image and applies page deltas incrementally, so a worker
-// that visits points in ascending order pays each delta once; seeking
-// backwards rebuilds from the zero image. A Replayer is not safe for
-// concurrent use — campaigns give each worker its own.
+// memory image at its current point and applies page deltas
+// incrementally, so a worker that visits points in ascending order pays
+// each delta once; seeking backwards rebuilds from the zero image.
+//
+// The replayer owns one machine and one working memory and restores them
+// in place on every Machine call: the working memory tracks the image,
+// and only the pages the previous sample wrote are copied back (see
+// mem.Memory.Rollback), so a restore allocates nothing and costs the
+// previous sample's footprint plus the deltas crossed. A Replayer is not
+// safe for concurrent use — campaigns give each worker its own.
 type Replayer struct {
-	log *Log
-	img []int32
-	cur int // last applied point index; -1 = zero image
+	log   *Log
+	img   []int32 // memory at point cur
+	cur   int     // last applied point index; -1 = zero image
+	m     *cpu.Machine
+	work  *mem.Memory
+	costs *cpu.CostModel
 }
 
 // NewReplayer returns a replayer over the log with a zeroed image.
 func (l *Log) NewReplayer() *Replayer {
-	return &Replayer{log: l, img: make([]int32, l.MemWords), cur: -1}
+	return &Replayer{
+		log:   l,
+		img:   make([]int32, l.MemWords),
+		cur:   -1,
+		m:     new(cpu.Machine),
+		work:  mem.New(l.MemWords),
+		costs: cpu.DefaultCosts(),
+	}
 }
 
-// seek brings the image to checkpoint k's memory state.
+// seek brings the image to checkpoint k's memory state, mirroring every
+// applied delta into the working memory as clean (baseline) pages.
+// Callers first roll the working memory back, so both agree at the start.
 func (r *Replayer) seek(k int) {
 	if k < r.cur {
 		clear(r.img)
+		r.work.WriteClean(0, r.img)
 		r.cur = -1
 	}
 	for ; r.cur < k; r.cur++ {
 		for _, pg := range r.log.Points[r.cur+1].Pages {
 			lo := int(pg.Index) << mem.PageShift
 			copy(r.img[lo:lo+len(pg.Words)], pg.Words)
+			r.work.WriteClean(uint32(lo), pg.Words)
 		}
 	}
 }
 
-// Machine returns a fresh machine restored to checkpoint k: architectural
-// state and counters from the point, memory copied from the incrementally
-// rebuilt image, output primed with the reference prefix. The caller
+// Machine restores the replayer's machine to checkpoint k and returns it:
+// architectural state and counters from the point, memory equal to the
+// rebuilt image, output primed with the reference prefix, and every other
+// field (fault, branch hook, cost model) back at its default. The caller
 // plants the fault and (for DBT runs) resumes a translator clone on it.
+// The machine stays valid only until the next Machine call, which
+// restores the same machine and memory in place.
 func (r *Replayer) Machine(k int) *cpu.Machine {
+	r.work.Rollback(r.img)
 	r.seek(k)
 	pt := &r.log.Points[k]
-	m := cpu.New()
+	m := r.m
+	*m = cpu.Machine{
+		Mem:    r.work,
+		Costs:  r.costs,
+		Output: append(m.Output[:0], r.log.Output[:pt.OutLen]...),
+	}
 	m.RestoreFrom(pt.State)
-	m.Mem = mem.NewFrom(r.img)
-	m.Output = append([]int32(nil), r.log.Output[:pt.OutLen]...)
 	return m
 }

@@ -2,6 +2,9 @@ package ckpt
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -9,6 +12,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // The test workload mixes loops, calls, memory traffic (so checkpoints
@@ -192,6 +196,114 @@ func TestRestoreReproducesReferenceStatic(t *testing.T) {
 			stop := m.Run(prog.Code, maxSteps)
 			checkAgainstLog(t, label, k, l, stop.Reason, m.CaptureState(), m.Output)
 		}
+	}
+}
+
+// One replayer reused across samples restores exactly what a brand-new
+// replayer would, whatever the previous sample did to the machine it was
+// handed: stores anywhere (pages in no delta, the stack top, the short
+// final page), counter and register damage, extra output, a planted fault
+// and branch hook, a foreign cost model. Points are visited in the
+// campaign engine's order — ascending with repeats — plus one backward
+// seek.
+func TestReplayerInPlaceRestoreMatchesFresh(t *testing.T) {
+	// 70 data words make the final tracking page short.
+	p, err := asm.Assemble("ckpt-partial", strings.Replace(workload, ".data 64", ".data 70", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tech, _ := check.New("RCF", dbt.UpdateCmov)
+	dbtLog, err := Record(warmSnapshot(t, p, dbt.Options{Technique: tech}), 400, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nativeLog, err := RecordStatic(p, 400, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, l := range map[string]*Log{"dbt": dbtLog, "native": nativeLog} {
+		if l.MemWords%mem.PageWords == 0 {
+			t.Fatalf("%s: %d memory words leave no short final page", label, l.MemWords)
+		}
+		n := len(l.Points)
+		if n < 4 {
+			t.Fatalf("%s: only %d points", label, n)
+		}
+		inDelta := map[uint32]bool{}
+		for _, pt := range l.Points {
+			for _, pg := range pt.Pages {
+				inDelta[pg.Index] = true
+			}
+		}
+		var untouched []uint32 // first word of every page no delta carries
+		for pg := uint32(0); pg<<mem.PageShift < l.MemWords; pg++ {
+			if !inDelta[pg] {
+				untouched = append(untouched, pg<<mem.PageShift)
+			}
+		}
+		if len(untouched) == 0 || len(inDelta) == 0 {
+			t.Fatalf("%s: need pages both in and outside deltas", label)
+		}
+		visits := []int{0, 0, 1, 2, 2, n / 2, n - 1, n - 1, 0, n / 2, n - 1}
+		r := l.NewReplayer()
+		rng := uint32(7)
+		for step, k := range visits {
+			m := r.Machine(k)
+			fresh := l.NewReplayer().Machine(k)
+			tag := fmt.Sprintf("%s visit %d (point %d)", label, step, k)
+			if got, want := m.CaptureState(), fresh.CaptureState(); got != want {
+				t.Errorf("%s: state %+v, want %+v", tag, got, want)
+			}
+			if !slices.Equal(m.Mem.Snapshot(), fresh.Mem.Snapshot()) {
+				t.Errorf("%s: memory differs from a fresh restore", tag)
+			}
+			if !slices.Equal(m.Output, fresh.Output) {
+				t.Errorf("%s: output %v, want %v", tag, m.Output, fresh.Output)
+			}
+			if m.Fault != nil || m.BranchHook != nil {
+				t.Errorf("%s: fault %v / branch hook set after restore", tag, m.Fault)
+			}
+			if !reflect.DeepEqual(m.Costs, fresh.Costs) {
+				t.Errorf("%s: cost model not reset", tag)
+			}
+
+			// The sample: damage everything the next restore must undo.
+			addrs := []uint32{l.MemWords - 1, untouched[step%len(untouched)]}
+			for i := 0; i < 40; i++ {
+				rng = rng*1664525 + 1013904223
+				addrs = append(addrs, rng%l.MemWords)
+			}
+			for _, a := range addrs {
+				if err := m.Mem.Store(a, int32(rng)|1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Regs[1] ^= 0x55
+			m.IP += 3
+			m.Steps += 11
+			m.Cycles += 13
+			m.DirectBranches++
+			m.SigChecks += 2
+			m.Output = append(m.Output, -1, -2, -3)
+			m.Fault = &cpu.Fault{BranchIndex: 1}
+			m.BranchHook = func(cpu.BranchEvent) {}
+			m.Costs = &cpu.CostModel{DispatchCost: 1}
+		}
+	}
+}
+
+// A restore allocates nothing once the machine's output buffer has grown
+// to the longest reference prefix — backward seeks included.
+func TestReplayerMachineAllocatesNothing(t *testing.T) {
+	l, err := RecordStatic(mustAssemble(t), 400, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := l.NewReplayer()
+	last := len(l.Points) - 1
+	r.Machine(last)
+	if n := testing.AllocsPerRun(20, func() { r.Machine(0); r.Machine(last) }); n != 0 {
+		t.Errorf("Machine allocates %.0f times per restore pair, want 0", n)
 	}
 }
 

@@ -176,11 +176,20 @@ type DBT struct {
 	// DBT was primed from. Clones start with a nil owned map and resolve
 	// lookups against the shared one; the first structural change (a new
 	// translation, a trace, an invalidation) materializes a private copy.
-	// Most fault-injection samples never translate a block, so the lazy
-	// map removes a per-clone O(blocks) copy from the campaign hot path.
+	// The cache, tlist and stubs follow the same lazy discipline: clones
+	// alias the snapshot's arrays through capacity-capped slices, so any
+	// append copies, and the few in-place writes (dispatch counters, chain
+	// patches) privatize the slice first (see own). Most fault-injection
+	// samples never translate or dispatch, so a clone costs no O(cache)
+	// copy on the campaign hot path.
 	snapBlocks map[uint32]*TBlock
-	tlist      []*TBlock // cache order
+	tlist      []*TBlock // cache order; only ever appended to
 	stubs      []stub
+
+	// cacheShared and stubsShared report that cache and stubs still alias
+	// the snapshot's arrays and must go through own before an in-place
+	// write.
+	cacheShared, stubsShared bool
 
 	// plan is the predecoded execution plan over the code cache, kept in
 	// lockstep with it: synced before every interpreter entry, re-decoded
@@ -340,6 +349,7 @@ func (d *DBT) Advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 			continue
 		}
 		// Direct-edge dispatch through a chaining stub.
+		d.stubs = own(d.stubs, &d.stubsShared)
 		s := &d.stubs[in.Imm]
 		m.Cycles += uint64(d.opts.Costs.DispatchCost)
 		d.stats.Dispatches++
@@ -370,22 +380,22 @@ func (d *DBT) Advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 			// Patch the stub slot into a direct jump; later executions of
 			// this edge bypass the translator entirely. When the stub was
 			// reached through a branch, re-point the branch itself so the
-			// chained transfer costs nothing extra.
-			d.cache[s.slot] = isa.Instr{Op: isa.OpJmp, Imm: isa.OffsetFor(s.slot, tb.CacheStart)}
-			// The patch changes the slot's opcode (trapout -> jmp), so its
-			// predecoded metadata must follow; the referrer patch below is
-			// immediate-only and needs none.
-			d.plan.Sync(d.cache)
-			d.plan.Redecode(s.slot)
-			// The compiled backend bakes opcodes AND immediates into its
-			// uop arrays, so unlike the plan it must drop blocks at both
-			// patch sites: the rewritten stub slot and the referring
-			// branch whose target immediate changes below.
-			d.comp.Redecode(s.slot)
+			// chained transfer costs nothing extra. The compiled backend
+			// bakes opcodes AND immediates into its uop arrays, so it must
+			// drop blocks at both patch sites.
 			if s.referrer != noReferrer {
+				d.cache = own(d.cache, &d.cacheShared)
 				d.cache[s.referrer].Imm = isa.OffsetFor(s.referrer, tb.CacheStart)
 				d.comp.Redecode(s.referrer)
 			}
+			d.cache = own(d.cache, &d.cacheShared)
+			d.cache[s.slot] = isa.Instr{Op: isa.OpJmp, Imm: isa.OffsetFor(s.slot, tb.CacheStart)}
+			// The slot patch changes its opcode (trapout -> jmp), so its
+			// predecoded metadata must follow; the referrer patch is
+			// immediate-only and needs none.
+			d.plan.Sync(d.cache)
+			d.plan.Redecode(s.slot)
+			d.comp.Redecode(s.slot)
 			s.chained = true
 			if d.opts.Trace != nil {
 				d.opts.Trace.Emit(obs.Event{
@@ -432,6 +442,17 @@ func (d *DBT) lookupBlock(guest uint32) (*TBlock, bool) {
 	}
 	tb, ok := d.snapBlocks[guest]
 	return tb, ok
+}
+
+// own returns s ready for in-place writes: while *shared reports that s
+// still aliases a Snapshot's array, a private copy (clearing the flag),
+// and s itself afterwards.
+func own[E any](s []E, shared *bool) []E {
+	if *shared {
+		*shared = false
+		return append([]E(nil), s...)
+	}
+	return s
 }
 
 // setBlock records a (re)translation, materializing a private copy of the

@@ -19,12 +19,14 @@ import (
 //
 // A Snapshot is immutable and safe for concurrent use. TBlocks are shared
 // by pointer between the snapshot and every DBT primed from it — they are
-// never mutated after translation — while the cache, tlist and stub slices
-// are copied on both capture and restore, because faulty runs mutate them
-// in place (stub patching, chaining, new translations of wild branch
-// targets). The block map is shared copy-on-write: clones reference it
-// read-only and materialize a private copy only when a run actually
-// translates something new (see DBT.setBlock).
+// never mutated after translation. The cache, tlist and stub slices are
+// copied on capture and shared copy-on-write with every clone: clones
+// alias them through capacity-capped slices, so new translations of wild
+// branch targets append into private arrays, and the in-place writes of
+// dispatch and chaining (stub counters, stub and branch patches) copy the
+// slice first (see own). The block map is shared the same way: clones
+// reference it read-only and materialize a private copy only when a run
+// actually translates something new (see DBT.setBlock).
 type Snapshot struct {
 	prog          *isa.Program
 	opts          Options
@@ -147,29 +149,33 @@ func (s *Snapshot) Liveness() *live.Info {
 	return s.liveInfo
 }
 
-// NewDBT returns a fresh translator primed with a private copy of the
-// snapshot state: warm runs on it skip translation exactly as on the
-// snapshotted instance, and any mutation (chaining under a faulty run, new
-// translations) stays local to the returned DBT. The block map is primed
-// lazily: most fault-injection samples never translate a new block, so the
-// clone shares the snapshot's read-only map and copies it only on the first
-// structural change (see DBT.setBlock).
+// NewDBT returns a fresh translator primed with the snapshot state: warm
+// runs on it skip translation exactly as on the snapshotted instance, and
+// any mutation (chaining under a faulty run, new translations) stays local
+// to the returned DBT. Nothing is copied up front: the clone shares the
+// snapshot's cache, tlist, stubs and block map, and copies each only when
+// it first changes it — capacity-capped slices make appends copy, own
+// guards in-place writes, and DBT.setBlock materializes the map. Most
+// fault-injection samples never dispatch, so they copy nothing.
 func (s *Snapshot) NewDBT() *DBT {
 	d := &DBT{
 		prog:          s.prog,
 		opts:          s.opts,
 		tech:          s.opts.Technique,
-		cache:         append([]isa.Instr(nil), s.cache...),
+		cache:         s.cache[:len(s.cache):len(s.cache)],
 		snapBlocks:    s.blocks,
-		tlist:         append([]*TBlock(nil), s.tlist...),
-		stubs:         append([]stub(nil), s.stubs...),
+		tlist:         s.tlist[:len(s.tlist):len(s.tlist)],
+		stubs:         s.stubs[:len(s.stubs):len(s.stubs)],
+		cacheShared:   true,
+		stubsShared:   true,
 		pendingCycles: s.pendingCycles,
 		stats:         s.stats,
 		plan:          s.plan.Clone(),
 	}
 	if s.comp != nil {
 		// A per-clone view over the frozen compiled core: fresh stats, own
-		// disable flag, re-aliased onto the clone's private cache copy. A
+		// disable flag, aliased onto the clone's cache (re-aliased at every
+		// Advance, so it follows the clone's copy once it owns one). A
 		// clone that patches its cache under a compiled block disables its
 		// view and finishes on the interpreter; the shared core and every
 		// other sample are untouched.

@@ -1,10 +1,13 @@
 package dbt
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/live"
 )
 
@@ -95,6 +98,102 @@ func TestSnapshotIsolation(t *testing.T) {
 	if after.Cycles != want.Cycles || after.Output[0] != want.Output[0] {
 		t.Errorf("faulty sibling leaked state: (%d cycles, %v) != (%d cycles, %v)",
 			after.Cycles, after.Output, want.Cycles, want.Output)
+	}
+}
+
+// cowTail is the body the copy-on-write test programs share: a block the
+// test translates up front (pre), then a loop whose back edge is hot
+// enough to form a trace, then an exit block.
+const cowTail = `
+pre:
+    addi eax, 1
+loop:
+    addi eax, 3
+    jmp step
+step:
+    subi ecx, 1
+    cmpi ecx, 0
+    jgt loop
+done:
+    out eax
+    halt
+`
+
+// A clone shares the snapshot's cache, tlist and stubs copy-on-write. One
+// that dispatches, chain-patches snapshot-era slots, translates a new block
+// and forms a trace must leave all three exactly as they were, so a clone
+// made afterwards runs exactly like the first. The snapshot holds the
+// entry and pre blocks translated but never run, so the first clone's
+// first in-place writes land on snapshot entries: the stub counter, then
+// a slot patch (the entry's jmp exit has no referrer) or a referrer patch
+// (the fall-through arm of a conditional is re-pointed at its branch).
+func TestSnapshotCopyOnWriteLeavesSnapshotIntact(t *testing.T) {
+	for _, tc := range []struct {
+		name, head string
+		referrer   bool
+	}{
+		{"slot", "    jmp pre\n", false},
+		{"referrer", "    cmpi eax, 1\n    jeq done\n", true},
+	} {
+		p := mustAssemble(t, "main:\n    movi eax, 0\n    movi ecx, 20\n"+tc.head+cowTail)
+		var pre uint32
+		for addr, name := range p.Symbols {
+			if name == "pre" {
+				pre = addr
+			}
+		}
+		owner := New(p, Options{})
+		for _, g := range []uint32{p.Entry, pre} {
+			if _, err := owner.ensure(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := owner.Snapshot()
+		cache := slices.Clone(snap.cache)
+		stubs := slices.Clone(snap.stubs)
+		tlist := make([]TBlock, len(snap.tlist))
+		for i, tb := range snap.tlist {
+			tlist[i] = *tb
+		}
+
+		first := snap.NewDBT()
+		want := first.Run(nil, 1_000_000)
+		if want.Stop.Reason != cpu.StopHalt {
+			t.Fatalf("%s: clone run ended with %v", tc.name, want.Stop)
+		}
+		work := want.Stats.Sub(snap.Stats())
+		if work.Dispatches == 0 || work.BlocksTranslated == 0 || work.TracesFormed == 0 {
+			t.Fatalf("%s: clone did not dispatch, translate and form a trace: %+v", tc.name, work)
+		}
+		patched, referrerPatched := 0, false
+		for _, st := range stubs {
+			if first.cache[st.slot].Op == isa.OpJmp {
+				patched++
+				referrerPatched = referrerPatched || st.referrer != noReferrer
+			}
+		}
+		if patched == 0 || referrerPatched != tc.referrer {
+			t.Fatalf("%s: clone chained %d snapshot stubs, referrer patched = %v, want %v",
+				tc.name, patched, referrerPatched, tc.referrer)
+		}
+
+		if !reflect.DeepEqual(snap.cache, cache) {
+			t.Errorf("%s: clone run changed the snapshot cache", tc.name)
+		}
+		if !reflect.DeepEqual(snap.stubs, stubs) {
+			t.Errorf("%s: clone run changed the snapshot stubs", tc.name)
+		}
+		if len(snap.tlist) != len(tlist) {
+			t.Errorf("%s: clone run grew the snapshot tlist to %d", tc.name, len(snap.tlist))
+		}
+		for i, tb := range snap.tlist[:min(len(snap.tlist), len(tlist))] {
+			if !reflect.DeepEqual(*tb, tlist[i]) {
+				t.Errorf("%s: clone run changed snapshot block %d", tc.name, i)
+			}
+		}
+		if got := snap.NewDBT().Run(nil, 1_000_000); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: second clone %+v, want %+v", tc.name, got, want)
+		}
 	}
 }
 

@@ -99,8 +99,10 @@ func (cfgn Config) RunStaticWarm(ctx context.Context, p *isa.Program, label stri
 // Like the translated pipeline, samples shard across cfgn.Workers
 // goroutines with per-index fault derivation, so the classified results
 // are bit-identical for every worker count. Native runs share nothing
-// mutable — each sample gets its own machine; the CFG is read-only after
-// Build. The caller (Execute) has applied the config defaults.
+// mutable across workers — each worker restores every sample into its own
+// reused machine (see ckpt.Replayer) or runs a fresh one; the CFG is
+// read-only after Build. The caller (Execute) has applied the config
+// defaults.
 func (cfgn Config) runStaticWarm(ctx context.Context, p *isa.Program, label string, log *ckpt.Log) (*Report, error) {
 	g := cfg.Build(p)
 

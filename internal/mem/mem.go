@@ -8,7 +8,9 @@
 // checkpoint engine: words are grouped into pages of PageWords, each page
 // carries the generation tag of its last write, and CaptureDirty hands out
 // exactly the pages written since the previous capture. Recording a
-// checkpoint therefore copies only the delta, not the whole image.
+// checkpoint therefore copies only the delta, not the whole image, and
+// Rollback restores only those pages, so one memory is reused across
+// restores instead of being rebuilt for each.
 package mem
 
 import "fmt"
@@ -55,14 +57,6 @@ func New(n uint32) *Memory {
 		pageGen: make([]uint64, pageCount(int(n))),
 		gen:     1,
 	}
-}
-
-// NewFrom returns a memory initialized with a copy of words (the restore
-// path of the checkpoint engine).
-func NewFrom(words []int32) *Memory {
-	m := New(uint32(len(words)))
-	copy(m.words, words)
-	return m
 }
 
 // Size returns the number of mapped words.
@@ -113,6 +107,25 @@ func (m *Memory) CaptureDirty(fn func(page uint32, words []int32)) {
 		fn(uint32(p), m.words[lo:hi])
 	}
 	m.gen++
+}
+
+// Rollback undoes every write since the previous CaptureDirty or Rollback
+// (or since creation): each page written in that window is copied back
+// from img, a full image of the same size, and the generation advances so
+// those pages count as clean again. Pages nobody wrote are not touched,
+// which is what makes the checkpoint engine's per-sample restore cost
+// proportional to the sample's footprint rather than to the memory size.
+func (m *Memory) Rollback(img []int32) {
+	m.CaptureDirty(func(page uint32, words []int32) {
+		copy(words, img[int(page)<<PageShift:])
+	})
+}
+
+// WriteClean copies words into memory starting at addr without marking
+// any page dirty: the written words become part of the baseline that the
+// next Rollback restores to, not a change it undoes.
+func (m *Memory) WriteClean(addr uint32, words []int32) {
+	copy(m.words[addr:], words)
 }
 
 // Snapshot returns a copy of the memory contents (for tests and debugging).

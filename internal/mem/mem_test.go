@@ -126,16 +126,62 @@ func TestResetMarksAllDirty(t *testing.T) {
 	}
 }
 
-func TestNewFrom(t *testing.T) {
-	src := []int32{5, 6, 7}
-	m := NewFrom(src)
-	src[0] = 99 // NewFrom must copy
-	if v, _ := m.Load(0); v != 5 {
-		t.Errorf("word 0 = %d, want 5", v)
+// Rollback copies back exactly the pages stored to since the last
+// capture or rollback: pages nobody wrote and pages filled by WriteClean
+// keep their contents even where img disagrees.
+func TestRollbackRestoresOnlyDirtyPages(t *testing.T) {
+	const size = PageWords*3 + 5 // final page is short
+	m := New(size)
+	img := make([]int32, size)
+	for i := range img {
+		img[i] = int32(1000 + i)
 	}
-	if m.Size() != 3 {
-		t.Errorf("size = %d", m.Size())
+	m.WriteClean(0, img)
+	if got := capturePages(m); len(got) != 0 {
+		t.Fatalf("WriteClean marked pages dirty: %v", got)
 	}
+	// A seek-style clean write of page 1 that img does not share, and a
+	// diverging img word on page 2 that nothing stores to.
+	clean := make([]int32, PageWords)
+	for i := range clean {
+		clean[i] = -7
+	}
+	m.WriteClean(PageWords, clean)
+	img[2*PageWords+1] = 55
+	// Sample writes: page 0 and the short final page.
+	for _, addr := range []uint32{3, size - 1} {
+		if err := m.Store(addr, 99); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Rollback(img)
+	want := func(addr uint32, v int32) {
+		t.Helper()
+		if got, _ := m.Load(addr); got != v {
+			t.Errorf("word %d = %d, want %d", addr, got, v)
+		}
+	}
+	want(3, img[3])                         // dirty page 0 restored
+	want(size-1, img[size-1])               // dirty short page restored
+	want(PageWords, -7)                     // clean-written page untouched
+	want(2*PageWords+1, 2*PageWords+1+1000) // unwritten page untouched
+	if got := capturePages(m); len(got) != 0 {
+		t.Errorf("pages still dirty after Rollback: %v", got)
+	}
+	// The next window sees only newer stores, and restores whole pages.
+	if err := m.Store(PageWords+2, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Store(3, 5); err != nil {
+		t.Fatal(err)
+	}
+	img[4] = 77 // page 0 is dirty again, so this now comes back
+	m.Rollback(img)
+	want(PageWords+2, img[PageWords+2])
+	want(PageWords+3, img[PageWords+3])
+	want(3, img[3])
+	want(4, 77)
+	want(2*PageWords+1, 2*PageWords+1+1000)
 }
 
 // Property: replaying captured dirty pages onto a shadow image keeps it
