@@ -104,67 +104,63 @@ func (l *Log) finish(m *cpu.Machine, stop cpu.Stop, prefix dbt.Stats, cacheSize 
 // even when the run does not halt (Stop records how it ended); callers
 // decide whether that is an error.
 func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
-	if interval == 0 {
-		return nil, fmt.Errorf("ckpt: interval must be positive")
-	}
 	d := snap.NewDBT()
 	base := snap.Stats()
 	m, res := d.Start(nil)
 	if res != nil {
 		return nil, fmt.Errorf("ckpt: reference run failed to start: %v", res.Stop)
 	}
-	l := &Log{Interval: interval}
-	// Point 0: the run's start boundary (memory untouched, so the capture
-	// takes no pages — the replayer's zero image is the start image).
-	l.capture(m, d.StatsSnapshot().Sub(base))
-	for {
-		target := m.Steps + interval
-		if target > maxSteps {
-			target = maxSteps
-		}
-		stop := d.Advance(m, target)
-		prefix := d.StatsSnapshot().Sub(base)
-		if stop.Reason != cpu.StopOutOfSteps || target >= maxSteps {
-			// Terminal: halt, detection, trap — or the real budget ran out.
-			l.finish(m, stop, prefix, d.CacheLen())
-			return l, nil
-		}
-		if l.Truncated {
-			continue
-		}
-		if prefix.Structural() {
-			// The run warmed the translator further; clones would not share
-			// this cache state, so later boundaries are not restorable.
-			l.Truncated = true
-			continue
-		}
-		l.capture(m, prefix)
-	}
+	prefix := func() dbt.Stats { return d.StatsSnapshot().Sub(base) }
+	return record(m, interval, maxSteps, d.Advance, prefix, d.CacheLen)
 }
 
 // RecordStatic performs the clean reference run for native (no translator)
 // execution of p, capturing a checkpoint every interval steps. Native runs
 // share no translator state, so recording never truncates.
 func RecordStatic(p *isa.Program, interval, maxSteps uint64) (*Log, error) {
-	if interval == 0 {
-		return nil, fmt.Errorf("ckpt: interval must be positive")
-	}
 	m := cpu.New()
 	m.Reset(p)
 	plan := cpu.NewPlan(p.Code, nil)
+	advance := func(m *cpu.Machine, target uint64) cpu.Stop { return m.RunPlan(&plan, target) }
+	none := func() dbt.Stats { return dbt.Stats{} }
+	return record(m, interval, maxSteps, advance, none, func() int { return 0 })
+}
+
+// record is the capture loop both recorders share: it advances the run on
+// m to every interval boundary and captures a point there. prefix reports
+// the translator work accumulated so far (a delta over the snapshot
+// baseline; zero for native runs) and cacheLen the final code cache size.
+func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine, uint64) cpu.Stop,
+	prefix func() dbt.Stats, cacheLen func() int) (*Log, error) {
+	if interval == 0 {
+		return nil, fmt.Errorf("ckpt: interval must be positive")
+	}
 	l := &Log{Interval: interval}
-	l.capture(m, dbt.Stats{})
+	// Point 0: the run's start boundary (memory untouched, so the capture
+	// takes no pages — the replayer's zero image is the start image).
+	l.capture(m, prefix())
 	for {
 		target := m.Steps + interval
 		if target > maxSteps {
 			target = maxSteps
 		}
-		stop := m.RunPlan(&plan, target)
+		stop := advance(m, target)
+		pre := prefix()
 		if stop.Reason != cpu.StopOutOfSteps || target >= maxSteps {
-			l.finish(m, stop, dbt.Stats{}, 0)
+			// Terminal: halt, detection, trap — or the real budget ran out.
+			l.finish(m, stop, pre, cacheLen())
 			return l, nil
 		}
-		l.capture(m, dbt.Stats{})
+		if l.Truncated {
+			continue
+		}
+		if pre.Structural() {
+			// The run warmed the translator further; clones would not share
+			// this cache state, so later boundaries are not restorable.
+			l.Truncated = true
+			continue
+		}
+		l.capture(m, pre)
 	}
 }
 

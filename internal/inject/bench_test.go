@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,7 +24,7 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := Campaign(p, Config{
+				rep, err := Execute(context.Background(), p, Config{
 					Technique: &check.RCF{Style: dbt.UpdateCmov},
 					Samples:   1000,
 					Seed:      1,

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cfg"
 	"repro/internal/ckpt"
-	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -132,22 +130,22 @@ func shortCircuitKind(l *ckpt.Log, f *cpu.Fault, li *live.Info) shortKind {
 	return shortNone
 }
 
-// runCkptSamples is the checkpoint engine for translated campaigns. The
-// recording run doubles as the clean reference. A non-nil log is a
-// pre-recorded reference (a session-cache hit); nil records one here.
-func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, snap *dbt.Snapshot,
-	tech string, shards []*obs.Collector, results []sampleResult, cleanSteps uint64, log *ckpt.Log) error {
+// runCkptSamples is the checkpoint engine. The recording run doubles as
+// the clean reference. A non-nil log is a pre-recorded reference (a
+// session-cache hit); nil records one here.
+func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, t target,
+	label string, shards []*obs.Collector, results []sampleResult, cleanSteps uint64, log *ckpt.Log) error {
 	start := time.Now()
 	if log == nil {
-		record := phaseSpan(cfg.Metrics, tech, "record")
+		record := phaseSpan(cfg.Metrics, label, "record")
 		interval := ckpt.AutoInterval(cfg.CkptInterval, cleanSteps)
 		var err error
-		log, err = ckpt.Record(snap, interval, cfg.MaxSteps)
+		log, err = t.record(interval, cfg.MaxSteps)
 		record.End()
 		if err != nil {
 			return fmt.Errorf("%s: %v", p.Name, err)
 		}
-		PublishRecording(cfg.Metrics, tech)
+		PublishRecording(cfg.Metrics, label)
 	}
 	if log.Stop.Reason != cpu.StopHalt {
 		return fmt.Errorf("%s: clean run ended with %v", p.Name, log.Stop)
@@ -158,7 +156,7 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 	if branches == 0 {
 		return fmt.Errorf("%s: no branches to fault", p.Name)
 	}
-	publishLog(cfg.Metrics, tech, log)
+	publishLog(cfg.Metrics, label, log)
 
 	// Faults derive per index exactly as under replay; only the execution
 	// order changes, and results land in their own index slot.
@@ -169,14 +167,14 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 		points[i] = sitePoint(log, faults[i])
 	}
 	order := orderBySite(points)
-	base := snap.Stats()
-	// Liveness over the snapshot cache powers the dead-bit prune; the
-	// analysis is shared read-only by every worker.
-	prune := phaseSpan(cfg.Metrics, tech, "prune")
-	li := snap.Liveness()
+	base := rep.WarmTranslator
+	// Liveness powers the dead-bit prune; the analysis is shared read-only
+	// by every worker.
+	prune := phaseSpan(cfg.Metrics, label, "prune")
+	li := t.liveness()
 	prune.End()
 	workers := rep.Workers
-	injSpan := phaseSpan(cfg.Metrics, tech, "inject")
+	injSpan := phaseSpan(cfg.Metrics, label, "inject")
 	err := par.RunWorkersCtx(ctx, workers, func(ctx context.Context, w int) error {
 		ws := injSpan.Child(fmt.Sprintf("worker%d", w))
 		defer ws.End()
@@ -184,14 +182,15 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 		if shards != nil {
 			c = shards[w]
 		}
-		r := log.NewReplayer()
+		r := t.runner()
+		rp := log.NewReplayer()
 		for j := w; j < len(order); j += workers {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			i := order[j]
-			runCkptSample(cfg, snap, base, log, r, li, tech, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
-			dumpFlightDBT(cfg, snap, p.Name, tech, i, want, &results[i])
+			runCkptSample(cfg, r, base, log, rp, li, label, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
+			dumpFlight(cfg, r, p.Name, label, i, want, &results[i])
 			observeProgress(cfg.Progress, w, &results[i])
 		}
 		return nil
@@ -202,14 +201,13 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 }
 
 // runCkptSample classifies one fault from a checkpoint restore.
-func runCkptSample(cfg *Config, snap *dbt.Snapshot, base dbt.Stats, log *ckpt.Log,
-	r *ckpt.Replayer, li *live.Info, tech string, c *obs.Collector,
+func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
+	rp *ckpt.Replayer, li *live.Info, label string, c *obs.Collector,
 	f *cpu.Fault, k, sample int, want []int32, out *sampleResult) {
-	sd := snap.NewDBT()
-	m := r.Machine(k)
+	m := rp.Machine(k)
 	m.Fault = f
 	pt := &log.Points[k]
-	sd.Resume(m, pt.Prefix)
+	r.resume(m, pt)
 	restored := pt.State.Steps
 
 	// Execute the tail in interval-sized chunks until the fault fires,
@@ -220,198 +218,41 @@ func runCkptSample(cfg *Config, snap *dbt.Snapshot, base dbt.Stats, log *ckpt.Lo
 	for stop.Reason == cpu.StopOutOfSteps && m.Steps < cfg.MaxSteps {
 		if f.Fired {
 			if short = shortCircuitKind(log, f, li); short == shortNone {
-				stop = sd.Advance(m, cfg.MaxSteps)
+				stop = r.advance(m, cfg.MaxSteps)
 			}
 			break
 		}
-		target := m.Steps + log.Interval
-		if target > cfg.MaxSteps {
-			target = cfg.MaxSteps
+		until := m.Steps + log.Interval
+		if until > cfg.MaxSteps {
+			until = cfg.MaxSteps
 		}
-		stop = sd.Advance(m, target)
+		stop = r.advance(m, until)
 	}
 
-	// Either way the sample's compiled-backend work is whatever its clone
-	// actually executed (synthesized tails run no blocks).
-	out.comp = sd.CompStats()
-
-	if short != shortNone {
-		observeRestore(c, tech, restored, m.Steps-restored, short)
-		out.stats = log.FinalPrefix
-		rec := Record{
-			Sample:   sample,
-			Fault:    *f,
-			Outcome:  OutBenign,
-			Category: classifyCategory(sd, f),
-		}
-		if c != nil {
-			observeSample(c, tech, &rec, log.Final.SigChecks, log.CacheSize)
-		}
-		out.fired = true
-		out.rec = rec
-		out.short = short
+	if short == shortNone {
+		res := r.finish(m, stop)
+		observeRestore(c, label, restored, res.Steps-restored, shortNone)
+		settle(cfg, r, c, label, base, res, f, sample, want, out)
 		return
 	}
-
-	res := sd.Finish(m, stop)
-	observeRestore(c, tech, restored, res.Steps-restored, shortNone)
-	out.stats = res.Stats.Sub(base)
-	if !f.Fired {
-		if c != nil {
-			observeNotFired(c, tech)
-		}
-		return
-	}
+	// The synthesized tail executed nothing: the compiled-backend work is
+	// whatever the sample actually ran, the translator work the reference
+	// run's.
+	observeRestore(c, label, restored, m.Steps-restored, short)
+	out.comp = r.compStats()
+	out.stats = log.FinalPrefix
 	rec := Record{
 		Sample:   sample,
 		Fault:    *f,
-		Outcome:  classifyOutcome(res, want),
-		Category: classifyCategory(sd, f),
-	}
-	if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
-		rec.Latency = res.Steps - f.FiredStep
-		if cfg.Trace != nil {
-			cfg.Trace.Emit(obs.Event{
-				Kind: obs.EvErrorDetected, Sample: obs.SampleRef(sample),
-				Value:  int64(rec.Latency),
-				Detail: rec.Outcome.String() + "/" + rec.Category.String(),
-			})
-		}
+		Outcome:  OutBenign,
+		Category: r.category(f),
 	}
 	if c != nil {
-		observeSample(c, tech, &rec, res.SigChecks, res.CacheSize)
+		observeSample(c, label, &rec, log.Final.SigChecks, log.CacheSize)
 	}
 	out.fired = true
 	out.rec = rec
-}
-
-// runStaticCkptSamples is the checkpoint engine for native (no
-// translator) campaigns: same restore/sort/short-circuit discipline, but
-// the machine runs guest code directly and there is no translator state
-// to credit or protect.
-func runStaticCkptSamples(ctx context.Context, p *isa.Program, g *cfg.Graph, se *staticExec, cfgn *Config, rep *Report,
-	label string, shards []*obs.Collector, results []sampleResult, cleanSteps uint64, log *ckpt.Log) error {
-	start := time.Now()
-	if log == nil {
-		record := phaseSpan(cfgn.Metrics, label, "record")
-		interval := ckpt.AutoInterval(cfgn.CkptInterval, cleanSteps)
-		var err error
-		log, err = ckpt.RecordStatic(p, interval, cfgn.MaxSteps)
-		record.End()
-		if err != nil {
-			return fmt.Errorf("%s: %v", p.Name, err)
-		}
-		PublishRecording(cfgn.Metrics, label)
-	}
-	if log.Stop.Reason != cpu.StopHalt {
-		return fmt.Errorf("%s: clean run ended with %v", p.Name, log.Stop)
-	}
-	publishLog(cfgn.Metrics, label, log)
-	want := log.Output
-	branches := log.Final.DirectBranches
-
-	faults := make([]*cpu.Fault, cfgn.Samples)
-	points := make([]int, cfgn.Samples)
-	for i := range faults {
-		rng := newSampleRNG(cfgn.Seed, cfgn.SampleOffset+i)
-		faults[i] = deriveBranchFault(&rng, branches)
-		points[i] = sitePoint(log, faults[i])
-	}
-	order := orderBySite(points)
-	// The program is fixed for native runs, so the shared plan, the frozen
-	// compiled engine and one liveness analysis serve every worker
-	// read-only (samples take per-view engine clones).
-	prune := phaseSpan(cfgn.Metrics, label, "prune")
-	li := live.Analyze(g)
-	prune.End()
-	workers := rep.Workers
-	injSpan := phaseSpan(cfgn.Metrics, label, "inject")
-	err := par.RunWorkersCtx(ctx, workers, func(ctx context.Context, w int) error {
-		ws := injSpan.Child(fmt.Sprintf("worker%d", w))
-		defer ws.End()
-		var c *obs.Collector
-		if shards != nil {
-			c = shards[w]
-		}
-		r := log.NewReplayer()
-		for j := w; j < len(order); j += workers {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			i := order[j]
-			f := faults[i]
-			m := r.Machine(points[i])
-			m.Fault = f
-			restored := m.Steps
-			v := se.view()
-
-			stop := cpu.Stop{Reason: cpu.StopOutOfSteps}
-			short := shortNone
-			for stop.Reason == cpu.StopOutOfSteps && m.Steps < cfgn.MaxSteps {
-				if f.Fired {
-					if short = shortCircuitKind(log, f, li); short == shortNone {
-						stop = comp.Run(se.backend, v, m, &se.plan, cfgn.MaxSteps)
-					}
-					break
-				}
-				target := m.Steps + log.Interval
-				if target > cfgn.MaxSteps {
-					target = cfgn.MaxSteps
-				}
-				stop = comp.Run(se.backend, v, m, &se.plan, target)
-			}
-
-			cst := se.stats(v)
-			results[i].comp = cst
-			observeRestore(c, label, restored, m.Steps-restored, short)
-			if short != shortNone {
-				rec := Record{
-					Sample:   cfgn.SampleOffset + i,
-					Fault:    *f,
-					Outcome:  OutBenign,
-					Category: classifyStaticCategory(g, f),
-				}
-				if c != nil {
-					observeSample(c, label, &rec, log.Final.SigChecks, 0)
-				}
-				results[i] = sampleResult{fired: true, rec: rec, short: short, comp: cst}
-				observeProgress(cfgn.Progress, w, &results[i])
-				continue
-			}
-			cpu.TraceRunOutcome(cfgn.Trace, m, stop)
-			if !f.Fired {
-				if c != nil {
-					observeNotFired(c, label)
-				}
-				observeProgress(cfgn.Progress, w, &results[i])
-				continue
-			}
-			rec := Record{
-				Sample:   cfgn.SampleOffset + i,
-				Fault:    *f,
-				Outcome:  classifyStaticOutcome(stop, m.Output, want),
-				Category: classifyStaticCategory(g, f),
-			}
-			if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
-				rec.Latency = m.Steps - f.FiredStep
-				cfgn.Trace.Emit(obs.Event{
-					Kind: obs.EvErrorDetected, Sample: obs.SampleRef(cfgn.SampleOffset + i),
-					Value:  int64(rec.Latency),
-					Detail: rec.Outcome.String() + "/" + rec.Category.String(),
-				})
-			}
-			if c != nil {
-				observeSample(c, label, &rec, m.SigChecks, 0)
-			}
-			results[i] = sampleResult{fired: true, rec: rec, comp: cst}
-			dumpFlightStatic(cfgn, p, label, i, want, &results[i])
-			observeProgress(cfgn.Progress, w, &results[i])
-		}
-		return nil
-	})
-	injSpan.End()
-	rep.Elapsed = time.Since(start)
-	return err
+	out.short = short
 }
 
 // PublishRecording counts one reference-run recording (as opposed to a

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -47,14 +48,14 @@ func TestCampaignWorkerCountInvariance(t *testing.T) {
 			}
 			serialCfg := base
 			serialCfg.Workers = 1
-			serial, err := Campaign(p, serialCfg)
+			serial, err := Execute(context.Background(), p, serialCfg)
 			if err != nil {
 				t.Fatalf("%s/reg=%v workers=1: %v", name, regFaults, err)
 			}
 			for _, w := range []int{2, 8} {
 				cfg := base
 				cfg.Workers = w
-				rep, err := Campaign(p, cfg)
+				rep, err := Execute(context.Background(), p, cfg)
 				if err != nil {
 					t.Fatalf("%s/reg=%v workers=%d: %v", name, regFaults, w, err)
 				}
@@ -75,7 +76,7 @@ func TestCampaignWorkerCountInvariance(t *testing.T) {
 // Records come back sorted by sample index regardless of completion order.
 func TestCampaignRecordsInSampleOrder(t *testing.T) {
 	p := mustAssemble(t, workload)
-	rep, err := Campaign(p, Config{
+	rep, err := Execute(context.Background(), p, Config{
 		Technique:   &check.RCF{Style: dbt.UpdateCmov},
 		Samples:     150,
 		Seed:        7,
@@ -106,13 +107,13 @@ func TestStaticCampaignWorkerCountInvariance(t *testing.T) {
 	base := Config{Samples: 200, Seed: 42, KeepRecords: true}
 	serialCfg := base
 	serialCfg.Workers = 1
-	serial, err := StaticCampaign(ip, "CFCSS", serialCfg)
+	serial, err := Execute(context.Background(), ip, serialCfg, AsStatic("CFCSS"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := base
 	cfg.Workers = 8
-	rep, err := StaticCampaign(ip, "CFCSS", cfg)
+	rep, err := Execute(context.Background(), ip, cfg, AsStatic("CFCSS"))
 	if err != nil {
 		t.Fatal(err)
 	}

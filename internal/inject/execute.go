@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
 )
@@ -42,7 +43,9 @@ func WithRecording(log *ckpt.Log) ExecOption {
 
 // AsStatic runs the campaign natively (no translator) under the given
 // report label — the statically instrumented CFCSS/ECCA baselines and
-// unprotected native runs. Incompatible with WithSnapshot.
+// unprotected native runs. Native runs inject branch faults only and host
+// no translator transform, so Execute rejects AsStatic combined with
+// WithSnapshot, Config.RegFaults, a Technique or a Body.
 func AsStatic(label string) ExecOption {
 	return func(e *execPlan) { e.static, e.label = true, label }
 }
@@ -55,9 +58,6 @@ func AsStatic(label string) ExecOption {
 // native execution. Classified results are a pure function of (program,
 // cfg minus Workers) — worker count, engine and pre-built state only
 // change where the time goes.
-//
-// Run, RunWarm, RunStatic, RunStaticWarm, Campaign and StaticCampaign
-// are all thin compatibility wrappers over this entry point.
 func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption) (*Report, error) {
 	var plan execPlan
 	for _, o := range opts {
@@ -65,10 +65,27 @@ func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption
 	}
 	cfg.applyDefaults()
 	if plan.static {
-		if plan.haveSnap {
+		switch {
+		case plan.haveSnap:
 			return nil, fmt.Errorf("inject: AsStatic is incompatible with WithSnapshot")
+		case cfg.RegFaults:
+			return nil, fmt.Errorf("inject: AsStatic cannot inject register faults")
+		case cfg.Technique != nil, cfg.Body != nil:
+			return nil, fmt.Errorf("inject: AsStatic runs no translator technique or body transform")
 		}
-		return cfg.runStaticWarm(ctx, p, plan.label, plan.log)
+		t := newNativeTarget(p, cfg.Backend, cfg.Trace)
+		if cfg.CkptInterval < 0 && plan.log == nil {
+			// Native runs have no warm-up to report the clean run length the
+			// automatic checkpoint interval derives from: measure it.
+			record := phaseSpan(cfg.Metrics, plan.label, "record")
+			clean := reference(t.runner(), cfg.MaxSteps)
+			record.End()
+			if clean.Stop.Reason != cpu.StopHalt {
+				return nil, fmt.Errorf("%s: clean run ended with %v", p.Name, clean.Stop)
+			}
+			plan.cleanSteps = clean.Steps
+		}
+		return cfg.run(ctx, p, plan.label, t, plan.cleanSteps, plan.log)
 	}
 	if !plan.haveSnap {
 		warm := phaseSpan(cfg.Metrics, techName(cfg.Technique), "warm")
@@ -79,5 +96,5 @@ func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption
 		}
 		plan.snap, plan.cleanSteps = snap, clean.Steps
 	}
-	return cfg.runWarm(ctx, p, plan.snap, plan.cleanSteps, plan.log)
+	return cfg.run(ctx, p, techName(cfg.Technique), snapTarget{plan.snap}, plan.cleanSteps, plan.log)
 }

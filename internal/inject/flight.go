@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
-	"repro/internal/dbt"
-	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -70,22 +68,21 @@ func faultDetail(f *cpu.Fault) string {
 	}
 }
 
-// dumpFlightDBT re-runs one anomalous translated sample on a fresh
-// snapshot clone with the ring hook attached and dumps the forensic
+// dumpFlight re-runs one anomalous sample from a fresh start on the
+// worker's runner with the ring hook attached and dumps the forensic
 // record. No-op unless cfg.Flight is set and the sample fired an
 // anomalous outcome.
-func dumpFlightDBT(cfg *Config, snap *dbt.Snapshot, program, tech string, i int, want []int32, s *sampleResult) {
+func dumpFlight(cfg *Config, r runner, program, label string, i int, want []int32, s *sampleResult) {
 	if cfg.Flight == nil || !s.fired || !anomalous(s.rec.Outcome) {
 		return
 	}
 	g := cfg.SampleOffset + i // dumps are keyed by the global sample index
 	f := plannedOnly(s.rec.Fault)
 	ring := obs.NewRing(cfg.Flight.Depth())
-	sd := snap.NewDBT()
-	m, res := sd.Start(&f)
+	m, res := r.start(&f)
 	if res == nil {
 		m.BranchHook = ringHook(ring, m)
-		res = sd.Finish(m, sd.Advance(m, cfg.MaxSteps))
+		res = r.finish(m, r.advance(m, cfg.MaxSteps))
 	}
 	if f.Fired {
 		ring.Append(obs.Event{Kind: obs.EvFaultFired, Step: f.FiredStep, Addr: f.FaultIP, Detail: faultDetail(&f)})
@@ -95,43 +92,11 @@ func dumpFlightDBT(cfg *Config, snap *dbt.Snapshot, program, tech string, i int,
 		Sample:     g,
 		SampleSeed: sampleSeed(cfg.Seed, g),
 		Program:    program,
-		Technique:  tech,
+		Technique:  label,
 		Outcome:    s.rec.Outcome.String(),
 		Replayed:   classifyOutcome(res, want).String(),
 		Fault:      faultDetail(&f),
 		Stop:       res.Stop.String(),
-		Dropped:    ring.Dropped(),
-		Events:     ring.Events(),
-	})
-}
-
-// dumpFlightStatic is dumpFlightDBT for native (no translator) campaigns:
-// the re-run executes guest code directly on a fresh machine.
-func dumpFlightStatic(cfgn *Config, p *isa.Program, label string, i int, want []int32, s *sampleResult) {
-	if cfgn.Flight == nil || !s.fired || !anomalous(s.rec.Outcome) {
-		return
-	}
-	g := cfgn.SampleOffset + i // dumps are keyed by the global sample index
-	f := plannedOnly(s.rec.Fault)
-	ring := obs.NewRing(cfgn.Flight.Depth())
-	m := cpu.New()
-	m.Reset(p)
-	m.Fault = &f
-	m.BranchHook = ringHook(ring, m)
-	stop := m.Run(p.Code, cfgn.MaxSteps)
-	if f.Fired {
-		ring.Append(obs.Event{Kind: obs.EvFaultFired, Step: f.FiredStep, Addr: f.FaultIP, Detail: faultDetail(&f)})
-	}
-	ring.Append(obs.Event{Kind: obs.EvStop, Step: m.Steps, Addr: stop.IP, Detail: stop.String()})
-	cfgn.Flight.Dump(obs.FlightDump{
-		Sample:     g,
-		SampleSeed: sampleSeed(cfgn.Seed, g),
-		Program:    p.Name,
-		Technique:  label,
-		Outcome:    s.rec.Outcome.String(),
-		Replayed:   classifyStaticOutcome(stop, m.Output, want).String(),
-		Fault:      faultDetail(&f),
-		Stop:       stop.String(),
 		Dropped:    ring.Dropped(),
 		Events:     ring.Events(),
 	})

@@ -4,6 +4,12 @@
 // with outcomes classified per branch-error category. The paper lists
 // fault injection as future work; this package implements it and validates
 // the coverage claims of Section 3 empirically.
+//
+// There is one replay engine and one checkpoint engine, and each serves
+// two targets: a warm translator snapshot (the DBT techniques) and the
+// program executed natively (the static CFCSS/ECCA baselines). A target
+// only decides how one sample executes and how its fault is categorized;
+// see target.
 package inject
 
 import (
@@ -266,7 +272,9 @@ func (cfg *Config) applyDefaults() {
 
 // deriveFault builds sample index's fault as a pure function of the
 // campaign seed, the global sample index (the local index shifted by
-// SampleOffset) and the clean-run geometry.
+// SampleOffset) and the clean-run geometry. Branch-site faults pick offset
+// and flag bits in proportion to their site counts, mirroring the error
+// model.
 func deriveFault(cfg *Config, index int, branches, steps uint64) *cpu.Fault {
 	rng := newSampleRNG(cfg.Seed, cfg.SampleOffset+index)
 	if cfg.RegFaults {
@@ -277,12 +285,6 @@ func deriveFault(cfg *Config, index int, branches, steps uint64) *cpu.Fault {
 			Bit:       uint(rng.Intn(32)),
 		}
 	}
-	return deriveBranchFault(&rng, branches)
-}
-
-// deriveBranchFault draws a branch-site fault: offset bits and flag bits in
-// proportion to their site counts, mirroring the error model.
-func deriveBranchFault(rng *sampleRNG, branches uint64) *cpu.Fault {
 	f := &cpu.Fault{BranchIndex: rng.Uint64n(branches)}
 	if rng.Intn(isa.OffsetBits+isa.NumFlagBits) < isa.NumFlagBits {
 		f.Kind = cpu.FaultFlagBit
@@ -393,29 +395,6 @@ func Warm(p *isa.Program, cfg Config) (*dbt.Snapshot, *dbt.Result, error) {
 	return d.Snapshot(), clean, nil
 }
 
-// Campaign injects cfg.Samples random single faults into executions of p
-// under the translator and classifies every outcome. It is Execute with a
-// background context — the pre-batch-API surface, kept for compatibility;
-// new code calls Execute.
-func Campaign(p *isa.Program, cfg Config) (*Report, error) {
-	return Execute(context.Background(), p, cfg)
-}
-
-// Run warms the translator and executes the campaign, honoring ctx for
-// cancellation. It is Execute with no options — a compatibility wrapper;
-// new code calls Execute.
-func (cfg Config) Run(ctx context.Context, p *isa.Program) (*Report, error) {
-	return Execute(ctx, p, cfg)
-}
-
-// RunWarm executes the campaign against a pre-built warm snapshot and,
-// optionally, a pre-recorded checkpoint log of its clean reference run.
-// It is Execute with WithSnapshot and WithRecording — a compatibility
-// wrapper; new code calls Execute.
-func (cfg Config) RunWarm(ctx context.Context, p *isa.Program, snap *dbt.Snapshot, cleanSteps uint64, log *ckpt.Log) (*Report, error) {
-	return Execute(ctx, p, cfg, WithSnapshot(snap, cleanSteps), WithRecording(log))
-}
-
 // techName renders the technique label used by metric series and spans.
 func techName(t dbt.Technique) string {
 	if t == nil {
@@ -424,58 +403,60 @@ func techName(t dbt.Technique) string {
 	return t.Name()
 }
 
-func (cfg Config) runWarm(ctx context.Context, p *isa.Program, snap *dbt.Snapshot, cleanSteps uint64, log *ckpt.Log) (*Report, error) {
-	tech := techName(cfg.Technique)
+// run executes the campaign on target t under the report label: the one
+// pipeline every entry point funnels into, for translated and native
+// targets alike. cleanSteps is the clean run length the checkpoint
+// interval is derived from; log is an optional pre-recorded reference.
+func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t target, cleanSteps uint64, log *ckpt.Log) (*Report, error) {
 	rep := &Report{
 		Program:      p.Name,
-		Technique:    tech,
+		Technique:    label,
 		Policy:       cfg.Policy,
 		Samples:      cfg.Samples,
 		SampleOffset: cfg.SampleOffset,
 		ByCat:        map[errmodel.Category]*Agg{},
 		Workers:      par.Workers(cfg.Workers, cfg.Samples),
 	}
-	rep.Translator = snap.Stats() // warm-up work; merge adds per-sample deltas
-	rep.Compiled = snap.CompStats()
+	// Warm-up work; merge adds the per-sample deltas.
+	rep.Translator, rep.Compiled = t.baseline()
 	rep.WarmTranslator = rep.Translator
 	rep.WarmCompiled = rep.Compiled
 
-	cfg.Trace.Emit(obs.Event{Kind: obs.EvCampaignStart, Detail: p.Name + "/" + tech})
+	cfg.Trace.Emit(obs.Event{Kind: obs.EvCampaignStart, Detail: p.Name + "/" + label})
 	cfg.Progress.Begin(cfg.Samples, rep.Workers, progressLabels())
 	shards := newShards(cfg.Metrics, rep.Workers)
 	results := make([]sampleResult, cfg.Samples)
 	var err error
 	if cfg.CkptInterval != 0 {
-		err = runCkptSamples(ctx, p, &cfg, rep, snap, tech, shards, results, cleanSteps, log)
+		err = runCkptSamples(ctx, p, &cfg, rep, t, label, shards, results, cleanSteps, log)
 	} else {
-		err = runReplaySamples(ctx, p, &cfg, rep, snap, tech, shards, results)
+		err = runReplaySamples(ctx, p, &cfg, rep, t, label, shards, results)
 	}
 	if err != nil {
 		return nil, err
 	}
-	mg := phaseSpan(cfg.Metrics, tech, "merge")
+	mg := phaseSpan(cfg.Metrics, label, "merge")
 	rep.merge(results, cfg.KeepRecords)
 	flushShards(shards, cfg.Metrics)
 	mg.End()
 	if cfg.Metrics != nil {
-		rep.Translator.Publish(cfg.Metrics, tech)
-		rep.Compiled.Publish(cfg.Metrics, tech)
-		cfg.Metrics.Gauge(seriesName("dbt_code_cache_instrs", tech)).Max(int64(snap.CacheLen()))
+		rep.Compiled.Publish(cfg.Metrics, label)
+		t.publish(cfg.Metrics, label, rep)
 	}
-	cfg.Trace.Emit(obs.Event{Kind: obs.EvCampaignEnd, Value: int64(cfg.Samples), Detail: p.Name + "/" + tech})
+	cfg.Trace.Emit(obs.Event{Kind: obs.EvCampaignEnd, Value: int64(cfg.Samples), Detail: p.Name + "/" + label})
 	return rep, nil
 }
 
 // runReplaySamples is the full-replay engine: every sample executes the
-// guest from entry on a private snapshot clone. The clean reference is a
-// post-snapshot run on a clone, so both engines classify against the same
+// guest from entry on a fresh runner start. The clean reference is a
+// post-warm-up run of its own, so both engines classify against the same
 // geometry regardless of how warm-up converged.
-func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, snap *dbt.Snapshot,
-	tech string, shards []*obs.Collector, results []sampleResult) error {
+func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, t target,
+	label string, shards []*obs.Collector, results []sampleResult) error {
 	start := time.Now()
-	base := snap.Stats()
-	record := phaseSpan(cfg.Metrics, tech, "record")
-	ref := snap.NewDBT().Run(nil, cfg.MaxSteps)
+	base := rep.WarmTranslator
+	record := phaseSpan(cfg.Metrics, label, "record")
+	ref := reference(t.runner(), cfg.MaxSteps)
 	record.End()
 	if ref.Stop.Reason != cpu.StopHalt {
 		return fmt.Errorf("%s: clean run ended with %v", p.Name, ref.Stop)
@@ -486,47 +467,66 @@ func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Rep
 	if branches == 0 {
 		return fmt.Errorf("%s: no branches to fault", p.Name)
 	}
-	injSpan := phaseSpan(cfg.Metrics, tech, "inject")
+	runners := make([]runner, rep.Workers)
+	for w := range runners {
+		runners[w] = t.runner()
+	}
+	injSpan := phaseSpan(cfg.Metrics, label, "inject")
 	err := par.ForEachShardCtx(ctx, cfg.Samples, rep.Workers, func(w, i int) error {
+		r := runners[w]
 		defer observeProgress(cfg.Progress, w, &results[i])
-		defer dumpFlightDBT(cfg, snap, p.Name, tech, i, want, &results[i])
-		f := deriveFault(cfg, i, branches, steps)
-		sd := snap.NewDBT()
-		res := sd.Run(f, cfg.MaxSteps)
-		results[i].stats = res.Stats.Sub(base)
-		results[i].comp = res.Comp
-		if !f.Fired {
-			if shards != nil {
-				observeNotFired(shards[w], tech)
-			}
-			return nil
-		}
-		rec := Record{
-			Sample:   cfg.SampleOffset + i,
-			Fault:    *f,
-			Outcome:  classifyOutcome(res, want),
-			Category: classifyCategory(sd, f),
-		}
-		if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
-			rec.Latency = res.Steps - f.FiredStep
-			if cfg.Trace != nil {
-				cfg.Trace.Emit(obs.Event{
-					Kind: obs.EvErrorDetected, Sample: obs.SampleRef(cfg.SampleOffset + i),
-					Value:  int64(rec.Latency),
-					Detail: rec.Outcome.String() + "/" + rec.Category.String(),
-				})
-			}
-		}
+		defer dumpFlight(cfg, r, p.Name, label, i, want, &results[i])
+		var c *obs.Collector
 		if shards != nil {
-			observeSample(shards[w], tech, &rec, res.SigChecks, res.CacheSize)
+			c = shards[w]
 		}
-		results[i].fired = true
-		results[i].rec = rec
+		f := deriveFault(cfg, i, branches, steps)
+		m, res := r.start(f)
+		if res == nil {
+			res = r.finish(m, r.advance(m, cfg.MaxSteps))
+		}
+		settle(cfg, r, c, label, base, res, f, cfg.SampleOffset+i, want, &results[i])
 		return nil
 	})
 	injSpan.End()
 	rep.Elapsed = time.Since(start)
 	return err
+}
+
+// settle classifies one executed sample from its result into out and the
+// worker's shard c (nil when metrics are off). base is the warm-up
+// translator work the result's stats include.
+func settle(cfg *Config, r runner, c *obs.Collector, label string, base dbt.Stats, res *dbt.Result,
+	f *cpu.Fault, sample int, want []int32, out *sampleResult) {
+	out.stats = res.Stats.Sub(base)
+	out.comp = res.Comp
+	if !f.Fired {
+		if c != nil {
+			observeNotFired(c, label)
+		}
+		return
+	}
+	rec := Record{
+		Sample:   sample,
+		Fault:    *f,
+		Outcome:  classifyOutcome(res, want),
+		Category: r.category(f),
+	}
+	if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
+		rec.Latency = res.Steps - f.FiredStep
+		if cfg.Trace != nil {
+			cfg.Trace.Emit(obs.Event{
+				Kind: obs.EvErrorDetected, Sample: obs.SampleRef(sample),
+				Value:  int64(rec.Latency),
+				Detail: rec.Outcome.String() + "/" + rec.Category.String(),
+			})
+		}
+	}
+	if c != nil {
+		observeSample(c, label, &rec, res.SigChecks, res.CacheSize)
+	}
+	out.fired = true
+	out.rec = rec
 }
 
 func classifyOutcome(res *dbt.Result, want []int32) Outcome {

@@ -3,6 +3,7 @@ package inject
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func metricsJSON(t *testing.T, cfg Config, workers int) (string, *Report) {
 	p := mustAssemble(t, workload)
 	cfg.Workers = workers
 	cfg.Metrics = obs.NewRegistry()
-	rep, err := Campaign(p, cfg)
+	rep, err := Execute(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -65,7 +66,7 @@ func TestCampaignMetricsWorkerCountInvariance(t *testing.T) {
 func TestCampaignMetricsContents(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := mustAssemble(t, workload)
-	rep, err := Campaign(p, Config{
+	rep, err := Execute(context.Background(), p, Config{
 		Technique: &check.RCF{Style: dbt.UpdateCmov},
 		Samples:   200, Seed: 1,
 		MaxSteps: 10_000_000,
@@ -126,7 +127,7 @@ func TestCampaignTraceEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
 	p := mustAssemble(t, workload)
-	rep, err := Campaign(p, Config{
+	rep, err := Execute(context.Background(), p, Config{
 		Technique: &check.RCF{Style: dbt.UpdateCmov},
 		Samples:   100, Seed: 1,
 		MaxSteps: 10_000_000,
@@ -187,9 +188,9 @@ func TestStaticCampaignMetricsWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) string {
 		reg := obs.NewRegistry()
-		if _, err := StaticCampaign(ip, "CFCSS", Config{
+		if _, err := Execute(context.Background(), ip, Config{
 			Samples: 200, Seed: 42, Options: Options{Workers: workers, Metrics: reg},
-		}); err != nil {
+		}, AsStatic("CFCSS")); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var buf bytes.Buffer

@@ -3,6 +3,7 @@ package inject
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -17,7 +18,7 @@ func TestProgressSnapshotDeterminism(t *testing.T) {
 	p := mustAssemble(t, workload)
 	run := func(workers int, ckpt int64) obs.ProgressSnapshot {
 		pr := obs.NewProgress()
-		rep, err := Campaign(p, Config{
+		rep, err := Execute(context.Background(), p, Config{
 			Samples: 200, Seed: 42,
 			Options: Options{Workers: workers, CkptInterval: ckpt, Progress: pr},
 		})
@@ -95,7 +96,7 @@ func TestFlightRecorderCampaign(t *testing.T) {
 	for _, ckpt := range []int64{0, -1} {
 		var buf bytes.Buffer
 		fr := obs.NewFlightRecorder(&buf, 16)
-		rep, err := Campaign(p, Config{
+		rep, err := Execute(context.Background(), p, Config{
 			Samples: 200, Seed: 42,
 			Options: Options{Workers: 4, CkptInterval: ckpt, Flight: fr},
 		})
@@ -115,25 +116,28 @@ func TestFlightRecorderCampaign(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderStatic: same invariants for native campaigns.
+// TestFlightRecorderStatic: same invariants for native campaigns, under
+// both the replay and checkpoint engines.
 func TestFlightRecorderStatic(t *testing.T) {
 	p := mustAssemble(t, workload)
-	var buf bytes.Buffer
-	fr := obs.NewFlightRecorder(&buf, 16)
-	rep, err := StaticCampaign(p, "none", Config{
-		Samples: 200, Seed: 42,
-		Options: Options{Workers: 4, Flight: fr},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, ckpt := range []int64{0, -1} {
+		var buf bytes.Buffer
+		fr := obs.NewFlightRecorder(&buf, 16)
+		rep, err := Execute(context.Background(), p, Config{
+			Samples: 200, Seed: 42,
+			Options: Options{Workers: 4, CkptInterval: ckpt, Flight: fr},
+		}, AsStatic("none"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Totals.Count[OutSDC]+rep.Totals.Count[OutHang] == 0 {
+			t.Fatalf("ckpt=%d: no anomalous outcomes in static campaign", ckpt)
+		}
+		checkDumps(t, decodeDumps(t, &buf), rep)
 	}
-	if err := fr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Totals.Count[OutSDC]+rep.Totals.Count[OutHang] == 0 {
-		t.Skip("no anomalous outcomes in static campaign")
-	}
-	checkDumps(t, decodeDumps(t, &buf), rep)
 }
 
 // TestObservabilityLeavesReportsIdentical: enabling metrics, progress and
@@ -148,7 +152,7 @@ func TestObservabilityLeavesReportsIdentical(t *testing.T) {
 			cfg.Progress = obs.NewProgress()
 			cfg.Flight = obs.NewFlightRecorder(&bytes.Buffer{}, 8)
 		}
-		rep, err := Campaign(p, cfg)
+		rep, err := Execute(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -27,7 +28,7 @@ func shardRunners(t *testing.T) []shardRunner {
 		}
 		runners = append(runners, shardRunner{name: name, run: func(t *testing.T, cfg Config) *Report {
 			cfg.Technique = tech
-			rep, err := Campaign(p, cfg)
+			rep, err := Execute(context.Background(), p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +45,7 @@ func shardRunners(t *testing.T) []shardRunner {
 		}
 		label := s.label
 		runners = append(runners, shardRunner{name: label, run: func(t *testing.T, cfg Config) *Report {
-			rep, err := StaticCampaign(ip, label, cfg)
+			rep, err := Execute(context.Background(), ip, cfg, AsStatic(label))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,10 +120,10 @@ func TestMergeReportsPartition(t *testing.T) {
 		t.Helper()
 		var rep *Report
 		if static {
-			rep, err = StaticCampaign(ip, "CFCSS", cfg)
+			rep, err = Execute(context.Background(), ip, cfg, AsStatic("CFCSS"))
 		} else {
 			cfg.Technique = tech
-			rep, err = Campaign(p, cfg)
+			rep, err = Execute(context.Background(), p, cfg)
 		}
 		if err != nil {
 			t.Fatal(err)

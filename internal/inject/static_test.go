@@ -1,8 +1,10 @@
 package inject
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -27,7 +29,7 @@ keep:
 
 func TestStaticCampaignBasics(t *testing.T) {
 	p := mustAssemble(t, staticProg)
-	rep, err := StaticCampaign(p, "native", Config{Samples: 200, Seed: 5, KeepRecords: true})
+	rep, err := Execute(context.Background(), p, Config{Samples: 200, Seed: 5, KeepRecords: true}, AsStatic("native"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +58,31 @@ func TestStaticCampaignBasics(t *testing.T) {
 
 func TestStaticCampaignErrors(t *testing.T) {
 	spin := &isa.Program{Name: "spin", Code: []isa.Instr{{Op: isa.OpJmp, Imm: -1}}}
-	if _, err := StaticCampaign(spin, "x", Config{Samples: 1, MaxSteps: 100}); err == nil {
+	if _, err := Execute(context.Background(), spin, Config{Samples: 1, MaxSteps: 100}, AsStatic("x")); err == nil {
 		t.Error("non-halting program must fail")
 	}
 	nobranch := mustAssemble(t, "movi eax, 1\nout eax\nhalt\n")
-	if _, err := StaticCampaign(nobranch, "x", Config{Samples: 1}); err == nil {
+	if _, err := Execute(context.Background(), nobranch, Config{Samples: 1}, AsStatic("x")); err == nil {
 		t.Error("branch-free program must fail")
+	}
+	// The native path injects branch faults only and hosts no translator
+	// transform: requests it cannot honour must fail, not silently run a
+	// different campaign.
+	p := mustAssemble(t, staticProg)
+	for name, c := range map[string]Config{
+		"RegFaults": {Samples: 1, RegFaults: true},
+		"Technique": {Samples: 1, Technique: dbt.None{}},
+		"Body":      {Samples: 1, Body: &check.DFC{}},
+	} {
+		if _, err := Execute(context.Background(), p, c, AsStatic("x")); err == nil {
+			t.Errorf("AsStatic with %s must fail", name)
+		}
 	}
 }
 
 func TestStaticCampaignLatency(t *testing.T) {
 	p := mustAssemble(t, staticProg)
-	rep, err := StaticCampaign(p, "native", Config{Samples: 300, Seed: 9})
+	rep, err := Execute(context.Background(), p, Config{Samples: 300, Seed: 9}, AsStatic("native"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +125,7 @@ func TestIsResidualGap(t *testing.T) {
 
 func TestRegFaultCampaignViaConfig(t *testing.T) {
 	p := mustAssemble(t, staticProg)
-	rep, err := Campaign(p, Config{RegFaults: true, Samples: 150, Seed: 2, MaxSteps: 2_000_000})
+	rep, err := Execute(context.Background(), p, Config{RegFaults: true, Samples: 150, Seed: 2, MaxSteps: 2_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +156,7 @@ func TestOutcomeOfFaultedStaticRun(t *testing.T) {
 	m2.Reset(p)
 	m2.Fault = &cpu.Fault{BranchIndex: 0, Kind: cpu.FaultFlagBit, Bit: 2}
 	stop := m2.Run(p.Code, 1_000_000)
-	out := classifyStaticOutcome(stop, m2.Output, want)
+	out := classifyOutcome(&dbt.Result{Stop: stop, Output: m2.Output}, want)
 	if out != OutBenign && out != OutSDC && out != OutDetectedHW && out != OutHang {
 		t.Errorf("unexpected outcome %v", out)
 	}

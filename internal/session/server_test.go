@@ -65,7 +65,7 @@ func postBatch(t *testing.T, ts *httptest.Server, req Request) (int, []RecordJSO
 // for every worker count, cold and warm.
 func TestBatchMatchesCLIByteForByte(t *testing.T) {
 	// The reference reports, computed the way cfc-inject does: a cold
-	// inject.Config.Run per (seed, samples).
+	// inject.Execute per (seed, samples).
 	p, err := core.Workload(testWorkload, testScale)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestBatchMatchesCLIByteForByte(t *testing.T) {
 			Samples: testSamples, Seed: seed,
 			Options: inject.Options{Workers: 1, CkptInterval: -1},
 		}
-		rep, err := cfg.Run(context.Background(), p)
+		rep, err := inject.Execute(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
