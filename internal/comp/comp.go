@@ -112,6 +112,9 @@ type cblock struct {
 	uops        []uop
 	spans       []span // covered guest ranges (one per trace segment)
 	dead        bool   // invalidated; chain slots to it are unlinked
+	// cold marks a block a frozen view compiled into its private cold
+	// tier: the view may patch its chain slots, never a shared block's.
+	cold bool
 }
 
 // covers reports whether addr lies inside any compiled segment.
@@ -132,7 +135,7 @@ type core struct {
 	threshold uint32
 	frozen    bool
 	byAddr    []*cblock // dense: block start addr -> compiled block
-	heat      []uint32  // execution counts for not-yet-compiled starts
+	heat      []uint32  // execution counts for not-yet-compiled starts; nil once frozen
 	blocks    []*cblock
 }
 
@@ -191,12 +194,22 @@ func (c *core) invalidate(addr uint32) {
 // share the compiled blocks read-only and keep their own code alias, stats
 // and disable flag, so per-sample snapshot clones pay nothing for
 // compilation and may diverge (a clone whose code cache is patched mid-run
-// disables its compiled tier and finishes on the interpreter).
+// under a shared block disables its compiled tier and finishes on the
+// interpreter). A view that strays onto starts the frozen core left cold
+// (a fault into code the warm-up never reached) promotes them privately,
+// with the owner's threshold, into its own cold tier.
 type Engine struct {
 	c        *core
 	code     []isa.Instr
 	disabled bool
 	Stats    Stats
+
+	// Frozen views only, allocated on the first cold start: the heat of
+	// cold starts and the blocks this view compiled at them. Cold blocks
+	// chain among themselves and into shared blocks; shared blocks never
+	// chain into cold ones.
+	coldHeat   map[uint32]uint32
+	coldBlocks map[uint32]*cblock
 }
 
 // NewEngine returns an engine compiling code against the cost model (nil
@@ -256,11 +269,20 @@ func (e *Engine) Redecode(addr uint32) {
 			return
 		}
 	}
+	// Only cold blocks reference cold blocks: drop the whole cold tier
+	// and let the patched code heat up afresh.
+	for _, b := range e.coldBlocks {
+		if b.covers(addr) {
+			e.coldBlocks, e.coldHeat = nil, nil
+			return
+		}
+	}
 }
 
 // Freeze eagerly compiles every block start in starts, resolves all chain
-// slots, and makes the core immutable. After Freeze the engine and its
-// Clones may run concurrently.
+// slots, and makes the core immutable. It releases the heat table: a frozen
+// core never promotes a block. After Freeze the engine and its Clones may
+// run concurrently.
 func (e *Engine) Freeze(starts []uint32) {
 	if e == nil {
 		return
@@ -276,7 +298,26 @@ func (e *Engine) Freeze(starts []uint32) {
 		}
 	}
 	c.resolveChains()
+	c.heat = nil
 	c.frozen = true
+}
+
+// Reached returns, in address order, every block start an unfrozen
+// engine's runs have entered: the blocks it compiled and those it
+// interpreted below the promotion threshold. Freeze over a fresh engine
+// on the same code compiles them all, so a re-run of the same path never
+// leaves the compiled tier. A nil or frozen engine reports none.
+func (e *Engine) Reached() []uint32 {
+	if e == nil || e.c.frozen {
+		return nil
+	}
+	var starts []uint32
+	for a, h := range e.c.heat {
+		if e.c.byAddr[a] != nil || (h != 0 && h != heatPoison) {
+			starts = append(starts, uint32(a))
+		}
+	}
+	return starts
 }
 
 // Frozen reports whether the core is frozen (safe to Clone).
@@ -354,19 +395,26 @@ func (e *Engine) Run(m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
 			}
 		}
 		ip := m.IP
+		var cb *cblock
 		if ip < uint32(len(c.byAddr)) {
-			if cb := c.byAddr[ip]; cb != nil && m.Steps+uint64(cb.totalSteps) <= bound {
-				if stop, done := e.runCompiled(m, cb, bound, dbLimit); done {
-					return stop
-				}
-				continue
+			cb = c.byAddr[ip]
+		}
+		if cb == nil && e.coldBlocks != nil {
+			cb = e.coldBlocks[ip]
+		}
+		if cb != nil && m.Steps+uint64(cb.totalSteps) <= bound {
+			if stop, done := e.runCompiled(m, cb, bound, dbLimit); done {
+				return stop
 			}
+			continue
 		}
 		if stop, done := e.interpBlock(m, p, maxSteps); done {
 			return stop
 		}
 		if !c.frozen {
 			e.noteBlock(ip)
+		} else if cb == nil {
+			e.noteCold(ip)
 		}
 	}
 }
@@ -405,4 +453,37 @@ func (e *Engine) noteBlock(ip uint32) {
 	if h >= c.threshold {
 		e.compileAt(ip)
 	}
+}
+
+// noteCold is noteBlock for a frozen view: it heats an interpreted start
+// the shared core did not compile and promotes it into the view's private
+// cold tier at the threshold.
+func (e *Engine) noteCold(ip uint32) {
+	if ip >= uint32(len(e.code)) {
+		return
+	}
+	if e.coldHeat == nil {
+		e.coldHeat = map[uint32]uint32{}
+	}
+	h := e.coldHeat[ip]
+	if h == heatPoison {
+		return
+	}
+	h++
+	if h < e.c.threshold {
+		e.coldHeat[ip] = h
+		return
+	}
+	cb := e.build(ip)
+	if cb == nil {
+		e.coldHeat[ip] = heatPoison
+		return
+	}
+	cb.cold = true
+	delete(e.coldHeat, ip)
+	if e.coldBlocks == nil {
+		e.coldBlocks = map[uint32]*cblock{}
+	}
+	e.coldBlocks[ip] = cb
+	e.countCompiled(cb)
 }

@@ -240,10 +240,33 @@ func pick(nf bool, a, b uint8) uint8 {
 	return b
 }
 
-// compileAt compiles the block starting at start, extending across forward
-// unconditional jumps into a trace. On failure the start is poisoned and
-// never retried.
+// compileAt compiles the block starting at start into the core. On failure
+// the start is poisoned and never retried.
 func (e *Engine) compileAt(start uint32) *cblock {
+	c := e.c
+	cb := e.build(start)
+	if cb == nil {
+		c.heat[start] = heatPoison
+		return nil
+	}
+	c.byAddr[start] = cb
+	c.blocks = append(c.blocks, cb)
+	e.countCompiled(cb)
+	return cb
+}
+
+// countCompiled charges one newly compiled block to the engine's stats.
+func (e *Engine) countCompiled(cb *cblock) {
+	e.Stats.BlocksCompiled++
+	if len(cb.spans) > 1 {
+		e.Stats.TracePromotions++
+	}
+}
+
+// build compiles the block starting at start from the engine's code,
+// extending across forward unconditional jumps into a trace, without
+// registering it anywhere. It returns nil when the block cannot compile.
+func (e *Engine) build(start uint32) *cblock {
 	c := e.c
 	code := e.code
 	n := uint32(len(code))
@@ -312,16 +335,9 @@ build:
 	}
 
 	if !compiled || len(cb.uops) == 0 {
-		c.heat[start] = heatPoison
 		return nil
 	}
 	cb.totalSteps, cb.totalCycles = steps, cycles
-	c.byAddr[start] = cb
-	c.blocks = append(c.blocks, cb)
-	e.Stats.BlocksCompiled++
-	if len(cb.spans) > 1 {
-		e.Stats.TracePromotions++
-	}
 	return cb
 }
 

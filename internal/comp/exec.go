@@ -570,11 +570,14 @@ chain:
 			if tgt < uint32(len(byAddr)) {
 				nb = byAddr[tgt]
 			}
+			if nb == nil && e.coldBlocks != nil {
+				nb = e.coldBlocks[tgt]
+			}
 			if nb == nil {
 				flushState(m, tgt, steps, cycles, direct, fk, fa, fb, flags)
 				break chain
 			}
-			if !frz && slot != nil {
+			if slot != nil && (!frz || cb.cold) {
 				*slot = nb
 			}
 		}

@@ -67,6 +67,15 @@ type CellKey struct {
 // inject.DefaultMaxSteps) so spellings that run identically share a cell.
 func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed int64,
 	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
+	return KeyForDigest(p.Name, fp.Program(p), technique, style, policy, samples, seed,
+		sampleOffset, ckptInterval, backend, maxSteps)
+}
+
+// KeyForDigest is KeyFor over a program already hashed: name is the
+// program's name and digest its fp.Program hash, so a caller that keeps
+// programs long-lived hashes each one once.
+func KeyForDigest(name, digest, technique, style, policy string, samples int, seed int64,
+	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
 	if backend == comp.BackendAuto {
 		backend = comp.BackendCompile
 	}
@@ -77,8 +86,8 @@ func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed i
 		sampleOffset = 0
 	}
 	return CellKey{
-		Program:      p.Name,
-		ProgramHash:  fp.Program(p),
+		Program:      name,
+		ProgramHash:  digest,
 		Technique:    technique,
 		Style:        style,
 		Policy:       policy,

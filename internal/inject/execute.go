@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
 )
@@ -15,6 +14,7 @@ type execPlan struct {
 	static     bool
 	label      string
 	snap       *dbt.Snapshot
+	native     *Native
 	cleanSteps uint64
 	haveSnap   bool
 	log        *ckpt.Log
@@ -41,11 +41,20 @@ func WithRecording(log *ckpt.Log) ExecOption {
 	return func(e *execPlan) { e.log = log }
 }
 
+// WithNative runs an AsStatic campaign from a pre-built native warm state
+// (from WarmNative over the same program) instead of performing a fresh
+// clean run. Like WithSnapshot it changes only where the time goes: the
+// report is byte-identical to a cold native run.
+func WithNative(n *Native) ExecOption {
+	return func(e *execPlan) { e.native = n }
+}
+
 // AsStatic runs the campaign natively (no translator) under the given
 // report label — the statically instrumented CFCSS/ECCA baselines and
 // unprotected native runs. Native runs inject branch faults only and host
 // no translator transform, so Execute rejects AsStatic combined with
-// WithSnapshot, Config.RegFaults, a Technique or a Body.
+// WithSnapshot, Config.RegFaults, a Technique or a Body, and WithNative
+// without AsStatic.
 func AsStatic(label string) ExecOption {
 	return func(e *execPlan) { e.static, e.label = true, label }
 }
@@ -55,9 +64,10 @@ func AsStatic(label string) ExecOption {
 // for cancellation. With no options it warms a translator and runs the
 // full pipeline; WithSnapshot/WithRecording start from pre-built warm
 // state (the session registry's amortization path) and AsStatic selects
-// native execution. Classified results are a pure function of (program,
-// cfg minus Workers) — worker count, engine and pre-built state only
-// change where the time goes.
+// native execution, from WithNative's warm state or a fresh WarmNative.
+// Classified results are a pure function of (program, cfg minus Workers)
+// — worker count, engine and pre-built state only change where the time
+// goes.
 func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption) (*Report, error) {
 	var plan execPlan
 	for _, o := range opts {
@@ -72,20 +82,24 @@ func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption
 			return nil, fmt.Errorf("inject: AsStatic cannot inject register faults")
 		case cfg.Technique != nil, cfg.Body != nil:
 			return nil, fmt.Errorf("inject: AsStatic runs no translator technique or body transform")
+		case plan.native != nil && plan.native.prog != p:
+			return nil, fmt.Errorf("inject: WithNative state was warmed on %s, not this %s", plan.native.prog.Name, p.Name)
 		}
-		t := newNativeTarget(p, cfg.Backend, cfg.Trace)
-		if cfg.CkptInterval < 0 && plan.log == nil {
-			// Native runs have no warm-up to report the clean run length the
-			// automatic checkpoint interval derives from: measure it.
-			record := phaseSpan(cfg.Metrics, plan.label, "record")
-			clean := reference(t.runner(), cfg.MaxSteps)
-			record.End()
-			if clean.Stop.Reason != cpu.StopHalt {
-				return nil, fmt.Errorf("%s: clean run ended with %v", p.Name, clean.Stop)
+		warm := phaseSpan(cfg.Metrics, plan.label, "warm")
+		n := plan.native
+		if n == nil {
+			var err error
+			if n, _, err = WarmNative(p, cfg); err != nil {
+				warm.End()
+				return nil, err
 			}
-			plan.cleanSteps = clean.Steps
 		}
-		return cfg.run(ctx, p, plan.label, t, plan.cleanSteps, plan.log)
+		t := newNativeTarget(n, cfg.Backend, cfg.Trace)
+		warm.End()
+		return cfg.run(ctx, p, plan.label, t, n.cleanSteps, plan.log)
+	}
+	if plan.native != nil {
+		return nil, fmt.Errorf("inject: WithNative requires AsStatic")
 	}
 	if !plan.haveSnap {
 		warm := phaseSpan(cfg.Metrics, techName(cfg.Technique), "warm")

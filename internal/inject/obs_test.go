@@ -193,6 +193,11 @@ func TestStaticCampaignMetricsWorkerCountInvariance(t *testing.T) {
 		}, AsStatic("CFCSS")); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		// The per-campaign native set-up (CFG, plan, frozen engine) is
+		// timed under the static technique's warm phase.
+		if _, ok := reg.Snapshot().Spans[`campaign_phase{phase="warm",technique="CFCSS"}`]; !ok {
+			t.Errorf("workers=%d: no warm span for the native set-up", workers)
+		}
 		var buf bytes.Buffer
 		if err := reg.Snapshot().StripTimings().WriteJSON(&buf); err != nil {
 			t.Fatal(err)

@@ -2,12 +2,16 @@ package inject
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
+	"repro/internal/workloads"
 )
 
 const staticProg = `
@@ -76,6 +80,82 @@ func TestStaticCampaignErrors(t *testing.T) {
 	} {
 		if _, err := Execute(context.Background(), p, c, AsStatic("x")); err == nil {
 			t.Errorf("AsStatic with %s must fail", name)
+		}
+	}
+	// A native warm state serves native campaigns over its own program only.
+	n, _, err := WarmNative(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(context.Background(), p, Config{Samples: 1}, WithNative(n)); err == nil {
+		t.Error("WithNative without AsStatic must fail")
+	}
+	other := mustAssemble(t, staticProg)
+	if _, err := Execute(context.Background(), other, Config{Samples: 1}, AsStatic("x"), WithNative(n)); err == nil {
+		t.Error("WithNative warmed on a different program must fail")
+	}
+}
+
+// A native campaign started from a pre-built warm state matches a cold one
+// in its classified results and in its compiled-backend telemetry, under
+// both engines. The frozen engine compiles only the blocks the clean run
+// reached, a small part of the program's CFG.
+func TestStaticWithNativeMatchesCold(t *testing.T) {
+	prof, err := workloads.ByName("181.mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := prof.Build(0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := check.InstrumentStatic(base, check.StaticCFCSS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, clean, err := WarmNative(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.cleanSteps != clean.Steps || clean.DirectBranches == 0 {
+		t.Fatalf("warm state records %d clean steps, clean run %d steps / %d branches",
+			n.cleanSteps, clean.Steps, clean.DirectBranches)
+	}
+	if blocks := len(newNativeTarget(n, comp.BackendCompile, nil).g.Blocks); len(n.starts) == 0 || len(n.starts) >= blocks {
+		t.Errorf("warm state keeps %d starts of %d CFG blocks, want a non-empty reached subset", len(n.starts), blocks)
+	}
+	for _, ck := range []int64{0, -1} {
+		c := Config{Samples: 120, Seed: 3, KeepRecords: true, Options: Options{CkptInterval: ck, Workers: 2}}
+		cold, err := Execute(context.Background(), p, c, AsStatic("CFCSS"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Concurrent campaigns share one warm state, as a session's do; the
+		// first checkpoint campaign to ask computes its liveness.
+		warm := make([]*Report, 3)
+		errs := make([]error, len(warm))
+		var wg sync.WaitGroup
+		for i := range warm {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				warm[i], errs[i] = Execute(context.Background(), p, c, AsStatic("CFCSS"), WithNative(n))
+			}()
+		}
+		wg.Wait()
+		for i, w := range warm {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(reportKey(w), reportKey(cold)) {
+				t.Errorf("ckpt %d: warm-state report differs from cold\n got: %+v\nwant: %+v", ck, reportKey(w), reportKey(cold))
+			}
+			if w.Compiled != cold.Compiled {
+				t.Errorf("ckpt %d: compiled stats %+v, cold %+v", ck, w.Compiled, cold.Compiled)
+			}
+			if w.WarmCompiled.BlocksCompiled == 0 || w.WarmCompiled.BlocksCompiled > uint64(len(n.starts)) {
+				t.Errorf("ckpt %d: froze %d blocks from %d warm starts", ck, w.WarmCompiled.BlocksCompiled, len(n.starts))
+			}
 		}
 	}
 }

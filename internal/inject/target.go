@@ -1,6 +1,9 @@
 package inject
 
 import (
+	"fmt"
+	"sync"
+
 	"repro/internal/cfg"
 	"repro/internal/ckpt"
 	"repro/internal/comp"
@@ -108,15 +111,72 @@ func (r *snapRunner) category(f *cpu.Fault) errmodel.Category { return classifyC
 
 func (r *snapRunner) compStats() comp.Stats { return r.d.CompStats() }
 
+// Native is the warm state of a native target, built once per session by
+// WarmNative and shared read-only by every campaign over the same program.
+// It keeps only what is small and costly to recompute: the block starts
+// the clean run entered on an adaptive compiled engine, and the flag half of
+// the program's liveness (computed on first use). The CFG, the plan and
+// the engine tables are rebuilt per campaign, which keeps a long-lived
+// session's heap close to the bare program's.
+type Native struct {
+	prog       *isa.Program
+	starts     []uint32 // block starts the clean run entered, in address order
+	cleanSteps uint64
+
+	liveOnce sync.Once
+	live     *live.Info // flag half only: native runs inject no register faults
+}
+
+// WarmNative performs p's clean native run on cfg's backend and returns
+// the warm state campaigns start from, plus the clean result, whose
+// Steps, DirectBranches and Output are the reference geometry. A compiled
+// backend runs on an unfrozen engine and keeps the block starts it
+// entered, so campaigns freeze only the code the clean run reached, as a
+// translator snapshot freezes only the code its warm-up translated.
+func WarmNative(p *isa.Program, cfg Config) (*Native, *dbt.Result, error) {
+	cfg.applyDefaults()
+	var eng *comp.Engine
+	if cfg.Backend.Compiled() {
+		eng = comp.NewEngine(p.Code, nil, 0)
+	}
+	plan := cpu.NewPlan(p.Code, nil)
+	m := cpu.New()
+	m.Reset(p)
+	stop := comp.Run(cfg.Backend, eng, m, &plan, cfg.MaxSteps)
+	cpu.TraceRunOutcome(cfg.Trace, m, stop)
+	if stop.Reason != cpu.StopHalt {
+		return nil, nil, fmt.Errorf("%s: clean run ended with %v", p.Name, stop)
+	}
+	clean := &dbt.Result{
+		Stop:           stop,
+		Cycles:         m.Cycles,
+		Steps:          m.Steps,
+		Output:         m.Output,
+		DirectBranches: m.DirectBranches,
+		SigChecks:      m.SigChecks,
+	}
+	return &Native{prog: p, starts: eng.Reached(), cleanSteps: m.Steps}, clean, nil
+}
+
+// liveness returns the flag liveness of the program g was built from,
+// computing it on the first call.
+func (n *Native) liveness(g *cfg.Graph) *live.Info {
+	n.liveOnce.Do(func() { n.live = live.Analyze(g).FlagsOnly() })
+	return n.live
+}
+
 // nativeTarget runs the program directly on the machine (no translator):
 // the statically instrumented CFCSS/ECCA baselines and unprotected native
 // runs. Faulty branch targets are classified against the program's own
-// CFG. The predecoded plan and — for the compiled backend — a frozen
-// block-compiled engine whose entry points are the CFG block starts are
-// shared read-only by every worker; each sample takes a fresh per-view
-// engine clone so its chain-hit counters merge worker-invariantly.
+// CFG. The predecoded plan and, for the compiled backend, a frozen engine
+// are shared read-only by every worker. The engine compiles only the warm
+// state's starts (the blocks the clean run reached, not every CFG block
+// start), so a sample that strays off the clean path runs its cold blocks
+// on the interpreter until its own view promotes them. Each sample takes a
+// fresh per-view engine clone so its counters and cold tier stay its own
+// and merge worker-invariantly.
 type nativeTarget struct {
-	prog    *isa.Program
+	warm    *Native
 	g       *cfg.Graph
 	backend comp.Backend
 	plan    cpu.Plan
@@ -124,15 +184,12 @@ type nativeTarget struct {
 	trace   *obs.Tracer
 }
 
-func newNativeTarget(p *isa.Program, backend comp.Backend, trace *obs.Tracer) *nativeTarget {
-	t := &nativeTarget{prog: p, g: cfg.Build(p), backend: backend, plan: cpu.NewPlan(p.Code, nil), trace: trace}
+func newNativeTarget(n *Native, backend comp.Backend, trace *obs.Tracer) *nativeTarget {
+	p := n.prog
+	t := &nativeTarget{warm: n, g: cfg.Build(p), backend: backend, plan: cpu.NewPlan(p.Code, nil), trace: trace}
 	if backend.Compiled() {
 		t.eng = comp.NewEngine(p.Code, nil, 0)
-		starts := make([]uint32, len(t.g.Blocks))
-		for i, b := range t.g.Blocks {
-			starts[i] = b.Start
-		}
-		t.eng.Freeze(starts)
+		t.eng.Freeze(n.starts)
 	}
 	return t
 }
@@ -142,10 +199,10 @@ func (t *nativeTarget) runner() runner {
 }
 
 func (t *nativeTarget) record(interval, maxSteps uint64) (*ckpt.Log, error) {
-	return ckpt.RecordStatic(t.prog, interval, maxSteps)
+	return ckpt.RecordStatic(t.warm.prog, interval, maxSteps)
 }
 
-func (t *nativeTarget) liveness() *live.Info { return live.Analyze(t.g) }
+func (t *nativeTarget) liveness() *live.Info { return t.warm.liveness(t.g) }
 
 // baseline is the one-time compilation work (the freeze), credited to the
 // campaign report the way snapshot warm-up work is for translated runs.
@@ -173,7 +230,7 @@ type nativeRunner struct {
 func (r *nativeRunner) start(f *cpu.Fault) (*cpu.Machine, *dbt.Result) {
 	m := &r.m
 	*m = cpu.Machine{Costs: m.Costs, Output: m.Output}
-	m.Reset(r.t.prog)
+	m.Reset(r.t.warm.prog)
 	m.Fault = f
 	r.resume(m, nil)
 	return m, nil

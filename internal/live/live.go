@@ -110,6 +110,11 @@ func AnalyzeCode(code []isa.Instr) *Info {
 	return Analyze(cfg.Build(&isa.Program{Name: "cache", Code: code}))
 }
 
+// FlagsOnly returns the flag half of i: FlagBitDead answers as before and
+// RegDead never proves a register dead. It is for callers that keep
+// liveness long-lived but never prune register faults.
+func (i *Info) FlagsOnly() *Info { return &Info{flagsIn: i.flagsIn} }
+
 // FlagBitDead reports whether flag bit (0..NumFlagBits-1) is provably dead
 // at the entry of the instruction at addr: no path from addr reads it
 // before redefining it. Addresses outside the analyzed image are never

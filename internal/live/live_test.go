@@ -193,3 +193,30 @@ func TestOutOfRangeNeverDead(t *testing.T) {
 		t.Error("out-of-range flag bit reported as dead")
 	}
 }
+
+// FlagsOnly keeps every flag answer and proves no register dead.
+func TestFlagsOnlyDropsRegisters(t *testing.T) {
+	li := analyze(t, `
+    cmp eax, ecx
+    movi ecx, 5
+    movi ecx, 7
+    jeq done
+    out ecx
+done:
+    halt
+`)
+	fo := li.FlagsOnly()
+	for a := uint32(0); a < 6; a++ {
+		for bit := uint(0); bit < isa.NumFlagBits; bit++ {
+			if fo.FlagBitDead(a, bit) != li.FlagBitDead(a, bit) {
+				t.Errorf("addr %d bit %d: FlagsOnly answers %v, full info %v", a, bit, fo.FlagBitDead(a, bit), li.FlagBitDead(a, bit))
+			}
+		}
+	}
+	if !li.RegDead(1, isa.ECX) {
+		t.Fatal("ecx live at addr 1, want dead (redefined before use)")
+	}
+	if fo.RegDead(1, isa.ECX) {
+		t.Error("FlagsOnly proves ecx dead at addr 1, want no register answers")
+	}
+}

@@ -69,6 +69,14 @@ func TestArtifactColdRestoreOverHTTP(t *testing.T) {
 			if got, want := inject.FormatNormalized(repB), inject.FormatNormalized(repA); got != want {
 				t.Errorf("restored report differs from local build\n got: %s\nwant: %s", got, want)
 			}
+			// A native session rebuilds its warm state from the code: it
+			// freezes the same reached blocks as the local build.
+			if (sB.native != nil) != (tech == "CFCSS") {
+				t.Errorf("restored session native warm state present = %v", sB.native != nil)
+			}
+			if repB.Compiled != repA.Compiled {
+				t.Errorf("restored compiled stats %+v, local build %+v", repB.Compiled, repA.Compiled)
+			}
 		})
 	}
 }
@@ -149,11 +157,11 @@ func TestArtifactFailureFallsBackToLocalBuild(t *testing.T) {
 	rC := NewRegistry(Config{Metrics: regC, Artifacts: &artifact.Client{Local: badStore, Metrics: regC}})
 	// Plant the garbage blob behind the exact fingerprint the registry
 	// will derive for k, so the fetch resolves and fails verification.
-	base, err := rC.Program(k.Workload, k.Scale)
+	pe, err := rC.programEntry(k.Workload, k.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	afp := rC.artifactFingerprint(&Session{Key: k, label: "RCF"}, base)
+	afp := rC.artifactFingerprint(&Session{Key: k, label: "RCF"}, pe)
 	if err := badStore.Link(artifact.RefID(afp), artifact.Digest(blob)); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package session implements the warm-session registry behind the batch
 // injection service: one session per (workload, scale, technique, style,
 // policy, checkpoint-interval) configuration, holding the lazily built
-// program, the warmed translator snapshot and the recorded checkpoint log
-// so that repeated campaigns pay the warm-up and reference-run cost once.
+// program, its warm state (a translator snapshot, or the native warm
+// state of a static baseline) and the recorded checkpoint log so that
+// repeated campaigns pay the warm-up and reference-run cost once.
 // Checkpoint logs persist to disk in a versioned, checksummed format (see
 // internal/ckpt), so even a fresh process skips the reference recording
 // when a valid cache file exists; files are fingerprinted by the session
@@ -28,6 +29,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/check"
 	"repro/internal/ckpt"
+	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
@@ -66,7 +68,8 @@ func (k Key) fileName() string {
 }
 
 // Session is one warm configuration: the built (and, for the static
-// baselines, instrumented) program, the stabilized translator snapshot,
+// baselines, instrumented) program, its warm state (the stabilized
+// translator snapshot, or the native warm state of a static baseline),
 // the clean-run geometry and — when the checkpoint engine is selected —
 // the recorded reference log.
 type Session struct {
@@ -76,8 +79,9 @@ type Session struct {
 	static     bool
 	tech       dbt.Technique // nil for static baselines
 	pol        dbt.Policy
-	label      string        // canonical technique label ("RCF", "CFCSS", ...)
-	snap       *dbt.Snapshot // nil for static baselines
+	label      string         // canonical technique label ("RCF", "CFCSS", ...)
+	snap       *dbt.Snapshot  // nil for static baselines
+	native     *inject.Native // static baselines only
 	cleanSteps uint64
 	log        *ckpt.Log // nil when CkptInterval == 0
 
@@ -132,7 +136,7 @@ func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*injec
 	if s.static {
 		cfg.Policy = s.pol
 		rep, err = inject.Execute(ctx, s.prog, cfg,
-			inject.AsStatic(s.label), inject.WithRecording(s.log))
+			inject.AsStatic(s.label), inject.WithNative(s.native), inject.WithRecording(s.log))
 	} else {
 		cfg.Technique, cfg.Policy = s.tech, s.pol
 		rep, err = inject.Execute(ctx, s.prog, cfg,
@@ -203,9 +207,10 @@ type progKey struct {
 }
 
 type progEntry struct {
-	ready chan struct{}
-	prog  *isa.Program
-	err   error
+	ready  chan struct{}
+	prog   *isa.Program
+	err    error
+	digest func() string // fp.Program(prog), hashed on first use
 }
 
 // NewRegistry returns an empty registry.
@@ -289,12 +294,10 @@ func (r *Registry) RunCell(ctx context.Context, k Key, spec Spec, opts core.Opti
 		rep, err := sess.Run(ctx, spec, opts)
 		return rep, false, err
 	}
-	prog, err := r.program(k.Workload, k.Scale)
+	ck, err := r.cellKey(k, spec, opts.Backend)
 	if err != nil {
 		return nil, false, err
 	}
-	ck := graph.KeyFor(prog, k.Technique, k.Style, k.Policy, spec.Samples, spec.Seed,
-		spec.SampleOffset, k.CkptInterval, opts.Backend, r.cfg.MaxSteps)
 	return g.Run(ck, opts.Metrics, func(m *obs.Registry) (*inject.Report, error) {
 		sess, err := r.Session(ctx, k)
 		if err != nil {
@@ -304,6 +307,18 @@ func (r *Registry) RunCell(ctx context.Context, k Key, spec Spec, opts core.Opti
 		copts.Metrics = m
 		return sess.Run(ctx, spec, copts)
 	})
+}
+
+// cellKey is graph.KeyFor for the campaign cell (k, spec) on backend, from
+// the program's memoized digest: a program is hashed once per registry,
+// not once per request.
+func (r *Registry) cellKey(k Key, spec Spec, backend comp.Backend) (graph.CellKey, error) {
+	pe, err := r.programEntry(k.Workload, k.Scale)
+	if err != nil {
+		return graph.CellKey{}, err
+	}
+	return graph.KeyForDigest(pe.prog.Name, pe.digest(), k.Technique, k.Style, k.Policy, spec.Samples, spec.Seed,
+		spec.SampleOffset, k.CkptInterval, backend, r.cfg.MaxSteps), nil
 }
 
 // Validate checks a key's campaign-independent fields — workload name,
@@ -403,12 +418,17 @@ func (r *Registry) sweepEvicted(evicted []Key) {
 // through the registry so HTTP-driven benchmarks and campaigns share one
 // program build per configuration.
 func (r *Registry) Program(workload string, scale float64) (*isa.Program, error) {
-	return r.program(workload, scale)
+	pe, err := r.programEntry(workload, scale)
+	if err != nil {
+		return nil, err
+	}
+	return pe.prog, nil
 }
 
-// program returns the built workload, shared across every session (and
-// technique) using the same (workload, scale).
-func (r *Registry) program(workload string, scale float64) (*isa.Program, error) {
+// programEntry returns the built workload and its memoized content hash,
+// shared across every session (and technique) using the same (workload,
+// scale).
+func (r *Registry) programEntry(workload string, scale float64) (*progEntry, error) {
 	pk := progKey{workload, scale}
 	r.mu.Lock()
 	pe, ok := r.programs[pk]
@@ -419,9 +439,13 @@ func (r *Registry) program(workload string, scale float64) (*isa.Program, error)
 	r.mu.Unlock()
 	if ok {
 		<-pe.ready
-		return pe.prog, pe.err
+		return pe, pe.err
 	}
 	pe.prog, pe.err = core.Workload(workload, scale)
+	if pe.err == nil {
+		prog := pe.prog
+		pe.digest = sync.OnceValue(func() string { return fp.Program(prog) })
+	}
 	close(pe.ready)
 	if pe.err != nil {
 		r.mu.Lock()
@@ -430,7 +454,7 @@ func (r *Registry) program(workload string, scale float64) (*isa.Program, error)
 		}
 		r.mu.Unlock()
 	}
-	return pe.prog, pe.err
+	return pe, pe.err
 }
 
 // staticKind resolves a static-baseline technique name.
@@ -444,89 +468,72 @@ func staticKind(name string) (check.StaticKind, bool) {
 	return 0, false
 }
 
-// build constructs the session for k: program, warm snapshot (DBT) or
-// native clean run (static), and — for the checkpoint engine — the
+// build constructs the session for k: program, warm state (a stabilized
+// translator snapshot, or for the static baselines the instrumented
+// program's native warm state) and — for the checkpoint engine — the
 // reference log, from disk when a valid cache file exists.
 func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	base, err := r.program(k.Workload, k.Scale)
+	pe, err := r.programEntry(k.Workload, k.Scale)
 	if err != nil {
 		return nil, err
 	}
+	base := pe.prog
 	pol, err := core.ParsePolicy(k.Policy)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Key: k, pol: pol}
-
+	s := &Session{Key: k, pol: pol, prog: base, label: "none"}
 	if kind, ok := staticKind(k.Technique); ok {
 		s.static = true
 		s.label = kind.String()
 		if s.prog, err = check.InstrumentStatic(base, kind); err != nil {
 			return nil, err
 		}
-		afp := r.artifactFingerprint(s, base)
-		if r.restoreSession(s, afp, base) {
-			return s, nil
+	} else {
+		style, err := core.ParseStyle(k.Style)
+		if err != nil {
+			return nil, err
 		}
-		m := cpu.New()
-		m.Reset(s.prog)
-		plan := cpu.NewPlan(s.prog.Code, nil)
-		stop := m.RunPlan(&plan, r.cfg.MaxSteps)
-		if stop.Reason != cpu.StopHalt {
-			return nil, fmt.Errorf("%s: clean run ended with %v", s.prog.Name, stop)
+		if s.tech, err = check.New(k.Technique, style); err != nil {
+			return nil, err
 		}
-		s.cleanSteps = m.Steps
-		if k.CkptInterval != 0 {
-			s.log, s.FromDisk, err = r.referenceLog(k, s.label, m.Steps, m.DirectBranches, m.Output,
-				func(interval uint64) (*ckpt.Log, error) {
-					return ckpt.RecordStatic(s.prog, interval, r.cfg.MaxSteps)
-				})
-			if err != nil {
-				return nil, err
-			}
+		if s.tech != nil {
+			s.label = s.tech.Name()
 		}
-		r.count("session_warm_builds_total")
-		r.publishArtifact(s, afp, base)
-		return s, nil
 	}
-
-	style, err := core.ParseStyle(k.Style)
-	if err != nil {
-		return nil, err
-	}
-	if s.tech, err = check.New(k.Technique, style); err != nil {
-		return nil, err
-	}
-	s.label = "none"
-	if s.tech != nil {
-		s.label = s.tech.Name()
-	}
-	s.prog = base
-	afp := r.artifactFingerprint(s, base)
+	afp := r.artifactFingerprint(s, pe)
 	if r.restoreSession(s, afp, base) {
 		return s, nil
 	}
 	wcfg := inject.Config{Technique: s.tech, Policy: pol, MaxSteps: r.cfg.MaxSteps}
-	snap, clean, err := inject.Warm(base, wcfg)
+	var clean *dbt.Result
+	var record func(interval uint64) (*ckpt.Log, error)
+	if s.static {
+		s.native, clean, err = inject.WarmNative(s.prog, wcfg)
+		record = func(interval uint64) (*ckpt.Log, error) {
+			return ckpt.RecordStatic(s.prog, interval, r.cfg.MaxSteps)
+		}
+	} else {
+		s.snap, clean, err = inject.Warm(base, wcfg)
+		record = func(interval uint64) (*ckpt.Log, error) {
+			return ckpt.Record(s.snap, interval, r.cfg.MaxSteps)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.snap = snap
 	s.cleanSteps = clean.Steps
 	if k.CkptInterval != 0 {
-		s.log, s.FromDisk, err = r.referenceLog(k, s.label, clean.Steps, clean.DirectBranches, clean.Output,
-			func(interval uint64) (*ckpt.Log, error) {
-				return ckpt.Record(snap, interval, r.cfg.MaxSteps)
-			})
+		s.log, s.FromDisk, err = r.referenceLog(k, s.label, clean.Steps, clean.DirectBranches, clean.Output, record)
 		if err != nil {
 			return nil, err
 		}
 	}
 	r.count("session_warm_builds_total")
-	r.publishArtifact(s, afp, base)
+	r.publishArtifact(s, afp, pe)
 	return s, nil
 }
 
@@ -534,11 +541,11 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 // under construction: the session key plus everything that shapes the
 // warm state but is not in the key (program content, step budget, engine
 // and technique versions). "" disables the tier for this build.
-func (r *Registry) artifactFingerprint(s *Session, base *isa.Program) string {
+func (r *Registry) artifactFingerprint(s *Session, pe *progEntry) string {
 	if r.cfg.Artifacts == nil {
 		return ""
 	}
-	return artifact.Fingerprint(s.Key.String(), s.label, fp.Program(base), r.cfg.MaxSteps)
+	return artifact.Fingerprint(s.Key.String(), s.label, pe.digest(), r.cfg.MaxSteps)
 }
 
 // restoreSession hydrates s from a fetched warm artifact. It reports true
@@ -547,7 +554,9 @@ func (r *Registry) artifactFingerprint(s *Session, base *isa.Program) string {
 // snapshot) reports false and the caller builds locally, so a bad
 // artifact can never poison the registry. A restored session performs
 // zero reference recordings and zero block translations; its campaigns
-// are byte-identical to a locally built session's.
+// are byte-identical to a locally built session's. A static session's
+// native warm state is not shipped: one clean run rebuilds it from the
+// code and must reproduce the artifact's clean-run length.
 func (r *Registry) restoreSession(s *Session, afp string, base *isa.Program) bool {
 	if afp == "" {
 		return false
@@ -564,7 +573,13 @@ func (r *Registry) restoreSession(s *Session, afp string, base *isa.Program) boo
 	if s.Key.CkptInterval != 0 && (a.Log == nil || !a.Log.Complete()) {
 		return false
 	}
-	if !s.static {
+	if s.static {
+		n, clean, err := inject.WarmNative(s.prog, inject.Config{MaxSteps: r.cfg.MaxSteps})
+		if err != nil || clean.Steps != a.CleanSteps {
+			return false
+		}
+		s.native = n
+	} else {
 		// Zero Backend mirrors the wcfg the local build would have used, so
 		// the restored snapshot executes on the same engine tier.
 		snap, err := dbt.RestoreSnapshot(base, dbt.Options{Technique: s.tech, Policy: s.pol}, a.Snapshot)
@@ -584,13 +599,13 @@ func (r *Registry) restoreSession(s *Session, afp string, base *isa.Program) boo
 // publishArtifact ships the locally built session to the artifact tier,
 // best effort: an unexportable snapshot or a store failure degrades to
 // not publishing, never to a build error.
-func (r *Registry) publishArtifact(s *Session, afp string, base *isa.Program) {
+func (r *Registry) publishArtifact(s *Session, afp string, pe *progEntry) {
 	if afp == "" {
 		return
 	}
 	a := &artifact.Artifact{
 		Key:         s.Key.String(),
-		ProgramHash: fp.Program(base),
+		ProgramHash: pe.digest(),
 		MaxSteps:    r.cfg.MaxSteps,
 		CleanSteps:  s.cleanSteps,
 		Static:      s.static,

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/inject"
@@ -336,6 +337,72 @@ func TestRunCellGraphCache(t *testing.T) {
 	r2 := NewRegistry(Config{})
 	if _, cached, err := r2.RunCell(context.Background(), k, spec, core.Options{}); err != nil || cached {
 		t.Errorf("uncached RunCell: cached=%v err=%v", cached, err)
+	}
+}
+
+// RunCell keys its cell from the registry's memoized program digest; the
+// key must be the one graph.KeyFor derives by hashing the program afresh.
+func TestRunCellKeyMatchesKeyFor(t *testing.T) {
+	r := NewRegistry(Config{Graph: graph.New("")})
+	k := testKey("RCF", -1)
+	spec := Spec{Samples: testSamples, Seed: 7, SampleOffset: 3}
+	got, err := r.cellKey(k, spec, comp.BackendAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := r.Program(k.Workload, k.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.KeyFor(prog, k.Technique, k.Style, k.Policy, spec.Samples, spec.Seed,
+		spec.SampleOffset, k.CkptInterval, comp.BackendAuto, 0)
+	if got != want {
+		t.Fatalf("RunCell key differs from graph.KeyFor\n got: %+v\nwant: %+v", got, want)
+	}
+	if _, _, err := r.RunCell(context.Background(), k, spec, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Graph().Lookup(want, nil) == nil {
+		t.Error("RunCell stored its cell under a key graph.KeyFor does not find")
+	}
+}
+
+// N static campaigns on one session share one native warm state: the
+// session warms once and every campaign freezes the same reached starts.
+func TestStaticCampaignsReuseNativeWarmState(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := NewRegistry(Config{Metrics: reg})
+	k := testKey("CFCSS", -1)
+	var native *inject.Native
+	var frozen comp.Stats
+	for i := 0; i < 4; i++ {
+		s := mustSession(t, r, k)
+		if s.native == nil {
+			t.Fatal("static session holds no native warm state")
+		}
+		if native == nil {
+			native = s.native
+		} else if s.native != native {
+			t.Fatalf("campaign %d: session warm state was rebuilt", i)
+		}
+		rep, err := s.Run(context.Background(), Spec{Samples: testSamples, Seed: int64(i)}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			frozen = rep.WarmCompiled
+		} else if rep.WarmCompiled != frozen {
+			t.Errorf("campaign %d froze %+v, first campaign %+v", i, rep.WarmCompiled, frozen)
+		}
+	}
+	if got := counter(reg, "session_warm_builds_total"); got != 1 {
+		t.Errorf("warm builds = %d, want 1", got)
+	}
+	if got := counter(reg, "session_hits_total"); got != 3 {
+		t.Errorf("session hits = %d, want 3", got)
+	}
+	if frozen.BlocksCompiled == 0 {
+		t.Error("static campaigns froze no compiled blocks")
 	}
 }
 
