@@ -7,6 +7,7 @@ import (
 	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
+	"repro/internal/isa"
 )
 
 // backendOutcome is everything the execution backends must agree on for
@@ -18,14 +19,17 @@ type backendOutcome struct {
 	out   []int32
 }
 
+// backends are the execution backends the differential tests compare; the
+// step interpreter, first, is the ground truth.
+var backends = []comp.Backend{comp.BackendStep, comp.BackendCompile}
+
 // TestBackendDifferential is the backend property test: random structured
-// programs run under the step interpreter, the predecoded plan and the
-// block-compiled backend must produce identical cpu.State (registers,
-// flags, IP, step/cycle/branch/check counters), stop and output bytes —
-// for every technique × policy. The step interpreter is the ground truth;
-// the plan and compiled backends must be pure performance transforms.
+// programs run under the step interpreter and the block-compiled backend
+// must produce identical cpu.State (registers, flags, IP,
+// step/cycle/branch/check counters), stop and output bytes — for every
+// technique × policy. The compiled backend must be a pure performance
+// transform.
 func TestBackendDifferential(t *testing.T) {
-	backends := []comp.Backend{comp.BackendStep, comp.BackendPlan, comp.BackendCompile}
 	const maxSteps = 200_000_000
 	for i := 0; i < 8; i++ {
 		prof := randomProfile(int64(3000 + i*23))
@@ -78,7 +82,6 @@ func TestBackendDifferential(t *testing.T) {
 // every backend. One warm translator per backend runs the same fault
 // sequence, so chain-patching state evolves in lockstep too.
 func TestBackendDifferentialUnderFaults(t *testing.T) {
-	backends := []comp.Backend{comp.BackendStep, comp.BackendPlan, comp.BackendCompile}
 	const maxSteps = 100_000_000
 	for i := 0; i < 3; i++ {
 		prof := randomProfile(int64(5000 + i*31))
@@ -121,4 +124,84 @@ func TestBackendDifferentialUnderFaults(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBackendDifferential searches for step≠compile under faults. Each
+// input picks one of TestBackendDifferentialUnderFaults's random programs,
+// a technique and policy, and one planted fault (any kind, at any dynamic
+// site of the clean run). Each backend warms a translator with the clean
+// run, snapshots it, and runs the fault on a snapshot clone — the
+// campaign path, where the compiled backend executes from a frozen core.
+// Both backends must agree on state, counters, translator stats, output,
+// Stop and the fault record. Plain go test replays the seeds below and
+// testdata/fuzz/FuzzBackendDifferential.
+func FuzzBackendDifferential(f *testing.F) {
+	f.Add(uint16(0), uint8(1), uint8(0), uint8(0), uint32(5), uint8(9), uint8(0))
+	f.Add(uint16(31), uint8(0), uint8(1), uint8(1), uint32(40), uint8(0), uint8(0))
+	f.Add(uint16(62), uint8(7), uint8(3), uint8(2), uint32(2000), uint8(5), uint8(4))
+	f.Fuzz(func(t *testing.T, prog uint16, techSel, polSel, kind uint8, index uint32, bit, reg uint8) {
+		prof := randomProfile(5000 + int64(prog))
+		prof.Name = fmt.Sprintf("bdfuzz-%d", prog)
+		p, err := prof.Build(0.02)
+		if err != nil {
+			t.Skip(err)
+		}
+		style := dbt.UpdateJcc
+		if techSel&1 == 1 {
+			style = dbt.UpdateCmov
+		}
+		techs := append(DBTTechniques(style), dbt.None{})
+		tech := techs[int(techSel>>1)%len(techs)]
+		pols := dbt.Policies()
+		pol := pols[int(polSel)%len(pols)]
+
+		type outcome struct {
+			backendOutcome
+			stats dbt.Stats
+			fault cpu.Fault
+		}
+		var want outcome
+		var budget uint64
+		for bi, b := range backends {
+			d := dbt.New(p, dbt.Options{Technique: tech, Policy: pol, Backend: b})
+			clean := d.Run(nil, 200_000_000)
+			if clean.Stop.Reason != cpu.StopHalt {
+				t.Fatalf("%s/%v: clean %v", prof.Name, b, clean.Stop)
+			}
+			f := &cpu.Fault{Kind: cpu.FaultKind(kind % 3), Bit: uint(bit) % 32}
+			if f.Kind == cpu.FaultRegBit {
+				f.StepIndex = uint64(index) % (clean.Steps + 1)
+				f.Reg = isa.Reg(int(reg) % isa.NumRegs)
+			} else {
+				f.BranchIndex = uint64(index) % (clean.DirectBranches + 1)
+			}
+			// A fault can loop forever outside the ALLBB policy; twice the
+			// clean run is far past any detection latency.
+			budget = 2*clean.Steps + 10_000
+			c := d.Snapshot().NewDBT()
+			m, res := c.Start(f)
+			if res != nil {
+				t.Fatalf("%s/%v: start: %v", prof.Name, b, res.Stop)
+			}
+			stop := c.Advance(m, budget)
+			got := outcome{
+				backendOutcome: backendOutcome{state: m.CaptureState(), stop: stop, out: m.Output},
+				stats:          c.StatsSnapshot(),
+				fault:          *f,
+			}
+			if bi == 0 {
+				want = got
+				continue
+			}
+			if got.state != want.state || got.stop != want.stop || got.stats != want.stats || got.fault != want.fault {
+				t.Errorf("%s/%s/%s/%v: %+v diverged from step\n got: %+v %v\n      %+v\n      %+v\nwant: %+v %v\n      %+v\n      %+v",
+					prof.Name, tech.Name(), pol, b, *f,
+					got.state, got.stop, got.stats, got.fault,
+					want.state, want.stop, want.stats, want.fault)
+			}
+			if !equalOut(got.out, want.out) {
+				t.Errorf("%s/%s/%s/%v: %+v output diverged from step", prof.Name, tech.Name(), pol, b, *f)
+			}
+		}
+	})
 }

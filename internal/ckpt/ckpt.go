@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -115,13 +116,14 @@ func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
 }
 
 // RecordStatic performs the clean reference run for native (no translator)
-// execution of p, capturing a checkpoint every interval steps. Native runs
+// execution of p, capturing a checkpoint every interval steps, on an
+// unfrozen compiled engine that resumes at each boundary. Native runs
 // share no translator state, so recording never truncates.
 func RecordStatic(p *isa.Program, interval, maxSteps uint64) (*Log, error) {
 	m := cpu.New()
 	m.Reset(p)
-	plan := cpu.NewPlan(p.Code, nil)
-	advance := func(m *cpu.Machine, target uint64) cpu.Stop { return m.RunPlan(&plan, target) }
+	eng := comp.NewEngine(p.Code, m.Costs, 0)
+	advance := func(m *cpu.Machine, target uint64) cpu.Stop { return eng.Run(m, p.Code, target) }
 	none := func() dbt.Stats { return dbt.Stats{} }
 	return record(m, interval, maxSteps, advance, none, func() int { return 0 })
 }

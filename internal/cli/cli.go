@@ -90,7 +90,7 @@ func (a *App) BindFlags(fs *flag.FlagSet) {
 		a.Backend = comp.BackendAuto.String()
 	}
 	fs.StringVar(&a.Backend, "backend", a.Backend,
-		"execution backend: auto, step, plan or compile (all byte-identical)")
+		"execution backend: auto, step or compile (all byte-identical)")
 	fs.DurationVar(&a.Progress, "progress", a.Progress,
 		"print live campaign progress to stderr every `interval` (0 = off)")
 	fs.StringVar(&a.Flight, "flight", a.Flight,

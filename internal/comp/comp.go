@@ -8,16 +8,16 @@
 // patched-cache chaining — with a dense by-address table as the unchained
 // fallback.
 //
-// Execution is two-tier: a block starts life on the predecoded interpreter
-// (cpu.RunPlan semantics via Machine.Step, block at a time) and an
-// execution-count threshold promotes it to compiled form; unconditional
-// forward jumps extend the compiled region into a trace, as in the paper's
-// §5 hot-trace backend. Machine.Step remains the differential ground truth:
+// Execution is two-tier: a block starts life on the reference interpreter
+// (Machine.Step, block at a time) and an execution-count threshold
+// promotes it to compiled form; unconditional forward jumps extend the
+// compiled region into a trace, as in the paper's §5 hot-trace backend.
+// Machine.Step is the only other tier and the differential ground truth:
 // the compiled tier is a pure performance transform, byte-identical in
-// architectural state, counters and output, and it steps aside — exactly and
-// mid-run — whenever semantics need the reference path (branch hooks, the
-// firing step of a planted fault, step-budget boundaries that fall inside a
-// block).
+// architectural state, counters and output, and it steps aside — exactly
+// and mid-run — whenever semantics need the reference path (branch hooks,
+// the firing step of a planted fault, step-budget boundaries that fall
+// inside a block).
 package comp
 
 import (
@@ -30,17 +30,16 @@ import (
 // Backend selects the execution engine used for guest and translated code.
 type Backend uint8
 
-// Backends, from slowest to fastest. BackendAuto resolves to the compiled
-// backend: it is byte-identical to the others by construction and falls
-// back to the interpreter tiers on its own wherever required.
+// Backends. BackendAuto resolves to the compiled backend: it is
+// byte-identical to the step oracle by construction and falls back to it on
+// its own wherever required.
 const (
 	BackendAuto Backend = iota
 	BackendStep
-	BackendPlan
 	BackendCompile
 )
 
-var backendNames = [...]string{"auto", "step", "plan", "compile"}
+var backendNames = [...]string{"auto", "step", "compile"}
 
 // String names the backend as accepted by ParseBackend.
 func (b Backend) String() string {
@@ -57,24 +56,19 @@ func ParseBackend(s string) (Backend, error) {
 			return Backend(i), nil
 		}
 	}
-	return BackendAuto, fmt.Errorf("unknown backend %q (want auto, step, plan or compile)", s)
+	return BackendAuto, fmt.Errorf("unknown backend %q (want auto, step or compile)", s)
 }
 
 // Compiled reports whether the backend uses the compiled tier.
 func (b Backend) Compiled() bool { return b == BackendAuto || b == BackendCompile }
 
-// Run advances m on backend b until a stop or the step budget: the step
-// oracle over the plan's code, the predecoded plan, or the compiled engine
-// e (a nil e runs the plan).
-func Run(b Backend, e *Engine, m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
-	switch b {
-	case BackendStep:
-		return m.Run(p.Code(), maxSteps)
-	case BackendPlan:
-		return m.RunPlan(p, maxSteps)
-	default: // BackendAuto, BackendCompile
-		return e.Run(m, p, maxSteps)
+// Run advances m over code on backend b until a stop or the step budget:
+// the step oracle, or the compiled engine e (a nil e runs the oracle).
+func Run(b Backend, e *Engine, m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop {
+	if b == BackendStep {
+		return m.Run(code, maxSteps)
 	}
+	return e.Run(m, code, maxSteps)
 }
 
 // Stats counts compiled-backend activity. Counter sums are order-independent,
@@ -228,7 +222,7 @@ func NewEngine(code []isa.Instr, costs *cpu.CostModel, threshold int) *Engine {
 }
 
 // Sync re-aliases the engine onto code after the underlying slice grew,
-// shrank or was reallocated (the DBT's cache following the plan's Sync).
+// shrank or was reallocated (the DBT's code cache).
 // Growth is append-only and keeps compiled blocks valid; a shrink is a full
 // cache invalidation: the owner rebuilds, a frozen view disables itself.
 func (e *Engine) Sync(code []isa.Instr) {
@@ -352,15 +346,17 @@ func (c *core) resolveChains() {
 	}
 }
 
-// Run executes from the machine's current IP until a stop, RunPlan-
-// equivalent in every observable: architectural state, counters, output,
-// fault outcome and the returned Stop. Compiled blocks execute fused;
-// everything the compiled tier cannot express exactly — branch hooks, the
-// firing step of a planted fault, blocks straddling the step budget or the
-// fault's firing boundary, cold blocks — runs on the reference tiers.
-func (e *Engine) Run(m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
+// Run executes code from the machine's current IP until a stop, equivalent
+// to Machine.Run in every observable: architectural state, counters,
+// output, fault outcome and the returned Stop. Compiled blocks execute
+// fused; everything the compiled tier cannot express exactly — branch
+// hooks, the firing step of a planted fault, blocks straddling the step
+// budget or the fault's firing boundary, cold blocks — runs on the
+// reference interpreter. code is the caller's current slice, not e's
+// alias: a disabled view stops following Sync, so its alias goes stale.
+func (e *Engine) Run(m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop {
 	if e == nil || e.disabled || m.BranchHook != nil {
-		return m.RunPlan(p, maxSteps)
+		return m.Run(code, maxSteps)
 	}
 	c := e.c
 	for {
@@ -374,7 +370,7 @@ func (e *Engine) Run(m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
 				if m.Steps >= f.StepIndex {
 					// At the firing boundary: one reference Step applies the
 					// flip with the seed path's exact semantics.
-					if stop, done := m.Step(p.Code()); done {
+					if stop, done := m.Step(code); done {
 						return stop
 					}
 					continue
@@ -386,7 +382,7 @@ func (e *Engine) Run(m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
 				if m.DirectBranches >= f.BranchIndex {
 					// The next direct branch fires the fault; walk to it on
 					// the reference path.
-					if stop, done := m.Step(p.Code()); done {
+					if stop, done := m.Step(code); done {
 						return stop
 					}
 					continue
@@ -408,7 +404,7 @@ func (e *Engine) Run(m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
 			}
 			continue
 		}
-		if stop, done := e.interpBlock(m, p, maxSteps); done {
+		if stop, done := e.interpBlock(m, code, maxSteps); done {
 			return stop
 		}
 		if !c.frozen {
@@ -421,13 +417,12 @@ func (e *Engine) Run(m *cpu.Machine, p *cpu.Plan, maxSteps uint64) cpu.Stop {
 
 // interpBlock executes one basic block (through its terminator) on the
 // reference interpreter, stopping early on a trap or the step budget.
-func (e *Engine) interpBlock(m *cpu.Machine, p *cpu.Plan, maxSteps uint64) (cpu.Stop, bool) {
-	code := p.Code()
+func (e *Engine) interpBlock(m *cpu.Machine, code []isa.Instr, maxSteps uint64) (cpu.Stop, bool) {
 	for {
 		if m.Steps >= maxSteps {
 			return cpu.Stop{Reason: cpu.StopOutOfSteps, IP: m.IP}, true
 		}
-		wasTerm := p.IsTerminator(m.IP)
+		wasTerm := m.IP < uint32(len(code)) && code[m.IP].Op.IsTerminator()
 		if stop, done := m.Step(code); done {
 			return stop, true
 		}

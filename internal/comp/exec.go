@@ -5,9 +5,11 @@ import (
 	"repro/internal/isa"
 )
 
-// Deferred flag sources, mirroring cpu.RunPlan's deferral scheme: flag
-// writes record (operation, operands) and materialize only at a read or a
-// tier boundary.
+// Deferred flag sources: most ALU flag results are overwritten before any
+// instruction reads them, so flag writes record (operation, operands) and
+// materialize only at a read (Jcc, CMOVcc, PUSHF) or a tier boundary — the
+// same dead-flag observation the liveness pruner exploits, applied to the
+// compiled tier itself.
 const (
 	fLive uint8 = iota
 	fAdd

@@ -10,7 +10,7 @@ import (
 
 // TestFrozenEngineDropsHeat freezes a fresh engine over the starts an
 // adaptive run compiled. The frozen core holds no heat table (it never
-// promotes), and its clones still match RunPlan exactly: clean, and under
+// promotes), and its clones still match Machine.Run exactly: clean, and under
 // a planted branch fault that can leave the frozen set for cold blocks.
 func TestFrozenEngineDropsHeat(t *testing.T) {
 	prof, err := workloads.ByName("164.gzip")
@@ -21,11 +21,10 @@ func TestFrozenEngineDropsHeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := cpu.NewPlan(p.Code, nil)
 	warm := NewEngine(p.Code, nil, 0)
 	m := cpu.New()
 	m.Reset(p)
-	if stop := warm.Run(m, &plan, testMaxSteps); stop.Reason != cpu.StopHalt {
+	if stop := warm.Run(m, p.Code, testMaxSteps); stop.Reason != cpu.StopHalt {
 		t.Fatalf("warm run ended with %v", stop)
 	}
 	starts := warm.Reached()
@@ -53,14 +52,14 @@ func TestFrozenEngineDropsHeat(t *testing.T) {
 		ref := cpu.New()
 		ref.Reset(p)
 		ref.Fault = fault()
-		want := capture(ref, ref.RunPlan(&plan, testMaxSteps))
+		want := capture(ref, ref.Run(p.Code, testMaxSteps))
 
 		v := eng.Clone()
 		got := cpu.New()
 		got.Reset(p)
 		got.Fault = fault()
-		if g := capture(got, v.Run(got, &plan, testMaxSteps)); !reflect.DeepEqual(g, want) {
-			t.Errorf("fault %+v: frozen clone differs from RunPlan\n got: %+v\nwant: %+v", fault(), g, want)
+		if g := capture(got, v.Run(got, p.Code, testMaxSteps)); !reflect.DeepEqual(g, want) {
+			t.Errorf("fault %+v: frozen clone differs from Run\n got: %+v\nwant: %+v", fault(), g, want)
 		}
 		if v.Stats.ChainHits == 0 {
 			t.Errorf("fault %+v: frozen clone took no chain slot", fault())
@@ -70,7 +69,7 @@ func TestFrozenEngineDropsHeat(t *testing.T) {
 
 // TestFrozenViewColdTier freezes an engine over no starts at all: every
 // block is cold, so a clone promotes the hot ones into its private cold
-// tier and still matches RunPlan exactly. The shared core gains nothing,
+// tier and still matches Machine.Run exactly. The shared core gains nothing,
 // and a fresh clone starts cold again.
 func TestFrozenViewColdTier(t *testing.T) {
 	prof, err := workloads.ByName("181.mcf")
@@ -81,10 +80,9 @@ func TestFrozenViewColdTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := cpu.NewPlan(p.Code, nil)
 	ref := cpu.New()
 	ref.Reset(p)
-	want := capture(ref, ref.RunPlan(&plan, testMaxSteps))
+	want := capture(ref, ref.Run(p.Code, testMaxSteps))
 
 	eng := NewEngine(p.Code, nil, 0)
 	eng.Freeze(nil)
@@ -93,8 +91,8 @@ func TestFrozenViewColdTier(t *testing.T) {
 		v := eng.Clone()
 		m := cpu.New()
 		m.Reset(p)
-		if got := capture(m, v.Run(m, &plan, testMaxSteps)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("clone %d differs from RunPlan\n got: %+v\nwant: %+v", i, got, want)
+		if got := capture(m, v.Run(m, p.Code, testMaxSteps)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("clone %d differs from Run\n got: %+v\nwant: %+v", i, got, want)
 		}
 		if v.Stats.BlocksCompiled == 0 || len(v.coldBlocks) == 0 {
 			t.Fatalf("clone %d promoted no cold block", i)

@@ -34,24 +34,22 @@ func capture(m *cpu.Machine, stop cpu.Stop) outcome {
 
 const testMaxSteps = uint64(1) << 62
 
-// TestCompiledMatchesPlanOnWorkloads runs every workload under the step
-// oracle (Machine.Run), RunPlan and the compiled backend, requires each to
-// halt, and requires identical outcomes down to the full output stream.
-func TestCompiledMatchesPlanOnWorkloads(t *testing.T) {
+// TestCompiledMatchesStepOnWorkloads runs every workload under the step
+// oracle (Machine.Run) and the compiled backend, requires each to halt, and
+// requires identical outcomes down to the full output stream.
+func TestCompiledMatchesStepOnWorkloads(t *testing.T) {
 	for _, prof := range workloads.All() {
 		p, err := prof.Build(0.05)
 		if err != nil {
 			t.Fatalf("%s: build: %v", prof.Name, err)
 		}
-		plan := cpu.NewPlan(p.Code, nil)
 		eng := NewEngine(p.Code, nil, 0)
 		arms := []struct {
 			name string
 			run  func(m *cpu.Machine) cpu.Stop
 		}{
 			{"step", func(m *cpu.Machine) cpu.Stop { return m.Run(p.Code, testMaxSteps) }},
-			{"plan", func(m *cpu.Machine) cpu.Stop { return m.RunPlan(&plan, testMaxSteps) }},
-			{"compile", func(m *cpu.Machine) cpu.Stop { return eng.Run(m, &plan, testMaxSteps) }},
+			{"compile", func(m *cpu.Machine) cpu.Stop { return eng.Run(m, p.Code, testMaxSteps) }},
 		}
 		var want outcome
 		for i, arm := range arms {
@@ -72,8 +70,8 @@ func TestCompiledMatchesPlanOnWorkloads(t *testing.T) {
 	}
 }
 
-// TestCompiledThroughput reports the compiled backend's speedup over
-// RunPlan on 164.gzip; informational only (skipped under -short).
+// TestCompiledThroughput reports the compiled backend's speedup over the
+// step oracle on 164.gzip; informational only (skipped under -short).
 func TestCompiledThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -86,8 +84,6 @@ func TestCompiledThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := cpu.NewPlan(p.Code, nil)
-
 	best := func(run func() outcome) (float64, outcome) {
 		sec := 0.0
 		var out outcome
@@ -102,25 +98,25 @@ func TestCompiledThroughput(t *testing.T) {
 		return sec, out
 	}
 
-	planSec, planOut := best(func() outcome {
+	stepSec, stepOut := best(func() outcome {
 		m := cpu.New()
 		m.Reset(p)
-		return capture(m, m.RunPlan(&plan, testMaxSteps))
+		return capture(m, m.Run(p.Code, testMaxSteps))
 	})
 	compSec, compOut := best(func() outcome {
 		eng := NewEngine(p.Code, nil, 0)
 		m := cpu.New()
 		m.Reset(p)
-		return capture(m, eng.Run(m, &plan, testMaxSteps))
+		return capture(m, eng.Run(m, p.Code, testMaxSteps))
 	})
-	if !reflect.DeepEqual(planOut, compOut) {
-		t.Fatalf("outcome mismatch\n got: %+v\nwant: %+v", compOut, planOut)
+	if !reflect.DeepEqual(stepOut, compOut) {
+		t.Fatalf("outcome mismatch\n got: %+v\nwant: %+v", compOut, stepOut)
 	}
-	t.Logf("steps=%d plan=%.4fs compiled=%.4fs speedup=%.2fx",
-		planOut.steps, planSec, compSec, planSec/compSec)
+	t.Logf("steps=%d step=%.4fs compiled=%.4fs speedup=%.2fx",
+		stepOut.steps, stepSec, compSec, stepSec/compSec)
 }
 
-func benchProgram(b *testing.B) (*isa.Program, cpu.Plan) {
+func benchProgram(b *testing.B) *isa.Program {
 	prof, err := workloads.ByName("164.gzip")
 	if err != nil {
 		b.Fatal(err)
@@ -129,24 +125,24 @@ func benchProgram(b *testing.B) (*isa.Program, cpu.Plan) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, cpu.NewPlan(p.Code, nil)
+	return p
 }
 
-func BenchmarkPlan(b *testing.B) {
-	p, plan := benchProgram(b)
+func BenchmarkStep(b *testing.B) {
+	p := benchProgram(b)
 	for i := 0; i < b.N; i++ {
 		m := cpu.New()
 		m.Reset(p)
-		m.RunPlan(&plan, testMaxSteps)
+		m.Run(p.Code, testMaxSteps)
 	}
 }
 
 func BenchmarkCompiled(b *testing.B) {
-	p, plan := benchProgram(b)
+	p := benchProgram(b)
 	eng := NewEngine(p.Code, nil, 0)
 	for i := 0; i < b.N; i++ {
 		m := cpu.New()
 		m.Reset(p)
-		eng.Run(m, &plan, testMaxSteps)
+		eng.Run(m, p.Code, testMaxSteps)
 	}
 }

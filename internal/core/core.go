@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/asm"
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/errmodel"
@@ -116,13 +117,12 @@ type NativeResult struct {
 	Output []int32
 }
 
-// RunNative executes a program directly on the simulated machine (through
-// the predecoded plan — native runs are always fault-free).
+// RunNative executes a program directly on the simulated machine, on the
+// compiled engine (native runs are always fault-free).
 func RunNative(p *isa.Program, maxSteps uint64) *NativeResult {
 	m := cpu.New()
 	m.Reset(p)
-	plan := cpu.NewPlan(p.Code, m.Costs)
-	stop := m.RunPlan(&plan, maxSteps)
+	stop := comp.NewEngine(p.Code, m.Costs, 0).Run(m, p.Code, maxSteps)
 	return &NativeResult{
 		Stop:   stop,
 		Cycles: m.Cycles,

@@ -1,474 +1,15 @@
 package cpu
 
-import (
-	"fmt"
+import "repro/internal/isa"
 
-	"repro/internal/isa"
-)
+// Plan and RunPlan exist only for the fleet benchmark's cpu.plan_ns_per_step
+// probe, a separate module that calls them. They are a shim over Run: there
+// is no predecoded interpreter, and NewPlan ignores costs (the machine's own
+// cost model applies).
+type Plan struct{ code []isa.Instr }
 
-// opMeta is the predecoded metadata of one instruction slot: the cost-model
-// charge folded in at decode time plus branch/terminator classification, so
-// the span interpreter's common path needs neither the cost table lookup
-// nor opcode predicates.
-type opMeta struct {
-	cost uint32
-	kind uint8
-}
+// NewPlan wraps code for RunPlan.
+func NewPlan(code []isa.Instr, _ *CostModel) Plan { return Plan{code: code} }
 
-// opMeta.kind bits.
-const (
-	metaDirectBranch uint8 = 1 << iota
-	metaTerminator
-)
-
-// Plan is a predecoded execution plan over a code slice: a metadata array
-// parallel to the instructions, decoded once instead of per step. Machine.
-// RunPlan drives a fault-free span loop over it, removing the per-step
-// fault nil-check and cost-table lookup from the interpreter's common path.
-//
-// Plans follow the code they cover: Sync re-aliases the (possibly
-// reallocated, possibly grown) slice and decodes only the appended suffix;
-// Redecode refreshes one slot after an in-place opcode patch (the DBT's
-// chain patching). Immediate-only patches never need a Redecode — the
-// metadata depends only on the opcode.
-//
-// Clone shares the metadata array read-only between translator clones and
-// copies it on the first mutation, so per-sample snapshot clones pay
-// nothing for predecode.
-type Plan struct {
-	code   []isa.Instr
-	meta   []opMeta
-	costs  *CostModel
-	shared bool
-}
-
-// NewPlan decodes code once against the cost model (nil selects
-// DefaultCosts).
-func NewPlan(code []isa.Instr, costs *CostModel) Plan {
-	if costs == nil {
-		costs = DefaultCosts()
-	}
-	p := Plan{costs: costs}
-	p.Sync(code)
-	return p
-}
-
-// Code returns the code slice the plan currently covers.
-func (p *Plan) Code() []isa.Instr { return p.code }
-
-// Len returns the number of predecoded slots.
-func (p *Plan) Len() int { return len(p.meta) }
-
-// IsDirectBranch reports whether the predecoded slot at addr is a direct
-// branch (jmp/jcc/jrz/call).
-func (p *Plan) IsDirectBranch(addr uint32) bool {
-	return addr < uint32(len(p.meta)) && p.meta[addr].kind&metaDirectBranch != 0
-}
-
-// IsTerminator reports whether the predecoded slot at addr ends a basic
-// block.
-func (p *Plan) IsTerminator(addr uint32) bool {
-	return addr < uint32(len(p.meta)) && p.meta[addr].kind&metaTerminator != 0
-}
-
-func metaFor(costs *CostModel, in isa.Instr) opMeta {
-	om := opMeta{cost: costs.Of(in.Op)}
-	if in.Op.IsDirectBranch() {
-		om.kind |= metaDirectBranch
-	}
-	if in.Op.IsTerminator() {
-		om.kind |= metaTerminator
-	}
-	return om
-}
-
-// own materializes a private metadata array with the given capacity; a
-// no-op when the plan already owns its metadata and has room.
-func (p *Plan) own(capacity int) {
-	if !p.shared && cap(p.meta) >= len(p.meta) {
-		return
-	}
-	meta := make([]opMeta, len(p.meta), capacity)
-	copy(meta, p.meta)
-	p.meta = meta
-	p.shared = false
-}
-
-// Sync re-aliases the plan onto code and decodes any appended suffix. A
-// shorter slice (cache invalidation) rebuilds from scratch.
-func (p *Plan) Sync(code []isa.Instr) {
-	p.code = code
-	if len(code) < len(p.meta) {
-		if p.shared {
-			p.meta, p.shared = nil, false
-		} else {
-			p.meta = p.meta[:0]
-		}
-	}
-	if len(code) == len(p.meta) {
-		return
-	}
-	if p.shared {
-		p.own(len(code))
-	}
-	for a := len(p.meta); a < len(code); a++ {
-		p.meta = append(p.meta, metaFor(p.costs, code[a]))
-	}
-}
-
-// Redecode refreshes the metadata of one slot after its instruction was
-// patched in place (copy-on-write when the metadata is shared).
-func (p *Plan) Redecode(addr uint32) {
-	if addr >= uint32(len(p.meta)) {
-		return
-	}
-	if p.shared {
-		p.own(len(p.meta))
-	}
-	p.meta[addr] = metaFor(p.costs, p.code[addr])
-}
-
-// Clone returns a plan sharing this plan's metadata read-only; the clone
-// copies it on its first Sync growth or Redecode. The receiver must stay
-// immutable for as long as clones are live (the DBT snapshot guarantees
-// this: a snapshot's plan is built once at capture and never mutated).
-func (p *Plan) Clone() Plan {
-	n := len(p.meta)
-	return Plan{code: p.code, meta: p.meta[:n:n], costs: p.costs, shared: true}
-}
-
-// RunPlan executes instructions from the plan's code starting at the
-// current IP until a terminator, trap, or the step budget is exhausted. It
-// is step-for-step equivalent to Run over the same code — same state, same
-// counters, same Stop — but dispatches through the predecoded span loop:
-// pending register faults bound the span at their firing step and fire
-// through the reference Step path, so the span itself never tests for
-// them.
-func (m *Machine) RunPlan(p *Plan, maxSteps uint64) Stop {
-	for {
-		if f := m.Fault; f != nil && !f.Fired && f.Kind == FaultRegBit {
-			if m.Steps < f.StepIndex {
-				bound := f.StepIndex
-				if bound > maxSteps {
-					bound = maxSteps
-				}
-				if stop, done := m.runSpan(p, bound); done {
-					return stop
-				}
-			}
-			if m.Steps >= maxSteps {
-				return Stop{Reason: StopOutOfSteps, IP: m.IP}
-			}
-			// At the firing boundary: one reference Step applies the flip
-			// with the exact semantics (and recording) of the seed path.
-			if stop, done := m.Step(p.code); done {
-				return stop
-			}
-			continue
-		}
-		if stop, done := m.runSpan(p, maxSteps); done {
-			return stop
-		}
-		return Stop{Reason: StopOutOfSteps, IP: m.IP}
-	}
-}
-
-// Deferred flag sources: most ALU flag results are overwritten before any
-// instruction reads them, so the span loop records (operation, operands)
-// instead of computing flags eagerly and materializes only at a read (Jcc,
-// CMOVcc, PUSHF), at the slow branch path, and at every span exit — the
-// same dead-flag observation the liveness pruner exploits, applied to the
-// interpreter itself. flagsLive means the flags local is authoritative.
-const (
-	flagsLive uint8 = iota
-	flagsAdd
-	flagsSub
-	flagsLogic
-)
-
-// matFlags materializes a deferred flag source (identity for flagsLive).
-func matFlags(fk uint8, fa, fb int32, f isa.Flags) isa.Flags {
-	switch fk {
-	case flagsAdd:
-		return isa.AddFlags(fa, fb)
-	case flagsSub:
-		return isa.SubFlags(fa, fb)
-	case flagsLogic:
-		return isa.LogicFlags(fa)
-	}
-	return f
-}
-
-// spanExit flushes span-local state back to the machine on a stop path.
-func (m *Machine) spanExit(ip uint32, steps, cycles uint64, fk uint8, fa, fb int32, flags isa.Flags) {
-	m.IP, m.Steps, m.Cycles = ip, steps, cycles
-	m.Flags = matFlags(fk, fa, fb, flags)
-}
-
-// runSpan is the predecoded hot loop: it executes until bound steps have
-// been taken (returning done=false) or execution stops (done=true). The
-// machine's hot state (ip, step and cycle counters, flags) lives in locals,
-// flushed back on every exit path and around the slow branch path; flag
-// writes are deferred (see matFlags) so dead flag results cost nothing. The
-// caller guarantees no unfired register fault can fire inside the span;
-// unfired branch faults route direct branches through the reference
-// directBranch until they fire.
-func (m *Machine) runSpan(p *Plan, bound uint64) (Stop, bool) {
-	code := p.code
-	meta := p.meta
-	if len(code) > len(meta) {
-		// Sync keeps the arrays equal-length; clamp defensively so the meta
-		// accesses below stay in bounds (and bounds-check free).
-		code = code[:len(meta)]
-	}
-	r := &m.Regs
-	ip := m.IP
-	steps := m.Steps
-	cycles := m.Cycles
-	flags := m.Flags
-	fk := flagsLive
-	var fa, fb int32
-
-	pending := m.Fault != nil && !m.Fault.Fired && m.Fault.Kind != FaultRegBit
-	hot := m.BranchHook == nil && !pending
-
-	for steps < bound {
-		if ip >= uint32(len(code)) {
-			m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-			return Stop{Reason: StopBadFetch, IP: ip}, true
-		}
-		in := code[ip]
-		steps++
-		cycles += uint64(meta[ip].cost)
-		next := ip + 1
-
-		if meta[ip].kind&metaDirectBranch != 0 {
-			if hot {
-				m.DirectBranches++
-				if in.Op == isa.OpJrz {
-					m.SigChecks++
-				}
-				taken := true
-				switch in.Op {
-				case isa.OpJcc:
-					if fk != flagsLive {
-						flags = matFlags(fk, fa, fb, flags)
-						fk = flagsLive
-					}
-					taken = in.Cond().Eval(flags)
-				case isa.OpJrz:
-					taken = r[in.RS1] == 0
-				}
-				if taken {
-					next = ip + 1 + uint32(in.Imm)
-				}
-			} else {
-				// Flush so directBranch sees the exact machine state the
-				// reference path would (FiredStep reads Steps, the flag
-				// fault mutates Flags), then reload and re-test: once the
-				// fault fires, later branches take the fast path.
-				if fk != flagsLive {
-					flags = matFlags(fk, fa, fb, flags)
-					fk = flagsLive
-				}
-				m.IP, m.Steps, m.Cycles, m.Flags = ip, steps, cycles, flags
-				next = m.directBranch(ip, in)
-				flags = m.Flags
-				pending = m.Fault != nil && !m.Fault.Fired && m.Fault.Kind != FaultRegBit
-				hot = m.BranchHook == nil && !pending
-			}
-			if in.Op == isa.OpCall && next != ip+1 {
-				r[isa.ESP]--
-				if err := m.Mem.Store(uint32(r[isa.ESP]), int32(ip+1)); err != nil {
-					m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-					return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-				}
-			}
-			ip = next
-			continue
-		}
-
-		switch in.Op {
-		case isa.OpNop:
-		case isa.OpHalt:
-			m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-			return Stop{Reason: StopHalt, IP: ip}, true
-		case isa.OpReport:
-			m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-			return Stop{Reason: StopReport, IP: ip}, true
-		case isa.OpTrapOut:
-			m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-			return Stop{Reason: StopTrapOut, IP: ip}, true
-
-		case isa.OpMovRI:
-			r[in.RD] = in.Imm
-		case isa.OpMovRR:
-			r[in.RD] = r[in.RS1]
-		case isa.OpLea:
-			r[in.RD] = r[in.RS1] + in.Imm
-		case isa.OpLea3:
-			r[in.RD] = r[in.RS1] + r[in.RS2] + in.Imm
-		case isa.OpXor3:
-			r[in.RD] = r[in.RS1] ^ r[in.RS2] ^ in.Imm
-		case isa.OpPushF:
-			if fk != flagsLive {
-				flags = matFlags(fk, fa, fb, flags)
-				fk = flagsLive
-			}
-			r[isa.ESP]--
-			if err := m.Mem.Store(uint32(r[isa.ESP]), int32(flags)); err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-		case isa.OpPopF:
-			v, err := m.Mem.Load(uint32(r[isa.ESP]))
-			if err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-			r[isa.ESP]++
-			flags = isa.Flags(v) & isa.FlagMask
-			fk = flagsLive
-
-		case isa.OpLoad:
-			v, err := m.Mem.Load(uint32(r[in.RS1] + in.Imm))
-			if err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-			r[in.RD] = v
-		case isa.OpStore:
-			if err := m.Mem.Store(uint32(r[in.RS1]+in.Imm), r[in.RS2]); err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-		case isa.OpPush:
-			r[isa.ESP]--
-			if err := m.Mem.Store(uint32(r[isa.ESP]), r[in.RS1]); err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-		case isa.OpPop:
-			v, err := m.Mem.Load(uint32(r[isa.ESP]))
-			if err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-			r[in.RD] = v
-			r[isa.ESP]++
-
-		case isa.OpAdd:
-			a, b := r[in.RD], r[in.RS1]
-			r[in.RD] = a + b
-			fk, fa, fb = flagsAdd, a, b
-		case isa.OpAddI:
-			a := r[in.RD]
-			r[in.RD] = a + in.Imm
-			fk, fa, fb = flagsAdd, a, in.Imm
-		case isa.OpSub:
-			a, b := r[in.RD], r[in.RS1]
-			r[in.RD] = a - b
-			fk, fa, fb = flagsSub, a, b
-		case isa.OpSubI:
-			a := r[in.RD]
-			r[in.RD] = a - in.Imm
-			fk, fa, fb = flagsSub, a, in.Imm
-		case isa.OpAnd:
-			r[in.RD] &= r[in.RS1]
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpAndI:
-			r[in.RD] &= in.Imm
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpOr:
-			r[in.RD] |= r[in.RS1]
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpOrI:
-			r[in.RD] |= in.Imm
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpXor:
-			r[in.RD] ^= r[in.RS1]
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpXorI:
-			r[in.RD] ^= in.Imm
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpShl:
-			r[in.RD] = int32(uint32(r[in.RD]) << (uint32(r[in.RS1]) & 31))
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpShlI:
-			r[in.RD] = int32(uint32(r[in.RD]) << (uint32(in.Imm) & 31))
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpShr:
-			r[in.RD] = int32(uint32(r[in.RD]) >> (uint32(r[in.RS1]) & 31))
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpShrI:
-			r[in.RD] = int32(uint32(r[in.RD]) >> (uint32(in.Imm) & 31))
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpMul:
-			r[in.RD] *= r[in.RS1]
-			fk, fa = flagsLogic, r[in.RD]
-		case isa.OpDiv:
-			if r[in.RS1] == 0 {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopDivZero, IP: ip}, true
-			}
-			r[in.RD] /= r[in.RS1]
-			fk, fa = flagsLogic, r[in.RD]
-
-		case isa.OpCmp:
-			fk, fa, fb = flagsSub, r[in.RD], r[in.RS1]
-		case isa.OpCmpI:
-			fk, fa, fb = flagsSub, r[in.RD], in.Imm
-		case isa.OpTest:
-			fk, fa = flagsLogic, r[in.RD]&r[in.RS1]
-
-		case isa.OpFAdd:
-			r[in.RD] = fop(r[in.RD], r[in.RS1], '+')
-		case isa.OpFSub:
-			r[in.RD] = fop(r[in.RD], r[in.RS1], '-')
-		case isa.OpFMul:
-			r[in.RD] = fop(r[in.RD], r[in.RS1], '*')
-		case isa.OpFDiv:
-			r[in.RD] = fop(r[in.RD], r[in.RS1], '/')
-
-		case isa.OpRet:
-			v, err := m.Mem.Load(uint32(r[isa.ESP]))
-			if err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-			r[isa.ESP]++
-			next = uint32(v)
-			m.IndirectBranches++
-		case isa.OpJmpR:
-			next = uint32(r[in.RS1])
-			m.IndirectBranches++
-		case isa.OpCallR:
-			r[isa.ESP]--
-			if err := m.Mem.Store(uint32(r[isa.ESP]), int32(ip+1)); err != nil {
-				m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-				return Stop{Reason: StopBadMemory, IP: ip, Detail: err.Error()}, true
-			}
-			next = uint32(r[in.RS1])
-			m.IndirectBranches++
-
-		case isa.OpCmov:
-			if fk != flagsLive {
-				flags = matFlags(fk, fa, fb, flags)
-				fk = flagsLive
-			}
-			if in.CmovCond().Eval(flags) {
-				r[in.RD] = r[in.RS1]
-			}
-		case isa.OpOut:
-			m.Output = append(m.Output, r[in.RS1])
-
-		default:
-			m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-			return Stop{Reason: StopInvalidInstr, IP: ip, Detail: fmt.Sprintf("opcode %d", uint8(in.Op))}, true
-		}
-
-		ip = next
-	}
-	m.spanExit(ip, steps, cycles, fk, fa, fb, flags)
-	return Stop{}, false
-}
+// RunPlan is Run over p's code.
+func (m *Machine) RunPlan(p *Plan, maxSteps uint64) Stop { return m.Run(p.code, maxSteps) }

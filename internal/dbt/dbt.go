@@ -17,11 +17,11 @@ type Options struct {
 	// Policy selects check placement (ALLBB by default).
 	Policy Policy
 	// Backend selects the execution engine driving translated code:
-	// BackendStep (per-step interpreter), BackendPlan (predecoded hot
-	// loop) or BackendCompile (block-compiled with direct chaining).
-	// The zero value BackendAuto resolves to the compiled backend. All
-	// backends are byte-identical in architectural state, counters and
-	// output — the choice only moves wall-clock.
+	// BackendStep (per-step reference interpreter) or BackendCompile
+	// (block-compiled with direct chaining). The zero value BackendAuto
+	// resolves to the compiled backend. Both are byte-identical in
+	// architectural state, counters and output — the choice only moves
+	// wall-clock.
 	Backend comp.Backend
 	// NoChaining disables block chaining: every inter-block transfer
 	// dispatches through the translator (ablation knob).
@@ -151,7 +151,7 @@ type Result struct {
 	// SigChecks counts executed signature-check branches during the run.
 	SigChecks uint64
 	// Comp is the compiled-backend activity accumulated on this DBT (zero
-	// when an interpreter backend ran). Snapshot clones start from zero,
+	// when the step backend ran). Snapshot clones start from zero,
 	// so a sample's Result.Comp is that sample's own work.
 	Comp comp.Stats
 }
@@ -191,13 +191,8 @@ type DBT struct {
 	// write.
 	cacheShared, stubsShared bool
 
-	// plan is the predecoded execution plan over the code cache, kept in
-	// lockstep with it: synced before every interpreter entry, re-decoded
-	// at chain-patched slots, shared copy-on-write between snapshot clones.
-	plan cpu.Plan
-
 	// comp is the block-compiled execution engine over the code cache
-	// (nil when Options.Backend selects an interpreter tier). The owning
+	// (nil when Options.Backend selects the step interpreter). The owning
 	// DBT's engine compiles adaptively; snapshot clones share a frozen
 	// core read-only (see Snapshot).
 	comp *comp.Engine
@@ -234,7 +229,6 @@ func New(p *isa.Program, opts Options) *DBT {
 		opts:   opts,
 		tech:   opts.Technique,
 		blocks: make(map[uint32]*TBlock),
-		plan:   cpu.NewPlan(nil, opts.Costs),
 	}
 	if opts.Backend.Compiled() {
 		d.comp = comp.NewEngine(nil, opts.Costs, 0)
@@ -250,7 +244,7 @@ func (d *DBT) Prog() *isa.Program { return d.prog }
 func (d *DBT) StatsSnapshot() Stats { return d.stats }
 
 // CompStats returns a copy of the compiled-backend statistics accumulated
-// on this DBT so far (zero for interpreter backends).
+// on this DBT so far (zero for the step backend).
 func (d *DBT) CompStats() comp.Stats {
 	if d.comp == nil {
 		return comp.Stats{}
@@ -324,9 +318,8 @@ func (d *DBT) Resume(m *cpu.Machine, prefix Stats) {
 // checkpoint recorder uses this to pause at capture points).
 func (d *DBT) Advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 	for {
-		d.plan.Sync(d.cache)
 		d.comp.Sync(d.cache)
-		stop := comp.Run(d.opts.Backend, d.comp, m, &d.plan, maxSteps)
+		stop := comp.Run(d.opts.Backend, d.comp, m, d.cache, maxSteps)
 		if stop.Reason != cpu.StopTrapOut {
 			return stop
 		}
@@ -390,11 +383,6 @@ func (d *DBT) Advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 			}
 			d.cache = own(d.cache, &d.cacheShared)
 			d.cache[s.slot] = isa.Instr{Op: isa.OpJmp, Imm: isa.OffsetFor(s.slot, tb.CacheStart)}
-			// The slot patch changes its opcode (trapout -> jmp), so its
-			// predecoded metadata must follow; the referrer patch is
-			// immediate-only and needs none.
-			d.plan.Sync(d.cache)
-			d.plan.Redecode(s.slot)
 			d.comp.Redecode(s.slot)
 			s.chained = true
 			if d.opts.Trace != nil {
@@ -647,7 +635,6 @@ func (d *DBT) Invalidate() {
 	d.snapBlocks = nil
 	d.tlist = nil
 	d.stubs = nil
-	d.plan.Sync(nil)
 	d.comp.Sync(nil)
 	d.stats.Invalidations++
 }

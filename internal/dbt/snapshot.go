@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/comp"
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/live"
 )
@@ -37,13 +36,8 @@ type Snapshot struct {
 	pendingCycles uint64
 	stats         Stats
 
-	// plan is the fully decoded execution plan over the snapshot cache,
-	// built once at capture and shared copy-on-write by every clone; it is
-	// never mutated through the snapshot itself.
-	plan cpu.Plan
-
 	// comp is the frozen block-compiled engine over the snapshot cache
-	// (nil for interpreter backends): every entry point is eagerly
+	// (nil for the step backend): every entry point is eagerly
 	// compiled and chain-resolved at capture, and clones share the
 	// compiled core read-only through per-clone views.
 	comp *comp.Engine
@@ -72,7 +66,6 @@ func (d *DBT) Snapshot() *Snapshot {
 		pendingCycles: d.pendingCycles,
 		stats:         d.stats,
 	}
-	s.plan = cpu.NewPlan(s.cache, d.opts.Costs)
 	if d.comp != nil {
 		// Freeze the compiled core: eagerly compile every entry point the
 		// cache can transfer to, resolve all chain slots, and make the
@@ -129,7 +122,7 @@ func compStartsFor(tlist []*TBlock, cache []isa.Instr) []uint32 {
 func (s *Snapshot) CacheLen() int { return len(s.cache) }
 
 // CompStats returns the compiled-backend work accumulated by the owning
-// translator up to the snapshot freeze (zero for interpreter backends) —
+// translator up to the snapshot freeze (zero for the step backend) —
 // the baseline campaigns add per-sample deltas to.
 func (s *Snapshot) CompStats() comp.Stats { return s.compStats }
 
@@ -170,7 +163,6 @@ func (s *Snapshot) NewDBT() *DBT {
 		stubsShared:   true,
 		pendingCycles: s.pendingCycles,
 		stats:         s.stats,
-		plan:          s.plan.Clone(),
 	}
 	if s.comp != nil {
 		// A per-clone view over the frozen compiled core: fresh stats, own

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/comp"
-	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
@@ -16,9 +15,8 @@ import (
 // artifact layer carries its content hash and the restoring process
 // supplies its own copy) and the Options (interfaces — technique, policy,
 // cost model — which the restorer rebuilds from its session key exactly
-// as a local build would). The execution plan and the frozen compiled
-// core are derived state: both are deterministic functions of the cache
-// bytes and are rebuilt on restore.
+// as a local build would). The frozen compiled core is derived state: a
+// deterministic function of the cache bytes, rebuilt on restore.
 type SnapshotState struct {
 	// Cache is the translated code cache.
 	Cache []isa.Instr
@@ -36,7 +34,7 @@ type SnapshotState struct {
 	// baseline per-sample deltas are added to.
 	Stats Stats
 	// CompStats is the compiled-backend baseline captured at the freeze
-	// (zero for interpreter backends).
+	// (zero for the step backend).
 	CompStats comp.Stats
 }
 
@@ -119,11 +117,10 @@ func (s *Snapshot) State() (*SnapshotState, error) {
 // program p under opts. The caller must supply the same program bytes and
 // an Options equivalent to the one the snapshot was captured under (the
 // artifact layer enforces both through its fingerprint); opts is
-// normalized exactly as New normalizes it. The execution plan is re-derived
-// from the cache, and for compiled backends a fresh engine is frozen over
-// the restored cache — compiled cores are a deterministic function of the
-// cache bytes, so restored campaigns run the exact code a locally-built
-// snapshot would.
+// normalized exactly as New normalizes it. For compiled backends a fresh
+// engine is frozen over the restored cache — compiled cores are a
+// deterministic function of the cache bytes, so restored campaigns run the
+// exact code a locally-built snapshot would.
 func RestoreSnapshot(p *isa.Program, opts Options, st *SnapshotState) (*Snapshot, error) {
 	opts = normalizeOptions(opts)
 	cache := append([]isa.Instr(nil), st.Cache...)
@@ -175,7 +172,6 @@ func RestoreSnapshot(p *isa.Program, opts Options, st *SnapshotState) (*Snapshot
 		pendingCycles: st.PendingCycles,
 		stats:         st.Stats,
 	}
-	s.plan = cpu.NewPlan(s.cache, opts.Costs)
 	if opts.Backend.Compiled() {
 		eng := comp.NewEngine(s.cache, opts.Costs, 0)
 		eng.Freeze(compStartsFor(tlist, cache))

@@ -26,7 +26,7 @@ func warmFor(t *testing.T, opts Options) *Snapshot {
 // the original: clones produce the same output, cycles and stats (no
 // re-translation), for both the interpreter and the compiled backend.
 func TestSnapshotStateRoundTrip(t *testing.T) {
-	for _, backend := range []comp.Backend{comp.BackendPlan, comp.BackendCompile} {
+	for _, backend := range []comp.Backend{comp.BackendStep, comp.BackendCompile} {
 		t.Run(backend.String(), func(t *testing.T) {
 			opts := Options{TraceThreshold: 20, Backend: backend}
 			snap := warmFor(t, opts)

@@ -11,11 +11,11 @@ import (
 // hot path: when a sample classifies as anomalous (SDC, hang), it is
 // deterministically re-run from the same planted fault with a branch hook
 // filling a fixed-size event ring, and the ring's tail is dumped as one
-// JSONL line. The hook forces the interpreter path (the compiled backend
-// self-disables and the plan loop leaves its hot span when a hook is
-// set), but every backend is architecturally identical, so the re-run
-// reproduces the campaign's classification — a Replayed/Outcome mismatch
-// in a dump is itself a finding.
+// JSONL line. The hook forces the step interpreter (the compiled backend
+// runs Machine.Run whenever a hook is set), but both backends are
+// architecturally identical, so the re-run reproduces the campaign's
+// classification — a Replayed/Outcome mismatch in a dump is itself a
+// finding.
 
 // anomalous reports whether an outcome warrants a forensic dump.
 func anomalous(o Outcome) bool { return o == OutSDC || o == OutHang }

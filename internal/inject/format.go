@@ -40,8 +40,8 @@ func FormatReport(r *Report) string {
 			st.CheckSites, st.Dispatches, st.IndirectLookups)
 	}
 	if c := r.Compiled; c.BlocksCompiled > 0 {
-		// Compiled-backend telemetry; elided when zero (interpreter
-		// backends) so FormatNormalized output is unchanged.
+		// Compiled-backend telemetry; elided when zero (the step
+		// backend) so FormatNormalized output is unchanged.
 		fmt.Fprintf(&b, "compiled: %d blocks, %d trace promotions, %d chain hits\n",
 			c.BlocksCompiled, c.TracePromotions, c.ChainHits)
 	}

@@ -207,9 +207,9 @@ type Options struct {
 	// checkpoint before its fault site, executing only the tail. Reports
 	// are byte-identical to full replay for every Workers value.
 	CkptInterval int64
-	// Backend selects the execution engine (step interpreter, predecoded
-	// plan, or block-compiled with direct chaining). The zero value
-	// BackendAuto resolves to the compiled backend. Classified reports are
+	// Backend selects the execution engine (step interpreter, or
+	// block-compiled with direct chaining). The zero value BackendAuto
+	// resolves to the compiled backend. Classified reports are
 	// byte-identical across backends; only wall-clock changes.
 	Backend comp.Backend
 	// Progress, when non-nil, receives live campaign progress: per-worker

@@ -193,7 +193,7 @@ func TestStaticCampaignMetricsWorkerCountInvariance(t *testing.T) {
 		}, AsStatic("CFCSS")); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		// The per-campaign native set-up (CFG, plan, frozen engine) is
+		// The per-campaign native set-up (CFG, frozen engine) is
 		// timed under the static technique's warm phase.
 		if _, ok := reg.Snapshot().Spans[`campaign_phase{phase="warm",technique="CFCSS"}`]; !ok {
 			t.Errorf("workers=%d: no warm span for the native set-up", workers)

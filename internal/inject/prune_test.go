@@ -10,7 +10,7 @@ import (
 )
 
 // All six coverage-matrix techniques must keep the byte-identity invariant
-// with the liveness prune and the predecoded hot loop active: checkpoint
+// with the liveness prune and the compiled backend active: checkpoint
 // reports equal full replay at workers 1 and 4, dynamic and static engines
 // alike. The prune itself must also fire — a campaign where ShortLive stays
 // zero would pass equivalence vacuously.

@@ -115,9 +115,9 @@ func (r *snapRunner) compStats() comp.Stats { return r.d.CompStats() }
 // WarmNative and shared read-only by every campaign over the same program.
 // It keeps only what is small and costly to recompute: the block starts
 // the clean run entered on an adaptive compiled engine, and the flag half of
-// the program's liveness (computed on first use). The CFG, the plan and
-// the engine tables are rebuilt per campaign, which keeps a long-lived
-// session's heap close to the bare program's.
+// the program's liveness (computed on first use). The CFG and the engine
+// tables are rebuilt per campaign, which keeps a long-lived session's heap
+// close to the bare program's.
 type Native struct {
 	prog       *isa.Program
 	starts     []uint32 // block starts the clean run entered, in address order
@@ -139,10 +139,9 @@ func WarmNative(p *isa.Program, cfg Config) (*Native, *dbt.Result, error) {
 	if cfg.Backend.Compiled() {
 		eng = comp.NewEngine(p.Code, nil, 0)
 	}
-	plan := cpu.NewPlan(p.Code, nil)
 	m := cpu.New()
 	m.Reset(p)
-	stop := comp.Run(cfg.Backend, eng, m, &plan, cfg.MaxSteps)
+	stop := comp.Run(cfg.Backend, eng, m, p.Code, cfg.MaxSteps)
 	cpu.TraceRunOutcome(cfg.Trace, m, stop)
 	if stop.Reason != cpu.StopHalt {
 		return nil, nil, fmt.Errorf("%s: clean run ended with %v", p.Name, stop)
@@ -168,25 +167,24 @@ func (n *Native) liveness(g *cfg.Graph) *live.Info {
 // nativeTarget runs the program directly on the machine (no translator):
 // the statically instrumented CFCSS/ECCA baselines and unprotected native
 // runs. Faulty branch targets are classified against the program's own
-// CFG. The predecoded plan and, for the compiled backend, a frozen engine
-// are shared read-only by every worker. The engine compiles only the warm
-// state's starts (the blocks the clean run reached, not every CFG block
-// start), so a sample that strays off the clean path runs its cold blocks
-// on the interpreter until its own view promotes them. Each sample takes a
-// fresh per-view engine clone so its counters and cold tier stay its own
-// and merge worker-invariantly.
+// CFG. For the compiled backend, a frozen engine is shared read-only by
+// every worker. The engine compiles only the warm state's starts (the
+// blocks the clean run reached, not every CFG block start), so a sample
+// that strays off the clean path runs its cold blocks on the step
+// interpreter until its own view promotes them. Each sample takes a fresh
+// per-view engine clone so its counters and cold tier stay its own and
+// merge worker-invariantly.
 type nativeTarget struct {
 	warm    *Native
 	g       *cfg.Graph
 	backend comp.Backend
-	plan    cpu.Plan
-	eng     *comp.Engine // frozen; nil for interpreter backends
+	eng     *comp.Engine // frozen; nil for the step backend
 	trace   *obs.Tracer
 }
 
 func newNativeTarget(n *Native, backend comp.Backend, trace *obs.Tracer) *nativeTarget {
 	p := n.prog
-	t := &nativeTarget{warm: n, g: cfg.Build(p), backend: backend, plan: cpu.NewPlan(p.Code, nil), trace: trace}
+	t := &nativeTarget{warm: n, g: cfg.Build(p), backend: backend, trace: trace}
 	if backend.Compiled() {
 		t.eng = comp.NewEngine(p.Code, nil, 0)
 		t.eng.Freeze(n.starts)
@@ -223,7 +221,7 @@ type nativeRunner struct {
 	t    *nativeTarget
 	m    cpu.Machine
 	view comp.Engine
-	v    *comp.Engine // &view; nil for interpreter backends
+	v    *comp.Engine // &view; nil for the step backend
 	res  dbt.Result
 }
 
@@ -244,7 +242,7 @@ func (r *nativeRunner) resume(*cpu.Machine, *ckpt.Point) {
 }
 
 func (r *nativeRunner) advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
-	return comp.Run(r.t.backend, r.v, m, &r.t.plan, maxSteps)
+	return comp.Run(r.t.backend, r.v, m, r.t.warm.prog.Code, maxSteps)
 }
 
 func (r *nativeRunner) finish(m *cpu.Machine, stop cpu.Stop) *dbt.Result {
