@@ -110,11 +110,13 @@ type reportRecord struct {
 	SampleOffset int    `json:"sample_offset,omitempty"`
 	NotFired     int    `json:"not_fired"`
 	// Engine telemetry: samples whose tails executed vs were synthesized
-	// (offset not-taken vs liveness-pruned families). Mirrors the batch
-	// server's NDJSON fields; excluded from the normalized Report.
+	// (offset not-taken vs liveness-pruned families), and the executed
+	// tails that rejoined the reference run. Mirrors the batch server's
+	// NDJSON fields; excluded from the normalized Report.
 	Executed    int `json:"executed,omitempty"`
 	ShortOffset int `json:"short_offset,omitempty"`
 	ShortLive   int `json:"short_live,omitempty"`
+	Rejoined    int `json:"rejoined,omitempty"`
 	// Report is the FormatNormalized rendering: byte-identical to the
 	// server stream's "report" field for the same configuration.
 	Report string `json:"report"`
@@ -130,6 +132,7 @@ func writeReportJSON(path string, rep *inject.Report) error {
 		Executed:     rep.Executed,
 		ShortOffset:  rep.ShortOffset,
 		ShortLive:    rep.ShortLive,
+		Rejoined:     rep.Rejoined,
 		Report:       inject.FormatNormalized(rep),
 	}, "", "  ")
 	if err != nil {

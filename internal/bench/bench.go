@@ -448,6 +448,7 @@ func mergeReports(dst, src *inject.Report) {
 	dst.Executed += src.Executed
 	dst.ShortOffset += src.ShortOffset
 	dst.ShortLive += src.ShortLive
+	dst.Rejoined += src.Rejoined
 	dst.Translator.Add(src.Translator)
 	for c, a := range src.ByCat {
 		da := dst.ByCat[c]

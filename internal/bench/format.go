@@ -98,15 +98,13 @@ func FormatCoverageMatrix(reports []*inject.Report) string {
 		}
 		fmt.Fprintf(&b, " %6.1f%% %6d\n", r.Totals.Coverage()*100, r.Totals.Count[inject.OutSDC])
 	}
-	var exec, short, live int
+	// Engine telemetry, one line per row that the checkpoint engine did
+	// not simply execute; elided under the replay engine.
 	for _, r := range reports {
-		exec += r.Executed
-		short += r.ShortOffset
-		live += r.ShortLive
-	}
-	if short+live > 0 {
-		fmt.Fprintf(&b, "engine: %d executed, %d offset short-circuits, %d liveness-pruned\n",
-			exec, short, live)
+		if r.ShortOffset+r.ShortLive+r.Rejoined > 0 {
+			fmt.Fprintf(&b, "engine: %-8s %d executed (%d rejoined), %d offset short-circuits, %d liveness-pruned\n",
+				r.Technique, r.Executed, r.Rejoined, r.ShortOffset, r.ShortLive)
+		}
 	}
 	return b.String()
 }

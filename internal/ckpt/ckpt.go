@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/comp"
@@ -19,7 +20,11 @@ type Page struct {
 }
 
 // Point is one checkpoint: everything needed to rebuild the machine at a
-// step boundary of the clean reference run.
+// step boundary of the clean reference run. Recorders capture at every
+// interval boundary and, when that falls inside a block, again at the
+// next block entry of the compiled engine samples run on, where a sample
+// that rejoins the reference trajectory passes the point in view of its
+// engine's watch (see Replayer.Rejoins).
 type Point struct {
 	// State is the architectural and counter state at the boundary.
 	State cpu.State
@@ -101,9 +106,10 @@ func (l *Log) finish(m *cpu.Machine, stop cpu.Stop, prefix dbt.Stats, cacheSize 
 }
 
 // Record performs the instrumented clean reference run on a private clone
-// of snap, capturing a checkpoint every interval steps. It returns the log
-// even when the run does not halt (Stop records how it ended); callers
-// decide whether that is an error.
+// of snap, capturing a checkpoint every interval steps and at the first
+// compiled block entry after each. It returns the log even when the run
+// does not halt (Stop records how it ended); callers decide whether that
+// is an error.
 func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
 	d := snap.NewDBT()
 	base := snap.Stats()
@@ -112,28 +118,38 @@ func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
 		return nil, fmt.Errorf("ckpt: reference run failed to start: %v", res.Stop)
 	}
 	prefix := func() dbt.Stats { return d.StatsSnapshot().Sub(base) }
-	return record(m, interval, maxSteps, d.Advance, prefix, d.CacheLen)
+	return record(m, interval, maxSteps, d.Advance, prefix, d.CacheLen, d.BlockStart)
 }
 
 // RecordStatic performs the clean reference run for native (no translator)
-// execution of p, capturing a checkpoint every interval steps, on an
-// unfrozen compiled engine that resumes at each boundary. Native runs
-// share no translator state, so recording never truncates.
-func RecordStatic(p *isa.Program, interval, maxSteps uint64) (*Log, error) {
+// execution of p on an unfrozen compiled engine that resumes at each
+// boundary. starts are the block starts, in address order, of the frozen
+// engine samples run on (inject.Native's reached set): besides every
+// interval boundary, the recorder captures the first of them entered at
+// or after it. Nil starts (samples on the step backend) capture the
+// boundaries only. Native runs share no translator state, so recording
+// never truncates.
+func RecordStatic(p *isa.Program, starts []uint32, interval, maxSteps uint64) (*Log, error) {
 	m := cpu.New()
 	m.Reset(p)
 	eng := comp.NewEngine(p.Code, m.Costs, 0)
 	advance := func(m *cpu.Machine, target uint64) cpu.Stop { return eng.Run(m, p.Code, target) }
 	none := func() dbt.Stats { return dbt.Stats{} }
-	return record(m, interval, maxSteps, advance, none, func() int { return 0 })
+	entry := func(ip uint32) bool {
+		_, found := slices.BinarySearch(starts, ip)
+		return found || starts == nil
+	}
+	return record(m, interval, maxSteps, advance, none, func() int { return 0 }, entry)
 }
 
 // record is the capture loop both recorders share: it advances the run on
-// m to every interval boundary and captures a point there. prefix reports
-// the translator work accumulated so far (a delta over the snapshot
-// baseline; zero for native runs) and cacheLen the final code cache size.
+// m to every interval boundary and captures a point there, plus one at the
+// next address entry accepts (a block entry of the samples' engine) when
+// the boundary is not one. prefix reports the translator work accumulated
+// so far (a delta over the snapshot baseline; zero for native runs) and
+// cacheLen the final code cache size.
 func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine, uint64) cpu.Stop,
-	prefix func() dbt.Stats, cacheLen func() int) (*Log, error) {
+	prefix func() dbt.Stats, cacheLen func() int, entry func(ip uint32) bool) (*Log, error) {
 	if interval == 0 {
 		return nil, fmt.Errorf("ckpt: interval must be positive")
 	}
@@ -141,28 +157,38 @@ func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine
 	// Point 0: the run's start boundary (memory untouched, so the capture
 	// takes no pages — the replayer's zero image is the start image).
 	l.capture(m, prefix())
-	for {
-		target := m.Steps + interval
-		if target > maxSteps {
-			target = maxSteps
+	for boundary := interval; ; boundary += interval {
+		if boundary <= m.Steps {
+			continue // a block longer than the interval outran this boundary
 		}
-		stop := advance(m, target)
-		pre := prefix()
-		if stop.Reason != cpu.StopOutOfSteps || target >= maxSteps {
-			// Terminal: halt, detection, trap — or the real budget ran out.
-			l.finish(m, stop, pre, cacheLen())
-			return l, nil
+		stop := advance(m, min(boundary, maxSteps))
+		// Capture the boundary, and when it falls inside a block, step on
+		// to the next block entry of the samples' engine and capture that
+		// too: a rejoining sample's watch sees only block entries, while
+		// the boundary point keeps every restore as close to its fault.
+		for {
+			pre := prefix()
+			if stop.Reason != cpu.StopOutOfSteps || m.Steps >= maxSteps {
+				// Terminal: halt, detection, trap — or the real budget ran out.
+				l.finish(m, stop, pre, cacheLen())
+				return l, nil
+			}
+			if pre.Structural() {
+				// The run warmed the translator further; clones would not
+				// share this cache state, so later points are not restorable.
+				l.Truncated = true
+			}
+			if l.Truncated {
+				break
+			}
+			l.capture(m, pre)
+			if entry(m.IP) {
+				break
+			}
+			for stop.Reason == cpu.StopOutOfSteps && m.Steps < maxSteps && !entry(m.IP) {
+				stop = advance(m, m.Steps+1)
+			}
 		}
-		if l.Truncated {
-			continue
-		}
-		if pre.Structural() {
-			// The run warmed the translator further; clones would not share
-			// this cache state, so later boundaries are not restorable.
-			l.Truncated = true
-			continue
-		}
-		l.capture(m, pre)
 	}
 }
 
@@ -208,6 +234,10 @@ type Replayer struct {
 	m     *cpu.Machine
 	work  *mem.Memory
 	costs *cpu.CostModel
+	// Rejoins marks the pages it has compared with seen[page] == stamp,
+	// so a check allocates nothing.
+	seen  []uint32
+	stamp uint32
 }
 
 // NewReplayer returns a replayer over the log with a zeroed image.
@@ -219,6 +249,7 @@ func (l *Log) NewReplayer() *Replayer {
 		m:     new(cpu.Machine),
 		work:  mem.New(l.MemWords),
 		costs: cpu.DefaultCosts(),
+		seen:  make([]uint32, (l.MemWords+mem.PageWords-1)>>mem.PageShift),
 	}
 }
 
@@ -259,4 +290,47 @@ func (r *Replayer) Machine(k int) *cpu.Machine {
 	}
 	m.RestoreFrom(pt.State)
 	return m
+}
+
+// Rejoins reports whether the machine the last Machine call restored (at
+// point r, say) has, since then, rejoined the reference run at point k >= r:
+// its IP, registers, flags, output and every memory word equal the
+// reference's at k. Only the counters may differ, and nothing else feeds
+// a native run's future, so the machine's remaining run is the
+// reference's from k, shifted by the counter offsets. Memory can differ
+// only on the pages the sample wrote and the pages of deltas r+1..k, so
+// only those are compared: each against the newest of those deltas that
+// holds it, else against the image at r. A check allocates nothing.
+func (r *Replayer) Rejoins(k int) bool {
+	m, pt := r.m, &r.log.Points[k]
+	st := &pt.State
+	if k < r.cur || m.IP != st.IP || m.Regs != st.Regs || m.Flags != st.Flags || len(m.Output) != pt.OutLen {
+		return false
+	}
+	from := r.log.Points[r.cur].OutLen
+	if !slices.Equal(m.Output[from:], r.log.Output[from:pt.OutLen]) {
+		return false
+	}
+	if r.stamp++; r.stamp == 0 {
+		clear(r.seen)
+		r.stamp = 1
+	}
+	for j := k; j > r.cur; j-- {
+		for _, pg := range r.log.Points[j].Pages {
+			if r.seen[pg.Index] == r.stamp {
+				continue
+			}
+			r.seen[pg.Index] = r.stamp
+			if !slices.Equal(r.work.Page(pg.Index), pg.Words) {
+				return false
+			}
+		}
+	}
+	return r.work.Dirty(func(page uint32, words []int32) bool {
+		if r.seen[page] == r.stamp {
+			return true
+		}
+		lo := int(page) << mem.PageShift
+		return slices.Equal(words, r.img[lo:lo+len(words)])
+	})
 }

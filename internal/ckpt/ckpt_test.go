@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/check"
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/isa"
@@ -51,7 +52,7 @@ bump:
     ret
 `
 
-func mustAssemble(t *testing.T) *isa.Program {
+func mustAssemble(t testing.TB) *isa.Program {
 	t.Helper()
 	p, err := asm.Assemble("ckpt-t", workload)
 	if err != nil {
@@ -65,7 +66,7 @@ const maxSteps = 10_000_000
 // warmSnapshot runs the translator until clean runs stop mutating shared
 // state, then snapshots — the same precondition the injection campaigns
 // establish.
-func warmSnapshot(t *testing.T, p *isa.Program, opts dbt.Options) *dbt.Snapshot {
+func warmSnapshot(t testing.TB, p *isa.Program, opts dbt.Options) *dbt.Snapshot {
 	t.Helper()
 	d := dbt.New(p, opts)
 	res := d.Run(nil, maxSteps)
@@ -179,7 +180,7 @@ func TestRestoreReproducesReferenceStatic(t *testing.T) {
 		progs[name] = ip
 	}
 	for label, prog := range progs {
-		l, err := RecordStatic(prog, 700, maxSteps)
+		l, err := RecordStatic(prog, nil, 700, maxSteps)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -217,7 +218,7 @@ func TestReplayerInPlaceRestoreMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nativeLog, err := RecordStatic(p, 400, maxSteps)
+	nativeLog, err := RecordStatic(p, nil, 400, maxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestReplayerInPlaceRestoreMatchesFresh(t *testing.T) {
 // A restore allocates nothing once the machine's output buffer has grown
 // to the longest reference prefix — backward seeks included.
 func TestReplayerMachineAllocatesNothing(t *testing.T) {
-	l, err := RecordStatic(mustAssemble(t), 400, maxSteps)
+	l, err := RecordStatic(mustAssemble(t), nil, 400, maxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,114 @@ func TestRecordRejectsZeroInterval(t *testing.T) {
 	if _, err := Record(warmSnapshot(t, p, dbt.Options{}), 0, maxSteps); err == nil {
 		t.Error("Record accepted interval 0")
 	}
-	if _, err := RecordStatic(p, 0, maxSteps); err == nil {
+	if _, err := RecordStatic(p, nil, 0, maxSteps); err == nil {
 		t.Error("RecordStatic accepted interval 0")
+	}
+}
+
+// reachedStarts returns the block starts a clean compiled run of p
+// enters, the set a native campaign freezes its engine over.
+func reachedStarts(t *testing.T, p *isa.Program) []uint32 {
+	t.Helper()
+	eng := comp.NewEngine(p.Code, nil, 0)
+	m := cpu.New()
+	m.Reset(p)
+	if stop := eng.Run(m, p.Code, maxSteps); stop.Reason != cpu.StopHalt {
+		t.Fatalf("clean run: %v", stop)
+	}
+	return eng.Reached()
+}
+
+// The recorder keeps a point on every interval boundary and, when the
+// boundary falls inside a block, adds one at the next block entry of the
+// samples' engine, so a rejoining sample's watch can see it.
+func TestRecordCapturesBlockEntries(t *testing.T) {
+	p := mustAssemble(t)
+	starts := reachedStarts(t, p)
+	const interval = 97
+	l, err := RecordStatic(p, starts, interval, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := map[uint64]bool{}
+	for _, pt := range l.Points {
+		steps[pt.State.Steps] = true
+	}
+	for s := uint64(interval); s < l.Final.Steps; s += interval {
+		if !steps[s] {
+			t.Errorf("no point on the boundary at step %d", s)
+		}
+	}
+	entries := 0
+	for k, pt := range l.Points[1:] {
+		if slices.Contains(starts, pt.State.IP) {
+			entries++
+			continue
+		}
+		if k+2 >= len(l.Points) || !slices.Contains(starts, l.Points[k+2].State.IP) {
+			t.Errorf("point %d (ip %d) inside a block is not followed by a block-entry point", k+1, pt.State.IP)
+		}
+	}
+	if entries == 0 {
+		t.Error("no point landed on a block entry")
+	}
+}
+
+// Rejoins holds exactly when the restored machine's state, counters
+// aside, equals the reference at the point: a clean run from any restore
+// rejoins every later point it reaches, and any difference in memory,
+// flags or output breaks it. A check allocates nothing.
+func TestReplayerRejoins(t *testing.T) {
+	p := mustAssemble(t)
+	l, err := RecordStatic(p, reachedStarts(t, p), 200, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := l.NewReplayer()
+	for k := 0; k+3 < len(l.Points); k += 3 {
+		m := r.Machine(k)
+		for j := k; j <= k+3; j++ {
+			if stop := m.Run(p.Code, l.Points[j].State.Steps); stop.Reason != cpu.StopOutOfSteps {
+				t.Fatalf("point %d: clean run stopped with %v", j, stop)
+			}
+			if !r.Rejoins(j) {
+				t.Fatalf("restore %d: clean run does not rejoin point %d", k, j)
+			}
+		}
+	}
+
+	j := len(l.Points) - 1
+	m := r.Machine(j - 2)
+	m.Run(p.Code, l.Points[j].State.Steps)
+	if n := testing.AllocsPerRun(50, func() { r.Rejoins(j) }); n != 0 {
+		t.Errorf("Rejoins allocates %.0f times per check, want 0", n)
+	}
+	if r.Rejoins(j - 1) {
+		t.Error("rejoined a point the run has already passed")
+	}
+	for addr := uint32(0); addr < l.MemWords; addr += l.MemWords / 7 {
+		old, _ := m.Mem.Load(addr)
+		m.Mem.Store(addr, old^1)
+		if r.Rejoins(j) {
+			t.Errorf("a flipped word at %d still rejoins", addr)
+		}
+		m.Mem.Store(addr, old)
+		if !r.Rejoins(j) {
+			t.Errorf("restoring the word at %d does not rejoin", addr)
+		}
+	}
+	m.Flags ^= 1
+	if r.Rejoins(j) {
+		t.Error("flipped flags still rejoin")
+	}
+	m.Flags ^= 1
+	m.Output[len(m.Output)-1]++
+	if r.Rejoins(j) {
+		t.Error("a changed output word still rejoins")
+	}
+	m.Output[len(m.Output)-1]--
+	m.Output = append(m.Output, 0)
+	if r.Rejoins(j) {
+		t.Error("extra output still rejoins")
 	}
 }

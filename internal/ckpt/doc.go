@@ -18,6 +18,16 @@
 // points captured earlier remain valid (graceful degradation down to
 // "checkpoint 0 only", which is plain replay).
 //
+// Captures land on block entries too. Besides every interval boundary,
+// the recorder captures the first block entry of the samples' compiled
+// engine at or after it (when the boundary is not one itself). The
+// boundary points keep each restore as close to its fault site as plain
+// interval spacing would. The block-entry points are where the engine's
+// watch can see a faulty sample that rejoined the reference run, and
+// Replayer.Rejoins confirms such a rejoin exactly. Only the geometry
+// changed, not the format: a log recorded before carries no block-entry
+// points, restores exactly as ever, and merely lets fewer samples rejoin.
+//
 // # On-disk checkpoint-log format
 //
 // A recorded Log can be persisted with Log.EncodeTo and reloaded with
@@ -67,8 +77,13 @@
 // formed, dispatches, indirect lookups, invalidations, check sites.
 //
 // Decoding validates the magic, the checksum, the fingerprint and every
-// length field against the remaining input before allocating, and
-// classifies failures as ErrCorrupt (unreadable bytes) or ErrStale
-// (readable bytes recorded for a different configuration). Callers treat
-// both the same way: fall back to re-recording and overwrite the file.
+// length field against the remaining input before allocating (a count
+// never exceeds the remaining bytes over its element's smallest
+// encoding). It accepts only 0 and 1 in the truncated byte, so any log
+// that decodes re-encodes to the same bytes, and rejects points a
+// replayer could not apply (an output prefix past the output, a page
+// outside memory). It classifies failures as ErrCorrupt (unreadable
+// bytes) or ErrStale (readable bytes recorded for a different
+// configuration). Callers treat both the same way: fall back to
+// re-recording and overwrite the file.
 package ckpt

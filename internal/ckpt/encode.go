@@ -9,6 +9,7 @@ import (
 	"repro/internal/dbt"
 	"repro/internal/frame"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // logMagic identifies the on-disk checkpoint-log format; the trailing
@@ -134,7 +135,14 @@ func decodeStats(r *frame.Reader, s *dbt.Stats) {
 	s.CheckSites = int(r.I64())
 }
 
-// decodeBody reads the fields written by encodeBody.
+// minPointBytes is the smallest encoding of one point: its state, output
+// length, stats and page count with no pages. Bounding the point count at
+// this unit keeps the Points allocation proportional to the input.
+const minPointBytes = isa.NumRegs*4 + 1 + 4 + 5*8 + 4 + 7*8 + 4
+
+// decodeBody reads the fields written by encodeBody, and rejects a log
+// whose points a Replayer could not apply: an output prefix longer than
+// the output, or a page outside memory.
 func decodeBody(body []byte) (*Log, error) {
 	r := frame.NewReader(body)
 	l := &Log{}
@@ -149,7 +157,7 @@ func decodeBody(body []byte) (*Log, error) {
 	decodeState(r, &l.Final)
 	decodeStats(r, &l.FinalPrefix)
 	l.Output = r.Words()
-	npoints := r.Count(1)
+	npoints := r.Count(minPointBytes)
 	if r.Err() == nil && npoints > 0 {
 		l.Points = make([]Point, npoints)
 	}
@@ -163,8 +171,18 @@ func decodeBody(body []byte) (*Log, error) {
 			pt.Pages = make([]Page, npages)
 		}
 		for j := 0; j < npages && r.Err() == nil; j++ {
-			pt.Pages[j].Index = r.U32()
-			pt.Pages[j].Words = r.Words()
+			pg := &pt.Pages[j]
+			pg.Index = r.U32()
+			pg.Words = r.Words()
+			if lo := uint64(pg.Index) << mem.PageShift; len(pg.Words) > mem.PageWords ||
+				lo+uint64(len(pg.Words)) > uint64(l.MemWords) {
+				return nil, fmt.Errorf("%w: point %d page %d (%d words) outside %d words of memory",
+					ErrCorrupt, i, pg.Index, len(pg.Words), l.MemWords)
+			}
+		}
+		if pt.OutLen > len(l.Output) {
+			return nil, fmt.Errorf("%w: point %d output prefix %d exceeds the %d-word output",
+				ErrCorrupt, i, pt.OutLen, len(l.Output))
 		}
 	}
 	if err := r.Done(); err != nil {

@@ -24,7 +24,7 @@ func recordedLogs(t *testing.T) map[string]*Log {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := RecordStatic(p, 512, maxSteps)
+	sl, err := RecordStatic(p, nil, 512, maxSteps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,6 +204,13 @@ type Engine struct {
 	// chain into cold ones.
 	coldHeat   map[uint32]uint32
 	coldBlocks map[uint32]*cblock
+
+	// The view's optional watch (see Watch): Run stops before entering a
+	// block at watchIP while the registers equal *watchRegs, or at the
+	// first block entry past watchUntil. A nil watchRegs disarms it.
+	watchIP    uint32
+	watchRegs  *[isa.NumRegs]int32
+	watchUntil uint64
 }
 
 // NewEngine returns an engine compiling code against the cost model (nil
@@ -314,6 +321,29 @@ func (e *Engine) Reached() []uint32 {
 	return starts
 }
 
+// BlockStart reports whether a compiled block starts at ip: the block
+// entries where Run checks its watch on every transition. A nil engine
+// (the step backend) reports every address, since it has no watch to
+// place points for.
+func (e *Engine) BlockStart(ip uint32) bool {
+	return e == nil || (ip < uint32(len(e.c.byAddr)) && e.c.byAddr[ip] != nil)
+}
+
+// Watch arms the view's watch: Run returns cpu.StopWatch, with the machine
+// state flushed, before it enters a block starting at ip while m.Regs
+// equal *regs. It checks at its loop head and on every chain transition,
+// so an armed watch sees each block entry and an unarmed one costs one
+// compare per transition. until is a soft step deadline: Run also returns
+// StopWatch at the first block entry where the step count has reached
+// until or the next block would carry it past, so an expiring watch never
+// leaves the machine mid-block. regs must stay unchanged while armed; nil
+// disarms. The shared core is untouched: every view has its own watch.
+func (e *Engine) Watch(ip uint32, regs *[isa.NumRegs]int32, until uint64) {
+	if e != nil {
+		e.watchIP, e.watchRegs, e.watchUntil = ip, regs, until
+	}
+}
+
 // Frozen reports whether the core is frozen (safe to Clone).
 func (e *Engine) Frozen() bool { return e.c.frozen }
 
@@ -352,8 +382,10 @@ func (c *core) resolveChains() {
 // fused; everything the compiled tier cannot express exactly — branch
 // hooks, the firing step of a planted fault, blocks straddling the step
 // budget or the fault's firing boundary, cold blocks — runs on the
-// reference interpreter. code is the caller's current slice, not e's
-// alias: a disabled view stops following Sync, so its alias goes stale.
+// reference interpreter. An armed watch (Watch) adds one stop, StopWatch,
+// which a disabled view or a branch hook never reaches. code is the
+// caller's current slice, not e's alias: a disabled view stops following
+// Sync, so its alias goes stale.
 func (e *Engine) Run(m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop {
 	if e == nil || e.disabled || m.BranchHook != nil {
 		return m.Run(code, maxSteps)
@@ -364,6 +396,12 @@ func (e *Engine) Run(m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop
 			return cpu.Stop{Reason: cpu.StopOutOfSteps, IP: m.IP}
 		}
 		bound := maxSteps
+		if e.watchRegs != nil {
+			if m.Steps >= e.watchUntil || (m.IP == e.watchIP && m.Regs == *e.watchRegs) {
+				return cpu.Stop{Reason: cpu.StopWatch, IP: m.IP}
+			}
+			bound = min(bound, e.watchUntil)
+		}
 		dbLimit := ^uint64(0)
 		if f := m.Fault; f != nil && !f.Fired {
 			if f.Kind == cpu.FaultRegBit {
@@ -403,6 +441,11 @@ func (e *Engine) Run(m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop
 				return stop
 			}
 			continue
+		}
+		if cb != nil && e.watchRegs != nil && m.Steps+uint64(cb.totalSteps) > e.watchUntil {
+			// The block crosses only the watch deadline: expire here, at
+			// its entry.
+			return cpu.Stop{Reason: cpu.StopWatch, IP: m.IP}
 		}
 		if stop, done := e.interpBlock(m, code, maxSteps); done {
 			return stop

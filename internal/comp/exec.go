@@ -144,9 +144,10 @@ func condDeferred(c isa.Cond, fk uint8, fa, fb int32, flags isa.Flags) bool {
 }
 
 // runCompiled executes compiled blocks starting at cb, chaining block to
-// block until a stop (done=true), an unchained cold target, a block that
-// would cross bound, or the dbLimit-th direct branch (done=false with the
-// machine state flushed exactly). The caller guarantees cb fits bound and
+// block until a stop (done=true; StopWatch at the watched entry), an
+// unchained cold target, a block that would cross bound, or the
+// dbLimit-th direct branch (done=false with the machine state flushed
+// exactly). The caller guarantees cb fits bound and
 // that no branch hook is installed.
 func (e *Engine) runCompiled(m *cpu.Machine, cb *cblock, bound, dbLimit uint64) (cpu.Stop, bool) {
 	c := e.c
@@ -164,6 +165,7 @@ func (e *Engine) runCompiled(m *cpu.Machine, cb *cblock, bound, dbLimit uint64) 
 	fk := fLive
 	var fa, fb int32
 	var chainHits uint64
+	wip, wregs := e.watchIP, e.watchRegs
 
 	var stop cpu.Stop
 	done := false
@@ -582,6 +584,11 @@ chain:
 			if slot != nil && (!frz || cb.cold) {
 				*slot = nb
 			}
+		}
+		if nb.start == wip && wregs != nil && *r == *wregs {
+			flushState(m, nb.start, steps, cycles, direct, fk, fa, fb, flags)
+			stop, done = cpu.Stop{Reason: cpu.StopWatch, IP: nb.start}, true
+			break chain
 		}
 		if steps+uint64(nb.totalSteps) > bound {
 			flushState(m, nb.start, steps, cycles, direct, fk, fa, fb, flags)

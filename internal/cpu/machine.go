@@ -41,11 +41,15 @@ const (
 	// control-flow error may throw the program into an infinite loop, which
 	// the END/RET policies cannot report, per the paper).
 	StopOutOfSteps
+	// StopWatch: the compiled engine reached its watched block entry with
+	// the watched registers (see comp.Engine.Watch). Never terminal: the
+	// caller inspects the machine and resumes.
+	StopWatch
 )
 
 var stopNames = [...]string{
 	"halt", "report", "trapout", "bad-fetch", "bad-memory",
-	"div-zero", "invalid-instr", "out-of-steps",
+	"div-zero", "invalid-instr", "out-of-steps", "watch",
 }
 
 // String names the stop reason.

@@ -252,6 +252,20 @@ func (d *DBT) CompStats() comp.Stats {
 	return d.comp.Stats
 }
 
+// BlockStart reports whether the compiled engine has a block starting at
+// cache address ip, where a watch armed through Watch can fire (every
+// address under the step backend).
+func (d *DBT) BlockStart(ip uint32) bool { return d.comp.BlockStart(ip) }
+
+// Watch arms (nil regs: disarms) the compiled engine's watch: Advance
+// returns cpu.StopWatch before entering a block at cache address ip while
+// the machine's registers equal *regs, or at the first block entry past
+// the soft step deadline until (see comp.Engine.Watch). The step backend
+// has no watch.
+func (d *DBT) Watch(ip uint32, regs *[isa.NumRegs]int32, until uint64) {
+	d.comp.Watch(ip, regs, until)
+}
+
 // CacheLen returns the current code cache size in instructions.
 func (d *DBT) CacheLen() int { return len(d.cache) }
 

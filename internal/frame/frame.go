@@ -204,8 +204,20 @@ func (r *Reader) U64() uint64 {
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// Bool reads one byte as a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads one byte as a bool. Only Writer's two encodings, 0 and 1,
+// decode; any other byte fails, so every decodable payload re-encodes to
+// the same bytes.
+func (r *Reader) Bool() bool {
+	switch v := r.U8(); v {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		r.err = fmt.Errorf("%w: bool byte %d at byte %d", ErrCorrupt, v, r.pos-1)
+		return false
+	}
+}
 
 // Count reads a u32 length and bounds it against the bytes remaining at
 // unit size, so a corrupt length cannot drive a huge allocation.

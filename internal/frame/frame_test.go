@@ -183,3 +183,15 @@ func TestReaderDoneRejectsTrailing(t *testing.T) {
 		t.Fatalf("Done = %v, want ErrCorrupt", err)
 	}
 }
+
+// Bool accepts only the two bytes Writer emits, so a decoded payload
+// re-encodes to the same bytes.
+func TestReaderBoolRejectsOtherBytes(t *testing.T) {
+	r := NewReader([]byte{1, 0, 2})
+	if !r.Bool() || r.Bool() {
+		t.Fatal("0 and 1 did not decode")
+	}
+	if r.Bool() || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("byte 2 decoded without a corrupt error (err %v)", r.Err())
+	}
+}

@@ -23,6 +23,7 @@ func reportKey(r *Report) Report {
 	k.Executed = 0
 	k.ShortOffset = 0
 	k.ShortLive = 0
+	k.Rejoined = 0
 	k.Compiled = comp.Stats{}
 	return k
 }

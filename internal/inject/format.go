@@ -45,11 +45,11 @@ func FormatReport(r *Report) string {
 		fmt.Fprintf(&b, "compiled: %d blocks, %d trace promotions, %d chain hits\n",
 			c.BlocksCompiled, c.TracePromotions, c.ChainHits)
 	}
-	if r.ShortOffset+r.ShortLive > 0 {
+	if r.ShortOffset+r.ShortLive+r.Rejoined > 0 {
 		// Engine telemetry; elided when zero so FormatNormalized output is
 		// unchanged (the counters are zeroed there).
-		fmt.Fprintf(&b, "engine: %d executed, %d offset short-circuits, %d liveness-pruned\n",
-			r.Executed, r.ShortOffset, r.ShortLive)
+		fmt.Fprintf(&b, "engine: %d executed (%d rejoined), %d offset short-circuits, %d liveness-pruned\n",
+			r.Executed, r.Rejoined, r.ShortOffset, r.ShortLive)
 	}
 	if r.Elapsed > 0 {
 		fmt.Fprintf(&b, "throughput: %.0f runs/s (%d workers, %v wall-clock)\n",
@@ -73,6 +73,7 @@ func FormatNormalized(r *Report) string {
 	n.Executed = 0
 	n.ShortOffset = 0
 	n.ShortLive = 0
+	n.Rejoined = 0
 	n.Compiled = comp.Stats{}
 	return FormatReport(&n)
 }

@@ -148,10 +148,13 @@ type Report struct {
 	// (Executed+ShortOffset+ShortLive == Samples under the checkpoint
 	// engine; the replay engine executes everything). Like Workers/Elapsed
 	// these never influence the classified results and are zeroed by
-	// FormatNormalized.
+	// FormatNormalized. Rejoined counts the executed samples whose tail
+	// rejoined the reference run and was synthesized from there on (a
+	// subset of Executed).
 	Executed    int
 	ShortOffset int
 	ShortLive   int
+	Rejoined    int
 }
 
 // Throughput returns classified runs per second of wall-clock.
@@ -324,6 +327,9 @@ func (r *Report) merge(results []sampleResult, keepRecords bool) {
 			r.ShortOffset++
 		case shortLive:
 			r.ShortLive++
+		case shortRejoin:
+			r.Executed++
+			r.Rejoined++
 		default:
 			r.Executed++
 		}

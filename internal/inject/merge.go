@@ -88,6 +88,7 @@ func MergeReports(parts []*Report) (*Report, error) {
 		m.Executed += p.Executed
 		m.ShortOffset += p.ShortOffset
 		m.ShortLive += p.ShortLive
+		m.Rejoined += p.Rejoined
 		// Shards run concurrently on different replicas: the merged run is
 		// as wide as its widest shard and as long as its slowest.
 		if p.Workers > m.Workers {

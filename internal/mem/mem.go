@@ -95,18 +95,33 @@ func (m *Memory) Reset() {
 // slice aliases the live memory and is valid only during the call; the
 // final page may be shorter than PageWords.
 func (m *Memory) CaptureDirty(fn func(page uint32, words []int32)) {
-	for p, g := range m.pageGen {
-		if g != m.gen {
-			continue
-		}
-		lo := p << PageShift
-		hi := lo + PageWords
-		if hi > len(m.words) {
-			hi = len(m.words)
-		}
-		fn(uint32(p), m.words[lo:hi])
-	}
+	m.Dirty(func(page uint32, words []int32) bool {
+		fn(page, words)
+		return true
+	})
 	m.gen++
+}
+
+// Dirty is the read-only form of CaptureDirty: it invokes fn for every
+// page written since the previous CaptureDirty or Rollback, in ascending
+// page order, without advancing the generation. A false return from fn
+// ends the walk early, and Dirty then returns false. The words slice
+// aliases the live memory; fn must not write it.
+func (m *Memory) Dirty(fn func(page uint32, words []int32) bool) bool {
+	for p, g := range m.pageGen {
+		if g == m.gen && !fn(uint32(p), m.Page(uint32(p))) {
+			return false
+		}
+	}
+	return true
+}
+
+// Page returns the words of tracking page p, aliasing the live memory
+// (the final page may be shorter than PageWords). Callers must not write
+// through it: the write would bypass dirty tracking.
+func (m *Memory) Page(p uint32) []int32 {
+	lo := int(p) << PageShift
+	return m.words[lo:min(lo+PageWords, len(m.words))]
 }
 
 // Rollback undoes every write since the previous CaptureDirty or Rollback

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -225,5 +226,40 @@ func TestLoadStoreProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Dirty walks the pages CaptureDirty would hand out, in the same order,
+// without consuming them, and stops early when asked to.
+func TestDirtyIsReadOnly(t *testing.T) {
+	m := New(PageWords*3 + 5)
+	for _, a := range []uint32{PageWords*3 + 4, 2, PageWords + 7} {
+		if err := m.Store(a, int32(a)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var walked []uint32
+	if !m.Dirty(func(page uint32, words []int32) bool {
+		walked = append(walked, page)
+		if want := m.Page(page); &words[0] != &want[0] || len(words) != len(want) {
+			t.Errorf("page %d: walk and Page disagree", page)
+		}
+		return true
+	}) {
+		t.Error("a full walk reported an early stop")
+	}
+	if want := []uint32{0, 1, 3}; !slices.Equal(walked, want) {
+		t.Fatalf("walked %v, want %v", walked, want)
+	}
+	if len(m.Page(3)) != 5 {
+		t.Errorf("short final page has %d words, want 5", len(m.Page(3)))
+	}
+	n := 0
+	if m.Dirty(func(uint32, []int32) bool { n++; return false }) || n != 1 {
+		t.Errorf("early stop: walk returned true or visited %d pages", n)
+	}
+	// Nothing was consumed: a capture still sees all three pages.
+	if got := capturePages(m); len(got) != 3 {
+		t.Errorf("capture after Dirty = %v, want pages 0, 1 and 3", got)
 	}
 }

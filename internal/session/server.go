@@ -208,11 +208,13 @@ type RecordJSON struct {
 	Workers     int            `json:"workers,omitempty"`
 	ElapsedSec  float64        `json:"elapsed_sec"`
 	// Engine telemetry: executed vs synthesized tails (offset not-taken
-	// and liveness-pruned short-circuit families). Zero under the replay
-	// engine; excluded from the normalized Report.
+	// and liveness-pruned short-circuit families), and the executed tails
+	// that rejoined the reference run (a subset of Executed). Zero under
+	// the replay engine; excluded from the normalized Report.
 	Executed    int `json:"executed,omitempty"`
 	ShortOffset int `json:"short_offset,omitempty"`
 	ShortLive   int `json:"short_live,omitempty"`
+	Rejoined    int `json:"rejoined,omitempty"`
 	// Report is the normalized rendering (worker count and wall clock
 	// zeroed): byte-identical to `cfc-inject -report-json` for the same
 	// configuration, which the CI smoke test diffs against.
@@ -489,6 +491,7 @@ func FillRecord(rec *RecordJSON, rep *inject.Report) {
 	rec.Executed = rep.Executed
 	rec.ShortOffset = rep.ShortOffset
 	rec.ShortLive = rep.ShortLive
+	rec.Rejoined = rep.Rejoined
 	rec.Report = inject.FormatNormalized(rep)
 	totals := map[string]int{}
 	for o := inject.Outcome(0); o < inject.NumOutcomes; o++ {

@@ -514,7 +514,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if s.static {
 		s.native, clean, err = inject.WarmNative(s.prog, wcfg)
 		record = func(interval uint64) (*ckpt.Log, error) {
-			return ckpt.RecordStatic(s.prog, interval, r.cfg.MaxSteps)
+			return s.native.Record(interval, r.cfg.MaxSteps)
 		}
 	} else {
 		s.snap, clean, err = inject.Warm(base, wcfg)
