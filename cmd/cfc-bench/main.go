@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cli"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -37,10 +36,6 @@ func main() {
 	workers, ckptIv := &app.Workers, &app.CkptInterval
 
 	run := func(name string) {
-		// Figure-level section markers; the campaign-running figures do
-		// not rebuild per-sample traces here (use cfc-inject for that).
-		app.Tracer().Emit(obs.Event{Kind: obs.EvCampaignStart, Detail: "figure:" + name})
-		defer app.Tracer().Emit(obs.Event{Kind: obs.EvCampaignEnd, Detail: "figure:" + name})
 		switch name {
 		case "12":
 			t, err := bench.Figure12(*scale, *workers)

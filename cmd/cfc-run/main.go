@@ -6,7 +6,7 @@
 //
 //	cfc-run -workload 181.mcf -technique RCF -policy ALLBB
 //	cfc-run -bin prog.bin -native
-//	cfc-run -workload 164.gzip -technique RCF -json run.json -metrics run.prom -trace run.jsonl
+//	cfc-run -workload 164.gzip -technique RCF -json run.json -metrics run.prom
 package main
 
 import (

@@ -58,7 +58,7 @@ bump:
 
 const maxSteps = 10_000_000
 
-func mustAssemble(t *testing.T) *isa.Program {
+func mustAssemble(t testing.TB) *isa.Program {
 	t.Helper()
 	p, err := asm.Assemble("artifact-t", workload)
 	if err != nil {
@@ -69,7 +69,7 @@ func mustAssemble(t *testing.T) *isa.Program {
 
 // warmArtifact builds a realistic dbt artifact: a warmed snapshot over
 // the test workload plus its recorded checkpoint log.
-func warmArtifact(t *testing.T) (*Artifact, *isa.Program) {
+func warmArtifact(t testing.TB) (*Artifact, *isa.Program) {
 	t.Helper()
 	p := mustAssemble(t)
 	d := dbt.New(p, dbt.Options{})

@@ -385,8 +385,8 @@ type CoverageConfig struct {
 	// provided registry carries its own). A cached cell skips its
 	// campaign entirely; the matrix text is byte-identical either way.
 	Graph *graph.Cache
-	// Options is the shared execution surface (Trace, Metrics, Workers,
-	// CkptInterval), forwarded to every campaign. The classified matrix is
+	// Options is the shared execution surface (Metrics, Flight, Workers,
+	// CkptInterval, ...), forwarded to every campaign. The classified matrix is
 	// byte-identical for every Workers and CkptInterval value; only the
 	// engine-telemetry footer (executed vs short-circuited samples) reflects
 	// which engine ran.

@@ -1,8 +1,9 @@
 // Package cli binds the execution-surface flags shared by every cmd/
-// tool: the observability set (-trace, -metrics, -progress, -flight,
+// tool: the observability set (-metrics, -progress, -flight,
 // -flight-depth), the profiling pair (-cpuprofile, -memprofile), the
 // campaign knobs (-workers, -ckpt-interval, -backend) that core.Options
-// carries, and the -graph-cache cell cache selector. Binding them in one place keeps the six CLIs and cfc-serve
+// carries, and the -graph-cache cell cache selector. Binding them in one
+// place keeps the seven tools built on App (cfc-serve among them)
 // presenting an identical surface, and Options() hands the parsed result
 // straight to any campaign entry point that embeds core.Options.
 package cli
@@ -13,6 +14,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/comp"
@@ -25,11 +27,13 @@ import (
 // or CkptInterval first to change a tool's flag defaults (cfc-inject
 // defaults -ckpt-interval to -1, everything else to 0).
 //
-// Usage mirrors obs.CLI, which App embeds: BindFlags before flag.Parse,
-// Open after it, Close on the way out.
+// Usage: BindFlags before flag.Parse, Open after it, Close on the way
+// out.
 type App struct {
-	obs.CLI
-
+	// MetricsPath is the parsed -metrics output path; empty disables the
+	// registry. A ".prom" suffix selects the Prometheus text format,
+	// anything else JSON.
+	MetricsPath string
 	// Workers is the parsed -workers value (0 = GOMAXPROCS).
 	Workers int
 	// CkptInterval is the parsed -ckpt-interval value (0 full replay,
@@ -66,19 +70,22 @@ type App struct {
 	// field between flag.Parse and Open.
 	GraphCache string
 
-	backend  comp.Backend
-	graph    *graph.Cache
-	cpuFile  *os.File
-	progress *obs.Progress
-	flight   *obs.FlightRecorder
-	tickStop chan struct{}
-	tickDone chan struct{}
+	backend     comp.Backend
+	graph       *graph.Cache
+	registry    *obs.Registry
+	metricsFile *os.File
+	cpuFile     *os.File
+	progress    *obs.Progress
+	flight      *obs.FlightRecorder
+	tickStop    chan struct{}
+	tickDone    chan struct{}
 }
 
 // BindFlags registers the shared flags on fs, using the current field
 // values as defaults.
 func (a *App) BindFlags(fs *flag.FlagSet) {
-	a.CLI.BindFlags(fs)
+	fs.StringVar(&a.MetricsPath, "metrics", a.MetricsPath,
+		"write a metrics snapshot to `file` (.prom = Prometheus text, else JSON)")
 	fs.IntVar(&a.Workers, "workers", a.Workers, "worker goroutines (0 = GOMAXPROCS)")
 	fs.Int64Var(&a.CkptInterval, "ckpt-interval", a.CkptInterval,
 		"checkpoint interval in steps (-1 auto, 0 full replay)")
@@ -107,10 +114,9 @@ func (a *App) BindFlags(fs *flag.FlagSet) {
 		"campaign cell cache: off, on (memory only) or a `directory` to persist under")
 }
 
-// Open materializes the observability sinks, starts the progress ticker
-// and, when -cpuprofile was given, starts CPU profiling. It shadows the
-// embedded obs.CLI.Open so every tool picks the whole surface up for
-// free.
+// Open creates every output file the flags name (metrics, CPU profile,
+// flight dumps), so a bad path fails before any work runs, then starts
+// CPU profiling and the progress ticker.
 func (a *App) Open() error {
 	b, err := comp.ParseBackend(a.Backend)
 	if err != nil {
@@ -125,12 +131,21 @@ func (a *App) Open() error {
 	default:
 		a.graph = graph.New(a.GraphCache)
 	}
-	if err := a.CLI.Open(); err != nil {
-		return err
+	if a.MetricsPath != "" {
+		f, err := os.Create(a.MetricsPath)
+		if err != nil {
+			return fmt.Errorf("open metrics: %w", err)
+		}
+		a.metricsFile = f
+		a.registry = obs.NewRegistry()
 	}
 	// Callers that fatal on an Open error never reach Close, so every
 	// error path below tears down whatever already opened.
 	fail := func(err error) error {
+		if a.metricsFile != nil {
+			a.metricsFile.Close()
+			a.metricsFile, a.registry = nil, nil
+		}
 		if a.cpuFile != nil {
 			pprof.StopCPUProfile()
 			a.cpuFile.Close()
@@ -140,7 +155,6 @@ func (a *App) Open() error {
 			a.flight.Close()
 			a.flight = nil
 		}
-		a.CLI.Close()
 		return err
 	}
 	if a.CPUProfile != "" {
@@ -191,7 +205,7 @@ func (a *App) tick() {
 
 // Close stops the progress ticker (printing a final line), closes the
 // flight recorder, stops the CPU profile, writes the heap profile if
-// requested, and flushes the observability sinks.
+// requested, and writes the metrics snapshot.
 func (a *App) Close() error {
 	var first error
 	if a.tickStop != nil {
@@ -235,23 +249,38 @@ func (a *App) Close() error {
 			}
 		}
 	}
-	if err := a.CLI.Close(); err != nil && first == nil {
-		first = err
+	if a.metricsFile != nil {
+		snap := a.registry.Snapshot()
+		var err error
+		if strings.HasSuffix(a.MetricsPath, ".prom") {
+			err = snap.WritePrometheus(a.metricsFile)
+		} else {
+			err = snap.WriteJSON(a.metricsFile)
+		}
+		if cerr := a.metricsFile.Close(); err == nil {
+			err = cerr
+		}
+		a.metricsFile = nil
+		if err != nil && first == nil {
+			first = fmt.Errorf("metrics: %w", err)
+		}
 	}
 	return first
 }
+
+// Registry returns the metrics registry, or nil when -metrics was not
+// given. Call after Open.
+func (a *App) Registry() *obs.Registry { return a.registry }
 
 // Graph returns the campaign cell cache -graph-cache selected, nil when
 // disabled. Call after Open.
 func (a *App) Graph() *graph.Cache { return a.graph }
 
 // Options returns the parsed execution surface. Call after Open: the
-// tracer, registry, progress tracker and flight recorder are nil until
-// then.
+// registry, progress tracker and flight recorder are nil until then.
 func (a *App) Options() core.Options {
 	return core.Options{
-		Trace:        a.Tracer(),
-		Metrics:      a.Registry(),
+		Metrics:      a.registry,
 		Workers:      a.Workers,
 		CkptInterval: a.CkptInterval,
 		Backend:      a.backend,

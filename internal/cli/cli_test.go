@@ -3,16 +3,19 @@ package cli
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 // A failed Open must not leave sinks armed: callers fatal on the error
-// and never reach Close, so the flight recorder, CPU profile and the
-// progress ticker all have to be torn down on the error path.
+// and never reach Close, so the metrics file, flight recorder, CPU
+// profile and the progress ticker all have to be torn down on the error
+// path.
 func TestOpenFailureTearsDownSinks(t *testing.T) {
 	dir := t.TempDir()
 	a := &App{Backend: "auto"}
+	a.MetricsPath = filepath.Join(dir, "m.json")
 	a.CPUProfile = filepath.Join(dir, "missing", "cpu.prof") // create fails
 	a.Flight = filepath.Join(dir, "flight.jsonl")
 	a.Progress = time.Millisecond
@@ -20,10 +23,19 @@ func TestOpenFailureTearsDownSinks(t *testing.T) {
 	if err := a.Open(); err == nil {
 		t.Fatal("Open succeeded with an uncreatable -cpuprofile path")
 	}
-	if a.cpuFile != nil || a.flight != nil || a.tickStop != nil {
-		t.Errorf("sinks survived the failed Open: cpuFile=%v flight=%v tickStop=%v",
-			a.cpuFile, a.flight, a.tickStop)
+	checkDisarmed(t, a)
+
+	// An uncreatable -metrics path fails in Open, before any work runs,
+	// and arms nothing after it.
+	m := &App{Backend: "auto"}
+	m.MetricsPath = filepath.Join(dir, "missing", "m.json") // create fails
+	m.CPUProfile = filepath.Join(dir, "cpu0.prof")
+	m.Flight = filepath.Join(dir, "flight0.jsonl")
+	m.Progress = time.Millisecond
+	if err := m.Open(); err == nil {
+		t.Fatal("Open succeeded with an uncreatable -metrics path")
 	}
+	checkDisarmed(t, m)
 
 	// The flight path is created before the cpuprofile failure only when
 	// flight setup runs first; with the fallible steps ordered, a failed
@@ -35,10 +47,7 @@ func TestOpenFailureTearsDownSinks(t *testing.T) {
 	if err := b.Open(); err == nil {
 		t.Fatal("Open succeeded with an uncreatable -flight path")
 	}
-	if b.cpuFile != nil || b.flight != nil || b.tickStop != nil {
-		t.Errorf("sinks survived the failed Open: cpuFile=%v flight=%v tickStop=%v",
-			b.cpuFile, b.flight, b.tickStop)
-	}
+	checkDisarmed(t, b)
 	// The successfully created cpu profile file was closed by the
 	// teardown; profiling is no longer running, so a fresh profile can
 	// start (pprof allows one at a time).
@@ -52,5 +61,44 @@ func TestOpenFailureTearsDownSinks(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkDisarmed fails t when a failed Open left any sink armed.
+func checkDisarmed(t *testing.T, a *App) {
+	t.Helper()
+	if a.metricsFile != nil || a.registry != nil || a.cpuFile != nil || a.flight != nil || a.tickStop != nil {
+		t.Errorf("sinks survived the failed Open: metricsFile=%v registry=%v cpuFile=%v flight=%v tickStop=%v",
+			a.metricsFile, a.registry, a.cpuFile, a.flight, a.tickStop)
+	}
+}
+
+// The metrics file is created at Open and holds the snapshot after
+// Close, in the format the path's suffix selects.
+func TestMetricsWrittenAtClose(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"m.json", "m.prom"} {
+		a := &App{Backend: "auto", MetricsPath: filepath.Join(dir, name)}
+		if err := a.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(a.MetricsPath); err != nil {
+			t.Fatalf("%s not created by Open: %v", name, err)
+		}
+		a.Registry().Counter("cli_test_total").Add(3)
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(a.MetricsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := `"cli_test_total": 3`
+		if name == "m.prom" {
+			want = "cli_test_total 3"
+		}
+		if !strings.Contains(string(b), want) {
+			t.Errorf("%s lacks %q:\n%s", name, want, b)
+		}
 	}
 }

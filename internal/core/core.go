@@ -24,8 +24,8 @@ import (
 	"repro/internal/check"
 )
 
-// Options is the shared execution surface (Trace, Metrics, Workers,
-// CkptInterval) that the CLIs bind once via internal/cli and every
+// Options is the shared execution surface (Metrics, Flight, Workers,
+// CkptInterval, ...) that the CLIs bind once via internal/cli and every
 // campaign entry point embeds. It is an alias of inject.Options — core
 // re-exports it so facade users never import internal/inject directly.
 type Options = inject.Options
@@ -42,8 +42,8 @@ type Config struct {
 	// [SampleOffset, SampleOffset+samples) — one shard of a split campaign
 	// (see inject.Config.SampleOffset).
 	SampleOffset int
-	// Options is the shared execution surface (Trace, Metrics, Workers,
-	// CkptInterval), promoted so existing selector access keeps working.
+	// Options is the shared execution surface (Metrics, Flight, Workers,
+	// CkptInterval, ...), promoted so existing selector access keeps working.
 	Options
 }
 
@@ -137,7 +137,7 @@ func NewDBT(p *isa.Program, c Config) (*dbt.DBT, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dbt.New(p, dbt.Options{Technique: tech, Policy: pol, Trace: c.Trace}), nil
+	return dbt.New(p, dbt.Options{Technique: tech, Policy: pol}), nil
 }
 
 // RunDBT translates and executes p under the given configuration.
@@ -166,7 +166,7 @@ func Inject(p *isa.Program, c Config, samples int, seed int64, workers int) (*in
 
 // InjectCtx runs a randomized single-fault campaign under the DBT,
 // honoring ctx for cancellation. Execution knobs (Workers, CkptInterval,
-// Trace, Metrics) come from c.Options; the report is bit-identical for
+// Metrics, ...) come from c.Options; the report is bit-identical for
 // every worker count.
 func InjectCtx(ctx context.Context, p *isa.Program, c Config, samples int, seed int64) (*inject.Report, error) {
 	tech, pol, err := c.Resolve()
@@ -185,13 +185,12 @@ func InjectCtx(ctx context.Context, p *isa.Program, c Config, samples int, seed 
 // paper's sufficient and necessary conditions on a representative graph
 // (Section 4). Valid names: EdgCF, RCF, ECF, CFCSS, ECCA.
 func VerifyScheme(name string) (sig.Result, error) {
-	return VerifySchemeObs(name, nil, nil)
+	return VerifySchemeObs(name, nil)
 }
 
-// VerifySchemeObs is VerifyScheme with observability: per-check-evaluation
-// events on tr and explored-state/check-verdict counters on reg (both may
-// be nil).
-func VerifySchemeObs(name string, tr *obs.Tracer, reg *obs.Registry) (sig.Result, error) {
+// VerifySchemeObs is VerifyScheme with observability: explored-state and
+// check-verdict counters on reg (which may be nil).
+func VerifySchemeObs(name string, reg *obs.Registry) (sig.Result, error) {
 	g := &sig.Graph{Succs: [][]sig.BlockID{{1}, {2}, {1, 3}, {0, 4}, {}}}
 	var scheme sig.Scheme
 	switch strings.ToLower(name) {
@@ -208,5 +207,5 @@ func VerifySchemeObs(name string, tr *obs.Tracer, reg *obs.Registry) (sig.Result
 	default:
 		return sig.Result{}, fmt.Errorf("unknown scheme %q", name)
 	}
-	return sig.VerifyObs(g, scheme, tr, reg), nil
+	return sig.VerifyObs(g, scheme, reg), nil
 }

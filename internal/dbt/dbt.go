@@ -34,11 +34,6 @@ type Options struct {
 	Costs *cpu.CostModel
 	// Body, when non-nil, rewrites block bodies (data-flow checking).
 	Body BodyTransform
-	// Trace, when non-nil, receives structured translator events (block
-	// translated, stub dispatched, chain patched, trace formed, cache
-	// invalidated, check sites) plus the machine's fault/check events.
-	// The nil fast path costs one branch per instrumented site.
-	Trace *obs.Tracer
 }
 
 const defaultTraceThreshold = 16
@@ -361,12 +356,6 @@ func (d *DBT) Advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 		m.Cycles += uint64(d.opts.Costs.DispatchCost)
 		d.stats.Dispatches++
 		s.count++
-		if d.opts.Trace != nil {
-			d.opts.Trace.Emit(obs.Event{
-				Kind: obs.EvStubDispatch, Step: m.Steps,
-				Guest: s.guest, Addr: s.slot, Value: int64(s.count),
-			})
-		}
 		tb, err := d.ensure(s.guest)
 		if err != nil {
 			return cpu.Stop{Reason: cpu.StopBadFetch, IP: stop.IP, Detail: err.Error()}
@@ -399,25 +388,17 @@ func (d *DBT) Advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 			d.cache[s.slot] = isa.Instr{Op: isa.OpJmp, Imm: isa.OffsetFor(s.slot, tb.CacheStart)}
 			d.comp.Redecode(s.slot)
 			s.chained = true
-			if d.opts.Trace != nil {
-				d.opts.Trace.Emit(obs.Event{
-					Kind: obs.EvChainPatch, Step: m.Steps,
-					Guest: s.guest, Addr: s.slot,
-				})
-			}
 		}
 		m.IP = tb.CacheStart
 	}
 }
 
-// Finish packages a completed execution into a Result and emits the
-// post-run machine events (fault fired, check failed).
+// Finish packages a completed execution into a Result.
 func (d *DBT) Finish(m *cpu.Machine, stop cpu.Stop) *Result {
 	return d.result(m, stop)
 }
 
 func (d *DBT) result(m *cpu.Machine, stop cpu.Stop) *Result {
-	cpu.TraceRunOutcome(d.opts.Trace, m, stop)
 	st := d.stats
 	r := &Result{
 		Stop:           stop,
@@ -564,12 +545,6 @@ func (d *DBT) translate(guest uint32) *TBlock {
 	tb.CacheEnd = uint32(len(d.cache))
 	d.stats.BlocksTranslated++
 	d.stats.GuestInstrsTranslated += uint64(end - guest)
-	if d.opts.Trace != nil {
-		d.opts.Trace.Emit(obs.Event{
-			Kind: obs.EvBlockTranslated, Guest: guest,
-			Addr: tb.CacheStart, Len: tb.CacheEnd - tb.CacheStart, Checked: tb.Checked,
-		})
-	}
 	// Translation cost accrues into a pending pool; the run loop charges it
 	// to the machine at the dispatch that triggered translation.
 	d.pendingCycles += uint64(d.opts.Costs.TranslateUnit) * uint64(tb.CacheEnd-tb.CacheStart)
@@ -643,7 +618,6 @@ func (d *DBT) Locate(cacheAddr uint32) (*TBlock, bool) {
 // protection); this implementation models the recovery with a full flush,
 // after which execution naturally retranslates on demand.
 func (d *DBT) Invalidate() {
-	d.opts.Trace.Emit(obs.Event{Kind: obs.EvCacheInvalidate, Value: int64(len(d.cache))})
 	d.cache = nil
 	d.blocks = make(map[uint32]*TBlock)
 	d.snapBlocks = nil

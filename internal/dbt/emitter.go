@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/obs"
 )
 
 // Emitter appends translated instructions to the code cache on behalf of
@@ -86,14 +85,10 @@ func (e *Emitter) Lea3(rd, rs1, rs2 isa.Reg, imm int32) {
 func (e *Emitter) Report() { e.Emit(isa.Instr{Op: isa.OpReport}) }
 
 // NoteCheck records that the technique emitted one signature-check
-// sequence starting at the current PC: it feeds the per-technique
-// check-site counter and the optional event trace. Techniques call it
-// once per emitted check.
+// sequence: it feeds the per-technique check-site counter. Techniques
+// call it once per emitted check.
 func (e *Emitter) NoteCheck() {
 	e.d.stats.CheckSites++
-	if e.d.opts.Trace != nil {
-		e.d.opts.Trace.Emit(obs.Event{Kind: obs.EvCheckSite, Addr: e.PC()})
-	}
 }
 
 // PushGuestReturn pushes the guest return address for a translated call.

@@ -1,7 +1,5 @@
 package dbt
 
-import "repro/internal/obs"
-
 // Hot-trace backend: the frontend counts dispatches through back-edge
 // stubs; when a loop head gets hot, the backend re-emits the loop body as a
 // straight-line superblock. Blocks linked by unconditional transfers or by
@@ -79,10 +77,6 @@ func (d *DBT) formTrace(head uint32) *TBlock {
 	}
 	tb.CacheEnd = uint32(len(d.cache))
 	tb.Checked = true
-	d.opts.Trace.Emit(obs.Event{
-		Kind: obs.EvTraceFormed, Guest: head,
-		Addr: tb.CacheStart, Len: tb.CacheEnd - tb.CacheStart, Value: int64(len(pieces)),
-	})
 	d.tlist = append(d.tlist, tb)
 	// Future transfers to the loop head land on the trace. Translations of
 	// the interior blocks keep their standalone versions for side entries.

@@ -251,7 +251,7 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 	if short == shortNone {
 		res := r.finish(m, stop)
 		observeRestore(c, label, restored, res.Steps-restored, shortNone)
-		settle(cfg, r, c, label, base, res, f, sample, want, out)
+		settle(r, c, label, base, res, f, sample, want, out)
 		return
 	}
 	// The synthesized tail executed nothing: the compiled-backend work is

@@ -94,7 +94,7 @@ func Execute(ctx context.Context, p *isa.Program, cfg Config, opts ...ExecOption
 				return nil, err
 			}
 		}
-		t := newNativeTarget(n, cfg.Backend, cfg.Trace)
+		t := newNativeTarget(n, cfg.Backend)
 		warm.End()
 		return cfg.run(ctx, p, plan.label, t, n.cleanSteps, plan.log)
 	}

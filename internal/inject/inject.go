@@ -185,12 +185,6 @@ const DefaultMaxSteps = 50_000_000
 // (cfg.Workers reads as before); keyed literals name it explicitly
 // (Config{Options: Options{Workers: 4}}).
 type Options struct {
-	// Trace, when non-nil, receives structured events (campaign
-	// start/end, fault fired, check failed, error detected, plus the
-	// translator events of every sample clone). Events from concurrent
-	// samples interleave in completion order; only metrics are
-	// deterministic across worker counts.
-	Trace *obs.Tracer
 	// Metrics, when non-nil, receives campaign metrics: outcome counters,
 	// per-category detection-latency histograms, translator counters and
 	// code-cache occupancy. Samples observe into per-worker collector
@@ -255,8 +249,8 @@ type Config struct {
 	RegFaults bool
 	// Body forwards a body transform (data-flow checking) to the DBT.
 	Body dbt.BodyTransform
-	// Options is the shared execution surface (Trace, Metrics, Workers,
-	// CkptInterval), promoted so existing selector access keeps working.
+	// Options is the shared execution surface (Metrics, Flight, Workers,
+	// CkptInterval, ...), promoted so existing selector access keeps working.
 	Options
 }
 
@@ -378,7 +372,6 @@ func Warm(p *isa.Program, cfg Config) (*dbt.Snapshot, *dbt.Result, error) {
 		Policy:         cfg.Policy,
 		TraceThreshold: cfg.TraceThreshold,
 		Body:           cfg.Body,
-		Trace:          cfg.Trace,
 		Backend:        cfg.Backend,
 	})
 	clean := d.Run(nil, cfg.MaxSteps)
@@ -428,7 +421,6 @@ func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t targe
 	rep.WarmTranslator = rep.Translator
 	rep.WarmCompiled = rep.Compiled
 
-	cfg.Trace.Emit(obs.Event{Kind: obs.EvCampaignStart, Detail: p.Name + "/" + label})
 	cfg.Progress.Begin(cfg.Samples, rep.Workers, progressLabels())
 	shards := newShards(cfg.Metrics, rep.Workers)
 	results := make([]sampleResult, cfg.Samples)
@@ -449,7 +441,6 @@ func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t targe
 		rep.Compiled.Publish(cfg.Metrics, label)
 		t.publish(cfg.Metrics, label, rep)
 	}
-	cfg.Trace.Emit(obs.Event{Kind: obs.EvCampaignEnd, Value: int64(cfg.Samples), Detail: p.Name + "/" + label})
 	return rep, nil
 }
 
@@ -491,7 +482,7 @@ func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Rep
 		if res == nil {
 			res = r.finish(m, r.advance(m, cfg.MaxSteps))
 		}
-		settle(cfg, r, c, label, base, res, f, cfg.SampleOffset+i, want, &results[i])
+		settle(r, c, label, base, res, f, cfg.SampleOffset+i, want, &results[i])
 		return nil
 	})
 	injSpan.End()
@@ -502,7 +493,7 @@ func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Rep
 // settle classifies one executed sample from its result into out and the
 // worker's shard c (nil when metrics are off). base is the warm-up
 // translator work the result's stats include.
-func settle(cfg *Config, r runner, c *obs.Collector, label string, base dbt.Stats, res *dbt.Result,
+func settle(r runner, c *obs.Collector, label string, base dbt.Stats, res *dbt.Result,
 	f *cpu.Fault, sample int, want []int32, out *sampleResult) {
 	out.stats = res.Stats.Sub(base)
 	out.comp = res.Comp
@@ -520,13 +511,6 @@ func settle(cfg *Config, r runner, c *obs.Collector, label string, base dbt.Stat
 	}
 	if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
 		rec.Latency = res.Steps - f.FiredStep
-		if cfg.Trace != nil {
-			cfg.Trace.Emit(obs.Event{
-				Kind: obs.EvErrorDetected, Sample: obs.SampleRef(sample),
-				Value:  int64(rec.Latency),
-				Detail: rec.Outcome.String() + "/" + rec.Category.String(),
-			})
-		}
 	}
 	if c != nil {
 		observeSample(c, label, &rec, res.SigChecks, res.CacheSize)

@@ -1,10 +1,8 @@
 package inject
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -117,65 +115,6 @@ func TestCampaignMetricsContents(t *testing.T) {
 	}
 	if s.Counters[`cpu_sig_checks_total{technique="RCF"}`] == 0 {
 		t.Error("no executed signature checks counted")
-	}
-}
-
-// TestCampaignTraceEvents: with a tracer attached, a campaign emits a
-// well-formed JSONL stream bracketed by campaign start/end, with
-// detection events carrying sample indices and latencies.
-func TestCampaignTraceEvents(t *testing.T) {
-	var buf bytes.Buffer
-	tr := obs.NewTracer(&buf)
-	p := mustAssemble(t, workload)
-	rep, err := Execute(context.Background(), p, Config{
-		Technique: &check.RCF{Style: dbt.UpdateCmov},
-		Samples:   100, Seed: 1,
-		MaxSteps: 10_000_000,
-		Options:  Options{Workers: 4, Trace: tr},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	kinds := map[string]int{}
-	detections := 0
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
-		}
-		kinds[ev.Kind]++
-		if ev.Kind == obs.EvErrorDetected {
-			detections++
-			if ev.Sample == nil || *ev.Sample < 0 || *ev.Sample >= rep.Samples {
-				t.Fatalf("detection event without valid sample: %+v", ev)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if kinds[obs.EvCampaignStart] != 1 || kinds[obs.EvCampaignEnd] != 1 {
-		t.Errorf("campaign bracketing events: %d start, %d end",
-			kinds[obs.EvCampaignStart], kinds[obs.EvCampaignEnd])
-	}
-	if kinds[obs.EvBlockTranslated] == 0 {
-		t.Error("no block-translated events from the warm-up")
-	}
-	if kinds[obs.EvCheckSite] == 0 {
-		t.Error("no check-site events under RCF")
-	}
-	if detections != rep.Totals.Detected() {
-		t.Errorf("%d detection events, report says %d detected",
-			detections, rep.Totals.Detected())
-	}
-	if kinds[obs.EvFaultFired] == 0 {
-		t.Error("no fault-fired events")
 	}
 }
 

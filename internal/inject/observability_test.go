@@ -63,8 +63,8 @@ func decodeDumps(t *testing.T, buf *bytes.Buffer) []obs.FlightDump {
 }
 
 // checkDumps asserts the forensic invariants every dump must satisfy: the
-// deterministic re-run reproduces the campaign's classification, the ring
-// is non-empty, and its final event is the stop.
+// deterministic re-run reproduces the campaign's classification, and the
+// ring ends with the one fault-fired marker followed by the stop.
 func checkDumps(t *testing.T, dumps []obs.FlightDump, rep *Report) {
 	t.Helper()
 	anomalies := rep.Totals.Count[OutSDC] + rep.Totals.Count[OutHang]
@@ -75,12 +75,23 @@ func checkDumps(t *testing.T, dumps []obs.FlightDump, rep *Report) {
 		if d.Replayed != d.Outcome {
 			t.Errorf("sample %d: re-run classified %s, campaign %s", d.Sample, d.Replayed, d.Outcome)
 		}
-		if len(d.Events) == 0 {
-			t.Errorf("sample %d: empty event ring", d.Sample)
+		n := len(d.Events)
+		if n < 2 {
+			t.Errorf("sample %d: %d events, want at least fault-fired and stop", d.Sample, n)
 			continue
 		}
-		if last := d.Events[len(d.Events)-1]; last.Kind != obs.EvStop {
+		if last := d.Events[n-1]; last.Kind != obs.EvStop {
 			t.Errorf("sample %d: last event kind %q, want %q", d.Sample, last.Kind, obs.EvStop)
+		}
+		fired := 0
+		for _, ev := range d.Events {
+			if ev.Kind == obs.EvFaultFired {
+				fired++
+			}
+		}
+		if fired != 1 || d.Events[n-2].Kind != obs.EvFaultFired {
+			t.Errorf("sample %d: %d fault-fired events, second-to-last %q; want exactly one, directly before the stop",
+				d.Sample, fired, d.Events[n-2].Kind)
 		}
 		if d.SampleSeed == 0 {
 			t.Errorf("sample %d: zero sample seed", d.Sample)

@@ -121,7 +121,7 @@ func TestStaticWithNativeMatchesCold(t *testing.T) {
 		t.Fatalf("warm state records %d clean steps, clean run %d steps / %d branches",
 			n.cleanSteps, clean.Steps, clean.DirectBranches)
 	}
-	if blocks := len(newNativeTarget(n, comp.BackendCompile, nil).g.Blocks); len(n.starts) == 0 || len(n.starts) >= blocks {
+	if blocks := len(newNativeTarget(n, comp.BackendCompile).g.Blocks); len(n.starts) == 0 || len(n.starts) >= blocks {
 		t.Errorf("warm state keeps %d starts of %d CFG blocks, want a non-empty reached subset", len(n.starts), blocks)
 	}
 	for _, ck := range []int64{0, -1} {

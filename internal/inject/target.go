@@ -161,7 +161,6 @@ func WarmNative(p *isa.Program, cfg Config) (*Native, *dbt.Result, error) {
 	m := cpu.New()
 	m.Reset(p)
 	stop := comp.Run(cfg.Backend, eng, m, p.Code, cfg.MaxSteps)
-	cpu.TraceRunOutcome(cfg.Trace, m, stop)
 	if stop.Reason != cpu.StopHalt {
 		return nil, nil, fmt.Errorf("%s: clean run ended with %v", p.Name, stop)
 	}
@@ -206,12 +205,11 @@ type nativeTarget struct {
 	g       *cfg.Graph
 	backend comp.Backend
 	eng     *comp.Engine // frozen; nil for the step backend
-	trace   *obs.Tracer
 }
 
-func newNativeTarget(n *Native, backend comp.Backend, trace *obs.Tracer) *nativeTarget {
+func newNativeTarget(n *Native, backend comp.Backend) *nativeTarget {
 	p := n.prog
-	t := &nativeTarget{warm: n, g: cfg.Build(p), backend: backend, trace: trace}
+	t := &nativeTarget{warm: n, g: cfg.Build(p), backend: backend}
 	if backend.Compiled() {
 		t.eng = comp.NewEngine(p.Code, nil, 0)
 		t.eng.Freeze(n.starts)
@@ -273,7 +271,6 @@ func (r *nativeRunner) advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
 }
 
 func (r *nativeRunner) finish(m *cpu.Machine, stop cpu.Stop) *dbt.Result {
-	cpu.TraceRunOutcome(r.t.trace, m, stop)
 	r.res = dbt.Result{
 		Stop:           stop,
 		Cycles:         m.Cycles,

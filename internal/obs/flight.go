@@ -11,7 +11,32 @@ import (
 // machine/translator events for one sample, dumped as JSONL only when
 // the injector classifies an anomalous outcome (silent data corruption,
 // hang-budget exhaustion). Forensic traces for the samples that matter,
-// without paying full -trace cost on million-sample campaigns.
+// with nothing paid on the campaign's hot path.
+
+// Event is one flight-recorder record. Kind is always set; zero-valued
+// fields are omitted from the JSONL encoding, so consumers must treat an
+// absent field as zero.
+type Event struct {
+	Kind   string `json:"kind"`
+	Step   uint64 `json:"step,omitempty"`
+	Addr   uint32 `json:"addr,omitempty"`
+	Value  int64  `json:"value,omitempty"`
+	Detail string `json:"detail,omitempty"`
+}
+
+// Event kinds a flight ring holds.
+const (
+	// EvBranch: one executed direct branch, captured by the re-run's
+	// branch hook (step, addr=IP, value=resolved target,
+	// detail=taken/fall-through).
+	EvBranch = "branch"
+	// EvFaultFired: the planted transient fault fired (step, addr=IP,
+	// detail=fault kind/bit). Appended once, after the re-run.
+	EvFaultFired = "fault-fired"
+	// EvStop: the re-run's final machine stop (step, addr=stop IP,
+	// detail=stop reason).
+	EvStop = "stop"
+)
 
 // DefaultFlightDepth is the ring capacity when none is configured: the
 // last 64 events lead from well before the fault fired to the stop.

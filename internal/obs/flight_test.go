@@ -11,7 +11,7 @@ import (
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Append(Event{Seq: uint64(i), Kind: EvBranch, Step: uint64(i)})
+		r.Append(Event{Kind: EvBranch, Step: uint64(i)})
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
@@ -21,8 +21,8 @@ func TestRingWraparound(t *testing.T) {
 	}
 	evs := r.Events()
 	for i, ev := range evs {
-		if want := uint64(6 + i); ev.Seq != want {
-			t.Errorf("events[%d].Seq = %d, want %d (oldest first)", i, ev.Seq, want)
+		if want := uint64(6 + i); ev.Step != want {
+			t.Errorf("events[%d].Step = %d, want %d (oldest first)", i, ev.Step, want)
 		}
 	}
 }
@@ -32,13 +32,13 @@ func TestRingPartialFill(t *testing.T) {
 	if cap(r.buf) != DefaultFlightDepth {
 		t.Fatalf("default capacity = %d, want %d", cap(r.buf), DefaultFlightDepth)
 	}
-	r.Append(Event{Seq: 1})
-	r.Append(Event{Seq: 2})
+	r.Append(Event{Step: 1})
+	r.Append(Event{Step: 2})
 	if r.Len() != 2 || r.Dropped() != 0 {
 		t.Fatalf("Len/Dropped = %d/%d, want 2/0", r.Len(), r.Dropped())
 	}
 	evs := r.Events()
-	if len(evs) != 2 || evs[0].Seq != 1 || evs[1].Seq != 2 {
+	if len(evs) != 2 || evs[0].Step != 1 || evs[1].Step != 2 {
 		t.Fatalf("events = %v", evs)
 	}
 }
@@ -52,7 +52,7 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	in := FlightDump{
 		Sample: 7, SampleSeed: 0xdeadbeef, Technique: "RCF",
 		Outcome: "SDC", Replayed: "SDC", Dropped: 3,
-		Events: []Event{{Seq: 1, Kind: EvBranch, Addr: 0x40}},
+		Events: []Event{{Kind: EvBranch, Step: 1, Addr: 0x40}},
 	}
 	f.Dump(in)
 	if f.Dumps() != 1 {
@@ -64,6 +64,10 @@ func TestFlightRecorderRoundTrip(t *testing.T) {
 	sc := bufio.NewScanner(&buf)
 	if !sc.Scan() {
 		t.Fatal("no JSONL line written")
+	}
+	// An event carries only the fields the ring fills.
+	if want := `"events":[{"kind":"branch","step":1,"addr":64}]`; !bytes.Contains(sc.Bytes(), []byte(want)) {
+		t.Errorf("dump line %s lacks %s", sc.Bytes(), want)
 	}
 	var out FlightDump
 	if err := json.Unmarshal(sc.Bytes(), &out); err != nil {

@@ -1,15 +1,15 @@
 // Package obs is the observability layer shared by the translator, the
 // fault injector and the benchmark harness: a low-overhead metrics
 // registry (atomic counters, gauges and fixed-bucket histograms, with
-// per-worker sharded collectors that merge deterministically), a JSONL
-// event tracer with a nil-receiver fast path, and exporters in JSON and
-// Prometheus text format.
+// per-worker sharded collectors that merge deterministically), exporters
+// in JSON and Prometheus text format, and the per-sample flight recorder
+// that dumps the last events of each anomalous sample.
 //
 // Design rules:
 //
-//   - Disabled must be almost free. A nil *Tracer or nil *Registry is a
-//     valid receiver: every method short-circuits, so instrumented hot
-//     paths pay one branch when observability is off.
+//   - Disabled must be almost free. A nil *Registry or nil
+//     *FlightRecorder is a valid receiver: every method short-circuits,
+//     so instrumented hot paths pay one branch when observability is off.
 //   - Enabled must stay deterministic. Counters and histogram buckets
 //     merge by addition and gauges by maximum — all commutative and
 //     associative — so shards folded in any order produce identical
@@ -18,51 +18,3 @@
 //   - Exports must be diffable. Snapshots serialize with sorted series
 //     names; two equal snapshots produce byte-identical files.
 package obs
-
-// Event kinds emitted across the DBT and injection pipeline. The fields
-// populated by each kind are documented in README.md ("Observability").
-const (
-	// EvBlockTranslated: the translator emitted one basic block
-	// (guest=start, addr=cache start, len=cache instrs, checked=policy
-	// placed a signature check).
-	EvBlockTranslated = "block-translated"
-	// EvTraceFormed: the hot-trace backend built a superblock (guest=loop
-	// head, addr=cache start, len=cache instrs, value=merged blocks).
-	EvTraceFormed = "trace-formed"
-	// EvStubDispatch: an unchained direct edge dispatched through the
-	// translator (guest=target, addr=stub slot, value=dispatch count).
-	EvStubDispatch = "stub-dispatch"
-	// EvChainPatch: a chaining stub was patched into a direct jump
-	// (guest=target, addr=stub slot).
-	EvChainPatch = "chain-patch"
-	// EvCacheInvalidate: the code cache was flushed (value=instrs dropped).
-	EvCacheInvalidate = "cache-invalidate"
-	// EvCheckSite: a technique emitted a signature-check sequence
-	// (addr=cache address of the check).
-	EvCheckSite = "check-site"
-	// EvFaultFired: the planted transient fault fired (step, addr=IP,
-	// detail=fault kind/bit).
-	EvFaultFired = "fault-fired"
-	// EvCheckFail: a signature check executed its report instruction
-	// (step, addr=IP) — the software detection point.
-	EvCheckFail = "check-fail"
-	// EvCheckPass: a CHECK_SIG evaluated and passed. Emitted by the
-	// sig model checker (detail=node); runtime passing checks are counted
-	// as metrics, not traced per execution.
-	EvCheckPass = "check-pass"
-	// EvErrorDetected: the injector classified a detected sample
-	// (sample, value=detection latency in instructions, detail=
-	// outcome/category).
-	EvErrorDetected = "error-detected"
-	// EvCampaignStart / EvCampaignEnd bracket one injection campaign
-	// (detail=program/technique; end carries value=samples).
-	EvCampaignStart = "campaign-start"
-	EvCampaignEnd   = "campaign-end"
-	// EvBranch: one executed direct branch, captured by the flight
-	// recorder's re-run hook (step, addr=IP, value=resolved target,
-	// detail=taken/fall-through).
-	EvBranch = "branch"
-	// EvStop: the final machine stop of a flight-recorded re-run
-	// (step, addr=stop IP, detail=stop reason).
-	EvStop = "stop"
-)

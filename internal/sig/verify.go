@@ -34,21 +34,19 @@ type Result struct {
 // exploration memoizes on (node, state), so it terminates for any scheme
 // whose state space is finite on the given graph.
 func Verify(g *Graph, sch Scheme) Result {
-	return VerifyObs(g, sch, nil, nil)
+	return VerifyObs(g, sch, nil)
 }
 
-// VerifyObs is Verify with observability: every CHECK_SIG the model
-// checker evaluates emits a check-pass/check-fail event to tr, and the
-// exploration totals (states explored, checks evaluated, the verdict)
-// are published to reg, labeled by scheme. Both may be nil.
-func VerifyObs(g *Graph, sch Scheme, tr *obs.Tracer, reg *obs.Registry) Result {
+// VerifyObs is Verify with observability: the exploration totals (states
+// explored, checks passed and failed, the verdict) are published to reg,
+// labeled by scheme. reg may be nil.
+func VerifyObs(g *Graph, sch Scheme, reg *obs.Registry) Result {
 	if err := g.Validate(); err != nil {
 		panic(fmt.Sprintf("sig.Verify: %v", err))
 	}
 	v := &verifier{
 		sg:         Split(g),
 		sch:        sch,
-		tr:         tr,
 		cleanSeen:  map[cleanKey]bool{},
 		escapeMemo: map[escKey]escVal{},
 	}
@@ -99,7 +97,6 @@ type verifier struct {
 	sg         *SplitGraph
 	sch        Scheme
 	res        *Result
-	tr         *obs.Tracer
 	cleanSeen  map[cleanKey]bool
 	escapeMemo map[escKey]escVal
 	escStack   map[escKey]bool
@@ -108,17 +105,14 @@ type verifier struct {
 	checksFailed uint64
 }
 
-// noteCheck records one CHECK_SIG evaluation at node n (called only for
-// nodes that carry an entry check).
-func (v *verifier) noteCheck(n int, pass bool) {
-	kind := obs.EvCheckPass
+// noteCheck counts one CHECK_SIG evaluation (called only for nodes that
+// carry an entry check).
+func (v *verifier) noteCheck(pass bool) {
 	if pass {
 		v.checksPassed++
 	} else {
 		v.checksFailed++
-		kind = obs.EvCheckFail
 	}
-	v.tr.Emit(obs.Event{Kind: kind, Detail: v.nodeName(n)})
 }
 
 func (v *verifier) nodeName(n int) string {
@@ -141,7 +135,7 @@ func (v *verifier) exploreClean(n int, s State, path []string) {
 
 	st, ok := v.sch.Enter(v.sg, s, n)
 	if v.sch.HasEntryCheck(v.sg, n) {
-		v.noteCheck(n, ok)
+		v.noteCheck(ok)
 	}
 	if !ok {
 		if v.res.Necessary {
@@ -217,7 +211,7 @@ func (v *verifier) escapes(n int, s State, runEnter bool) escVal {
 		var ok bool
 		st, ok = v.sch.Enter(v.sg, s, n)
 		if ranCheck {
-			v.noteCheck(n, ok)
+			v.noteCheck(ok)
 		}
 		if !ok {
 			val := escVal{escapes: false}
