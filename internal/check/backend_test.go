@@ -133,8 +133,11 @@ func TestBackendDifferentialUnderFaults(t *testing.T) {
 // run, snapshots it, and runs the fault on a snapshot clone — the
 // campaign path, where the compiled backend executes from a frozen core.
 // Both backends must agree on state, counters, translator stats, output,
-// Stop and the fault record. Plain go test replays the seeds below and
-// testdata/fuzz/FuzzBackendDifferential.
+// Stop and the fault record. With bit 2 of polSel set, the input takes the
+// native campaign path instead (fuzzNative). Plain go test replays the
+// seeds below and testdata/fuzz/FuzzBackendDifferential, whose native-*
+// entries plant a fault on a guard's jrz, send an offset fault to a guard
+// continuation, and fail a check.
 func FuzzBackendDifferential(f *testing.F) {
 	f.Add(uint16(0), uint8(1), uint8(0), uint8(0), uint32(5), uint8(9), uint8(0))
 	f.Add(uint16(31), uint8(0), uint8(1), uint8(1), uint32(40), uint8(0), uint8(0))
@@ -145,6 +148,10 @@ func FuzzBackendDifferential(f *testing.F) {
 		p, err := prof.Build(0.02)
 		if err != nil {
 			t.Skip(err)
+		}
+		if polSel&4 != 0 {
+			fuzzNative(t, p, StaticKind(techSel&1), kind, index, bit, reg)
+			return
 		}
 		style := dbt.UpdateJcc
 		if techSel&1 == 1 {
@@ -161,29 +168,19 @@ func FuzzBackendDifferential(f *testing.F) {
 			fault cpu.Fault
 		}
 		var want outcome
-		var budget uint64
 		for bi, b := range backends {
 			d := dbt.New(p, dbt.Options{Technique: tech, Policy: pol, Backend: b})
 			clean := d.Run(nil, 200_000_000)
 			if clean.Stop.Reason != cpu.StopHalt {
 				t.Fatalf("%s/%v: clean %v", prof.Name, b, clean.Stop)
 			}
-			f := &cpu.Fault{Kind: cpu.FaultKind(kind % 3), Bit: uint(bit) % 32}
-			if f.Kind == cpu.FaultRegBit {
-				f.StepIndex = uint64(index) % (clean.Steps + 1)
-				f.Reg = isa.Reg(int(reg) % isa.NumRegs)
-			} else {
-				f.BranchIndex = uint64(index) % (clean.DirectBranches + 1)
-			}
-			// A fault can loop forever outside the ALLBB policy; twice the
-			// clean run is far past any detection latency.
-			budget = 2*clean.Steps + 10_000
+			f := fuzzFault(kind, index, bit, reg, clean.Steps, clean.DirectBranches)
 			c := d.Snapshot().NewDBT()
 			m, res := c.Start(f)
 			if res != nil {
 				t.Fatalf("%s/%v: start: %v", prof.Name, b, res.Stop)
 			}
-			stop := c.Advance(m, budget)
+			stop := c.Advance(m, faultBudget(clean.Steps))
 			got := outcome{
 				backendOutcome: backendOutcome{state: m.CaptureState(), stop: stop, out: m.Output},
 				stats:          c.StatsSnapshot(),
@@ -204,4 +201,68 @@ func FuzzBackendDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzFault derives FuzzBackendDifferential's planted fault from its
+// inputs, at a dynamic site of a clean run of steps steps and branches
+// direct branches.
+func fuzzFault(kind uint8, index uint32, bit, reg uint8, steps, branches uint64) *cpu.Fault {
+	f := &cpu.Fault{Kind: cpu.FaultKind(kind % 3), Bit: uint(bit) % 32}
+	if f.Kind == cpu.FaultRegBit {
+		f.StepIndex = uint64(index) % (steps + 1)
+		f.Reg = isa.Reg(int(reg) % isa.NumRegs)
+	} else {
+		f.BranchIndex = uint64(index) % (branches + 1)
+	}
+	return f
+}
+
+// faultBudget bounds a faulty run: a fault can loop forever outside the
+// ALLBB policy, and twice the clean run is far past any detection latency.
+func faultBudget(cleanSteps uint64) uint64 { return 2*cleanSteps + 10_000 }
+
+// fuzzNative is FuzzBackendDifferential's native arm: p instrumented
+// statically with kind runs natively, as the checkpoint engine's native
+// campaigns do — the step interpreter against a view of a compiled core
+// frozen over the block starts a clean run on an adaptive engine reached
+// (inject.WarmNative's starts). Every check is a guard, so faults land on
+// guards' jrz branches, jump into guard continuations (a cold entry no
+// block starts at) and fail checks.
+func fuzzNative(t *testing.T, p *isa.Program, kind StaticKind, faultKind uint8, index uint32, bit, reg uint8) {
+	ip, err := InstrumentStatic(p, kind)
+	if err != nil {
+		t.Skip(err)
+	}
+	warm := comp.NewEngine(ip.Code, nil, 0)
+	clean := cpu.New()
+	clean.Reset(ip)
+	if stop := warm.Run(clean, ip.Code, 200_000_000); stop.Reason != cpu.StopHalt {
+		t.Fatalf("%s: clean %v", ip.Name, stop)
+	}
+	eng := comp.NewEngine(ip.Code, nil, 0)
+	eng.Freeze(warm.Reached())
+	budget := faultBudget(clean.Steps)
+
+	var want backendOutcome
+	var wantFault cpu.Fault
+	for bi, b := range backends {
+		f := fuzzFault(faultKind, index, bit, reg, clean.Steps, clean.DirectBranches)
+		m := cpu.New()
+		m.Reset(ip)
+		m.Fault = f
+		var v *comp.Engine
+		if b.Compiled() {
+			v = eng.Clone()
+		}
+		stop := comp.Run(b, v, m, ip.Code, budget)
+		got := backendOutcome{state: m.CaptureState(), stop: stop, out: m.Output}
+		if bi == 0 {
+			want, wantFault = got, *f
+			continue
+		}
+		if got.state != want.state || got.stop != want.stop || *f != wantFault || !equalOut(got.out, want.out) {
+			t.Errorf("%s/%v: %+v diverged from step\n got: %+v %v\n      %+v\nwant: %+v %v\n      %+v",
+				ip.Name, b, *f, got.state, got.stop, *f, want.state, want.stop, wantFault)
+		}
+	}
 }

@@ -25,7 +25,8 @@ import (
 // normalized report, per-sample records, translator stats and campaign
 // metrics (outside the engines' own ckpt_ and comp_ series). Plain
 // `go test` replays the seed corpus in testdata/fuzz, which includes
-// inputs whose campaigns rejoin.
+// inputs whose campaigns rejoin, one of them (rejoin-cfcss-guard-
+// continuation) at a CFCSS guard's continuation, where no block starts.
 func FuzzCkptRejoinMatchesReplay(f *testing.F) {
 	f.Add(uint16(3), uint8(7), uint8(0), int64(1), uint8(40))
 	f.Add(uint16(11), uint8(0), uint8(1), int64(2), uint8(0))

@@ -22,9 +22,10 @@ type Page struct {
 // Point is one checkpoint: everything needed to rebuild the machine at a
 // step boundary of the clean reference run. Recorders capture at every
 // interval boundary and, when that falls inside a block, again at the
-// next block entry of the compiled engine samples run on, where a sample
-// that rejoins the reference trajectory passes the point in view of its
-// engine's watch (see Replayer.Rejoins).
+// next block entry or guard continuation (comp.Guard) of the compiled
+// engine samples run on, where a sample that rejoins the reference
+// trajectory passes the point in view of its engine's watch (see
+// Replayer.Rejoins).
 type Point struct {
 	// State is the architectural and counter state at the boundary.
 	State cpu.State
@@ -107,7 +108,7 @@ func (l *Log) finish(m *cpu.Machine, stop cpu.Stop, prefix dbt.Stats, cacheSize 
 
 // Record performs the instrumented clean reference run on a private clone
 // of snap, capturing a checkpoint every interval steps and at the first
-// compiled block entry after each. It returns the log even when the run
+// compiled block entry or guard continuation after each. It returns the log even when the run
 // does not halt (Stop records how it ended); callers decide whether that
 // is an error.
 func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
@@ -125,10 +126,11 @@ func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
 // execution of p on an unfrozen compiled engine that resumes at each
 // boundary. starts are the block starts, in address order, of the frozen
 // engine samples run on (inject.Native's reached set): besides every
-// interval boundary, the recorder captures the first of them entered at
-// or after it. Nil starts (samples on the step backend) capture the
-// boundaries only. Native runs share no translator state, so recording
-// never truncates.
+// interval boundary, the recorder captures the first of them or of the
+// guard continuations (comp.AfterGuard) entered at or after it — the
+// points that engine's watch sees. Nil starts (samples on the step
+// backend) capture the boundaries only. Native runs share no translator
+// state, so recording never truncates.
 func RecordStatic(p *isa.Program, starts []uint32, interval, maxSteps uint64) (*Log, error) {
 	m := cpu.New()
 	m.Reset(p)
@@ -137,17 +139,17 @@ func RecordStatic(p *isa.Program, starts []uint32, interval, maxSteps uint64) (*
 	none := func() dbt.Stats { return dbt.Stats{} }
 	entry := func(ip uint32) bool {
 		_, found := slices.BinarySearch(starts, ip)
-		return found || starts == nil
+		return found || starts == nil || comp.AfterGuard(p.Code, ip)
 	}
 	return record(m, interval, maxSteps, advance, none, func() int { return 0 }, entry)
 }
 
 // record is the capture loop both recorders share: it advances the run on
 // m to every interval boundary and captures a point there, plus one at the
-// next address entry accepts (a block entry of the samples' engine) when
-// the boundary is not one. prefix reports the translator work accumulated
-// so far (a delta over the snapshot baseline; zero for native runs) and
-// cacheLen the final code cache size.
+// next address entry accepts (a block entry or guard continuation of the
+// samples' engine) when the boundary is not one. prefix reports the
+// translator work accumulated so far (a delta over the snapshot baseline;
+// zero for native runs) and cacheLen the final code cache size.
 func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine, uint64) cpu.Stop,
 	prefix func() dbt.Stats, cacheLen func() int, entry func(ip uint32) bool) (*Log, error) {
 	if interval == 0 {
@@ -164,8 +166,9 @@ func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine
 		stop := advance(m, min(boundary, maxSteps))
 		// Capture the boundary, and when it falls inside a block, step on
 		// to the next block entry of the samples' engine and capture that
-		// too: a rejoining sample's watch sees only block entries, while
-		// the boundary point keeps every restore as close to its fault.
+		// too: a rejoining sample's watch sees only block entries and guard
+		// continuations, while the boundary point keeps every restore as
+		// close to its fault.
 		for {
 			pre := prefix()
 			if stop.Reason != cpu.StopOutOfSteps || m.Steps >= maxSteps {

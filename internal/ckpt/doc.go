@@ -18,13 +18,15 @@
 // points captured earlier remain valid (graceful degradation down to
 // "checkpoint 0 only", which is plain replay).
 //
-// Captures land on block entries too. Besides every interval boundary,
-// the recorder captures the first block entry of the samples' compiled
-// engine at or after it (when the boundary is not one itself). The
-// boundary points keep each restore as close to its fault site as plain
-// interval spacing would. The block-entry points are where the engine's
-// watch can see a faulty sample that rejoined the reference run, and
-// Replayer.Rejoins confirms such a rejoin exactly. Only the geometry
+// Captures land on watchable points too. Besides every interval
+// boundary, the recorder captures the first point at or after it that is
+// a block entry or a guard continuation of the samples' compiled engine
+// (when the boundary is not one itself); a guard is a signature check's
+// "jump if zero over a report", which runs inside a compiled block
+// (comp.Guard). The boundary points keep each restore as close to its
+// fault site as plain interval spacing would. The watchable points are
+// where the engine's watch can see a faulty sample that rejoined the
+// reference run, and Replayer.Rejoins confirms such a rejoin exactly. Only the geometry
 // changed, not the format: a log recorded before carries no block-entry
 // points, restores exactly as ever, and merely lets fewer samples rejoin.
 //

@@ -2,11 +2,15 @@
 // block (and each straight-line hot trace across unconditional jumps) is
 // compiled once into a fused superinstruction array whose body keeps the
 // instruction pointer, step and cycle counters and the condition flags in
-// locals, materializing flags only at reads and at tier boundaries. Blocks
-// dispatch block-to-block through direct chain slots — pointers patched into
-// the terminator the first time a transition resolves, mirroring the DBT's
-// patched-cache chaining — with a dense by-address table as the unchained
-// fallback.
+// locals, materializing flags only at reads and at tier boundaries. A
+// signature check's "jump if zero over a report" (Guard) does not end a
+// block: it compiles, together with the lea chain computing the checked
+// register, into one in-block guard uop that leaves the block only when
+// the check fails, so a passing check costs one uop on the hot path.
+// Blocks dispatch block-to-block through direct chain slots — pointers
+// patched into the terminator the first time a transition resolves,
+// mirroring the DBT's patched-cache chaining — with a dense by-address
+// table as the unchained fallback.
 //
 // Execution is two-tier: a block starts life on the reference interpreter
 // (Machine.Step, block at a time) and an execution-count threshold
@@ -206,8 +210,9 @@ type Engine struct {
 	coldBlocks map[uint32]*cblock
 
 	// The view's optional watch (see Watch): Run stops before entering a
-	// block at watchIP while the registers equal *watchRegs, or at the
-	// first block entry past watchUntil. A nil watchRegs disarms it.
+	// block at watchIP, or continuing past a guard to it, while the
+	// registers equal *watchRegs, or at the first block entry past
+	// watchUntil. A nil watchRegs disarms it.
 	watchIP    uint32
 	watchRegs  *[isa.NumRegs]int32
 	watchUntil uint64
@@ -321,23 +326,27 @@ func (e *Engine) Reached() []uint32 {
 	return starts
 }
 
-// BlockStart reports whether a compiled block starts at ip: the block
-// entries where Run checks its watch on every transition. A nil engine
-// (the step backend) reports every address, since it has no watch to
-// place points for.
+// BlockStart reports whether Run's watch can fire at ip: a compiled block
+// starts there, where Run checks its watch on every transition, or ip is a
+// guard's continuation, where both tiers check it after a passing guard. A
+// nil engine (the step backend) reports every address, since it has no
+// watch to place points for.
 func (e *Engine) BlockStart(ip uint32) bool {
-	return e == nil || (ip < uint32(len(e.c.byAddr)) && e.c.byAddr[ip] != nil)
+	return e == nil || (ip < uint32(len(e.c.byAddr)) && e.c.byAddr[ip] != nil) || AfterGuard(e.code, ip)
 }
 
 // Watch arms the view's watch: Run returns cpu.StopWatch, with the machine
-// state flushed, before it enters a block starting at ip while m.Regs
-// equal *regs. It checks at its loop head and on every chain transition,
-// so an armed watch sees each block entry and an unarmed one costs one
-// compare per transition. until is a soft step deadline: Run also returns
-// StopWatch at the first block entry where the step count has reached
-// until or the next block would carry it past, so an expiring watch never
-// leaves the machine mid-block. regs must stay unchanged while armed; nil
-// disarms. The shared core is untouched: every view has its own watch.
+// state flushed, before it enters a block starting at ip, or continues
+// past a guard to ip, while m.Regs equal *regs. It checks at its loop
+// head, on every chain transition and after every passing guard, so an
+// armed watch sees each block entry and guard continuation and an unarmed
+// one costs one compare per transition or guard. until is a soft step
+// deadline: Run also returns StopWatch at the first block entry (or, on
+// the interpreted tier, guard continuation) where the step count has
+// reached until or the next block would carry it past, so an expiring
+// watch never leaves the machine mid-block. regs must stay unchanged
+// while armed; nil disarms. The shared core is untouched: every view has
+// its own watch.
 func (e *Engine) Watch(ip uint32, regs *[isa.NumRegs]int32, until uint64) {
 	if e != nil {
 		e.watchIP, e.watchRegs, e.watchUntil = ip, regs, until
@@ -459,18 +468,27 @@ func (e *Engine) Run(m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop
 }
 
 // interpBlock executes one basic block (through its terminator) on the
-// reference interpreter, stopping early on a trap or the step budget.
+// reference interpreter, stopping early on a trap or the step budget. A
+// passing guard does not end the block; at its continuation an armed
+// watch is checked as at a block entry.
 func (e *Engine) interpBlock(m *cpu.Machine, code []isa.Instr, maxSteps uint64) (cpu.Stop, bool) {
 	for {
 		if m.Steps >= maxSteps {
 			return cpu.Stop{Reason: cpu.StopOutOfSteps, IP: m.IP}, true
 		}
-		wasTerm := m.IP < uint32(len(code)) && code[m.IP].Op.IsTerminator()
+		ip := m.IP
+		wasTerm := ip < uint32(len(code)) && code[ip].Op.IsTerminator()
 		if stop, done := m.Step(code); done {
 			return stop, true
 		}
-		if wasTerm {
+		if !wasTerm {
+			continue
+		}
+		if m.IP != ip+2 || !Guard(code, ip) {
 			return cpu.Stop{}, false
+		}
+		if e.watchRegs != nil && (m.Steps >= e.watchUntil || (m.IP == e.watchIP && m.Regs == *e.watchRegs)) {
+			return cpu.Stop{Reason: cpu.StopWatch, IP: m.IP}, true
 		}
 	}
 }

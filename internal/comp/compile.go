@@ -4,7 +4,9 @@ import "repro/internal/isa"
 
 // uop kinds. Layout matters in two places: the exec switch compiles to a
 // dense jump table, and resolveChains treats [uJmp, uDecJcc] as the range of
-// terminators carrying chain slots.
+// terminators carrying chain slots. The in-block kinds that can leave a
+// block early without a chain slot (uGuard, then uBr) sit just below that
+// range.
 const (
 	// Straight-line singles (one guest instruction each).
 	uMovRI uint8 = iota
@@ -68,6 +70,10 @@ const (
 	uMoviMulNF // same, mul flags elided
 	uMoviLoad  // movi rs1,imm ; load rd,[rs1+off] (aux = imm+off precomputed)
 	uMoviStore // movi rs1,imm ; store [rs1+off],rs2 (aux = imm+off)
+	// Signature-check guard: lea rd,rs1,imm ; lea rs2,rd,aux ; jrz rs2,+1
+	// over a report (see Guard). Shorter checks fill the missing leas with
+	// identities. A passing check continues inline past the report.
+	uGuard
 	// Trace-internal unconditional branch (accounting only; the successor's
 	// uops follow inline).
 	uBr
@@ -106,6 +112,29 @@ type uop struct {
 	preCycles uint32
 	taken     *cblock // chain slot: branch-taken successor
 	fall      *cblock // chain slot: fall-through successor
+}
+
+// Guard reports whether code[ip] is a signature-check guard: a jrz over
+// the next instruction (jrz r,+1) whose fall-through is OpReport, the check
+// branch of the paper's Figure 13 and of CFCSS. A guard does not end a
+// block on either tier: the compiled tier runs it as an in-block uop that
+// leaves the block only when the check fails, and the interpreter runs on
+// past it. Its continuation (ip+2) is a watchable point (see BlockStart)
+// although no block starts there. Every place that decides block
+// boundaries — compilation, the interpreted tier, the watch, checkpoint
+// capture and the translator's eager entry set — uses this one rule.
+func Guard(code []isa.Instr, ip uint32) bool {
+	return ip+2 < uint32(len(code)) && code[ip].Op == isa.OpJrz && code[ip].Imm == 1 &&
+		code[ip+1].Op == isa.OpReport
+}
+
+// AfterGuard reports whether ip is a guard's continuation.
+func AfterGuard(code []isa.Instr, ip uint32) bool { return ip >= 2 && Guard(code, ip-2) }
+
+// endsBlock reports whether the instruction at ip ends a block: a
+// terminator other than a guard or the report a guard skips.
+func endsBlock(code []isa.Instr, ip uint32) bool {
+	return code[ip].Op.IsTerminator() && !Guard(code, ip) && !(ip > 0 && Guard(code, ip-1))
 }
 
 // maxTraceInstrs caps how many guest instructions a trace may cover.
@@ -280,7 +309,7 @@ build:
 	for {
 		visited = append(visited, seg)
 		end := seg
-		for end < n && !code[end].Op.IsTerminator() {
+		for end < n && !endsBlock(code, end) {
 			end++
 		}
 		if end >= n {
@@ -415,6 +444,28 @@ func (e *Engine) emitOne(cb *cblock, code []isa.Instr, a, lim uint32, el []bool,
 		}
 	}
 
+	// Guards, with the lea chain computing the checked register fused in.
+	// The report a guard skips is consumed but not charged: it executes
+	// only after the guard has left the block.
+	if in.Op == isa.OpLea && a+1 < lim {
+		n1 := code[a+1]
+		if Guard(code, a+1) && n1.RS1 == in.RD {
+			charge(2)
+			e.emitGuard(cb, a+1, in.RD, in.RS1, in.Imm, in.RD, 0, *steps, *cycles)
+			return 3
+		}
+		if n1.Op == isa.OpLea && n1.RS1 == in.RD && a+2 < lim && Guard(code, a+2) && code[a+2].RS1 == n1.RD {
+			charge(3)
+			e.emitGuard(cb, a+2, in.RD, in.RS1, in.Imm, n1.RD, n1.Imm, *steps, *cycles)
+			return 4
+		}
+	}
+	if Guard(code, a) {
+		charge(1)
+		e.emitGuard(cb, a, in.RS1, in.RS1, 0, in.RS1, 0, *steps, *cycles)
+		return 2
+	}
+
 	if in.Op == isa.OpNop {
 		charge(1)
 		return 1 // accounted in the cumulative counters, no uop emitted
@@ -427,6 +478,15 @@ func (e *Engine) emitOne(cb *cblock, code []isa.Instr, a, lim uint32, el []bool,
 		imm: in.Imm, ip: a, preSteps: *steps, preCycles: *cycles,
 	})
 	return 1
+}
+
+// emitGuard emits the guard uop for the jrz at ip: rd = rs1+imm, then
+// chk = rd+aux, and the check tests chk.
+func (e *Engine) emitGuard(cb *cblock, ip uint32, rd, rs1 isa.Reg, imm int32, chk isa.Reg, aux int32, steps, cycles uint32) {
+	cb.uops = append(cb.uops, uop{
+		k: uGuard, rd: uint8(rd), rs1: uint8(rs1), rs2: uint8(chk), imm: imm, aux: aux,
+		ip: ip, preSteps: steps, preCycles: cycles,
+	})
 }
 
 // emitTerm emits the block terminator at guest address end, fusing `fuse`

@@ -144,10 +144,10 @@ func condDeferred(c isa.Cond, fk uint8, fa, fb int32, flags isa.Flags) bool {
 }
 
 // runCompiled executes compiled blocks starting at cb, chaining block to
-// block until a stop (done=true; StopWatch at the watched entry), an
-// unchained cold target, a block that would cross bound, or the
-// dbLimit-th direct branch (done=false with the machine state flushed
-// exactly). The caller guarantees cb fits bound and
+// block until a stop (done=true; StopWatch at the watched entry or guard
+// continuation), an unchained cold target, a block that would cross bound,
+// a failed guard, or the dbLimit-th direct branch (done=false with the
+// machine state flushed exactly). The caller guarantees cb fits bound and
 // that no branch hook is installed.
 func (e *Engine) runCompiled(m *cpu.Machine, cb *cblock, bound, dbLimit uint64) (cpu.Stop, bool) {
 	c := e.c
@@ -385,6 +385,31 @@ chain:
 				if err := mm.Store(uint32(u.aux), r[u.rs2]); err != nil {
 					flushState(m, u.ip, steps+uint64(u.preSteps), cycles+uint64(u.preCycles), direct, fk, fa, fb, flags)
 					stop, done = cpu.Stop{Reason: cpu.StopBadMemory, IP: u.ip, Detail: err.Error()}, true
+					break chain
+				}
+
+			case uGuard:
+				a := r[u.rs1] + u.imm
+				r[u.rd] = a
+				v := a + u.aux
+				r[u.rs2] = v
+				if direct == dbLimit {
+					flushState(m, u.ip, steps+uint64(u.preSteps)-1,
+						cycles+uint64(u.preCycles)-uint64(costs.Of(code[u.ip].Op)),
+						direct, fk, fa, fb, flags)
+					break chain
+				}
+				direct++
+				m.SigChecks++
+				if v != 0 {
+					// The check failed: leave at the report with the jrz
+					// retired; the interpreter executes the report.
+					flushState(m, u.ip+1, steps+uint64(u.preSteps), cycles+uint64(u.preCycles), direct, fk, fa, fb, flags)
+					break chain
+				}
+				if u.ip+2 == wip && wregs != nil && *r == *wregs {
+					flushState(m, wip, steps+uint64(u.preSteps), cycles+uint64(u.preCycles), direct, fk, fa, fb, flags)
+					stop, done = cpu.Stop{Reason: cpu.StopWatch, IP: wip}, true
 					break chain
 				}
 

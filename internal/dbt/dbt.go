@@ -247,9 +247,9 @@ func (d *DBT) CompStats() comp.Stats {
 	return d.comp.Stats
 }
 
-// BlockStart reports whether the compiled engine has a block starting at
-// cache address ip, where a watch armed through Watch can fire (every
-// address under the step backend).
+// BlockStart reports whether a watch armed through Watch can fire at
+// cache address ip: a compiled block starts there or a signature-check
+// guard continues there (every address under the step backend).
 func (d *DBT) BlockStart(ip uint32) bool { return d.comp.BlockStart(ip) }
 
 // Watch arms (nil regs: disarms) the compiled engine's watch: Advance

@@ -94,7 +94,9 @@ func (d *DBT) Snapshot() *Snapshot {
 // enter: translated-unit starts, fall-throughs past a terminator (the
 // technique tails emit several internal basic blocks per translated
 // unit — check branches, report paths, chaining stubs) and direct-branch
-// targets. Freezing over this set means a warm campaign's samples never
+// targets. A signature-check guard (comp.Guard) ends no block, so its
+// report and its continuation are left out: they are entered only through
+// the guard. Freezing over this set means a warm campaign's samples never
 // fall back to the interpreter on a hot path.
 func (d *DBT) compStarts() []uint32 {
 	return compStartsFor(d.tlist, d.cache)
@@ -108,6 +110,9 @@ func compStartsFor(tlist []*TBlock, cache []isa.Instr) []uint32 {
 		starts = append(starts, tb.CacheStart)
 	}
 	for addr, in := range cache {
+		if a := uint32(addr); comp.Guard(cache, a) || (a > 0 && comp.Guard(cache, a-1)) {
+			continue
+		}
 		if in.Op.IsTerminator() && addr+1 < len(cache) {
 			starts = append(starts, uint32(addr+1))
 		}

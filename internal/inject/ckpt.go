@@ -42,8 +42,9 @@ import (
 //     is redefined before any read from the fault site on. A third family
 //     joins the trajectory later: (3) a fired fault whose tail rejoins
 //     the reference run. The tail runs with the compiled engine watching
-//     one later checkpoint on a block entry at a time, and stops where
-//     its IP and registers match one. There, an exact check
+//     one later checkpoint at a time on a block entry or guard
+//     continuation, and stops where its IP and registers match one.
+//     There, an exact check
 //     (ckpt.Replayer.Rejoins) finds flags, output and every memory word
 //     equal too. For a translated run, the translator clone
 //     must also have done no structural work since resume, and the
@@ -151,7 +152,7 @@ func shortCircuitKind(l *ckpt.Log, f *cpu.Fault, li *live.Info) shortKind {
 // the clean reference. A non-nil log is a pre-recorded reference (a
 // session-cache hit); nil records one here.
 func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, t target,
-	label string, shards []*obs.Collector, results []sampleResult, cleanSteps uint64, log *ckpt.Log) error {
+	label string, ns *sampleSeries, shards []*obs.Collector, results []sampleResult, cleanSteps uint64, log *ckpt.Log) error {
 	start := time.Now()
 	if log == nil {
 		record := phaseSpan(cfg.Metrics, label, "record")
@@ -206,7 +207,7 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 				return err
 			}
 			i := order[j]
-			runCkptSample(cfg, r, base, log, rp, li, label, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
+			runCkptSample(cfg, r, base, log, rp, li, ns, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
 			dumpFlight(cfg, r, p.Name, label, i, want, &results[i])
 			observeProgress(cfg.Progress, w, &results[i])
 		}
@@ -219,7 +220,7 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 
 // runCkptSample classifies one fault from a checkpoint restore.
 func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
-	rp *ckpt.Replayer, li *live.Info, label string, c *obs.Collector,
+	rp *ckpt.Replayer, li *live.Info, ns *sampleSeries, c *obs.Collector,
 	f *cpu.Fault, k, sample int, want []int32, out *sampleResult) {
 	m := rp.Machine(k)
 	m.Fault = f
@@ -250,15 +251,15 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 
 	if short == shortNone {
 		res := r.finish(m, stop)
-		observeRestore(c, label, restored, res.Steps-restored, shortNone)
-		settle(r, c, label, base, res, f, sample, want, out)
+		observeRestore(c, ns, restored, res.Steps-restored, shortNone)
+		settle(r, c, ns, base, res, f, sample, want, out)
 		return
 	}
 	// The synthesized tail executed nothing: the compiled-backend work is
 	// whatever the sample actually ran, the translator work and signature
 	// checks the reference run's — from the rejoined point on, added to
 	// the sample's own up to there, for a rejoin.
-	observeRestore(c, label, restored, m.Steps-restored, short)
+	observeRestore(c, ns, restored, m.Steps-restored, short)
 	out.comp = r.compStats()
 	out.stats = log.FinalPrefix
 	sigChecks := log.Final.SigChecks
@@ -276,7 +277,7 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 		Category: r.category(f),
 	}
 	if c != nil {
-		observeSample(c, label, &rec, sigChecks, log.CacheSize)
+		observeSample(c, ns, &rec, sigChecks, log.CacheSize)
 	}
 	out.fired = true
 	out.rec = rec
@@ -284,8 +285,8 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 }
 
 // runTail executes a fired sample's tail from restore point k, watching
-// the reference run's later checkpoints on block entries one at a time
-// (the watch cannot see a point inside a block). Point j stays armed
+// the reference run's later checkpoints on block entries and guard
+// continuations one at a time (the watch cannot see any other point). Point j stays armed
 // until the sample's step count passes point j's by about half an
 // interval (the watch expires at a block entry). A watch stop is confirmed
 // by the exact full-state check (ckpt.Replayer.Rejoins), no structural
@@ -344,20 +345,20 @@ func publishLog(reg *obs.Registry, technique string, l *ckpt.Log) {
 // on, regardless of family; ckpt_live_pruned_total additionally counts the
 // liveness family. ckpt_rejoined_total counts the executed tails that
 // rejoined the reference run.
-func observeRestore(c *obs.Collector, technique string, restored, replayed uint64, short shortKind) {
+func observeRestore(c *obs.Collector, ns *sampleSeries, restored, replayed uint64, short shortKind) {
 	if c == nil {
 		return
 	}
-	c.Add(seriesName("ckpt_restores_total", technique), 1)
+	c.Add(ns.restores, 1)
 	switch short {
 	case shortRejoin:
-		c.Add(seriesName("ckpt_rejoined_total", technique), 1)
+		c.Add(ns.rejoined, 1)
 	case shortLive:
-		c.Add(seriesName("ckpt_live_pruned_total", technique), 1)
+		c.Add(ns.livePruned, 1)
 		fallthrough
 	case shortOffset:
-		c.Add(seriesName("ckpt_shortcircuits_total", technique), 1)
+		c.Add(ns.shortCircuits, 1)
 	}
-	c.Observe(seriesName("ckpt_restored_steps", technique), obs.DefaultLatencyBuckets, restored)
-	c.Observe(seriesName("ckpt_replayed_steps", technique), obs.DefaultLatencyBuckets, replayed)
+	c.Observe(ns.restoredSteps, obs.DefaultLatencyBuckets, restored)
+	c.Observe(ns.replayedSteps, obs.DefaultLatencyBuckets, replayed)
 }

@@ -423,12 +423,16 @@ func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t targe
 
 	cfg.Progress.Begin(cfg.Samples, rep.Workers, progressLabels())
 	shards := newShards(cfg.Metrics, rep.Workers)
+	var ns *sampleSeries
+	if shards != nil {
+		ns = seriesFor(label)
+	}
 	results := make([]sampleResult, cfg.Samples)
 	var err error
 	if cfg.CkptInterval != 0 {
-		err = runCkptSamples(ctx, p, &cfg, rep, t, label, shards, results, cleanSteps, log)
+		err = runCkptSamples(ctx, p, &cfg, rep, t, label, ns, shards, results, cleanSteps, log)
 	} else {
-		err = runReplaySamples(ctx, p, &cfg, rep, t, label, shards, results)
+		err = runReplaySamples(ctx, p, &cfg, rep, t, label, ns, shards, results)
 	}
 	if err != nil {
 		return nil, err
@@ -449,7 +453,7 @@ func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t targe
 // post-warm-up run of its own, so both engines classify against the same
 // geometry regardless of how warm-up converged.
 func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, t target,
-	label string, shards []*obs.Collector, results []sampleResult) error {
+	label string, ns *sampleSeries, shards []*obs.Collector, results []sampleResult) error {
 	start := time.Now()
 	base := rep.WarmTranslator
 	record := phaseSpan(cfg.Metrics, label, "record")
@@ -482,7 +486,7 @@ func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Rep
 		if res == nil {
 			res = r.finish(m, r.advance(m, cfg.MaxSteps))
 		}
-		settle(r, c, label, base, res, f, cfg.SampleOffset+i, want, &results[i])
+		settle(r, c, ns, base, res, f, cfg.SampleOffset+i, want, &results[i])
 		return nil
 	})
 	injSpan.End()
@@ -491,15 +495,15 @@ func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Rep
 }
 
 // settle classifies one executed sample from its result into out and the
-// worker's shard c (nil when metrics are off). base is the warm-up
-// translator work the result's stats include.
-func settle(r runner, c *obs.Collector, label string, base dbt.Stats, res *dbt.Result,
+// worker's shard c (nil when metrics are off; ns names its series). base
+// is the warm-up translator work the result's stats include.
+func settle(r runner, c *obs.Collector, ns *sampleSeries, base dbt.Stats, res *dbt.Result,
 	f *cpu.Fault, sample int, want []int32, out *sampleResult) {
 	out.stats = res.Stats.Sub(base)
 	out.comp = res.Comp
 	if !f.Fired {
 		if c != nil {
-			observeNotFired(c, label)
+			observeNotFired(c, ns)
 		}
 		return
 	}
@@ -513,7 +517,7 @@ func settle(r runner, c *obs.Collector, label string, base dbt.Stats, res *dbt.R
 		rec.Latency = res.Steps - f.FiredStep
 	}
 	if c != nil {
-		observeSample(c, label, &rec, res.SigChecks, res.CacheSize)
+		observeSample(c, ns, &rec, res.SigChecks, res.CacheSize)
 	}
 	out.fired = true
 	out.rec = rec

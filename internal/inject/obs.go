@@ -2,7 +2,9 @@ package inject
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/errmodel"
 	"repro/internal/obs"
 )
 
@@ -77,28 +79,73 @@ func flushShards(shards []*obs.Collector, reg *obs.Registry) {
 	merged.FlushTo(reg)
 }
 
+// sampleSeries holds the names of one campaign label's per-sample series,
+// rendered once per label (seriesFor) instead of on every observation.
+type sampleSeries struct {
+	samples, notFired, sigChecks, cacheInstrs, latency string
+	restores, rejoined, livePruned, shortCircuits      string
+	restoredSteps, replayedSteps                       string
+	// outcomes[category][outcome] and the per-category detection latency
+	// cover every category a sample can carry, CatData included.
+	outcomes   [errmodel.NumCategories + 1][NumOutcomes]string
+	catLatency [errmodel.NumCategories + 1]string
+}
+
+// seriesByLabel memoizes seriesFor across campaigns: rendering one label's
+// names takes tens of microseconds, a noticeable share of a small
+// campaign. Labels are technique names, so it stays a handful of entries.
+var seriesByLabel sync.Map
+
+// seriesFor returns the per-sample series names of a campaign label.
+func seriesFor(technique string) *sampleSeries {
+	if s, ok := seriesByLabel.Load(technique); ok {
+		return s.(*sampleSeries)
+	}
+	s := &sampleSeries{
+		samples:       seriesName("inject_samples_total", technique),
+		notFired:      seriesName("inject_not_fired_total", technique),
+		sigChecks:     seriesName("cpu_sig_checks_total", technique),
+		cacheInstrs:   seriesName("dbt_code_cache_instrs", technique),
+		latency:       seriesName("inject_detection_latency_instructions", technique),
+		restores:      seriesName("ckpt_restores_total", technique),
+		rejoined:      seriesName("ckpt_rejoined_total", technique),
+		livePruned:    seriesName("ckpt_live_pruned_total", technique),
+		shortCircuits: seriesName("ckpt_shortcircuits_total", technique),
+		restoredSteps: seriesName("ckpt_restored_steps", technique),
+		replayedSteps: seriesName("ckpt_replayed_steps", technique),
+	}
+	for c := range s.outcomes {
+		cat := errmodel.Category(c).String()
+		for o := range s.outcomes[c] {
+			s.outcomes[c][o] = fmt.Sprintf("inject_outcomes_total{technique=%q,category=%q,outcome=%q}",
+				technique, cat, Outcome(o).String())
+		}
+		s.catLatency[c] = fmt.Sprintf("inject_detection_latency_instructions{technique=%q,category=%q}",
+			technique, cat)
+	}
+	v, _ := seriesByLabel.LoadOrStore(technique, s)
+	return v.(*sampleSeries)
+}
+
 // observeNotFired records a sample whose planted fault never fired.
-func observeNotFired(c *obs.Collector, technique string) {
-	c.Add(seriesName("inject_samples_total", technique), 1)
-	c.Add(seriesName("inject_not_fired_total", technique), 1)
+func observeNotFired(c *obs.Collector, ns *sampleSeries) {
+	c.Add(ns.samples, 1)
+	c.Add(ns.notFired, 1)
 }
 
 // observeSample folds one classified sample into a worker's shard:
 // outcome counters per category, detection-latency histograms (overall
 // and per category), executed signature checks and peak code-cache
 // occupancy.
-func observeSample(c *obs.Collector, technique string, rec *Record, sigChecks uint64, cacheSize int) {
-	c.Add(seriesName("inject_samples_total", technique), 1)
-	c.Add(fmt.Sprintf("inject_outcomes_total{technique=%q,category=%q,outcome=%q}",
-		technique, rec.Category.String(), rec.Outcome.String()), 1)
-	c.Add(seriesName("cpu_sig_checks_total", technique), sigChecks)
+func observeSample(c *obs.Collector, ns *sampleSeries, rec *Record, sigChecks uint64, cacheSize int) {
+	c.Add(ns.samples, 1)
+	c.Add(ns.outcomes[rec.Category][rec.Outcome], 1)
+	c.Add(ns.sigChecks, sigChecks)
 	if cacheSize > 0 {
-		c.Max(seriesName("dbt_code_cache_instrs", technique), int64(cacheSize))
+		c.Max(ns.cacheInstrs, int64(cacheSize))
 	}
 	if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
-		c.Observe(seriesName("inject_detection_latency_instructions", technique),
-			obs.DefaultLatencyBuckets, rec.Latency)
-		c.Observe(fmt.Sprintf("inject_detection_latency_instructions{technique=%q,category=%q}",
-			technique, rec.Category.String()), obs.DefaultLatencyBuckets, rec.Latency)
+		c.Observe(ns.latency, obs.DefaultLatencyBuckets, rec.Latency)
+		c.Observe(ns.catLatency[rec.Category], obs.DefaultLatencyBuckets, rec.Latency)
 	}
 }

@@ -55,12 +55,14 @@ type runner interface {
 	category(f *cpu.Fault) errmodel.Category
 	// compStats is the sample's own compiled-backend work so far.
 	compStats() comp.Stats
-	// watch arms the sample engine's watch on a block entry until a soft
-	// step deadline (nil regs disarms; see comp.Engine.Watch): advance
-	// then returns cpu.StopWatch at the entry or at the deadline.
+	// watch arms the sample engine's watch on a block entry or guard
+	// continuation until a soft step deadline (nil regs disarms; see
+	// comp.Engine.Watch): advance then returns cpu.StopWatch at the entry
+	// or at the deadline.
 	watch(ip uint32, regs *[isa.NumRegs]int32, until uint64)
 	// blockStart reports whether the sample engine's watch can fire at ip
-	// (a compiled block entry; see comp.Engine.BlockStart).
+	// (a compiled block entry or guard continuation; see
+	// comp.Engine.BlockStart).
 	blockStart(ip uint32) bool
 	// tailWork is the translator work since resume (zero for native runs).
 	tailWork() dbt.Stats
