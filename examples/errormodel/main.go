@@ -57,6 +57,7 @@ func main() {
 	// Drill into the loop's back edge: enumerate the first 8 offset-bit
 	// flips and classify each landing site.
 	g := cfg.Build(p)
+	blocks := errmodel.BlocksOf(g)
 	var branchIP uint32
 	for addr, in := range p.Code {
 		if in.Op == isa.OpJcc && in.Target(uint32(addr)) < uint32(addr) {
@@ -67,7 +68,7 @@ func main() {
 	fmt.Printf("back edge at 0x%x (%s), correct target 0x%x:\n", branchIP, in, in.Target(branchIP))
 	for bit := 0; bit < 8; bit++ {
 		tgt := branchIP + 1 + uint32(in.Imm^(1<<bit))
-		cat := errmodel.Classify(g, branchIP, tgt)
+		cat := blocks.Classify(branchIP, tgt)
 		where := "outside code"
 		if b := g.BlockAt(tgt); b != nil {
 			where = fmt.Sprintf("block [0x%x,0x%x)", b.Start, b.End)

@@ -9,8 +9,17 @@
 // the check fails, so a passing check costs one uop on the hot path.
 // Blocks dispatch block-to-block through direct chain slots — pointers
 // patched into the terminator the first time a transition resolves,
-// mirroring the DBT's patched-cache chaining — with a dense by-address
-// table as the unchained fallback.
+// mirroring the DBT's patched-cache chaining — with a by-address table as
+// the unchained fallback.
+//
+// The by-address table is a two-level page table: address a lives in
+// slot a&255 of page a>>8, and a page of 256 block pointers (2 KiB) is
+// allocated when the first block starting in it is compiled. A frozen
+// core that compiled only the few dozen blocks a clean run reached
+// therefore keeps a few pages, not 8 bytes per code word, which lets a
+// long-lived session hold one. Every core uses the same table, frozen or
+// not. The promotion heat stays dense (4 bytes per code word) and is
+// released at Freeze.
 //
 // Execution is two-tier: a block starts life on the reference interpreter
 // (Machine.Step, block at a time) and an execution-count threshold
@@ -132,28 +141,79 @@ type core struct {
 	costs     *cpu.CostModel
 	threshold uint32
 	frozen    bool
-	byAddr    []*cblock // dense: block start addr -> compiled block
-	heat      []uint32  // execution counts for not-yet-compiled starts; nil once frozen
+	byAddr    blockTable // block start addr -> compiled block
+	heat      []uint32   // execution counts for not-yet-compiled starts; nil once frozen
 	blocks    []*cblock
 }
 
 func (c *core) grow(n int) {
-	if n <= len(c.byAddr) {
+	if uint32(n) <= c.byAddr.n {
 		return
 	}
-	byAddr := make([]*cblock, n)
-	copy(byAddr, c.byAddr)
-	c.byAddr = byAddr
+	c.byAddr.grow(uint32(n))
 	heat := make([]uint32, n)
 	copy(heat, c.heat)
 	c.heat = heat
 }
 
 func (c *core) reset() {
-	clear(c.byAddr)
+	c.byAddr.reset()
 	clear(c.heat)
 	c.blocks = c.blocks[:0]
 }
+
+// pageBits sizes a blockTable page: 1<<pageBits addresses.
+const pageBits = 8
+
+// page is one blockTable page.
+type page [1 << pageBits]*cblock
+
+// blockTable maps the addresses [0, n) to the compiled block starting
+// there (nil for none), one lazily allocated page per 256 addresses.
+type blockTable struct {
+	n     uint32
+	pages []*page
+}
+
+// get returns the block starting at a, or nil (also for a >= n).
+func (t *blockTable) get(a uint32) *cblock {
+	if a >= t.n {
+		return nil
+	}
+	if p := t.pages[a>>pageBits]; p != nil {
+		return p[a&(1<<pageBits-1)]
+	}
+	return nil
+}
+
+// set maps a (< n) to b, allocating a's page unless b is nil.
+func (t *blockTable) set(a uint32, b *cblock) {
+	p := t.pages[a>>pageBits]
+	if p == nil {
+		if b == nil {
+			return
+		}
+		p = new(page)
+		t.pages[a>>pageBits] = p
+	}
+	p[a&(1<<pageBits-1)] = b
+}
+
+// grow extends the mapped range to [0, n), keeping every entry.
+func (t *blockTable) grow(n uint32) {
+	if n <= t.n {
+		return
+	}
+	if np := int((n + 1<<pageBits - 1) >> pageBits); np > len(t.pages) {
+		pages := make([]*page, np)
+		copy(pages, t.pages)
+		t.pages = pages
+	}
+	t.n = n
+}
+
+// reset drops every entry and page, keeping the mapped range.
+func (t *blockTable) reset() { clear(t.pages) }
 
 // invalidate drops every compiled block covering addr and unlinks chain
 // slots that point at the dropped blocks. Caller guarantees !frozen.
@@ -163,7 +223,7 @@ func (c *core) invalidate(addr uint32) {
 	for _, b := range c.blocks {
 		if b.covers(addr) {
 			b.dead = true
-			c.byAddr[b.start] = nil
+			c.byAddr.set(b.start, nil)
 			c.heat[b.start] = 0
 			dropped = true
 		} else {
@@ -242,7 +302,7 @@ func (e *Engine) Sync(code []isa.Instr) {
 		return
 	}
 	if e.c.frozen {
-		if len(code) < len(e.c.byAddr) {
+		if uint32(len(code)) < e.c.byAddr.n {
 			e.disabled = true
 			return
 		}
@@ -299,7 +359,7 @@ func (e *Engine) Freeze(starts []uint32) {
 	}
 	c.grow(len(e.code))
 	for _, s := range starts {
-		if s < uint32(len(c.byAddr)) && c.byAddr[s] == nil && c.heat[s] != heatPoison {
+		if s < c.byAddr.n && c.byAddr.get(s) == nil && c.heat[s] != heatPoison {
 			e.compileAt(s)
 		}
 	}
@@ -319,7 +379,7 @@ func (e *Engine) Reached() []uint32 {
 	}
 	var starts []uint32
 	for a, h := range e.c.heat {
-		if e.c.byAddr[a] != nil || (h != 0 && h != heatPoison) {
+		if e.c.byAddr.get(uint32(a)) != nil || (h != 0 && h != heatPoison) {
 			starts = append(starts, uint32(a))
 		}
 	}
@@ -332,7 +392,7 @@ func (e *Engine) Reached() []uint32 {
 // nil engine (the step backend) reports every address, since it has no
 // watch to place points for.
 func (e *Engine) BlockStart(ip uint32) bool {
-	return e == nil || (ip < uint32(len(e.c.byAddr)) && e.c.byAddr[ip] != nil) || AfterGuard(e.code, ip)
+	return e == nil || e.c.byAddr.get(ip) != nil || AfterGuard(e.code, ip)
 }
 
 // Watch arms the view's watch: Run returns cpu.StopWatch, with the machine
@@ -372,14 +432,10 @@ func (c *core) resolveChains() {
 				continue
 			}
 			if u.taken == nil {
-				if t := uint32(u.aux); t < uint32(len(c.byAddr)) {
-					u.taken = c.byAddr[t]
-				}
+				u.taken = c.byAddr.get(uint32(u.aux))
 			}
 			if u.fall == nil && k != uJmp && k != uCall {
-				if t := u.ip + 1; t < uint32(len(c.byAddr)) {
-					u.fall = c.byAddr[t]
-				}
+				u.fall = c.byAddr.get(u.ip + 1)
 			}
 		}
 	}
@@ -438,10 +494,7 @@ func (e *Engine) Run(m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop
 			}
 		}
 		ip := m.IP
-		var cb *cblock
-		if ip < uint32(len(c.byAddr)) {
-			cb = c.byAddr[ip]
-		}
+		cb := c.byAddr.get(ip)
 		if cb == nil && e.coldBlocks != nil {
 			cb = e.coldBlocks[ip]
 		}
@@ -497,7 +550,7 @@ func (e *Engine) interpBlock(m *cpu.Machine, code []isa.Instr, maxSteps uint64) 
 // compiled form at the threshold.
 func (e *Engine) noteBlock(ip uint32) {
 	c := e.c
-	if ip >= uint32(len(c.heat)) || c.byAddr[ip] != nil {
+	if ip >= uint32(len(c.heat)) || c.byAddr.get(ip) != nil {
 		return
 	}
 	h := c.heat[ip]

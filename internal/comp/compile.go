@@ -278,7 +278,7 @@ func (e *Engine) compileAt(start uint32) *cblock {
 		c.heat[start] = heatPoison
 		return nil
 	}
-	c.byAddr[start] = cb
+	c.byAddr.set(start, cb)
 	c.blocks = append(c.blocks, cb)
 	e.countCompiled(cb)
 	return cb

@@ -152,7 +152,7 @@ func condDeferred(c isa.Cond, fk uint8, fa, fb int32, flags isa.Flags) bool {
 func (e *Engine) runCompiled(m *cpu.Machine, cb *cblock, bound, dbLimit uint64) (cpu.Stop, bool) {
 	c := e.c
 	frz := c.frozen
-	byAddr := c.byAddr
+	byAddr := &c.byAddr
 	costs := c.costs
 	code := e.code
 	r := &m.Regs
@@ -596,9 +596,7 @@ chain:
 		if nb != nil {
 			chainHits++
 		} else {
-			if tgt < uint32(len(byAddr)) {
-				nb = byAddr[tgt]
-			}
+			nb = byAddr.get(tgt)
 			if nb == nil && e.coldBlocks != nil {
 				nb = e.coldBlocks[tgt]
 			}

@@ -132,7 +132,7 @@ func TestGuardAccounting(t *testing.T) {
 		t.Fatalf("frozen core compiled blocks at %v, want the entry and the loop %v", starts, want)
 	}
 	guards := 0
-	for _, u := range v.c.byAddr[5].uops {
+	for _, u := range v.c.byAddr.get(5).uops {
 		if u.k == uGuard {
 			guards++
 		}
@@ -141,8 +141,8 @@ func TestGuardAccounting(t *testing.T) {
 		t.Errorf("the loop compiled %d guard uops, want 3", guards)
 	}
 	for _, ok := range guardContinuations {
-		if v.c.byAddr[ok] != nil || !v.BlockStart(ok) {
-			t.Errorf("continuation %d: compiled block %v, BlockStart %v; want none and true", ok, v.c.byAddr[ok] != nil, v.BlockStart(ok))
+		if v.c.byAddr.get(ok) != nil || !v.BlockStart(ok) {
+			t.Errorf("continuation %d: compiled block %v, BlockStart %v; want none and true", ok, v.c.byAddr.get(ok) != nil, v.BlockStart(ok))
 		}
 	}
 }

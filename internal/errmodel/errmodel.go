@@ -21,6 +21,7 @@ package errmodel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/cpu"
@@ -140,21 +141,63 @@ func (t *Table) Normalized() map[Category]float64 {
 	return out
 }
 
+// Blocks is a program's basic-block partition as the error model needs
+// it: every block's start address, in ascending order, and the code
+// length. An address below Len lies in the block of the greatest start
+// at or below it; an address at or past Len is outside the code. At 4
+// bytes a block it is all of the CFG that classification reads.
+type Blocks struct {
+	Starts []uint32
+	Len    uint32
+}
+
+// BlocksOf returns g's block partition.
+func BlocksOf(g *cfg.Graph) Blocks {
+	starts := make([]uint32, len(g.Blocks))
+	for i, b := range g.Blocks {
+		starts[i] = b.Start
+	}
+	return Blocks{Starts: starts, Len: g.Prog.Len()}
+}
+
+// block returns the index of the block containing addr, or -1 when addr
+// is outside the code.
+func (b Blocks) block(addr uint32) int {
+	if addr >= b.Len {
+		return -1
+	}
+	i, found := slices.BinarySearch(b.Starts, addr)
+	if !found {
+		i--
+	}
+	return i
+}
+
 // Classify assigns a faulty branch target to a category, given the branch
-// address, using the static CFG. Targets outside the code region are F.
-func Classify(g *cfg.Graph, branchIP, target uint32) Category {
-	tb := g.BlockAt(target)
-	if tb == nil {
+// address. Targets outside the code region are F.
+func (b Blocks) Classify(branchIP, target uint32) Category {
+	return b.classify(b.block(branchIP), target)
+}
+
+// classify is Classify for a branch in block cur.
+func (b Blocks) classify(cur int, target uint32) Category {
+	tb := b.block(target)
+	if tb < 0 {
 		return CatF
 	}
-	cur := g.BlockAt(branchIP)
-	if tb == cur {
-		if target == tb.Start {
-			return CatB
-		}
+	return Landing(tb == cur, target == b.Starts[tb])
+}
+
+// Landing is the category of a faulty target inside the code: B or C in
+// the faulted branch's own block, D or E in another, by whether it lands
+// on the block's first instruction.
+func Landing(sameBlock, atStart bool) Category {
+	switch {
+	case sameBlock && atStart:
+		return CatB
+	case sameBlock:
 		return CatC
-	}
-	if target == tb.Start {
+	case atStart:
 		return CatD
 	}
 	return CatE
@@ -163,11 +206,11 @@ func Classify(g *cfg.Graph, branchIP, target uint32) Category {
 // Analyze runs the program natively, enumerating every fault site of every
 // executed direct branch and classifying it. maxSteps bounds the run.
 func Analyze(p *isa.Program, maxSteps uint64) (*Table, error) {
-	g := cfg.Build(p)
+	b := BlocksOf(cfg.Build(p))
 	t := &Table{}
 	m := cpu.New()
 	m.BranchHook = func(ev cpu.BranchEvent) {
-		analyzeBranch(t, g, ev)
+		analyzeBranch(t, b, ev)
 	}
 	m.Reset(p)
 	stop := m.Run(p.Code, maxSteps)
@@ -178,7 +221,7 @@ func Analyze(p *isa.Program, maxSteps uint64) (*Table, error) {
 	return t, nil
 }
 
-func analyzeBranch(t *Table, g *cfg.Graph, ev cpu.BranchEvent) {
+func analyzeBranch(t *Table, b Blocks, ev cpu.BranchEvent) {
 	t.Branches++
 	in := ev.Instr
 	cond := in.Op.IsConditional()
@@ -193,10 +236,11 @@ func analyzeBranch(t *Table, g *cfg.Graph, ev cpu.BranchEvent) {
 		t.Counts[CatNoError][dir][kindAddr] += isa.OffsetBits
 		t.Total += isa.OffsetBits
 	} else {
+		cur := b.block(ev.IP)
 		for bit := 0; bit < isa.OffsetBits; bit++ {
 			imm := in.Imm ^ (int32(1) << bit)
 			target := ev.IP + 1 + uint32(imm)
-			cat := Classify(g, ev.IP, target)
+			cat := b.classify(cur, target)
 			t.Counts[cat][dir][kindAddr]++
 			t.Total++
 		}

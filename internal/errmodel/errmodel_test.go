@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/isa"
+	"repro/internal/workloads"
 )
 
 func mustAssemble(t *testing.T, src string) *isa.Program {
@@ -31,7 +32,7 @@ loop:
     out eax          ; B2: 5-6
     halt
 `)
-	g := cfg.Build(p)
+	b := BlocksOf(cfg.Build(p))
 	// Branch at address 4 (jgt) lives in B1 [1,5).
 	cases := []struct {
 		target uint32
@@ -47,8 +48,77 @@ loop:
 		{1 << 30, CatF}, // far outside
 	}
 	for _, c := range cases {
-		if got := Classify(g, 4, c.target); got != c.want {
+		if got := b.Classify(4, c.target); got != c.want {
 			t.Errorf("Classify(4, %d) = %v, want %v", c.target, got, c.want)
+		}
+	}
+}
+
+// cfgClassify is the rule Blocks.Classify replaced: both addresses are
+// looked up in the CFG's per-address block index.
+func cfgClassify(g *cfg.Graph, branchIP, target uint32) Category {
+	tb := g.BlockAt(target)
+	if tb == nil {
+		return CatF
+	}
+	if tb == g.BlockAt(branchIP) {
+		if target == tb.Start {
+			return CatB
+		}
+		return CatC
+	}
+	if target == tb.Start {
+		return CatD
+	}
+	return CatE
+}
+
+// TestBlocksMatchCFGRule pins the block-starts rule to the CFG lookup on
+// real workloads: every taken branch's 32 offset flips, every block start
+// and its neighbours as both branch and target, and the code's edges.
+func TestBlocksMatchCFGRule(t *testing.T) {
+	for _, name := range []string{"164.gzip", "181.mcf", "197.parser"} {
+		prof, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := prof.Build(0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := cfg.Build(p)
+		b := BlocksOf(g)
+		n := p.Len()
+		bad, branches := 0, 0
+		check := func(ip, target uint32) {
+			if got, want := b.Classify(ip, target), cfgClassify(g, ip, target); got != want && bad < 10 {
+				bad++
+				t.Errorf("%s: Classify(%#x, %#x) = %v, CFG rule %v", name, ip, target, got, want)
+			}
+		}
+		for ip, in := range p.Code {
+			if !in.Op.IsDirectBranch() {
+				continue
+			}
+			branches++
+			for bit := 0; bit < isa.OffsetBits; bit++ {
+				check(uint32(ip), uint32(ip)+1+uint32(in.Imm^(int32(1)<<bit)))
+			}
+		}
+		for _, blk := range g.Blocks {
+			for _, d := range []uint32{^uint32(0), 0, 1} {
+				check(blk.Start, blk.Start+d)
+				check(blk.Start+d, blk.Start)
+			}
+		}
+		edges := []uint32{0, n - 1, n, ^uint32(0)}
+		for _, ip := range edges {
+			for _, target := range edges {
+				check(ip, target)
+			}
+		}
+		if len(b.Starts) != g.NumBlocks() || branches == 0 {
+			t.Errorf("%s: %d starts of %d blocks, %d branches", name, len(b.Starts), g.NumBlocks(), branches)
 		}
 	}
 }

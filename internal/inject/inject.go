@@ -559,31 +559,30 @@ func equalOutput(a, b []int32) bool {
 // categories, using the code-cache layout (faults strike translated
 // branches, so same/other block is judged in cache coordinates).
 func classifyCategory(d *dbt.DBT, f *cpu.Fault) errmodel.Category {
-	if f.Kind == cpu.FaultRegBit {
-		return errmodel.CatData
-	}
-	if f.Kind == cpu.FaultFlagBit {
-		if f.FaultTaken != f.CleanTaken {
-			return errmodel.CatA
-		}
-		return errmodel.CatNoError
-	}
-	if !f.CleanTaken {
-		return errmodel.CatNoError
+	if c, ok := kindCategory(f); ok {
+		return c
 	}
 	target, ok := d.Locate(f.FaultTarget)
 	if !ok {
 		return errmodel.CatF
 	}
 	from, _ := d.Locate(f.FaultIP)
-	if target == from {
-		if f.FaultTarget == target.CacheStart {
-			return errmodel.CatB
-		}
-		return errmodel.CatC
+	return errmodel.Landing(target == from, f.FaultTarget == target.CacheStart)
+}
+
+// kindCategory classifies the faults every target classifies alike: a
+// register fault is Data, a flag fault is A when it changes the branch
+// direction and No Error when it does not, and an offset flip on a
+// not-taken branch is No Error. It reports false for an offset flip on a
+// taken branch, which only the target's block layout can classify.
+func kindCategory(f *cpu.Fault) (errmodel.Category, bool) {
+	switch {
+	case f.Kind == cpu.FaultRegBit:
+		return errmodel.CatData, true
+	case f.Kind == cpu.FaultFlagBit && f.FaultTaken != f.CleanTaken:
+		return errmodel.CatA, true
+	case f.Kind == cpu.FaultFlagBit, !f.CleanTaken:
+		return errmodel.CatNoError, true
 	}
-	if f.FaultTarget == target.CacheStart {
-		return errmodel.CatD
-	}
-	return errmodel.CatE
+	return 0, false
 }

@@ -98,8 +98,11 @@ func TestStaticCampaignErrors(t *testing.T) {
 
 // A native campaign started from a pre-built warm state matches a cold one
 // in its classified results and in its compiled-backend telemetry, under
-// both engines. The frozen engine compiles only the blocks the clean run
-// reached, a small part of the program's CFG.
+// both engines and both backends. One warm state serves concurrent
+// campaigns on either backend, as a session's does: step campaigns build
+// no engine, and the first compiled campaign freezes the one engine every
+// later campaign shares. The frozen engine compiles only the blocks the
+// clean run reached, a small part of the program's CFG.
 func TestStaticWithNativeMatchesCold(t *testing.T) {
 	prof, err := workloads.ByName("181.mcf")
 	if err != nil {
@@ -121,41 +124,74 @@ func TestStaticWithNativeMatchesCold(t *testing.T) {
 		t.Fatalf("warm state records %d clean steps, clean run %d steps / %d branches",
 			n.cleanSteps, clean.Steps, clean.DirectBranches)
 	}
-	if blocks := len(newNativeTarget(n, comp.BackendCompile).g.Blocks); len(n.starts) == 0 || len(n.starts) >= blocks {
+	if blocks := len(n.blocks.Starts); len(n.starts) == 0 || len(n.starts) >= blocks {
 		t.Errorf("warm state keeps %d starts of %d CFG blocks, want a non-empty reached subset", len(n.starts), blocks)
 	}
+
+	type run struct {
+		ck      int64
+		backend comp.Backend
+	}
+	config := func(r run) Config {
+		return Config{Samples: 120, Seed: 3, KeepRecords: true, Options: Options{CkptInterval: r.ck, Workers: 2, Backend: r.backend}}
+	}
+	var runs []run
+	cold := map[run]*Report{}
 	for _, ck := range []int64{0, -1} {
-		c := Config{Samples: 120, Seed: 3, KeepRecords: true, Options: Options{CkptInterval: ck, Workers: 2}}
-		cold, err := Execute(context.Background(), p, c, AsStatic("CFCSS"))
-		if err != nil {
-			t.Fatal(err)
+		for _, b := range []comp.Backend{comp.BackendStep, comp.BackendCompile} {
+			r := run{ck, b}
+			c := config(r)
+			if cold[r], err = Execute(context.Background(), p, c, AsStatic("CFCSS")); err != nil {
+				t.Fatal(err)
+			}
+			if b == comp.BackendStep {
+				if _, err := Execute(context.Background(), p, c, AsStatic("CFCSS"), WithNative(n)); err != nil {
+					t.Fatal(err)
+				}
+				if n.eng != nil {
+					t.Fatal("a step-backend campaign froze an engine")
+				}
+			}
+			runs = append(runs, r, r)
 		}
-		// Concurrent campaigns share one warm state, as a session's do; the
-		// first checkpoint campaign to ask computes its liveness.
-		warm := make([]*Report, 3)
-		errs := make([]error, len(warm))
-		var wg sync.WaitGroup
-		for i := range warm {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				warm[i], errs[i] = Execute(context.Background(), p, c, AsStatic("CFCSS"), WithNative(n))
-			}()
+	}
+
+	warm := make([]*Report, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			warm[i], errs[i] = Execute(context.Background(), p, config(r), AsStatic("CFCSS"), WithNative(n))
+		}()
+	}
+	wg.Wait()
+	eng := n.engine()
+	if got := newNativeTarget(n, comp.BackendCompile).eng; got != eng || eng == nil || !eng.Frozen() {
+		t.Errorf("compiled targets share engine %p, warm state holds %p (frozen %v)", got, eng, eng != nil && eng.Frozen())
+	}
+	if newNativeTarget(n, comp.BackendStep).eng != nil {
+		t.Error("a step-backend target holds an engine")
+	}
+	for i, w := range warm {
+		r := runs[i]
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
-		wg.Wait()
-		for i, w := range warm {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			if !reflect.DeepEqual(reportKey(w), reportKey(cold)) {
-				t.Errorf("ckpt %d: warm-state report differs from cold\n got: %+v\nwant: %+v", ck, reportKey(w), reportKey(cold))
-			}
-			if w.Compiled != cold.Compiled {
-				t.Errorf("ckpt %d: compiled stats %+v, cold %+v", ck, w.Compiled, cold.Compiled)
-			}
-			if w.WarmCompiled.BlocksCompiled == 0 || w.WarmCompiled.BlocksCompiled > uint64(len(n.starts)) {
-				t.Errorf("ckpt %d: froze %d blocks from %d warm starts", ck, w.WarmCompiled.BlocksCompiled, len(n.starts))
-			}
+		want := cold[r]
+		if !reflect.DeepEqual(reportKey(w), reportKey(want)) {
+			t.Errorf("%+v: warm-state report differs from cold\n got: %+v\nwant: %+v", r, reportKey(w), reportKey(want))
+		}
+		if w.Compiled != want.Compiled || w.WarmCompiled != want.WarmCompiled || w.Executed != want.Executed {
+			t.Errorf("%+v: compiled %+v (warm %+v, %d executed), cold %+v (warm %+v, %d executed)",
+				r, w.Compiled, w.WarmCompiled, w.Executed, want.Compiled, want.WarmCompiled, want.Executed)
+		}
+		if r.backend == comp.BackendStep {
+			continue
+		}
+		if w.WarmCompiled != eng.Stats || w.WarmCompiled.BlocksCompiled == 0 || w.WarmCompiled.BlocksCompiled > uint64(len(n.starts)) {
+			t.Errorf("%+v: froze %+v from %d warm starts, engine %+v", r, w.WarmCompiled, len(n.starts), eng.Stats)
 		}
 	}
 }

@@ -134,18 +134,22 @@ func (r *snapRunner) tailWork() dbt.Stats { return r.d.StatsSnapshot().Sub(r.res
 
 // Native is the warm state of a native target, built once per session by
 // WarmNative and shared read-only by every campaign over the same program.
-// It keeps only what is small and costly to recompute: the block starts
-// the clean run entered on an adaptive compiled engine, and the flag half of
-// the program's liveness (computed on first use). The CFG and the engine
-// tables are rebuilt per campaign, which keeps a long-lived session's heap
-// close to the bare program's.
+// It keeps what campaigns read, sized to what they use: the block starts
+// the clean run entered on an adaptive compiled engine, the program's CFG
+// block starts for classification (4 bytes a block, not the CFG), the flag
+// half of its liveness, and one engine frozen over the reached starts,
+// built by the first compiled-backend campaign. Campaigns take per-sample
+// views of that engine, so a warm campaign pays for its samples, not for
+// its program.
 type Native struct {
 	prog       *isa.Program
 	starts     []uint32 // block starts the clean run entered, in address order
+	blocks     errmodel.Blocks
+	live       *live.Info // flag half only: native runs inject no register faults
 	cleanSteps uint64
 
-	liveOnce sync.Once
-	live     *live.Info // flag half only: native runs inject no register faults
+	engOnce sync.Once
+	eng     *comp.Engine // frozen over starts; nil until a compiled campaign asks
 }
 
 // WarmNative performs p's clean native run on cfg's backend and returns
@@ -174,7 +178,20 @@ func WarmNative(p *isa.Program, cfg Config) (*Native, *dbt.Result, error) {
 		DirectBranches: m.DirectBranches,
 		SigChecks:      m.SigChecks,
 	}
-	return &Native{prog: p, starts: eng.Reached(), cleanSteps: m.Steps}, clean, nil
+	return newNative(p, eng.Reached(), m.Steps), clean, nil
+}
+
+// newNative analyzes p's CFG once, keeping its block starts and flag
+// liveness, around the clean run's reached starts and length.
+func newNative(p *isa.Program, starts []uint32, cleanSteps uint64) *Native {
+	g := cfg.Build(p)
+	return &Native{
+		prog:       p,
+		starts:     starts,
+		blocks:     errmodel.BlocksOf(g),
+		live:       live.Analyze(g).FlagsOnly(),
+		cleanSteps: cleanSteps,
+	}
 }
 
 // Record performs the checkpointed clean reference run of the warm
@@ -185,36 +202,36 @@ func (n *Native) Record(interval, maxSteps uint64) (*ckpt.Log, error) {
 	return ckpt.RecordStatic(n.prog, n.starts, interval, maxSteps)
 }
 
-// liveness returns the flag liveness of the program g was built from,
-// computing it on the first call.
-func (n *Native) liveness(g *cfg.Graph) *live.Info {
-	n.liveOnce.Do(func() { n.live = live.Analyze(g).FlagsOnly() })
-	return n.live
+// engine returns the engine frozen over the reached starts, compiling it
+// on the first call. Its Stats are the freeze's work.
+func (n *Native) engine() *comp.Engine {
+	n.engOnce.Do(func() {
+		n.eng = comp.NewEngine(n.prog.Code, nil, 0)
+		n.eng.Freeze(n.starts)
+	})
+	return n.eng
 }
 
 // nativeTarget runs the program directly on the machine (no translator):
 // the statically instrumented CFCSS/ECCA baselines and unprotected native
 // runs. Faulty branch targets are classified against the program's own
-// CFG. For the compiled backend, a frozen engine is shared read-only by
-// every worker. The engine compiles only the warm state's starts (the
-// blocks the clean run reached, not every CFG block start), so a sample
-// that strays off the clean path runs its cold blocks on the step
-// interpreter until its own view promotes them. Each sample takes a fresh
-// per-view engine clone so its counters and cold tier stay its own and
-// merge worker-invariantly.
+// CFG block starts. For the compiled backend, the warm state's frozen
+// engine is shared read-only by every worker of every campaign. It
+// compiles only the blocks the clean run reached, not every CFG block
+// start, so a sample that strays off the clean path runs its cold blocks
+// on the step interpreter until its own view promotes them. Each sample
+// takes a fresh per-view engine clone so its counters and cold tier stay
+// its own and merge worker-invariantly.
 type nativeTarget struct {
 	warm    *Native
-	g       *cfg.Graph
 	backend comp.Backend
 	eng     *comp.Engine // frozen; nil for the step backend
 }
 
 func newNativeTarget(n *Native, backend comp.Backend) *nativeTarget {
-	p := n.prog
-	t := &nativeTarget{warm: n, g: cfg.Build(p), backend: backend}
+	t := &nativeTarget{warm: n, backend: backend}
 	if backend.Compiled() {
-		t.eng = comp.NewEngine(p.Code, nil, 0)
-		t.eng.Freeze(n.starts)
+		t.eng = n.engine()
 	}
 	return t
 }
@@ -227,10 +244,11 @@ func (t *nativeTarget) record(interval, maxSteps uint64) (*ckpt.Log, error) {
 	return t.warm.Record(interval, maxSteps)
 }
 
-func (t *nativeTarget) liveness() *live.Info { return t.warm.liveness(t.g) }
+func (t *nativeTarget) liveness() *live.Info { return t.warm.live }
 
-// baseline is the one-time compilation work (the freeze), credited to the
-// campaign report the way snapshot warm-up work is for translated runs.
+// baseline is the one-time compilation work (the freeze), credited to
+// every campaign's report the way snapshot warm-up work is for translated
+// runs.
 func (t *nativeTarget) baseline() (dbt.Stats, comp.Stats) {
 	if t.eng == nil {
 		return dbt.Stats{}, comp.Stats{}
@@ -286,16 +304,10 @@ func (r *nativeRunner) finish(m *cpu.Machine, stop cpu.Stop) *dbt.Result {
 }
 
 func (r *nativeRunner) category(f *cpu.Fault) errmodel.Category {
-	if f.Kind == cpu.FaultFlagBit {
-		if f.FaultTaken != f.CleanTaken {
-			return errmodel.CatA
-		}
-		return errmodel.CatNoError
+	if c, ok := kindCategory(f); ok {
+		return c
 	}
-	if !f.CleanTaken {
-		return errmodel.CatNoError
-	}
-	return errmodel.Classify(r.t.g, f.FaultIP, f.FaultTarget)
+	return r.t.warm.blocks.Classify(f.FaultIP, f.FaultTarget)
 }
 
 func (r *nativeRunner) compStats() comp.Stats {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -403,6 +404,53 @@ func TestStaticCampaignsReuseNativeWarmState(t *testing.T) {
 	}
 	if frozen.BlocksCompiled == 0 {
 		t.Error("static campaigns froze no compiled blocks")
+	}
+}
+
+// Campaigns on a warm static session are byte-identical to cold
+// inject.Execute runs in any order, compiled-backend and engine telemetry
+// included: the frozen engine the session's campaigns share carries
+// nothing from one campaign into the next.
+func TestStaticSessionCampaignsMatchColdInAnyOrder(t *testing.T) {
+	render := func(rep *inject.Report) string {
+		r := *rep
+		r.Elapsed = 0
+		return inject.FormatReport(&r)
+	}
+	base, err := core.Workload(testWorkload, testScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := check.InstrumentStatic(base, check.StaticCFCSS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := core.ParsePolicy("ALLBB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Workers: 1}
+	want := map[int64]string{}
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := inject.Config{Policy: pol, Samples: testSamples, Seed: seed, Options: opts}
+		cfg.CkptInterval = -1
+		rep, err := inject.Execute(context.Background(), p, cfg, inject.AsStatic("CFCSS"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = render(rep)
+	}
+	for _, order := range [][]int64{{1, 2, 3}, {3, 1, 2}, {2, 3, 1}} {
+		s := mustSession(t, NewRegistry(Config{}), testKey("CFCSS", -1))
+		for _, seed := range order {
+			rep, err := s.Run(context.Background(), Spec{Samples: testSamples, Seed: seed}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := render(rep); got != want[seed] {
+				t.Errorf("order %v, seed %d: warm session report differs from cold\n got:\n%s\nwant:\n%s", order, seed, got, want[seed])
+			}
+		}
 	}
 }
 
