@@ -26,7 +26,11 @@ import (
 // metrics (outside the engines' own ckpt_ and comp_ series). Plain
 // `go test` replays the seed corpus in testdata/fuzz, which includes
 // inputs whose campaigns rejoin, one of them (rejoin-cfcss-guard-
-// continuation) at a CFCSS guard's continuation, where no block starts.
+// continuation) at a CFCSS guard's continuation, where no block starts,
+// and inputs whose CFCSS/ECCA faults restart the program through an
+// unwritten stack word, so the tail memo both runs shadow tails and hits
+// (memo-cfcss-hit-miss, memo-ecca-hit-miss), or runs shadow tails that
+// overrun a tight budget (memo-cfcss-tight-budget).
 func FuzzCkptRejoinMatchesReplay(f *testing.F) {
 	f.Add(uint16(3), uint8(7), uint8(0), int64(1), uint8(40))
 	f.Add(uint16(11), uint8(0), uint8(1), int64(2), uint8(0))
@@ -70,6 +74,10 @@ func FuzzCkptRejoinMatchesReplay(f *testing.F) {
 			}
 			opts = append(opts, inject.AsStatic(kind.String()))
 			cfg.RegFaults = false
+			// Enough samples that a worker's share clears the tail memo's
+			// shadow gate, so restart tails both miss (and run on the
+			// shadow stepper) and hit.
+			cfg.Samples = nativeSamples
 		}
 		if polSel&8 != 0 {
 			// A budget a few steps past the clean run's own. Warm-up
@@ -123,6 +131,11 @@ func FuzzCkptRejoinMatchesReplay(f *testing.F) {
 		}
 	})
 }
+
+// nativeSamples is the sample count of the fuzzer's CFCSS and ECCA
+// campaigns: on two workers, each share starts 32 samples past the tail
+// memo's shadow gate (64 samples left).
+const nativeSamples = 192
 
 // campaignSeries keeps the deterministic series both engines must agree
 // on: everything but wall-clock spans and the engines' own ckpt_ and

@@ -165,7 +165,7 @@ func (e *Engine) runCompiled(m *cpu.Machine, cb *cblock, bound, dbLimit uint64) 
 	fk := fLive
 	var fa, fb int32
 	var chainHits uint64
-	wip, wregs := e.watchIP, e.watchRegs
+	wip, wregs, wany := e.watchIP, e.watchRegs, e.watchAny
 
 	var stop cpu.Stop
 	done := false
@@ -407,7 +407,7 @@ chain:
 					flushState(m, u.ip+1, steps+uint64(u.preSteps), cycles+uint64(u.preCycles), direct, fk, fa, fb, flags)
 					break chain
 				}
-				if u.ip+2 == wip && wregs != nil && *r == *wregs {
+				if u.ip+2 == wip && wregs != nil && (wany || *r == *wregs) {
 					flushState(m, wip, steps+uint64(u.preSteps), cycles+uint64(u.preCycles), direct, fk, fa, fb, flags)
 					stop, done = cpu.Stop{Reason: cpu.StopWatch, IP: wip}, true
 					break chain
@@ -608,7 +608,7 @@ chain:
 				*slot = nb
 			}
 		}
-		if nb.start == wip && wregs != nil && *r == *wregs {
+		if nb.start == wip && wregs != nil && (wany || *r == *wregs) {
 			flushState(m, nb.start, steps, cycles, direct, fk, fa, fb, flags)
 			stop, done = cpu.Stop{Reason: cpu.StopWatch, IP: nb.start}, true
 			break chain

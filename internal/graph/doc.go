@@ -23,9 +23,12 @@
 //     engine) and the resolved execution backend.
 //
 // Workers, tracing, progress and the flight recorder are deliberately
-// absent: they are proven output-invariant (the normalized report and
-// the deterministic metric sections are bit-identical for every value),
-// so one worker's run answers for all.
+// absent: they are proven output-invariant (the normalized report is
+// bit-identical for every value), so one worker's run answers for all.
+// Only engine telemetry may differ with Workers: a native checkpoint
+// campaign's tail memo is per worker, so its Rejoined count and ckpt_
+// series follow the worker split, and an entry keeps the telemetry of
+// the run that stored it.
 //
 // Engine code itself cannot be content-hashed, so two version knobs
 // stand in for it: EngineVersion (bump on any semantics-affecting engine
@@ -39,7 +42,8 @@
 //
 // A cache entry stores the normalized inject.Report (Workers and Elapsed
 // zeroed — the stored payload is byte-identical no matter how many
-// workers computed it), the FormatNormalized rendering, and the cell's
+// workers computed it, outside a native campaign's engine telemetry),
+// the FormatNormalized rendering, and the cell's
 // deterministic observability snapshot (counters, gauges, histograms;
 // spans stripped). On a hit the snapshot merges back into the live
 // registry, so /metrics accounting stays continuous whether a cell ran

@@ -84,6 +84,7 @@ func flushShards(shards []*obs.Collector, reg *obs.Registry) {
 type sampleSeries struct {
 	samples, notFired, sigChecks, cacheInstrs, latency string
 	restores, rejoined, livePruned, shortCircuits      string
+	memoHits, shadowTails                              string
 	restoredSteps, replayedSteps                       string
 	// outcomes[category][outcome] and the per-category detection latency
 	// cover every category a sample can carry, CatData included.
@@ -111,6 +112,8 @@ func seriesFor(technique string) *sampleSeries {
 		rejoined:      seriesName("ckpt_rejoined_total", technique),
 		livePruned:    seriesName("ckpt_live_pruned_total", technique),
 		shortCircuits: seriesName("ckpt_shortcircuits_total", technique),
+		memoHits:      seriesName("ckpt_memo_hits_total", technique),
+		shadowTails:   seriesName("ckpt_shadow_tails_total", technique),
 		restoredSteps: seriesName("ckpt_restored_steps", technique),
 		replayedSteps: seriesName("ckpt_replayed_steps", technique),
 	}

@@ -66,6 +66,9 @@ type runner interface {
 	blockStart(ip uint32) bool
 	// tailWork is the translator work since resume (zero for native runs).
 	tailWork() dbt.Stats
+	// memo is the worker's tail memo, or nil when the runner keeps none
+	// (translated runs and the step backend; see memo.go).
+	memo() *tailMemo
 }
 
 // reference executes one clean run from the program entry on r.
@@ -131,6 +134,10 @@ func (r *snapRunner) watch(ip uint32, regs *[isa.NumRegs]int32, until uint64) {
 func (r *snapRunner) blockStart(ip uint32) bool { return r.d.BlockStart(ip) }
 
 func (r *snapRunner) tailWork() dbt.Stats { return r.d.StatsSnapshot().Sub(r.resumed) }
+
+// memo is nil: a translated guest does not start at its code cache's
+// address 0, so its tails have no entry to land on.
+func (r *snapRunner) memo() *tailMemo { return nil }
 
 // Native is the warm state of a native target, built once per session by
 // WarmNative and shared read-only by every campaign over the same program.
@@ -261,13 +268,15 @@ func (t *nativeTarget) publish(*obs.Registry, string, *Report) {}
 
 // nativeRunner holds the machine start resets in place, the current
 // sample's engine view and the Result it finishes into, so a sample
-// allocates no more than its fresh memory image.
+// allocates no more than its fresh memory image. A compiled-backend
+// runner also keeps the worker's tail memo, made on first use.
 type nativeRunner struct {
 	t    *nativeTarget
 	m    cpu.Machine
 	view comp.Engine
 	v    *comp.Engine // &view; nil for the step backend
 	res  dbt.Result
+	tm   *tailMemo
 }
 
 func (r *nativeRunner) start(f *cpu.Fault) (*cpu.Machine, *dbt.Result) {
@@ -324,3 +333,11 @@ func (r *nativeRunner) watch(ip uint32, regs *[isa.NumRegs]int32, until uint64) 
 func (r *nativeRunner) blockStart(ip uint32) bool { return r.v.BlockStart(ip) }
 
 func (r *nativeRunner) tailWork() dbt.Stats { return dbt.Stats{} }
+
+func (r *nativeRunner) memo() *tailMemo {
+	if r.tm == nil && r.t.eng != nil {
+		p := r.t.warm.prog
+		r.tm = &tailMemo{entry: p.Entry, code: p.Code, view: &r.view}
+	}
+	return r.tm
+}
