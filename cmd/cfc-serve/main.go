@@ -1,7 +1,7 @@
 // Command cfc-serve runs the batch injection service: an HTTP API over a
 // warm-session registry, so repeated campaigns on the same configuration
 // pay the translator warm-up and the checkpoint reference recording once —
-// and, with -cache-dir, not even once per process.
+// and, with -artifact-dir, not even once per process.
 //
 //	POST /v1/campaigns   {"workload":"164.gzip","scale":0.05,"technique":"RCF",
 //	                      "style":"CMOVcc","policy":"ALLBB","ckpt_interval":-1,
@@ -21,8 +21,12 @@
 //
 // -debug-addr serves net/http/pprof on a second loopback listener.
 //
-// The warm-artifact tier (see internal/artifact) distributes warm state
-// across replicas: -artifact-dir keeps a local content-addressed store,
+// The campaign cell cache (see internal/graph) is on by default, in
+// memory; -graph-cache off disables it and -graph-cache <dir> persists it.
+//
+// The warm-artifact tier (see internal/artifact) is the one place warm
+// state outlives the process, and it distributes that state across
+// replicas: -artifact-dir keeps a local content-addressed store,
 // -artifact-url fetches/publishes against a remote store (cfc-artifact
 // or another replica's -artifact-addr), and -artifact-addr serves this
 // process's store on a second listener. A cold replica pointed at a warm
@@ -57,25 +61,16 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8321", "listen address")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
-		cacheDir     = flag.String("cache-dir", "", "persist checkpoint logs under this directory")
 		maxSessions  = flag.Int("max-sessions", 64, "warm sessions kept before LRU eviction (<=0 unbounded)")
 		artifactDir  = flag.String("artifact-dir", "", "enable the warm-artifact tier with a local store under this directory")
 		artifactURL  = flag.String("artifact-url", "", "fetch/publish warm artifacts against this remote store (enables the tier)")
 		artifactAddr = flag.String("artifact-addr", "", "serve this process's artifact store on a second listener (enables the tier)")
 	)
-	// The server defaults the campaign cell cache on, sharing -cache-dir
-	// with the checkpoint logs (memory-only without one); -graph-cache
-	// off/on/dir overrides.
-	app := cli.App{GraphCache: "auto"}
+	// The server defaults the campaign cell cache on (memory only);
+	// -graph-cache off/on/dir overrides.
+	app := cli.App{GraphCache: "on"}
 	app.BindFlags(flag.CommandLine)
 	flag.Parse()
-	if app.GraphCache == "auto" {
-		if *cacheDir != "" {
-			app.GraphCache = *cacheDir
-		} else {
-			app.GraphCache = "on"
-		}
-	}
 	fatalIf(app.Open())
 
 	// The server always carries a live registry for /metrics; -metrics
@@ -93,7 +88,6 @@ func main() {
 		artifacts = &artifact.Client{BaseURL: *artifactURL, Local: store, Metrics: reg}
 	}
 	registry := session.NewRegistry(session.Config{
-		CacheDir:    *cacheDir,
 		MaxSessions: *maxSessions,
 		Metrics:     reg,
 		Graph:       app.Graph(),

@@ -21,7 +21,7 @@ type backendOutcome struct {
 
 // backends are the execution backends the differential tests compare; the
 // step interpreter, first, is the ground truth.
-var backends = []comp.Backend{comp.BackendStep, comp.BackendCompile}
+var backends = []comp.Backend{comp.BackendStep, comp.BackendAuto}
 
 // TestBackendDifferential is the backend property test: random structured
 // programs run under the step interpreter and the block-compiled backend

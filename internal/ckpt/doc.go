@@ -26,30 +26,29 @@
 // (comp.Guard). The boundary points keep each restore as close to its
 // fault site as plain interval spacing would. The watchable points are
 // where the engine's watch can see a faulty sample that rejoined the
-// reference run, and Replayer.Rejoins confirms such a rejoin exactly. Only the geometry
-// changed, not the format: a log recorded before carries no block-entry
-// points, restores exactly as ever, and merely lets fewer samples rejoin.
+// reference run, and Replayer.Rejoins confirms such a rejoin exactly.
 //
-// # On-disk checkpoint-log format
+// # Encoded checkpoint-log format
 //
-// A recorded Log can be persisted with Log.EncodeTo and reloaded with
-// DecodeLog, so repeated campaigns on the same configuration skip the
-// reference-run recording entirely (the session registry keys these files
-// by workload, scale, technique, style, policy and interval). The file is
-// a frame.Seal envelope, all integers little-endian:
+// A recorded Log persists only as the log section of a warm artifact
+// (see internal/artifact): Log.Encode seals it and DecodeLogBytes reads
+// it back, so a fresh process restoring the artifact skips the
+// reference-run recording entirely. The section is a frame.Seal envelope,
+// all integers little-endian:
 //
 //	offset  field
 //	0       magic: the 8 ASCII bytes "CFCKLOG2" (the trailing digit is
 //	        the format version; incompatible layout changes bump it, and
-//	        decoders reject any other magic — version-1 files decode
-//	        corrupt and are re-recorded in place)
+//	        decoders reject any other magic — version-1 logs decode
+//	        corrupt)
 //	8       fingerprint section: u32 length + bytes — an opaque
-//	        caller-supplied identity string (the session cache writes its
-//	        key here); DecodeLog rejects the file as stale when it does
-//	        not match
+//	        caller-supplied identity string (the artifact writes its
+//	        fingerprint here, which names the session key, the program
+//	        hash and the engine and technique versions); DecodeLogBytes
+//	        rejects the log as stale when it does not match
 //	...     body section: u32 length + the payload below
 //	end-4   checksum: IEEE CRC-32 of every preceding byte (magic
-//	        included); a mismatch marks the file corrupt
+//	        included); a mismatch marks the log corrupt
 //
 // The body payload is a fixed field sequence with no padding:
 //
@@ -86,6 +85,6 @@
 // replayer could not apply (an output prefix past the output, a page
 // outside memory). It classifies failures as ErrCorrupt (unreadable
 // bytes) or ErrStale (readable bytes recorded for a different
-// configuration). Callers treat both the same way: fall back to
-// re-recording and overwrite the file.
+// configuration). Callers treat both the same way: the artifact is
+// rejected and the session re-records its log locally.
 package ckpt

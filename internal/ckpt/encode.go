@@ -3,7 +3,6 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/cpu"
 	"repro/internal/dbt"
@@ -12,35 +11,35 @@ import (
 	"repro/internal/mem"
 )
 
-// logMagic identifies the on-disk checkpoint-log format; the trailing
+// logMagic identifies the encoded checkpoint-log format; the trailing
 // digit is the version (see the package documentation for the layout).
 // Version 2 moved the envelope onto the shared frame.Seal layout: the
 // fingerprint and the binary body are two framed sections instead of the
-// version-1 fingerprint-then-unframed-body arrangement. Version-1 files
-// decode as corrupt and are re-recorded in place.
+// version-1 fingerprint-then-unframed-body arrangement. Version-1 logs
+// decode as corrupt.
 const logMagic = "CFCKLOG2"
 
-// ErrCorrupt marks a checkpoint-log file whose bytes cannot be decoded:
-// bad magic, checksum mismatch, or a truncated/overlong payload.
+// ErrCorrupt marks an encoded checkpoint log whose bytes cannot be
+// decoded: bad magic, checksum mismatch, or a truncated/overlong payload.
 var ErrCorrupt = errors.New("ckpt: corrupt checkpoint log")
 
-// ErrStale marks a checkpoint-log file that decodes cleanly but was
+// ErrStale marks an encoded checkpoint log that decodes cleanly but was
 // recorded for a different configuration (fingerprint mismatch).
 var ErrStale = errors.New("ckpt: stale checkpoint log")
 
+// MinAutoInterval is the floor of an auto-sized capture spacing, in
+// steps: it keeps small programs from spending more on captures than they
+// save on restores.
+const MinAutoInterval = 512
+
 // AutoInterval maps the CkptInterval knob to a capture spacing in steps:
 // positive values are explicit, zero or negative auto-sizes to ~256
-// checkpoints over the clean run with a floor that keeps small programs
-// from spending more on captures than they save on restores.
+// checkpoints over the clean run, at least MinAutoInterval apart.
 func AutoInterval(knob int64, cleanSteps uint64) uint64 {
 	if knob > 0 {
 		return uint64(knob)
 	}
-	iv := cleanSteps / 256
-	if iv < 512 {
-		iv = 512
-	}
-	return iv
+	return max(cleanSteps/256, MinAutoInterval)
 }
 
 func encodeState(w *frame.Writer, st *cpu.State) {
@@ -97,19 +96,12 @@ func (l *Log) encodeBody() []byte {
 	return w.Buf()
 }
 
-// Encode renders the log in the versioned, checksummed on-disk format
-// documented at the package level: a logMagic envelope whose two framed
-// sections are the fingerprint and the binary body. fingerprint is an
-// opaque identity string (typically the cache key) that DecodeLog will
-// demand back.
+// Encode renders the log in the versioned, checksummed format documented
+// at the package level: a logMagic envelope whose two framed sections are
+// the fingerprint and the binary body. fingerprint is an opaque identity
+// string (the artifact fingerprint) that DecodeLogBytes will demand back.
 func (l *Log) Encode(fingerprint string) []byte {
 	return frame.Seal(logMagic, []byte(fingerprint), l.encodeBody())
-}
-
-// EncodeTo writes Encode's bytes to w.
-func (l *Log) EncodeTo(w io.Writer, fingerprint string) error {
-	_, err := w.Write(l.Encode(fingerprint))
-	return err
 }
 
 func decodeState(r *frame.Reader, st *cpu.State) {
@@ -191,20 +183,11 @@ func decodeBody(body []byte) (*Log, error) {
 	return l, nil
 }
 
-// DecodeLog reads a log written by EncodeTo, verifying the magic, the
+// DecodeLogBytes reads a log written by Encode, verifying the magic, the
 // CRC-32 checksum and the fingerprint before trusting any field. It
 // returns ErrCorrupt for unreadable bytes and ErrStale when the bytes
 // decode but were recorded under a different fingerprint; callers fall
 // back to re-recording on either.
-func DecodeLog(r io.Reader, fingerprint string) (*Log, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return DecodeLogBytes(buf, fingerprint)
-}
-
-// DecodeLogBytes is DecodeLog over an in-memory encoding.
 func DecodeLogBytes(buf []byte, fingerprint string) (*Log, error) {
 	sections, err := frame.Open(logMagic, buf)
 	if err != nil {

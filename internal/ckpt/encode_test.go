@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -31,22 +30,13 @@ func recordedLogs(t *testing.T) map[string]*Log {
 	return map[string]*Log{"dbt": dl, "static": sl}
 }
 
-func encode(t *testing.T, l *Log) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := l.EncodeTo(&buf, testFingerprint); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// The on-disk format must round-trip every field, and a replayer over the
+// The encoded format must round-trip every field, and a replayer over the
 // decoded log must rebuild bit-identical machine state at every point.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for name, l := range recordedLogs(t) {
 		t.Run(name, func(t *testing.T) {
-			raw := encode(t, l)
-			got, err := DecodeLog(bytes.NewReader(raw), testFingerprint)
+			raw := l.Encode(testFingerprint)
+			got, err := DecodeLogBytes(raw, testFingerprint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +61,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // fall back to re-recording instead of trusting garbage.
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	l := recordedLogs(t)["dbt"]
-	raw := encode(t, l)
+	raw := l.Encode(testFingerprint)
 
 	cases := map[string][]byte{
 		"empty":     {},
@@ -87,7 +77,7 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	cases["flipped byte"] = flipped
 
 	for name, b := range cases {
-		if _, err := DecodeLog(bytes.NewReader(b), testFingerprint); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeLogBytes(b, testFingerprint); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -97,11 +87,11 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 // bytes are fine but belong to a different configuration.
 func TestDecodeRejectsStaleFingerprint(t *testing.T) {
 	for name, l := range recordedLogs(t) {
-		raw := encode(t, l)
-		if _, err := DecodeLog(bytes.NewReader(raw), "other|config"); !errors.Is(err, ErrStale) {
+		raw := l.Encode(testFingerprint)
+		if _, err := DecodeLogBytes(raw, "other|config"); !errors.Is(err, ErrStale) {
 			t.Errorf("%s: error %v, want ErrStale", name, err)
 		}
-		if _, err := DecodeLog(bytes.NewReader(raw), testFingerprint); err != nil {
+		if _, err := DecodeLogBytes(raw, testFingerprint); err != nil {
 			t.Errorf("%s: correct fingerprint rejected: %v", name, err)
 		}
 	}
@@ -112,7 +102,7 @@ func TestDecodeRejectsStaleFingerprint(t *testing.T) {
 func TestDecodeRejectsTrailingPayload(t *testing.T) {
 	l := recordedLogs(t)["static"]
 	padded := frame.Seal(logMagic, []byte(testFingerprint), append(l.encodeBody(), 0, 0, 0, 0))
-	if _, err := DecodeLog(bytes.NewReader(padded), testFingerprint); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeLogBytes(padded, testFingerprint); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("error %v, want ErrCorrupt", err)
 	}
 }

@@ -49,7 +49,7 @@ type App struct {
 	CPUProfile string
 	MemProfile string
 	// Backend is the parsed -backend value; Open validates it. Empty is
-	// "auto" (the block-compiled engine — every backend is byte-identical,
+	// "compile" (the block-compiled engine — every backend is byte-identical,
 	// only wall-clock changes).
 	Backend string
 	// Progress is the parsed -progress interval. Non-zero starts a stderr
@@ -65,9 +65,9 @@ type App struct {
 	FlightDepth int
 	// GraphCache is the parsed -graph-cache value: "off" (or empty)
 	// disables the campaign cell cache, "on" keeps it in memory only,
-	// anything else is a directory entries persist under. Tools that want
-	// a different default (cfc-serve follows -cache-dir) rewrite the
-	// field between flag.Parse and Open.
+	// anything else is a directory entries persist under. A tool that
+	// wants a different default (cfc-serve defaults to "on") sets the
+	// field before BindFlags.
 	GraphCache string
 
 	backend     comp.Backend

@@ -44,18 +44,18 @@ import (
 // Backend selects the execution engine used for guest and translated code.
 type Backend uint8
 
-// Backends. BackendAuto resolves to the compiled backend: it is
+// Backends. BackendAuto, the zero value, is the compiled backend: it is
 // byte-identical to the step oracle by construction and falls back to it on
-// its own wherever required.
+// its own wherever required. BackendStep is the oracle itself.
 const (
 	BackendAuto Backend = iota
 	BackendStep
-	BackendCompile
 )
 
-var backendNames = [...]string{"auto", "step", "compile"}
+var backendNames = [...]string{"compile", "step"}
 
-// String names the backend as accepted by ParseBackend.
+// String names the backend as accepted by ParseBackend: "compile" or
+// "step". Cell keys and the version endpoint carry this name.
 func (b Backend) String() string {
 	if int(b) < len(backendNames) {
 		return backendNames[b]
@@ -63,18 +63,20 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", uint8(b))
 }
 
-// ParseBackend parses a -backend flag value.
+// ParseBackend parses a -backend flag value: "auto" and "compile" both
+// name the compiled backend, "step" the oracle.
 func ParseBackend(s string) (Backend, error) {
-	for i, n := range backendNames {
-		if s == n {
-			return Backend(i), nil
-		}
+	switch s {
+	case "auto", "compile":
+		return BackendAuto, nil
+	case "step":
+		return BackendStep, nil
 	}
 	return BackendAuto, fmt.Errorf("unknown backend %q (want auto, step or compile)", s)
 }
 
 // Compiled reports whether the backend uses the compiled tier.
-func (b Backend) Compiled() bool { return b == BackendAuto || b == BackendCompile }
+func (b Backend) Compiled() bool { return b != BackendStep }
 
 // Run advances m over code on backend b until a stop or the step budget:
 // the step oracle, or the compiled engine e (a nil e runs the oracle).

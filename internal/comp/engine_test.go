@@ -163,10 +163,13 @@ func TestFrozenViewZeroAllocs(t *testing.T) {
 }
 
 func TestParseBackend(t *testing.T) {
-	for _, b := range []Backend{BackendAuto, BackendStep, BackendCompile} {
+	for _, b := range []Backend{BackendAuto, BackendStep} {
 		if got, err := ParseBackend(b.String()); err != nil || got != b {
 			t.Errorf("ParseBackend(%q) = %v, %v", b.String(), got, err)
 		}
+	}
+	if got, err := ParseBackend("auto"); err != nil || got != BackendAuto {
+		t.Errorf(`ParseBackend("auto") = %v, %v`, got, err)
 	}
 	if _, err := ParseBackend("plan"); err == nil {
 		t.Error(`ParseBackend("plan") accepted the retired backend`)

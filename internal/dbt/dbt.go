@@ -17,11 +17,10 @@ type Options struct {
 	// Policy selects check placement (ALLBB by default).
 	Policy Policy
 	// Backend selects the execution engine driving translated code:
-	// BackendStep (per-step reference interpreter) or BackendCompile
-	// (block-compiled with direct chaining). The zero value BackendAuto
-	// resolves to the compiled backend. Both are byte-identical in
-	// architectural state, counters and output — the choice only moves
-	// wall-clock.
+	// BackendStep (per-step reference interpreter) or BackendAuto, the
+	// zero value (block-compiled with direct chaining). Both are
+	// byte-identical in architectural state, counters and output — the
+	// choice only moves wall-clock.
 	Backend comp.Backend
 	// NoChaining disables block chaining: every inter-block transfer
 	// dispatches through the translator (ablation knob).

@@ -26,7 +26,7 @@ func warmFor(t *testing.T, opts Options) *Snapshot {
 // the original: clones produce the same output, cycles and stats (no
 // re-translation), for both the interpreter and the compiled backend.
 func TestSnapshotStateRoundTrip(t *testing.T) {
-	for _, backend := range []comp.Backend{comp.BackendStep, comp.BackendCompile} {
+	for _, backend := range []comp.Backend{comp.BackendStep, comp.BackendAuto} {
 		t.Run(backend.String(), func(t *testing.T) {
 			opts := Options{TraceThreshold: 20, Backend: backend}
 			snap := warmFor(t, opts)
@@ -79,7 +79,7 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 // state from a restored snapshot yields the same image, so publishing a
 // fetched artifact re-encodes to the same bytes.
 func TestSnapshotStateStable(t *testing.T) {
-	opts := Options{TraceThreshold: 20, Backend: comp.BackendCompile}
+	opts := Options{TraceThreshold: 20, Backend: comp.BackendAuto}
 	snap := warmFor(t, opts)
 	st, err := snap.State()
 	if err != nil {

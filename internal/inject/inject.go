@@ -209,9 +209,9 @@ type Options struct {
 	// are byte-identical to full replay for every Workers value.
 	CkptInterval int64
 	// Backend selects the execution engine (step interpreter, or
-	// block-compiled with direct chaining). The zero value BackendAuto
-	// resolves to the compiled backend. Classified reports are
-	// byte-identical across backends; only wall-clock changes.
+	// block-compiled with direct chaining). The zero value BackendAuto is
+	// the compiled backend. Classified reports are byte-identical across
+	// backends; only wall-clock changes.
 	Backend comp.Backend
 	// Progress, when non-nil, receives live campaign progress: per-worker
 	// atomic counters of finished samples and running outcome tallies. The

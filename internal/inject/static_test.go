@@ -138,7 +138,7 @@ func TestStaticWithNativeMatchesCold(t *testing.T) {
 	var runs []run
 	cold := map[run]*Report{}
 	for _, ck := range []int64{0, -1} {
-		for _, b := range []comp.Backend{comp.BackendStep, comp.BackendCompile} {
+		for _, b := range []comp.Backend{comp.BackendStep, comp.BackendAuto} {
 			r := run{ck, b}
 			c := config(r)
 			if cold[r], err = Execute(context.Background(), p, c, AsStatic("CFCSS")); err != nil {
@@ -168,7 +168,7 @@ func TestStaticWithNativeMatchesCold(t *testing.T) {
 	}
 	wg.Wait()
 	eng := n.engine()
-	if got := newNativeTarget(n, comp.BackendCompile).eng; got != eng || eng == nil || !eng.Frozen() {
+	if got := newNativeTarget(n, comp.BackendAuto).eng; got != eng || eng == nil || !eng.Frozen() {
 		t.Errorf("compiled targets share engine %p, warm state holds %p (frozen %v)", got, eng, eng != nil && eng.Frozen())
 	}
 	if newNativeTarget(n, comp.BackendStep).eng != nil {

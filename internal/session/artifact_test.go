@@ -2,7 +2,9 @@ package session
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/artifact"
@@ -81,35 +83,52 @@ func TestArtifactColdRestoreOverHTTP(t *testing.T) {
 	}
 }
 
-// A shared local store (two replicas on one disk) restores without any
-// HTTP server, for the replay engine too (artifact carries the snapshot
-// but no log).
+// A fresh process on the same artifact directory restores every session
+// shape without any HTTP server: registry B opens its own store on A's
+// directory, performs zero recordings and zero warm builds, and holds A's
+// very log (none for the replay engine, whose artifact carries only the
+// warm state).
 func TestArtifactSharedLocalStore(t *testing.T) {
-	store := artifact.NewStore(t.TempDir())
-	k := testKey("RCF", 0)
+	for _, tech := range []string{"RCF", "CFCSS"} {
+		for _, iv := range []int64{0, -1} {
+			t.Run(fmt.Sprintf("%s/iv=%d", tech, iv), func(t *testing.T) {
+				dir := t.TempDir()
+				k := testKey(tech, iv)
 
-	rA, _ := artifactRegistry(store, "")
-	sA := mustSession(t, rA, k)
+				rA, _ := artifactRegistry(artifact.NewStore(dir), "")
+				sA := mustSession(t, rA, k)
 
-	rB, regB := artifactRegistry(store, "")
-	sB := mustSession(t, rB, k)
-	if got := counter(regB, "session_restores_total"); got != 1 {
-		t.Errorf("restores = %d, want 1", got)
-	}
-	if got := counter(regB, "session_warm_builds_total"); got != 0 {
-		t.Errorf("warm builds = %d, want 0", got)
-	}
+				rB, regB := artifactRegistry(artifact.NewStore(dir), "")
+				sB := mustSession(t, rB, k)
+				if got := counter(regB, "session_restores_total"); got != 1 {
+					t.Errorf("restores = %d, want 1", got)
+				}
+				if got := counter(regB, "session_warm_builds_total"); got != 0 {
+					t.Errorf("warm builds = %d, want 0", got)
+				}
+				if got := recordings(regB); got != 0 {
+					t.Errorf("recordings = %d, want 0", got)
+				}
+				if (sA.Log() == nil) != (iv == 0) {
+					t.Errorf("log present = %v at interval %d", sA.Log() != nil, iv)
+				}
+				if !reflect.DeepEqual(sB.Log(), sA.Log()) {
+					t.Error("restored log differs from the recorded one")
+				}
 
-	repA, err := sA.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repB, err := sB.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := inject.FormatNormalized(repB), inject.FormatNormalized(repA); got != want {
-		t.Errorf("restored report differs from local build\n got: %s\nwant: %s", got, want)
+				repA, err := sA.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				repB, err := sB.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := inject.FormatNormalized(repB), inject.FormatNormalized(repA); got != want {
+					t.Errorf("restored report differs from local build\n got: %s\nwant: %s", got, want)
+				}
+			})
+		}
 	}
 }
 

@@ -311,7 +311,7 @@ type VersionInfo struct {
 func handleVersion(w http.ResponseWriter, _ *http.Request) {
 	v := VersionInfo{
 		GoVersion: runtime.Version(),
-		Backend:   comp.BackendCompile.String(), // BackendAuto resolves to it
+		Backend:   comp.BackendAuto.String(),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		v.Module = bi.Main.Path
@@ -361,6 +361,10 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := s.Limits.CheckWorkers(body.Workers); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
+		return
+	}
+	if err := s.Limits.CheckCkptInterval(body.CkptInterval); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}

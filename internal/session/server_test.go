@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/obs"
 
 	"repro/internal/check"
+	"repro/internal/ckpt"
 )
 
 // newTestServer returns a running API server over a fresh registry plus
@@ -181,6 +183,10 @@ func TestCampaignValidation(t *testing.T) {
 		{"unknown workload", func(r *Request) { r.Workload = "999.nope" }},
 		{"unknown technique", func(r *Request) { r.Technique = "bogus" }},
 		{"unknown policy", func(r *Request) { r.Policy = "bogus" }},
+		{"ckpt interval below auto", func(r *Request) { r.CkptInterval = -2 }},
+		{"ckpt interval far negative", func(r *Request) { r.CkptInterval = math.MinInt64 }},
+		{"ckpt interval of one step", func(r *Request) { r.CkptInterval = 1 }},
+		{"ckpt interval below floor", func(r *Request) { r.CkptInterval = ckpt.MinAutoInterval - 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,9 +226,13 @@ func TestCampaignValidation(t *testing.T) {
 	})
 
 	t.Run("valid request still accepted", func(t *testing.T) {
-		status, recs, body := postBatch(t, ts, ok)
-		if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" {
-			t.Errorf("status %d records %v: %s", status, recs, body)
+		for _, iv := range []int64{0, -1, ckpt.MinAutoInterval} {
+			req := ok
+			req.CkptInterval = iv
+			status, recs, body := postBatch(t, ts, req)
+			if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" {
+				t.Errorf("ckpt_interval %d: status %d records %v: %s", iv, status, recs, body)
+			}
 		}
 	})
 }
@@ -279,7 +289,7 @@ func TestSessionsAndMetricsEndpoints(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/metrics: status %d", status)
 	}
-	for _, series := range []string{"session_misses_total 1", "ckpt_disk_rerecords_total 1"} {
+	for _, series := range []string{"session_misses_total 1", `ckpt_recordings_total{technique="RCF"} 1`} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics: missing %q in:\n%s", series, body)
 		}

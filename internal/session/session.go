@@ -3,12 +3,10 @@
 // policy, checkpoint-interval) configuration, holding the lazily built
 // program, its warm state (a translator snapshot, or the native warm
 // state of a static baseline) and the recorded checkpoint log so that
-// repeated campaigns pay the warm-up and reference-run cost once.
-// Checkpoint logs persist to disk in a versioned, checksummed format (see
-// internal/ckpt), so even a fresh process skips the reference recording
-// when a valid cache file exists; files are fingerprinted by the session
-// key and validated against the clean-run geometry, falling back to
-// re-recording on any mismatch.
+// repeated campaigns pay the warm-up and reference-run cost once. Warm
+// state outlives the process only through the artifact tier (see
+// internal/artifact): with one configured, a fresh process restores a
+// published session instead of warming and recording it again.
 //
 // Warm-up, fault derivation and recording are all deterministic, so a
 // campaign served from a session is byte-identical to the same campaign
@@ -17,10 +15,7 @@ package session
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -53,18 +48,11 @@ type Key struct {
 	CkptInterval int64
 }
 
-// String renders the key as the canonical fingerprint written into cache
-// files and reported by the sessions endpoint.
+// String renders the key as the canonical fingerprint the artifact tier
+// builds on and the sessions endpoint reports.
 func (k Key) String() string {
 	return fmt.Sprintf("%s|%g|%s|%s|%s|%d",
 		k.Workload, k.Scale, k.Technique, k.Style, k.Policy, k.CkptInterval)
-}
-
-// fileName maps the key to a cache file name: the readable fields
-// sanitized plus a hash of the exact fingerprint, so distinct keys never
-// share a file even when sanitizing collides.
-func (k Key) fileName() string {
-	return fp.FileName(k.String(), ".ckpt")
 }
 
 // Session is one warm configuration: the built (and, for the static
@@ -84,10 +72,6 @@ type Session struct {
 	native     *inject.Native // static baselines only
 	cleanSteps uint64
 	log        *ckpt.Log // nil when CkptInterval == 0
-
-	// FromDisk reports that the checkpoint log was loaded from the cache
-	// directory rather than recorded by this process.
-	FromDisk bool
 
 	mu        sync.Mutex
 	campaigns int64
@@ -152,9 +136,6 @@ func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*injec
 
 // Config parameterizes a Registry.
 type Config struct {
-	// CacheDir persists checkpoint logs across processes; "" keeps them
-	// in memory only.
-	CacheDir string
 	// MaxSessions bounds the warm set; the least recently used session is
 	// evicted when a build would exceed it. <= 0 means unbounded.
 	MaxSessions int
@@ -162,8 +143,8 @@ type Config struct {
 	// inject.DefaultMaxSteps).
 	MaxSteps uint64
 	// Metrics, when non-nil, receives the registry's cache accounting
-	// (session_{hits,misses,evictions}_total, ckpt_disk_{hits,rerecords}_
-	// total) plus the recording counters of every build.
+	// (session_{hits,misses,evictions,warm_builds,restores}_total) plus
+	// the recording counters of every build.
 	Metrics *obs.Registry
 	// Graph, when non-nil, caches whole campaign cells by content key:
 	// RunCell consults it before building a session, so a hit skips the
@@ -253,9 +234,8 @@ func (r *Registry) Session(ctx context.Context, k Key) (*Session, error) {
 	e := &entry{ready: make(chan struct{})}
 	r.sessions[k] = e
 	r.order = append(r.order, k)
-	evicted := r.evictLocked()
+	r.evictLocked()
 	r.mu.Unlock()
-	r.sweepEvicted(evicted)
 	r.count("session_misses_total")
 
 	e.sess, e.err = r.build(ctx, k)
@@ -359,14 +339,11 @@ func (r *Registry) dropOrderLocked(k Key) {
 }
 
 // evictLocked drops least-recently-used completed sessions until the warm
-// set fits the bound, returning the evicted keys for the disk sweep (the
-// file I/O must not run under the lock). In-flight builds are never
-// evicted.
-func (r *Registry) evictLocked() []Key {
+// set fits the bound. In-flight builds are never evicted.
+func (r *Registry) evictLocked() {
 	if r.cfg.MaxSessions <= 0 {
-		return nil
+		return
 	}
-	var evicted []Key
 	for i := 0; len(r.sessions) > r.cfg.MaxSessions && i < len(r.order); {
 		k := r.order[i]
 		e := r.sessions[k]
@@ -375,40 +352,8 @@ func (r *Registry) evictLocked() []Key {
 			delete(r.sessions, k)
 			r.order = append(r.order[:i], r.order[i+1:]...)
 			r.count("session_evictions_total")
-			evicted = append(evicted, k)
 		default:
 			i++ // in flight; try the next oldest
-		}
-	}
-	return evicted
-}
-
-// sweepEvicted inspects each evicted session's on-disk checkpoint log and
-// deletes it when it is version-stale (decodes cleanly under a different
-// fingerprint): such a file can never satisfy a future load, so leaving
-// it would accumulate dead bytes in the cache directory. Valid files stay
-// — the next build of the same key is exactly who they serve — and
-// corrupt files stay too, to be overwritten in place by that build's
-// re-record.
-func (r *Registry) sweepEvicted(evicted []Key) {
-	if r.cfg.CacheDir == "" {
-		return
-	}
-	for _, k := range evicted {
-		if k.CkptInterval == 0 {
-			continue // replay sessions have no log
-		}
-		path := filepath.Join(r.cfg.CacheDir, k.fileName())
-		f, err := os.Open(path)
-		if err != nil {
-			continue
-		}
-		_, err = ckpt.DecodeLog(f, k.String())
-		f.Close()
-		if errors.Is(err, ckpt.ErrStale) {
-			if os.Remove(path) == nil {
-				r.count("ckpt_disk_stale_deleted_total")
-			}
 		}
 	}
 }
@@ -471,7 +416,7 @@ func staticKind(name string) (check.StaticKind, bool) {
 // build constructs the session for k: program, warm state (a stabilized
 // translator snapshot, or for the static baselines the instrumented
 // program's native warm state) and — for the checkpoint engine — the
-// reference log, from disk when a valid cache file exists.
+// recorded reference log, unless the artifact tier restores all of it.
 func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -510,27 +455,29 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	}
 	wcfg := inject.Config{Technique: s.tech, Policy: pol, MaxSteps: r.cfg.MaxSteps}
 	var clean *dbt.Result
-	var record func(interval uint64) (*ckpt.Log, error)
 	if s.static {
 		s.native, clean, err = inject.WarmNative(s.prog, wcfg)
-		record = func(interval uint64) (*ckpt.Log, error) {
-			return s.native.Record(interval, r.cfg.MaxSteps)
-		}
 	} else {
 		s.snap, clean, err = inject.Warm(base, wcfg)
-		record = func(interval uint64) (*ckpt.Log, error) {
-			return ckpt.Record(s.snap, interval, r.cfg.MaxSteps)
-		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	s.cleanSteps = clean.Steps
 	if k.CkptInterval != 0 {
-		s.log, s.FromDisk, err = r.referenceLog(k, s.label, clean.Steps, clean.DirectBranches, clean.Output, record)
+		interval := ckpt.AutoInterval(k.CkptInterval, clean.Steps)
+		if s.static {
+			s.log, err = s.native.Record(interval, r.cfg.MaxSteps)
+		} else {
+			s.log, err = ckpt.Record(s.snap, interval, r.cfg.MaxSteps)
+		}
 		if err != nil {
 			return nil, err
 		}
+		if s.log.Stop.Reason != cpu.StopHalt {
+			return nil, fmt.Errorf("%s: clean run ended with %v", k.Workload, s.log.Stop)
+		}
+		inject.PublishRecording(r.cfg.Metrics, s.label)
 	}
 	r.count("session_warm_builds_total")
 	r.publishArtifact(s, afp, pe)
@@ -621,94 +568,6 @@ func (r *Registry) publishArtifact(s *Session, afp string, pe *progEntry) {
 	r.cfg.Artifacts.Publish(a, afp)
 }
 
-// referenceLog produces the session's checkpoint log: a disk hit when the
-// cache file decodes under k's fingerprint and matches the clean-run
-// geometry, otherwise a fresh recording (persisted back when a cache
-// directory is configured). record runs the engine-appropriate recorder.
-func (r *Registry) referenceLog(k Key, label string, cleanSteps, cleanBranches uint64,
-	cleanOutput []int32, record func(interval uint64) (*ckpt.Log, error)) (*ckpt.Log, bool, error) {
-	interval := ckpt.AutoInterval(k.CkptInterval, cleanSteps)
-	if l := r.loadLog(k, interval, cleanSteps, cleanBranches, cleanOutput); l != nil {
-		r.count("ckpt_disk_hits_total")
-		return l, true, nil
-	}
-	l, err := record(interval)
-	if err != nil {
-		return nil, false, err
-	}
-	if l.Stop.Reason != cpu.StopHalt {
-		return nil, false, fmt.Errorf("%s: clean run ended with %v", k.Workload, l.Stop)
-	}
-	inject.PublishRecording(r.cfg.Metrics, label)
-	r.count("ckpt_disk_rerecords_total")
-	r.saveLog(k, l)
-	return l, false, nil
-}
-
-// loadLog tries the cache file for k, validating the decode (magic,
-// checksum, fingerprint) and the geometry against the just-measured clean
-// run. Any failure returns nil: the caller re-records and overwrites.
-func (r *Registry) loadLog(k Key, interval, cleanSteps, cleanBranches uint64, cleanOutput []int32) *ckpt.Log {
-	if r.cfg.CacheDir == "" {
-		return nil
-	}
-	f, err := os.Open(filepath.Join(r.cfg.CacheDir, k.fileName()))
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	l, err := ckpt.DecodeLog(f, k.String())
-	if err != nil {
-		if !errors.Is(err, ckpt.ErrStale) {
-			r.count("ckpt_disk_corrupt_total")
-		}
-		return nil
-	}
-	if !l.Complete() ||
-		l.Interval != interval ||
-		l.Final.Steps != cleanSteps ||
-		l.Final.DirectBranches != cleanBranches ||
-		len(l.Output) != len(cleanOutput) {
-		r.count("ckpt_disk_stale_total")
-		return nil
-	}
-	for i := range l.Output {
-		if l.Output[i] != cleanOutput[i] {
-			r.count("ckpt_disk_stale_total")
-			return nil
-		}
-	}
-	return l
-}
-
-// saveLog persists the recording, best effort: a full disk or read-only
-// cache directory degrades to memory-only sessions, never to an error.
-// The write goes through a temp file + rename so a crash mid-write leaves
-// either the old file or the new one, not a torn hybrid.
-func (r *Registry) saveLog(k Key, l *ckpt.Log) {
-	if r.cfg.CacheDir == "" {
-		return
-	}
-	if err := os.MkdirAll(r.cfg.CacheDir, 0o755); err != nil {
-		return
-	}
-	dst := filepath.Join(r.cfg.CacheDir, k.fileName())
-	tmp, err := os.CreateTemp(r.cfg.CacheDir, ".ckpt-*")
-	if err != nil {
-		return
-	}
-	err = l.EncodeTo(tmp, k.String())
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), dst)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
 // Info describes one warm session for the sessions endpoint.
 type Info struct {
 	Workload     string  `json:"workload"`
@@ -721,7 +580,6 @@ type Info struct {
 	CleanSteps   uint64  `json:"clean_steps"`
 	Points       int     `json:"ckpt_points,omitempty"`
 	LogBytes     uint64  `json:"ckpt_bytes,omitempty"`
-	FromDisk     bool    `json:"from_disk,omitempty"`
 }
 
 // List snapshots the warm set, sorted by key fingerprint so the output is
@@ -753,7 +611,6 @@ func (r *Registry) List() []Info {
 			CkptInterval: s.Key.CkptInterval,
 			Campaigns:    s.Campaigns(),
 			CleanSteps:   s.cleanSteps,
-			FromDisk:     s.FromDisk,
 		}
 		if s.log != nil {
 			in.Points = len(s.log.Points)

@@ -2,9 +2,6 @@ package session
 
 import (
 	"context"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -90,211 +87,6 @@ func TestRegistryHitMissEviction(t *testing.T) {
 	mustSession(t, r, a)
 	if got := counter(reg, "session_misses_total"); got != 3 {
 		t.Errorf("misses after rebuild = %d, want 3", got)
-	}
-}
-
-// Persistence round trip: a second registry on the same cache directory
-// must load the recorded log from disk — zero re-recordings — and serve
-// campaigns byte-identical to the registry that recorded it.
-func TestDiskPersistenceRoundTrip(t *testing.T) {
-	for _, tech := range []string{"RCF", "CFCSS"} {
-		t.Run(tech, func(t *testing.T) {
-			dir := t.TempDir()
-			k := testKey(tech, -1)
-
-			reg1 := obs.NewRegistry()
-			r1 := NewRegistry(Config{CacheDir: dir, Metrics: reg1})
-			s1 := mustSession(t, r1, k)
-			if s1.FromDisk {
-				t.Error("cold build claims FromDisk")
-			}
-			if got := recordings(reg1); got != 1 {
-				t.Errorf("cold build recordings = %d, want 1", got)
-			}
-			if got := counter(reg1, "ckpt_disk_rerecords_total"); got != 1 {
-				t.Errorf("cold build rerecords = %d, want 1", got)
-			}
-			if _, err := os.Stat(filepath.Join(dir, k.fileName())); err != nil {
-				t.Fatalf("cache file not written: %v", err)
-			}
-
-			reg2 := obs.NewRegistry()
-			r2 := NewRegistry(Config{CacheDir: dir, Metrics: reg2})
-			s2 := mustSession(t, r2, k)
-			if !s2.FromDisk {
-				t.Error("warmed-cache build did not load from disk")
-			}
-			if got := recordings(reg2); got != 0 {
-				t.Errorf("warmed-cache build recordings = %d, want 0", got)
-			}
-			if got := counter(reg2, "ckpt_disk_hits_total"); got != 1 {
-				t.Errorf("disk hits = %d, want 1", got)
-			}
-			if !reflect.DeepEqual(s2.Log(), s1.Log()) {
-				t.Fatal("decoded log differs from recorded log")
-			}
-			// Bit-identical machine reconstruction from the loaded log.
-			orig, dec := s1.Log().NewReplayer(), s2.Log().NewReplayer()
-			for _, pt := range []int{0, len(s1.Log().Points) - 1} {
-				if !reflect.DeepEqual(dec.Machine(pt), orig.Machine(pt)) {
-					t.Fatalf("point %d: restored machine differs", pt)
-				}
-			}
-
-			// Byte-identical campaigns across the two processes' sessions.
-			opts := core.Options{Workers: 2}
-			rep1, err := s1.Run(context.Background(), Spec{Samples: testSamples, Seed: 7}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep2, err := s2.Run(context.Background(), Spec{Samples: testSamples, Seed: 7}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := inject.FormatNormalized(rep2), inject.FormatNormalized(rep1); got != want {
-				t.Errorf("warm report differs from cold\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
-}
-
-// A corrupt cache file must fall back to re-recording (and heal the file
-// for the next process), never fail the build or poison the report.
-func TestCorruptCacheFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	k := testKey("RCF", -1)
-	path := filepath.Join(dir, k.fileName())
-	if err := os.WriteFile(path, []byte("not a checkpoint log"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	r := NewRegistry(Config{CacheDir: dir, Metrics: reg})
-	s := mustSession(t, r, k)
-	if s.FromDisk {
-		t.Error("corrupt file was trusted")
-	}
-	if got := counter(reg, "ckpt_disk_corrupt_total"); got != 1 {
-		t.Errorf("corrupt = %d, want 1", got)
-	}
-	if got := counter(reg, "ckpt_disk_rerecords_total"); got != 1 {
-		t.Errorf("rerecords = %d, want 1", got)
-	}
-
-	// The re-recording overwrote the garbage: a fresh registry now hits.
-	reg2 := obs.NewRegistry()
-	r2 := NewRegistry(Config{CacheDir: dir, Metrics: reg2})
-	if s2 := mustSession(t, r2, k); !s2.FromDisk {
-		t.Error("healed cache file not loaded")
-	}
-	if got := counter(reg2, "ckpt_disk_hits_total"); got != 1 {
-		t.Errorf("disk hits after heal = %d, want 1", got)
-	}
-}
-
-// A structurally valid file recorded under a different configuration
-// (wrong fingerprint, or right fingerprint but wrong geometry) is stale:
-// re-record, don't trust it.
-func TestStaleCacheFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	k := testKey("RCF", -1)
-
-	// Record once to obtain a genuine log to tamper with.
-	seed := mustSession(t, NewRegistry(Config{CacheDir: dir}), k)
-	path := filepath.Join(dir, k.fileName())
-
-	t.Run("wrong fingerprint", func(t *testing.T) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := seed.Log().EncodeTo(f, "some|other|key"); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		reg := obs.NewRegistry()
-		s := mustSession(t, NewRegistry(Config{CacheDir: dir, Metrics: reg}), k)
-		if s.FromDisk {
-			t.Error("stale-fingerprint file was trusted")
-		}
-		if got := counter(reg, "ckpt_disk_corrupt_total"); got != 0 {
-			t.Errorf("stale counted as corrupt (%d)", got)
-		}
-		if got := counter(reg, "ckpt_disk_rerecords_total"); got != 1 {
-			t.Errorf("rerecords = %d, want 1", got)
-		}
-	})
-
-	t.Run("wrong geometry", func(t *testing.T) {
-		tampered := *seed.Log()
-		tampered.Interval++
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tampered.EncodeTo(f, k.String()); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		reg := obs.NewRegistry()
-		s := mustSession(t, NewRegistry(Config{CacheDir: dir, Metrics: reg}), k)
-		if s.FromDisk {
-			t.Error("wrong-geometry file was trusted")
-		}
-		if got := counter(reg, "ckpt_disk_stale_total"); got != 1 {
-			t.Errorf("stale = %d, want 1", got)
-		}
-		if got := counter(reg, "ckpt_disk_rerecords_total"); got != 1 {
-			t.Errorf("rerecords = %d, want 1", got)
-		}
-	})
-}
-
-// Evicting a session sweeps its on-disk log exactly when the file is
-// version-stale: dead bytes (a log recorded under another fingerprint)
-// are deleted, a valid file stays for the key's next build.
-func TestEvictionSweepsStaleDiskLog(t *testing.T) {
-	dir := t.TempDir()
-	a, b := testKey("RCF", -1), testKey("none", -1)
-	reg := obs.NewRegistry()
-	r := NewRegistry(Config{CacheDir: dir, MaxSessions: 1, Metrics: reg})
-
-	sa := mustSession(t, r, a)
-	path := filepath.Join(dir, a.fileName())
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("cache file not written: %v", err)
-	}
-
-	// Replace a's log with one recorded under a different fingerprint —
-	// the shape a version bump or config change leaves behind — and evict.
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sa.Log().EncodeTo(f, "some|other|key"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	mustSession(t, r, b) // evicts a
-	if got := counter(reg, "session_evictions_total"); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("stale log survived eviction (stat: %v)", err)
-	}
-	if got := counter(reg, "ckpt_disk_stale_deleted_total"); got != 1 {
-		t.Errorf("stale deletions = %d, want 1", got)
-	}
-
-	// Control: a valid file must survive its session's eviction — it is
-	// exactly what the next build of the same key loads.
-	mustSession(t, r, a) // rebuilds and rewrites the file, evicts b
-	mustSession(t, r, b) // evicts a again, now with a valid file
-	if _, err := os.Stat(path); err != nil {
-		t.Errorf("valid log deleted on eviction: %v", err)
-	}
-	if got := counter(reg, "ckpt_disk_stale_deleted_total"); got != 1 {
-		t.Errorf("stale deletions after valid eviction = %d, want 1", got)
 	}
 }
 
