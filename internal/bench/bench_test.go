@@ -187,6 +187,39 @@ func TestCoverageMatrixShape(t *testing.T) {
 	if byName["RCF"].Totals.Count[inject.OutSDC] > byName["none"].Totals.Count[inject.OutSDC] {
 		t.Error("RCF worse than unprotected")
 	}
+	// Section 3's claims are about the software checks, so they are
+	// pinned on det-sw, which the hardware's null page never moves.
+	// CFCSS and ECCA accept either successor of a conditional branch,
+	// so a mistaken branch (A) is never detected in software.
+	sw := func(tech string, c errmodel.Category) (det, total int) {
+		if a := byName[tech].ByCat[c]; a != nil {
+			return a.Count[inject.OutDetectedSW], a.Total
+		}
+		return 0, 0
+	}
+	for _, tech := range []string{"CFCSS", "ECCA"} {
+		if det, total := sw(tech, errmodel.CatA); total == 0 || det != 0 {
+			t.Errorf("%s: %d of %d category-A errors detected in software, want 0 of some", tech, det, total)
+		}
+	}
+	// ECCA's end-of-block id assignment runs after a landing mid-block
+	// (C, E), so those errors pass its next assertion; landings on a
+	// block's start (D) are caught.
+	cSW, cN := sw("ECCA", errmodel.CatC)
+	eSW, eN := sw("ECCA", errmodel.CatE)
+	if cN+eN == 0 || cSW+eSW != 0 {
+		t.Errorf("ECCA: %d of %d mid-block landings detected in software, want 0 of some", cSW+eSW, cN+eN)
+	}
+	if dSW, _ := sw("ECCA", errmodel.CatD); dSW == 0 {
+		t.Error("ECCA detected no block-start landing (D) in software")
+	}
+	// Only RCF covers every category: it has the fewest SDCs.
+	for _, r := range reports {
+		if r.Technique != "RCF" && r.Totals.Count[inject.OutSDC] < byName["RCF"].Totals.Count[inject.OutSDC] {
+			t.Errorf("%s has %d SDCs, fewer than RCF's %d", r.Technique,
+				r.Totals.Count[inject.OutSDC], byName["RCF"].Totals.Count[inject.OutSDC])
+		}
+	}
 	s := FormatCoverageMatrix(reports)
 	if !strings.Contains(s, "RCF") || !strings.Contains(s, "CFCSS") {
 		t.Errorf("format:\n%s", s)
