@@ -20,15 +20,16 @@ func TestBuilderBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 6 {
-		t.Fatalf("len = %d", p.Len())
+	// Code starts at address 1, after the null page.
+	if p.Len() != 7 || p.Code[0] != isa.NullPad || p.Entry != 1 {
+		t.Fatalf("len = %d, word 0 = %v, entry = %d", p.Len(), p.Code[0], p.Entry)
 	}
-	// The jcc at address 3 targets address 1: offset = 1 - 3 - 1 = -3.
-	if p.Code[3].Imm != -3 {
-		t.Errorf("jcc offset = %d, want -3", p.Code[3].Imm)
+	// The jcc at address 4 targets address 2: offset = 2 - 4 - 1 = -3.
+	if p.Code[4].Imm != -3 {
+		t.Errorf("jcc offset = %d, want -3", p.Code[4].Imm)
 	}
-	if p.Code[3].Target(3) != 1 {
-		t.Errorf("jcc target = %d, want 1", p.Code[3].Target(3))
+	if p.Code[4].Target(4) != 2 {
+		t.Errorf("jcc target = %d, want 2", p.Code[4].Target(4))
 	}
 }
 
@@ -42,8 +43,8 @@ func TestBuilderForwardReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Code[0].Target(0) != 2 {
-		t.Errorf("forward jmp target = %d, want 2", p.Code[0].Target(0))
+	if p.Code[1].Target(1) != 3 {
+		t.Errorf("forward jmp target = %d, want 3", p.Code[1].Target(1))
 	}
 }
 
@@ -83,8 +84,8 @@ func TestBuilderMovLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Code[0].Imm != 3 {
-		t.Errorf("movi =fn imm = %d, want 3 (absolute)", p.Code[0].Imm)
+	if p.Code[1].Imm != 4 {
+		t.Errorf("movi =fn imm = %d, want 4 (absolute)", p.Code[1].Imm)
 	}
 }
 
@@ -125,15 +126,15 @@ func TestAssembleSample(t *testing.T) {
 	if p.DataWords != 64 {
 		t.Errorf("data words = %d", p.DataWords)
 	}
-	if p.Entry != 0 {
+	if p.Entry != 1 {
 		t.Errorf("entry = %d", p.Entry)
 	}
 	if p.SymbolAt(p.Entry) != "main" {
 		t.Errorf("entry symbol = %q", p.SymbolAt(p.Entry))
 	}
-	// jgt at index 5 back to index 2.
-	if p.Code[5].Op != isa.OpJcc || p.Code[5].Cond() != isa.CondGT || p.Code[5].Target(5) != 2 {
-		t.Errorf("jgt = %+v", p.Code[5])
+	// jgt at index 6 back to index 3.
+	if p.Code[6].Op != isa.OpJcc || p.Code[6].Cond() != isa.CondGT || p.Code[6].Target(6) != 3 {
+		t.Errorf("jgt = %+v", p.Code[6])
 	}
 }
 
@@ -194,16 +195,16 @@ fn:
 	}
 	// Spot checks.
 	want := map[int]isa.Op{
-		0: isa.OpNop, 1: isa.OpMovRI, 2: isa.OpMovRR, 3: isa.OpLea, 4: isa.OpLea3,
-		5: isa.OpLoad, 6: isa.OpStore,
+		1: isa.OpNop, 2: isa.OpMovRI, 3: isa.OpMovRR, 4: isa.OpLea, 5: isa.OpLea3,
+		6: isa.OpLoad, 7: isa.OpStore,
 	}
 	for idx, op := range want {
 		if p.Code[idx].Op != op {
 			t.Errorf("instr %d = %v, want op %v", idx, p.Code[idx], op)
 		}
 	}
-	if p.Code[4].RS1 != isa.EAX || p.Code[4].RS2 != isa.EBX || p.Code[4].Imm != -2 {
-		t.Errorf("lea3 = %+v", p.Code[4])
+	if p.Code[5].RS1 != isa.EAX || p.Code[5].RS2 != isa.EBX || p.Code[5].Imm != -2 {
+		t.Errorf("lea3 = %+v", p.Code[5])
 	}
 	// IA32 alias: jne == jnz parse to CondNE.
 	found := false
@@ -289,7 +290,7 @@ func TestLabelOnSameLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Symbols[0] != "a" && p.Symbols[0] != "b" {
+	if p.Symbols[1] != "a" && p.Symbols[1] != "b" {
 		t.Errorf("symbols = %v", p.Symbols)
 	}
 }

@@ -31,9 +31,10 @@ type Builder struct {
 	errs      []error
 }
 
-// NewBuilder returns a Builder for a program with the given name.
+// NewBuilder returns a Builder for a program with the given name. Code
+// is laid out from address 1: address 0, the null page, holds isa.NullPad.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, labels: make(map[string]uint32), entry: ""}
+	return &Builder{name: name, labels: make(map[string]uint32), code: []isa.Instr{isa.NullPad}}
 }
 
 // PC returns the address of the next instruction to be emitted.
@@ -43,7 +44,7 @@ func (b *Builder) PC() uint32 { return uint32(len(b.code)) }
 func (b *Builder) SetDataWords(n uint32) { b.dataWords = n }
 
 // SetEntry makes the given label the program entry point. By default the
-// entry is address 0.
+// entry is the first instruction emitted, at address 1.
 func (b *Builder) SetEntry(label string) { b.entry = label }
 
 // SetTarget marks the program as target-ISA (16 registers, pseudo-ops
@@ -158,7 +159,7 @@ func (b *Builder) Build() (*isa.Program, error) {
 			b.code[fx.at].Imm = isa.OffsetFor(fx.at, target)
 		}
 	}
-	entry := uint32(0)
+	entry := uint32(1)
 	if b.entry != "" {
 		e, ok := b.labels[b.entry]
 		if !ok {

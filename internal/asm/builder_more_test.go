@@ -130,8 +130,8 @@ func TestCondAliases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alias, err)
 		}
-		if p.Code[0].Cond() != want {
-			t.Errorf("j%s parsed as %v, want %v", alias, p.Code[0].Cond(), want)
+		if p.Code[1].Cond() != want {
+			t.Errorf("j%s parsed as %v, want %v", alias, p.Code[1].Cond(), want)
 		}
 	}
 }

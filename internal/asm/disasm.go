@@ -8,13 +8,18 @@ import (
 )
 
 // Disassemble renders a program as annotated assembly text, with labels for
-// every symbol and branch targets resolved to labels where possible.
+// every symbol and branch targets resolved to labels where possible. The
+// null page (address 0) is not code and is left out, so the text
+// assembles back to the same image.
 func Disassemble(p *isa.Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; program %s  (%d instructions, entry %s, data %d words)\n",
 		p.Name, p.Len(), p.SymbolAt(p.Entry), p.DataWords)
 	for addr, in := range p.Code {
 		a := uint32(addr)
+		if a == 0 {
+			continue
+		}
 		if sym, ok := p.Symbols[a]; ok {
 			fmt.Fprintf(&b, "%s:\n", sym)
 		}

@@ -8,11 +8,12 @@ import (
 	"repro/internal/isa"
 )
 
-// Assemble parses assembly text into a program. The syntax is line based:
+// Assemble parses assembly text into a program laid out from address 1
+// (see NewBuilder). The syntax is line based:
 //
 //	; comment
 //	.data 1024        ; data segment size in words
-//	.entry main       ; entry label (default: address 0)
+//	.entry main       ; entry label (default: the first instruction)
 //	main:             ; label definition
 //	    movi eax, 10
 //	loop:

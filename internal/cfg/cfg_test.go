@@ -22,7 +22,7 @@ func TestLinearProgram(t *testing.T) {
 		t.Fatalf("blocks = %d, want 1", g.NumBlocks())
 	}
 	b := g.Blocks[0]
-	if b.Start != 0 || b.End != 4 || b.Len() != 4 {
+	if b.Start != 1 || b.End != 5 || b.Len() != 4 {
 		t.Errorf("block = %v", b)
 	}
 	if len(b.Succs) != 0 {
@@ -32,35 +32,35 @@ func TestLinearProgram(t *testing.T) {
 
 func TestDiamond(t *testing.T) {
 	g := build(t, `
-    cmpi eax, 0      ; B0: 0-1
+    cmpi eax, 0      ; B0: 1-2
     jeq else
-    movi ebx, 1      ; B1: 2-3
+    movi ebx, 1      ; B1: 3-4
     jmp join
 else:
-    movi ebx, 2      ; B2: 4
+    movi ebx, 2      ; B2: 5
 join:
-    out ebx          ; B3: 5-6
+    out ebx          ; B3: 6-7
     halt
 `)
 	if g.NumBlocks() != 4 {
 		t.Fatalf("blocks = %d, want 4: %v", g.NumBlocks(), g.Blocks)
 	}
-	b0 := g.BlockStarting(0)
+	b0 := g.BlockStarting(1)
 	if len(b0.Succs) != 2 {
 		t.Fatalf("B0 succs = %v", b0.Succs)
 	}
-	// jeq targets 4 (else) and falls through to 2.
-	if b0.Succs[0] != 4 || b0.Succs[1] != 2 {
-		t.Errorf("B0 succs = %v, want [4 2]", b0.Succs)
+	// jeq targets 5 (else) and falls through to 3.
+	if b0.Succs[0] != 5 || b0.Succs[1] != 3 {
+		t.Errorf("B0 succs = %v, want [5 3]", b0.Succs)
 	}
-	b1 := g.BlockStarting(2)
-	if len(b1.Succs) != 1 || b1.Succs[0] != 5 {
-		t.Errorf("B1 succs = %v, want [5]", b1.Succs)
+	b1 := g.BlockStarting(3)
+	if len(b1.Succs) != 1 || b1.Succs[0] != 6 {
+		t.Errorf("B1 succs = %v, want [6]", b1.Succs)
 	}
 	// Fall-through block split by the join leader.
-	b2 := g.BlockStarting(4)
-	if len(b2.Succs) != 1 || b2.Succs[0] != 5 {
-		t.Errorf("B2 succs = %v, want [5]", b2.Succs)
+	b2 := g.BlockStarting(5)
+	if len(b2.Succs) != 1 || b2.Succs[0] != 6 {
+		t.Errorf("B2 succs = %v, want [6]", b2.Succs)
 	}
 }
 
@@ -76,14 +76,14 @@ loop:
 	if g.NumBlocks() != 3 {
 		t.Fatalf("blocks = %d: %v", g.NumBlocks(), g.Blocks)
 	}
-	loopBlock := g.BlockStarting(1)
+	loopBlock := g.BlockStarting(2)
 	if loopBlock == nil {
 		t.Fatal("no block at loop head")
 	}
 	if !g.HasBackEdge(loopBlock) {
 		t.Error("loop block should have a back edge")
 	}
-	if g.HasBackEdge(g.BlockStarting(0)) {
+	if g.HasBackEdge(g.BlockStarting(1)) {
 		t.Error("entry block has no back edge")
 	}
 	if !IsBackEdge(3, 1) || IsBackEdge(3, 5) {
@@ -98,22 +98,22 @@ loop:
 func TestCallSplitsBlocks(t *testing.T) {
 	g := build(t, `
 main:
-    movi eax, 1     ; B0: 0-1 (call terminates it)
+    movi eax, 1     ; B0: 1-2 (call terminates it)
     call fn
-    out eax         ; B1: 2-3
+    out eax         ; B1: 3-4
     halt
 fn:
-    ret             ; B2: 4
+    ret             ; B2: 5
 `)
 	if g.NumBlocks() != 3 {
 		t.Fatalf("blocks = %d: %v", g.NumBlocks(), g.Blocks)
 	}
-	b0 := g.BlockStarting(0)
-	// Call successors: target fn (4) and return-continuation (2).
-	if len(b0.Succs) != 2 || b0.Succs[0] != 4 || b0.Succs[1] != 2 {
-		t.Errorf("call succs = %v, want [4 2]", b0.Succs)
+	b0 := g.BlockStarting(1)
+	// Call successors: target fn (5) and return-continuation (3).
+	if len(b0.Succs) != 2 || b0.Succs[0] != 5 || b0.Succs[1] != 3 {
+		t.Errorf("call succs = %v, want [5 3]", b0.Succs)
 	}
-	fn := g.BlockStarting(4)
+	fn := g.BlockStarting(5)
 	if !fn.HasIndirectSucc {
 		t.Error("ret block should have indirect successor")
 	}
@@ -132,11 +132,11 @@ fn:
     movi eax, 5
     ret
 `)
-	if !g.IsBlockStart(3) {
+	if !g.IsBlockStart(4) {
 		t.Error("indirect call target fn should start a block")
 	}
 	// callr block: fall-through successor plus indirect.
-	b := g.BlockAt(1)
+	b := g.BlockAt(2)
 	if !b.HasIndirectSucc {
 		t.Error("callr block should be marked indirect")
 	}
@@ -144,24 +144,27 @@ fn:
 
 func TestBlockAtClassification(t *testing.T) {
 	g := build(t, `
-    movi ecx, 3      ; B0: 0
+    movi ecx, 3      ; B0: 1
 loop:
-    subi ecx, 1      ; B1: 1-3
+    subi ecx, 1      ; B1: 2-4
     cmpi ecx, 0
     jgt loop
-    halt             ; B2: 4
+    halt             ; B2: 5
 `)
-	if b := g.BlockAt(2); b == nil || b.Start != 1 {
-		t.Errorf("BlockAt(2) = %v", b)
+	if b := g.BlockAt(3); b == nil || b.Start != 2 {
+		t.Errorf("BlockAt(3) = %v", b)
 	}
-	if !g.IsBlockStart(1) || g.IsBlockStart(2) {
+	if !g.IsBlockStart(2) || g.IsBlockStart(3) {
 		t.Error("block start classification wrong")
 	}
 	if g.BlockAt(100) != nil {
 		t.Error("BlockAt outside code should be nil")
 	}
-	b := g.BlockAt(3)
-	if !b.Contains(3) || b.Contains(4) {
+	if g.BlockAt(0) != nil || g.IsBlockStart(0) {
+		t.Error("the null page is in no block")
+	}
+	b := g.BlockAt(4)
+	if !b.Contains(4) || b.Contains(5) {
 		t.Error("Contains wrong")
 	}
 }
@@ -206,8 +209,8 @@ dead:
 		}
 	}
 	for a, c := range covered {
-		if c != 1 {
-			t.Errorf("instr %d covered %d times", a, c)
+		if want := min(a, 1); c != want {
+			t.Errorf("instr %d covered %d times, want %d", a, c, want)
 		}
 	}
 	// Dead code still has block structure.

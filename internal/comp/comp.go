@@ -35,7 +35,6 @@ package comp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -272,19 +271,14 @@ type Engine struct {
 	coldHeat   map[uint32]uint32
 	coldBlocks map[uint32]*cblock
 
-	// The view's optional watch (see Watch and WatchIP): Run stops before
-	// entering a block at watchIP, or continuing past a guard to it, while
-	// the registers equal *watchRegs (any registers when watchAny), or at
-	// the first block entry past watchUntil. A nil watchRegs disarms it.
+	// The view's optional watch (see Watch): Run stops before entering a
+	// block at watchIP, or continuing past a guard to it, while the
+	// registers equal *watchRegs, or at the first block entry past
+	// watchUntil. A nil watchRegs disarms it.
 	watchIP    uint32
 	watchRegs  *[isa.NumRegs]int32
 	watchUntil uint64
-	watchAny   bool
 }
-
-// anyRegs is the non-nil watchRegs an IP-only watch arms with; its
-// contents are never compared.
-var anyRegs [isa.NumRegs]int32
 
 // NewEngine returns an engine compiling code against the cost model (nil
 // selects DefaultCosts) with the given promotion threshold (<=0 selects
@@ -417,23 +411,8 @@ func (e *Engine) BlockStart(ip uint32) bool {
 // its own watch.
 func (e *Engine) Watch(ip uint32, regs *[isa.NumRegs]int32, until uint64) {
 	if e != nil {
-		e.watchIP, e.watchRegs, e.watchUntil, e.watchAny = ip, regs, until, false
+		e.watchIP, e.watchRegs, e.watchUntil = ip, regs, until
 	}
-}
-
-// WatchIP arms the view's watch in IP-only mode: Run returns
-// cpu.StopWatch before it enters a block starting at ip, or continues past
-// a guard to ip, whatever the registers hold, including at the address
-// Run starts on. It has no step deadline. Watch(0, nil, 0) disarms it.
-func (e *Engine) WatchIP(ip uint32) {
-	if e != nil {
-		e.watchIP, e.watchRegs, e.watchUntil, e.watchAny = ip, &anyRegs, math.MaxUint64, true
-	}
-}
-
-// watched reports whether an armed watch fires at ip with registers r.
-func (e *Engine) watched(ip uint32, r *[isa.NumRegs]int32) bool {
-	return ip == e.watchIP && (e.watchAny || *r == *e.watchRegs)
 }
 
 // Frozen reports whether the core is frozen (safe to Clone).
@@ -485,7 +464,7 @@ func (e *Engine) Run(m *cpu.Machine, code []isa.Instr, maxSteps uint64) cpu.Stop
 		}
 		bound := maxSteps
 		if e.watchRegs != nil {
-			if m.Steps >= e.watchUntil || e.watched(m.IP, &m.Regs) {
+			if m.Steps >= e.watchUntil || (m.IP == e.watchIP && m.Regs == *e.watchRegs) {
 				return cpu.Stop{Reason: cpu.StopWatch, IP: m.IP}
 			}
 			bound = min(bound, e.watchUntil)
@@ -563,7 +542,7 @@ func (e *Engine) interpBlock(m *cpu.Machine, code []isa.Instr, maxSteps uint64) 
 		if m.IP != ip+2 || !Guard(code, ip) {
 			return cpu.Stop{}, false
 		}
-		if e.watchRegs != nil && (m.Steps >= e.watchUntil || e.watched(m.IP, &m.Regs)) {
+		if e.watchRegs != nil && (m.Steps >= e.watchUntil || (m.IP == e.watchIP && m.Regs == *e.watchRegs)) {
 			return cpu.Stop{Reason: cpu.StopWatch, IP: m.IP}, true
 		}
 	}

@@ -82,6 +82,36 @@ func TestEngineMatchesRun(t *testing.T) {
 	}
 }
 
+// No block compiles at address 0, the null page, so a jump there traps
+// exactly as on the step oracle, from a chained compiled block as from
+// the interpreter, and on a view frozen with 0 among its starts, though
+// the word holds an instruction.
+func TestEngineNullPageTraps(t *testing.T) {
+	code := []isa.Instr{
+		{Op: isa.OpOut, RS1: isa.EAX},
+		{Op: isa.OpAddI, RD: isa.EAX, Imm: 1},
+		{Op: isa.OpCmpI, RD: isa.EAX, Imm: 20},
+		{Op: isa.OpJcc, RD: isa.Reg(isa.CondLT), Imm: isa.OffsetFor(3, 1)},
+		{Op: isa.OpJmp, Imm: isa.OffsetFor(4, 0)},
+	}
+	p := &isa.Program{Name: "null", Code: code, Entry: 1, Target: true}
+	want := cpu.Stop{Reason: cpu.StopBadFetch, IP: 0}
+	if stop := runBoth(t, p, testMaxSteps, nil); stop != want {
+		t.Fatalf("stop = %v, want %v", stop, want)
+	}
+	eng := NewEngine(code, nil, 0)
+	eng.Freeze([]uint32{0, 1, 4})
+	v := eng.Clone()
+	m := cpu.New()
+	m.Reset(p)
+	if stop := v.Run(m, code, testMaxSteps); stop != want || len(m.Output) != 0 || m.Regs[isa.EAX] != 20 {
+		t.Fatalf("frozen view: stop = %v, output %v, eax %d; want %v, none, 20", stop, m.Output, m.Regs[isa.EAX], want)
+	}
+	if v.BlockStart(0) || v.Stats.ChainHits == 0 {
+		t.Errorf("frozen view: block at 0 %v, %d chain hits; want none and some", v.BlockStart(0), v.Stats.ChainHits)
+	}
+}
+
 func TestEngineOutOfSteps(t *testing.T) {
 	p := engineProgram(t)
 	for _, budget := range []uint64{0, 1, 2, 3, 5, 7, 11, 17, 23, 40, 97, 150} {
@@ -141,13 +171,15 @@ func TestEngineChunkedResume(t *testing.T) {
 // self-loop, chained to itself at the freeze.
 func TestFrozenViewZeroAllocs(t *testing.T) {
 	code := []isa.Instr{
+		isa.NullPad,
 		{Op: isa.OpAddI, RD: isa.EAX, Imm: 1},
 		{Op: isa.OpJmp, Imm: -2},
 	}
 	eng := NewEngine(code, nil, 0)
-	eng.Freeze([]uint32{0})
+	eng.Freeze([]uint32{1})
 	v := eng.Clone()
 	m := cpu.New()
+	m.IP = 1
 	m.Mem = nil // the loop touches no memory
 	allocs := testing.AllocsPerRun(100, func() {
 		if stop := v.Run(m, code, m.Steps+1024); stop.Reason != cpu.StopOutOfSteps {

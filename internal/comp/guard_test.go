@@ -20,42 +20,43 @@ func guardProgram(fail bool) *isa.Program {
 		corrupt = isa.Instr{Op: isa.OpCmov, RD: isa.ESI, RS1: isa.EBP, RS2: isa.Reg(isa.CondEQ)}
 	}
 	code := []isa.Instr{
+		isa.NullPad,
 		{Op: isa.OpMovRI, RD: isa.EAX, Imm: 0},
 		{Op: isa.OpMovRI, RD: isa.ECX, Imm: 12},
 		{Op: isa.OpMovRI, RD: isa.ESI, Imm: 100},
 		{Op: isa.OpMovRI, RD: isa.EBX, Imm: 7},
 		{Op: isa.OpMovRI, RD: isa.EBP, Imm: 999},
-		// loop (5): CFCSS check.
+		// loop (6): CFCSS check.
 		{Op: isa.OpLea, RD: isa.ESI, RS1: isa.ESI, Imm: 5},
 		{Op: isa.OpLea, RD: isa.EDI, RS1: isa.ESI, Imm: -105},
 		{Op: isa.OpJrz, RS1: isa.EDI, Imm: 1},
 		{Op: isa.OpReport},
-		// 9: emitCheck.
+		// 10: emitCheck.
 		{Op: isa.OpMovRR, RD: isa.EDX, RS1: isa.ECX},
 		{Op: isa.OpLea, RD: isa.ECX, RS1: isa.EBX, Imm: -7},
 		{Op: isa.OpJrz, RS1: isa.ECX, Imm: 1},
 		{Op: isa.OpReport},
-		// 13: body, with a bare guard.
+		// 14: body, with a bare guard.
 		{Op: isa.OpMovRR, RD: isa.ECX, RS1: isa.EDX},
 		{Op: isa.OpAdd, RD: isa.EAX, RS1: isa.ECX},
 		{Op: isa.OpXor3, RD: isa.EDI, RS1: isa.EAX, RS2: isa.EAX},
 		{Op: isa.OpJrz, RS1: isa.EDI, Imm: 1},
 		{Op: isa.OpReport},
-		// 18: signature restore and loop tail.
+		// 19: signature restore and loop tail.
 		{Op: isa.OpLea, RD: isa.ESI, RS1: isa.ESI, Imm: -5},
 		{Op: isa.OpCmpI, RD: isa.ECX, Imm: 3},
 		corrupt,
 		{Op: isa.OpSubI, RD: isa.ECX, Imm: 1},
 		{Op: isa.OpCmpI, RD: isa.ECX, Imm: 0},
-		{Op: isa.OpJcc, RD: isa.Reg(isa.CondGT), Imm: isa.OffsetFor(23, 5)},
+		{Op: isa.OpJcc, RD: isa.Reg(isa.CondGT), Imm: isa.OffsetFor(24, 6)},
 		{Op: isa.OpOut, RS1: isa.EAX},
 		{Op: isa.OpHalt},
 	}
-	return &isa.Program{Name: "guards", Code: code, Target: true}
+	return &isa.Program{Name: "guards", Code: code, Entry: 1, Target: true}
 }
 
 // guardContinuations are guardProgram's three guard continuations.
-var guardContinuations = []uint32{9, 13, 18}
+var guardContinuations = []uint32{10, 14, 19}
 
 // guardEngines returns the engines a guard must be exact on: unfrozen at
 // promotion thresholds 1 and the default, and a view of a core frozen over
@@ -119,8 +120,8 @@ func TestGuardAccounting(t *testing.T) {
 		runGuards(t, p, 10_000, &cpu.Fault{Kind: cpu.FaultFlagBit, BranchIndex: idx, Bit: 0})
 	}
 	failed := runGuards(t, guardProgram(true), testMaxSteps, nil)
-	if failed.stop != (cpu.Stop{Reason: cpu.StopReport, IP: 8}) {
-		t.Fatalf("corrupted signature: stop %v, want the CFCSS report at 8", failed.stop)
+	if failed.stop != (cpu.Stop{Reason: cpu.StopReport, IP: 9}) {
+		t.Fatalf("corrupted signature: stop %v, want the CFCSS report at 9", failed.stop)
 	}
 
 	v := guardEngines(t, p)[2]
@@ -128,11 +129,11 @@ func TestGuardAccounting(t *testing.T) {
 	for _, b := range v.c.blocks {
 		starts = append(starts, b.start)
 	}
-	if want := []uint32{0, 5}; !reflect.DeepEqual(starts, want) {
+	if want := []uint32{1, 6}; !reflect.DeepEqual(starts, want) {
 		t.Fatalf("frozen core compiled blocks at %v, want the entry and the loop %v", starts, want)
 	}
 	guards := 0
-	for _, u := range v.c.byAddr.get(5).uops {
+	for _, u := range v.c.byAddr.get(6).uops {
 		if u.k == uGuard {
 			guards++
 		}

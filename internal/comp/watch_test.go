@@ -28,7 +28,7 @@ func frozenView(t *testing.T, p *isa.Program) *Engine {
 // disarmed, the run then finishes as if it had never stopped.
 func TestWatchStopsAtBlockEntry(t *testing.T) {
 	p := engineProgram(t)
-	const loop = 3 // the loop head, a block start
+	const loop = 4 // the loop head, a block start
 	ref := cpu.New()
 	ref.Reset(p)
 	entries := 0

@@ -26,7 +26,8 @@ const (
 	// StopTrapOut: translated code executed a deliberate exit stub
 	// (OpTrapOut); the DBT regains control. Never an error.
 	StopTrapOut
-	// StopBadFetch: the instruction pointer left the mapped code region.
+	// StopBadFetch: the instruction pointer left the mapped code region
+	// or reached the null page (address 0).
 	// This models the hardware execute-disable protection that detects the
 	// paper's category F errors.
 	StopBadFetch
@@ -238,8 +239,9 @@ func code(p *isa.Program) []isa.Instr { return p.Code }
 // must stop (including OpHalt/OpReport/OpTrapOut and all traps).
 func (m *Machine) Step(codeSlice []isa.Instr) (Stop, bool) {
 	ip := m.IP
-	if ip >= uint32(len(codeSlice)) {
-		// Hardware protection: fetching outside the code region traps.
+	if ip == 0 || ip >= uint32(len(codeSlice)) {
+		// Hardware protection: fetching outside the code region, or on
+		// the null page (isa.NullPad), traps.
 		return Stop{Reason: StopBadFetch, IP: ip}, true
 	}
 	in := codeSlice[ip]

@@ -167,8 +167,26 @@ func TestOutOfSteps(t *testing.T) {
 	}
 }
 
+// TestNullPageTraps pins the null page: address 0 is never code. A return
+// through a stack word the run never wrote (0) traps as a wild fetch, and
+// so does a jump there, whatever instruction the image holds at 0.
+func TestNullPageTraps(t *testing.T) {
+	p := mustAssemble(t, "subi esp, 1\nret\n")
+	m := New()
+	if stop := m.RunProgram(p, 100); stop.Reason != StopBadFetch || stop.IP != 0 || m.Steps != 2 {
+		t.Errorf("ret through an unwritten word: stop = %v after %d steps, want bad-fetch@0 after 2", stop, m.Steps)
+	}
+	p = &isa.Program{Name: "jmp0", Code: []isa.Instr{
+		{Op: isa.OpOut, RS1: isa.EAX},
+		{Op: isa.OpJmp, Imm: -2},
+	}, Entry: 1}
+	if stop := m.RunProgram(p, 100); stop.Reason != StopBadFetch || stop.IP != 0 || len(m.Output) != 0 {
+		t.Errorf("jmp to 0: stop = %v, output %v, want bad-fetch@0 and no output", stop, m.Output)
+	}
+}
+
 func TestInvalidInstr(t *testing.T) {
-	p := &isa.Program{Name: "inv", Code: []isa.Instr{{Op: isa.Op(200)}}}
+	p := &isa.Program{Name: "inv", Code: []isa.Instr{isa.NullPad, {Op: isa.Op(200)}}, Entry: 1}
 	m := New()
 	if stop := m.RunProgram(p, 10); stop.Reason != StopInvalidInstr {
 		t.Fatalf("stop = %v, want invalid-instr", stop)
@@ -309,7 +327,7 @@ loop:
 	if !events[0].Taken || !events[1].Taken || events[2].Taken {
 		t.Errorf("taken pattern = %v %v %v", events[0].Taken, events[1].Taken, events[2].Taken)
 	}
-	if events[0].Target != 1 {
+	if events[0].Target != 2 {
 		t.Errorf("target = %#x", events[0].Target)
 	}
 }
@@ -380,16 +398,16 @@ loop:
     halt
 `)
 	m := New()
-	// Offset bit 0 on branch 1: target 1 ^ ... the offset is -3
-	// (0xFFFFFFFD); bit 0 flip gives -4 -> target 0 (begin of program).
+	// Offset bit 0 on branch 1: the offset is -3 (0xFFFFFFFD); bit 0
+	// flip gives -4 -> target 1 (begin of program, past the null page).
 	m.Fault = &Fault{BranchIndex: 1, Kind: FaultOffsetBit, Bit: 0}
 	stop := m.RunProgram(p, 10_000)
 	if stop.Reason != StopHalt {
 		t.Fatalf("stop = %v", stop)
 	}
-	// Jumping to 0 re-runs movi ecx,5 -> loop runs again cleanly.
-	if m.Fault.FaultTarget != 0 {
-		t.Errorf("fault target = %#x, want 0", m.Fault.FaultTarget)
+	// Jumping to 1 re-runs movi ecx,5 -> loop runs again cleanly.
+	if m.Fault.FaultTarget != 1 {
+		t.Errorf("fault target = %#x, want 1", m.Fault.FaultTarget)
 	}
 	// Two branches before the fault restarts the program, then five more
 	// in the clean re-run of the loop.

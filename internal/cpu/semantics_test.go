@@ -6,11 +6,13 @@ import (
 	"repro/internal/isa"
 )
 
-// runSnippet executes a hand-built instruction sequence on a fresh machine
-// with a small memory, returning the machine for inspection.
+// runSnippet executes a hand-built instruction sequence, laid out from
+// address 1 past the null page, on a fresh machine with a small memory,
+// returning the machine for inspection.
 func runSnippet(t *testing.T, code []isa.Instr, maxSteps uint64) (*Machine, Stop) {
 	t.Helper()
-	p := &isa.Program{Name: "snippet", Code: code, DataWords: 64, Target: true}
+	code = append([]isa.Instr{isa.NullPad}, code...)
+	p := &isa.Program{Name: "snippet", Code: code, Entry: 1, DataWords: 64, Target: true}
 	m := New()
 	m.Reset(p)
 	stop := m.Run(code, maxSteps)
@@ -131,12 +133,13 @@ func TestFlagsAfterArithmetic(t *testing.T) {
 
 func TestRegBitFault(t *testing.T) {
 	code := []isa.Instr{
+		isa.NullPad,
 		ins(isa.OpMovRI, isa.EAX, 0, 0, 0), // step 0
 		ins(isa.OpNop, 0, 0, 0, 0),         // step 1 (fault fires before this)
 		ins(isa.OpOut, 0, isa.EAX, 0, 0),   // step 2
 		{Op: isa.OpHalt},
 	}
-	p := &isa.Program{Name: "regfault", Code: code, DataWords: 8, Target: true}
+	p := &isa.Program{Name: "regfault", Code: code, Entry: 1, DataWords: 8, Target: true}
 	m := New()
 	m.Reset(p)
 	m.Fault = &Fault{Kind: FaultRegBit, StepIndex: 1, Reg: isa.EAX, Bit: 4}
@@ -159,13 +162,14 @@ func TestRegBitFaultDoesNotTriggerOnBranches(t *testing.T) {
 	// A register fault must not consume the branch-fault path even when
 	// BranchIndex is zero.
 	code := []isa.Instr{
+		isa.NullPad,
 		ins(isa.OpMovRI, isa.ECX, 0, 0, 2),
 		ins(isa.OpSubI, isa.ECX, 0, 0, 1), // loop body
 		ins(isa.OpCmpI, isa.ECX, 0, 0, 0),
 		{Op: isa.OpJcc, RD: isa.Reg(isa.CondGT), Imm: -3},
 		{Op: isa.OpHalt},
 	}
-	p := &isa.Program{Name: "t", Code: code, DataWords: 8, Target: true}
+	p := &isa.Program{Name: "t", Code: code, Entry: 1, DataWords: 8, Target: true}
 	m := New()
 	m.Reset(p)
 	m.Fault = &Fault{Kind: FaultRegBit, StepIndex: 1 << 40, Reg: isa.EAX, Bit: 0}

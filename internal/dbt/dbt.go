@@ -222,6 +222,7 @@ func New(p *isa.Program, opts Options) *DBT {
 		prog:   p,
 		opts:   opts,
 		tech:   opts.Technique,
+		cache:  nullCache(),
 		blocks: make(map[uint32]*TBlock),
 	}
 	if opts.Backend.Compiled() {
@@ -229,6 +230,12 @@ func New(p *isa.Program, opts Options) *DBT {
 	}
 	return d
 }
+
+// nullCache returns an empty code cache: only its word 0, the null page
+// (isa.NullPad), which keeps every translation off address 0. A chain or
+// a faulty branch may reach any translated block, the first included, and
+// none of them may trap.
+func nullCache() []isa.Instr { return []isa.Instr{isa.NullPad} }
 
 // Prog returns the guest program.
 func (d *DBT) Prog() *isa.Program { return d.prog }
@@ -617,12 +624,12 @@ func (d *DBT) Locate(cacheAddr uint32) (*TBlock, bool) {
 // protection); this implementation models the recovery with a full flush,
 // after which execution naturally retranslates on demand.
 func (d *DBT) Invalidate() {
-	d.cache = nil
+	d.cache = nullCache()
 	d.blocks = make(map[uint32]*TBlock)
 	d.snapBlocks = nil
 	d.tlist = nil
 	d.stubs = nil
-	d.comp.Sync(nil)
+	d.comp.Sync(d.cache)
 	d.stats.Invalidations++
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 )
@@ -245,7 +246,7 @@ main:
 	}
 	// The "program" overwrites its own movi with a different constant; the
 	// write-protection model invalidates stale translations.
-	if err := d.SelfModify(0, isa.Instr{Op: isa.OpMovRI, RD: isa.EAX, Imm: 42}); err != nil {
+	if err := d.SelfModify(1, isa.Instr{Op: isa.OpMovRI, RD: isa.EAX, Imm: 42}); err != nil {
 		t.Fatal(err)
 	}
 	r2 := d.Run(nil, 1000)
@@ -277,6 +278,28 @@ main:
 	}
 	if !res.Detected() {
 		t.Error("hardware trap should count as detected")
+	}
+}
+
+// Guest address 0 is the null page: a return through a stack word the run
+// never wrote traps as a wild fetch, while cache word 0 is reserved so
+// that a loop back to the first translated block (here the entry block)
+// chains as any other, on both backends.
+func TestGuestNullPageTraps(t *testing.T) {
+	ret0 := mustAssemble(t, "main:\n    subi esp, 1\n    ret\n")
+	loop := mustAssemble(t, "main:\n    addi eax, 1\n    cmpi eax, 50\n    jlt main\n    out eax\n    halt\n")
+	for _, b := range []comp.Backend{comp.BackendStep, comp.BackendAuto} {
+		if res := New(ret0, Options{Backend: b}).Run(nil, 1000); res.Stop.Reason != cpu.StopBadFetch {
+			t.Errorf("%v: ret through an unwritten word: stop = %v, want bad-fetch", b, res.Stop)
+		}
+		d := New(loop, Options{Backend: b})
+		res := d.Run(nil, 10_000)
+		if res.Stop.Reason != cpu.StopHalt || len(res.Output) != 1 || res.Output[0] != 50 {
+			t.Errorf("%v: loop on the entry block: stop %v, output %v; want halt, [50]", b, res.Stop, res.Output)
+		}
+		if tb, ok := d.Locate(0); ok {
+			t.Errorf("%v: cache word 0 holds %v, want the null page", b, tb)
+		}
 	}
 }
 

@@ -33,8 +33,8 @@ fn:
 	}
 	d := New(p, Options{})
 	// Identify block starts by scanning.
-	backEdgeBlock := uint32(1) // "loop" label
-	fwdBlock := uint32(4)      // after jgt: cmpi ecx,5; jlt
+	backEdgeBlock := uint32(2) // "loop" label
+	fwdBlock := uint32(5)      // after jgt: cmpi ecx,5; jlt
 	retBlock := uint32(0)
 	for a, in := range p.Code {
 		if in.Op == isa.OpRet {
@@ -135,11 +135,12 @@ func TestEmitterHelpers(t *testing.T) {
 	j := e.JmpFwd()
 	e.Emit(isa.Instr{Op: isa.OpNop})
 	e.Bind(j)
+	// Word 0 of the cache is the null page; emission starts at 1.
 	code := d.cache
-	if code[0].Op != isa.OpJrz || code[0].Target(0) != 2 {
-		t.Errorf("jrz fixup wrong: %v", code[0])
+	if code[1].Op != isa.OpJrz || code[1].Target(1) != 3 {
+		t.Errorf("jrz fixup wrong: %v", code[1])
 	}
-	if code[4].Op != isa.OpJmp || code[4].Target(4) != 6 {
-		t.Errorf("jmp fixup wrong: %v", code[4])
+	if code[5].Op != isa.OpJmp || code[5].Target(5) != 7 {
+		t.Errorf("jmp fixup wrong: %v", code[5])
 	}
 }

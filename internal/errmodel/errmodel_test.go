@@ -23,33 +23,34 @@ func mustAssemble(t *testing.T, src string) *isa.Program {
 func TestClassify(t *testing.T) {
 	p := mustAssemble(t, `
 main:
-    movi ecx, 3      ; B0: 0
+    movi ecx, 3      ; B0: 1
 loop:
-    addi eax, 1      ; B1: 1-4
+    addi eax, 1      ; B1: 2-5
     subi ecx, 1
     cmpi ecx, 0
     jgt loop
-    out eax          ; B2: 5-6
+    out eax          ; B2: 6-7
     halt
 `)
 	b := BlocksOf(cfg.Build(p))
-	// Branch at address 4 (jgt) lives in B1 [1,5).
+	// Branch at address 5 (jgt) lives in B1 [2,6).
 	cases := []struct {
 		target uint32
 		want   Category
 	}{
-		{1, CatB},       // beginning of same block
-		{2, CatC},       // middle of same block
+		{2, CatB},       // beginning of same block
 		{3, CatC},       // middle of same block
-		{0, CatD},       // beginning of other block (B0)
-		{5, CatD},       // beginning of other block (B2)
-		{6, CatE},       // middle of other block
+		{4, CatC},       // middle of same block
+		{1, CatD},       // beginning of other block (B0)
+		{6, CatD},       // beginning of other block (B2)
+		{7, CatE},       // middle of other block
+		{0, CatF},       // the null page
 		{1000, CatF},    // outside code
 		{1 << 30, CatF}, // far outside
 	}
 	for _, c := range cases {
-		if got := b.Classify(4, c.target); got != c.want {
-			t.Errorf("Classify(4, %d) = %v, want %v", c.target, got, c.want)
+		if got := b.Classify(5, c.target); got != c.want {
+			t.Errorf("Classify(5, %d) = %v, want %v", c.target, got, c.want)
 		}
 	}
 }

@@ -23,12 +23,9 @@
 //     engine) and the resolved execution backend.
 //
 // Workers, tracing, progress and the flight recorder are deliberately
-// absent: they are proven output-invariant (the normalized report is
+// absent: they are proven output-invariant (the normalized report, the
+// engine telemetry and the deterministic metric sections are
 // bit-identical for every value), so one worker's run answers for all.
-// Only engine telemetry may differ with Workers: a native checkpoint
-// campaign's tail memo is per worker, so its Rejoined count and ckpt_
-// series follow the worker split, and an entry keeps the telemetry of
-// the run that stored it.
 //
 // Engine code itself cannot be content-hashed, so two version knobs
 // stand in for it: EngineVersion (bump on any semantics-affecting engine
@@ -42,16 +39,15 @@
 //
 // A cache entry stores the normalized inject.Report (Workers and Elapsed
 // zeroed — the stored payload is byte-identical no matter how many
-// workers computed it, outside a native campaign's engine telemetry),
-// the FormatNormalized rendering, and the cell's
+// workers computed it), the FormatNormalized rendering, and the cell's
 // deterministic observability snapshot (counters, gauges, histograms;
 // spans stripped). On a hit the snapshot merges back into the live
 // registry, so /metrics accounting stays continuous whether a cell ran
 // or loaded.
 //
-// Entries persist under the same cache directory as the session
-// registry's checkpoint logs, in the same envelope style (see
-// internal/ckpt): an 8-byte magic "CFCGRPH1", the length-framed
+// Entries persist under the cache directory (cfc-serve -graph-cache
+// <dir>) in the checkpoint log's envelope style (see internal/ckpt): an
+// 8-byte magic "CFCGRPH1", the length-framed
 // fingerprint, the length-framed JSON payload, and a trailing CRC-32
 // (fp.Checksum) over everything before it. Decoding distinguishes
 // corruption (bad magic, checksum, framing, JSON — ErrCorrupt) from

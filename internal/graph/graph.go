@@ -19,8 +19,9 @@ import (
 // semantics-affecting engine change lands: anything that can alter a
 // classified report for the same (program, configuration) inputs —
 // translator or checker semantics, fault derivation, outcome
-// classification, report formatting.
-const EngineVersion = 1
+// classification, report formatting. Version 2: address 0 is the null
+// page on every target.
+const EngineVersion = 2
 
 // TechniqueVersions invalidates one technique's cells: bump a technique's
 // entry when only its checker or instrumentation changed, and the other

@@ -19,10 +19,9 @@ import (
 // periodic checkpoints (ckpt.Record); every sample then restores the
 // nearest checkpoint at or before its fault site and executes only the
 // tail, turning a campaign of N samples over a clean run of S steps from
-// O(N·S) into O(N·interval + S), a tail that rejoins the reference run
-// stops there, and a native tail that restarts the program runs once per
-// worker. Three properties keep the reports byte-identical to full
-// replay:
+// O(N·S) into O(N·interval + S), and a tail that rejoins the reference
+// run stops there. Three properties keep the reports byte-identical to
+// full replay:
 //
 //   - Restores are exact. A checkpoint captures the machine at a step
 //     boundary of a run whose translator deltas are non-structural, so a
@@ -54,16 +53,11 @@ import (
 //     shifted by a constant counter offset, so its finals are its own
 //     counters plus the reference's remaining work (Final minus the
 //     point). A shifted step count past the budget keeps executing (a
-//     hang). A fourth family repeats a sibling's tail instead of the
-//     reference's: (4) a fired fault whose native tail lands on the
-//     program entry, which a return through an unwritten stack word
-//     reaches, and agrees there with a tail the worker has already run
-//     on every landing value that tail let reach a branch, an address, a
-//     trap or an output (the tail memo, memo.go). Its result is the
-//     landing's counters plus that tail's deltas and output. Every other
-//     fault runs its tail to the end. The replay engine never
-//     short-circuits — it is the ground truth the checkpoint reports are
-//     diffed against.
+//     hang). Every other fault runs its tail to the end. A return
+//     through a stack word the run never wrote ends within a few steps:
+//     it fetches from the null page (address 0), which traps on every
+//     target. The replay engine never short-circuits — it is the ground
+//     truth the checkpoint reports are diffed against.
 
 // sitePoint returns the checkpoint a fault restores from: the last point
 // whose firing counter has not yet reached the fault's site.
@@ -215,8 +209,7 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 				return err
 			}
 			i := order[j]
-			left := (len(order) - 1 - j) / workers
-			runCkptSample(cfg, r, base, log, rp, li, ns, c, faults[i], points[i], cfg.SampleOffset+i, left, want, &results[i])
+			runCkptSample(cfg, r, base, log, rp, li, ns, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
 			dumpFlight(cfg, r, p.Name, label, i, want, &results[i])
 			observeProgress(cfg.Progress, w, &results[i])
 		}
@@ -227,11 +220,10 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 	return err
 }
 
-// runCkptSample classifies one fault from a checkpoint restore. left is
-// the number of samples after this one in the worker's share.
+// runCkptSample classifies one fault from a checkpoint restore.
 func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 	rp *ckpt.Replayer, li *live.Info, ns *sampleSeries, c *obs.Collector,
-	f *cpu.Fault, k, sample, left int, want []int32, out *sampleResult) {
+	f *cpu.Fault, k, sample int, want []int32, out *sampleResult) {
 	m := rp.Machine(k)
 	m.Fault = f
 	pt := &log.Points[k]
@@ -243,31 +235,15 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 	// the reference trajectory, or run it until it rejoins. A provably
 	// clean firing counts as synthesized even when its chunk already ran
 	// to the end, so the engine counters do not depend on where the
-	// chunks fall. A native runner's memo watches the program entry
-	// meanwhile; a sample that has not fired when it stops there (one
-	// restored at point 0 starts on it) steps off it.
-	tm := r.memo()
-	tm.arm()
+	// chunks fall.
 	stop := cpu.Stop{Reason: cpu.StopOutOfSteps}
 	for !f.Fired && stop.Reason == cpu.StopOutOfSteps && m.Steps < cfg.MaxSteps {
 		stop = r.advance(m, min(m.Steps+log.Interval, cfg.MaxSteps))
-		if stop.Reason == cpu.StopWatch && !f.Fired {
-			stop = tm.stepOff(m)
-		}
 	}
 	short := shortNone
 	at := -1
 	if f.Fired {
 		short = shortCircuitKind(log, f, li)
-		if short == shortNone && stop.Reason == cpu.StopWatch {
-			var res *dbt.Result
-			if res, stop = landTail(cfg, r, tm, c, ns, m, left); res != nil {
-				observeRestore(c, ns, restored, m.Steps-restored, shortRejoin)
-				settle(r, c, ns, base, res, f, sample, want, out)
-				out.short = shortRejoin
-				return
-			}
-		}
 		if short == shortNone && stop.Reason == cpu.StopOutOfSteps && m.Steps < cfg.MaxSteps {
 			if stop, at = runTail(cfg, r, log, rp, k, m); at >= 0 {
 				short = shortRejoin
@@ -308,28 +284,6 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 	out.fired = true
 	out.rec = rec
 	out.short = short
-}
-
-// landTail resolves a fired sample's tail that landed on the program
-// entry (memo.go). A memo hit returns the synthesized result. Otherwise it
-// returns the stop of the shadow tail it ran, or a non-terminal stop from
-// which the caller runs the tail as any other.
-func landTail(cfg *Config, r runner, tm *tailMemo, c *obs.Collector, ns *sampleSeries,
-	m *cpu.Machine, left int) (*dbt.Result, cpu.Stop) {
-	tm.disarm()
-	if e := tm.lookup(m, cfg.MaxSteps); e != nil {
-		observeMemo(c, ns, true)
-		return tm.synthesize(m, e, r.compStats()), cpu.Stop{}
-	}
-	if !tm.mayShadow(left) {
-		return nil, cpu.Stop{Reason: cpu.StopOutOfSteps, IP: m.IP}
-	}
-	observeMemo(c, ns, false)
-	stop, tracked := tm.shadow(m, cfg.MaxSteps)
-	if !tracked {
-		stop = r.advance(m, cfg.MaxSteps)
-	}
-	return nil, stop
 }
 
 // runTail executes a fired sample's tail from restore point k, watching
@@ -384,17 +338,6 @@ func publishLog(reg *obs.Registry, technique string, l *ckpt.Log) {
 	}
 	reg.Counter(seriesName("ckpt_points_total", technique)).Add(uint64(len(l.Points)))
 	reg.Counter(seriesName("ckpt_bytes_total", technique)).Add(l.Bytes)
-}
-
-// observeMemo counts one tail-memo event: a hit, or else a shadow tail.
-func observeMemo(c *obs.Collector, ns *sampleSeries, hit bool) {
-	switch {
-	case c == nil:
-	case hit:
-		c.Add(ns.memoHits, 1)
-	default:
-		c.Add(ns.shadowTails, 1)
-	}
 }
 
 // observeRestore folds one restore into a worker's shard: the steps the

@@ -125,11 +125,10 @@ type Report struct {
 	Translator dbt.Stats
 	// Compiled aggregates the block-compiled backend's work: the warm-up
 	// compilation (including the snapshot freeze) plus every sample's
-	// chain-slot transitions. Counter sums legitimately differ between the
-	// replay and checkpoint engines (a synthesized tail executes no
-	// blocks), and, for a native checkpoint campaign, with the worker
-	// split (a tail memo hit executes none either), so — like Workers and
-	// Elapsed — FormatNormalized excludes them.
+	// chain-slot transitions. Counter sums are worker-invariant, but they
+	// legitimately differ between the replay and checkpoint engines (a
+	// synthesized tail executes no blocks), so — like Workers and Elapsed
+	// — FormatNormalized excludes them.
 	Compiled comp.Stats
 	// WarmTranslator/WarmCompiled are the warm-up baselines already folded
 	// into Translator/Compiled (the snapshot's stats, or the static
@@ -150,11 +149,9 @@ type Report struct {
 	// engine; the replay engine executes everything). Like Workers/Elapsed
 	// these never influence the classified results and are zeroed by
 	// FormatNormalized. Rejoined counts the executed samples whose tail
-	// rejoined the reference run and was synthesized from there on, plus
-	// the native samples whose restart tail a worker's tail memo
-	// synthesized (a subset of Executed). The memo is per worker, so
-	// Rejoined, like Executed steps, depends on how the samples split
-	// across workers: it is a function of the campaign and Workers.
+	// rejoined the reference run and was synthesized from there on (a
+	// subset of Executed). Each sample is resolved on its own, so all four
+	// are a function of the campaign alone, whatever the worker count.
 	Executed    int
 	ShortOffset int
 	ShortLive   int

@@ -6,6 +6,8 @@ import "fmt"
 // Addresses within the program are instruction-word indices starting at 0;
 // the machine maps the code at a base address so that out-of-image branch
 // targets model the paper's category F (jump to a non-code memory region).
+// Address 0 is the null page: it is never code, whatever word the image
+// holds there (see NullPad).
 type Program struct {
 	// Name identifies the program (e.g. the benchmark name).
 	Name string
@@ -27,8 +29,16 @@ type Program struct {
 // Len returns the number of instructions in the program.
 func (p *Program) Len() uint32 { return uint32(len(p.Code)) }
 
-// Contains reports whether addr is a valid instruction address.
-func (p *Program) Contains(addr uint32) bool { return addr < p.Len() }
+// NullPad is the word a producer that lays code out from address 0 puts
+// there to keep it off the null page. No engine executes it: a fetch at
+// address 0 traps as one outside the image does, as on IA32, where page 0
+// is unmapped, so a return through a stack word the run never wrote (0)
+// is a hardware-detected category-F error rather than a restart.
+var NullPad = Instr{Op: OpHalt}
+
+// Contains reports whether addr is a valid instruction address: inside
+// the image and off the null page.
+func (p *Program) Contains(addr uint32) bool { return addr != 0 && addr < p.Len() }
 
 // At returns the instruction at addr.
 func (p *Program) At(addr uint32) Instr { return p.Code[addr] }
@@ -43,13 +53,13 @@ func (p *Program) SymbolAt(addr uint32) string {
 
 // Validate checks every instruction against the guest register file and
 // verifies that the entry point and all direct branch targets lie inside the
-// image. It returns the first problem found.
+// image and off the null page. It returns the first problem found.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("%s: empty program", p.Name)
 	}
 	if !p.Contains(p.Entry) {
-		return fmt.Errorf("%s: entry 0x%x outside code (%d words)", p.Name, p.Entry, p.Len())
+		return fmt.Errorf("%s: entry 0x%x outside code (%d words, address 0 is never code)", p.Name, p.Entry, p.Len())
 	}
 	nregs := NumGuestRegs
 	if p.Target {
@@ -64,7 +74,7 @@ func (p *Program) Validate() error {
 		}
 		if in.Op.IsDirectBranch() {
 			if tgt := in.Target(uint32(addr)); !p.Contains(tgt) {
-				return fmt.Errorf("%s: @0x%x: branch target 0x%x outside code", p.Name, addr, tgt)
+				return fmt.Errorf("%s: @0x%x: branch target 0x%x outside code (address 0 is never code)", p.Name, addr, tgt)
 			}
 		}
 	}

@@ -9,33 +9,34 @@ func sampleProgram() *Program {
 	return &Program{
 		Name: "sample",
 		Code: []Instr{
+			NullPad,
 			{Op: OpMovRI, RD: EAX, Imm: 1},
 			{Op: OpCmpI, RD: EAX, Imm: 0},
-			{Op: OpJcc, RD: Reg(CondGT), Imm: -3}, // target 0
+			{Op: OpJcc, RD: Reg(CondGT), Imm: -3}, // target 1
 			{Op: OpOut, RS1: EAX},
 			{Op: OpHalt},
 		},
-		Entry:     0,
+		Entry:     1,
 		DataWords: 16,
-		Symbols:   map[uint32]string{0: "main", 3: "done"},
+		Symbols:   map[uint32]string{1: "main", 4: "done"},
 	}
 }
 
 func TestProgramAccessors(t *testing.T) {
 	p := sampleProgram()
-	if p.Len() != 5 {
+	if p.Len() != 6 {
 		t.Errorf("len = %d", p.Len())
 	}
-	if !p.Contains(4) || p.Contains(5) {
+	if !p.Contains(1) || !p.Contains(5) || p.Contains(6) || p.Contains(0) {
 		t.Error("Contains wrong")
 	}
-	if p.At(3).Op != OpOut {
+	if p.At(4).Op != OpOut {
 		t.Error("At wrong")
 	}
-	if p.SymbolAt(0) != "main" || p.SymbolAt(3) != "done" {
+	if p.SymbolAt(1) != "main" || p.SymbolAt(4) != "done" {
 		t.Error("named symbols wrong")
 	}
-	if got := p.SymbolAt(2); !strings.HasPrefix(got, "0x") {
+	if got := p.SymbolAt(3); !strings.HasPrefix(got, "0x") {
 		t.Errorf("anonymous symbol = %q", got)
 	}
 }
@@ -56,14 +57,26 @@ func TestProgramValidate(t *testing.T) {
 		t.Error("out-of-range entry should fail")
 	}
 
+	nullEntry := sampleProgram()
+	nullEntry.Entry = 0
+	if nullEntry.Validate() == nil {
+		t.Error("entry on the null page should fail")
+	}
+
 	wild := sampleProgram()
-	wild.Code[2].Imm = 1000 // branch target outside image
+	wild.Code[3].Imm = 1000 // branch target outside image
 	if wild.Validate() == nil {
 		t.Error("wild branch target should fail")
 	}
 
+	null := sampleProgram()
+	null.Code[3].Imm = -4 // branch target 0, the null page
+	if null.Validate() == nil {
+		t.Error("branch to the null page should fail")
+	}
+
 	pseudo := sampleProgram()
-	pseudo.Code[3] = Instr{Op: OpReport}
+	pseudo.Code[4] = Instr{Op: OpReport}
 	if pseudo.Validate() == nil {
 		t.Error("guest binary with pseudo-op should fail")
 	}
@@ -73,7 +86,7 @@ func TestProgramValidate(t *testing.T) {
 	}
 
 	targetRegs := sampleProgram()
-	targetRegs.Code[0].RD = R12
+	targetRegs.Code[1].RD = R12
 	if targetRegs.Validate() == nil {
 		t.Error("guest binary using target registers should fail")
 	}

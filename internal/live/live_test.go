@@ -28,19 +28,19 @@ func TestFlagsDeadAcrossRedefinition(t *testing.T) {
 done:
     halt
 `)
-	// At address 1 (addi) the incoming flags from cmp are about to be
+	// At address 2 (addi) the incoming flags from cmp are about to be
 	// clobbered by addi before jeq reads them: all five bits dead.
 	for bit := uint(0); bit < isa.NumFlagBits; bit++ {
-		if !li.FlagBitDead(1, bit) {
-			t.Errorf("flag bit %d live at addr 1, want dead", bit)
+		if !li.FlagBitDead(2, bit) {
+			t.Errorf("flag bit %d live at addr 2, want dead", bit)
 		}
 	}
-	// At address 2 (jeq) the Z bit is read by the branch itself.
-	if li.FlagBitDead(2, 2) { // bit 2 == FlagZ
+	// At address 3 (jeq) the Z bit is read by the branch itself.
+	if li.FlagBitDead(3, 2) { // bit 2 == FlagZ
 		t.Error("Z dead at the jeq, want live")
 	}
 	// Bits jeq does not inspect are dead even at the branch.
-	if !li.FlagBitDead(2, 0) { // FlagC
+	if !li.FlagBitDead(3, 0) { // FlagC
 		t.Error("C live at the jeq, want dead")
 	}
 }
@@ -55,7 +55,7 @@ done:
 `)
 	// jlt reads S and O (bits 3 and 4); Z, P, C are dead at the branch.
 	for bit, wantDead := range map[uint]bool{0: true, 1: true, 2: true, 3: false, 4: false} {
-		if got := li.FlagBitDead(1, bit); got != wantDead {
+		if got := li.FlagBitDead(2, bit); got != wantDead {
 			t.Errorf("flag bit %d dead = %v, want %v", bit, got, wantDead)
 		}
 	}
@@ -68,14 +68,14 @@ func TestRegDeadAcrossRedefinition(t *testing.T) {
     out ecx
     halt
 `)
+	if !li.RegDead(2, isa.ECX) {
+		t.Error("ecx live at addr 2, want dead (redefined before use)")
+	}
+	if li.RegDead(3, isa.ECX) {
+		t.Error("ecx dead at addr 3, want live (out reads it)")
+	}
 	if !li.RegDead(1, isa.ECX) {
-		t.Error("ecx live at addr 1, want dead (redefined before use)")
-	}
-	if li.RegDead(2, isa.ECX) {
-		t.Error("ecx dead at addr 2, want live (out reads it)")
-	}
-	if !li.RegDead(0, isa.ECX) {
-		t.Error("ecx live at addr 0, want dead (movi writes without reading)")
+		t.Error("ecx live at addr 1, want dead (movi writes without reading)")
 	}
 }
 
@@ -89,11 +89,11 @@ skip:
     movi ebx, 0
     halt
 `)
-	if li.RegDead(0, isa.EBX) {
+	if li.RegDead(1, isa.EBX) {
 		t.Error("ebx dead at the branch, want live via the fall-through path")
 	}
-	if !li.RegDead(2, isa.EBX) {
-		t.Error("ebx live at addr 2, want dead (redefined there)")
+	if !li.RegDead(3, isa.EBX) {
+		t.Error("ebx live at addr 3, want dead (redefined there)")
 	}
 }
 
@@ -108,7 +108,7 @@ loop:
 `)
 	// eax is read on every loop iteration: live everywhere in the loop,
 	// including back at the top via the back edge from jgt.
-	for addr := uint32(0); addr < 3; addr++ {
+	for addr := uint32(1); addr < 4; addr++ {
 		if li.RegDead(addr, isa.EAX) {
 			t.Errorf("eax dead at addr %d, want live around the loop", addr)
 		}
@@ -123,22 +123,22 @@ func TestIndirectIsConservative(t *testing.T) {
 `)
 	// At the ret everything is live: the analysis cannot see the callee of
 	// the indirect transfer.
-	if li.RegDead(1, isa.EAX) {
+	if li.RegDead(2, isa.EAX) {
 		t.Error("eax dead at the ret, want conservatively live")
 	}
 	for bit := uint(0); bit < isa.NumFlagBits; bit++ {
-		if li.FlagBitDead(1, bit) {
+		if li.FlagBitDead(2, bit) {
 			t.Errorf("flag bit %d dead at the ret, want conservatively live", bit)
 		}
 	}
 	// Before the movi the kill still applies: eax is overwritten before the
 	// transfer, so a flip there is provably benign even with an indirect
 	// successor. Flags reach the ret untouched and stay live.
-	if !li.RegDead(0, isa.EAX) {
-		t.Error("eax live at addr 0, want dead (movi overwrites it)")
+	if !li.RegDead(1, isa.EAX) {
+		t.Error("eax live at addr 1, want dead (movi overwrites it)")
 	}
-	if li.FlagBitDead(0, 0) {
-		t.Error("C dead at addr 0, want live through to the ret")
+	if li.FlagBitDead(1, 0) {
+		t.Error("C dead at addr 1, want live through to the ret")
 	}
 }
 
@@ -156,11 +156,11 @@ func TestCmovDoesNotKill(t *testing.T) {
 	}
 	li := Analyze(cfg.Build(p))
 	// ebx may survive the cmov unchanged, so it is live before it.
-	if li.RegDead(1, isa.EBX) {
+	if li.RegDead(2, isa.EBX) {
 		t.Error("ebx dead at the cmov, want live (conditional write)")
 	}
 	// The cmov's Z read keeps FlagZ live at the cmp's successor.
-	if li.FlagBitDead(1, 2) {
+	if li.FlagBitDead(2, 2) {
 		t.Error("Z dead at the cmov, want live")
 	}
 }
@@ -174,7 +174,7 @@ func TestPushFReadsAllFlags(t *testing.T) {
     halt
 `)
 	for bit := uint(0); bit < isa.NumFlagBits; bit++ {
-		if li.FlagBitDead(1, bit) {
+		if li.FlagBitDead(2, bit) {
 			t.Errorf("flag bit %d dead before pushf, want live", bit)
 		}
 	}
@@ -206,17 +206,17 @@ done:
     halt
 `)
 	fo := li.FlagsOnly()
-	for a := uint32(0); a < 6; a++ {
+	for a := uint32(1); a < 7; a++ {
 		for bit := uint(0); bit < isa.NumFlagBits; bit++ {
 			if fo.FlagBitDead(a, bit) != li.FlagBitDead(a, bit) {
 				t.Errorf("addr %d bit %d: FlagsOnly answers %v, full info %v", a, bit, fo.FlagBitDead(a, bit), li.FlagBitDead(a, bit))
 			}
 		}
 	}
-	if !li.RegDead(1, isa.ECX) {
-		t.Fatal("ecx live at addr 1, want dead (redefined before use)")
+	if !li.RegDead(2, isa.ECX) {
+		t.Fatal("ecx live at addr 2, want dead (redefined before use)")
 	}
-	if fo.RegDead(1, isa.ECX) {
-		t.Error("FlagsOnly proves ecx dead at addr 1, want no register answers")
+	if fo.RegDead(2, isa.ECX) {
+		t.Error("FlagsOnly proves ecx dead at addr 2, want no register answers")
 	}
 }
