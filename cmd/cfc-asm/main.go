@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cfc-asm -o prog.bin prog.s          # assemble
-//	cfc-asm -d -entry 0 -data 0 prog.bin  # disassemble
+//	cfc-asm -d -entry 1 -data 0 prog.bin  # disassemble
 package main
 
 import (
@@ -22,7 +22,7 @@ func main() {
 	var (
 		out   = flag.String("o", "", "output file (default: stdout for -d, a.bin otherwise)")
 		dis   = flag.Bool("d", false, "disassemble a binary instead of assembling")
-		entry = flag.Uint("entry", 0, "entry address for -d")
+		entry = flag.Uint("entry", 1, "entry address for -d (address 0 is the null page)")
 		data  = flag.Uint("data", 4096, "data segment words for -d")
 	)
 	var app cli.App

@@ -26,7 +26,7 @@ func main() {
 	var (
 		workload = flag.String("workload", "", "SPEC2000 workload name (e.g. 164.gzip)")
 		bin      = flag.String("bin", "", "binary file to run instead of a workload")
-		entry    = flag.Uint("entry", 0, "entry address for -bin")
+		entry    = flag.Uint("entry", 1, "entry address for -bin (address 0 is the null page)")
 		data     = flag.Uint("data", 4096, "data segment words for -bin")
 		scale    = flag.Float64("scale", 1.0, "workload dynamic scale")
 		native   = flag.Bool("native", false, "run natively (no translator)")
