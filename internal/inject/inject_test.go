@@ -80,37 +80,39 @@ func TestCampaignBasics(t *testing.T) {
 }
 
 // TestRCFNoSDC: the paper's headline coverage claim. RCF + ALLBB must leave
-// zero silent data corruptions across a randomized campaign — except for
-// the one gap no signature scheme closes (the paper's Assumption 2): a
-// branch error landing directly on the program-exit instruction, past the
-// final check, reaches no CHECK_SIG at all.
+// zero silent data corruptions across a randomized campaign, in both update
+// styles — except for the one gap no signature scheme closes (the paper's
+// Assumption 2): a branch error landing directly on the program-exit
+// instruction, past the final check, reaches no CHECK_SIG at all.
 func TestRCFNoSDC(t *testing.T) {
 	p := mustAssemble(t, workload)
-	tech, _ := check.New("RCF", dbt.UpdateCmov)
-	rep, err := Execute(context.Background(), p, Config{Technique: tech, Policy: dbt.PolicyAllBB, Samples: 500, Seed: 7, KeepRecords: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second, subtler residual gap is a violation of the paper's
-	// Assumption 1 (CHECK_SIG atomicity): a branch error landing *inside*
-	// the check sequence of its own correct target — past the jcxz, on the
-	// ECX restore — leaves the signature chain consistent while corrupting
-	// the guest's ECX through the staging registers. The paper assumes
-	// such landings "usually lead to program fails or checking fails";
-	// the campaign measures the exceptions honestly.
-	d := dbt.New(p, dbt.Options{Technique: tech, Policy: dbt.PolicyAllBB})
-	d.Run(nil, 50_000_000)
-	for _, rec := range rep.Records {
-		if rec.Outcome != OutSDC {
-			continue
+	for _, style := range []dbt.UpdateStyle{dbt.UpdateJcc, dbt.UpdateCmov} {
+		tech, _ := check.New("RCF", style)
+		rep, err := Execute(context.Background(), p, Config{Technique: tech, Policy: dbt.PolicyAllBB, Samples: 500, Seed: 7, KeepRecords: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !IsResidualGap(d, rec.Fault.FaultTarget) {
-			t.Errorf("RCF/CMOVcc/ALLBB: SDC not explained by the exit or check-atomicity gaps: %+v\n%s",
-				rec.Fault, FormatReport(rep))
+		// A second, subtler residual gap is a violation of the paper's
+		// Assumption 1 (CHECK_SIG atomicity): a branch error landing *inside*
+		// the check sequence of its own correct target — past the jcxz, on the
+		// ECX restore — leaves the signature chain consistent while corrupting
+		// the guest's ECX through the staging registers. The paper assumes
+		// such landings "usually lead to program fails or checking fails";
+		// the campaign measures the exceptions honestly.
+		d := dbt.New(p, dbt.Options{Technique: tech, Policy: dbt.PolicyAllBB})
+		d.Run(nil, 50_000_000)
+		for _, rec := range rep.Records {
+			if rec.Outcome != OutSDC {
+				continue
+			}
+			if !IsResidualGap(d, rec.Fault.FaultTarget) {
+				t.Errorf("RCF/%s/ALLBB: SDC not explained by the exit or check-atomicity gaps: %+v\n%s",
+					style, rec.Fault, FormatReport(rep))
+			}
 		}
-	}
-	if rep.Totals.Detected() == 0 {
-		t.Error("campaign detected nothing; fault model inert?")
+		if rep.Totals.Detected() == 0 {
+			t.Errorf("RCF/%s: campaign detected nothing; fault model inert?", style)
+		}
 	}
 }
 
