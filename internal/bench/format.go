@@ -102,7 +102,7 @@ func FormatCoverageMatrix(reports []*inject.Report) string {
 	// not simply execute; elided under the replay engine.
 	for _, r := range reports {
 		if r.ShortOffset+r.ShortLive+r.Rejoined > 0 {
-			fmt.Fprintf(&b, "engine: %-8s %d executed (%d rejoined), %d offset short-circuits, %d liveness-pruned\n",
+			fmt.Fprintf(&b, "engine: %-8s %d executed (%d rejoined), %d offset short-circuits, %d flag short-circuits\n",
 				r.Technique, r.Executed, r.Rejoined, r.ShortOffset, r.ShortLive)
 		}
 	}

@@ -7,9 +7,7 @@ import (
 
 // Deferred flag sources: most ALU flag results are overwritten before any
 // instruction reads them, so flag writes record (operation, operands) and
-// materialize only at a read (Jcc, CMOVcc, PUSHF) or a tier boundary — the
-// same dead-flag observation the liveness pruner exploits, applied to the
-// compiled tier itself.
+// materialize only at a read (Jcc, CMOVcc, PUSHF) or a tier boundary.
 const (
 	fLive uint8 = iota
 	fAdd

@@ -104,8 +104,10 @@ const (
 	// FaultOffsetBit flips one bit of the branch's address-offset immediate
 	// for a single execution (a transient datapath upset).
 	FaultOffsetBit FaultKind = iota
-	// FaultFlagBit flips one bit of the flags register immediately before
-	// the branch evaluates its condition.
+	// FaultFlagBit flips one bit of the flags the faulted branch evaluates
+	// its condition with. The flip is an error of that one branch, as in
+	// the paper's single-error model: the flags register keeps its clean
+	// value, so no later flag reader sees it.
 	FaultFlagBit
 	// FaultRegBit flips one bit of a general-purpose register at a given
 	// machine step — a data error rather than a control-flow error, the
@@ -434,7 +436,9 @@ func (m *Machine) Step(codeSlice []isa.Instr) (Stop, bool) {
 }
 
 // directBranch resolves a direct branch: applies a pending fault, evaluates
-// the direction, fires the BranchHook, and returns the next IP.
+// the direction, fires the BranchHook, and returns the next IP. A flag-bit
+// fault flips the flags this one branch evaluates; the flags register
+// itself is untouched, so the next flag reader sees the clean value.
 func (m *Machine) directBranch(ip uint32, in isa.Instr) uint32 {
 	idx := m.DirectBranches
 	m.DirectBranches++
@@ -443,24 +447,25 @@ func (m *Machine) directBranch(ip uint32, in isa.Instr) uint32 {
 	}
 
 	imm := in.Imm
+	flags := m.Flags
 	faulted := false
 	if f := m.Fault; f != nil && f.Kind != FaultRegBit && !f.Fired && idx == f.BranchIndex {
 		f.Fired = true
 		f.FiredStep = m.Steps
 		f.FaultIP = ip
 		f.FaultInstr = in
-		f.CleanTaken = m.evalTakenWith(in)
+		f.CleanTaken = m.taken(in, flags)
 		f.CleanTarget = ip + 1 + uint32(imm)
 		switch f.Kind {
 		case FaultOffsetBit:
 			imm ^= int32(1) << (f.Bit & 31)
 		case FaultFlagBit:
-			m.Flags ^= isa.Flags(1) << (f.Bit % isa.NumFlagBits)
+			flags ^= isa.Flags(1) << (f.Bit % isa.NumFlagBits)
 		}
 		faulted = true
 	}
 
-	taken := m.evalTakenWith(in)
+	taken := m.taken(in, flags)
 	target := ip + 1 + uint32(imm)
 
 	if faulted {
@@ -468,7 +473,7 @@ func (m *Machine) directBranch(ip uint32, in isa.Instr) uint32 {
 		m.Fault.FaultTarget = target
 	}
 	if m.BranchHook != nil {
-		m.BranchHook(BranchEvent{IP: ip, Instr: in, Flags: m.Flags, Taken: taken, Target: target})
+		m.BranchHook(BranchEvent{IP: ip, Instr: in, Flags: flags, Taken: taken, Target: target})
 	}
 	if taken {
 		return target
@@ -476,15 +481,15 @@ func (m *Machine) directBranch(ip uint32, in isa.Instr) uint32 {
 	return ip + 1
 }
 
-// evalTakenWith evaluates whether the branch is taken under the current
-// flags and registers (called both pre-fault, to record the clean
+// taken evaluates whether the branch is taken under the given flags and
+// the current registers (called both pre-fault, to record the clean
 // direction, and post-fault, to resolve the actual one).
-func (m *Machine) evalTakenWith(in isa.Instr) bool {
+func (m *Machine) taken(in isa.Instr, flags isa.Flags) bool {
 	switch in.Op {
 	case isa.OpJmp, isa.OpCall:
 		return true
 	case isa.OpJcc:
-		return in.Cond().Eval(m.Flags)
+		return in.Cond().Eval(flags)
 	case isa.OpJrz:
 		return m.Regs[in.RS1] == 0
 	}

@@ -1,11 +1,8 @@
 package dbt
 
 import (
-	"sync"
-
 	"repro/internal/comp"
 	"repro/internal/isa"
-	"repro/internal/live"
 )
 
 // Snapshot is a frozen copy of a translator's warm state: the code cache,
@@ -45,13 +42,6 @@ type Snapshot struct {
 	// including the eager freeze — the campaign-level baseline, mirroring
 	// Stats() for translator work.
 	compStats comp.Stats
-
-	// liveOnce/liveInfo implement the lazily shared liveness analysis.
-	// They live on the Snapshot struct itself — which clones reference by
-	// pointer and never copy — so concurrent samples race-freely share one
-	// analysis (see TestSnapshotLivenessSharedAcrossClones).
-	liveOnce sync.Once
-	liveInfo *live.Info
 }
 
 // Snapshot captures the translator's current state. Call it between Run
@@ -135,17 +125,6 @@ func (s *Snapshot) CompStats() comp.Stats { return s.compStats }
 // the baseline a clone's final stats are diffed against to recover one
 // sample's own translation work.
 func (s *Snapshot) Stats() Stats { return s.stats }
-
-// Liveness returns flag/register liveness over the snapshot's code cache,
-// computed lazily once and shared by all samples. It is valid for any run
-// primed from this snapshot that does no new translation: the checkpoint
-// engine only consults it for samples whose clean run is non-structural,
-// which guarantees the cache image the fault executes over is exactly the
-// analyzed one.
-func (s *Snapshot) Liveness() *live.Info {
-	s.liveOnce.Do(func() { s.liveInfo = live.AnalyzeCode(s.cache) })
-	return s.liveInfo
-}
 
 // NewDBT returns a fresh translator primed with the snapshot state: warm
 // runs on it skip translation exactly as on the snapshotted instance, and

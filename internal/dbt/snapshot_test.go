@@ -3,12 +3,10 @@ package dbt
 import (
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
-	"repro/internal/live"
 )
 
 // The documented default must stay pinned: campaign reproducibility depends
@@ -195,45 +193,5 @@ func TestSnapshotCopyOnWriteLeavesSnapshotIntact(t *testing.T) {
 		if got := snap.NewDBT().Run(nil, 1_000_000); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: second clone %+v, want %+v", tc.name, got, want)
 		}
-	}
-}
-
-// The lazy liveness analysis must be computed once per snapshot and shared
-// by every clone — including clones taken *before* the first Liveness call.
-// The sync.Once lives on the Snapshot struct itself (which clones reference
-// by pointer), so concurrent samples all observe the same *live.Info.
-func TestSnapshotLivenessSharedAcrossClones(t *testing.T) {
-	p := mustAssemble(t, hotLoopSrc)
-	d := New(p, Options{})
-	d.Run(nil, 10_000_000)
-	snap := d.Snapshot()
-
-	// Clones taken before any Liveness call.
-	for i := 0; i < 4; i++ {
-		snap.NewDBT()
-	}
-
-	const goroutines = 8
-	infos := make([]*live.Info, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			infos[g] = snap.Liveness()
-		}(g)
-	}
-	wg.Wait()
-	if infos[0] == nil {
-		t.Fatal("Liveness returned nil")
-	}
-	for g := 1; g < goroutines; g++ {
-		if infos[g] != infos[0] {
-			t.Fatalf("goroutine %d got a distinct liveness analysis: %p != %p",
-				g, infos[g], infos[0])
-		}
-	}
-	if again := snap.Liveness(); again != infos[0] {
-		t.Fatalf("later call recomputed the analysis: %p != %p", again, infos[0])
 	}
 }

@@ -20,8 +20,9 @@ import (
 // classified report for the same (program, configuration) inputs —
 // translator or checker semantics, fault derivation, outcome
 // classification, report formatting. Version 2: address 0 is the null
-// page on every target.
-const EngineVersion = 2
+// page on every target. Version 3: a flag-bit fault acts on the one branch
+// that evaluates it.
+const EngineVersion = 3
 
 // TechniqueVersions invalidates one technique's cells: bump a technique's
 // entry when only its checker or instrumentation changed, and the other

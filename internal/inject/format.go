@@ -48,7 +48,7 @@ func FormatReport(r *Report) string {
 	if r.ShortOffset+r.ShortLive+r.Rejoined > 0 {
 		// Engine telemetry; elided when zero so FormatNormalized output is
 		// unchanged (the counters are zeroed there).
-		fmt.Fprintf(&b, "engine: %d executed (%d rejoined), %d offset short-circuits, %d liveness-pruned\n",
+		fmt.Fprintf(&b, "engine: %d executed (%d rejoined), %d offset short-circuits, %d flag short-circuits\n",
 			r.Executed, r.Rejoined, r.ShortOffset, r.ShortLive)
 	}
 	if r.Elapsed > 0 {

@@ -83,7 +83,7 @@ func flushShards(shards []*obs.Collector, reg *obs.Registry) {
 // rendered once per label (seriesFor) instead of on every observation.
 type sampleSeries struct {
 	samples, notFired, sigChecks, cacheInstrs, latency string
-	restores, rejoined, livePruned, shortCircuits      string
+	restores, rejoined, shortCircuits                  string
 	restoredSteps, replayedSteps                       string
 	// outcomes[category][outcome] and the per-category detection latency
 	// cover every category a sample can carry, CatData included.
@@ -109,7 +109,6 @@ func seriesFor(technique string) *sampleSeries {
 		latency:       seriesName("inject_detection_latency_instructions", technique),
 		restores:      seriesName("ckpt_restores_total", technique),
 		rejoined:      seriesName("ckpt_rejoined_total", technique),
-		livePruned:    seriesName("ckpt_live_pruned_total", technique),
 		shortCircuits: seriesName("ckpt_shortcircuits_total", technique),
 		restoredSteps: seriesName("ckpt_restored_steps", technique),
 		replayedSteps: seriesName("ckpt_replayed_steps", technique),

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dbt"
 	"repro/internal/errmodel"
 	"repro/internal/isa"
-	"repro/internal/live"
 	"repro/internal/obs"
 )
 
@@ -25,9 +24,6 @@ type target interface {
 	runner() runner
 	// record performs the checkpointed clean reference run.
 	record(interval, maxSteps uint64) (*ckpt.Log, error)
-	// liveness is the flag/register liveness the dead-bit prune consults,
-	// shared read-only by every worker.
-	liveness() *live.Info
 	// baseline is the warm-up work already done (snapshot stats, or the
 	// native freeze), credited to the report once.
 	baseline() (dbt.Stats, comp.Stats)
@@ -86,8 +82,6 @@ func (t snapTarget) record(interval, maxSteps uint64) (*ckpt.Log, error) {
 	return ckpt.Record(t.snap, interval, maxSteps)
 }
 
-func (t snapTarget) liveness() *live.Info { return t.snap.Liveness() }
-
 func (t snapTarget) baseline() (dbt.Stats, comp.Stats) { return t.snap.Stats(), t.snap.CompStats() }
 
 func (t snapTarget) publish(reg *obs.Registry, label string, rep *Report) {
@@ -136,16 +130,15 @@ func (r *snapRunner) tailWork() dbt.Stats { return r.d.StatsSnapshot().Sub(r.res
 // WarmNative and shared read-only by every campaign over the same program.
 // It keeps what campaigns read, sized to what they use: the block starts
 // the clean run entered on an adaptive compiled engine, the program's CFG
-// block starts for classification (4 bytes a block, not the CFG), the flag
-// half of its liveness, and one engine frozen over the reached starts,
-// built by the first compiled-backend campaign. Campaigns take per-sample
+// block starts for classification (4 bytes a block, not the CFG), and one
+// engine frozen over the reached starts, built by the first
+// compiled-backend campaign. Campaigns take per-sample
 // views of that engine, so a warm campaign pays for its samples, not for
 // its program.
 type Native struct {
 	prog       *isa.Program
 	starts     []uint32 // block starts the clean run entered, in address order
 	blocks     errmodel.Blocks
-	live       *live.Info // flag half only: native runs inject no register faults
 	cleanSteps uint64
 
 	engOnce sync.Once
@@ -181,15 +174,13 @@ func WarmNative(p *isa.Program, cfg Config) (*Native, *dbt.Result, error) {
 	return newNative(p, eng.Reached(), m.Steps), clean, nil
 }
 
-// newNative analyzes p's CFG once, keeping its block starts and flag
-// liveness, around the clean run's reached starts and length.
+// newNative analyzes p's CFG once, keeping its block starts, around the
+// clean run's reached starts and length.
 func newNative(p *isa.Program, starts []uint32, cleanSteps uint64) *Native {
-	g := cfg.Build(p)
 	return &Native{
 		prog:       p,
 		starts:     starts,
-		blocks:     errmodel.BlocksOf(g),
-		live:       live.Analyze(g).FlagsOnly(),
+		blocks:     errmodel.BlocksOf(cfg.Build(p)),
 		cleanSteps: cleanSteps,
 	}
 }
@@ -243,8 +234,6 @@ func (t *nativeTarget) runner() runner {
 func (t *nativeTarget) record(interval, maxSteps uint64) (*ckpt.Log, error) {
 	return t.warm.Record(interval, maxSteps)
 }
-
-func (t *nativeTarget) liveness() *live.Info { return t.warm.live }
 
 // baseline is the one-time compilation work (the freeze), credited to
 // every campaign's report the way snapshot warm-up work is for translated

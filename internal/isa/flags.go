@@ -199,33 +199,6 @@ func (c Cond) Negate() Cond {
 	return c
 }
 
-// FlagsRead returns the flag bits the condition inspects: flipping a bit
-// outside this set can never change the condition's verdict. The liveness
-// pass uses it as the gen set of Jcc and CMOVcc.
-func (c Cond) FlagsRead() Flags {
-	switch c {
-	case CondEQ, CondNE:
-		return FlagZ
-	case CondLT, CondGE:
-		return FlagS | FlagO
-	case CondLE, CondGT:
-		return FlagZ | FlagS | FlagO
-	case CondB, CondAE:
-		return FlagC
-	case CondBE, CondA:
-		return FlagC | FlagZ
-	case CondS, CondNS:
-		return FlagS
-	case CondP, CondNP:
-		return FlagP
-	case CondO, CondNO:
-		return FlagO
-	}
-	// Undefined condition codes never evaluate true or false consistently;
-	// be conservative and treat them as reading everything.
-	return FlagMask
-}
-
 // Eval evaluates the condition against a flags value.
 func (c Cond) Eval(f Flags) bool {
 	zf := f&FlagZ != 0

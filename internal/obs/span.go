@@ -6,7 +6,7 @@ import (
 )
 
 // Phase spans: hierarchical wall-clock timing for campaign phases
-// (record → checkpoint-capture → inject → prune → merge, plus per-worker
+// (warm → record → inject → merge, plus per-worker
 // shard spans). Spans are aggregates, not a trace: each series keeps a
 // run count and a total duration, so hot phases may be entered many
 // times (one span per worker, per campaign) without unbounded growth.
