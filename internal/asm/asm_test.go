@@ -138,8 +138,8 @@ func TestAssembleSample(t *testing.T) {
 	}
 }
 
-func TestAssembleAllForms(t *testing.T) {
-	src := `
+// allFormsSrc uses every instruction form the assembler accepts.
+const allFormsSrc = `
 start:
     nop
     movi eax, -5
@@ -189,7 +189,9 @@ fn:
     ret
     halt
 `
-	p, err := Assemble("forms", src)
+
+func TestAssembleAllForms(t *testing.T) {
+	p, err := Assemble("forms", allFormsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
