@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/comp"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/inject"
@@ -49,33 +50,69 @@ func (r faultRun) detected() bool {
 //     silent data corruption lands in a residual gap.
 func TestSingleErrorGate(t *testing.T) {
 	for prog := 0; prog < 3; prog++ {
-		prof := randomProfile(int64(11000 + prog*41))
-		prof.Name = fmt.Sprintf("gate-%d", prog)
-		prof.Funcs, prof.OuterIters = 2, 1
-		prof.InnerItersMin, prof.InnerItersMax = 2, 4
-		p, err := prof.Build(1)
-		if err != nil {
-			t.Fatalf("%s: %v", prof.Name, err)
-		}
+		p := gateProgram(t, int64(11000+prog*41), fmt.Sprintf("gate-%d", prog))
 		for _, style := range []dbt.UpdateStyle{dbt.UpdateJcc, dbt.UpdateCmov} {
 			for _, tech := range DBTTechniques(style) {
 				for _, b := range backends {
-					name := fmt.Sprintf("%s/%s/%s/%s", prof.Name, tech.Name(), style, b)
-					d := dbt.New(p, dbt.Options{Technique: tech, Policy: dbt.PolicyAllBB, Backend: b})
-					if res := d.Run(nil, 50_000_000); res.Stop.Reason != cpu.StopHalt {
-						t.Fatalf("%s: clean stop %v", name, res.Stop)
-					}
-					snap := d.Snapshot()
-					clean := runOnClone(snap, nil, 50_000_000)
-					if clean.stop.Reason != cpu.StopHalt {
-						t.Fatalf("%s: clean clone stop %v", name, clean.stop)
-					}
-					budget := 4*clean.m.Steps + 10_000
-					sweepSingleErrors(t, name, snap, clean, budget, tech.Name() == "RCF")
+					gateConfig(t, p, tech, style, b)
 				}
 			}
 		}
 	}
+}
+
+// FuzzSingleErrorGate is TestSingleErrorGate's fuzz form: the same rules
+// on the gate-sized random program of seed 11000+prog, under the
+// technique, update style and backend sel picks.
+func FuzzSingleErrorGate(f *testing.F) {
+	// sel: bit 0 the style (Jcc, CMOVcc), bits 1-2 the technique (RCF,
+	// EdgCF, ECF, RCF), bit 4 the backend (step, compile).
+	f.Add(uint16(0), uint8(0))   // RCF/Jcc, step
+	f.Add(uint16(41), uint8(3))  // EdgCF/CMOVcc, step
+	f.Add(uint16(9), uint8(4))   // ECF/Jcc, step
+	f.Add(uint16(82), uint8(16)) // RCF/Jcc, compile
+	f.Add(uint16(7), uint8(17))  // RCF/CMOVcc, compile
+	f.Add(uint16(5), uint8(18))  // EdgCF/Jcc, compile
+	f.Add(uint16(12), uint8(21)) // ECF/CMOVcc, compile
+	f.Fuzz(func(t *testing.T, prog uint16, sel uint8) {
+		p := gateProgram(t, 11000+int64(prog), fmt.Sprintf("gatefuzz-%d", prog))
+		style := []dbt.UpdateStyle{dbt.UpdateJcc, dbt.UpdateCmov}[sel&1]
+		techs := DBTTechniques(style)
+		gateConfig(t, p, techs[int(sel>>1&3)%len(techs)], style, backends[int(sel>>4&1)])
+	})
+}
+
+// gateProgram builds the gate's small random program of the given seed:
+// few enough dynamic branches that every (branch, bit) site is swept.
+func gateProgram(t *testing.T, seed int64, name string) *isa.Program {
+	t.Helper()
+	prof := randomProfile(seed)
+	prof.Name = name
+	prof.Funcs, prof.OuterIters = 2, 1
+	prof.InnerItersMin, prof.InnerItersMax = 2, 4
+	p, err := prof.Build(1)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return p
+}
+
+// gateConfig applies the gate's rules to p under one technique, update
+// style and backend, with ALLBB.
+func gateConfig(t *testing.T, p *isa.Program, tech dbt.Technique, style dbt.UpdateStyle, b comp.Backend) {
+	t.Helper()
+	name := fmt.Sprintf("%s/%s/%s/%s", p.Name, tech.Name(), style, b)
+	d := dbt.New(p, dbt.Options{Technique: tech, Policy: dbt.PolicyAllBB, Backend: b})
+	if res := d.Run(nil, 50_000_000); res.Stop.Reason != cpu.StopHalt {
+		t.Fatalf("%s: clean stop %v", name, res.Stop)
+	}
+	snap := d.Snapshot()
+	clean := runOnClone(snap, nil, 50_000_000)
+	if clean.stop.Reason != cpu.StopHalt {
+		t.Fatalf("%s: clean clone stop %v", name, clean.stop)
+	}
+	budget := 4*clean.m.Steps + 10_000
+	sweepSingleErrors(t, name, snap, clean, budget, tech.Name() == "RCF")
 }
 
 // sweepSingleErrors applies the gate's rules to every (branch, bit) site

@@ -305,10 +305,11 @@ type tailOps interface {
 //
 // UpdateJcc (Figure 14): an inserted branch with the same condition selects
 // the signature, then the original branch executes. Cheaper, but the
-// inserted branch is a new fault site: under EdgCF/ECF an offset upset on
-// it escapes (the mid-block signature state of those techniques aliases
-// every other mid-block point), which is why the paper calls those
-// configurations unsafe; RCF's unique body regions detect it.
+// inserted branch is a new fault site, which is why the paper calls the
+// EdgCF/ECF forms unsafe. No offset sweep here finds an escape through an
+// upset of the inserted branch itself; the escapes measured are upsets of
+// a check branch that land on this sequence (EXPERIMENTS.md, "Jcc
+// coverage").
 func emitCommonTail(e *dbt.Emitter, guestStart uint32, term dbt.TermInfo, ops tailOps, style dbt.UpdateStyle) {
 	switch term.Kind {
 	case dbt.TermFall:

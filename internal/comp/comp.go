@@ -449,7 +449,8 @@ func (c *core) resolveChains() {
 // fused; everything the compiled tier cannot express exactly — branch
 // hooks, the firing step of a planted fault, blocks straddling the step
 // budget or the fault's firing boundary, cold blocks — runs on the
-// reference interpreter. An armed watch (Watch) adds one stop, StopWatch,
+// reference interpreter, so a fault that asks to pause (cpu.Fault.Pause)
+// returns right after its firing step. An armed watch (Watch) adds one stop, StopWatch,
 // which a disabled view or a branch hook never reaches. code is the
 // caller's current slice, not e's alias: a disabled view stops following
 // Sync, so its alias goes stale.

@@ -73,6 +73,37 @@ func runBoth(t *testing.T, p *isa.Program, maxSteps uint64, fault *cpu.Fault) cp
 			t.Fatalf("threshold %d: fault record diverged\n got: %+v\nwant: %+v", threshold, m.Fault, ref.Fault)
 		}
 	}
+	if fault == nil {
+		return want.stop
+	}
+	// A fault that asks to pause returns right after its firing step, on
+	// the step oracle and on the engine alike, and resuming ends exactly
+	// where the uninterrupted run did.
+	for _, eng := range []*Engine{nil, NewEngine(p.Code, nil, 1)} {
+		m := cpu.New()
+		m.Reset(p)
+		f := *fault
+		f.Pause = true
+		m.Fault = &f
+		stop := eng.Run(m, p.Code, maxSteps)
+		if f.Fired {
+			after := f.FiredStep + 1 // a register fault records the count before its step
+			if f.Kind != cpu.FaultRegBit {
+				after = f.FiredStep // a branch fault, after its step
+			}
+			if m.Steps != after {
+				t.Fatalf("engine %v, fault %+v: returned %v at step %d, want the firing step's end %d",
+					eng != nil, f, stop, m.Steps, after)
+			}
+		}
+		if stop.Reason == cpu.StopOutOfSteps {
+			stop = eng.Run(m, p.Code, maxSteps)
+		}
+		f.Pause = false
+		if got := capture(m, stop); !reflect.DeepEqual(got, want) || f != *ref.Fault {
+			t.Fatalf("engine %v, fault %+v: paused run differs from Run\n got: %+v\nwant: %+v", eng != nil, f, got, want)
+		}
+	}
 	return want.stop
 }
 

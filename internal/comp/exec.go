@@ -338,13 +338,13 @@ chain:
 				fk, fa = fLogic, r[u.rd]&r[u.rs1]
 
 			case uFAdd:
-				r[u.rd] = cpu.Fop(r[u.rd], r[u.rs1], '+')
+				r[u.rd] = cpu.FAdd(r[u.rd], r[u.rs1])
 			case uFSub:
-				r[u.rd] = cpu.Fop(r[u.rd], r[u.rs1], '-')
+				r[u.rd] = cpu.FSub(r[u.rd], r[u.rs1])
 			case uFMul:
-				r[u.rd] = cpu.Fop(r[u.rd], r[u.rs1], '*')
+				r[u.rd] = cpu.FMul(r[u.rd], r[u.rs1])
 			case uFDiv:
-				r[u.rd] = cpu.Fop(r[u.rd], r[u.rs1], '/')
+				r[u.rd] = cpu.FDiv(r[u.rd], r[u.rs1])
 
 			case uCmov:
 				if condDeferred(isa.Cond(u.rs2), fk, fa, fb, flags) {

@@ -141,6 +141,12 @@ type Fault struct {
 	StepIndex uint64
 	Reg       isa.Reg
 
+	// Pause makes the run return right after the firing step, with the
+	// StopOutOfSteps a step budget ending there would give, so a caller
+	// that only needs the firing runs no further. Calling Run again
+	// continues exactly.
+	Pause bool
+
 	// Outcome, filled in when the fault fires.
 	Fired       bool
 	FiredStep   uint64 // machine step count when the fault fired
@@ -217,7 +223,8 @@ func (m *Machine) Reset(p *isa.Program) {
 }
 
 // Run executes instructions from code starting at the current IP until a
-// terminator, trap, or the step budget is exhausted.
+// terminator, trap, the step budget is exhausted or a planted fault that
+// asks to pause fires (Fault.Pause).
 func (m *Machine) Run(code []isa.Instr, maxSteps uint64) Stop {
 	for {
 		if m.Steps >= maxSteps {
@@ -238,7 +245,8 @@ func (m *Machine) RunProgram(p *isa.Program, maxSteps uint64) Stop {
 func code(p *isa.Program) []isa.Instr { return p.Code }
 
 // Step executes a single instruction. It returns done=true when execution
-// must stop (including OpHalt/OpReport/OpTrapOut and all traps).
+// must stop (including OpHalt/OpReport/OpTrapOut, all traps and the firing
+// step of a fault that asks to pause).
 func (m *Machine) Step(codeSlice []isa.Instr) (Stop, bool) {
 	ip := m.IP
 	if ip == 0 || ip >= uint32(len(codeSlice)) {
@@ -247,12 +255,14 @@ func (m *Machine) Step(codeSlice []isa.Instr) (Stop, bool) {
 		return Stop{Reason: StopBadFetch, IP: ip}, true
 	}
 	in := codeSlice[ip]
+	pause := false
 	if f := m.Fault; f != nil && f.Kind == FaultRegBit && !f.Fired && m.Steps >= f.StepIndex {
 		f.Fired = true
 		f.FiredStep = m.Steps
 		f.FaultIP = ip
 		f.FaultInstr = in
 		m.Regs[f.Reg%isa.Reg(isa.NumRegs)] ^= int32(1) << (f.Bit & 31)
+		pause = f.Pause
 	}
 	m.Steps++
 	m.Cycles += uint64(m.Costs.Of(in.Op))
@@ -379,16 +389,18 @@ func (m *Machine) Step(codeSlice []isa.Instr) (Stop, bool) {
 		m.Flags = isa.LogicFlags(r[in.RD] & r[in.RS1])
 
 	case isa.OpFAdd:
-		r[in.RD] = fop(r[in.RD], r[in.RS1], '+')
+		r[in.RD] = FAdd(r[in.RD], r[in.RS1])
 	case isa.OpFSub:
-		r[in.RD] = fop(r[in.RD], r[in.RS1], '-')
+		r[in.RD] = FSub(r[in.RD], r[in.RS1])
 	case isa.OpFMul:
-		r[in.RD] = fop(r[in.RD], r[in.RS1], '*')
+		r[in.RD] = FMul(r[in.RD], r[in.RS1])
 	case isa.OpFDiv:
-		r[in.RD] = fop(r[in.RD], r[in.RS1], '/')
+		r[in.RD] = FDiv(r[in.RD], r[in.RS1])
 
 	case isa.OpJmp, isa.OpJcc, isa.OpJrz, isa.OpCall:
-		next = m.directBranch(ip, in)
+		var branchPause bool
+		next, branchPause = m.directBranch(ip, in)
+		pause = pause || branchPause // a register fault may fire on a branch
 		if in.Op == isa.OpCall && next != ip+1 {
 			r[isa.ESP]--
 			if err := m.Mem.Store(uint32(r[isa.ESP]), int32(ip+1)); err != nil {
@@ -432,14 +444,18 @@ func (m *Machine) Step(codeSlice []isa.Instr) (Stop, bool) {
 	}
 
 	m.IP = next
+	if pause {
+		return Stop{Reason: StopOutOfSteps, IP: next}, true
+	}
 	return Stop{}, false
 }
 
 // directBranch resolves a direct branch: applies a pending fault, evaluates
-// the direction, fires the BranchHook, and returns the next IP. A flag-bit
+// the direction, fires the BranchHook, and returns the next IP and whether
+// the fault fired here and asked to pause (Fault.Pause). A flag-bit
 // fault flips the flags this one branch evaluates; the flags register
 // itself is untouched, so the next flag reader sees the clean value.
-func (m *Machine) directBranch(ip uint32, in isa.Instr) uint32 {
+func (m *Machine) directBranch(ip uint32, in isa.Instr) (uint32, bool) {
 	idx := m.DirectBranches
 	m.DirectBranches++
 	if in.Op == isa.OpJrz {
@@ -475,10 +491,11 @@ func (m *Machine) directBranch(ip uint32, in isa.Instr) uint32 {
 	if m.BranchHook != nil {
 		m.BranchHook(BranchEvent{IP: ip, Instr: in, Flags: flags, Taken: taken, Target: target})
 	}
+	pause := faulted && m.Fault.Pause
 	if taken {
-		return target
+		return target, pause
 	}
-	return ip + 1
+	return ip + 1, pause
 }
 
 // taken evaluates whether the branch is taken under the given flags and
@@ -494,30 +511,4 @@ func (m *Machine) taken(in isa.Instr, flags isa.Flags) bool {
 		return m.Regs[in.RS1] == 0
 	}
 	return false
-}
-
-// fop performs a float32 operation on register bit patterns.
-func fop(a, b int32, op byte) int32 {
-	fa := float32frombits(uint32(a))
-	fb := float32frombits(uint32(b))
-	var fr float32
-	switch op {
-	case '+':
-		fr = fa + fb
-	case '-':
-		fr = fa - fb
-	case '*':
-		fr = fa * fb
-	case '/':
-		if fb == 0 {
-			// IEEE: produce +/-Inf; keep it simple and deterministic.
-			inf := uint32(0x7F800000)
-			if fa < 0 {
-				inf |= 1 << 31
-			}
-			return int32(inf)
-		}
-		fr = fa / fb
-	}
-	return int32(float32bits(fr))
 }

@@ -66,9 +66,10 @@ func sitePoint(l *ckpt.Log, f *cpu.Fault) int {
 }
 
 // orderBySite returns sample indices sorted by restore point (ties in
-// sample order). Workers take every workers-th entry of the result, so
-// each worker visits its checkpoints in ascending order and its replayer
-// applies every page delta at most once.
+// sample order). Workers claim its entries through one shared, growing
+// cursor, so each worker visits its checkpoints in ascending order and its
+// replayer applies every page delta at most once, and no worker idles
+// while another still holds unclaimed samples.
 func orderBySite(points []int) []int {
 	order := make([]int, len(points))
 	for i := range order {
@@ -159,28 +160,28 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 	}
 	order := orderBySite(points)
 	base := rep.WarmTranslator
-	workers := rep.Workers
 	injSpan := phaseSpan(cfg.Metrics, label, "inject")
-	err := par.RunWorkersCtx(ctx, workers, func(ctx context.Context, w int) error {
-		ws := injSpan.Child(fmt.Sprintf("worker%d", w))
-		defer ws.End()
+	runners := make([]runner, rep.Workers)
+	replayers := make([]*ckpt.Replayer, rep.Workers)
+	spans := make([]*obs.Span, rep.Workers)
+	for w := range runners {
+		runners[w], replayers[w] = t.runner(), log.NewReplayer()
+		spans[w] = injSpan.Child(fmt.Sprintf("worker%d", w))
+	}
+	err := par.ForEachShardCtx(ctx, len(order), rep.Workers, func(w, j int) error {
 		var c *obs.Collector
 		if shards != nil {
 			c = shards[w]
 		}
-		r := t.runner()
-		rp := log.NewReplayer()
-		for j := w; j < len(order); j += workers {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			i := order[j]
-			runCkptSample(cfg, r, base, log, rp, ns, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
-			dumpFlight(cfg, r, p.Name, label, i, want, &results[i])
-			observeProgress(cfg.Progress, w, &results[i])
-		}
+		i := order[j]
+		runCkptSample(cfg, runners[w], base, log, replayers[w], ns, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
+		dumpFlight(cfg, runners[w], p.Name, label, i, want, &results[i])
+		observeProgress(cfg.Progress, w, &results[i])
 		return nil
 	})
+	for _, ws := range spans {
+		ws.End()
+	}
 	injSpan.End()
 	rep.Elapsed = time.Since(start)
 	return err
@@ -196,16 +197,14 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 	r.resume(m, pt)
 	restored := pt.State.Steps
 
-	// Execute the tail in interval-sized chunks until the fault fires,
-	// then synthesize the rest when the firing provably left the run on
-	// the reference trajectory, or run it until it rejoins. A provably
-	// clean firing counts as synthesized even when its chunk already ran
-	// to the end, so the engine counters do not depend on where the
-	// chunks fall.
-	stop := cpu.Stop{Reason: cpu.StopOutOfSteps}
-	for !f.Fired && stop.Reason == cpu.StopOutOfSteps && m.Steps < cfg.MaxSteps {
-		stop = r.advance(m, min(m.Steps+log.Interval, cfg.MaxSteps))
-	}
+	// Seek to the firing, which pauses the run right after its step, then
+	// synthesize the rest when the firing provably left the run on the
+	// reference trajectory, or run it until it rejoins. A provably clean
+	// firing on a step that itself ended the run counts as synthesized
+	// too.
+	f.Pause = true
+	stop := r.advance(m, cfg.MaxSteps)
+	f.Pause = false
 	short := shortNone
 	at := -1
 	if f.Fired {

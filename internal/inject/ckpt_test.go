@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/dbt"
+	"repro/internal/obs"
+	"repro/internal/workloads"
 )
 
 // formatKey renders a report with the legitimately varying fields (wall
@@ -99,31 +101,73 @@ func TestStaticCkptCampaignMatchesReplay(t *testing.T) {
 	}
 }
 
-// The checkpoint engine keeps the worker-count invariance guarantee on
-// its own too (site-sorted static sharding instead of dynamic draining).
+// The checkpoint engine drains its site-sorted samples through one shared
+// cursor, so which worker resolves which sample depends on scheduling.
+// Every sample is resolved on its own from its restore point, so neither
+// the report nor the engine telemetry may depend on the worker count: an
+// integer program under RCF/Jcc, a floating-point one under EdgCF/CMOVcc
+// and the static CFCSS baseline, at 1, 2 and 8 workers.
 func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
-	p := mustAssemble(t, workload)
-	base := Config{
-		Technique:   &check.RCF{Style: dbt.UpdateCmov},
-		Samples:     200,
-		Seed:        7,
-		KeepRecords: true,
-		MaxSteps:    2_000_000,
-		Options:     Options{Workers: 1, CkptInterval: -1},
+	shapes := []struct {
+		workload string
+		tech     dbt.Technique // nil: static CFCSS
+		policy   dbt.Policy
+	}{
+		{"164.gzip", &check.RCF{Style: dbt.UpdateJcc}, dbt.PolicyAllBB},
+		{"171.swim", &check.EdgCF{Style: dbt.UpdateCmov}, dbt.PolicyRetBE},
+		{"181.mcf", nil, dbt.PolicyAllBB},
 	}
-	serial, err := Execute(context.Background(), p, base)
-	if err != nil {
-		t.Fatal(err)
+	// telemetry is what the checkpoint engine did, which reportKey strips.
+	type telemetry struct {
+		executed, shortOffset, shortLive, rejoined int
+		replayedSteps                              uint64
 	}
-	for _, w := range []int{2, 8} {
-		cfg := base
-		cfg.Workers = w
-		rep, err := Execute(context.Background(), p, cfg)
+	for _, s := range shapes {
+		prof, err := workloads.ByName(s.workload)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(reportKey(rep), reportKey(serial)) {
-			t.Errorf("workers=%d: report differs from serial", w)
+		p, err := prof.Build(0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts []ExecOption
+		if s.tech == nil {
+			if p, err = check.InstrumentStatic(p, check.StaticCFCSS); err != nil {
+				t.Fatal(err)
+			}
+			opts = append(opts, AsStatic("CFCSS"))
+		}
+		var want Report
+		var wantTel telemetry
+		for _, w := range []int{1, 2, 8} {
+			reg := obs.NewRegistry()
+			rep, err := Execute(context.Background(), p, Config{
+				Technique:   s.tech,
+				Policy:      s.policy,
+				Samples:     300,
+				Seed:        3,
+				KeepRecords: true,
+				Options:     Options{Workers: w, CkptInterval: -1, Metrics: reg},
+			}, opts...)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", s.workload, w, err)
+			}
+			h := reg.Snapshot().Histograms[`ckpt_replayed_steps{technique="`+rep.Technique+`"}`]
+			tel := telemetry{rep.Executed, rep.ShortOffset, rep.ShortLive, rep.Rejoined, h.Sum}
+			if w == 1 {
+				want, wantTel = reportKey(rep), tel
+				if tel.executed == 0 || tel.shortOffset+tel.shortLive == 0 {
+					t.Fatalf("%s: engine telemetry %+v exercises no short-circuit or no tail", s.workload, tel)
+				}
+				continue
+			}
+			if got := reportKey(rep); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: report differs from serial\n got: %+v\nwant: %+v", s.workload, w, got, want)
+			}
+			if tel != wantTel {
+				t.Errorf("%s workers=%d: engine telemetry %+v, serial %+v", s.workload, w, tel, wantTel)
+			}
 		}
 	}
 }

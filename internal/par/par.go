@@ -1,9 +1,11 @@
 // Package par is the deterministic fan-out primitive shared by the
 // fault-injection and benchmark harnesses: a fixed pool of goroutines
-// drains an indexed job list, and every job writes only its own result
-// slot. Because job i's inputs are derived from i alone and the caller
-// merges slots in index order, the combined result is bit-identical
-// regardless of the worker count or the order in which jobs finish.
+// drains an indexed job list through one shared counter that only grows,
+// so no goroutine idles while jobs remain and each claims its jobs in
+// ascending index order. Every job writes only its own result slot.
+// Because job i's inputs are derived from i alone and the caller merges
+// slots in index order, the combined result is bit-identical regardless
+// of the worker count or the order in which jobs finish.
 package par
 
 import (
@@ -42,54 +44,6 @@ func ForEach(jobs, workers int, fn func(i int) error) error {
 // errors, which a cancellation typically causes downstream).
 func ForEachCtx(ctx context.Context, jobs, workers int, fn func(i int) error) error {
 	return ForEachShardCtx(ctx, jobs, workers, func(_, i int) error { return fn(i) })
-}
-
-// RunWorkers starts one goroutine per worker index in [0, workers) and
-// runs fn(w) on each. Unlike ForEachShard there is no shared job counter:
-// the caller statically partitions the work by worker index (e.g. a
-// round-robin split of a sorted job list), trading dynamic balance for a
-// per-worker processing order the caller controls. With one worker fn runs
-// inline on the calling goroutine. The lowest-indexed worker's error is
-// returned, so the reported error does not depend on scheduling.
-func RunWorkers(workers int, fn func(w int) error) error {
-	return RunWorkersCtx(context.Background(), workers, func(_ context.Context, w int) error {
-		return fn(w)
-	})
-}
-
-// RunWorkersCtx is RunWorkers with cancellation. Each worker receives ctx
-// and is expected to poll ctx.Err() between jobs of its static partition —
-// the pool itself cannot preempt a running job. When ctx is done by the
-// time all workers return, ctx.Err() is reported in preference to worker
-// errors, so callers see the cancellation rather than its knock-on
-// failures.
-func RunWorkersCtx(ctx context.Context, workers int, fn func(ctx context.Context, w int) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		err := fn(ctx, 0)
-		return ctxFirst(ctx, err)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(ctx, w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ctxFirst(ctx, err)
-		}
-	}
-	return ctx.Err()
 }
 
 // ctxFirst prefers the context's cancellation error over a job error.

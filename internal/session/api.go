@@ -88,7 +88,7 @@ func (l Limits) CheckSampleRange(offset, n int) error {
 		return err
 	}
 	l = l.withDefaults()
-	if offset < 0 || offset+n > l.MaxSamples {
+	if offset < 0 || offset > l.MaxSamples-n { // offset+n may overflow
 		return fmt.Errorf("sample range [%d, %d) out of range [0, %d]", offset, offset+n, l.MaxSamples)
 	}
 	return nil

@@ -9,6 +9,7 @@ package session
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -332,6 +333,36 @@ func handleVersion(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(v)
 }
 
+// DecodeRequest decodes a POST /v1/campaigns body, rejecting unknown
+// fields, and checks it against l: a workload, at least one campaign, and
+// a scale, worker count, checkpoint interval and every campaign's sample
+// range within the limits.
+func (l Limits) DecodeRequest(raw []byte) (Request, error) {
+	var body Request
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		return body, err
+	}
+	if body.Workload == "" {
+		return body, errors.New("workload required")
+	}
+	if len(body.Campaigns) == 0 {
+		return body, errors.New("at least one campaign required")
+	}
+	for _, err := range []error{l.CheckScale(body.Scale), l.CheckWorkers(body.Workers), l.CheckCkptInterval(body.CkptInterval)} {
+		if err != nil {
+			return body, err
+		}
+	}
+	for _, c := range body.Campaigns {
+		if err := l.CheckSampleRange(c.SampleOffset, c.Samples); err != nil {
+			return body, err
+		}
+	}
+	return body, nil
+}
+
 func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	release, ok := s.Begin(w)
 	if !ok {
@@ -342,38 +373,10 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	var body Request
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
+	body, err := s.Limits.DecodeRequest(raw)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
-	}
-	if body.Workload == "" {
-		WriteError(w, http.StatusBadRequest, "bad request: workload required")
-		return
-	}
-	if len(body.Campaigns) == 0 {
-		WriteError(w, http.StatusBadRequest, "bad request: at least one campaign required")
-		return
-	}
-	if err := s.Limits.CheckScale(body.Scale); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if err := s.Limits.CheckWorkers(body.Workers); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	if err := s.Limits.CheckCkptInterval(body.CkptInterval); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
-	}
-	for _, c := range body.Campaigns {
-		if err := s.Limits.CheckSampleRange(c.SampleOffset, c.Samples); err != nil {
-			WriteError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
 	}
 	k := Key{
 		Workload:     body.Workload,
