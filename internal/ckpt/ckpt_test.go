@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -481,5 +482,126 @@ func TestReplayerRejoins(t *testing.T) {
 	m.Output = append(m.Output, 0)
 	if r.Rejoins(j) {
 		t.Error("extra output still rejoins")
+	}
+}
+
+// rebuild returns the memory image at point k of l, built from a zero
+// image by applying the page deltas of points 0..k.
+func rebuild(l *Log, k int) []int32 {
+	img := make([]int32, l.MemWords)
+	for _, pt := range l.Points[:k+1] {
+		for _, pg := range pt.Pages {
+			copy(img[pg.Index<<mem.PageShift:], pg.Words)
+		}
+	}
+	return img
+}
+
+// A replayer reused across logs restores exactly what a rebuild from zero
+// gives, seeking forward, backward and onto a log of another memory size
+// (larger, then smaller, then larger again within the arrays it kept),
+// whatever the previous sample wrote. A reset replayer is a fresh one:
+// no log, a zero and clean memory, an empty page table.
+func TestPooledReplayerMatchesRebuild(t *testing.T) {
+	var logs []*Log
+	for _, data := range []string{".data 70", ".data 300", ".data 130", ".data 260"} {
+		p, err := asm.Assemble("ckpt-pool", strings.Replace(workload, ".data 64", data, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := RecordStatic(p, nil, 300, maxSteps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Points) < 4 {
+			t.Fatalf("%s: only %d points", data, len(l.Points))
+		}
+		logs = append(logs, l)
+	}
+	if logs[0].MemWords >= logs[1].MemWords || logs[2].MemWords >= logs[1].MemWords {
+		t.Fatalf("memory sizes %d, %d, %d do not grow then shrink", logs[0].MemWords, logs[1].MemWords, logs[2].MemWords)
+	}
+	r := logs[0].NewReplayer()
+	rng := uint32(11)
+	for li, l := range logs {
+		if li > 0 {
+			r.reset()
+			if r.log != nil || r.cur != -1 || r.pages != 0 || r.m.Fault != nil || r.m.Mem != nil {
+				t.Fatalf("log %d: reset left log %v, cur %d, pages %d, fault %v", li, r.log, r.cur, r.pages, r.m.Fault)
+			}
+			if !slices.Equal(r.work.Snapshot(), make([]int32, r.work.Size())) {
+				t.Fatalf("log %d: reset left memory non-zero", li)
+			}
+			if !r.work.Dirty(func(uint32, []int32) bool { return false }) {
+				t.Fatalf("log %d: reset left dirty pages", li)
+			}
+			for p, b := range r.base {
+				if b != nil {
+					t.Fatalf("log %d: reset left page %d referenced", li, p)
+				}
+			}
+			r.bind(l)
+		}
+		n := len(l.Points)
+		for _, k := range []int{0, 1, n / 2, n / 2, n - 1, 2, n - 1, 0, n / 2} {
+			m := r.Machine(k)
+			tag := fmt.Sprintf("log %d (%d words) point %d", li, l.MemWords, k)
+			if m.Mem.Size() != l.MemWords {
+				t.Fatalf("%s: memory of %d words", tag, m.Mem.Size())
+			}
+			if !slices.Equal(m.Mem.Snapshot(), rebuild(l, k)) {
+				t.Errorf("%s: memory differs from a rebuild from zero", tag)
+			}
+			if got := m.CaptureState(); got != l.Points[k].State {
+				t.Errorf("%s: state %+v, want %+v", tag, got, l.Points[k].State)
+			}
+			// The sample: stores anywhere, the short final page included.
+			for i := 0; i < 30; i++ {
+				rng = rng*1664525 + 1013904223
+				if err := m.Mem.Store(rng%l.MemWords, int32(rng)|1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Mem.Store(l.MemWords-1, -1); err != nil {
+				t.Fatal(err)
+			}
+			m.Fault = &cpu.Fault{BranchIndex: 1}
+		}
+	}
+	r.Release()
+	// Through the pool: whichever replayer comes back restores exactly.
+	for _, l := range []*Log{logs[1], logs[0], logs[3]} {
+		r := l.NewReplayer()
+		for _, k := range []int{len(l.Points) - 1, 1} {
+			if m := r.Machine(k); !slices.Equal(m.Mem.Snapshot(), rebuild(l, k)) {
+				t.Errorf("pooled replayer over %d words, point %d: memory differs from a rebuild", l.MemWords, k)
+			}
+		}
+		r.Release()
+		r.Release() // a second Release must not pool it twice
+	}
+	a, b := logs[0].NewReplayer(), logs[0].NewReplayer()
+	if a == b {
+		t.Error("two live replayers share one object")
+	}
+	a.Release()
+	b.Release()
+}
+
+// A decoded log's pages are whole tracking pages: a replayer's page table
+// takes each as the page's full contents, so a shorter one is corrupt.
+func TestDecodeRejectsPartialPage(t *testing.T) {
+	l, err := RecordStatic(mustAssemble(t), nil, 300, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := slices.IndexFunc(l.Points, func(pt Point) bool { return len(pt.Pages) > 0 })
+	if k < 0 {
+		t.Fatal("no point carries a page")
+	}
+	pg := &l.Points[k].Pages[0]
+	pg.Words = pg.Words[:len(pg.Words)-1]
+	if _, err := DecodeLogBytes(l.Encode(testFingerprint), testFingerprint); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a page one word short decoded with %v, want ErrCorrupt", err)
 	}
 }

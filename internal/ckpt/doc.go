@@ -28,6 +28,16 @@
 // where the engine's watch can see a faulty sample that rejoined the
 // reference run, and Replayer.Rejoins confirms such a rejoin exactly.
 //
+// A Replayer restores samples in place on one machine and one memory.
+// The memory's baseline at the current point is a page table of
+// references into the log's immutable page deltas (nil is a zero page),
+// not a second image: a restore rolls back the pages the previous sample
+// wrote from the table, a forward seek writes each delta it crosses once,
+// and a backward seek zeroes only the referenced pages. Released
+// replayers go to one process-wide pool shared by every log, and
+// NewReplayer reuses one, resized in place when its arrays hold the new
+// log's memory, so a warm session's campaigns allocate no memory image.
+//
 // # Encoded checkpoint-log format
 //
 // A recorded Log persists only as the log section of a warm artifact
@@ -83,8 +93,9 @@
 // encoding). It accepts only 0 and 1 in the truncated byte, so any log
 // that decodes re-encodes to the same bytes, and rejects points a
 // replayer could not apply (an output prefix past the output, a page
-// outside memory). It classifies failures as ErrCorrupt (unreadable
-// bytes) or ErrStale (readable bytes recorded for a different
-// configuration). Callers treat both the same way: the artifact is
+// outside memory or not a whole page: PageWords words, or the rest of
+// memory for the final page). It classifies failures as ErrCorrupt
+// (unreadable bytes) or ErrStale (readable bytes recorded for a
+// different configuration). Callers treat both the same way: the artifact is
 // rejected and the session re-records its log locally.
 package ckpt

@@ -166,9 +166,12 @@ func decodeBody(body []byte) (*Log, error) {
 			pg := &pt.Pages[j]
 			pg.Index = r.U32()
 			pg.Words = r.Words()
-			if lo := uint64(pg.Index) << mem.PageShift; len(pg.Words) > mem.PageWords ||
-				lo+uint64(len(pg.Words)) > uint64(l.MemWords) {
-				return nil, fmt.Errorf("%w: point %d page %d (%d words) outside %d words of memory",
+			// A page is whole: PageWords words, or the rest of memory for
+			// the final one. A replayer's page table references it as the
+			// page's full contents.
+			if lo := uint64(pg.Index) << mem.PageShift; lo >= uint64(l.MemWords) ||
+				uint64(len(pg.Words)) != min(mem.PageWords, uint64(l.MemWords)-lo) {
+				return nil, fmt.Errorf("%w: point %d page %d (%d words) is not a whole page of %d words of memory",
 					ErrCorrupt, i, pg.Index, len(pg.Words), l.MemWords)
 			}
 		}

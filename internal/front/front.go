@@ -136,9 +136,7 @@ func (f *Front) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body session.Request
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
+	if err := session.DecodeJSON(raw, &body); err != nil {
 		session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}

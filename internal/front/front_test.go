@@ -296,6 +296,32 @@ func TestFrontRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// A body with data after its JSON value answers 400 at the front itself,
+// on both the proxy and the fan-out path, and never reaches a replica.
+func TestFrontRejectsTrailingData(t *testing.T) {
+	var posts atomic.Int64
+	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+		posts.Add(1)
+		session.WriteError(w, http.StatusInternalServerError, "replica reached")
+	})
+	body := `{"workload":"x","campaigns":[{"samples":1}]} trailing`
+	for _, path := range []string{"/v1/campaigns", "/v1/campaigns?fanout=2"} {
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e session.ErrorJSON
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || e.Error == "" {
+			t.Errorf("%s: status %d, error %q (%v); want 400 with an error body", path, resp.StatusCode, e.Error, derr)
+		}
+	}
+	if n := posts.Load(); n != 0 {
+		t.Errorf("replica received %d posts, want 0", n)
+	}
+}
+
 // A replica's shard reply is read up to a bound: a runaway reply becomes
 // a campaign error record instead of an unbounded buffer in the front.
 func TestFrontBoundsShardReply(t *testing.T) {

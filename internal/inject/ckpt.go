@@ -152,21 +152,19 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 
 	// Faults derive per index exactly as under replay; only the execution
 	// order changes, and results land in their own index slot.
-	faults := make([]*cpu.Fault, cfg.Samples)
+	faults := make([]cpu.Fault, cfg.Samples)
 	points := make([]int, cfg.Samples)
 	for i := range faults {
 		faults[i] = deriveFault(cfg, i, branches, steps)
-		points[i] = sitePoint(log, faults[i])
+		points[i] = sitePoint(log, &faults[i])
 	}
 	order := orderBySite(points)
 	base := rep.WarmTranslator
 	injSpan := phaseSpan(cfg.Metrics, label, "inject")
 	runners := make([]runner, rep.Workers)
 	replayers := make([]*ckpt.Replayer, rep.Workers)
-	spans := make([]*obs.Span, rep.Workers)
 	for w := range runners {
 		runners[w], replayers[w] = t.runner(), log.NewReplayer()
-		spans[w] = injSpan.Child(fmt.Sprintf("worker%d", w))
 	}
 	err := par.ForEachShardCtx(ctx, len(order), rep.Workers, func(w, j int) error {
 		var c *obs.Collector
@@ -174,13 +172,13 @@ func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Repor
 			c = shards[w]
 		}
 		i := order[j]
-		runCkptSample(cfg, runners[w], base, log, replayers[w], ns, c, faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
+		runCkptSample(cfg, runners[w], base, log, replayers[w], ns, c, &faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
 		dumpFlight(cfg, runners[w], p.Name, label, i, want, &results[i])
 		observeProgress(cfg.Progress, w, &results[i])
 		return nil
 	})
-	for _, ws := range spans {
-		ws.End()
+	for _, rp := range replayers {
+		rp.Release()
 	}
 	injSpan.End()
 	rep.Elapsed = time.Since(start)

@@ -274,17 +274,17 @@ func (cfg *Config) applyDefaults() {
 // SampleOffset) and the clean-run geometry. Branch-site faults pick offset
 // and flag bits in proportion to their site counts, mirroring the error
 // model.
-func deriveFault(cfg *Config, index int, branches, steps uint64) *cpu.Fault {
+func deriveFault(cfg *Config, index int, branches, steps uint64) cpu.Fault {
 	rng := newSampleRNG(cfg.Seed, cfg.SampleOffset+index)
 	if cfg.RegFaults {
-		return &cpu.Fault{
+		return cpu.Fault{
 			Kind:      cpu.FaultRegBit,
 			StepIndex: rng.Uint64n(steps),
 			Reg:       isa.Reg(rng.Intn(isa.NumGuestRegs)),
 			Bit:       uint(rng.Intn(32)),
 		}
 	}
-	f := &cpu.Fault{BranchIndex: rng.Uint64n(branches)}
+	f := cpu.Fault{BranchIndex: rng.Uint64n(branches)}
 	if rng.Intn(isa.OffsetBits+isa.NumFlagBits) < isa.NumFlagBits {
 		f.Kind = cpu.FaultFlagBit
 		f.Bit = uint(rng.Intn(isa.NumFlagBits))
@@ -474,6 +474,7 @@ func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Rep
 	for w := range runners {
 		runners[w] = t.runner()
 	}
+	faults := make([]cpu.Fault, cfg.Samples)
 	injSpan := phaseSpan(cfg.Metrics, label, "inject")
 	err := par.ForEachShardCtx(ctx, cfg.Samples, rep.Workers, func(w, i int) error {
 		r := runners[w]
@@ -483,7 +484,8 @@ func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Rep
 		if shards != nil {
 			c = shards[w]
 		}
-		f := deriveFault(cfg, i, branches, steps)
+		f := &faults[i]
+		*f = deriveFault(cfg, i, branches, steps)
 		m, res := r.start(f)
 		if res == nil {
 			res = r.finish(m, r.advance(m, cfg.MaxSteps))

@@ -183,7 +183,7 @@ func zeroReturns(cfg *Config, clean *dbt.Result,
 	var hits []int
 	for i := 0; i < cfg.Samples; i++ {
 		f := deriveFault(cfg, i, clean.DirectBranches, clean.Steps)
-		m, at, step := begin(f)
+		m, at, step := begin(&f)
 		for !f.Fired || m.Steps < f.FiredStep+5000 {
 			if f.Fired && isRet(at()) {
 				if v, err := m.Mem.Load(uint32(m.Regs[isa.ESP])); err == nil && v == 0 {

@@ -127,9 +127,21 @@ func TestResetMarksAllDirty(t *testing.T) {
 	}
 }
 
+// pageTable returns img as a Rollback page table: one entry per tracking
+// page, aliasing img.
+func pageTable(img []int32) [][]int32 {
+	base := make([][]int32, pageCount(len(img)))
+	for p := range base {
+		lo := p << PageShift
+		base[p] = img[lo:min(lo+PageWords, len(img))]
+	}
+	return base
+}
+
 // Rollback copies back exactly the pages stored to since the last
 // capture or rollback: pages nobody wrote and pages filled by WriteClean
-// keep their contents even where img disagrees.
+// keep their contents even where the page table disagrees, and a nil
+// entry restores a zero page.
 func TestRollbackRestoresOnlyDirtyPages(t *testing.T) {
 	const size = PageWords*3 + 5 // final page is short
 	m := New(size)
@@ -137,6 +149,7 @@ func TestRollbackRestoresOnlyDirtyPages(t *testing.T) {
 	for i := range img {
 		img[i] = int32(1000 + i)
 	}
+	base := pageTable(img)
 	m.WriteClean(0, img)
 	if got := capturePages(m); len(got) != 0 {
 		t.Fatalf("WriteClean marked pages dirty: %v", got)
@@ -155,7 +168,9 @@ func TestRollbackRestoresOnlyDirtyPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Rollback(img)
+	if n := m.Rollback(base); n != 2 {
+		t.Errorf("Rollback restored %d pages, want 2", n)
+	}
 	want := func(addr uint32, v int32) {
 		t.Helper()
 		if got, _ := m.Load(addr); got != v {
@@ -177,12 +192,60 @@ func TestRollbackRestoresOnlyDirtyPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	img[4] = 77 // page 0 is dirty again, so this now comes back
-	m.Rollback(img)
+	m.Rollback(base)
 	want(PageWords+2, img[PageWords+2])
 	want(PageWords+3, img[PageWords+3])
 	want(3, img[3])
 	want(4, 77)
 	want(2*PageWords+1, 2*PageWords+1+1000)
+	// A nil entry is a zero page, the short final page included.
+	base[0], base[3] = nil, nil
+	for _, addr := range []uint32{5, size - 2} {
+		if err := m.Store(addr, 9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Rollback(base)
+	for _, addr := range []uint32{0, 5, PageWords - 1, 3 * PageWords, size - 1} {
+		want(addr, 0)
+	}
+	want(PageWords+2, img[PageWords+2])
+}
+
+// Resize reuses the backing arrays of a zero, clean memory for any size
+// they hold, growing back past a shrink included, and the result behaves
+// as a new memory: zero words, no dirty page, bounds at the new size.
+func TestResizeReusesZeroMemory(t *testing.T) {
+	const big = PageWords*5 + 3
+	m := New(big)
+	for _, n := range []uint32{PageWords*2 + 1, big, PageWords * 3, 1} {
+		if !m.Resize(n) {
+			t.Fatalf("Resize(%d) refused within %d words", n, big)
+		}
+		if m.Size() != n {
+			t.Fatalf("Size() = %d after Resize(%d)", m.Size(), n)
+		}
+		if got := capturePages(m); len(got) != 0 {
+			t.Fatalf("Resize(%d): pages %v dirty", n, got)
+		}
+		if !slices.Equal(m.Snapshot(), make([]int32, n)) {
+			t.Fatalf("Resize(%d): memory not zero", n)
+		}
+		if err := m.Store(n, 1); err == nil {
+			t.Fatalf("Resize(%d): store at %d did not fault", n, n)
+		}
+		// Use it, then roll it back onto a zero baseline, as a released
+		// checkpoint replayer does.
+		for a := uint32(0); a < n; a += 7 {
+			if err := m.Store(a, int32(a)+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Rollback(make([][]int32, pageCount(int(n))))
+	}
+	if m.Resize(big + 1) {
+		t.Errorf("Resize(%d) accepted past the %d-word backing array", big+1, big)
+	}
 }
 
 // Property: replaying captured dirty pages onto a shadow image keeps it

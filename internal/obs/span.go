@@ -5,17 +5,14 @@ import (
 	"time"
 )
 
-// Phase spans: hierarchical wall-clock timing for campaign phases
-// (warm → record → inject → merge, plus per-worker
-// shard spans). Spans are aggregates, not a trace: each series keeps a
+// Phase spans: wall-clock timing for campaign phases (warm → record →
+// inject → merge). Spans are aggregates, not a trace: each series keeps a
 // run count and a total duration, so hot phases may be entered many
-// times (one span per worker, per campaign) without unbounded growth.
+// times (once per campaign) without unbounded growth.
 //
-// Hierarchy lives in the phase label value, not the metric name:
-// `campaign_phase{phase="inject/worker3",technique="RCF"}` — "/" is not
-// legal in a Prometheus metric name but is fine inside a label value,
-// and the exporters already treat the full `base{labels}` string as the
-// series key.
+// The phase lives in a label value, not the metric name:
+// `campaign_phase{phase="inject",technique="RCF"}`; the exporters treat
+// the full `base{labels}` string as the series key.
 //
 // Durations are wall-clock and therefore never deterministic. They
 // export through the JSON and Prometheus paths like every other metric,
@@ -37,13 +34,13 @@ type SpanSnapshot struct {
 }
 
 // Span is one open phase timing. A nil Span (from a nil Registry) is a
-// valid receiver: Child returns nil and End is a no-op, so instrumented
-// code needs no enablement checks.
+// valid receiver: End is a no-op, so instrumented code needs no
+// enablement checks.
 type Span struct {
 	r      *Registry
 	base   string
 	labels string
-	path   string
+	phase  string
 	start  time.Time
 }
 
@@ -54,18 +51,7 @@ func (r *Registry) StartSpan(base, labels, phase string) *Span {
 	if r == nil {
 		return nil
 	}
-	return &Span{r: r, base: base, labels: labels, path: phase, start: time.Now()}
-}
-
-// Child opens a sub-span whose phase path extends the parent's with
-// "/phase" (e.g. "inject" → "inject/worker3"). The child shares the
-// parent's base series and labels but times independently; ending the
-// parent does not end its children.
-func (s *Span) Child(phase string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{r: s.r, base: s.base, labels: s.labels, path: s.path + "/" + phase, start: time.Now()}
+	return &Span{r: r, base: base, labels: labels, phase: phase, start: time.Now()}
 }
 
 // End records the span's duration into its registry and returns it.
@@ -83,9 +69,9 @@ func (s *Span) End() time.Duration {
 // series renders the span's full series key.
 func (s *Span) series() string {
 	if s.labels == "" {
-		return fmt.Sprintf("%s{phase=%q}", s.base, s.path)
+		return fmt.Sprintf("%s{phase=%q}", s.base, s.phase)
 	}
-	return fmt.Sprintf("%s{phase=%q,%s}", s.base, s.path, s.labels)
+	return fmt.Sprintf("%s{phase=%q,%s}", s.base, s.phase, s.labels)
 }
 
 // RecordSpan folds an externally measured duration into a span series —

@@ -29,32 +29,11 @@ func TestSpanRecordAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestSpanChildPath(t *testing.T) {
-	r := NewRegistry()
-	parent := r.StartSpan("campaign_phase", "", "inject")
-	child := parent.Child("worker3")
-	child.End()
-	parent.End()
-
-	snap := r.Snapshot()
-	for _, want := range []string{
-		`campaign_phase{phase="inject"}`,
-		`campaign_phase{phase="inject/worker3"}`,
-	} {
-		if _, ok := snap.Spans[want]; !ok {
-			t.Errorf("missing series %s; have %v", want, snap.Spans)
-		}
-	}
-}
-
 func TestSpanNilSafety(t *testing.T) {
 	var r *Registry
 	s := r.StartSpan("x", "", "root")
 	if s != nil {
 		t.Fatalf("nil registry returned non-nil span")
-	}
-	if c := s.Child("sub"); c != nil {
-		t.Fatalf("nil span Child returned non-nil")
 	}
 	if d := s.End(); d != 0 {
 		t.Fatalf("nil span End = %v, want 0", d)

@@ -6,6 +6,7 @@
 package session
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,6 +46,22 @@ func ReadBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 	}
 	return nil, false
+}
+
+// DecodeJSON decodes raw, which must hold exactly one JSON value, into v:
+// it rejects unknown fields and anything but whitespace after the value.
+// Every JSON campaign body, at the replicas and the front door alike, is
+// decoded through it.
+func DecodeJSON(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON body")
+	}
+	return nil
 }
 
 // Limits bounds what one request may ask for. The zero value means the

@@ -1,14 +1,18 @@
 package session
 
 import (
+	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 )
 
 // FuzzCampaignRequest fuzzes the campaign wire: DecodeRequest never
-// panics, and every body it accepts is within the default limits, each
-// bound checked here on its own rather than through the Limits methods.
+// panics, and every body it accepts is one JSON value (nothing but
+// whitespace after it) within the default limits, each bound checked here
+// on its own rather than through the Limits methods.
 func FuzzCampaignRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"workload":"164.gzip","scale":0.05,"technique":"RCF","style":"CMOVcc","policy":"ALLBB","ckpt_interval":-1,"campaigns":[{"seed":1,"samples":200}]}`,
@@ -33,6 +37,9 @@ func FuzzCampaignRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if !json.Valid(raw) {
+			t.Fatalf("accepted a body that is not exactly one JSON value: %q", raw)
+		}
 		if body.Workload == "" || len(body.Campaigns) == 0 {
 			t.Fatalf("accepted a body without a workload or campaigns: %+v", body)
 		}
@@ -52,4 +59,31 @@ func FuzzCampaignRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A body with anything but whitespace after its JSON value answers 400;
+// trailing whitespace is fine.
+func TestDecodeRequestRejectsTrailingData(t *testing.T) {
+	const body = `{"workload":"x","campaigns":[{"samples":1}]}`
+	var l Limits
+	for _, tail := range []string{" trailing", "{}", ` {"workload":"y"}`, "]", "\x00"} {
+		if _, err := l.DecodeRequest([]byte(body + tail)); err == nil {
+			t.Errorf("accepted %q after the body", tail)
+		}
+	}
+	for _, tail := range []string{"", "\n", " \r\n\t "} {
+		if _, err := l.DecodeRequest([]byte(body + tail)); err != nil {
+			t.Errorf("rejected %q after the body: %v", tail, err)
+		}
+	}
+
+	ts, _ := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body+" trailing"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing data: status %d, want 400", resp.StatusCode)
+	}
 }

@@ -7,7 +7,6 @@
 package session
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -333,15 +332,13 @@ func handleVersion(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(v)
 }
 
-// DecodeRequest decodes a POST /v1/campaigns body, rejecting unknown
-// fields, and checks it against l: a workload, at least one campaign, and
-// a scale, worker count, checkpoint interval and every campaign's sample
-// range within the limits.
+// DecodeRequest decodes a POST /v1/campaigns body (DecodeJSON: one value,
+// no unknown fields, no trailing data) and checks it against l: a
+// workload, at least one campaign, and a scale, worker count, checkpoint
+// interval and every campaign's sample range within the limits.
 func (l Limits) DecodeRequest(raw []byte) (Request, error) {
 	var body Request
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
+	if err := DecodeJSON(raw, &body); err != nil {
 		return body, err
 	}
 	if body.Workload == "" {
