@@ -158,7 +158,8 @@ func DataFlowCoverage(scale float64, samples int, seed int64, workers int, ckptI
 			if err != nil {
 				return nil, err
 			}
-			mergeReports(merged, rep)
+			merged.Add(rep)
+			merged.Elapsed += rep.Elapsed
 		}
 		merged.Technique = c.label
 		reports = append(reports, merged)

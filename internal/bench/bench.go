@@ -428,7 +428,8 @@ func CoverageMatrix(ctx context.Context, cfg CoverageConfig) ([]*inject.Report, 
 				return nil, err
 			}
 			rowCached = rowCached && cached
-			mergeReports(merged, r)
+			merged.Add(r)
+			merged.Elapsed += r.Elapsed
 		}
 		reports = append(reports, merged)
 		if cfg.OnReport != nil {
@@ -436,31 +437,4 @@ func CoverageMatrix(ctx context.Context, cfg CoverageConfig) ([]*inject.Report, 
 		}
 	}
 	return reports, nil
-}
-
-func mergeReports(dst, src *inject.Report) {
-	dst.Samples += src.Samples
-	dst.NotFired += src.NotFired
-	dst.LatencySum += src.LatencySum
-	dst.LatencyN += src.LatencyN
-	dst.Elapsed += src.Elapsed
-	dst.Workers = src.Workers
-	dst.Executed += src.Executed
-	dst.ShortOffset += src.ShortOffset
-	dst.ShortLive += src.ShortLive
-	dst.Rejoined += src.Rejoined
-	dst.Translator.Add(src.Translator)
-	for c, a := range src.ByCat {
-		da := dst.ByCat[c]
-		if da == nil {
-			da = &inject.Agg{}
-			dst.ByCat[c] = da
-		}
-		for o, n := range a.Count {
-			da.Count[o] += n
-			dst.Totals.Count[o] += n
-		}
-		da.Total += a.Total
-		dst.Totals.Total += a.Total
-	}
 }

@@ -101,6 +101,15 @@ func (s *Stats) Add(other Stats) {
 	s.ChainHits += other.ChainHits
 }
 
+// Sub returns s minus base.
+func (s Stats) Sub(base Stats) Stats {
+	return Stats{
+		BlocksCompiled:  s.BlocksCompiled - base.BlocksCompiled,
+		TracePromotions: s.TracePromotions - base.TracePromotions,
+		ChainHits:       s.ChainHits - base.ChainHits,
+	}
+}
+
 // DefaultThreshold is the execution count that promotes a block from the
 // interpreted tier to compiled form.
 const DefaultThreshold = 8

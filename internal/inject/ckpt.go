@@ -1,18 +1,15 @@
 package inject
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/cpu"
-	"repro/internal/dbt"
 	"repro/internal/errmodel"
-	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // The checkpoint-and-resume engine. One instrumented clean run records
@@ -75,11 +72,11 @@ func orderBySite(points []int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if points[order[a]] != points[order[b]] {
-			return points[order[a]] < points[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(points[a], points[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return order
 }
@@ -122,74 +119,47 @@ func shortCircuitKind(l *ckpt.Log, f *cpu.Fault) shortKind {
 	return shortFlag
 }
 
-// runCkptSamples is the checkpoint engine. The recording run doubles as
-// the clean reference. A non-nil log is a pre-recorded reference (a
+// runCkpt is the checkpoint engine. The recording run doubles as the
+// clean reference. A non-nil log is a pre-recorded reference (a
 // session-cache hit); nil records one here.
-func runCkptSamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, t target,
-	label string, ns *sampleSeries, shards []*obs.Collector, results []sampleResult, cleanSteps uint64, log *ckpt.Log) error {
-	start := time.Now()
+func (c *campaign) runCkpt(ctx context.Context, t target, cleanSteps uint64, log *ckpt.Log) error {
+	cfg := c.cfg
 	if log == nil {
-		record := phaseSpan(cfg.Metrics, label, "record")
+		record := phaseSpan(cfg.Metrics, c.label, "record")
 		interval := ckpt.AutoInterval(cfg.CkptInterval, cleanSteps)
 		var err error
 		log, err = t.record(interval, cfg.MaxSteps)
 		record.End()
 		if err != nil {
-			return fmt.Errorf("%s: %v", p.Name, err)
+			return fmt.Errorf("%s: %v", c.prog.Name, err)
 		}
-		PublishRecording(cfg.Metrics, label)
+		PublishRecording(cfg.Metrics, c.label)
 	}
 	if log.Stop.Reason != cpu.StopHalt {
-		return fmt.Errorf("%s: clean run ended with %v", p.Name, log.Stop)
+		return fmt.Errorf("%s: clean run ended with %v", c.prog.Name, log.Stop)
 	}
-	want := log.Output
-	branches := log.Final.DirectBranches
-	steps := log.Final.Steps
-	if branches == 0 {
-		return fmt.Errorf("%s: no branches to fault", p.Name)
+	c.want, c.branches, c.steps = log.Output, log.Final.DirectBranches, log.Final.Steps
+	if c.branches == 0 {
+		return fmt.Errorf("%s: no branches to fault", c.prog.Name)
 	}
-	publishLog(cfg.Metrics, label, log)
+	publishLog(cfg.Metrics, c.label, log)
 
-	// Faults derive per index exactly as under replay; only the execution
-	// order changes, and results land in their own index slot.
-	faults := make([]cpu.Fault, cfg.Samples)
+	// Faults derive per index exactly as under replay, here to sort the
+	// samples by restore point and again in the worker that runs one.
 	points := make([]int, cfg.Samples)
-	for i := range faults {
-		faults[i] = deriveFault(cfg, i, branches, steps)
-		points[i] = sitePoint(log, &faults[i])
+	for i := range points {
+		f := deriveFault(cfg, i, c.branches, c.steps)
+		points[i] = sitePoint(log, &f)
 	}
-	order := orderBySite(points)
-	base := rep.WarmTranslator
-	injSpan := phaseSpan(cfg.Metrics, label, "inject")
-	runners := make([]runner, rep.Workers)
-	replayers := make([]*ckpt.Replayer, rep.Workers)
-	for w := range runners {
-		runners[w], replayers[w] = t.runner(), log.NewReplayer()
-	}
-	err := par.ForEachShardCtx(ctx, len(order), rep.Workers, func(w, j int) error {
-		var c *obs.Collector
-		if shards != nil {
-			c = shards[w]
-		}
-		i := order[j]
-		runCkptSample(cfg, runners[w], base, log, replayers[w], ns, c, &faults[i], points[i], cfg.SampleOffset+i, want, &results[i])
-		dumpFlight(cfg, runners[w], p.Name, label, i, want, &results[i])
-		observeProgress(cfg.Progress, w, &results[i])
-		return nil
+	return c.drain(ctx, t, orderBySite(points), log, func(wk *worker, i int) sampleRun {
+		return c.runCkptSample(wk, log, points[i])
 	})
-	for _, rp := range replayers {
-		rp.Release()
-	}
-	injSpan.End()
-	rep.Elapsed = time.Since(start)
-	return err
 }
 
-// runCkptSample classifies one fault from a checkpoint restore.
-func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
-	rp *ckpt.Replayer, ns *sampleSeries, c *obs.Collector,
-	f *cpu.Fault, k, sample int, want []int32, out *sampleResult) {
-	m := rp.Machine(k)
+// runCkptSample classifies the worker's fault from a restore at point k.
+func (c *campaign) runCkptSample(wk *worker, log *ckpt.Log, k int) sampleRun {
+	r, f, maxSteps := wk.r, &wk.f, c.cfg.MaxSteps
+	m := wk.rp.Machine(k)
 	m.Fault = f
 	pt := &log.Points[k]
 	r.resume(m, pt)
@@ -201,14 +171,14 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 	// firing on a step that itself ended the run counts as synthesized
 	// too.
 	f.Pause = true
-	stop := r.advance(m, cfg.MaxSteps)
+	stop := r.advance(m, maxSteps)
 	f.Pause = false
 	short := shortNone
 	at := -1
 	if f.Fired {
 		short = shortCircuitKind(log, f)
-		if short == shortNone && stop.Reason == cpu.StopOutOfSteps && m.Steps < cfg.MaxSteps {
-			if stop, at = runTail(cfg, r, log, rp, k, m); at >= 0 {
+		if short == shortNone && stop.Reason == cpu.StopOutOfSteps && m.Steps < maxSteps {
+			if stop, at = runTail(c.cfg, r, log, wk.rp, k, m); at >= 0 {
 				short = shortRejoin
 			}
 		}
@@ -216,37 +186,30 @@ func runCkptSample(cfg *Config, r runner, base dbt.Stats, log *ckpt.Log,
 
 	if short == shortNone {
 		res := r.finish(m, stop)
-		observeRestore(c, ns, restored, res.Steps-restored, shortNone)
-		settle(r, c, ns, base, res, f, sample, want, out)
-		return
+		observeRestore(wk.c, c.ns, restored, res.Steps-restored)
+		return c.executed(res, f)
 	}
 	// The synthesized tail executed nothing: the compiled-backend work is
 	// whatever the sample actually ran, the translator work and signature
 	// checks the reference run's — from the rejoined point on, added to
 	// the sample's own up to there, for a rejoin.
-	observeRestore(c, ns, restored, m.Steps-restored, short)
-	out.comp = r.compStats()
-	out.stats = log.FinalPrefix
-	sigChecks := log.Final.SigChecks
+	observeRestore(wk.c, c.ns, restored, m.Steps-restored)
+	s := sampleRun{
+		outcome:   OutBenign,
+		stats:     log.FinalPrefix,
+		comp:      r.compStats(),
+		sigChecks: log.Final.SigChecks,
+		cacheSize: log.CacheSize,
+		short:     short,
+	}
 	if short == shortRejoin {
 		ref := &log.Points[at]
-		out.stats = pt.Prefix
-		out.stats.Add(r.tailWork())
-		out.stats.Add(log.FinalPrefix.Sub(ref.Prefix))
-		sigChecks = m.SigChecks + log.Final.SigChecks - ref.State.SigChecks
+		s.stats = pt.Prefix
+		s.stats.Add(r.tailWork())
+		s.stats.Add(log.FinalPrefix.Sub(ref.Prefix))
+		s.sigChecks = m.SigChecks + log.Final.SigChecks - ref.State.SigChecks
 	}
-	rec := Record{
-		Sample:   sample,
-		Fault:    *f,
-		Outcome:  OutBenign,
-		Category: r.category(f),
-	}
-	if c != nil {
-		observeSample(c, ns, &rec, sigChecks, log.CacheSize)
-	}
-	out.fired = true
-	out.rec = rec
-	out.short = short
+	return s
 }
 
 // runTail executes a fired sample's tail from restore point k, watching
@@ -303,22 +266,12 @@ func publishLog(reg *obs.Registry, technique string, l *ckpt.Log) {
 	reg.Counter(seriesName("ckpt_bytes_total", technique)).Add(l.Bytes)
 }
 
-// observeRestore folds one restore into a worker's shard: the steps the
-// checkpoint skipped versus the steps actually executed (the engine's
-// amortization ratio), plus the short-circuit counts.
-// ckpt_shortcircuits_total counts every tail synthesized from the firing
-// on, regardless of family. ckpt_rejoined_total counts the executed tails
-// that rejoined the reference run.
-func observeRestore(c *obs.Collector, ns *sampleSeries, restored, replayed uint64, short shortKind) {
+// observeRestore folds one restore into a worker's collector: the steps
+// the checkpoint skipped versus the steps actually executed (the
+// engine's amortization ratio).
+func observeRestore(c *obs.Collector, ns *sampleSeries, restored, replayed uint64) {
 	if c == nil {
 		return
-	}
-	c.Add(ns.restores, 1)
-	switch short {
-	case shortRejoin:
-		c.Add(ns.rejoined, 1)
-	case shortOffset, shortFlag:
-		c.Add(ns.shortCircuits, 1)
 	}
 	c.Observe(ns.restoredSteps, obs.DefaultLatencyBuckets, restored)
 	c.Observe(ns.replayedSteps, obs.DefaultLatencyBuckets, replayed)

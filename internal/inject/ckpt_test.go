@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -104,9 +105,12 @@ func TestStaticCkptCampaignMatchesReplay(t *testing.T) {
 // The checkpoint engine drains its site-sorted samples through one shared
 // cursor, so which worker resolves which sample depends on scheduling.
 // Every sample is resolved on its own from its restore point, so neither
-// the report nor the engine telemetry may depend on the worker count: an
-// integer program under RCF/Jcc, a floating-point one under EdgCF/CMOVcc
-// and the static CFCSS baseline, at 1, 2 and 8 workers.
+// the report, nor the engine telemetry, nor the metrics snapshot may
+// depend on the worker count: an integer program under RCF/Jcc, a
+// floating-point one under EdgCF/CMOVcc and the static CFCSS baseline, at
+// 1, 2 and 8 workers. The snapshot pins the restore, rejoin and
+// short-circuit counters published from the report as well as the
+// restored/replayed-steps histograms the workers' collectors observe.
 func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 	shapes := []struct {
 		workload string
@@ -120,7 +124,7 @@ func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 	// telemetry is what the checkpoint engine did, which reportKey strips.
 	type telemetry struct {
 		executed, shortOffset, shortLive, rejoined int
-		replayedSteps                              uint64
+		metrics                                    string
 	}
 	for _, s := range shapes {
 		prof, err := workloads.ByName(s.workload)
@@ -153,8 +157,21 @@ func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", s.workload, w, err)
 			}
-			h := reg.Snapshot().Histograms[`ckpt_replayed_steps{technique="`+rep.Technique+`"}`]
-			tel := telemetry{rep.Executed, rep.ShortOffset, rep.ShortLive, rep.Rejoined, h.Sum}
+			ms := reg.Snapshot().StripTimings()
+			for name, want := range map[string]int{
+				"ckpt_restores_total":      rep.Samples,
+				"ckpt_rejoined_total":      rep.Rejoined,
+				"ckpt_shortcircuits_total": rep.ShortOffset + rep.ShortLive,
+			} {
+				if got := ms.Counters[seriesName(name, rep.Technique)]; got != uint64(want) {
+					t.Errorf("%s workers=%d: %s = %d, want %d", s.workload, w, name, got, want)
+				}
+			}
+			var snap bytes.Buffer
+			if err := ms.WriteJSON(&snap); err != nil {
+				t.Fatal(err)
+			}
+			tel := telemetry{rep.Executed, rep.ShortOffset, rep.ShortLive, rep.Rejoined, snap.String()}
 			if w == 1 {
 				want, wantTel = reportKey(rep), tel
 				if tel.executed == 0 || tel.shortOffset+tel.shortLive == 0 {
@@ -166,7 +183,8 @@ func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 				t.Errorf("%s workers=%d: report differs from serial\n got: %+v\nwant: %+v", s.workload, w, got, want)
 			}
 			if tel != wantTel {
-				t.Errorf("%s workers=%d: engine telemetry %+v, serial %+v", s.workload, w, tel, wantTel)
+				t.Errorf("%s workers=%d: engine telemetry or metrics differ from serial\n got: %+v\nwant: %+v",
+					s.workload, w, tel, wantTel)
 			}
 		}
 	}

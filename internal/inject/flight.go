@@ -70,31 +70,31 @@ func faultDetail(f *cpu.Fault) string {
 
 // dumpFlight re-runs one anomalous sample from a fresh start on the
 // worker's runner with the ring hook attached and dumps the forensic
-// record. No-op unless cfg.Flight is set and the sample fired an
-// anomalous outcome.
-func dumpFlight(cfg *Config, r runner, program, label string, i int, want []int32, s *sampleResult) {
-	if cfg.Flight == nil || !s.fired || !anomalous(s.rec.Outcome) {
+// record. No-op unless the campaign has a flight recorder and the
+// sample's outcome is anomalous.
+func (c *campaign) dumpFlight(r runner, rec *Record) {
+	fl := c.cfg.Flight
+	if fl == nil || !anomalous(rec.Outcome) {
 		return
 	}
-	g := cfg.SampleOffset + i // dumps are keyed by the global sample index
-	f := plannedOnly(s.rec.Fault)
-	ring := obs.NewRing(cfg.Flight.Depth())
+	f := plannedOnly(rec.Fault)
+	ring := obs.NewRing(fl.Depth())
 	m, res := r.start(&f)
 	if res == nil {
 		m.BranchHook = ringHook(ring, m)
-		res = r.finish(m, r.advance(m, cfg.MaxSteps))
+		res = r.finish(m, r.advance(m, c.cfg.MaxSteps))
 	}
 	if f.Fired {
 		ring.Append(obs.Event{Kind: obs.EvFaultFired, Step: f.FiredStep, Addr: f.FaultIP, Detail: faultDetail(&f)})
 	}
 	ring.Append(obs.Event{Kind: obs.EvStop, Step: res.Steps, Addr: res.Stop.IP, Detail: res.Stop.String()})
-	cfg.Flight.Dump(obs.FlightDump{
-		Sample:     g,
-		SampleSeed: sampleSeed(cfg.Seed, g),
-		Program:    program,
-		Technique:  label,
-		Outcome:    s.rec.Outcome.String(),
-		Replayed:   classifyOutcome(res, want).String(),
+	fl.Dump(obs.FlightDump{
+		Sample:     rec.Sample, // dumps are keyed by the global sample index
+		SampleSeed: sampleSeed(c.cfg.Seed, rec.Sample),
+		Program:    c.prog.Name,
+		Technique:  c.label,
+		Outcome:    rec.Outcome.String(),
+		Replayed:   classifyOutcome(res, c.want).String(),
 		Fault:      faultDetail(&f),
 		Stop:       res.Stop.String(),
 		Dropped:    ring.Dropped(),

@@ -13,8 +13,10 @@
 package inject
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ckpt"
@@ -84,6 +86,13 @@ func (a *Agg) add(o Outcome) {
 	a.Total++
 }
 
+func (a *Agg) sum(o *Agg) {
+	for i, n := range o.Count {
+		a.Count[i] += n
+	}
+	a.Total += o.Total
+}
+
 // Detected returns software+hardware detections.
 func (a *Agg) Detected() int { return a.Count[OutDetectedSW] + a.Count[OutDetectedHW] }
 
@@ -116,7 +125,7 @@ type Report struct {
 	LatencySum uint64
 	LatencyN   int
 	// Records holds the individual runs when Config.KeepRecords is set,
-	// in sample order.
+	// sorted by Sample.
 	Records []Record
 	// Translator aggregates the translation work of the whole campaign:
 	// the warm-up runs plus every sample clone's own work (wild-target
@@ -189,9 +198,11 @@ const DefaultMaxSteps = 50_000_000
 type Options struct {
 	// Metrics, when non-nil, receives campaign metrics: outcome counters,
 	// per-category detection-latency histograms, translator counters and
-	// code-cache occupancy. Samples observe into per-worker collector
-	// shards merged with commutative folds, so the exported snapshot is
-	// bit-identical for every Workers value.
+	// code-cache occupancy. The counters that restate the report are
+	// published from the final report; what it lacks is observed per
+	// sample into per-worker collector shards that flush with commutative
+	// folds. Either way the exported snapshot is bit-identical for every
+	// Workers value.
 	Metrics *obs.Registry
 	// Workers shards the samples across a goroutine pool; 0 means
 	// GOMAXPROCS. Results are bit-identical for every worker count: each
@@ -295,60 +306,37 @@ func deriveFault(cfg *Config, index int, branches, steps uint64) cpu.Fault {
 	return f
 }
 
-// sampleResult is one sample's classified outcome, produced by a worker
-// and merged into the Report in sample order.
-type sampleResult struct {
-	fired bool
-	rec   Record
-	// stats is the clone's own translation work: its final stats minus
-	// the snapshot baseline.
-	stats dbt.Stats
-	// comp is the clone's own compiled-backend work (clone views start
-	// from zero stats, so no baseline subtraction is needed).
-	comp comp.Stats
-	// short records how the checkpoint engine resolved the sample
-	// (executed vs synthesized); always shortNone under replay.
-	short shortKind
-}
-
-// merge folds per-sample results into the report in index order, so the
-// aggregates (and Records) never depend on which worker ran which sample.
-func (r *Report) merge(results []sampleResult, keepRecords bool) {
-	for i := range results {
-		s := &results[i]
-		r.Translator.Add(s.stats)
-		r.Compiled.Add(s.comp)
-		switch s.short {
-		case shortOffset:
-			r.ShortOffset++
-		case shortFlag:
-			r.ShortLive++
-		case shortRejoin:
-			r.Executed++
-			r.Rejoined++
-		default:
-			r.Executed++
+// Add folds o into r: it sums every count — samples, not-fired faults,
+// outcomes per category and in total, detection latency, translator and
+// compiled-backend work, engine telemetry — and appends o's Records. It
+// is the one fold of campaign results: a campaign's worker tallies, the
+// shards MergeReports reassembles and the bench suite's workloads all go
+// through it. What is not a count (identity, warm-up baselines, Workers,
+// Elapsed) is the caller's to reconcile.
+func (r *Report) Add(o *Report) {
+	r.Samples += o.Samples
+	r.NotFired += o.NotFired
+	for c, a := range o.ByCat {
+		dst := r.ByCat[c]
+		if dst == nil {
+			if r.ByCat == nil {
+				r.ByCat = map[errmodel.Category]*Agg{}
+			}
+			dst = &Agg{}
+			r.ByCat[c] = dst
 		}
-		if !s.fired {
-			r.NotFired++
-			continue
-		}
-		rec := s.rec
-		if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
-			r.LatencySum += rec.Latency
-			r.LatencyN++
-		}
-		agg := r.ByCat[rec.Category]
-		if agg == nil {
-			agg = &Agg{}
-			r.ByCat[rec.Category] = agg
-		}
-		agg.add(rec.Outcome)
-		r.Totals.add(rec.Outcome)
-		if keepRecords {
-			r.Records = append(r.Records, rec)
-		}
+		dst.sum(a)
 	}
+	r.Totals.sum(&o.Totals)
+	r.LatencySum += o.LatencySum
+	r.LatencyN += o.LatencyN
+	r.Records = append(r.Records, o.Records...)
+	r.Translator.Add(o.Translator)
+	r.Compiled.Add(o.Compiled)
+	r.Executed += o.Executed
+	r.ShortOffset += o.ShortOffset
+	r.ShortLive += o.ShortLive
+	r.Rejoined += o.Rejoined
 }
 
 // warmRunCap bounds the stabilization loop: chaining settles after a
@@ -413,118 +401,223 @@ func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t targe
 		Program:      p.Name,
 		Technique:    label,
 		Policy:       cfg.Policy,
-		Samples:      cfg.Samples,
 		SampleOffset: cfg.SampleOffset,
 		ByCat:        map[errmodel.Category]*Agg{},
 		Workers:      par.Workers(cfg.Workers, cfg.Samples),
 	}
-	// Warm-up work; merge adds the per-sample deltas.
-	rep.Translator, rep.Compiled = t.baseline()
-	rep.WarmTranslator = rep.Translator
-	rep.WarmCompiled = rep.Compiled
+	// Warm-up work; the worker tallies add each sample's own.
+	rep.WarmTranslator, rep.WarmCompiled = t.baseline()
+	rep.Translator, rep.Compiled = rep.WarmTranslator, rep.WarmCompiled
 
-	cfg.Progress.Begin(cfg.Samples, rep.Workers, progressLabels())
-	shards := newShards(cfg.Metrics, rep.Workers)
-	var ns *sampleSeries
-	if shards != nil {
-		ns = seriesFor(label)
+	c := &campaign{cfg: &cfg, prog: p, label: label, base: rep.WarmTranslator, workers: make([]worker, rep.Workers)}
+	if cfg.Metrics != nil {
+		c.ns = seriesFor(label)
 	}
-	results := make([]sampleResult, cfg.Samples)
+	cfg.Progress.Begin(cfg.Samples, rep.Workers, progressLabels())
+	start := time.Now()
 	var err error
 	if cfg.CkptInterval != 0 {
-		err = runCkptSamples(ctx, p, &cfg, rep, t, label, ns, shards, results, cleanSteps, log)
+		err = c.runCkpt(ctx, t, cleanSteps, log)
 	} else {
-		err = runReplaySamples(ctx, p, &cfg, rep, t, label, ns, shards, results)
+		err = c.runReplay(ctx, t)
 	}
+	rep.Elapsed = time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 	mg := phaseSpan(cfg.Metrics, label, "merge")
-	rep.merge(results, cfg.KeepRecords)
-	flushShards(shards, cfg.Metrics)
+	for i := range c.workers {
+		c.workers[i].addTo(rep)
+		c.workers[i].c.FlushTo(cfg.Metrics)
+	}
+	if cfg.KeepRecords {
+		slices.SortFunc(rep.Records, func(a, b Record) int { return cmp.Compare(a.Sample, b.Sample) })
+	}
 	mg.End()
 	if cfg.Metrics != nil {
+		publishCounts(cfg.Metrics, c.ns, rep, cfg.CkptInterval != 0)
 		rep.Compiled.Publish(cfg.Metrics, label)
 		t.publish(cfg.Metrics, label, rep)
 	}
 	return rep, nil
 }
 
-// runReplaySamples is the full-replay engine: every sample executes the
-// guest from entry on a fresh runner start. The clean reference is a
-// post-warm-up run of its own, so both engines classify against the same
-// geometry regardless of how warm-up converged.
-func runReplaySamples(ctx context.Context, p *isa.Program, cfg *Config, rep *Report, t target,
-	label string, ns *sampleSeries, shards []*obs.Collector, results []sampleResult) error {
-	start := time.Now()
-	base := rep.WarmTranslator
-	record := phaseSpan(cfg.Metrics, label, "record")
-	ref := reference(t.runner(), cfg.MaxSteps)
-	record.End()
-	if ref.Stop.Reason != cpu.StopHalt {
-		return fmt.Errorf("%s: clean run ended with %v", p.Name, ref.Stop)
-	}
-	want := ref.Output
-	branches := ref.DirectBranches
-	steps := ref.Steps
-	if branches == 0 {
-		return fmt.Errorf("%s: no branches to fault", p.Name)
-	}
-	runners := make([]runner, rep.Workers)
-	for w := range runners {
-		runners[w] = t.runner()
-	}
-	faults := make([]cpu.Fault, cfg.Samples)
-	injSpan := phaseSpan(cfg.Metrics, label, "inject")
-	err := par.ForEachShardCtx(ctx, cfg.Samples, rep.Workers, func(w, i int) error {
-		r := runners[w]
-		defer observeProgress(cfg.Progress, w, &results[i])
-		defer dumpFlight(cfg, r, p.Name, label, i, want, &results[i])
-		var c *obs.Collector
-		if shards != nil {
-			c = shards[w]
+// campaign is one campaign's state while its samples run.
+type campaign struct {
+	cfg   *Config
+	prog  *isa.Program
+	label string
+	ns    *sampleSeries // nil when metrics are off
+	// base is the warm-up translator work an executed sample's stats
+	// include.
+	base dbt.Stats
+	// The clean reference run: faults derive from its branch and step
+	// counts, and outcomes classify against its output.
+	want            []int32
+	branches, steps uint64
+	workers         []worker
+}
+
+// worker is one pool goroutine's state: the runner its samples execute on
+// (and, under the checkpoint engine, its replayer), the fault of its
+// current sample, its metric collector (nil when metrics are off) and its
+// tally — the counts of a partial Report, categories held in an array.
+type worker struct {
+	r    runner
+	rp   *ckpt.Replayer
+	f    cpu.Fault
+	c    *obs.Collector
+	part Report
+	cats [errmodel.NumCategories + 1]Agg
+}
+
+// addTo folds the worker's tally into rep, lending it its categories as
+// a map for Add.
+func (wk *worker) addTo(rep *Report) {
+	part := wk.part
+	part.ByCat = make(map[errmodel.Category]*Agg, len(wk.cats))
+	for c := range wk.cats {
+		if wk.cats[c].Total > 0 {
+			part.ByCat[errmodel.Category(c)] = &wk.cats[c]
 		}
-		f := &faults[i]
-		*f = deriveFault(cfg, i, branches, steps)
-		m, res := r.start(f)
-		if res == nil {
-			res = r.finish(m, r.advance(m, cfg.MaxSteps))
+	}
+	rep.Add(&part)
+}
+
+// sampleRun is what executing one sample yields, whichever engine ran it:
+// the outcome and the sample's own work.
+type sampleRun struct {
+	outcome Outcome
+	// latency is the steps from the firing to the detection of a
+	// detected outcome.
+	latency   uint64
+	stats     dbt.Stats // translator work, warm-up excluded
+	comp      comp.Stats
+	sigChecks uint64
+	cacheSize int
+	// short is how the checkpoint engine resolved the sample; always
+	// shortNone under replay.
+	short shortKind
+}
+
+// executed is the sampleRun of a sample whose run executed to its end.
+func (c *campaign) executed(res *dbt.Result, f *cpu.Fault) sampleRun {
+	s := sampleRun{
+		outcome:   classifyOutcome(res, c.want),
+		stats:     res.Stats.Sub(c.base),
+		comp:      res.Comp,
+		sigChecks: res.SigChecks,
+		cacheSize: res.CacheSize,
+	}
+	if detected(s.outcome) {
+		s.latency = res.Steps - f.FiredStep
+	}
+	return s
+}
+
+func detected(o Outcome) bool { return o == OutDetectedSW || o == OutDetectedHW }
+
+// drain is the worker loop both engines share. Each worker claims the
+// next sample (in order, or ascending when order is nil), derives its
+// fault, executes it with exec, settles it into its tally and counts its
+// progress. A non-nil log gives every worker a replayer, released when
+// the pool ends.
+func (c *campaign) drain(ctx context.Context, t target, order []int, log *ckpt.Log, exec func(wk *worker, i int) sampleRun) error {
+	inj := phaseSpan(c.cfg.Metrics, c.label, "inject")
+	defer inj.End()
+	for w := range c.workers {
+		wk := &c.workers[w]
+		wk.r = t.runner()
+		if log != nil {
+			wk.rp = log.NewReplayer()
 		}
-		settle(r, c, ns, base, res, f, cfg.SampleOffset+i, want, &results[i])
+		if c.cfg.Metrics != nil {
+			wk.c = obs.NewCollector()
+		}
+	}
+	err := par.ForEachShardCtx(ctx, c.cfg.Samples, len(c.workers), func(w, i int) error {
+		if order != nil {
+			i = order[i]
+		}
+		wk := &c.workers[w]
+		wk.f = deriveFault(c.cfg, i, c.branches, c.steps)
+		s := exec(wk, i)
+		c.cfg.Progress.Observe(w, c.settle(wk, i, &s))
 		return nil
 	})
-	injSpan.End()
-	rep.Elapsed = time.Since(start)
+	for w := range c.workers {
+		if rp := c.workers[w].rp; rp != nil {
+			rp.Release()
+		}
+	}
 	return err
 }
 
-// settle classifies one executed sample from its result into out and the
-// worker's shard c (nil when metrics are off; ns names its series). base
-// is the warm-up translator work the result's stats include.
-func settle(r runner, c *obs.Collector, ns *sampleSeries, base dbt.Stats, res *dbt.Result,
-	f *cpu.Fault, sample int, want []int32, out *sampleResult) {
-	out.stats = res.Stats.Sub(base)
-	out.comp = res.Comp
+// settle counts sample i's run into its worker's tally and collector and
+// dumps an anomalous one to the flight recorder. It returns the sample's
+// progress slot: its outcome, or NumOutcomes when the fault never fired.
+func (c *campaign) settle(wk *worker, i int, s *sampleRun) int {
+	part := &wk.part
+	part.Samples++
+	part.Translator.Add(s.stats)
+	part.Compiled.Add(s.comp)
+	switch s.short {
+	case shortOffset:
+		part.ShortOffset++
+	case shortFlag:
+		part.ShortLive++
+	case shortRejoin:
+		part.Executed++
+		part.Rejoined++
+	default:
+		part.Executed++
+	}
+	f := &wk.f
 	if !f.Fired {
-		if c != nil {
-			observeNotFired(c, ns)
-		}
-		return
+		part.NotFired++
+		return int(NumOutcomes)
 	}
 	rec := Record{
-		Sample:   sample,
+		Sample:   c.cfg.SampleOffset + i,
 		Fault:    *f,
-		Outcome:  classifyOutcome(res, want),
-		Category: r.category(f),
+		Outcome:  s.outcome,
+		Category: wk.r.category(f),
 	}
-	if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
-		rec.Latency = res.Steps - f.FiredStep
+	if detected(rec.Outcome) {
+		rec.Latency = s.latency
+		part.LatencySum += rec.Latency
+		part.LatencyN++
 	}
-	if c != nil {
-		observeSample(c, ns, &rec, res.SigChecks, res.CacheSize)
+	wk.cats[rec.Category].add(rec.Outcome)
+	part.Totals.add(rec.Outcome)
+	if c.cfg.KeepRecords {
+		part.Records = append(part.Records, rec)
 	}
-	out.fired = true
-	out.rec = rec
+	if wk.c != nil {
+		observeSample(wk.c, c.ns, &rec, s.sigChecks, s.cacheSize)
+	}
+	c.dumpFlight(wk.r, &rec)
+	return int(rec.Outcome)
+}
+
+// runReplay is the full-replay engine: every sample executes the guest
+// from entry on a fresh runner start. The clean reference is a
+// post-warm-up run of its own, so both engines classify against the same
+// geometry regardless of how warm-up converged.
+func (c *campaign) runReplay(ctx context.Context, t target) error {
+	record := phaseSpan(c.cfg.Metrics, c.label, "record")
+	ref := replay(t.runner(), nil, c.cfg.MaxSteps)
+	record.End()
+	if ref.Stop.Reason != cpu.StopHalt {
+		return fmt.Errorf("%s: clean run ended with %v", c.prog.Name, ref.Stop)
+	}
+	c.want, c.branches, c.steps = ref.Output, ref.DirectBranches, ref.Steps
+	if c.branches == 0 {
+		return fmt.Errorf("%s: no branches to fault", c.prog.Name)
+	}
+	return c.drain(ctx, t, nil, nil, func(wk *worker, _ int) sampleRun {
+		return c.executed(replay(wk.r, &wk.f, c.cfg.MaxSteps), &wk.f)
+	})
 }
 
 func classifyOutcome(res *dbt.Result, want []int32) Outcome {

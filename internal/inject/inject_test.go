@@ -13,7 +13,7 @@ import (
 	"repro/internal/check"
 )
 
-func mustAssemble(t *testing.T, src string) *isa.Program {
+func mustAssemble(t testing.TB, src string) *isa.Program {
 	t.Helper()
 	p, err := asm.Assemble("t", src)
 	if err != nil {

@@ -52,51 +52,20 @@ func MergeReports(parts []*Report) (*Report, error) {
 				p.SampleOffset)
 		}
 		next += p.Samples
-		m.Samples += p.Samples
-		m.NotFired += p.NotFired
-		for c, a := range p.ByCat {
-			dst := m.ByCat[c]
-			if dst == nil {
-				dst = &Agg{}
-				m.ByCat[c] = dst
-			}
-			for o, n := range a.Count {
-				dst.Count[o] += n
-			}
-			dst.Total += a.Total
-		}
-		for o, n := range p.Totals.Count {
-			m.Totals.Count[o] += n
-		}
-		m.Totals.Total += p.Totals.Total
-		m.LatencySum += p.LatencySum
-		m.LatencyN += p.LatencyN
-		// Shards keep Records in global sample order, so concatenating in
-		// offset order keeps the merged slice sorted.
-		m.Records = append(m.Records, p.Records...)
 		// Translator/Compiled each include the shard's own copy of the
 		// identical warm-up baseline; keep the first and strip the rest.
-		t, c := p.Translator, p.Compiled
+		// Shards keep Records in global sample order, so adding them in
+		// offset order keeps the merged slice sorted.
+		part := *p
 		if idx > 0 {
-			t = t.Sub(p.WarmTranslator)
-			c.BlocksCompiled -= p.WarmCompiled.BlocksCompiled
-			c.TracePromotions -= p.WarmCompiled.TracePromotions
-			c.ChainHits -= p.WarmCompiled.ChainHits
+			part.Translator = p.Translator.Sub(p.WarmTranslator)
+			part.Compiled = p.Compiled.Sub(p.WarmCompiled)
 		}
-		m.Translator.Add(t)
-		m.Compiled.Add(c)
-		m.Executed += p.Executed
-		m.ShortOffset += p.ShortOffset
-		m.ShortLive += p.ShortLive
-		m.Rejoined += p.Rejoined
+		m.Add(&part)
 		// Shards run concurrently on different replicas: the merged run is
 		// as wide as its widest shard and as long as its slowest.
-		if p.Workers > m.Workers {
-			m.Workers = p.Workers
-		}
-		if p.Elapsed > m.Elapsed {
-			m.Elapsed = p.Elapsed
-		}
+		m.Workers = max(m.Workers, p.Workers)
+		m.Elapsed = max(m.Elapsed, p.Elapsed)
 	}
 	return m, nil
 }

@@ -10,10 +10,14 @@ import (
 
 // Campaign metrics. Series are labeled by technique so CoverageMatrix
 // campaigns publish into one registry without colliding; campaigns of
-// the same technique (e.g. over several programs) accumulate, matching
-// bench.mergeReports semantics. All per-sample observations go through
-// per-worker collector shards and commutative merges, so the registry
-// contents are identical for every worker count.
+// the same technique (e.g. over several programs) accumulate. The
+// counters that restate the report are published from the final report
+// (publishCounts), which the worker tallies fold into with one
+// Report.Add. What the report lacks is observed per sample into each
+// worker's collector (observeSample, observeRestore), flushed into the
+// registry when the pool ends; flushes add and take maxima, which
+// commute. Either way the registry contents are identical for every
+// worker count.
 
 // seriesName renders `base{technique="T"}`.
 func seriesName(base, technique string) string {
@@ -39,48 +43,8 @@ func progressLabels() []string {
 	return labels
 }
 
-// observeProgress counts one finished sample on worker w's shard, slotted
-// by outcome (or the not-fired slot when the planted fault never fired).
-func observeProgress(p *obs.Progress, w int, s *sampleResult) {
-	if p == nil {
-		return
-	}
-	if s.fired {
-		p.Observe(w, int(s.rec.Outcome))
-	} else {
-		p.Observe(w, int(NumOutcomes))
-	}
-}
-
-// newShards allocates one collector per worker, or nil when metrics are
-// disabled.
-func newShards(reg *obs.Registry, workers int) []*obs.Collector {
-	if reg == nil {
-		return nil
-	}
-	shards := make([]*obs.Collector, workers)
-	for i := range shards {
-		shards[i] = obs.NewCollector()
-	}
-	return shards
-}
-
-// flushShards folds the shards in index order and publishes the result.
-// The fold is commutative, so the outcome does not depend on which
-// worker observed which sample.
-func flushShards(shards []*obs.Collector, reg *obs.Registry) {
-	if shards == nil {
-		return
-	}
-	merged := obs.NewCollector()
-	for _, s := range shards {
-		merged.Merge(s)
-	}
-	merged.FlushTo(reg)
-}
-
-// sampleSeries holds the names of one campaign label's per-sample series,
-// rendered once per label (seriesFor) instead of on every observation.
+// sampleSeries holds the names of one campaign label's series, rendered
+// once per label (seriesFor) instead of on every observation.
 type sampleSeries struct {
 	samples, notFired, sigChecks, cacheInstrs, latency string
 	restores, rejoined, shortCircuits                  string
@@ -126,24 +90,42 @@ func seriesFor(technique string) *sampleSeries {
 	return v.(*sampleSeries)
 }
 
-// observeNotFired records a sample whose planted fault never fired.
-func observeNotFired(c *obs.Collector, ns *sampleSeries) {
-	c.Add(ns.samples, 1)
-	c.Add(ns.notFired, 1)
+// publishCounts exports the counters that restate the report: samples,
+// not-fired faults, outcomes per category and, under the checkpoint
+// engine (ckpt), restores, rejoins and short-circuits. A zero count
+// creates no series. ckpt_shortcircuits_total counts every tail
+// synthesized from the firing on, regardless of family;
+// ckpt_rejoined_total counts the executed tails that rejoined the
+// reference run.
+func publishCounts(reg *obs.Registry, ns *sampleSeries, rep *Report, ckpt bool) {
+	count := func(name string, n int) {
+		if n > 0 {
+			reg.Counter(name).Add(uint64(n))
+		}
+	}
+	count(ns.samples, rep.Samples)
+	count(ns.notFired, rep.NotFired)
+	for c, a := range rep.ByCat {
+		for o, n := range a.Count {
+			count(ns.outcomes[c][o], n)
+		}
+	}
+	if ckpt {
+		count(ns.restores, rep.Samples)
+		count(ns.rejoined, rep.Rejoined)
+		count(ns.shortCircuits, rep.ShortOffset+rep.ShortLive)
+	}
 }
 
-// observeSample folds one classified sample into a worker's shard:
-// outcome counters per category, detection-latency histograms (overall
-// and per category), executed signature checks and peak code-cache
-// occupancy.
+// observeSample folds what the report lacks of one fired sample into a
+// worker's collector: detection-latency histograms (overall and per
+// category), executed signature checks and peak code-cache occupancy.
 func observeSample(c *obs.Collector, ns *sampleSeries, rec *Record, sigChecks uint64, cacheSize int) {
-	c.Add(ns.samples, 1)
-	c.Add(ns.outcomes[rec.Category][rec.Outcome], 1)
 	c.Add(ns.sigChecks, sigChecks)
 	if cacheSize > 0 {
 		c.Max(ns.cacheInstrs, int64(cacheSize))
 	}
-	if rec.Outcome == OutDetectedSW || rec.Outcome == OutDetectedHW {
+	if detected(rec.Outcome) {
 		c.Observe(ns.latency, obs.DefaultLatencyBuckets, rec.Latency)
 		c.Observe(ns.catLatency[rec.Category], obs.DefaultLatencyBuckets, rec.Latency)
 	}

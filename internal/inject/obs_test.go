@@ -99,6 +99,16 @@ func TestCampaignMetricsContents(t *testing.T) {
 		t.Errorf("outcome counters sum to %d, want %d fired samples",
 			outcomes, rep.Samples-rep.NotFired)
 	}
+	// A zero count creates no series, and the replay engine restores
+	// nothing.
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "inject_outcomes_total{") && v == 0 {
+			t.Errorf("zero-count series %s published", name)
+		}
+		if strings.HasPrefix(name, "ckpt_") {
+			t.Errorf("replay campaign published %s", name)
+		}
+	}
 
 	// The overall latency histogram observes exactly the detected runs,
 	// and its sum is the report's latency sum.

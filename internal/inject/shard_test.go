@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/dbt"
+	"repro/internal/errmodel"
 )
 
 // shardRunner runs one campaign (dynamic technique or static label) so the
@@ -184,6 +185,55 @@ func TestMergeReportsPartition(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Report.Add is the one fold of campaign results, so it must sum every
+// count a Report holds and leave the rest (identity, warm-up baselines,
+// Workers, Elapsed) to its caller. A count field added to Report without
+// its line in Add fails here.
+func TestReportAddSumsEveryCount(t *testing.T) {
+	notCounts := []string{"Program", "Technique", "Policy", "SampleOffset",
+		"WarmTranslator", "WarmCompiled", "Workers", "Elapsed"}
+	// fill numbers every integer field under v from n on, times scale.
+	var fill func(v reflect.Value, n *int, scale int)
+	fill = func(v reflect.Value, n *int, scale int) {
+		switch {
+		case v.Kind() == reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), n, scale)
+			}
+		case v.Kind() == reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i), n, scale)
+			}
+		case v.Kind() == reflect.String:
+			v.SetString("x")
+		case v.CanInt():
+			*n++
+			v.SetInt(int64(*n * scale))
+		case v.CanUint():
+			*n++
+			v.SetUint(uint64(*n * scale))
+		}
+	}
+	// o has every field set; want has o's counts doubled and nothing else.
+	var o, want Report
+	fill(reflect.ValueOf(&o).Elem(), new(int), 1)
+	fill(reflect.ValueOf(&want).Elem(), new(int), 2)
+	for _, name := range notCounts {
+		reflect.ValueOf(&want).Elem().FieldByName(name).SetZero()
+	}
+	o.ByCat = map[errmodel.Category]*Agg{errmodel.CatA: {Count: [NumOutcomes]int{1, 2, 3, 4, 5}, Total: 15}}
+	o.Records = []Record{{Sample: 7}}
+	want.ByCat = map[errmodel.Category]*Agg{errmodel.CatA: {Count: [NumOutcomes]int{2, 4, 6, 8, 10}, Total: 30}}
+	want.Records = []Record{{Sample: 7}, {Sample: 7}}
+
+	var r Report
+	r.Add(&o)
+	r.Add(&o)
+	if !reflect.DeepEqual(r, want) {
+		t.Errorf("Add twice:\n got: %+v\nwant: %+v", r, want)
 	}
 }
 

@@ -64,9 +64,10 @@ type runner interface {
 	tailWork() dbt.Stats
 }
 
-// reference executes one clean run from the program entry on r.
-func reference(r runner, maxSteps uint64) *dbt.Result {
-	m, res := r.start(nil)
+// replay executes one run from the program entry on r with f planted (nil:
+// a clean run).
+func replay(r runner, f *cpu.Fault, maxSteps uint64) *dbt.Result {
+	m, res := r.start(f)
 	if res == nil {
 		res = r.finish(m, r.advance(m, maxSteps))
 	}

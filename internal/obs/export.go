@@ -78,36 +78,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Snapshot copies the collector's current state.
-func (c *Collector) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistSnapshot{},
-	}
-	if c == nil {
-		return s
-	}
-	for n, v := range c.counters {
-		s.Counters[n] = v
-	}
-	for n, v := range c.gauges {
-		s.Gauges[n] = v
-	}
-	for n, h := range c.hists {
-		hs := HistSnapshot{
-			Bounds: append([]uint64(nil), h.bounds...),
-			Counts: append([]uint64(nil), h.counts...),
-			Sum:    h.sum,
-		}
-		for _, ct := range h.counts {
-			hs.Count += ct
-		}
-		s.Histograms[n] = hs
-	}
-	return s
-}
-
 // WriteJSON writes the snapshot as indented JSON (deterministic: map
 // keys are sorted by the encoder).
 func (s *Snapshot) WriteJSON(w io.Writer) error {

@@ -176,10 +176,11 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 }
 
 // Collector is an unsynchronized shard of metric deltas, owned by a
-// single goroutine (one per campaign worker). Shards merge by addition
-// (counters, histogram buckets) and maximum (gauges), so folding them in
-// any order — or splitting the same work across any number of shards —
-// yields identical totals. A nil Collector ignores all operations.
+// single goroutine (one per campaign worker). A shard flushes into a
+// registry by addition (counters, histogram buckets) and maximum
+// (gauges), so flushing shards in any order — or splitting the same work
+// across any number of shards — yields identical totals. A nil Collector
+// ignores all operations.
 type Collector struct {
 	counters map[string]uint64
 	gauges   map[string]int64
@@ -233,34 +234,9 @@ func (c *Collector) Observe(name string, bounds []uint64, v uint64) {
 	h.sum += v
 }
 
-// Merge folds shard o into c.
-func (c *Collector) Merge(o *Collector) {
-	if c == nil || o == nil {
-		return
-	}
-	for n, v := range o.counters {
-		c.counters[n] += v
-	}
-	for n, v := range o.gauges {
-		if cur, ok := c.gauges[n]; !ok || v > cur {
-			c.gauges[n] = v
-		}
-	}
-	for n, oh := range o.hists {
-		h := c.hists[n]
-		if h == nil {
-			h = &histShard{bounds: append([]uint64(nil), oh.bounds...), counts: make([]uint64, len(oh.counts))}
-			c.hists[n] = h
-		}
-		for i, ct := range oh.counts {
-			h.counts[i] += ct
-		}
-		h.sum += oh.sum
-	}
-}
-
 // FlushTo adds the shard's contents into a registry (no-op when either
-// side is nil).
+// side is nil). Flushes commute, so shards of one campaign flush in any
+// order.
 func (c *Collector) FlushTo(r *Registry) {
 	if c == nil || r == nil {
 		return

@@ -85,9 +85,10 @@ func TestHistogramReboundPanics(t *testing.T) {
 }
 
 // TestCollectorMergeOrderInvariance: splitting the same observations
-// across shards, in any grouping and merge order, must flush to an
-// identical snapshot — the property that makes campaign metrics
-// deterministic across worker counts.
+// across shards, in any grouping, and flushing the shards into a registry
+// in any order must give an identical snapshot — the property that makes
+// campaign metrics deterministic across worker counts, since each
+// campaign worker flushes its own shard when the pool ends.
 func TestCollectorMergeOrderInvariance(t *testing.T) {
 	bounds := []uint64{4, 16}
 	observe := func(c *Collector, vs ...uint64) {
@@ -97,33 +98,32 @@ func TestCollectorMergeOrderInvariance(t *testing.T) {
 			c.Observe("lat", bounds, v)
 		}
 	}
+	snapshot := func(shards ...*Collector) string {
+		r := NewRegistry()
+		for _, s := range shards {
+			s.FlushTo(r)
+		}
+		var buf bytes.Buffer
+		if err := r.Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
 
 	// One shard sees everything.
 	all := NewCollector()
 	observe(all, 1, 3, 5, 16, 17, 200)
+	want := snapshot(all)
 
-	// Three shards split it; merged in reverse order.
+	// Three shards split it; every flush order must agree.
 	s1, s2, s3 := NewCollector(), NewCollector(), NewCollector()
 	observe(s1, 1, 200)
 	observe(s2, 3, 5)
 	observe(s3, 16, 17)
-	merged := NewCollector()
-	for _, s := range []*Collector{s3, s1, s2} {
-		merged.Merge(s)
-	}
-
-	var bufA, bufB bytes.Buffer
-	ra, rb := NewRegistry(), NewRegistry()
-	all.FlushTo(ra)
-	merged.FlushTo(rb)
-	if err := ra.Snapshot().WriteJSON(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.Snapshot().WriteJSON(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	if bufA.String() != bufB.String() {
-		t.Errorf("sharded flush differs from single-shard flush:\n%s\nvs\n%s", bufA.String(), bufB.String())
+	for _, order := range [][]*Collector{{s1, s2, s3}, {s1, s3, s2}, {s2, s1, s3}, {s2, s3, s1}, {s3, s1, s2}, {s3, s2, s1}} {
+		if got := snapshot(order...); got != want {
+			t.Errorf("sharded flush differs from single-shard flush:\n%s\nvs\n%s", got, want)
+		}
 	}
 }
 
@@ -177,8 +177,6 @@ func TestNilSafety(t *testing.T) {
 	c.Add("c", 1)
 	c.Max("g", 1)
 	c.Observe("h", []uint64{1}, 1)
-	c.Merge(NewCollector())
 	c.FlushTo(NewRegistry())
-	NewCollector().Merge(nil)
 	NewCollector().FlushTo(nil)
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability layer shared by the translator, the
 // fault injector and the benchmark harness: a low-overhead metrics
 // registry (atomic counters, gauges and fixed-bucket histograms, with
-// per-worker sharded collectors that merge deterministically), exporters
+// per-worker collector shards that flush into it deterministically), exporters
 // in JSON and Prometheus text format, and the per-sample flight recorder
 // that dumps the last events of each anomalous sample.
 //
@@ -11,8 +11,8 @@
 //     *FlightRecorder is a valid receiver: every method short-circuits,
 //     so instrumented hot paths pay one branch when observability is off.
 //   - Enabled must stay deterministic. Counters and histogram buckets
-//     merge by addition and gauges by maximum — all commutative and
-//     associative — so shards folded in any order produce identical
+//     fold by addition and gauges by maximum — all commutative and
+//     associative — so shards flushed in any order produce identical
 //     snapshots, and parallel campaigns export bit-identical metrics for
 //     every worker count.
 //   - Exports must be diffable. Snapshots serialize with sorted series

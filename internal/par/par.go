@@ -1,11 +1,12 @@
-// Package par is the deterministic fan-out primitive shared by the
-// fault-injection and benchmark harnesses: a fixed pool of goroutines
-// drains an indexed job list through one shared counter that only grows,
-// so no goroutine idles while jobs remain and each claims its jobs in
-// ascending index order. Every job writes only its own result slot.
-// Because job i's inputs are derived from i alone and the caller merges
-// slots in index order, the combined result is bit-identical regardless
-// of the worker count or the order in which jobs finish.
+// Package par is the fan-out primitive shared by the fault-injection and
+// benchmark harnesses: a fixed pool of goroutines drains an indexed job
+// list through one shared counter that only grows, so no goroutine idles
+// while jobs remain and each claims its jobs in ascending index order.
+// Which worker runs which job depends on scheduling. Callers stay
+// deterministic either way: a job writes only its own result slot, or it
+// folds into its worker's accumulator (ForEachShardCtx exposes the worker
+// index) with operations that commute — sums and maxima — so the combined
+// result is bit-identical for every worker count.
 package par
 
 import (
@@ -36,14 +37,7 @@ func Workers(n, jobs int) int {
 // scheduling. With one worker the jobs run inline on the calling
 // goroutine in index order.
 func ForEach(jobs, workers int, fn func(i int) error) error {
-	return ForEachShard(jobs, workers, func(_, i int) error { return fn(i) })
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx is done no further
-// jobs start, and ctx.Err() is returned (it takes precedence over job
-// errors, which a cancellation typically causes downstream).
-func ForEachCtx(ctx context.Context, jobs, workers int, fn func(i int) error) error {
-	return ForEachShardCtx(ctx, jobs, workers, func(_, i int) error { return fn(i) })
+	return ForEachShardCtx(context.Background(), jobs, workers, func(_, i int) error { return fn(i) })
 }
 
 // ctxFirst prefers the context's cancellation error over a job error.
@@ -54,19 +48,13 @@ func ctxFirst(ctx context.Context, err error) error {
 	return err
 }
 
-// ForEachShard is ForEach with the worker's pool index exposed:
-// fn(worker, i) with worker in [0, Workers(workers, jobs)). A worker
-// index is owned by exactly one goroutine, so fn may accumulate into
-// per-worker shards (e.g. obs.Collector) without synchronization. Which
-// jobs land on which shard depends on scheduling; shard contents are
-// only deterministic once merged with a commutative fold.
-func ForEachShard(jobs, workers int, fn func(worker, i int) error) error {
-	return ForEachShardCtx(context.Background(), jobs, workers, fn)
-}
-
-// ForEachShardCtx is ForEachShard with cancellation: the pool stops
-// claiming jobs once ctx is done (a job already running is not
-// preempted), and ctx.Err() is returned in preference to job errors.
+// ForEachShardCtx is ForEach with the worker's pool index exposed and
+// with cancellation: fn(worker, i) with worker in [0, Workers(workers,
+// jobs)). A worker index is owned by exactly one goroutine, so fn may
+// accumulate into per-worker state (e.g. an obs.Collector) without
+// synchronization. The pool stops claiming jobs once ctx is done (a job
+// already running is not preempted), and ctx.Err() is returned in
+// preference to job errors.
 func ForEachShardCtx(ctx context.Context, jobs, workers int, fn func(worker, i int) error) error {
 	if jobs <= 0 {
 		return ctx.Err()
@@ -83,10 +71,14 @@ func ForEachShardCtx(ctx context.Context, jobs, workers int, fn func(worker, i i
 		}
 		return ctx.Err()
 	}
-	errs := make([]error, jobs)
-	var next atomic.Int64
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		first = jobs // index of the lowest-indexed failing job so far
+		err   error
+		wg    sync.WaitGroup
+	)
 	next.Store(-1)
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -96,15 +88,19 @@ func ForEachShardCtx(ctx context.Context, jobs, workers int, fn func(worker, i i
 				if i >= jobs {
 					return
 				}
-				errs[i] = fn(w, i)
+				if e := fn(w, i); e != nil {
+					mu.Lock()
+					if i < first {
+						first, err = i, e
+					}
+					mu.Unlock()
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ctxFirst(ctx, err)
-		}
+	if err != nil {
+		return ctxFirst(ctx, err)
 	}
 	return ctx.Err()
 }
