@@ -34,6 +34,12 @@ func FuzzCkptRejoinMatchesReplay(f *testing.F) {
 	f.Add(uint16(3), uint8(7), uint8(0), int64(1), uint8(40))
 	f.Add(uint16(11), uint8(0), uint8(1), int64(2), uint8(0))
 	f.Add(uint16(20), uint8(10), uint8(2), int64(3), uint8(112))
+	// Offset flips that send a taken branch out of the code, settled at
+	// their firing from the site table as the next fetch's trap: on the
+	// native program under a budget just past its clean run, and under
+	// RCF/Jcc, whose code-cache length bounds the jumps.
+	f.Add(uint16(5), uint8(8), uint8(8), int64(4), uint8(24))
+	f.Add(uint16(5), uint8(0), uint8(0), int64(4), uint8(24))
 	f.Fuzz(func(t *testing.T, prog uint16, techSel, polSel uint8, seed int64, interval uint8) {
 		prof := randomProfile(9000 + int64(prog))
 		prof.Name = fmt.Sprintf("rjfuzz-%d", prog)

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -42,6 +43,10 @@ type Point struct {
 	// ascending page order. Rebuilding memory at point k applies the page
 	// deltas of points 0..k onto a zero image.
 	Pages []Page
+	// SiteOffset is where, in Log.Sites, the entry of the first branch
+	// after the point (branch State.DirectBranches) starts. Entries from
+	// there on decode against this point's state.
+	SiteOffset uint32
 }
 
 // Log is the recorded checkpoint stream of one clean reference run, plus
@@ -71,8 +76,15 @@ type Log struct {
 	// reference run (zero for native recordings).
 	CacheSize int
 	// Bytes approximates the memory footprint of the recorded checkpoint
-	// data (states plus page deltas).
+	// data (states, page deltas and the site table).
 	Bytes uint64
+	// Sites is the site table: one entry per dynamic direct branch of the
+	// run, in execution order, each a few bytes relative to the entry or
+	// point before it (see Site and siteWriter.add).
+	Sites []byte
+	// CodeLen is the length of the code the run executed from, at its
+	// end: every site's IP is below it.
+	CodeLen uint32
 }
 
 // Complete reports whether the reference run ran to a normal halt, which
@@ -81,31 +93,37 @@ func (l *Log) Complete() bool { return l.Stop.Reason == cpu.StopHalt }
 
 // pointBytes approximates the in-memory size of one checkpoint.
 func pointBytes(pt *Point) uint64 {
-	b := uint64(len(pt.Pages)) * 16 // headers
+	b := uint64(len(pt.Pages))*16 + 4 // page headers, site offset
 	for i := range pt.Pages {
 		b += uint64(len(pt.Pages[i].Words)) * 4
 	}
 	return b + uint64(isa.NumRegs+8)*8
 }
 
-// capture appends the machine's current boundary state as a new point.
-func (l *Log) capture(m *cpu.Machine, prefix dbt.Stats) {
-	pt := Point{State: m.CaptureState(), OutLen: len(m.Output), Prefix: prefix}
+// capture appends the machine's current boundary state as a new point,
+// where the site table's next entry decodes from.
+func (l *Log) capture(m *cpu.Machine, prefix dbt.Stats, w *siteWriter) {
+	pt := Point{State: m.CaptureState(), OutLen: len(m.Output), Prefix: prefix, SiteOffset: uint32(len(w.buf))}
 	m.Mem.CaptureDirty(func(page uint32, words []int32) {
 		pt.Pages = append(pt.Pages, Page{Index: page, Words: append([]int32(nil), words...)})
 	})
 	l.Bytes += pointBytes(&pt)
 	l.Points = append(l.Points, pt)
+	w.cur = cursorAt(&pt)
 }
 
-// finish seals the log with the reference run's terminal result.
-func (l *Log) finish(m *cpu.Machine, stop cpu.Stop, prefix dbt.Stats, cacheSize int) {
+// finish seals the log with the reference run's terminal result and its
+// site table.
+func (l *Log) finish(m *cpu.Machine, stop cpu.Stop, prefix dbt.Stats, codeLen int, w *siteWriter) {
 	l.Stop = stop
 	l.Final = m.CaptureState()
 	l.FinalPrefix = prefix
-	l.CacheSize = cacheSize
+	l.CodeLen = uint32(codeLen)
 	l.Output = append([]int32(nil), m.Output...)
 	l.MemWords = m.Mem.Size()
+	l.Sites = bytes.Clone(w.buf)
+	l.Bytes += uint64(len(l.Sites))
+	m.BranchHook = nil
 }
 
 // Record performs the instrumented clean reference run on a private clone
@@ -121,7 +139,11 @@ func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
 		return nil, fmt.Errorf("ckpt: reference run failed to start: %v", res.Stop)
 	}
 	prefix := func() dbt.Stats { return d.StatsSnapshot().Sub(base) }
-	return record(m, interval, maxSteps, d.Advance, prefix, d.CacheLen, d.BlockStart)
+	l, err := record(m, interval, maxSteps, d.Advance, prefix, d.CacheLen, d.BlockStart)
+	if l != nil {
+		l.CacheSize = int(l.CodeLen)
+	}
+	return l, err
 }
 
 // RecordStatic performs the clean reference run for native (no translator)
@@ -143,24 +165,28 @@ func RecordStatic(p *isa.Program, starts []uint32, interval, maxSteps uint64) (*
 		_, found := slices.BinarySearch(starts, ip)
 		return found || starts == nil || comp.AfterGuard(p.Code, ip)
 	}
-	return record(m, interval, maxSteps, advance, none, func() int { return 0 }, entry)
+	return record(m, interval, maxSteps, advance, none, func() int { return len(p.Code) }, entry)
 }
 
 // record is the capture loop both recorders share: it advances the run on
 // m to every interval boundary and captures a point there, plus one at the
 // next address entry accepts (a block entry or guard continuation of the
-// samples' engine) when the boundary is not one. prefix reports the
-// translator work accumulated so far (a delta over the snapshot baseline;
-// zero for native runs) and cacheLen the final code cache size.
+// samples' engine) when the boundary is not one. A branch hook writes
+// every direct branch into the site table as it executes, which runs the
+// recording on the step interpreter. prefix reports the translator work
+// accumulated so far (a delta over the snapshot baseline; zero for native
+// runs) and codeLen the length of the code the run executes.
 func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine, uint64) cpu.Stop,
-	prefix func() dbt.Stats, cacheLen func() int, entry func(ip uint32) bool) (*Log, error) {
+	prefix func() dbt.Stats, codeLen func() int, entry func(ip uint32) bool) (*Log, error) {
 	if interval == 0 {
 		return nil, fmt.Errorf("ckpt: interval must be positive")
 	}
 	l := &Log{Interval: interval}
+	w := &siteWriter{}
 	// Point 0: the run's start boundary (memory untouched, so the capture
 	// takes no pages — the replayer's zero image is the start image).
-	l.capture(m, prefix())
+	l.capture(m, prefix(), w)
+	m.BranchHook = func(ev cpu.BranchEvent) { w.add(&ev, m.Steps, prefix()) }
 	for boundary := interval; ; boundary += interval {
 		if boundary <= m.Steps {
 			continue // a block longer than the interval outran this boundary
@@ -175,7 +201,7 @@ func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine
 			pre := prefix()
 			if stop.Reason != cpu.StopOutOfSteps || m.Steps >= maxSteps {
 				// Terminal: halt, detection, trap — or the real budget ran out.
-				l.finish(m, stop, pre, cacheLen())
+				l.finish(m, stop, pre, codeLen(), w)
 				return l, nil
 			}
 			if pre.Structural() {
@@ -186,7 +212,7 @@ func record(m *cpu.Machine, interval, maxSteps uint64, advance func(*cpu.Machine
 			if l.Truncated {
 				break
 			}
-			l.capture(m, pre)
+			l.capture(m, pre, w)
 			if entry(m.IP) {
 				break
 			}
@@ -250,9 +276,10 @@ var zeroPage [mem.PageWords]int32
 // deltas crossed.
 //
 // Replayers are pooled process-wide: NewReplayer reuses a released one,
-// of any log, when its memory holds the new log's MemWords, and Release
-// hands one back reset to a fresh replayer's state. A Replayer is not
-// safe for concurrent use — campaigns give each worker its own.
+// of any log (resized in place when its arrays hold the new log's
+// MemWords), and Release hands one back reset to a fresh replayer's
+// state. A Replayer is not safe for concurrent use — campaigns give each
+// worker its own.
 type Replayer struct {
 	log *Log
 	// base[p] is tracking page p of the image at point cur, aliasing a
@@ -271,15 +298,30 @@ type Replayer struct {
 	pages uint64
 }
 
+// maxIdleReplayers bounds the free list: enough for a few concurrent
+// campaigns' workers, while an idle replayer pins a whole memory image.
+const maxIdleReplayers = 16
+
 // replayers holds released replayers for NewReplayer to reuse, across
-// logs and sessions: one pool for the process keeps the number of idle
-// memories near the number of workers, not the number of warm logs.
-var replayers sync.Pool
+// logs, sessions and goroutines: one free list for the process keeps the
+// number of idle memories near the number of workers, not the number of
+// warm logs, and a replayer released on one P is reused on any other.
+var replayers struct {
+	sync.Mutex
+	idle []*Replayer
+}
 
 // NewReplayer returns a replayer over the log at the zero image, reusing
-// a released one when one is pooled.
+// a released one when one is idle.
 func (l *Log) NewReplayer() *Replayer {
-	r, _ := replayers.Get().(*Replayer)
+	var r *Replayer
+	replayers.Lock()
+	if n := len(replayers.idle); n > 0 {
+		r = replayers.idle[n-1]
+		replayers.idle[n-1] = nil
+		replayers.idle = replayers.idle[:n-1]
+	}
+	replayers.Unlock()
 	if r == nil {
 		r = &Replayer{cur: -1, m: new(cpu.Machine), costs: cpu.DefaultCosts()}
 	}
@@ -308,16 +350,21 @@ func (r *Replayer) bind(l *Log) {
 	}
 }
 
-// Release returns the replayer to the pool for NewReplayer to reuse.
-// Neither the replayer nor any machine it returned may be used
-// afterwards; a second Release does nothing.
+// Release returns the replayer to the free list for NewReplayer to
+// reuse, or drops it when maxIdleReplayers are idle already. Neither the
+// replayer nor any machine it returned may be used afterwards; a second
+// Release does nothing.
 func (r *Replayer) Release() {
 	if r.log == nil {
 		return // already released
 	}
 	restoredPages.Add(r.pages)
 	r.reset()
-	replayers.Put(r)
+	replayers.Lock()
+	if len(replayers.idle) < maxIdleReplayers {
+		replayers.idle = append(replayers.idle, r)
+	}
+	replayers.Unlock()
 }
 
 // reset brings the replayer back to a fresh one's state: it rolls back

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -586,6 +587,36 @@ func TestPooledReplayerMatchesRebuild(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
+}
+
+// A replayer released on one goroutine is the one NewReplayer hands out
+// on another, even across collections: the free list is process-wide and
+// holds what it is given, so reusing one allocates nothing.
+func TestReleasedReplayerReusedAcrossGoroutines(t *testing.T) {
+	l, err := RecordStatic(mustAssemble(t), nil, 300, maxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, done := make(chan *Replayer), make(chan struct{})
+	defer close(release)
+	go func() {
+		for r := range release {
+			r.Release()
+			done <- struct{}{}
+		}
+	}()
+	l.NewReplayer().Release()
+	allocs := testing.AllocsPerRun(20, func() {
+		r := l.NewReplayer()
+		r.Machine(len(l.Points) - 1)
+		release <- r
+		<-done
+		runtime.GC()
+		runtime.GC()
+	})
+	if allocs != 0 {
+		t.Errorf("a replayer released on another goroutine: NewReplayer allocates %.1f times", allocs)
+	}
 }
 
 // A decoded log's pages are whole tracking pages: a replayer's page table

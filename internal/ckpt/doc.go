@@ -28,15 +28,27 @@
 // where the engine's watch can see a faulty sample that rejoined the
 // reference run, and Replayer.Rejoins confirms such a rejoin exactly.
 //
+// The same run records a site table: the run's state at every dynamic
+// direct branch (Site: IP, evaluated flags, direction, step count,
+// signature checks, translator counters). A fault on a branch fires from
+// its entry without a restore (Log.SiteReader, cpu.Fault.FireBranch),
+// and the injection engine settles there the samples whose outcome the
+// firing decides. Each entry is a few bytes relative to the one before
+// it, or to the point it follows, so a reader decodes forward from the
+// last point before its branch, or from the last site it read. The
+// recorder writes entries from a branch hook, which runs the recording
+// on the step interpreter.
+//
 // A Replayer restores samples in place on one machine and one memory.
 // The memory's baseline at the current point is a page table of
 // references into the log's immutable page deltas (nil is a zero page),
 // not a second image: a restore rolls back the pages the previous sample
 // wrote from the table, a forward seek writes each delta it crosses once,
 // and a backward seek zeroes only the referenced pages. Released
-// replayers go to one process-wide pool shared by every log, and
-// NewReplayer reuses one, resized in place when its arrays hold the new
-// log's memory, so a warm session's campaigns allocate no memory image.
+// replayers go to one process-wide free list shared by every log and
+// goroutine, bounded by a constant, and NewReplayer reuses one, resized
+// in place when its arrays hold the new log's memory, so a warm
+// session's campaigns allocate no memory image.
 //
 // # Encoded checkpoint-log format
 //
@@ -47,10 +59,9 @@
 // all integers little-endian:
 //
 //	offset  field
-//	0       magic: the 8 ASCII bytes "CFCKLOG2" (the trailing digit is
+//	0       magic: the 8 ASCII bytes "CFCKLOG3" (the trailing digit is
 //	        the format version; incompatible layout changes bump it, and
-//	        decoders reject any other magic — version-1 logs decode
-//	        corrupt)
+//	        decoders reject any other magic — older logs decode corrupt)
 //	8       fingerprint section: u32 length + bytes — an opaque
 //	        caller-supplied identity string (the artifact writes its
 //	        fingerprint here, which names the session key, the program
@@ -69,13 +80,18 @@
 //	stop         how the reference run ended: reason u32, ip u32,
 //	             detail u32 length + bytes
 //	cacheSize    i64   code cache size at the end of the run
-//	bytes        u64   in-memory footprint estimate of the points
+//	codeLen      u32   length of the code the run executed, at its end
+//	bytes        u64   in-memory footprint estimate of the points and
+//	                   the site table
 //	final        machine state (layout below)
 //	finalPrefix  translator stats (layout below)
 //	output       u32 word count + that many i32 output words
+//	sites        u32 byte count + the site table (layout below)
 //	points       u32 point count, then per point:
 //	               state    machine state
 //	               outLen   u32 reference-output prefix length
+//	               siteOff  u32 offset into sites of the entry of the
+//	                        point's first branch
 //	               prefix   translator stats
 //	               pages    u32 page count, then per page:
 //	                          index u32, wordCount u32, words i32 each
@@ -87,6 +103,26 @@
 // struct order: blocks translated, guest instructions translated, traces
 // formed, dispatches, indirect lookups, invalidations, check sites.
 //
+// The site table holds one entry per dynamic direct branch, in execution
+// order. An entry is decoded against a cursor: the IP straight-line
+// execution continues at, the step count and the dispatch and
+// indirect-lookup counters. Each point resets the cursor to its own IP,
+// steps and prefix; each entry moves it to the branch's fall-through,
+// steps and counters. An entry is:
+//
+//	head      u8       bits 0-4 the flags the branch evaluated, bit 5 the
+//	                   branch was taken, bit 6 the IP is off the
+//	                   prediction, bit 7 the counters moved
+//	steps     uvarint  steps since the cursor (at least 1)
+//	ipOff     varint   when bit 6: the IP minus the prediction, which is
+//	                   the cursor's IP plus steps minus 1
+//	counters  when bit 7: uvarint dispatch and uvarint indirect-lookup
+//	          deltas
+//
+// The instruction at an entry's IP is the executed code's (the
+// snapshot's cache, or the program); a reader counts signature checks
+// from it.
+//
 // Decoding validates the magic, the checksum, the fingerprint and every
 // length field against the remaining input before allocating (a count
 // never exceeds the remaining bytes over its element's smallest
@@ -94,7 +130,11 @@
 // that decodes re-encodes to the same bytes, and rejects points a
 // replayer could not apply (an output prefix past the output, a page
 // outside memory or not a whole page: PageWords words, or the rest of
-// memory for the final page). It classifies failures as ErrCorrupt
+// memory for the final page) and a site table a reader could not decode
+// (no point at branch 0, an entry count other than the final
+// direct-branch count, an entry cut short or with a zero step count, an
+// IP outside [1, codeLen), or a point whose offset is not its first
+// branch's entry). It classifies failures as ErrCorrupt
 // (unreadable bytes) or ErrStale (readable bytes recorded for a
 // different configuration). Callers treat both the same way: the artifact is
 // rejected and the session re-records its log locally.

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -15,9 +16,10 @@ import (
 // digit is the version (see the package documentation for the layout).
 // Version 2 moved the envelope onto the shared frame.Seal layout: the
 // fingerprint and the binary body are two framed sections instead of the
-// version-1 fingerprint-then-unframed-body arrangement. Version-1 logs
+// version-1 fingerprint-then-unframed-body arrangement. Version 3 adds the
+// site table, the code length and every point's site offset. Older logs
 // decode as corrupt.
-const logMagic = "CFCKLOG2"
+const logMagic = "CFCKLOG3"
 
 // ErrCorrupt marks an encoded checkpoint log whose bytes cannot be
 // decoded: bad magic, checksum mismatch, or a truncated/overlong payload.
@@ -77,15 +79,18 @@ func (l *Log) encodeBody() []byte {
 	w.U32(l.Stop.IP)
 	w.String(l.Stop.Detail)
 	w.I64(int64(l.CacheSize))
+	w.U32(l.CodeLen)
 	w.U64(l.Bytes)
 	encodeState(w, &l.Final)
 	encodeStats(w, &l.FinalPrefix)
 	w.Words(l.Output)
+	w.Bytes(l.Sites)
 	w.U32(uint32(len(l.Points)))
 	for i := range l.Points {
 		pt := &l.Points[i]
 		encodeState(w, &pt.State)
 		w.U32(uint32(pt.OutLen))
+		w.U32(pt.SiteOffset)
 		encodeStats(w, &pt.Prefix)
 		w.U32(uint32(len(pt.Pages)))
 		for _, pg := range pt.Pages {
@@ -128,13 +133,15 @@ func decodeStats(r *frame.Reader, s *dbt.Stats) {
 }
 
 // minPointBytes is the smallest encoding of one point: its state, output
-// length, stats and page count with no pages. Bounding the point count at
-// this unit keeps the Points allocation proportional to the input.
-const minPointBytes = isa.NumRegs*4 + 1 + 4 + 5*8 + 4 + 7*8 + 4
+// length, site offset, stats and page count with no pages. Bounding the
+// point count at this unit keeps the Points allocation proportional to
+// the input.
+const minPointBytes = isa.NumRegs*4 + 1 + 4 + 5*8 + 4 + 4 + 7*8 + 4
 
 // decodeBody reads the fields written by encodeBody, and rejects a log
-// whose points a Replayer could not apply: an output prefix longer than
-// the output, or a page outside memory.
+// whose points a Replayer could not apply (an output prefix longer than
+// the output, or a page outside memory) or whose site table a reader
+// could not decode (see checkSites).
 func decodeBody(body []byte) (*Log, error) {
 	r := frame.NewReader(body)
 	l := &Log{}
@@ -145,10 +152,14 @@ func decodeBody(body []byte) (*Log, error) {
 	l.Stop.IP = r.U32()
 	l.Stop.Detail = r.String()
 	l.CacheSize = int(r.I64())
+	l.CodeLen = r.U32()
 	l.Bytes = r.U64()
 	decodeState(r, &l.Final)
 	decodeStats(r, &l.FinalPrefix)
 	l.Output = r.Words()
+	if sites := r.Bytes(); len(sites) > 0 {
+		l.Sites = bytes.Clone(sites)
+	}
 	npoints := r.Count(minPointBytes)
 	if r.Err() == nil && npoints > 0 {
 		l.Points = make([]Point, npoints)
@@ -157,6 +168,7 @@ func decodeBody(body []byte) (*Log, error) {
 		pt := &l.Points[i]
 		decodeState(r, &pt.State)
 		pt.OutLen = int(r.U32())
+		pt.SiteOffset = r.U32()
 		decodeStats(r, &pt.Prefix)
 		npages := r.Count(8)
 		if r.Err() == nil && npages > 0 {
@@ -182,6 +194,9 @@ func decodeBody(body []byte) (*Log, error) {
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if err := l.checkSites(); err != nil {
+		return nil, err
 	}
 	return l, nil
 }

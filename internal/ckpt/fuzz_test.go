@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -42,8 +44,10 @@ tick:
 // never panic, must allocate in proportion to the input (every count is
 // bounded by the bytes left), and any input it accepts must re-encode to
 // the very same bytes. Seeds are the encoded logs of two small programs,
-// one recorded under the translator and one natively. Plain `go test` replays the
-// seeds; `go test -fuzz FuzzDecodeLog` searches.
+// one recorded under the translator and one natively, with their site
+// tables, and copies whose tables a reader could not decode
+// (badSiteTables). Plain `go test` replays the seeds; `go test -fuzz
+// FuzzDecodeLog` searches.
 func FuzzDecodeLog(f *testing.F) {
 	p := mustAssemble(f)
 	snap := warmSnapshot(f, p, dbt.Options{Technique: &check.RCF{Style: dbt.UpdateCmov}})
@@ -61,11 +65,47 @@ func FuzzDecodeLog(f *testing.F) {
 		}
 		f.Add(l.Encode(testFingerprint))
 		f.Add(l.encodeBody())
+		for _, bad := range badSiteTables(l) {
+			f.Add(bad.Encode(testFingerprint))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeRoundTrip(t, data)
 		decodeRoundTrip(t, frame.Seal(logMagic, []byte(testFingerprint), data))
 	})
+}
+
+// badSiteTables returns copies of l, by name, whose site tables a reader
+// could not decode.
+func badSiteTables(l *Log) map[string]*Log {
+	mutate := func(f func(*Log)) *Log {
+		c := *l
+		c.Points = slices.Clone(l.Points)
+		f(&c)
+		return &c
+	}
+	return map[string]*Log{
+		"an entry short":         mutate(func(c *Log) { c.Final.DirectBranches++ }),
+		"an entry over":          mutate(func(c *Log) { c.Final.DirectBranches-- }),
+		"IPs outside the code":   mutate(func(c *Log) { c.CodeLen = 1 }),
+		"offset past the stream": mutate(func(c *Log) { c.Points[len(c.Points)-1].SiteOffset = uint32(len(c.Sites)) + 3 }),
+	}
+}
+
+// A site table whose entry count is not the run's branch count, whose
+// IPs leave the recorded code or whose point offsets run past it decodes
+// as corrupt.
+func TestDecodeRejectsBadSiteTable(t *testing.T) {
+	for name, l := range recordedLogs(t) {
+		if l.Final.DirectBranches == 0 || len(l.Points) < 2 {
+			t.Fatalf("%s: %d branches, %d points", name, l.Final.DirectBranches, len(l.Points))
+		}
+		for what, bad := range badSiteTables(l) {
+			if _, err := DecodeLogBytes(bad.Encode(testFingerprint), testFingerprint); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, %s: decoded with %v, want ErrCorrupt", name, what, err)
+			}
+		}
+	}
 }
 
 // decodeRoundTrip decodes one candidate file and checks the decoder's

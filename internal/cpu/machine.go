@@ -450,11 +450,10 @@ func (m *Machine) Step(codeSlice []isa.Instr) (Stop, bool) {
 	return Stop{}, false
 }
 
-// directBranch resolves a direct branch: applies a pending fault, evaluates
-// the direction, fires the BranchHook, and returns the next IP and whether
-// the fault fired here and asked to pause (Fault.Pause). A flag-bit
-// fault flips the flags this one branch evaluates; the flags register
-// itself is untouched, so the next flag reader sees the clean value.
+// directBranch resolves a direct branch: evaluates the direction, fires
+// a pending branch fault (FireBranch), fires the BranchHook, and returns
+// the next IP and whether the fault fired here and asked to pause
+// (Fault.Pause).
 func (m *Machine) directBranch(ip uint32, in isa.Instr) (uint32, bool) {
 	idx := m.DirectBranches
 	m.DirectBranches++
@@ -462,45 +461,54 @@ func (m *Machine) directBranch(ip uint32, in isa.Instr) (uint32, bool) {
 		m.SigChecks++
 	}
 
-	imm := in.Imm
 	flags := m.Flags
-	faulted := false
-	if f := m.Fault; f != nil && f.Kind != FaultRegBit && !f.Fired && idx == f.BranchIndex {
-		f.Fired = true
-		f.FiredStep = m.Steps
-		f.FaultIP = ip
-		f.FaultInstr = in
-		f.CleanTaken = m.taken(in, flags)
-		f.CleanTarget = ip + 1 + uint32(imm)
-		switch f.Kind {
-		case FaultOffsetBit:
-			imm ^= int32(1) << (f.Bit & 31)
-		case FaultFlagBit:
-			flags ^= isa.Flags(1) << (f.Bit % isa.NumFlagBits)
-		}
-		faulted = true
-	}
-
 	taken := m.taken(in, flags)
-	target := ip + 1 + uint32(imm)
-
-	if faulted {
-		m.Fault.FaultTaken = taken
-		m.Fault.FaultTarget = target
+	target := ip + 1 + uint32(in.Imm)
+	pause := false
+	if f := m.Fault; f != nil && f.Kind != FaultRegBit && !f.Fired && idx == f.BranchIndex {
+		flags = f.FireBranch(m.Steps, ip, in, flags, taken)
+		taken, target, pause = f.FaultTaken, f.FaultTarget, f.Pause
 	}
 	if m.BranchHook != nil {
 		m.BranchHook(BranchEvent{IP: ip, Instr: in, Flags: flags, Taken: taken, Target: target})
 	}
-	pause := faulted && m.Fault.Pause
 	if taken {
 		return target, pause
 	}
 	return ip + 1, pause
 }
 
+// FireBranch fires the branch fault f on the direct branch in at ip,
+// which the clean run resolves with flags and direction cleanTaken, at
+// machine step step (the branch's own step included): it fills every
+// outcome field and returns the flags the faulted branch evaluates. An
+// offset-bit fault corrupts the target of this one execution; a flag-bit
+// fault flips the flags this one branch evaluates, which only a
+// conditional jump reads (jrz tests a register), so the flags register
+// keeps its clean value. The machine and the checkpoint site table
+// (ckpt.SiteReader) both fire through it, so a fault reads the same
+// whichever fired it.
+func (f *Fault) FireBranch(step uint64, ip uint32, in isa.Instr, flags isa.Flags, cleanTaken bool) isa.Flags {
+	imm := in.Imm
+	f.Fired, f.FiredStep, f.FaultIP, f.FaultInstr = true, step, ip, in
+	f.CleanTaken, f.FaultTaken = cleanTaken, cleanTaken
+	f.CleanTarget = ip + 1 + uint32(imm)
+	switch f.Kind {
+	case FaultOffsetBit:
+		imm ^= int32(1) << (f.Bit & 31)
+	case FaultFlagBit:
+		flags ^= isa.Flags(1) << (f.Bit % isa.NumFlagBits)
+		if in.Op == isa.OpJcc {
+			f.FaultTaken = in.Cond().Eval(flags)
+		}
+	}
+	f.FaultTarget = ip + 1 + uint32(imm)
+	return flags
+}
+
 // taken evaluates whether the branch is taken under the given flags and
-// the current registers (called both pre-fault, to record the clean
-// direction, and post-fault, to resolve the actual one).
+// the current registers: the clean direction, from which FireBranch
+// derives a faulted one.
 func (m *Machine) taken(in isa.Instr, flags isa.Flags) bool {
 	switch in.Op {
 	case isa.OpJmp, isa.OpCall:

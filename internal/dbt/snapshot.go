@@ -116,6 +116,10 @@ func compStartsFor(tlist []*TBlock, cache []isa.Instr) []uint32 {
 // CacheLen returns the snapshot's code cache size in instructions.
 func (s *Snapshot) CacheLen() int { return len(s.cache) }
 
+// Code returns the snapshot's code cache, shared read-only: the code a
+// clone executes until it translates something new.
+func (s *Snapshot) Code() []isa.Instr { return s.cache[:len(s.cache):len(s.cache)] }
+
 // CompStats returns the compiled-backend work accumulated by the owning
 // translator up to the snapshot freeze (zero for the step backend) —
 // the baseline campaigns add per-sample deltas to.

@@ -108,9 +108,10 @@ func TestStaticCkptCampaignMatchesReplay(t *testing.T) {
 // the report, nor the engine telemetry, nor the metrics snapshot may
 // depend on the worker count: an integer program under RCF/Jcc, a
 // floating-point one under EdgCF/CMOVcc and the static CFCSS baseline, at
-// 1, 2 and 8 workers. The snapshot pins the restore, rejoin and
-// short-circuit counters published from the report as well as the
-// restored/replayed-steps histograms the workers' collectors observe.
+// 1, 2 and 8 workers. The snapshot pins the rejoin and short-circuit
+// counters published from the report as well as the restores, settled
+// traps and restored/replayed-steps histograms the workers' collectors
+// observe.
 func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 	shapes := []struct {
 		workload string
@@ -158,8 +159,11 @@ func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("%s workers=%d: %v", s.workload, w, err)
 			}
 			ms := reg.Snapshot().StripTimings()
+			// Every sample is restored once unless it was settled at its
+			// firing: a No Error short-circuit or a settled trap.
+			settled := int(ms.Counters[seriesName("ckpt_settled_traps_total", rep.Technique)])
 			for name, want := range map[string]int{
-				"ckpt_restores_total":      rep.Samples,
+				"ckpt_restores_total":      rep.Samples - rep.ShortOffset - rep.ShortLive - settled,
 				"ckpt_rejoined_total":      rep.Rejoined,
 				"ckpt_shortcircuits_total": rep.ShortOffset + rep.ShortLive,
 			} {

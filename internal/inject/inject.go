@@ -152,9 +152,10 @@ type Report struct {
 	Workers int
 	Elapsed time.Duration
 	// Engine telemetry: how the checkpoint engine resolved each sample.
-	// Executed samples ran their tail. The rest were synthesized as No
-	// Error faults: ShortOffset for offset flips on a branch that fell
-	// through, ShortLive for flag flips that kept the branch's direction.
+	// Executed samples ran their tail, or trapped on leaving the code at
+	// their firing. The rest were synthesized as No Error faults:
+	// ShortOffset for offset flips on a branch that fell through,
+	// ShortLive for flag flips that kept the branch's direction.
 	// Executed+ShortOffset+ShortLive == Samples under the checkpoint
 	// engine; the replay engine executes everything. Like Workers/Elapsed
 	// these never influence the classified results and are zeroed by
@@ -459,16 +460,18 @@ type campaign struct {
 }
 
 // worker is one pool goroutine's state: the runner its samples execute on
-// (and, under the checkpoint engine, its replayer), the fault of its
+// (and, under the checkpoint engine, its site reader and its replayer,
+// from the first sample that needs each), the fault of its
 // current sample, its metric collector (nil when metrics are off) and its
 // tally — the counts of a partial Report, categories held in an array.
 type worker struct {
-	r    runner
-	rp   *ckpt.Replayer
-	f    cpu.Fault
-	c    *obs.Collector
-	part Report
-	cats [errmodel.NumCategories + 1]Agg
+	r     runner
+	rp    *ckpt.Replayer
+	sites *ckpt.SiteReader
+	f     cpu.Fault
+	c     *obs.Collector
+	part  Report
+	cats  [errmodel.NumCategories + 1]Agg
 }
 
 // addTo folds the worker's tally into rep, lending it its categories as
@@ -520,17 +523,14 @@ func detected(o Outcome) bool { return o == OutDetectedSW || o == OutDetectedHW 
 // drain is the worker loop both engines share. Each worker claims the
 // next sample (in order, or ascending when order is nil), derives its
 // fault, executes it with exec, settles it into its tally and counts its
-// progress. A non-nil log gives every worker a replayer, released when
-// the pool ends.
-func (c *campaign) drain(ctx context.Context, t target, order []int, log *ckpt.Log, exec func(wk *worker, i int) sampleRun) error {
+// progress. The replayers the checkpoint engine took on its first
+// restores are released when the pool ends.
+func (c *campaign) drain(ctx context.Context, t target, order []int, exec func(wk *worker) sampleRun) error {
 	inj := phaseSpan(c.cfg.Metrics, c.label, "inject")
 	defer inj.End()
 	for w := range c.workers {
 		wk := &c.workers[w]
 		wk.r = t.runner()
-		if log != nil {
-			wk.rp = log.NewReplayer()
-		}
 		if c.cfg.Metrics != nil {
 			wk.c = obs.NewCollector()
 		}
@@ -541,7 +541,7 @@ func (c *campaign) drain(ctx context.Context, t target, order []int, log *ckpt.L
 		}
 		wk := &c.workers[w]
 		wk.f = deriveFault(c.cfg, i, c.branches, c.steps)
-		s := exec(wk, i)
+		s := exec(wk)
 		c.cfg.Progress.Observe(w, c.settle(wk, i, &s))
 		return nil
 	})
@@ -569,6 +569,11 @@ func (c *campaign) settle(wk *worker, i int, s *sampleRun) int {
 	case shortRejoin:
 		part.Executed++
 		part.Rejoined++
+	case shortTrap:
+		part.Executed++
+		if wk.c != nil {
+			wk.c.Add(c.ns.settledTraps, 1)
+		}
 	default:
 		part.Executed++
 	}
@@ -581,7 +586,11 @@ func (c *campaign) settle(wk *worker, i int, s *sampleRun) int {
 		Sample:   c.cfg.SampleOffset + i,
 		Fault:    *f,
 		Outcome:  s.outcome,
-		Category: wk.r.category(f),
+		Category: errmodel.CatF, // a settled trap left the code
+	}
+	if s.short != shortTrap {
+		// The sample's runner holds no clone of a settled trap.
+		rec.Category = wk.r.category(f)
 	}
 	if detected(rec.Outcome) {
 		rec.Latency = s.latency
@@ -615,7 +624,7 @@ func (c *campaign) runReplay(ctx context.Context, t target) error {
 	if c.branches == 0 {
 		return fmt.Errorf("%s: no branches to fault", c.prog.Name)
 	}
-	return c.drain(ctx, t, nil, nil, func(wk *worker, _ int) sampleRun {
+	return c.drain(ctx, t, nil, func(wk *worker) sampleRun {
 		return c.executed(replay(wk.r, &wk.f, c.cfg.MaxSteps), &wk.f)
 	})
 }

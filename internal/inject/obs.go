@@ -47,7 +47,7 @@ func progressLabels() []string {
 // once per label (seriesFor) instead of on every observation.
 type sampleSeries struct {
 	samples, notFired, sigChecks, cacheInstrs, latency string
-	restores, rejoined, shortCircuits                  string
+	restores, rejoined, shortCircuits, settledTraps    string
 	restoredSteps, replayedSteps                       string
 	// outcomes[category][outcome] and the per-category detection latency
 	// cover every category a sample can carry, CatData included.
@@ -74,6 +74,7 @@ func seriesFor(technique string) *sampleSeries {
 		restores:      seriesName("ckpt_restores_total", technique),
 		rejoined:      seriesName("ckpt_rejoined_total", technique),
 		shortCircuits: seriesName("ckpt_shortcircuits_total", technique),
+		settledTraps:  seriesName("ckpt_settled_traps_total", technique),
 		restoredSteps: seriesName("ckpt_restored_steps", technique),
 		replayedSteps: seriesName("ckpt_replayed_steps", technique),
 	}
@@ -92,11 +93,12 @@ func seriesFor(technique string) *sampleSeries {
 
 // publishCounts exports the counters that restate the report: samples,
 // not-fired faults, outcomes per category and, under the checkpoint
-// engine (ckpt), restores, rejoins and short-circuits. A zero count
-// creates no series. ckpt_shortcircuits_total counts every tail
-// synthesized from the firing on, regardless of family;
-// ckpt_rejoined_total counts the executed tails that rejoined the
-// reference run.
+// engine (ckpt), rejoins and short-circuits. A zero count creates no
+// series. ckpt_shortcircuits_total counts the No Error samples settled
+// at their firing, regardless of family; ckpt_rejoined_total counts the
+// executed tails that rejoined the reference run. Restores and settled
+// traps are not in the report; workers count them (observeRestore,
+// settle).
 func publishCounts(reg *obs.Registry, ns *sampleSeries, rep *Report, ckpt bool) {
 	count := func(name string, n int) {
 		if n > 0 {
@@ -111,7 +113,6 @@ func publishCounts(reg *obs.Registry, ns *sampleSeries, rep *Report, ckpt bool) 
 		}
 	}
 	if ckpt {
-		count(ns.restores, rep.Samples)
 		count(ns.rejoined, rep.Rejoined)
 		count(ns.shortCircuits, rep.ShortOffset+rep.ShortLive)
 	}

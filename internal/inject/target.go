@@ -27,6 +27,10 @@ type target interface {
 	// baseline is the warm-up work already done (snapshot stats, or the
 	// native freeze), credited to the report once.
 	baseline() (dbt.Stats, comp.Stats)
+	// code is the code a sample starts executing (the snapshot's cache,
+	// or the program): its length bounds where a branch can jump without
+	// trapping.
+	code() []isa.Instr
 	// publish exports the target's own end-of-campaign series.
 	publish(reg *obs.Registry, label string, rep *Report)
 }
@@ -84,6 +88,8 @@ func (t snapTarget) record(interval, maxSteps uint64) (*ckpt.Log, error) {
 }
 
 func (t snapTarget) baseline() (dbt.Stats, comp.Stats) { return t.snap.Stats(), t.snap.CompStats() }
+
+func (t snapTarget) code() []isa.Instr { return t.snap.Code() }
 
 func (t snapTarget) publish(reg *obs.Registry, label string, rep *Report) {
 	rep.Translator.Publish(reg, label)
@@ -245,6 +251,8 @@ func (t *nativeTarget) baseline() (dbt.Stats, comp.Stats) {
 	}
 	return dbt.Stats{}, t.eng.Stats
 }
+
+func (t *nativeTarget) code() []isa.Instr { return t.warm.prog.Code }
 
 // publish adds nothing: native runs have no translator or code cache.
 func (t *nativeTarget) publish(*obs.Registry, string, *Report) {}

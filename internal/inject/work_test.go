@@ -10,6 +10,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/dbt"
 	"repro/internal/inject"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/workloads"
 )
@@ -19,8 +20,8 @@ import (
 // the committed baseline in testdata/work_baseline.json. Work counters are
 // host-independent and exact, so unlike wall-clock numbers they can be
 // gated on a plain `go test`: a change that makes any shape execute more
-// guest steps, execute more samples, short-circuit or rejoin fewer, or
-// compile more blocks fails here. A change that does less work lowers the baseline in
+// guest steps, execute more samples, short-circuit, settle or rejoin
+// fewer, or compile more blocks fails here. A change that does less work lowers the baseline in
 // the same change; the test logs the measured values to paste in.
 
 // workShape is one gated campaign configuration.
@@ -45,12 +46,17 @@ type workCounts struct {
 	ExecutedSteps  uint64 `json:"executed_steps"`
 	Executed       int    `json:"executed"`
 	ShortCircuited int    `json:"short_circuited"`
+	// Settled counts the samples settled at their firing from the site
+	// table, without a restore: the short-circuited ones and the traps.
+	Settled        int    `json:"settled"`
 	Rejoined       int    `json:"rejoined"`
 	CompiledBlocks uint64 `json:"compiled_blocks"`
 }
 
-// measureWork runs one shape's campaign and reads its work counters.
-func measureWork(t *testing.T, s workShape) workCounts {
+// campaign builds the shape's program (at the benchmark's scale 0.05)
+// and returns it with the shape's checkpoint-engine campaign, which the
+// options run.
+func (s workShape) campaign(t *testing.T) (*isa.Program, inject.Config, []inject.ExecOption) {
 	t.Helper()
 	prof, err := workloads.ByName(s.workload)
 	if err != nil {
@@ -60,33 +66,38 @@ func measureWork(t *testing.T, s workShape) workCounts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
 	cfg := inject.Config{
 		Policy:  s.policy,
 		Samples: s.samples,
 		Seed:    7,
-		Options: inject.Options{Workers: 2, CkptInterval: -1, Metrics: reg},
+		Options: inject.Options{Workers: 2, CkptInterval: -1},
 	}
-	var rep *inject.Report
 	if s.technique == "CFCSS" {
 		ip, err := check.InstrumentStatic(p, check.StaticCFCSS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err = inject.Execute(context.Background(), ip, cfg, inject.AsStatic(s.technique))
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		if cfg.Technique, err = check.New(s.technique, s.style); err != nil {
-			t.Fatal(err)
-		}
-		if rep, err = inject.Execute(context.Background(), p, cfg); err != nil {
-			t.Fatal(err)
-		}
+		return ip, cfg, []inject.ExecOption{inject.AsStatic(s.technique)}
+	}
+	if cfg.Technique, err = check.New(s.technique, s.style); err != nil {
+		t.Fatal(err)
+	}
+	return p, cfg, nil
+}
+
+// measureWork runs one shape's campaign and reads its work counters.
+func measureWork(t *testing.T, s workShape) workCounts {
+	t.Helper()
+	p, cfg, opts := s.campaign(t)
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	rep, err := inject.Execute(context.Background(), p, cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	h, ok := snap.Histograms[`ckpt_replayed_steps{technique="`+rep.Technique+`"}`]
+	label := `{technique="` + rep.Technique + `"}`
+	h, ok := snap.Histograms["ckpt_replayed_steps"+label]
 	if !ok {
 		t.Fatalf("%s: no ckpt_replayed_steps histogram", s.name)
 	}
@@ -94,6 +105,7 @@ func measureWork(t *testing.T, s workShape) workCounts {
 		ExecutedSteps:  h.Sum,
 		Executed:       rep.Executed,
 		ShortCircuited: rep.ShortOffset + rep.ShortLive,
+		Settled:        rep.ShortOffset + rep.ShortLive + int(snap.Counters["ckpt_settled_traps_total"+label]),
 		Rejoined:       rep.Rejoined,
 		CompiledBlocks: rep.Compiled.BlocksCompiled,
 	}
@@ -122,7 +134,7 @@ func TestWorkGate(t *testing.T) {
 			continue
 		}
 		if got.ExecutedSteps > want.ExecutedSteps || got.Executed > want.Executed ||
-			got.ShortCircuited < want.ShortCircuited || got.Rejoined < want.Rejoined ||
+			got.ShortCircuited < want.ShortCircuited || got.Settled < want.Settled || got.Rejoined < want.Rejoined ||
 			got.CompiledBlocks > want.CompiledBlocks {
 			t.Errorf("%s: more work than the baseline\n got: %+v\nwant: %+v", s.name, got, want)
 		}

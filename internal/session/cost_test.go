@@ -139,10 +139,12 @@ func TestRequestCostGate(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	// Measure with one P and no collection, so that what a request
-	// allocates does not depend on which P it runs on or on when the
-	// collector runs. With one P the second worker rarely gets a sample
-	// before the first has drained the cursor, so restored pages come
-	// close to a one-worker campaign's.
+	// allocates does not depend on when the collector runs. Released
+	// replayers go to one process-wide free list, so reusing them does
+	// not depend on the P a request runs on; the pin is for the restored
+	// pages: with one P the second worker rarely gets a sample before the
+	// first has drained the cursor, so they come close to a one-worker
+	// campaign's.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	raw, err := os.ReadFile(filepath.Join("testdata", "request_cost.json"))
