@@ -48,7 +48,7 @@ func BenchmarkFigure3Normalized(b *testing.B) {
 // RCF/EdgCF/ECF and reports the suite geomeans.
 func BenchmarkFigure12Slowdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Figure12(benchScale, 0)
+		t, err := bench.Figure12(benchScale, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkFigure12Slowdown(b *testing.B) {
 // BenchmarkFigure14UpdateStyle regenerates the Jcc vs CMOVcc table.
 func BenchmarkFigure14UpdateStyle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Figure14(benchScale, 0)
+		t, err := bench.Figure14(benchScale, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFigure14UpdateStyle(b *testing.B) {
 // BenchmarkFigure15Policies regenerates the checking-policy sweep for RCF.
 func BenchmarkFigure15Policies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Figure15(benchScale, 0)
+		t, err := bench.Figure15(benchScale, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkFigure15Policies(b *testing.B) {
 // native execution (the paper's ~12%).
 func BenchmarkDBTBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, avg, err := bench.DBTBaseline(benchScale, 0)
+		_, avg, err := bench.DBTBaseline(benchScale, 0, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkCoverageCampaign(b *testing.B) {
 // chaining, traces, xor-vs-lea updates, and data-flow checking stacking.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Ablations(benchScale, 0)
+		rows, err := bench.Ablations(benchScale, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkAblations(b *testing.B) {
 // data-flow checking transform (the paper's future work) targets.
 func BenchmarkDataFlowCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reports, err := bench.DataFlowCoverage(0.04, 120, 1, 0, -1)
+		reports, err := bench.DataFlowCoverage(context.Background(), 0.04, 120, 1, inject.Options{CkptInterval: -1}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,97 +6,62 @@
 //	-fig 15     RCF under the four checking policies (Figure 15)
 //	-fig dbt    uninstrumented translator overhead vs native (Section 6 text)
 //	-fig ablate  design-choice ablations (chaining, traces, xor-vs-lea, DFC)
+//	-fig coverage fault-injection coverage matrix
 //	-fig dfc     register-fault coverage of data-flow checking (future work)
 //	-fig latency policy trade-off: slowdown vs coverage vs report latency
-//	-fig all     everything
+//	-fig all     dbt, 12, 14, 15, ablate, dfc and latency
 //
-// -workers fans the per-benchmark runs (and campaign samples) across a
-// goroutine pool; results are identical for every worker count.
+// It runs the bench suite that POST /v1/bench serves and prints each
+// figure's table. -workers fans the per-benchmark runs (and campaign
+// samples) across a goroutine pool; results are identical for every
+// worker count.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
 )
 
+// allFigures is what -fig all runs: every figure but the coverage
+// matrix, which cfc-inject -matrix prints with its own knobs.
+var allFigures = []string{"dbt", "12", "14", "15", "ablate", "dfc", "latency"}
+
 func main() {
 	var (
-		fig   = flag.String("fig", "all", "which figure: 12|14|15|dbt|all")
+		fig   = flag.String("fig", "all", "which figure: "+strings.Join(bench.FigureNames(), "|")+"|all")
 		scale = flag.Float64("scale", 1.0, "workload dynamic scale")
 	)
 	app := cli.App{CkptInterval: -1}
 	app.BindFlags(flag.CommandLine)
 	flag.Parse()
-	fatalIf(app.Open())
-	reg := app.Registry()
-	workers, ckptIv := &app.Workers, &app.CkptInterval
 
-	run := func(name string) {
-		switch name {
-		case "12":
-			t, err := bench.Figure12(*scale, *workers)
-			fatalIf(err)
-			fmt.Print(bench.FormatSlowdownTable(t))
-			bench.PublishSlowdownTable(reg, "12", t)
-		case "14":
-			t, err := bench.Figure14(*scale, *workers)
-			fatalIf(err)
-			fmt.Print(bench.FormatFigure14(t))
-			bench.PublishFigure14(reg, t)
-		case "15":
-			t, err := bench.Figure15(*scale, *workers)
-			fatalIf(err)
-			fmt.Print(bench.FormatSlowdownTable(t))
-			bench.PublishSlowdownTable(reg, "15", t)
-		case "dbt":
-			rows, avg, err := bench.DBTBaseline(*scale, *workers)
-			fatalIf(err)
-			fmt.Print(bench.FormatBaseline(rows, avg))
-			bench.PublishBaseline(reg, rows, avg)
-		case "ablate":
-			rows, err := bench.Ablations(*scale, *workers)
-			fatalIf(err)
-			fmt.Print(bench.FormatAblations(rows))
-			bench.PublishAblations(reg, rows)
-		case "dfc":
-			reports, err := bench.DataFlowCoverage(minF(*scale, 0.1), 300, 1, *workers, *ckptIv)
-			fatalIf(err)
-			fmt.Print(bench.FormatDataFlowCoverage(reports))
-			bench.PublishCoverage(reg, "dfc", reports)
-		case "latency":
-			rows, err := bench.PolicyLatency(minF(*scale, 0.3), 300, 1, *workers, *ckptIv)
-			fatalIf(err)
-			fmt.Print(bench.FormatPolicyLatency(rows))
-			bench.PublishPolicyLatency(reg, rows)
-		default:
-			fmt.Fprintf(os.Stderr, "cfc-bench: unknown figure %q\n", name)
-			os.Exit(2)
-		}
-		fmt.Println()
-	}
-
+	figs := []string{*fig}
 	if *fig == "all" {
-		for _, f := range []string{"dbt", "12", "14", "15", "ablate", "dfc", "latency"} {
-			run(f)
+		figs = allFigures
+	}
+	if err := bench.CheckFigures(figs); err != nil {
+		fmt.Fprintln(os.Stderr, "cfc-bench:", err)
+		os.Exit(2)
+	}
+	fatalIf(app.Open())
+	// The campaign figures (coverage, dfc, latency) run 300 samples from
+	// seed 1.
+	err := bench.RunSuite(context.Background(), bench.SuiteConfig{
+		Scale: *scale, Samples: 300, Seed: 1, Figures: figs, Options: app.Options(),
+	}, func(f bench.SuiteFrame) error {
+		if f.Kind == "table" {
+			fmt.Println(f.Text)
 		}
-		fatalIf(app.Close())
-		return
-	}
-	run(*fig)
+		return nil
+	})
+	fatalIf(err)
 	fatalIf(app.Close())
-}
-
-// minF caps the campaign scale: fault injection runs the program once per
-// sample, so full-scale campaigns would take minutes for no extra insight.
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fatalIf(err error) {

@@ -31,7 +31,7 @@ func main() {
 		names = []string{*scheme}
 	}
 	for _, name := range names {
-		res, err := core.VerifySchemeObs(name, app.Registry())
+		res, err := core.VerifyScheme(name, app.Registry())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cfc-verify:", err)
 			os.Exit(1)

@@ -31,11 +31,9 @@ type AblationRow struct {
 //     Section 5.1 argument)
 //   - data-flow checking alone, and stacked on RCF (the paper's future
 //     work, with and without compare-operand checks)
-func Ablations(scale float64, workers int) ([]AblationRow, error) {
-	return ablations(scale, workers, nil)
-}
-
-func ablations(scale float64, workers int, build buildFn) ([]AblationRow, error) {
+//
+// build may be nil (see buildFn).
+func Ablations(scale float64, workers int, build buildFn) ([]AblationRow, error) {
 	type cfg struct {
 		name string
 		note string
@@ -120,9 +118,9 @@ func FormatAblations(rows []AblationRow) string {
 
 // DataFlowCoverage runs register-bit fault campaigns (the data errors the
 // paper's future-work data-flow checking targets) under increasing
-// protection. workers shards each campaign's samples; ckptInterval
-// selects the campaign engine (0 replay, -1 auto checkpointing).
-func DataFlowCoverage(scale float64, samples int, seed int64, workers int, ckptInterval int64) ([]*inject.Report, error) {
+// protection. opts forwards to every campaign (Workers shards each
+// campaign's samples, CkptInterval selects the engine); build may be nil.
+func DataFlowCoverage(ctx context.Context, scale float64, samples int, seed int64, opts inject.Options, build buildFn) ([]*inject.Report, error) {
 	names := []string{"164.gzip", "183.equake"}
 	type cfg struct {
 		label string
@@ -135,22 +133,18 @@ func DataFlowCoverage(scale float64, samples int, seed int64, workers int, ckptI
 		{"RCF+DFC", &check.RCF{Style: dbt.UpdateCmov}, &check.DFC{}},
 		{"RCF+DFC+cmp", &check.RCF{Style: dbt.UpdateCmov}, &check.DFC{SyncAtCmps: true}},
 	}
+	bf := buildOrDefault(build)
 	var reports []*inject.Report
 	for _, c := range cfgs {
 		merged := &inject.Report{Technique: c.label, Program: "suite", ByCat: map[errmodel.Category]*inject.Agg{}}
 		for _, n := range names {
-			prof, err := workloads.ByName(n)
+			p, err := bf(n, scale)
 			if err != nil {
 				return nil, err
 			}
-			p, err := prof.Build(scale)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := inject.Execute(context.Background(), p, inject.Config{
+			rep, err := inject.Execute(ctx, p, inject.Config{
 				Technique: c.tech, Body: c.body, RegFaults: true,
-				Samples: samples, Seed: seed,
-				Options: inject.Options{Workers: workers, CkptInterval: ckptInterval},
+				Samples: samples, Seed: seed, Options: opts,
 				// Data faults can wreck the stack pointer and livelock;
 				// a tight budget keeps hang detection cheap.
 				MaxSteps: 4_000_000,
@@ -161,7 +155,6 @@ func DataFlowCoverage(scale float64, samples int, seed int64, workers int, ckptI
 			merged.Add(rep)
 			merged.Elapsed += rep.Elapsed
 		}
-		merged.Technique = c.label
 		reports = append(reports, merged)
 	}
 	return reports, nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestAblationsShape(t *testing.T) {
-	rows, err := Ablations(0.1, 2)
+	rows, err := Ablations(0.1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestDataFlowCoverageShape(t *testing.T) {
-	reports, err := DataFlowCoverage(0.04, 150, 11, 2, -1)
+	reports, err := DataFlowCoverage(context.Background(), 0.04, 150, 11, inject.Options{Workers: 2, CkptInterval: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,11 +95,11 @@ func dbtCycles(p *isa.Program, tech dbt.Technique, pol dbt.Policy) (uint64, erro
 	return res.Cycles, nil
 }
 
-// buildFn builds the named workload at the given scale. The figure
-// generators default to a private workloads.ByName build per job; the
-// bench suite passes session.Registry.Program instead, so each workload
-// builds once and is shared across every figure (and with any warm
-// campaign sessions in the same process).
+// buildFn builds the named workload at the given scale. A nil build
+// function builds privately per job (core.Workload); the bench suite
+// passes session.Registry.Program instead, so each workload builds once
+// and is shared across every figure (and with any warm campaign sessions
+// in the same process).
 type buildFn func(name string, scale float64) (*isa.Program, error)
 
 // buildOrDefault resolves a nil build function to the private per-job
@@ -108,23 +108,19 @@ func buildOrDefault(build buildFn) buildFn {
 	if build != nil {
 		return build
 	}
-	return func(name string, scale float64) (*isa.Program, error) {
-		prof, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		return prof.Build(scale)
-	}
+	return core.Workload
 }
 
-// slowdownRows measures one row per workload — the baseline plus each
-// configuration's cycles — fanning the workloads across workers. Rows come
-// back in workload order whatever the worker count. onRow, when non-nil,
-// receives each row as its job completes (from the worker goroutine, in
-// completion order — callers that stream must serialize).
-func slowdownRows(scale float64, workers int, build buildFn, onRow func(SlowdownRow), configs func(p *isa.Program, base uint64) ([]float64, error)) ([]SlowdownRow, error) {
+// slowdownTable measures one row per workload — each configuration's
+// cycles (cycles(p, c) for configuration c) over the uninstrumented
+// baseline — fanning the workloads across workers, and folds the suite
+// geomeans. Rows come back in workload order whatever the worker count.
+// onRow, when non-nil, receives each row as its job completes (from the
+// worker goroutine, in completion order — callers that stream must
+// serialize).
+func slowdownTable(title string, configs []string, scale float64, workers int, build buildFn, onRow func(SlowdownRow), cycles func(p *isa.Program, c int) (uint64, error)) (*SlowdownTable, error) {
 	profs := workloads.All()
-	rows := make([]SlowdownRow, len(profs))
+	t := &SlowdownTable{Title: title, Configs: configs, Rows: make([]SlowdownRow, len(profs))}
 	bf := buildOrDefault(build)
 	err := par.ForEach(len(profs), workers, func(i int) error {
 		prof := profs[i]
@@ -136,55 +132,46 @@ func slowdownRows(scale float64, workers int, build buildFn, onRow func(Slowdown
 		if err != nil {
 			return err
 		}
-		slow, err := configs(p, base)
-		if err != nil {
-			return err
+		slow := make([]float64, len(configs))
+		for c := range configs {
+			n, err := cycles(p, c)
+			if err != nil {
+				return err
+			}
+			slow[c] = float64(n) / float64(base)
 		}
-		rows[i] = SlowdownRow{Name: prof.Name, Suite: prof.Suite, Slowdown: slow}
+		t.Rows[i] = SlowdownRow{Name: prof.Name, Suite: prof.Suite, Slowdown: slow}
 		if onRow != nil {
-			onRow(rows[i])
+			onRow(t.Rows[i])
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	t.computeGeomeans()
+	return t, nil
 }
 
 // Figure12 measures the per-benchmark slowdown of RCF, EdgCF and ECF
 // (Jcc update style, ALLBB policy) relative to the uninstrumented DBT.
-func Figure12(scale float64, workers int) (*SlowdownTable, error) {
-	return figure12(scale, workers, nil, nil)
+// build and onRow may be nil (see buildFn and slowdownTable).
+func Figure12(scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
+	return techniqueSlowdowns(dbt.UpdateJcc, scale, workers, build, onRow)
 }
 
-func figure12(scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
-	techs := check.DBTTechniques(dbt.UpdateJcc)
+// techniqueSlowdowns is Figure 12's measurement under either update
+// style.
+func techniqueSlowdowns(style dbt.UpdateStyle, scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
+	techs := check.DBTTechniques(style)
 	names := make([]string, len(techs))
 	for i, tc := range techs {
 		names[i] = tc.Name()
 	}
-	t := &SlowdownTable{
-		Title:   "Figure 12 - performance slowdown (Jcc update, ALLBB policy)",
-		Configs: names,
-	}
-	rows, err := slowdownRows(scale, workers, build, onRow, func(p *isa.Program, base uint64) ([]float64, error) {
-		var slow []float64
-		for _, tc := range techs {
-			c, err := dbtCycles(p, tc, dbt.PolicyAllBB)
-			if err != nil {
-				return nil, err
-			}
-			slow = append(slow, float64(c)/float64(base))
-		}
-		return slow, nil
+	title := fmt.Sprintf("Figure 12 - performance slowdown (%v update, ALLBB policy)", style)
+	return slowdownTable(title, names, scale, workers, build, onRow, func(p *isa.Program, c int) (uint64, error) {
+		return dbtCycles(p, techs[c], dbt.PolicyAllBB)
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	t.computeGeomeans()
-	return t, nil
 }
 
 // Figure14Table is the 2x3 geomean-slowdown table comparing the Jcc and
@@ -197,81 +184,39 @@ type Figure14Table struct {
 	Slowdown   [2][3]float64
 }
 
-// Figure14 measures geometric-mean slowdowns for both update styles.
-func Figure14(scale float64, workers int) (*Figure14Table, error) {
-	return figure14(scale, workers, nil, nil)
-}
-
-func figure14(scale float64, workers int, build buildFn, onRow func(style string, r SlowdownRow)) (*Figure14Table, error) {
-	out := &Figure14Table{
-		Techniques: []string{"RCF", "EdgCF", "ECF"},
-		Styles:     []string{"Jcc", "CMOVcc"},
-	}
+// Figure14 measures geometric-mean slowdowns for both update styles: the
+// Figure 12 measurement once per style. onRow, when non-nil, receives
+// each row with its style's name.
+func Figure14(scale float64, workers int, build buildFn, onRow func(style string, r SlowdownRow)) (*Figure14Table, error) {
+	out := &Figure14Table{Styles: []string{"Jcc", "CMOVcc"}}
 	for si, style := range []dbt.UpdateStyle{dbt.UpdateJcc, dbt.UpdateCmov} {
-		techs := check.DBTTechniques(style)
 		var rowHook func(SlowdownRow)
 		if onRow != nil {
 			name := out.Styles[si]
 			rowHook = func(r SlowdownRow) { onRow(name, r) }
 		}
-		rows, err := slowdownRows(scale, workers, build, rowHook, func(p *isa.Program, base uint64) ([]float64, error) {
-			var slow []float64
-			for _, tc := range techs {
-				c, err := dbtCycles(p, tc, dbt.PolicyAllBB)
-				if err != nil {
-					return nil, err
-				}
-				slow = append(slow, float64(c)/float64(base))
-			}
-			return slow, nil
-		})
+		t, err := techniqueSlowdowns(style, scale, workers, build, rowHook)
 		if err != nil {
 			return nil, err
 		}
-		for ti := range techs {
-			var all []float64
-			for _, row := range rows {
-				all = append(all, row.Slowdown[ti])
-			}
-			out.Slowdown[si][ti] = Geomean(all)
-		}
+		out.Techniques = t.Configs
+		copy(out.Slowdown[si][:], t.GeoAll)
 	}
 	return out, nil
 }
 
 // Figure15 measures the RCF technique under the four signature checking
-// policies.
-func Figure15(scale float64, workers int) (*SlowdownTable, error) {
-	return figure15(scale, workers, nil, nil)
-}
-
-func figure15(scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
+// policies. build and onRow may be nil.
+func Figure15(scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
 	pols := dbt.Policies()
 	names := make([]string, len(pols))
 	for i, pol := range pols {
 		names[i] = pol.String()
 	}
-	t := &SlowdownTable{
-		Title:   "Figure 15 - RCF slowdown under the checking policies",
-		Configs: names,
-	}
-	rows, err := slowdownRows(scale, workers, build, onRow, func(p *isa.Program, base uint64) ([]float64, error) {
-		var slow []float64
-		for _, pol := range pols {
-			c, err := dbtCycles(p, &check.RCF{Style: dbt.UpdateJcc}, pol)
-			if err != nil {
-				return nil, err
-			}
-			slow = append(slow, float64(c)/float64(base))
-		}
-		return slow, nil
+	title := "Figure 15 - RCF slowdown under the checking policies"
+	return slowdownTable(title, names, scale, workers, build, onRow, func(p *isa.Program, c int) (uint64, error) {
+		return dbtCycles(p, &check.RCF{Style: dbt.UpdateJcc}, pols[c])
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	t.computeGeomeans()
-	return t, nil
 }
 
 // BaselineRow reports the translator's own overhead for one benchmark.
@@ -284,12 +229,8 @@ type BaselineRow struct {
 }
 
 // DBTBaseline measures the uninstrumented translator against native
-// execution (the paper reports ~12% average).
-func DBTBaseline(scale float64, workers int) ([]BaselineRow, float64, error) {
-	return dbtBaseline(scale, workers, nil, nil)
-}
-
-func dbtBaseline(scale float64, workers int, build buildFn, onRow func(BaselineRow)) ([]BaselineRow, float64, error) {
+// execution (the paper reports ~12% average). build and onRow may be nil.
+func DBTBaseline(scale float64, workers int, build buildFn, onRow func(BaselineRow)) ([]BaselineRow, float64, error) {
 	profs := workloads.All()
 	rows := make([]BaselineRow, len(profs))
 	bf := buildOrDefault(build)

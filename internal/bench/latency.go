@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/dbt"
 	"repro/internal/inject"
-	"repro/internal/par"
-	"repro/internal/workloads"
 
 	"repro/internal/check"
 )
@@ -25,61 +23,37 @@ type PolicyRow struct {
 	SDCs        int
 }
 
-// PolicyLatency measures RCF under all four policies: slowdown over the
-// whole suite, coverage/latency from injection campaigns on a workload
-// subset. workers fans the per-benchmark runs and shards the campaigns;
-// ckptInterval selects the campaign engine (0 replay, -1 auto-sized
-// checkpointing, >0 explicit interval) without changing any number.
-func PolicyLatency(scale float64, samples int, seed int64, workers int, ckptInterval int64) ([]PolicyRow, error) {
+// PolicyLatency measures RCF under all four policies: the slowdown is
+// Figure 15's suite geomean at the same scale, coverage and latency come
+// from injection campaigns on a workload subset (at half the scale). opts
+// forwards to every campaign (Workers also fans Figure 15's
+// per-benchmark runs; CkptInterval selects the campaign engine without
+// changing any number); build may be nil.
+func PolicyLatency(ctx context.Context, scale float64, samples int, seed int64, opts inject.Options, build buildFn) ([]PolicyRow, error) {
+	fig15, err := Figure15(scale, opts.Workers, build, nil)
+	if err != nil {
+		return nil, err
+	}
+	bf := buildOrDefault(build)
 	campaignLoads := []string{"164.gzip", "183.equake"}
 	var rows []PolicyRow
-	for _, pol := range dbt.Policies() {
-		row := PolicyRow{Policy: pol}
-
-		// Slowdown across the full suite.
-		profs := workloads.All()
-		ratios := make([]float64, len(profs))
-		err := par.ForEach(len(profs), workers, func(i int) error {
-			p, err := profs[i].Build(scale)
-			if err != nil {
-				return err
-			}
-			base, err := dbtCycles(p, nil, dbt.PolicyAllBB)
-			if err != nil {
-				return err
-			}
-			c, err := dbtCycles(p, &check.RCF{Style: dbt.UpdateJcc}, pol)
-			if err != nil {
-				return err
-			}
-			ratios[i] = float64(c) / float64(base)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Slowdown = Geomean(ratios)
-
-		// Coverage and latency from injection.
+	for i, pol := range dbt.Policies() {
+		row := PolicyRow{Policy: pol, Slowdown: fig15.GeoAll[i]}
 		var latSum uint64
 		var latN int
 		var detected, errs int
 		for _, n := range campaignLoads {
-			prof, err := workloads.ByName(n)
+			p, err := bf(n, scale/2)
 			if err != nil {
 				return nil, err
 			}
-			p, err := prof.Build(scale / 2)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := inject.Execute(context.Background(), p, inject.Config{
+			rep, err := inject.Execute(ctx, p, inject.Config{
 				Technique: &check.RCF{Style: dbt.UpdateCmov},
 				Policy:    pol,
 				Samples:   samples,
 				Seed:      seed,
 				MaxSteps:  20_000_000,
-				Options:   inject.Options{Workers: workers, CkptInterval: ckptInterval},
+				Options:   opts,
 			})
 			if err != nil {
 				return nil, err

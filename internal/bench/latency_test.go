@@ -1,14 +1,16 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/dbt"
+	"repro/internal/inject"
 )
 
 func TestPolicyLatencyShape(t *testing.T) {
-	rows, err := PolicyLatency(0.1, 120, 21, 2, -1)
+	rows, err := PolicyLatency(context.Background(), 0.1, 120, 21, inject.Options{Workers: 2, CkptInterval: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

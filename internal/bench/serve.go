@@ -12,8 +12,8 @@ import (
 )
 
 // BenchRequest is the POST /v1/bench body. Every field is optional: an
-// empty body runs the default suite (scale 0.05, 200 coverage samples,
-// all figures).
+// empty body runs the default suite (scale 0.05, 200 campaign samples,
+// DefaultSuiteFigures).
 type BenchRequest struct {
 	Scale   float64  `json:"scale"`
 	Samples int      `json:"samples"`
@@ -22,12 +22,15 @@ type BenchRequest struct {
 	Figures []string `json:"figures"`
 }
 
-// validate rejects out-of-range suite parameters before any work starts,
-// against the serve mux's shared bounds: one unauthenticated POST must
-// not be able to pin the server on an arbitrarily large run. Full-scale
-// (1.0) figures belong to cfc-bench batch runs on the machine's own
-// terms.
+// validate rejects unknown figures and out-of-range suite parameters
+// before any work starts, against the serve mux's shared bounds: one
+// unauthenticated POST must not be able to pin the server on an
+// arbitrarily large run. Full-scale (1.0) figures belong to cfc-bench
+// batch runs on the machine's own terms.
 func (r BenchRequest) validate(limits session.Limits) error {
+	if err := CheckFigures(r.Figures); err != nil {
+		return err
+	}
 	if err := limits.CheckSamples(r.Samples); err != nil {
 		return err
 	}
@@ -102,7 +105,7 @@ func Handler(srv *session.Server) http.Handler {
 			}
 			return nil
 		})
-		// Errors after the first frame ride the stream as an "error"
+		// A figure that fails mid-run rides the stream as an "error"
 		// frame; the status line is already committed.
 	})
 }

@@ -2,12 +2,15 @@ package bench
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/workloads"
@@ -158,8 +161,9 @@ func TestBenchHandlerRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestBenchHandlerUnknownFigure: a bad figure name aborts with an error
-// frame on the stream (headers are already committed).
+// TestBenchHandlerUnknownFigure: a bad figure name is a 400 before any
+// work, wherever it stands in the list — not an error frame after the
+// figures before it have run.
 func TestBenchHandlerUnknownFigure(t *testing.T) {
 	metrics := obs.NewRegistry()
 	reg := session.NewRegistry(session.Config{Metrics: metrics})
@@ -167,17 +171,63 @@ func TestBenchHandlerUnknownFigure(t *testing.T) {
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL, "application/json",
-		strings.NewReader(`{"figures":["nope"]}`))
+	for _, body := range []string{`{"figures":["nope"]}`, `{"figures":["dbt","nope"]}`} {
+		resp, err := http.Post(ts.URL, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "unknown figure") {
+			t.Errorf("%s: status %s, body %q; want 400 naming the unknown figure", body, resp.Status, raw)
+		}
+	}
+	if snap := metrics.Snapshot(); len(snap.Spans) != 0 {
+		t.Errorf("rejected requests ran figures: spans %v", snap.Spans)
+	}
+}
+
+// TestSuiteServesCampaignFigures: the dfc and latency figures run through
+// the suite like the others — a start frame, one row per configuration
+// or policy, and the same table their generators format.
+func TestSuiteServesCampaignFigures(t *testing.T) {
+	const scale, samples, seed = 0.04, 40, 3
+	opts := inject.Options{Workers: 2, CkptInterval: -1}
+	tables := map[string]string{}
+	rows := map[string]int{}
+	err := RunSuite(context.Background(), SuiteConfig{
+		Scale: scale, Samples: samples, Seed: seed,
+		Figures: []string{"dfc", "latency"}, Options: opts,
+	}, func(f SuiteFrame) error {
+		switch f.Kind {
+		case "row":
+			rows[f.Figure]++
+		case "table":
+			tables[f.Figure] = f.Text
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var f SuiteFrame
-	if err := json.NewDecoder(resp.Body).Decode(&f); err != nil {
+	reports, err := DataFlowCoverage(context.Background(), scale, samples, seed, opts, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Kind != "error" || !strings.Contains(f.Error, "unknown figure") {
-		t.Errorf("frame %+v, want error frame", f)
+	policies, err := PolicyLatency(context.Background(), scale, samples, seed, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows["dfc"] != 4 || rows["latency"] != 4 {
+		t.Errorf("rows %v, want 4 per figure", rows)
+	}
+	if want := FormatDataFlowCoverage(reports); tables["dfc"] != want {
+		t.Errorf("dfc table:\n%s\nwant:\n%s", tables["dfc"], want)
+	}
+	if want := FormatPolicyLatency(policies); tables["latency"] != want {
+		t.Errorf("latency table:\n%s\nwant:\n%s", tables["latency"], want)
 	}
 }

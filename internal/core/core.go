@@ -154,16 +154,6 @@ func AnalyzeErrors(p *isa.Program, maxSteps uint64) (*errmodel.Table, error) {
 	return errmodel.Analyze(p, maxSteps)
 }
 
-// Inject runs a randomized single-fault campaign under the DBT. workers
-// shards the samples across goroutines (0 means GOMAXPROCS, overriding
-// c.Options.Workers); the report is bit-identical for every worker count.
-// It is InjectCtx with a background context — kept one release for
-// compatibility; new code calls InjectCtx.
-func Inject(p *isa.Program, c Config, samples int, seed int64, workers int) (*inject.Report, error) {
-	c.Workers = workers
-	return InjectCtx(context.Background(), p, c, samples, seed)
-}
-
 // InjectCtx runs a randomized single-fault campaign under the DBT,
 // honoring ctx for cancellation. Execution knobs (Workers, CkptInterval,
 // Metrics, ...) come from c.Options; the report is bit-identical for
@@ -183,14 +173,9 @@ func InjectCtx(ctx context.Context, p *isa.Program, c Config, samples int, seed 
 
 // VerifyScheme model-checks a technique's signature algebra against the
 // paper's sufficient and necessary conditions on a representative graph
-// (Section 4). Valid names: EdgCF, RCF, ECF, CFCSS, ECCA.
-func VerifyScheme(name string) (sig.Result, error) {
-	return VerifySchemeObs(name, nil)
-}
-
-// VerifySchemeObs is VerifyScheme with observability: explored-state and
-// check-verdict counters on reg (which may be nil).
-func VerifySchemeObs(name string, reg *obs.Registry) (sig.Result, error) {
+// (Section 4), counting explored states and check verdicts on reg (which
+// may be nil). Valid names: EdgCF, RCF, ECF, CFCSS, ECCA.
+func VerifyScheme(name string, reg *obs.Registry) (sig.Result, error) {
 	g := &sig.Graph{Succs: [][]sig.BlockID{{1}, {2}, {1, 3}, {0, 4}, {}}}
 	var scheme sig.Scheme
 	switch strings.ToLower(name) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cpu"
@@ -85,14 +86,14 @@ func TestAnalyzeAndInjectFacade(t *testing.T) {
 	if tab.Total == 0 {
 		t.Error("no fault sites")
 	}
-	rep, err := Inject(p, Config{Technique: "EdgCF", Style: "CMOVcc"}, 40, 1, 2)
+	rep, err := InjectCtx(context.Background(), p, Config{Technique: "EdgCF", Style: "CMOVcc", Options: Options{Workers: 2}}, 40, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Totals.Total == 0 {
 		t.Error("no faults fired")
 	}
-	if _, err := Inject(p, Config{Technique: "zzz"}, 1, 1, 1); err == nil {
+	if _, err := InjectCtx(context.Background(), p, Config{Technique: "zzz"}, 1, 1); err == nil {
 		t.Error("bad config should fail")
 	}
 }
@@ -101,7 +102,7 @@ func TestVerifySchemeFacade(t *testing.T) {
 	for name, wantSufficient := range map[string]bool{
 		"EdgCF": true, "RCF": true, "ECF": false, "CFCSS": false, "ECCA": false,
 	} {
-		res, err := VerifyScheme(name)
+		res, err := VerifyScheme(name, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestVerifySchemeFacade(t *testing.T) {
 			t.Errorf("%s: sufficient = %v, want %v", name, res.Sufficient, wantSufficient)
 		}
 	}
-	if _, err := VerifyScheme("zork"); err == nil {
+	if _, err := VerifyScheme("zork", nil); err == nil {
 		t.Error("unknown scheme should fail")
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/comp"
@@ -30,8 +31,8 @@ func FuzzDecodeEntry(f *testing.F) {
 	c := New("")
 	if _, _, err := c.Run(k, obs.NewRegistry(), func(m *obs.Registry) (*inject.Report, error) {
 		cfg := core.Config{Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB"}
-		cfg.CkptInterval, cfg.Metrics = -1, m
-		return core.Inject(p, cfg, testSamples, testSeed, 1)
+		cfg.Workers, cfg.CkptInterval, cfg.Metrics = 1, -1, m
+		return core.InjectCtx(context.Background(), p, cfg, testSamples, testSeed)
 	}); err != nil {
 		f.Fatal(err)
 	}

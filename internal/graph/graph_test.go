@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -329,7 +330,7 @@ func TestWorkerCountInvariantCells(t *testing.T) {
 		_, cached, err := New(dir).Run(k, reg, func(m *obs.Registry) (*inject.Report, error) {
 			cfg := core.Config{Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB"}
 			cfg.Workers, cfg.CkptInterval, cfg.Metrics = w, -1, m
-			return core.Inject(p, cfg, testSamples, testSeed, w)
+			return core.InjectCtx(context.Background(), p, cfg, testSamples, testSeed)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -254,8 +254,6 @@ type Config struct {
 	MaxSteps uint64
 	// KeepRecords retains every Record in the Report.
 	KeepRecords bool
-	// TraceThreshold forwards to the DBT options.
-	TraceThreshold int
 	// RegFaults switches the campaign to register-bit (data) faults: one
 	// bit of a random guest register flips at a random machine step. These
 	// are the faults the data-flow checking transform targets; the
@@ -359,11 +357,10 @@ const warmRunCap = 32
 func Warm(p *isa.Program, cfg Config) (*dbt.Snapshot, *dbt.Result, error) {
 	cfg.applyDefaults()
 	d := dbt.New(p, dbt.Options{
-		Technique:      cfg.Technique,
-		Policy:         cfg.Policy,
-		TraceThreshold: cfg.TraceThreshold,
-		Body:           cfg.Body,
-		Backend:        cfg.Backend,
+		Technique: cfg.Technique,
+		Policy:    cfg.Policy,
+		Body:      cfg.Body,
+		Backend:   cfg.Backend,
 	})
 	clean := d.Run(nil, cfg.MaxSteps)
 	if clean.Stop.Reason != cpu.StopHalt {

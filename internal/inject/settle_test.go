@@ -83,7 +83,9 @@ var tableConfigs = []struct {
 
 // The site table costs at most 4 bytes per dynamic branch, resident and
 // encoded, over the fleet benchmark's configurations; the resident
-// figure counts each point's site offset too.
+// figure counts each point's site offset too. Each of those logs must
+// also be one the campaign settles from: non-structural, untruncated,
+// and recorded over the code the samples start from.
 func TestSiteTableBytesPerBranch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records fifteen reference runs")
@@ -100,6 +102,7 @@ func TestSiteTableBytesPerBranch(t *testing.T) {
 		}
 		cfg := inject.Config{Policy: c.policy}
 		var log *ckpt.Log
+		var codeLen int
 		if c.technique == "CFCSS" {
 			if p, err = check.InstrumentStatic(p, check.StaticCFCSS); err != nil {
 				t.Fatal(err)
@@ -112,6 +115,7 @@ func TestSiteTableBytesPerBranch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			codeLen = len(p.Code)
 		} else {
 			if cfg.Technique, err = check.New(c.technique, c.style); err != nil {
 				t.Fatal(err)
@@ -124,6 +128,11 @@ func TestSiteTableBytesPerBranch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			codeLen = len(snap.Code())
+		}
+		if log.FinalPrefix.Structural() || log.Truncated || int(log.CodeLen) != codeLen {
+			t.Errorf("%s %s/%v/%v: structural %v, truncated %v, code length %d of %d: campaigns cannot settle from its site table",
+				c.workload, c.technique, c.style, c.policy, log.FinalPrefix.Structural(), log.Truncated, log.CodeLen, codeLen)
 		}
 		n := log.Final.DirectBranches
 		t.Logf("%s %s/%v/%v: %d branches, %.2f bytes each", c.workload, c.technique, c.style, c.policy,
