@@ -33,6 +33,23 @@ func TestBuilderBasic(t *testing.T) {
 	}
 }
 
+// Build hands out code without append's spare capacity: programs live as
+// long as the sessions that run them.
+func TestBuildCodeHasNoSpareCapacity(t *testing.T) {
+	b := NewBuilder("long")
+	for i := 0; i < 1000; i++ {
+		b.AddI(isa.EAX, 1)
+	}
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Code) != 1002 || cap(p.Code) != len(p.Code) {
+		t.Errorf("code len %d, cap %d; want 1002 and no spare capacity", len(p.Code), cap(p.Code))
+	}
+}
+
 func TestBuilderForwardReference(t *testing.T) {
 	b := NewBuilder("fwd")
 	b.Jmp("end") // forward

@@ -179,9 +179,13 @@ func (b *Builder) Build() (*isa.Program, error) {
 			syms[b.labels[n]] = n
 		}
 	}
+	// Programs live as long as the sessions that run them: copy the code
+	// out of append's spare capacity into an exact-size slice.
+	code := make([]isa.Instr, len(b.code))
+	copy(code, b.code)
 	p := &isa.Program{
 		Name:      b.name,
-		Code:      b.code,
+		Code:      code,
 		Entry:     entry,
 		DataWords: b.dataWords,
 		Symbols:   syms,

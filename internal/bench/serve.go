@@ -3,8 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 
 	"repro/internal/core"
@@ -62,11 +60,11 @@ func Handler(srv *session.Server) http.Handler {
 			return
 		}
 		var req BenchRequest
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
-			return
+		if len(bytes.TrimSpace(raw)) > 0 {
+			if err := session.DecodeJSON(raw, &req); err != nil {
+				session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
+				return
+			}
 		}
 		if err := req.validate(srv.Limits); err != nil {
 			session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
@@ -92,7 +90,9 @@ func Handler(srv *session.Server) http.Handler {
 			Seed:     req.Seed,
 			Figures:  figures,
 			Sessions: srv.Registry,
-			Options:  core.Options{Metrics: srv.Metrics, Workers: req.Workers, Progress: batch.Tracker()},
+			// The checkpoint engine with automatic spacing, as cfc-bench runs
+			// the campaign figures.
+			Options: core.Options{Metrics: srv.Metrics, Workers: req.Workers, CkptInterval: -1, Progress: batch.Tracker()},
 		}, func(f SuiteFrame) error {
 			if i, ok := figureIndex[f.Figure]; ok {
 				batch.SetCampaign(i)

@@ -99,8 +99,8 @@ func TestBenchHandlerStreamsSuite(t *testing.T) {
 	}
 }
 
-// TestBenchHandlerRejectsBadBody: unknown fields are a 400 and an oversized
-// body a 413, not a stream.
+// TestBenchHandlerRejectsBadBody: unknown fields and data after the JSON
+// body are a 400 and an oversized body a 413, not a stream.
 func TestBenchHandlerRejectsBadBody(t *testing.T) {
 	metrics := obs.NewRegistry()
 	reg := session.NewRegistry(session.Config{Metrics: metrics})
@@ -113,6 +113,8 @@ func TestBenchHandlerRejectsBadBody(t *testing.T) {
 		want int
 	}{
 		{`{"bogus":1}`, http.StatusBadRequest},
+		{`{"figures":["dbt"]} x`, http.StatusBadRequest},
+		{`{"figures":["dbt"]}{}`, http.StatusBadRequest},
 		{`{"bogus":"` + strings.Repeat("x", session.MaxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -229,5 +231,36 @@ func TestSuiteServesCampaignFigures(t *testing.T) {
 	}
 	if want := FormatPolicyLatency(policies); tables["latency"] != want {
 		t.Errorf("latency table:\n%s\nwant:\n%s", tables["latency"], want)
+	}
+}
+
+// TestBenchHandlerRunsCheckpointEngine: served campaign figures run on the
+// checkpoint engine with automatic spacing, as cfc-bench runs them, so the
+// coverage table carries one engine line per technique.
+func TestBenchHandlerRunsCheckpointEngine(t *testing.T) {
+	metrics := obs.NewRegistry()
+	reg := session.NewRegistry(session.Config{Metrics: metrics})
+	srv := &session.Server{Registry: reg, Metrics: metrics}
+	ts := httptest.NewServer(Handler(srv))
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL, "application/json",
+		strings.NewReader(`{"scale":0.02,"samples":20,"workers":2,"figures":["coverage"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table string
+	for _, f := range decodeFrames(t, string(raw)) {
+		if f.Kind == "table" {
+			table = f.Text
+		}
+	}
+	if n := strings.Count(table, "\nengine: "); n != len(CoverageTechniques) {
+		t.Errorf("coverage table has %d engine lines, want %d:\n%s", n, len(CoverageTechniques), table)
 	}
 }

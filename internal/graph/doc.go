@@ -53,4 +53,17 @@
 // corruption (bad magic, checksum, framing, JSON — ErrCorrupt) from
 // staleness (clean decode, different fingerprint — ErrStale); both fall
 // back to recompute-and-rewrite. Writes go through a temp file + rename.
+//
+// # Memory budget
+//
+// Every cache keeps encoded entries in memory, in a least-recently-used
+// list bounded by a byte budget (memBudget, 8 MiB, about 1,600 cells of
+// 5 KiB). Store adds an entry at the hot end and evicts from the cold end
+// until the layer fits; a memory hit moves its entry to the hot end; a
+// disk hit is promoted into memory; an entry larger than the budget goes
+// to disk only. Evictions count into graph_cache_evictions_total next to
+// the hit, miss, stale and corrupt counters. The directory is not
+// bounded: it is the persistence tier. A cell evicted from memory still
+// hits from disk, and without a directory it is recomputed, byte for
+// byte, on its next request.
 package graph

@@ -36,7 +36,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	}); err != nil {
 		f.Fatal(err)
 	}
-	good := c.mem[k.fileName()]
+	good, _ := c.recall(k.fileName())
 	sections, err := frame.Open(cellMagic, good)
 	if err != nil {
 		f.Fatal(err)

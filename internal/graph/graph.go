@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"os"
@@ -146,20 +147,42 @@ type Entry struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// Cache is a content-keyed store of campaign cells: an in-memory layer
-// always, plus a directory when configured. The zero value is not usable;
-// a nil *Cache is valid and disables caching (Run always computes).
+// memBudget bounds the encoded bytes the memory layer keeps. An entry is
+// about 5 KiB (the 40-sample 197.parser RCF/Jcc/RET-BE cell at scale
+// 0.05 is 4,885 bytes: report JSON 937, normalized text 659, metrics
+// snapshot 3,088), so 8 MiB holds about 1,600 cells. It was sized against the fleet benchmark's replay window:
+// between a set-up answer and its first measured replay, one replica may
+// store the whole warm-up (633 fresh campaigns at --seconds 20) plus two
+// 96-request blocks, about 4 MiB; 8 MiB keeps 2x headroom over that.
+// The disk layer is not bounded.
+const memBudget = 8 << 20
+
+// Cache is a content-keyed store of campaign cells: a byte-bounded
+// in-memory layer with least-recently-used eviction always, plus an
+// unbounded directory when configured. A cell dropped from memory is
+// reloaded from disk, or recomputed byte for byte: every cell is a pure
+// function of its key. The zero value is not usable; a nil *Cache is
+// valid and disables caching (Run always computes).
 type Cache struct {
 	dir string // "" = memory-only
 
-	mu  sync.Mutex
-	mem map[string][]byte // encoded entries by file name
+	mu     sync.Mutex
+	budget int                      // memBudget; tests lower it
+	size   int                      // encoded bytes held in lru
+	lru    list.List                // *resident, most recently used first
+	mem    map[string]*list.Element // lru elements by file name
+}
+
+// resident is one encoded entry held in memory.
+type resident struct {
+	name string
+	raw  []byte
 }
 
 // New returns a cache persisting under dir ("" keeps entries in memory
 // only — hits survive the process, not a restart).
 func New(dir string) *Cache {
-	return &Cache{dir: dir, mem: map[string][]byte{}}
+	return &Cache{dir: dir, budget: memBudget, mem: map[string]*list.Element{}}
 }
 
 // Dir returns the persistence directory ("" when memory-only).
@@ -170,68 +193,116 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// count bumps a cache accounting counter.
-func count(m *obs.Registry, name string) {
-	if m != nil {
-		m.Counter(name).Add(1)
+// count bumps a cache accounting counter by n.
+func count(m *obs.Registry, name string, n int) {
+	if m != nil && n > 0 {
+		m.Counter(name).Add(uint64(n))
 	}
 }
 
-// Lookup returns the cached entry for k, or nil. A corrupt or stale
-// entry counts into metrics and misses; the caller recomputes and Store
-// overwrites it.
+// recall returns the encoded entry held in memory under name and marks
+// it most recently used.
+func (c *Cache) recall(name string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.mem[name]
+	if !ok {
+		return nil, false
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*resident).raw, true
+}
+
+// remember holds raw in memory under name as the most recently used
+// entry, replacing any older bytes, and evicts from the cold end until
+// the layer fits its budget. It returns the number of entries evicted.
+// An entry larger than the whole budget is not held at all.
+func (c *Cache) remember(name string, raw []byte) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.mem[name]; ok {
+		c.drop(el)
+	}
+	if len(raw) > c.budget {
+		return 0
+	}
+	c.mem[name] = c.lru.PushFront(&resident{name: name, raw: raw})
+	c.size += len(raw)
+	evicted := 0
+	for c.size > c.budget {
+		c.drop(c.lru.Back())
+		evicted++
+	}
+	return evicted
+}
+
+// drop removes one element from the memory layer. c.mu must be held.
+func (c *Cache) drop(el *list.Element) {
+	r := c.lru.Remove(el).(*resident)
+	delete(c.mem, r.name)
+	c.size -= len(r.raw)
+}
+
+// Lookup returns the cached entry for k, or nil. A memory hit becomes
+// the most recently used entry; a disk hit is promoted into memory. A
+// corrupt or stale entry counts into metrics and misses; the caller
+// recomputes and Store overwrites it.
 func (c *Cache) Lookup(k CellKey, metrics *obs.Registry) *Entry {
 	if c == nil {
 		return nil
 	}
 	name := k.fileName()
-	want := k.Fingerprint()
-	c.mu.Lock()
-	raw, ok := c.mem[name]
-	c.mu.Unlock()
-	if !ok && c.dir != "" {
+	raw, inMem := c.recall(name)
+	if !inMem {
+		if c.dir == "" {
+			return nil
+		}
 		b, err := os.ReadFile(filepath.Join(c.dir, name))
 		if err != nil {
 			return nil
 		}
-		raw, ok = b, true
+		raw = b
 	}
-	if !ok {
-		return nil
-	}
-	e, err := decodeEntry(raw, want)
+	e, err := decodeEntry(raw, k.Fingerprint())
 	if err != nil {
 		if errors.Is(err, errStaleEntry) {
-			count(metrics, "graph_cache_stale_total")
+			count(metrics, "graph_cache_stale_total", 1)
 		} else {
-			count(metrics, "graph_cache_corrupt_total")
+			count(metrics, "graph_cache_corrupt_total", 1)
 		}
 		return nil
+	}
+	if !inMem {
+		count(metrics, "graph_cache_evictions_total", c.remember(name, raw))
 	}
 	return e
 }
 
-// Store encodes and saves the entry under k, in memory and — when a
-// directory is configured — on disk via temp file + rename, best effort:
-// a read-only or full disk degrades to memory-only, never to an error.
+// Store encodes and saves the entry under k: in memory, within the
+// layer's budget, and, when a directory is configured, on disk.
 func (c *Cache) Store(k CellKey, e *Entry) {
+	c.store(k, e)
+}
+
+// store is Store reporting how many entries the memory layer evicted.
+// The disk write goes through temp file + rename, best effort: a
+// read-only or full disk degrades to memory-only, never to an error.
+func (c *Cache) store(k CellKey, e *Entry) int {
 	if c == nil {
-		return
+		return 0
 	}
 	raw := encodeEntry(e, k.Fingerprint())
 	name := k.fileName()
-	c.mu.Lock()
-	c.mem[name] = raw
-	c.mu.Unlock()
+	evicted := c.remember(name, raw)
 	if c.dir == "" {
-		return
+		return evicted
 	}
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return
+		return evicted
 	}
 	tmp, err := os.CreateTemp(c.dir, ".cell-*")
 	if err != nil {
-		return
+		return evicted
 	}
 	_, err = tmp.Write(raw)
 	if cerr := tmp.Close(); err == nil {
@@ -243,6 +314,7 @@ func (c *Cache) Store(k CellKey, e *Entry) {
 	if err != nil {
 		os.Remove(tmp.Name())
 	}
+	return evicted
 }
 
 // Run resolves one cell: a hit returns the cached normalized report
@@ -264,12 +336,12 @@ func (c *Cache) Run(k CellKey, metrics *obs.Registry,
 		metrics.RecordSpan(fmt.Sprintf("graph_cell_lookup{technique=%q}", k.Technique), time.Since(start))
 	}
 	if e != nil {
-		count(metrics, "graph_cache_hits_total")
+		count(metrics, "graph_cache_hits_total", 1)
 		metrics.Merge(e.Metrics)
 		return e.Report, true, nil
 	}
-	count(metrics, "graph_cache_misses_total")
-	count(metrics, "graph_cells_executed_total")
+	count(metrics, "graph_cache_misses_total", 1)
+	count(metrics, "graph_cells_executed_total", 1)
 	priv := obs.NewRegistry()
 	rep, err := compute(priv)
 	if err != nil {
@@ -283,10 +355,11 @@ func (c *Cache) Run(k CellKey, metrics *obs.Registry,
 	stored := *rep
 	stored.Workers = 0
 	stored.Elapsed = 0
-	c.Store(k, &Entry{
+	evicted := c.store(k, &Entry{
 		Report:     &stored,
 		Normalized: inject.FormatNormalized(rep),
 		Metrics:    full.StripTimings(),
 	})
+	count(metrics, "graph_cache_evictions_total", evicted)
 	return rep, false, nil
 }

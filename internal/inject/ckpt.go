@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ckpt"
@@ -94,17 +95,44 @@ func sitePoint(l *ckpt.Log, f *cpu.Fault) int {
 // order and its replayer applies every page delta at most once, its site
 // reader decodes every table entry about once, and no worker idles while
 // another still holds unclaimed samples.
+//
+// The (site, index) pairs sort by value: packed into order itself (site
+// high, index low) when the largest site leaves room for the index bits,
+// as structs otherwise.
 func orderBySite(sites []uint64) []int {
 	order := make([]int, len(sites))
-	for i := range order {
-		order[i] = i
+	shift := bits.Len(uint(len(sites)))
+	var top uint64
+	for _, s := range sites {
+		top = max(top, s)
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(sites[a], sites[b]); c != 0 {
+	if bits.Len64(top)+shift < bits.UintSize {
+		for i, s := range sites {
+			order[i] = int(s<<shift) | i
+		}
+		slices.Sort(order)
+		for i := range order {
+			order[i] &= 1<<shift - 1
+		}
+		return order
+	}
+	type pair struct {
+		site  uint64
+		index int
+	}
+	pairs := make([]pair, len(sites))
+	for i, s := range sites {
+		pairs[i] = pair{s, i}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(a.site, b.site); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(a.index, b.index)
 	})
+	for i, p := range pairs {
+		order[i] = p.index
+	}
 	return order
 }
 

@@ -3,7 +3,10 @@ package inject
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/check"
@@ -189,6 +192,32 @@ func TestCkptCampaignWorkerCountInvariance(t *testing.T) {
 			if tel != wantTel {
 				t.Errorf("%s workers=%d: engine telemetry or metrics differ from serial\n got: %+v\nwant: %+v",
 					s.workload, w, tel, wantTel)
+			}
+		}
+	}
+}
+
+// orderBySite sorts by site with ties in sample order, on both of its
+// paths: packed keys for sites that leave room for the index bits, pairs
+// for sites that do not.
+func TestOrderBySite(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, top := range []uint64{1, 50, 1 << 40, 1 << 53, 1 << 54, 1<<64 - 1} {
+		for _, n := range []int{0, 1, 2, 7, 1000} {
+			sites := make([]uint64, n)
+			for i := range sites {
+				sites[i] = rng.Uint64() % top
+				if i%3 == 0 {
+					sites[i] = top - 1 // ties, and the largest site
+				}
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return sites[want[a]] < sites[want[b]] })
+			if got := orderBySite(sites); !slices.Equal(got, want) {
+				t.Errorf("top %d, %d sites: order %v, want %v", top, n, got, want)
 			}
 		}
 	}

@@ -16,6 +16,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,7 +138,8 @@ func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*injec
 // Config parameterizes a Registry.
 type Config struct {
 	// MaxSessions bounds the warm set; the least recently used session is
-	// evicted when a build would exceed it. <= 0 means unbounded.
+	// evicted when a build would exceed it. It bounds the built programs
+	// (one per workload and scale) the same way. <= 0 means unbounded.
 	MaxSessions int
 	// MaxSteps bounds every clean and reference run (0 =
 	// inject.DefaultMaxSteps).
@@ -170,10 +172,11 @@ type Registry struct {
 	// apart from plain readiness.
 	restoring atomic.Int64
 
-	mu       sync.Mutex
-	sessions map[Key]*entry
-	order    []Key // LRU, least recently used first
-	programs map[progKey]*progEntry
+	mu        sync.Mutex
+	sessions  map[Key]*entry
+	order     []Key // LRU, least recently used first
+	programs  map[progKey]*progEntry
+	progOrder []progKey // LRU, least recently used first
 }
 
 type entry struct {
@@ -219,7 +222,7 @@ func (r *Registry) count(name string) {
 func (r *Registry) Session(ctx context.Context, k Key) (*Session, error) {
 	r.mu.Lock()
 	if e, ok := r.sessions[k]; ok {
-		r.touchLocked(k)
+		r.order = touch(r.order, k)
 		r.mu.Unlock()
 		select {
 		case <-e.ready:
@@ -246,7 +249,7 @@ func (r *Registry) Session(ctx context.Context, k Key) (*Session, error) {
 		r.mu.Lock()
 		if r.sessions[k] == e {
 			delete(r.sessions, k)
-			r.dropOrderLocked(k)
+			r.order = dropKey(r.order, k)
 		}
 		r.mu.Unlock()
 	}
@@ -323,19 +326,37 @@ func (r *Registry) Validate(k Key) error {
 	return err
 }
 
-// touchLocked moves k to the most-recently-used end.
-func (r *Registry) touchLocked(k Key) {
-	r.dropOrderLocked(k)
-	r.order = append(r.order, k)
+// touch moves k to the most-recently-used end of an LRU order.
+func touch[K comparable](order []K, k K) []K {
+	return append(dropKey(order, k), k)
 }
 
-func (r *Registry) dropOrderLocked(k Key) {
-	for i, o := range r.order {
-		if o == k {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			return
+// dropKey removes k from an LRU order.
+func dropKey[K comparable](order []K, k K) []K {
+	if i := slices.Index(order, k); i >= 0 {
+		return slices.Delete(order, i, i+1)
+	}
+	return order
+}
+
+// evictLRU deletes the least recently used entries of m, in order, until
+// m holds at most bound. Entries whose ready channel is still open (a
+// build in flight) are skipped. It returns the shortened
+// order and the number of entries evicted.
+func evictLRU[K comparable, E any](m map[K]E, order []K, bound int, ready func(E) chan struct{}) ([]K, int) {
+	evicted := 0
+	for i := 0; len(m) > bound && i < len(order); {
+		k := order[i]
+		select {
+		case <-ready(m[k]):
+			delete(m, k)
+			order = slices.Delete(order, i, i+1)
+			evicted++
+		default:
+			i++ // in flight; try the next oldest
 		}
 	}
+	return order, evicted
 }
 
 // evictLocked drops least-recently-used completed sessions until the warm
@@ -344,17 +365,10 @@ func (r *Registry) evictLocked() {
 	if r.cfg.MaxSessions <= 0 {
 		return
 	}
-	for i := 0; len(r.sessions) > r.cfg.MaxSessions && i < len(r.order); {
-		k := r.order[i]
-		e := r.sessions[k]
-		select {
-		case <-e.ready:
-			delete(r.sessions, k)
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			r.count("session_evictions_total")
-		default:
-			i++ // in flight; try the next oldest
-		}
+	var n int
+	r.order, n = evictLRU(r.sessions, r.order, r.cfg.MaxSessions, func(e *entry) chan struct{} { return e.ready })
+	for range n {
+		r.count("session_evictions_total")
 	}
 }
 
@@ -377,9 +391,12 @@ func (r *Registry) programEntry(workload string, scale float64) (*progEntry, err
 	pk := progKey{workload, scale}
 	r.mu.Lock()
 	pe, ok := r.programs[pk]
-	if !ok {
+	if ok {
+		r.progOrder = touch(r.progOrder, pk)
+	} else {
 		pe = &progEntry{ready: make(chan struct{})}
 		r.programs[pk] = pe
+		r.progOrder = append(r.progOrder, pk)
 	}
 	r.mu.Unlock()
 	if ok {
@@ -392,13 +409,19 @@ func (r *Registry) programEntry(workload string, scale float64) (*progEntry, err
 		pe.digest = sync.OnceValue(func() string { return fp.Program(prog) })
 	}
 	close(pe.ready)
-	if pe.err != nil {
-		r.mu.Lock()
-		if r.programs[pk] == pe {
-			delete(r.programs, pk)
-		}
-		r.mu.Unlock()
+	r.mu.Lock()
+	if pe.err != nil && r.programs[pk] == pe {
+		delete(r.programs, pk)
+		r.progOrder = dropKey(r.progOrder, pk)
 	}
+	// Evict once the build is done, not when it starts: builds in flight
+	// are never evicted, so the last of concurrent builds to finish is the
+	// one that can bring the table back within its bound.
+	if r.cfg.MaxSessions > 0 {
+		r.progOrder, _ = evictLRU(r.programs, r.progOrder, r.cfg.MaxSessions,
+			func(e *progEntry) chan struct{} { return e.ready })
+	}
+	r.mu.Unlock()
 	return pe, pe.err
 }
 

@@ -3,11 +3,13 @@ package session
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/comp"
 	"repro/internal/core"
+	"repro/internal/fp"
 	"repro/internal/graph"
 	"repro/internal/inject"
 	"repro/internal/obs"
@@ -305,4 +307,138 @@ func TestCanceledBuildDoesNotPoisonKey(t *testing.T) {
 		t.Fatal("canceled build succeeded")
 	}
 	mustSession(t, r, k)
+}
+
+// A registry bounded by MaxSessions keeps at most that many built
+// programs, least recently used first, and campaigns at every scale stay
+// correct across the evictions; an unbounded registry keeps them all.
+func TestProgramTableBounded(t *testing.T) {
+	const seed = 7
+	scales := []float64{0.02, 0.03, 0.04, 0.02}
+	want := map[float64]string{}
+	for _, scale := range scales {
+		p, err := core.Workload(testWorkload, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.Config{Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB"}
+		cfg.Workers, cfg.CkptInterval = 1, -1
+		rep, err := core.InjectCtx(context.Background(), p, cfg, testSamples, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[scale] = inject.FormatNormalized(rep)
+	}
+	for _, tc := range []struct {
+		maxSessions, programs int
+	}{{2, 2}, {0, 3}} {
+		r := NewRegistry(Config{MaxSessions: tc.maxSessions})
+		for _, scale := range scales {
+			k := testKey("RCF", -1)
+			k.Scale = scale
+			rep, _, err := r.RunCell(context.Background(), k, Spec{Samples: testSamples, Seed: seed}, core.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := inject.FormatNormalized(rep); got != want[scale] {
+				t.Errorf("MaxSessions %d, scale %v: report differs from a cold run\n got:\n%s\nwant:\n%s",
+					tc.maxSessions, scale, got, want[scale])
+			}
+		}
+		r.mu.Lock()
+		programs, order := len(r.programs), len(r.progOrder)
+		r.mu.Unlock()
+		if programs != tc.programs || order != programs {
+			t.Errorf("MaxSessions %d: %d programs (%d in LRU order), want %d",
+				tc.maxSessions, programs, order, tc.programs)
+		}
+	}
+}
+
+// A cell evicted from the cell cache's memory layer recomputes a
+// byte-identical report, and the recompute is stored again: the request
+// after it is a hit.
+func TestEvictedCellRecomputes(t *testing.T) {
+	r := NewRegistry(Config{Graph: graph.New("")})
+	k := testKey("RCF", -1)
+	spec := Spec{Samples: testSamples, Seed: 7}
+	run := func(wantCached bool) string {
+		t.Helper()
+		rep, cached, err := r.RunCell(context.Background(), k, spec, core.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached != wantCached {
+			t.Fatalf("cached = %v, want %v", cached, wantCached)
+		}
+		return inject.FormatNormalized(rep)
+	}
+	first := run(false)
+
+	// Crowd the cell out with 1 MiB entries under other seeds, twice as
+	// many each round: a probe that still hits makes the cell the most
+	// recently used again.
+	ck, err := r.cellKey(k, spec, comp.BackendAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := &graph.Entry{Report: &inject.Report{}, Normalized: strings.Repeat("x", 1<<20)}
+	other := ck
+	for n := 1; r.Graph().Lookup(ck, nil) != nil; n *= 2 {
+		if n > 64 {
+			t.Fatal("127 MiB of other cells did not evict the cell")
+		}
+		for range n {
+			other.Seed++
+			r.Graph().Store(other, pad)
+		}
+	}
+
+	if got := run(false); got != first {
+		t.Errorf("recomputed cell differs\n got:\n%s\nwant:\n%s", got, first)
+	}
+	if got := run(true); got != first {
+		t.Errorf("cell stored after the recompute differs\n got:\n%s\nwant:\n%s", got, first)
+	}
+}
+
+// Concurrent program lookups across more scales than a MaxSessions-bounded
+// table holds: every caller gets its own scale's program, and the table
+// ends within its bound. Run it under -race.
+func TestProgramTableConcurrent(t *testing.T) {
+	scales := []float64{0.01, 0.02, 0.03}
+	want := map[float64]string{}
+	for _, scale := range scales {
+		p, err := core.Workload(testWorkload, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[scale] = fp.Program(p)
+	}
+	r := NewRegistry(Config{MaxSessions: 1})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 6; n++ {
+				scale := scales[(g+n)%len(scales)]
+				p, err := r.Program(testWorkload, scale)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if fp.Program(p) != want[scale] {
+					t.Errorf("scale %v: got another scale's program", scale)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	r.mu.Lock()
+	programs, order := len(r.programs), len(r.progOrder)
+	r.mu.Unlock()
+	if programs != 1 || order != 1 {
+		t.Errorf("%d programs (%d in LRU order), want 1", programs, order)
+	}
 }
