@@ -18,4 +18,5 @@ func (s Stats) Publish(reg *obs.Registry, technique string) {
 	reg.Counter("comp_blocks_compiled_total" + l).Add(s.BlocksCompiled)
 	reg.Counter("comp_chain_hits_total" + l).Add(s.ChainHits)
 	reg.Counter("comp_trace_promotions_total" + l).Add(s.TracePromotions)
+	reg.Counter("comp_interpreted_steps_total" + l).Add(s.InterpretedSteps)
 }

@@ -42,8 +42,8 @@ func FormatReport(r *Report) string {
 	if c := r.Compiled; c.BlocksCompiled > 0 {
 		// Compiled-backend telemetry; elided when zero (the step
 		// backend) so FormatNormalized output is unchanged.
-		fmt.Fprintf(&b, "compiled: %d blocks, %d trace promotions, %d chain hits\n",
-			c.BlocksCompiled, c.TracePromotions, c.ChainHits)
+		fmt.Fprintf(&b, "compiled: %d blocks, %d trace promotions, %d chain hits, %d interpreted steps\n",
+			c.BlocksCompiled, c.TracePromotions, c.ChainHits, c.InterpretedSteps)
 	}
 	if r.ShortOffset+r.ShortLive+r.Rejoined > 0 {
 		// Engine telemetry; elided when zero so FormatNormalized output is

@@ -20,7 +20,7 @@ import (
 // END-policy shape, over three seeds; and both kinds must occur.
 func TestSettledSamplesMatchReplay(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs thirty 600-sample campaigns")
+		t.Skip("runs thirty-six 600-sample campaigns")
 	}
 	shapes := append(workShapes[:len(workShapes):len(workShapes)],
 		workShape{"164.gzip EdgCF/Jcc/END", "164.gzip", "EdgCF", dbt.UpdateJcc, dbt.PolicyEnd, 0})

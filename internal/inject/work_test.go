@@ -16,12 +16,13 @@ import (
 )
 
 // The work gate: fixed seeded checkpoint-engine campaigns on the fleet
-// benchmark's three bulk shapes and one interactive shape, compared with
+// benchmark's three bulk shapes and two interactive shapes, compared with
 // the committed baseline in testdata/work_baseline.json. Work counters are
 // host-independent and exact, so unlike wall-clock numbers they can be
 // gated on a plain `go test`: a change that makes any shape execute more
 // guest steps, execute more samples, short-circuit, settle or rejoin
-// fewer, or compile more blocks fails here. A change that does less work lowers the baseline in
+// fewer, compile more blocks or leave more steps to the interpreter
+// fails here. A change that does less work lowers the baseline in
 // the same change; the test logs the measured values to paste in.
 
 // workShape is one gated campaign configuration.
@@ -39,6 +40,7 @@ var workShapes = []workShape{
 	{"bulk 171.swim EdgCF/CMOVcc/RET-BE", "171.swim", "EdgCF", dbt.UpdateCmov, dbt.PolicyRetBE, 300},
 	{"bulk 181.mcf CFCSS/ALLBB", "181.mcf", "CFCSS", 0, dbt.PolicyAllBB, 300},
 	{"interactive 197.parser RCF/Jcc/RET-BE", "197.parser", "RCF", dbt.UpdateJcc, dbt.PolicyRetBE, 40},
+	{"interactive 176.gcc ECF/CMOVcc/END", "176.gcc", "ECF", dbt.UpdateCmov, dbt.PolicyEnd, 300},
 }
 
 // workCounts is one shape's measured work.
@@ -51,6 +53,9 @@ type workCounts struct {
 	Settled        int    `json:"settled"`
 	Rejoined       int    `json:"rejoined"`
 	CompiledBlocks uint64 `json:"compiled_blocks"`
+	// InterpretedSteps counts the steps the compiled backend left to the
+	// reference interpreter.
+	InterpretedSteps uint64 `json:"interpreted_steps"`
 }
 
 // campaign builds the shape's program (at the benchmark's scale 0.05)
@@ -102,18 +107,19 @@ func measureWork(t *testing.T, s workShape) workCounts {
 		t.Fatalf("%s: no ckpt_replayed_steps histogram", s.name)
 	}
 	return workCounts{
-		ExecutedSteps:  h.Sum,
-		Executed:       rep.Executed,
-		ShortCircuited: rep.ShortOffset + rep.ShortLive,
-		Settled:        rep.ShortOffset + rep.ShortLive + int(snap.Counters["ckpt_settled_traps_total"+label]),
-		Rejoined:       rep.Rejoined,
-		CompiledBlocks: rep.Compiled.BlocksCompiled,
+		ExecutedSteps:    h.Sum,
+		Executed:         rep.Executed,
+		ShortCircuited:   rep.ShortOffset + rep.ShortLive,
+		Settled:          rep.ShortOffset + rep.ShortLive + int(snap.Counters["ckpt_settled_traps_total"+label]),
+		Rejoined:         rep.Rejoined,
+		CompiledBlocks:   rep.Compiled.BlocksCompiled,
+		InterpretedSteps: rep.Compiled.InterpretedSteps,
 	}
 }
 
 func TestWorkGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("work gate runs four campaigns")
+		t.Skip("work gate runs five campaigns")
 	}
 	raw, err := os.ReadFile(filepath.Join("testdata", "work_baseline.json"))
 	if err != nil {
@@ -135,7 +141,7 @@ func TestWorkGate(t *testing.T) {
 		}
 		if got.ExecutedSteps > want.ExecutedSteps || got.Executed > want.Executed ||
 			got.ShortCircuited < want.ShortCircuited || got.Settled < want.Settled || got.Rejoined < want.Rejoined ||
-			got.CompiledBlocks > want.CompiledBlocks {
+			got.CompiledBlocks > want.CompiledBlocks || got.InterpretedSteps > want.InterpretedSteps {
 			t.Errorf("%s: more work than the baseline\n got: %+v\nwant: %+v", s.name, got, want)
 		}
 		lower = lower || got != want
