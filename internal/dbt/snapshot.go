@@ -154,11 +154,11 @@ func (s *Snapshot) NewDBT() *DBT {
 	}
 	if s.comp != nil {
 		// A per-clone view over the frozen compiled core: fresh stats, own
-		// disable flag, aliased onto the clone's cache (re-aliased at every
+		// retired set, aliased onto the clone's cache (re-aliased at every
 		// Advance, so it follows the clone's copy once it owns one). A
-		// clone that patches its cache under a compiled block disables its
-		// view and finishes on the interpreter; the shared core and every
-		// other sample are untouched.
+		// clone that patches its cache under compiled blocks retires just
+		// those for its own view and compiles the patched code privately;
+		// the shared core and every other sample are untouched.
 		d.comp = s.comp.Clone()
 		d.comp.Sync(d.cache)
 	}
