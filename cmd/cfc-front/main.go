@@ -4,13 +4,14 @@
 // configuration always land on the replica already holding that warm
 // session; per-tenant weighted-fair queues with bounded depth and
 // per-replica in-flight caps shed overload as 429 + Retry-After instead
-// of queueing without bound; and ?fanout=N splits one campaign into N
-// contiguous sample shards across replicas, merging the partial reports
+// of queueing without bound; and ?fanout=N splits one campaign into
+// contiguous sample shards across up to N replicas (never more shards
+// than ready replicas), merging the partial reports
 // (inject.MergeReports) into a record byte-identical to a single-server
 // run.
 //
 //	POST /v1/campaigns            route a batch to its home replica
-//	POST /v1/campaigns?fanout=N   shard each campaign over N replicas, merge
+//	POST /v1/campaigns?fanout=N   shard each campaign over up to N replicas, merge
 //	GET  /v1/replicas             ring membership and per-replica health
 //	GET  /v1/metrics              fleet-merged metrics snapshot (JSON)
 //	GET  /metrics                 fleet-merged Prometheus exposition

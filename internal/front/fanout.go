@@ -15,12 +15,15 @@ import (
 // record carrying its structured report.
 const maxShardReplyBytes = 16 << 20
 
-// fanoutCampaigns splits every campaign of the batch into n contiguous
-// sample shards, runs each shard on its own replica (the key's ring
-// owner first, then its successors, so shard 0 still rides the warm
-// home session), merges the shard reports with inject.MergeReports and
-// streams one record per campaign — the same wire shape, and a
-// byte-identical normalized report, as the unsharded single-server run.
+// fanoutCampaigns splits every campaign of the batch into contiguous
+// sample shards, one per replica of the up to n that Ring.Owners returns
+// (the key's ring owner first, then its successors, so shard 0 still
+// rides the warm home session), merges the shard reports with
+// inject.MergeReports and streams one record per campaign — the same
+// wire shape, and a byte-identical normalized report, as the unsharded
+// single-server run: sample seeds derive from the global index, so the
+// shard count never shows. X-Fanout reports the requested n and the
+// owners used.
 func (f *Front) fanoutCampaigns(w http.ResponseWriter, req *http.Request, body *session.Request, key string, n int) {
 	owners := f.Ring().Owners(key, n)
 	if len(owners) == 0 {
@@ -38,7 +41,7 @@ func (f *Front) fanoutCampaigns(w http.ResponseWriter, req *http.Request, body *
 
 	for i, spec := range body.Campaigns {
 		rec := session.RecordJSON{Index: i, Seed: spec.Seed, Samples: spec.Samples, SampleOffset: spec.SampleOffset}
-		rep, cached, err := f.runSharded(req, body, spec, owners, tenant, n)
+		rep, cached, err := f.runSharded(req, body, spec, owners, tenant)
 		if err != nil {
 			rec.Error = err.Error()
 		} else {
@@ -81,10 +84,10 @@ func shardSpecs(spec session.SpecJSON, n int) []session.SpecJSON {
 	return shards
 }
 
-// runSharded executes one campaign as shards across owners and merges.
+// runSharded executes one campaign as one shard per owner and merges.
 // Cached is true only when every shard answered from its graph cache.
-func (f *Front) runSharded(req *http.Request, body *session.Request, spec session.SpecJSON, owners []string, tenant string, n int) (*inject.Report, bool, error) {
-	shards := shardSpecs(spec, n)
+func (f *Front) runSharded(req *http.Request, body *session.Request, spec session.SpecJSON, owners []string, tenant string) (*inject.Report, bool, error) {
+	shards := shardSpecs(spec, len(owners))
 	if len(shards) == 0 {
 		// A zero-sample campaign still needs one (empty) run for its record.
 		shards = []session.SpecJSON{spec}
@@ -97,7 +100,7 @@ func (f *Front) runSharded(req *http.Request, body *session.Request, spec sessio
 	done := make(chan int, len(shards))
 	for i, sh := range shards {
 		go func(i int, sh session.SpecJSON) {
-			rec, err := f.runShard(req, body, sh, owners[i%len(owners)], tenant)
+			rec, err := f.runShard(req, body, sh, owners[i], tenant)
 			results[i] = result{rec, err}
 			done <- i
 		}(i, sh)
@@ -109,7 +112,7 @@ func (f *Front) runSharded(req *http.Request, body *session.Request, spec sessio
 	cached := true
 	for i, r := range results {
 		if r.err != nil {
-			return nil, false, fmt.Errorf("shard %d/%d on %s: %w", i, len(shards), owners[i%len(owners)], r.err)
+			return nil, false, fmt.Errorf("shard %d/%d on %s: %w", i, len(shards), owners[i], r.err)
 		}
 		parts[i] = r.rec.ReportStruct
 		cached = cached && r.rec.Cached

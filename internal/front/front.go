@@ -35,8 +35,8 @@ type Config struct {
 // Front is the fleet front door. One Front serves:
 //
 //	POST /v1/campaigns            route a batch to its home replica
-//	                              (?fanout=N shards each campaign over N
-//	                              replicas and merges, byte-identically)
+//	                              (?fanout=N shards each campaign over up
+//	                              to N replicas and merges, byte-identically)
 //	GET  /v1/replicas             per-replica health and ring membership
 //	GET  /v1/metrics              fleet-merged metrics snapshot (JSON)
 //	GET  /metrics                 fleet-merged Prometheus exposition
@@ -135,14 +135,15 @@ func (f *Front) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	var body session.Request
-	if err := session.DecodeJSON(raw, &body); err != nil {
+	// The replicas' own check, run before admission or any shard: a
+	// request they would refuse never takes a slot or starts a shard.
+	body, err := session.Limits{}.DecodeRequest(raw)
+	if err != nil {
 		session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	fanout := 1
 	if q := req.URL.Query().Get("fanout"); q != "" {
-		var err error
 		fanout, err = strconv.Atoi(q)
 		if err != nil || fanout < 1 {
 			session.WriteError(w, http.StatusBadRequest, "bad request: fanout %q", q)
@@ -182,6 +183,14 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 	}
 }
 
+// proxyBufs recycles proxy's 32 KiB copy buffers. ResponseWriter.Write
+// copies or writes through before it returns, so a buffer is free again
+// as soon as the stream ends.
+var proxyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
 // proxy forwards the batch to its home replica and streams the response
 // through unchanged — raw byte passthrough, flushed as it arrives, so
 // the client sees exactly the bytes the replica produced (the identity
@@ -208,7 +217,9 @@ func (f *Front) proxy(w http.ResponseWriter, req *http.Request, owner string, ra
 	w.Header().Set("X-Replica", owner)
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+	bp := proxyBufs.Get().(*[]byte)
+	defer proxyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,18 +22,25 @@ const (
 
 // replica is one in-process cfc-serve equivalent.
 type replica struct {
-	ts  *httptest.Server
-	srv *session.Server
-	reg *obs.Registry
+	ts    *httptest.Server
+	srv   *session.Server
+	reg   *obs.Registry
+	posts atomic.Int64 // campaign requests received
 }
 
 func newReplica(t *testing.T) *replica {
 	t.Helper()
 	reg := obs.NewRegistry()
-	srv := &session.Server{Registry: session.NewRegistry(session.Config{Metrics: reg}), Metrics: reg}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return &replica{ts: ts, srv: srv, reg: reg}
+	r := &replica{srv: &session.Server{Registry: session.NewRegistry(session.Config{Metrics: reg}), Metrics: reg}, reg: reg}
+	h := r.srv.Handler()
+	r.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPost && req.URL.Path == "/v1/campaigns" {
+			r.posts.Add(1)
+		}
+		h.ServeHTTP(w, req)
+	}))
+	t.Cleanup(r.ts.Close)
+	return r
 }
 
 // newFront builds a front over the replicas and settles its health view.
@@ -337,5 +345,91 @@ func TestFrontBoundsShardReply(t *testing.T) {
 	}
 	if !strings.Contains(rec.Error, "shard reply over") {
 		t.Errorf("record error = %q, want the shard-reply bound", rec.Error)
+	}
+}
+
+// A fan-out wider than the fleet runs one shard per ring owner: on two
+// replicas, ?fanout=2^62 posts one shard to each and answers the same
+// record as ?fanout=2 (sample seeds derive from the global index, so the
+// shard count never shows), and X-Fanout reports the request against the
+// two owners used.
+func TestFrontFanoutClampedToOwners(t *testing.T) {
+	reps := []*replica{newReplica(t), newReplica(t)}
+	_, ts := newFront(t, reps, Config{})
+	req := batchReq("RCF", session.SpecJSON{Seed: 5, Samples: 24})
+
+	var recs []session.RecordJSON
+	for _, fanout := range []string{"2", "4611686018427387904"} {
+		resp, out := postRaw(t, ts.URL+"/v1/campaigns?fanout="+fanout, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fanout=%s: %d: %s", fanout, resp.StatusCode, out)
+		}
+		if got, want := resp.Header.Get("X-Fanout"), fanout+"/2"; got != want {
+			t.Errorf("fanout=%s: X-Fanout %q, want %q", fanout, got, want)
+		}
+		var rec session.RecordJSON
+		if err := json.Unmarshal(out, &rec); err != nil || rec.Error != "" {
+			t.Fatalf("fanout=%s: record %q (%v)\n%s", fanout, rec.Error, err, out)
+		}
+		// The second request answers from the replicas' cell caches.
+		rec.ElapsedSec, rec.Cached = 0, false
+		recs = append(recs, rec)
+		for i, r := range reps {
+			if n := r.posts.Swap(0); n != 1 {
+				t.Errorf("fanout=%s: replica %d received %d shards, want 1", fanout, i, n)
+			}
+		}
+	}
+	if !reflect.DeepEqual(recs[0], recs[1]) {
+		t.Errorf("clamped fan-out record differs\n got: %+v\nwant: %+v", recs[1], recs[0])
+	}
+}
+
+// A request the replicas would refuse (here a sample count over
+// session.Limits) answers 400 at the front on every path, before any
+// shard starts: the replica sees no request.
+func TestFrontChecksLimitsBeforeShards(t *testing.T) {
+	var posts atomic.Int64
+	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+		posts.Add(1)
+		session.WriteError(w, http.StatusInternalServerError, "replica reached")
+	})
+	req := batchReq("RCF", session.SpecJSON{Seed: 1, Samples: session.DefaultMaxSamples + 1})
+	for _, path := range []string{"/v1/campaigns", "/v1/campaigns?fanout=2", "/v1/campaigns?fanout=4611686018427387904"} {
+		resp, out := postRaw(t, url+path, req)
+		var e session.ErrorJSON
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || !strings.Contains(e.Error, "samples") {
+			t.Errorf("%s: status %d, body %s; want 400 naming the sample limit", path, resp.StatusCode, out)
+		}
+	}
+	if n := posts.Load(); n != 0 {
+		t.Errorf("replica received %d posts, want 0", n)
+	}
+}
+
+// The proxy streams a reply spanning several of its copy buffers through
+// byte for byte, and again on later requests that reuse the buffers.
+func TestFrontProxyStreamsLargeBody(t *testing.T) {
+	body := make([]byte, 5*32<<10+123)
+	for i := range body {
+		body[i] = byte(i*7 + i>>9)
+	}
+	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		flusher := w.(http.Flusher)
+		for rest, n := body, 1000; len(rest) > 0; n *= 3 {
+			n = min(n, len(rest))
+			w.Write(rest[:n])
+			flusher.Flush()
+			rest = rest[n:]
+		}
+	})
+	req := batchReq("RCF", session.SpecJSON{Seed: 1, Samples: 4})
+	for i := 0; i < 3; i++ {
+		resp, out := postRaw(t, url+"/v1/campaigns", req)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(out, body) {
+			t.Fatalf("request %d: status %d, %d bytes; want 200 and the replica's %d bytes unchanged",
+				i, resp.StatusCode, len(out), len(body))
+		}
 	}
 }

@@ -243,16 +243,18 @@ func (r *Registry) Session(ctx context.Context, k Key) (*Session, error) {
 
 	e.sess, e.err = r.build(ctx, k)
 	close(e.ready)
-	if e.err != nil {
+	r.mu.Lock()
+	if e.err != nil && r.sessions[k] == e {
 		// A failed build must not poison the key forever (the failure may
 		// be a canceled context).
-		r.mu.Lock()
-		if r.sessions[k] == e {
-			delete(r.sessions, k)
-			r.order = dropKey(r.order, k)
-		}
-		r.mu.Unlock()
+		delete(r.sessions, k)
+		r.order = dropKey(r.order, k)
 	}
+	// Evict again once the build is done: builds in flight are never
+	// evicted, so concurrent first requests for more keys than the bound
+	// leave the warm set over it until the last of them finishes.
+	r.evictLocked()
+	r.mu.Unlock()
 	return e.sess, e.err
 }
 

@@ -92,6 +92,47 @@ func TestRegistryHitMissEviction(t *testing.T) {
 	}
 }
 
+// Concurrent first requests for more keys than MaxSessions: builds in
+// flight are never evicted, so the warm set overshoots while they run,
+// but it is back within its bound once they finish, and every campaign
+// reports what an unbounded registry reports. Run it under -race.
+func TestSessionWarmSetConcurrent(t *testing.T) {
+	techniques := []string{"none", "RCF", "ECF"}
+	spec := Spec{Samples: testSamples, Seed: 3}
+	run := func(r *Registry, tech string) (string, error) {
+		rep, _, err := r.RunCell(context.Background(), testKey(tech, -1), spec, core.Options{Workers: 1})
+		if err != nil {
+			return "", err
+		}
+		return inject.FormatNormalized(rep), nil
+	}
+	want := map[string]string{}
+	for _, tech := range techniques {
+		rep, err := run(NewRegistry(Config{}), tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[tech] = rep
+	}
+	r := NewRegistry(Config{MaxSessions: 1})
+	var wg sync.WaitGroup
+	for _, tech := range techniques {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := run(r, tech); err != nil {
+				t.Error(err)
+			} else if got != want[tech] {
+				t.Errorf("%s: report differs from an unbounded registry's\n got:\n%s\nwant:\n%s", tech, got, want[tech])
+			}
+		}()
+	}
+	wg.Wait()
+	if n := r.Len(); n > 1 {
+		t.Errorf("warm set holds %d sessions after the builds, want at most 1 (MaxSessions)", n)
+	}
+}
+
 // RunCell behind a graph cache: the first call computes through a session,
 // the second answers from the cache without touching the session layer,
 // and both render identically.
