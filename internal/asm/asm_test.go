@@ -10,10 +10,10 @@ import (
 func TestBuilderBasic(t *testing.T) {
 	b := NewBuilder("t")
 	b.MovI(isa.EAX, 3)
-	b.Label("loop")
+	b.Bind(b.Named("loop"))
 	b.SubI(isa.EAX, 1)
 	b.CmpI(isa.EAX, 0)
-	b.Jcc(isa.CondGT, "loop")
+	b.Jcc(isa.CondGT, b.Named("loop"))
 	b.Out(isa.EAX)
 	b.Halt()
 	p, err := b.Build()
@@ -52,9 +52,9 @@ func TestBuildCodeHasNoSpareCapacity(t *testing.T) {
 
 func TestBuilderForwardReference(t *testing.T) {
 	b := NewBuilder("fwd")
-	b.Jmp("end") // forward
+	b.Jmp(b.Named("end")) // forward
 	b.Nop()
-	b.Label("end")
+	b.Bind(b.Named("end"))
 	b.Halt()
 	p, err := b.Build()
 	if err != nil {
@@ -67,16 +67,16 @@ func TestBuilderForwardReference(t *testing.T) {
 
 func TestBuilderErrors(t *testing.T) {
 	b := NewBuilder("bad")
-	b.Jmp("nowhere")
+	b.Jmp(b.Named("nowhere"))
 	b.Halt()
 	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "undefined label") {
 		t.Errorf("want undefined label error, got %v", err)
 	}
 
 	b2 := NewBuilder("dup")
-	b2.Label("x")
+	b2.Bind(b2.Named("x"))
 	b2.Nop()
-	b2.Label("x")
+	b2.Bind(b2.Named("x"))
 	b2.Halt()
 	if _, err := b2.Build(); err == nil || !strings.Contains(err.Error(), "redefined") {
 		t.Errorf("want redefinition error, got %v", err)
@@ -84,7 +84,7 @@ func TestBuilderErrors(t *testing.T) {
 
 	b3 := NewBuilder("noentry")
 	b3.Halt()
-	b3.SetEntry("main")
+	b3.SetEntry(b3.Named("main"))
 	if _, err := b3.Build(); err == nil || !strings.Contains(err.Error(), "entry") {
 		t.Errorf("want entry error, got %v", err)
 	}
@@ -92,10 +92,10 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestBuilderMovLabel(t *testing.T) {
 	b := NewBuilder("ml")
-	b.MovLabel(isa.ECX, "fn")
+	b.MovLabel(isa.ECX, b.Named("fn"))
 	b.CallR(isa.ECX)
 	b.Halt()
-	b.Label("fn")
+	b.Bind(b.Named("fn"))
 	b.Ret()
 	p, err := b.Build()
 	if err != nil {

@@ -135,3 +135,69 @@ func TestCondAliases(t *testing.T) {
 		}
 	}
 }
+
+// Labels bound at one address: the symbol table names the address by
+// the smallest of their names, whichever order they are bound in, and
+// every label still resolves to the address.
+func TestBuilderLabelsAtOneAddress(t *testing.T) {
+	for _, order := range [][]string{{"zeta", "b_1f", "alpha"}, {"alpha", "zeta", "b_1f"}, {"b_1f", "alpha", "zeta"}} {
+		b := NewBuilder("same")
+		b.Nop()
+		labels := map[string]Label{}
+		for _, name := range order {
+			l := b.Named(name)
+			if name == "b_1f" {
+				l = b.Numbered("b", 0x1f, 16)
+			}
+			labels[name] = l
+			b.Bind(l)
+		}
+		b.Halt()
+		for _, name := range order {
+			b.Jmp(labels[name])
+		}
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Symbols) != 1 || p.Symbols[2] != "alpha" {
+			t.Errorf("order %v: symbols %v, want only 2: alpha", order, p.Symbols)
+		}
+		for i := range order {
+			if at := uint32(3 + i); p.Code[at].Target(at) != 2 {
+				t.Errorf("order %v: jmp %d targets %d, want 2", order, i, p.Code[at].Target(at))
+			}
+		}
+	}
+}
+
+// A label referenced before its definition (patched at Build) and after
+// it (resolved at once) reaches the same address, and numbered labels
+// are named in their base.
+func TestBuilderReferenceBeforeAndAfterDefinition(t *testing.T) {
+	b := NewBuilder("both")
+	loop := b.Numbered("loop", 7, 10)
+	b.Jmp(loop) // forward: address 1
+	b.Nop()
+	b.Bind(loop) // address 3
+	b.SubI(isa.EAX, 1)
+	b.Jcc(isa.CondGT, loop) // backward: address 4
+	b.MovLabel(isa.ECX, loop)
+	b.Halt()
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Code[1].Target(1); got != 3 {
+		t.Errorf("forward jmp targets %d, want 3", got)
+	}
+	if got := p.Code[4].Target(4); got != 3 {
+		t.Errorf("backward jcc targets %d, want 3", got)
+	}
+	if p.Code[5].Imm != 3 {
+		t.Errorf("movi =loop_7 imm = %d, want 3", p.Code[5].Imm)
+	}
+	if p.Symbols[3] != "loop_7" {
+		t.Errorf("symbols %v, want 3: loop_7", p.Symbols)
+	}
+}

@@ -23,8 +23,20 @@ import (
 //	    movi ebx, =loop  ; label address as immediate
 //	    halt
 func Assemble(name, src string) (*isa.Program, error) {
+	b, err := parse(name, src)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build()
+}
+
+// parse emits the statements of src into a new Builder, one word at most
+// per line.
+func parse(name, src string) (*Builder, error) {
+	lines := strings.Split(src, "\n")
 	b := NewBuilder(name)
-	for lineNo, raw := range strings.Split(src, "\n") {
+	b.Grow(len(lines), 0)
+	for lineNo, raw := range lines {
 		line := raw
 		if i := strings.IndexByte(line, ';'); i >= 0 {
 			line = line[:i]
@@ -43,7 +55,7 @@ func Assemble(name, src string) (*isa.Program, error) {
 			if !isIdent(label) {
 				return nil, fmt.Errorf("%s:%d: bad label %q", name, lineNo+1, label)
 			}
-			b.Label(label)
+			b.Bind(b.Named(label))
 			line = strings.TrimSpace(line[i+1:])
 		}
 		if line == "" {
@@ -53,7 +65,7 @@ func Assemble(name, src string) (*isa.Program, error) {
 			return nil, fmt.Errorf("%s:%d: %v", name, lineNo+1, err)
 		}
 	}
-	return b.Build()
+	return b, nil
 }
 
 func isIdent(s string) bool {
@@ -98,7 +110,7 @@ func parseStatement(b *Builder, line string) error {
 		if len(args) != 1 || !isIdent(args[0]) {
 			return fmt.Errorf(".entry wants one label")
 		}
-		b.SetEntry(args[0])
+		b.SetEntry(b.Named(args[0]))
 		return nil
 	}
 
@@ -109,7 +121,7 @@ func parseStatement(b *Builder, line string) error {
 			if err != nil {
 				return err
 			}
-			b.Jcc(c, lbl)
+			b.Jcc(c, b.Named(lbl))
 			return nil
 		}
 		return fmt.Errorf("unknown condition in %q", mnemonic)
@@ -154,7 +166,7 @@ func parseStatement(b *Builder, line string) error {
 			if !isIdent(lbl) {
 				return fmt.Errorf("bad label reference %q", args[1])
 			}
-			b.MovLabel(rd, lbl)
+			b.MovLabel(rd, b.Named(lbl))
 			return nil
 		}
 		imm, err := parseInt(args[1])
@@ -248,13 +260,13 @@ func parseStatement(b *Builder, line string) error {
 		if err != nil {
 			return err
 		}
-		b.Jmp(lbl)
+		b.Jmp(b.Named(lbl))
 	case "call":
 		lbl, err := wantLabel(args, 0, 1)
 		if err != nil {
 			return err
 		}
-		b.Call(lbl)
+		b.Call(b.Named(lbl))
 	case "jrz":
 		rs, err := wantReg(args, 0, 2)
 		if err != nil {
@@ -263,7 +275,7 @@ func parseStatement(b *Builder, line string) error {
 		if !isIdent(args[1]) {
 			return fmt.Errorf("jrz wants a label, got %q", args[1])
 		}
-		b.Jrz(rs, args[1])
+		b.Jrz(rs, b.Named(args[1]))
 	case "jmpr":
 		rs, err := wantReg(args, 0, 1)
 		if err != nil {

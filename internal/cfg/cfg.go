@@ -37,9 +37,8 @@ func (b *Block) String() string {
 
 // Graph is the control-flow graph of a program.
 type Graph struct {
-	Prog    *isa.Program
-	Blocks  []*Block
-	byStart map[uint32]*Block
+	Prog   *isa.Program
+	Blocks []*Block
 	// blockOf maps every instruction address to its block index.
 	blockOf []int32
 }
@@ -52,10 +51,10 @@ type Graph struct {
 // branch targets).
 func Build(p *isa.Program) *Graph {
 	n := p.Len()
-	leader := make([]bool, n)
 	if n <= 1 {
-		return &Graph{Prog: p, byStart: map[uint32]*Block{}}
+		return &Graph{Prog: p}
 	}
+	leader := make([]bool, n)
 	leader[1] = true
 	if p.Contains(p.Entry) {
 		leader[p.Entry] = true
@@ -92,32 +91,39 @@ func Build(p *isa.Program) *Graph {
 		}
 	}
 
+	// Every leader starts a block (the instruction after a terminator is
+	// one), so the blocks, and their successor lists of at most two, are
+	// carved from one array each.
+	nb := 0
+	for _, l := range leader {
+		if l {
+			nb++
+		}
+	}
+	blocks := make([]Block, nb)
+	succs := make([]uint32, 2*nb)
 	g := &Graph{
 		Prog:    p,
-		byStart: make(map[uint32]*Block),
+		Blocks:  make([]*Block, nb),
 		blockOf: make([]int32, n),
 	}
 	g.blockOf[0] = -1
-	var cur *Block
+	id := -1
 	for addr := uint32(1); addr < n; addr++ {
-		if leader[addr] || cur == nil {
-			if cur != nil {
-				cur.End = addr
+		if leader[addr] {
+			id++
+			blocks[id] = Block{ID: id, Start: addr, End: n, Succs: succs[2*id : 2*id : 2*id+2]}
+			g.Blocks[id] = &blocks[id]
+			if id > 0 && blocks[id-1].End == n {
+				blocks[id-1].End = addr
 			}
-			cur = &Block{ID: len(g.Blocks), Start: addr}
-			g.Blocks = append(g.Blocks, cur)
-			g.byStart[addr] = cur
 		}
-		g.blockOf[addr] = int32(cur.ID)
+		g.blockOf[addr] = int32(id)
 		if in := p.Code[addr]; in.Op.IsTerminator() {
+			cur := &blocks[id]
 			cur.End = addr + 1
 			fillSuccs(cur, addr, in, n)
-			cur = nil
 		}
-	}
-	if cur != nil {
-		cur.End = n
-		// Block falls off the end of the image; no successors.
 	}
 	// Fall-through successors for blocks split by a leader (no terminator).
 	for _, b := range g.Blocks {
@@ -161,13 +167,15 @@ func (g *Graph) BlockAt(addr uint32) *Block {
 }
 
 // BlockStarting returns the block whose first instruction is addr, or nil.
-func (g *Graph) BlockStarting(addr uint32) *Block { return g.byStart[addr] }
+func (g *Graph) BlockStarting(addr uint32) *Block {
+	if b := g.BlockAt(addr); b != nil && b.Start == addr {
+		return b
+	}
+	return nil
+}
 
 // IsBlockStart reports whether addr is the first instruction of a block.
-func (g *Graph) IsBlockStart(addr uint32) bool {
-	_, ok := g.byStart[addr]
-	return ok
-}
+func (g *Graph) IsBlockStart(addr uint32) bool { return g.BlockStarting(addr) != nil }
 
 // IsBackEdge reports whether a branch at fromAddr targeting target closes a
 // loop. We use the standard dynamic-translation heuristic: a backward

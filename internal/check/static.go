@@ -56,47 +56,60 @@ func InstrumentStatic(p *isa.Program, kind StaticKind) (*isa.Program, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("%s: empty program", p.Name)
 	}
-
-	// Predecessors and call-continuation blocks.
-	preds := make([][]int, n)
-	continuation := make([]bool, n)
-	for _, b := range g.Blocks {
-		last := p.Code[b.End-1]
-		for _, s := range b.Succs {
-			sb := g.BlockStarting(s)
-			if last.Op == isa.OpCall && s == b.End {
-				// The continuation is reached through the callee's return,
-				// not through this static edge; it gets a signature reset
-				// instead of an inherited signature (an intra-procedural
-				// simplification both original papers also make in spirit:
-				// signatures are not carried across call boundaries).
-				continuation[sb.ID] = true
-				continue
-			}
-			preds[sb.ID] = append(preds[sb.ID], b.ID)
-		}
-	}
-
+	preds, continuation := predecessors(p, g)
 	entryBlock := g.BlockAt(p.Entry)
-	bl := func(start uint32) string { return fmt.Sprintf("b_%x", start) }
 
-	bb := asm.NewBuilder(fmt.Sprintf("%s+%s", p.Name, kind))
+	bb := asm.NewBuilder(p.Name + "+" + kind.String())
 	bb.SetTarget()
 	bb.SetDataWords(p.DataWords)
-	bb.SetEntry("prologue")
-	okCount := 0
-	okLabel := func() string { okCount++; return fmt.Sprintf("ok_%d", okCount) }
+	// The rewrite's exact size, so that Build hands its code out without
+	// a copy: the image past the null word NewBuilder holds, the
+	// prologue's two words and each block's instrumentation. Every block
+	// and every check gets a label.
+	words := len(p.Code) - 1 + 2
+	for _, b := range g.Blocks {
+		switch {
+		case continuation[b.ID]:
+			words++
+		case kind == StaticCFCSS:
+			words += 4
+		default:
+			accepts := len(preds[b.ID])
+			if b == entryBlock {
+				accepts++
+			}
+			words += 2*accepts + 2
+		}
+		if kind == StaticECCA {
+			words++
+		}
+	}
+	bb.Grow(words, 2*n+1)
+	prologue := bb.Named("prologue")
+	bb.SetEntry(prologue)
+	labels := make([]asm.Label, n)
+	for i, b := range g.Blocks {
+		labels[i] = bb.Numbered("b", b.Start, 16)
+	}
+	bl := func(start uint32) asm.Label {
+		if b := g.BlockStarting(start); b != nil {
+			return labels[b.ID]
+		}
+		return bb.Numbered("b", start, 16) // never bound: Build reports it
+	}
+	okCount := uint32(0)
+	okLabel := func() asm.Label { okCount++; return bb.Numbered("ok", okCount, 10) }
 
 	switch kind {
 	case StaticCFCSS:
 		sigs, d := cfcssAssignment(g, preds)
 		// Prologue: G primed so the entry block's own update lands on its
 		// signature (loop-backs to the entry then work unchanged).
-		bb.Label("prologue")
+		bb.Bind(prologue)
 		bb.MovI(regPC, sigs[entryBlock.ID]-d[entryBlock.ID])
-		bb.Jmp(bl(entryBlock.Start))
+		bb.Jmp(labels[entryBlock.ID])
 		for _, b := range g.Blocks {
-			bb.Label(bl(b.Start))
+			bb.Bind(labels[b.ID])
 			if continuation[b.ID] {
 				bb.MovI(regPC, sigs[b.ID])
 			} else {
@@ -105,9 +118,10 @@ func InstrumentStatic(p *isa.Program, kind StaticKind) (*isa.Program, error) {
 				bb.Lea(regSCR, regPC, -sigs[b.ID])
 				bb.Jrz(regSCR, ok)
 				bb.Emit(isa.Instr{Op: isa.OpReport})
-				bb.Label(ok)
+				bb.Bind(ok)
 			}
-			copyBlock(bb, p, g, b, bl, nil)
+			copyBody(bb, p, b)
+			copyTerminator(bb, p, b, bl)
 		}
 
 	case StaticECCA:
@@ -116,37 +130,33 @@ func InstrumentStatic(p *isa.Program, kind StaticKind) (*isa.Program, error) {
 			ids[i] = int32(i) + 1
 		}
 		initID := int32(n) + 1
-		bb.Label("prologue")
+		bb.Bind(prologue)
 		bb.MovI(regPC, initID)
-		bb.Jmp(bl(entryBlock.Start))
+		bb.Jmp(labels[entryBlock.ID])
 		for _, b := range g.Blocks {
-			bb.Label(bl(b.Start))
+			bb.Bind(labels[b.ID])
 			if continuation[b.ID] {
 				bb.MovI(regPC, ids[b.ID])
 			} else {
 				ok := okLabel()
-				legal := preds[b.ID]
-				var accepts []int32
-				for _, pb := range legal {
-					accepts = append(accepts, ids[pb])
+				for _, pb := range preds[b.ID] {
+					bb.Lea(regSCR, regPC, -ids[pb])
+					bb.Jrz(regSCR, ok)
 				}
 				if b == entryBlock {
-					accepts = append(accepts, initID)
-				}
-				for _, v := range accepts {
-					bb.Lea(regSCR, regPC, -v)
+					bb.Lea(regSCR, regPC, -initID)
 					bb.Jrz(regSCR, ok)
 				}
 				bb.Emit(isa.Instr{Op: isa.OpReport})
-				bb.Label(ok)
+				bb.Bind(ok)
 				bb.MovI(regPC, ids[b.ID])
 			}
-			copyBlock(bb, p, g, b, bl, func() {
-				// End-of-block id assignment (the NEXT product in the
-				// concrete technique): executed even when an error lands
-				// mid-block, which is exactly ECCA's category C/E hole.
-				bb.MovI(regPC, ids[b.ID])
-			})
+			copyBody(bb, p, b)
+			// End-of-block id assignment (the NEXT product in the
+			// concrete technique): executed even when an error lands
+			// mid-block, which is exactly ECCA's category C/E hole.
+			bb.MovI(regPC, ids[b.ID])
+			copyTerminator(bb, p, b, bl)
 		}
 	default:
 		return nil, fmt.Errorf("unknown static kind %d", kind)
@@ -157,6 +167,50 @@ func InstrumentStatic(p *isa.Program, kind StaticKind) (*isa.Program, error) {
 		return nil, fmt.Errorf("%s: instrumentation failed: %v", p.Name, err)
 	}
 	return out, nil
+}
+
+// predecessors lists each block's static predecessors, in block order,
+// carved from one backing array, and marks call-continuation blocks.
+// A continuation is reached through the callee's return, not through
+// the call's static fall-through edge; it gets a signature reset
+// instead of an inherited signature (an intra-procedural
+// simplification both original papers also make in spirit: signatures
+// are not carried across call boundaries).
+func predecessors(p *isa.Program, g *cfg.Graph) (preds [][]int, continuation []bool) {
+	n := g.NumBlocks()
+	continuation = make([]bool, n)
+	count := make([]int, n)
+	edges := 0
+	for _, b := range g.Blocks {
+		last := p.Code[b.End-1]
+		for _, s := range b.Succs {
+			sb := g.BlockStarting(s)
+			if last.Op == isa.OpCall && s == b.End {
+				continuation[sb.ID] = true
+				continue
+			}
+			count[sb.ID]++
+			edges++
+		}
+	}
+	backing := make([]int, edges)
+	preds = make([][]int, n)
+	off := 0
+	for i, c := range count {
+		preds[i] = backing[off : off : off+c]
+		off += c
+	}
+	for _, b := range g.Blocks {
+		last := p.Code[b.End-1]
+		for _, s := range b.Succs {
+			if last.Op == isa.OpCall && s == b.End {
+				continue
+			}
+			sb := g.BlockStarting(s)
+			preds[sb.ID] = append(preds[sb.ID], b.ID)
+		}
+	}
+	return preds, continuation
 }
 
 // cfcssAssignment computes the CFCSS signature assignment over the CFG:
@@ -182,12 +236,15 @@ func cfcssAssignment(g *cfg.Graph, preds [][]int) (sigs, d []int32) {
 			parent[find(ps[0])] = find(ps[i])
 		}
 	}
+	// Classes are numbered from 1 in order of first appearance.
 	sigs = make([]int32, n)
-	class := map[int]int32{}
+	class := make([]int32, n) // by root; 0 until numbered
+	classes := int32(0)
 	for b := 0; b < n; b++ {
 		root := find(b)
-		if _, ok := class[root]; !ok {
-			class[root] = int32(len(class)) + 1
+		if class[root] == 0 {
+			classes++
+			class[root] = classes
 		}
 		sigs[b] = class[root]
 	}
@@ -200,25 +257,24 @@ func cfcssAssignment(g *cfg.Graph, preds [][]int) (sigs, d []int32) {
 	return sigs, d
 }
 
-// copyBlock re-emits a block's body and its terminator with branch targets
-// remapped to block labels. exitHook, when non-nil, runs just before the
-// terminator (end-of-block instrumentation).
-func copyBlock(bb *asm.Builder, p *isa.Program, g *cfg.Graph, b *cfg.Block, bl func(uint32) string, exitHook func()) {
-	last := p.Code[b.End-1]
-	bodyEnd := b.End
-	if last.Op.IsTerminator() {
-		bodyEnd--
+// copyBody re-emits a block's instructions up to its terminator.
+func copyBody(bb *asm.Builder, p *isa.Program, b *cfg.Block) {
+	end := b.End
+	if p.Code[end-1].Op.IsTerminator() {
+		end--
 	}
-	for a := b.Start; a < bodyEnd; a++ {
-		bb.Emit(p.Code[a])
-	}
-	if exitHook != nil {
-		exitHook()
-	}
-	if !last.Op.IsTerminator() {
-		return // falls through into the next emitted block
-	}
+	bb.Emit(p.Code[b.Start:end]...)
+}
+
+// copyTerminator re-emits a block's terminator with its branch target
+// remapped to the target block's label. A block without a terminator
+// falls through into the next emitted block.
+func copyTerminator(bb *asm.Builder, p *isa.Program, b *cfg.Block, bl func(uint32) asm.Label) {
 	termAddr := b.End - 1
+	last := p.Code[termAddr]
+	if !last.Op.IsTerminator() {
+		return
+	}
 	switch last.Op {
 	case isa.OpJmp:
 		bb.Jmp(bl(last.Target(termAddr)))

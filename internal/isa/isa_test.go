@@ -204,3 +204,51 @@ func TestInstrStrings(t *testing.T) {
 		}
 	}
 }
+
+// Validate names the register field that is out of range.
+func TestValidateNamesField(t *testing.T) {
+	for _, c := range []struct {
+		in   Instr
+		want string
+	}{
+		{Instr{Op: OpAdd, RD: 17, RS1: EAX}, "add: rd register 17 out of range (machine has 8)"},
+		{Instr{Op: OpAdd, RD: EAX, RS1: 17}, "add: rs1 register 17 out of range (machine has 8)"},
+		{Instr{Op: OpStore, RS1: ESP, RS2: 17}, "store: rs2 register 17 out of range (machine has 8)"},
+	} {
+		err := c.in.Validate(NumGuestRegs)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%v: err = %v, want %q", c.in, err, c.want)
+		}
+	}
+}
+
+// Program.Validate's scan passes a word only if Instr.Validate accepts
+// it and it neither branches directly, nor carries a condition code, nor
+// is a pseudo-op, and passes every such word, for both register files: over every opcode byte with
+// random register fields, and over every register value of each field.
+func TestPlainWordsMatchesValidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(in Instr, nregs int) {
+		t.Helper()
+		u := operandsOf(in.Op)
+		want := in.Validate(nregs) == nil && u&(directBranch|condRD|condRS2|pseudoOp) == 0
+		if got := plainWords([]Instr{in}, nregs) == 1; got != want {
+			t.Fatalf("%v (op %d), nregs %d: scan passes it %v, want %v", in, in.Op, nregs, got, want)
+		}
+	}
+	for _, nregs := range []int{NumGuestRegs, NumRegs} {
+		for op := 0; op < 256; op++ {
+			for i := 0; i < 64; i++ {
+				check(Instr{Op: Op(op), RD: Reg(rng.Intn(24)), RS1: Reg(rng.Intn(24)), RS2: Reg(rng.Intn(24))}, nregs)
+			}
+			for r := 0; r < 256; r++ {
+				check(Instr{Op: Op(op), RD: Reg(r)}, nregs)
+				check(Instr{Op: Op(op), RS1: Reg(r)}, nregs)
+				check(Instr{Op: Op(op), RS2: Reg(r)}, nregs)
+			}
+		}
+	}
+	if n := plainWords([]Instr{{Op: OpNop}}, 12); n != 0 {
+		t.Errorf("a register count that is not a power of two passed %d words to the scan", n)
+	}
+}

@@ -53,7 +53,9 @@ func (p *Program) SymbolAt(addr uint32) string {
 
 // Validate checks every instruction against the guest register file and
 // verifies that the entry point and all direct branch targets lie inside the
-// image and off the null page. It returns the first problem found.
+// image and off the null page. It returns the first problem found. Runs
+// of plain words pass a branch-free scan (plainWords); Instr.Validate
+// checks the rest and builds the error.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("%s: empty program", p.Name)
@@ -65,7 +67,12 @@ func (p *Program) Validate() error {
 	if p.Target {
 		nregs = NumRegs
 	}
-	for addr, in := range p.Code {
+	for addr := 0; ; addr++ {
+		addr += plainWords(p.Code[addr:], nregs)
+		if addr == len(p.Code) {
+			return nil
+		}
+		in := &p.Code[addr]
 		if err := in.Validate(nregs); err != nil {
 			return fmt.Errorf("%s: @0x%x: %v", p.Name, addr, err)
 		}
@@ -78,7 +85,6 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
-	return nil
 }
 
 // Image serializes the program code to its binary form.

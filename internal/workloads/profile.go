@@ -118,6 +118,20 @@ func (p Profile) MustBuild(scale float64) *isa.Program {
 	return prog
 }
 
+// sizeBound bounds the words and labels Build emits: the cold region
+// (chunks of at least 29 words, one label each), main, the leaf helper,
+// and Funcs functions at their largest.
+func (p Profile) sizeBound() (words, labels int) {
+	body := p.BlockMax + 1           // emitBody may overshoot by one word
+	cond := 6 + 2*body               // LCG step, compare, jcc, jmp, two bodies
+	conds := int(p.DiamondFrac) + 1  // emitCond calls per body segment
+	nest := 3*(body+conds*cond) + 12 // up to three segments, loop control
+	kern := 2*body + 16              // a self-loop of twice BlockMax or 12
+	words = p.ColdWords + 16 + p.Funcs*(8+max(nest, kern))
+	labels = p.ColdWords/29 + 3 + p.Funcs*(3+6*conds)
+	return words, labels
+}
+
 // generator carries the emission state.
 //
 // Register allocation:
@@ -133,19 +147,29 @@ type generator struct {
 	prof   Profile
 	rng    *rand.Rand
 	b      *asm.Builder
-	labels int
+	labels uint32
+	leaf   asm.Label
+	fns    []asm.Label
 }
 
-func (g *generator) label(prefix string) string {
+// label returns a new label named prefix and the next number.
+func (g *generator) label(prefix string) asm.Label {
 	g.labels++
-	return fmt.Sprintf("%s_%d", prefix, g.labels)
+	return g.b.Numbered(prefix, g.labels, 10)
 }
 
 func (g *generator) build() (*isa.Program, error) {
 	pr := g.prof
 	b := g.b
 	b.SetDataWords(pr.DataWords)
-	b.SetEntry("main")
+	b.Grow(pr.sizeBound())
+	main := b.Named("main")
+	b.SetEntry(main)
+	g.leaf = b.Named("leaf")
+	g.fns = make([]asm.Label, pr.Funcs)
+	for f := range g.fns {
+		g.fns[f] = b.Numbered("fn", uint32(f), 10)
+	}
 
 	// Layout: cold front half, hot code, cold back half. Keeping the hot
 	// region centered makes offset-bit flips land symmetrically, like a
@@ -153,7 +177,7 @@ func (g *generator) build() (*isa.Program, error) {
 	g.emitCold("coldf", pr.ColdWords/2)
 
 	// Leaf helper used by CallInLoopFrac call sites.
-	b.Label("leaf")
+	b.Bind(g.leaf)
 	b.Push(isa.EDX)
 	b.MovI(isa.EDX, int32(g.rng.Intn(1000)+1))
 	b.Add(isa.EAX, isa.EDX)
@@ -167,17 +191,18 @@ func (g *generator) build() (*isa.Program, error) {
 	}
 
 	// main.
-	b.Label("main")
+	b.Bind(main)
 	b.MovI(isa.EAX, 0)
 	b.MovI(isa.EBP, int32(pr.Seed)|1)
 	b.MovI(isa.EDI, int32(pr.OuterIters))
-	b.Label("main_loop")
-	for f := 0; f < pr.Funcs; f++ {
-		b.Call(fmt.Sprintf("fn_%d", f))
+	loop := b.Named("main_loop")
+	b.Bind(loop)
+	for _, fn := range g.fns {
+		b.Call(fn)
 	}
 	b.SubI(isa.EDI, 1)
 	b.CmpI(isa.EDI, 0)
-	b.Jcc(isa.CondGT, "main_loop")
+	b.Jcc(isa.CondGT, loop)
 	b.Out(isa.EAX)
 	b.Halt()
 
@@ -196,7 +221,7 @@ func (g *generator) build() (*isa.Program, error) {
 func (g *generator) emitFunction(idx int) {
 	pr := g.prof
 	b := g.b
-	b.Label(fmt.Sprintf("fn_%d", idx))
+	b.Bind(g.fns[idx])
 	b.Push(isa.EBX)
 	b.Push(isa.ECX)
 
@@ -221,7 +246,7 @@ func (g *generator) emitSelfLoop() {
 	trips := g.trips() * 8
 	top := g.label("kern")
 	b.MovI(isa.EBX, int32(trips))
-	b.Label(top)
+	b.Bind(top)
 	n := pr.BlockMax
 	if n < 16 {
 		// Integer-style tight loops: still a single block, just shorter.
@@ -244,9 +269,9 @@ func (g *generator) emitNest() {
 	inner := g.label("inner")
 
 	b.MovI(isa.EBX, int32(g.nestTrips()))
-	b.Label(outer)
+	b.Bind(outer)
 	b.MovI(isa.ECX, int32(g.nestTrips()))
-	b.Label(inner)
+	b.Bind(inner)
 
 	blocks := 1 + g.rng.Intn(3)
 	for i := 0; i < blocks; i++ {
@@ -260,7 +285,7 @@ func (g *generator) emitNest() {
 		}
 	}
 	if g.rng.Float64() < pr.CallInLoopFrac {
-		b.Call("leaf")
+		b.Call(g.leaf)
 	}
 
 	b.SubI(isa.ECX, 1)
@@ -287,15 +312,15 @@ func (g *generator) emitCond() {
 		b.Jcc(isa.CondGE, elseL)
 		g.emitBody(g.blockSize())
 		b.Jmp(joinL)
-		b.Label(elseL)
+		b.Bind(elseL)
 		g.emitBody(g.blockSize())
-		b.Label(joinL)
+		b.Bind(joinL)
 		return
 	}
 	skipL := g.label("skip")
 	b.Jcc(isa.CondGE, skipL)
 	g.emitBody(g.blockSize())
-	b.Label(skipL)
+	b.Bind(skipL)
 }
 
 func (g *generator) emitLCGCmp(thresh int32) {
@@ -404,10 +429,10 @@ func (g *generator) emitBody(n int) {
 func (g *generator) emitCold(prefix string, words int) {
 	b := g.b
 	start := int(b.PC())
-	chunk := 0
+	chunk := uint32(0)
 	for int(b.PC())-start+80 <= words {
-		lbl := fmt.Sprintf("%s_%d", prefix, chunk)
-		b.Label(lbl)
+		lbl := b.Numbered(prefix, chunk, 10)
+		b.Bind(lbl)
 		g.emitBody(28 + g.rng.Intn(36))
 		// Alternate terminators: backward jump into the cold region or a
 		// return (cold code is shaped like real library code).
