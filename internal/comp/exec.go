@@ -150,7 +150,6 @@ func condDeferred(c isa.Cond, fk uint8, fa, fb int32, flags isa.Flags) bool {
 func (e *Engine) runCompiled(m *cpu.Machine, cb *cblock, bound, dbLimit uint64) (cpu.Stop, bool) {
 	c := e.c
 	frz := c.frozen
-	byAddr := &c.byAddr
 	costs := c.costs
 	code := e.code
 	r := &m.Regs
@@ -592,17 +591,15 @@ chain:
 		if slot != nil {
 			nb = *slot
 		}
-		// A view that retired no block pays one length test here.
-		if nb != nil && (len(retired) == 0 || !e.isRetired(nb)) {
+		// A view that retired no block pays one length test here; one
+		// that did swaps a retired target for its cold replacement.
+		if nb != nil && len(retired) != 0 {
+			nb = live(retired, nb)
+		}
+		if nb != nil {
 			chainHits++
 		} else {
-			nb = byAddr.get(tgt)
-			if nb != nil && e.isRetired(nb) {
-				nb = nil
-			}
-			if nb == nil && e.coldBlocks != nil {
-				nb = e.coldBlocks[tgt]
-			}
+			nb = e.blockAt(tgt)
 			if nb == nil {
 				flushState(m, tgt, steps, cycles, direct, fk, fa, fb, flags)
 				break chain

@@ -191,11 +191,13 @@ func TestPatchedViewRetiresOnlyCoveringBlocks(t *testing.T) {
 	if before.InterpretedSteps != 0 {
 		t.Errorf("view interpreted %d steps before the patch, want 0", before.InterpretedSteps)
 	}
-	if len(v.retired) != 1 || v.retired[0] != b || v.disabled {
+	if len(v.retired) != 1 || v.retired[0].shared != b || v.disabled {
 		t.Errorf("view retired %d blocks (disabled %v), want only double's", len(v.retired), v.disabled)
 	}
 	if v.coldBlocks[double] == nil {
 		t.Error("the retired start never heated into the view's cold tier")
+	} else if v.retired[0].cold != v.coldBlocks[double] {
+		t.Error("the retired block's replacement is not the cold tier's block at its start")
 	}
 	if want := clean + uint64(DefaultThreshold)*uint64(b.totalSteps); v.Stats.InterpretedSteps != want {
 		t.Errorf("view interpreted %d steps, want %d (the clean run's and the retired start's cold run)", v.Stats.InterpretedSteps, want)
@@ -206,6 +208,15 @@ func TestPatchedViewRetiresOnlyCoveringBlocks(t *testing.T) {
 	if cleanRun(t, p, core) != clean {
 		t.Error("a fresh clone interprets more after the patched run")
 	}
+}
+
+// retiredShared lists the shared blocks a view retired.
+func retiredShared(v *Engine) []*cblock {
+	var out []*cblock
+	for _, r := range v.retired {
+		out = append(out, r.shared)
+	}
+	return out
 }
 
 // TestPatchedViewsRunConcurrently runs two views of one frozen core at
@@ -236,7 +247,7 @@ func TestPatchedViewsRunConcurrently(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("view %d differs from Run\n got: %+v\nwant: %+v", i, got[i], want[i])
 		}
-		if w := sharedCovering(core, patches[i][0].addr); !slices.Equal(v.retired, w) {
+		if w := sharedCovering(core, patches[i][0].addr); !slices.Equal(retiredShared(v), w) {
 			t.Errorf("view %d retired %d blocks, want the %d covering its own patch", i, len(v.retired), len(w))
 		}
 	}
@@ -265,13 +276,16 @@ func TestPatchUnderColdBlockDropsColdTier(t *testing.T) {
 		if before.BlocksCompiled == 0 {
 			t.Error("double never heated into the cold tier before the second patch")
 		}
-		if v.coldBlocks != nil || v.coldHeat != nil || len(v.retired) != 1 {
-			t.Errorf("second patch kept %d cold blocks and %d retired, want none and 1", len(v.coldBlocks), len(v.retired))
+		if v.coldBlocks != nil || v.coldHeat != nil || len(v.retired) != 1 || v.retired[0].cold != nil {
+			t.Errorf("second patch kept %d cold blocks and %d retired, want none and 1 without a replacement", len(v.coldBlocks), len(v.retired))
 		}
 	})
 	checkPatchVisible(t, p, want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("patched view differs from Run\n got: %+v\nwant: %+v", got, want)
+	}
+	if v.coldBlocks[double] == nil || v.retired[0].cold != v.coldBlocks[double] {
+		t.Error("the retired block's replacement is not double's block in the rebuilt cold tier")
 	}
 	b := sharedCovering(core, double)[0]
 	if want := clean + 2*uint64(DefaultThreshold)*uint64(b.totalSteps); v.Stats.InterpretedSteps != want {
