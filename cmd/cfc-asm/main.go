@@ -26,7 +26,7 @@ func main() {
 		data  = flag.Uint("data", 4096, "data segment words for -d")
 	)
 	var app cli.App
-	app.BindFlags(flag.CommandLine)
+	app.BindFlags(flag.CommandLine, 0)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cfc-asm [-d] [-o out] file")

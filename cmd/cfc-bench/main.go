@@ -38,7 +38,7 @@ func main() {
 		scale = flag.Float64("scale", 1.0, "workload dynamic scale")
 	)
 	app := cli.App{CkptInterval: -1}
-	app.BindFlags(flag.CommandLine)
+	app.BindFlags(flag.CommandLine, cli.Workers|cli.Campaign)
 	flag.Parse()
 
 	figs := []string{*fig}

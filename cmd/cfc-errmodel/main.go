@@ -21,7 +21,7 @@ func main() {
 		workload = flag.String("workload", "", "analyze a single workload instead of both suites")
 	)
 	var app cli.App
-	app.BindFlags(flag.CommandLine)
+	app.BindFlags(flag.CommandLine, cli.Workers)
 	flag.Parse()
 	fatalIf(app.Open())
 

@@ -1,8 +1,9 @@
 // Command cfc-inject runs soft-error injection campaigns: single bit flips
 // in branch offsets or condition flags, per the paper's error model, with
-// outcomes classified by branch-error category. The -matrix mode compares
-// every technique (including the static CFCSS/ECCA baselines) side by side
-// — the empirical counterpart of the paper's Section 3 coverage analysis
+// outcomes classified by branch-error category. -technique selects a
+// translated technique or one of the static CFCSS/ECCA baselines, which
+// run natively. The -matrix mode compares every technique side by side —
+// the empirical counterpart of the paper's Section 3 coverage analysis
 // and its stated future work.
 //
 // -workers shards the samples across a goroutine pool; the classified
@@ -22,9 +23,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"repro/internal/bench"
+	"repro/internal/check"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -36,7 +39,7 @@ func main() {
 	var (
 		workload  = flag.String("workload", "164.gzip", "workload name")
 		scale     = flag.Float64("scale", 0.1, "workload dynamic scale")
-		tech      = flag.String("technique", "RCF", "none|EdgCF|RCF|ECF")
+		tech      = flag.String("technique", "RCF", strings.Join(check.Names(nil), "|"))
 		style     = flag.String("style", "CMOVcc", "Jcc|CMOVcc")
 		policy    = flag.String("policy", "ALLBB", "ALLBB|RET-BE|RET|END")
 		samples   = flag.Int("samples", 500, "number of injected faults")
@@ -46,7 +49,7 @@ func main() {
 			"write the normalized campaign report (JSON) to this file")
 	)
 	app := cli.App{CkptInterval: -1}
-	app.BindFlags(flag.CommandLine)
+	app.BindFlags(flag.CommandLine, cli.Workers|cli.Campaign|cli.Shard|cli.Graph)
 	flag.Parse()
 	fatalIf(app.Open())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -71,9 +74,8 @@ func main() {
 
 	p, err := core.Workload(*workload, *scale)
 	fatalIf(err)
-	cfg := core.Config{Technique: *tech, Style: *style, Policy: *policy, SampleOffset: app.SampleOffset}
-	cfg.CkptInterval = app.CkptInterval
-	cfg.Options = app.Options()
+	cfg := core.Config{Technique: *tech, Style: *style, Policy: *policy,
+		SampleOffset: app.SampleOffset, Options: app.Options()}
 	var rep *inject.Report
 	if g := app.Graph(); g != nil {
 		// The report is a cell of the campaign graph.

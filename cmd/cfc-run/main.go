@@ -14,7 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"repro/internal/check"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -23,6 +25,7 @@ import (
 )
 
 func main() {
+	translated := check.Names(func(t *check.Technique) bool { return t.New != nil })
 	var (
 		workload = flag.String("workload", "", "SPEC2000 workload name (e.g. 164.gzip)")
 		bin      = flag.String("bin", "", "binary file to run instead of a workload")
@@ -30,7 +33,7 @@ func main() {
 		data     = flag.Uint("data", 4096, "data segment words for -bin")
 		scale    = flag.Float64("scale", 1.0, "workload dynamic scale")
 		native   = flag.Bool("native", false, "run natively (no translator)")
-		tech     = flag.String("technique", "none", "none|EdgCF|RCF|ECF")
+		tech     = flag.String("technique", "none", strings.Join(translated, "|"))
 		style    = flag.String("style", "Jcc", "Jcc|CMOVcc")
 		policy   = flag.String("policy", "ALLBB", "ALLBB|RET-BE|RET|END")
 		maxSteps = flag.Uint64("max-steps", 2_000_000_000, "step budget")
@@ -38,7 +41,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "write a machine-readable run record to `file`")
 	)
 	var app cli.App
-	app.BindFlags(flag.CommandLine)
+	app.BindFlags(flag.CommandLine, 0)
 	flag.Parse()
 
 	if *list {
@@ -84,11 +87,10 @@ func main() {
 		return
 	}
 
-	cfg := core.Config{Technique: *tech, Style: *style, Policy: *policy, Options: app.Options()}
-	d, err := core.NewDBT(p, cfg)
-	if err != nil {
-		fatal(err)
-	}
+	row, err := check.Lookup(*tech)
+	fatalIf(err)
+	d, err := core.NewDBT(p, core.Config{Technique: row.Name, Style: *style, Policy: *policy})
+	fatalIf(err)
 	res := d.Run(nil, *maxSteps)
 	fmt.Printf("dbt(%s/%s/%s): stop=%v cycles=%d steps=%d\n",
 		*tech, *style, *policy, res.Stop, res.Cycles, res.Steps)
@@ -99,9 +101,9 @@ func main() {
 		st.CheckSites, st.Dispatches, st.IndirectLookups, res.CacheSize)
 
 	if reg := app.Registry(); reg != nil {
-		res.Stats.Publish(reg, *tech)
-		reg.Gauge(fmt.Sprintf("dbt_code_cache_instrs{technique=%q}", *tech)).Max(int64(res.CacheSize))
-		reg.Counter(fmt.Sprintf("cpu_sig_checks_total{technique=%q}", *tech)).Add(res.SigChecks)
+		res.Stats.Publish(reg, row.Name)
+		reg.Gauge(fmt.Sprintf("dbt_code_cache_instrs{technique=%q}", row.Name)).Max(int64(res.CacheSize))
+		reg.Counter(fmt.Sprintf("cpu_sig_checks_total{technique=%q}", row.Name)).Add(res.SigChecks)
 	}
 	if *jsonOut != "" {
 		rec := runRecord{

@@ -66,10 +66,8 @@ func main() {
 		artifactURL  = flag.String("artifact-url", "", "fetch/publish warm artifacts against this remote store (enables the tier)")
 		artifactAddr = flag.String("artifact-addr", "", "serve this process's artifact store on a second listener (enables the tier)")
 	)
-	// The server defaults the campaign cell cache on (memory only);
-	// -graph-cache off/on/dir overrides.
-	app := cli.App{GraphCache: "on"}
-	app.BindFlags(flag.CommandLine)
+	app := cli.App{GraphCache: "on"} // the cell cache defaults to memory only
+	app.BindFlags(flag.CommandLine, cli.Graph)
 	flag.Parse()
 	fatalIf(app.Open())
 

@@ -11,31 +11,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"repro/internal/check"
 	"repro/internal/cli"
 	"repro/internal/core"
 )
 
 func main() {
-	var scheme = flag.String("scheme", "", "verify one scheme (EdgCF|RCF|ECF|CFCSS|ECCA); default: all")
+	names := check.Names(func(t *check.Technique) bool { return t.Scheme != nil })
+	var scheme = flag.String("scheme", "", "verify one scheme ("+strings.Join(names, "|")+"); default: all")
 	var app cli.App
-	app.BindFlags(flag.CommandLine)
+	app.BindFlags(flag.CommandLine, 0)
 	flag.Parse()
-	if err := app.Open(); err != nil {
-		fmt.Fprintln(os.Stderr, "cfc-verify:", err)
-		os.Exit(1)
-	}
+	fatalIf(app.Open())
 
-	names := []string{"EdgCF", "RCF", "ECF", "CFCSS", "ECCA"}
 	if *scheme != "" {
 		names = []string{*scheme}
 	}
 	for _, name := range names {
 		res, err := core.VerifyScheme(name, app.Registry())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfc-verify:", err)
-			os.Exit(1)
-		}
+		fatalIf(err)
 		fmt.Printf("%-6s sufficient=%-5v necessary=%-5v (%d states explored)\n",
 			res.Scheme, res.Sufficient, res.Necessary, res.StatesExplored)
 		if res.FalseNegative != nil {
@@ -51,7 +47,11 @@ func main() {
 			}
 		}
 	}
-	if err := app.Close(); err != nil {
+	fatalIf(app.Close())
+}
+
+func fatalIf(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "cfc-verify:", err)
 		os.Exit(1)
 	}

@@ -33,26 +33,11 @@ func main() {
 	}
 	fmt.Printf("injection campaigns on %s (%d samples each)\n\n", workload, samples)
 
-	// Translator-hosted techniques.
-	for _, tech := range []string{"none", "ECF", "EdgCF", "RCF"} {
-		rep, err := core.InjectCtx(context.Background(), p, core.Config{Technique: tech, Style: "CMOVcc"}, samples, seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(inject.FormatReport(rep))
-		fmt.Println()
-	}
-
-	// Static baselines (whole-program rewriters; the paper's DBT cannot
-	// host them because translation on demand invalidates their static
-	// signature assignment).
-	for _, kind := range []check.StaticKind{check.StaticCFCSS, check.StaticECCA} {
-		ip, err := check.InstrumentStatic(p, kind)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep, err := inject.Execute(context.Background(), ip, inject.Config{Samples: samples, Seed: seed},
-			inject.AsStatic(kind.String()))
+	// Every row of the technique table. CFCSS and ECCA run natively as
+	// static rewriters: translation on demand would invalidate their
+	// static signature assignment.
+	for _, t := range check.Techniques {
+		rep, err := core.InjectCtx(context.Background(), p, core.Config{Technique: t.Name, Style: "CMOVcc"}, samples, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,13 +1,15 @@
 // Formal: walk the Section 4 framework by hand. Build a small control-flow
 // graph, split every block into head and tail (Figure 10), run the
-// exhaustive single-error model checker against each published scheme, and
-// print the machine-found counterexample executions — the same categories
-// of misses the paper derives analytically in Section 3.
+// exhaustive single-error model checker against each published scheme in
+// the technique table, and print the machine-found counterexample
+// executions — the same categories of misses the paper derives
+// analytically in Section 3.
 package main
 
 import (
 	"fmt"
 
+	"repro/internal/check"
 	"repro/internal/sig"
 )
 
@@ -22,15 +24,11 @@ func main() {
 	fmt.Println("every block split into head/tail; all executions with <=1 control-flow error explored")
 	fmt.Println()
 
-	schemes := []sig.Scheme{
-		sig.EdgCF{},
-		sig.RCF{},
-		sig.ECF{},
-		sig.NewCFCSS(g),
-		sig.NewECCA(g),
-	}
-	for _, s := range schemes {
-		res := sig.Verify(g, s)
+	for _, t := range check.Techniques {
+		if t.Scheme == nil {
+			continue
+		}
+		res := sig.Verify(g, t.Scheme(g))
 		verdict := "PROVEN comprehensive (sufficient + necessary hold)"
 		if !res.Sufficient {
 			verdict = "fails the sufficient condition: some single error escapes"

@@ -77,7 +77,7 @@ type Artifact struct {
 // the canonical label ("RCF", "CFCSS", ...).
 func Fingerprint(key, technique, programHash string, maxSteps uint64) string {
 	return fmt.Sprintf("artifact|v%d|e%d|t:%s.%d|%s|prog:%s|max:%d",
-		Version, graph.EngineVersion, technique, graph.TechniqueVersions[technique],
+		Version, graph.EngineVersion, technique, graph.TechniqueVersion(technique),
 		key, programHash, maxSteps)
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/check"
 	"repro/internal/ckpt"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
@@ -113,6 +114,18 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	} {
 		if other == base {
 			t.Errorf("%s change did not change the fingerprint", name)
+		}
+	}
+}
+
+// Each technique's fingerprint is pinned at one fixed key, so artifacts
+// published before the technique table keep restoring.
+func TestCanonicalFingerprintsPinned(t *testing.T) {
+	for _, name := range check.Names(nil) {
+		key := "181.mcf|0.05|" + name + "|CMOVcc|ALLBB|-1"
+		want := "artifact|v1|e3|t:" + name + ".1|" + key + "|prog:d1g35t|max:50000000"
+		if got := Fingerprint(key, name, "d1g35t", 50000000); got != want {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, want)
 		}
 	}
 }

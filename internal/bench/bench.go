@@ -307,10 +307,6 @@ func Figure2(scale float64, workers int) (intTab, fpTab *errmodel.Table, err err
 // coverage matrix runs when CoverageConfig.Workloads is nil.
 var DefaultCoverageWorkloads = []string{"164.gzip", "181.mcf", "171.swim", "183.equake"}
 
-// CoverageTechniques lists the matrix columns: the DBT techniques (CMOVcc,
-// the safe configuration) followed by the static baselines.
-var CoverageTechniques = []string{"none", "ECF", "EdgCF", "RCF", "CFCSS", "ECCA"}
-
 // CoverageConfig parameterizes the coverage matrix experiment.
 type CoverageConfig struct {
 	Scale     float64
@@ -356,12 +352,13 @@ func CoverageMatrix(ctx context.Context, cfg CoverageConfig) ([]*inject.Report, 
 	}
 	opts := cfg.Options
 	var reports []*inject.Report
-	for _, tech := range CoverageTechniques {
-		merged := &inject.Report{Technique: tech, Program: "suite", ByCat: map[errmodel.Category]*inject.Agg{}}
+	// One column per table row; CMOVcc is the safe update style.
+	for _, tech := range check.Techniques {
+		merged := &inject.Report{Technique: tech.Name, Program: "suite", ByCat: map[errmodel.Category]*inject.Agg{}}
 		rowCached := true
 		for _, n := range names {
 			k := session.Key{
-				Workload: n, Scale: cfg.Scale, Technique: tech,
+				Workload: n, Scale: cfg.Scale, Technique: tech.Name,
 				Style: "CMOVcc", CkptInterval: cfg.CkptInterval,
 			}
 			r, cached, err := reg.RunCell(ctx, k, session.Spec{Samples: cfg.Samples, Seed: cfg.Seed}, opts)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/session"
@@ -260,7 +261,7 @@ func TestBenchHandlerRunsCheckpointEngine(t *testing.T) {
 			table = f.Text
 		}
 	}
-	if n := strings.Count(table, "\nengine: "); n != len(CoverageTechniques) {
-		t.Errorf("coverage table has %d engine lines, want %d:\n%s", n, len(CoverageTechniques), table)
+	if n := strings.Count(table, "\nengine: "); n != len(check.Techniques) {
+		t.Errorf("coverage table has %d engine lines, want %d:\n%s", n, len(check.Techniques), table)
 	}
 }

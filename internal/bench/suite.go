@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/session"
@@ -216,7 +217,7 @@ var figures = []figure{
 			PublishAblations(cfg.Metrics, rows)
 			return FormatAblations(rows), nil
 		}},
-	{name: "coverage", configs: CoverageTechniques, note: "fault-injection coverage matrix",
+	{name: "coverage", configs: check.Names(nil), note: "fault-injection coverage matrix",
 		run: func(ctx context.Context, cfg SuiteConfig, row func(SuiteFrame)) (string, error) {
 			reports, err := CoverageMatrix(ctx, CoverageConfig{
 				Scale: cfg.Scale, Samples: cfg.Samples, Seed: cfg.Seed,

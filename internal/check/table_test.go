@@ -1,0 +1,133 @@
+package check_test
+
+import (
+	"context"
+	"strings"
+	"testing"
+	"unicode"
+
+	"repro/internal/bench"
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/dbt"
+	"repro/internal/inject"
+	"repro/internal/session"
+	"repro/internal/sig"
+)
+
+// Every row's constructors name the row, every letter case of a name
+// resolves to its row, and names are unique.
+func TestTechniqueTable(t *testing.T) {
+	g := &sig.Graph{Succs: [][]sig.BlockID{{1}, {2}, {1, 3}, {0, 4}, {}}}
+	seen := map[string]bool{}
+	for i := range check.Techniques {
+		row := &check.Techniques[i]
+		if seen[strings.ToLower(row.Name)] {
+			t.Errorf("%s: name listed twice", row.Name)
+		}
+		seen[strings.ToLower(row.Name)] = true
+		if row.New != nil {
+			for _, style := range []dbt.UpdateStyle{dbt.UpdateJcc, dbt.UpdateCmov} {
+				if got := row.New(style).Name(); got != row.Name {
+					t.Errorf("%s: New(%v).Name() = %q", row.Name, style, got)
+				}
+			}
+		} else if got := row.Static.String(); got != row.Name {
+			t.Errorf("%s: Static.String() = %q", row.Name, got)
+		}
+		if row.Scheme != nil {
+			if got := row.Scheme(g).Name(); got != row.Name {
+				t.Errorf("%s: Scheme(g).Name() = %q", row.Name, got)
+			}
+		} else if row.Name != "none" {
+			t.Errorf("%s: no signature scheme", row.Name)
+		}
+		for _, spelling := range []string{row.Name, strings.ToLower(row.Name), strings.ToUpper(row.Name), mixedCase(row.Name)} {
+			if got, err := check.Lookup(spelling); err != nil || got != row {
+				t.Errorf("Lookup(%q) = %v, %v; want the %s row", spelling, got, err, row.Name)
+			}
+		}
+	}
+	if got, err := check.Lookup(""); err != nil || got.Name != "none" {
+		t.Errorf(`Lookup("") = %v, %v; want the none row`, got, err)
+	}
+	const want = `unknown technique "zork" (want none, ECF, EdgCF, RCF, CFCSS, ECCA)`
+	for _, lookup := range []func() error{
+		func() error { _, err := check.Lookup("zork"); return err },
+		func() error { _, err := check.New("zork", dbt.UpdateJcc); return err },
+		func() error { _, err := core.VerifyScheme("zork", nil); return err },
+		func() error { _, _, _, err := core.Config{Technique: "zork"}.Resolve(); return err },
+	} {
+		if err := lookup(); err == nil || err.Error() != want {
+			t.Errorf("unknown technique: %v, want %q", err, want)
+		}
+	}
+}
+
+// mixedCase lower-cases name, then upper-cases every second letter.
+func mixedCase(name string) string {
+	b := []byte(strings.ToLower(name))
+	for i := 1; i < len(b); i += 2 {
+		b[i] = byte(unicode.ToUpper(rune(b[i])))
+	}
+	return string(b)
+}
+
+// One small campaign per row reads the same through the library facade,
+// the session registry and the coverage matrix: the normalized reports
+// are equal, except that the matrix labels its program "suite".
+func TestTechniqueCampaignsAgree(t *testing.T) {
+	const (
+		workload = "181.mcf"
+		scale    = 0.05
+		samples  = 120
+		seed     = 3
+	)
+	ctx := context.Background()
+	opts := core.Options{Workers: 2, CkptInterval: -1}
+	p, err := core.Workload(workload, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := session.NewRegistry(session.Config{})
+	matrix := map[string]*inject.Report{}
+	if _, err := bench.CoverageMatrix(ctx, bench.CoverageConfig{
+		Scale: scale, Samples: samples, Seed: seed, Workloads: []string{workload}, Options: opts,
+		OnReport: func(r *inject.Report, _ bool) { matrix[r.Technique] = r },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range check.Techniques {
+		// Lower case on the facade, upper case on the session: any
+		// spelling runs the row.
+		direct, err := core.InjectCtx(ctx, p, core.Config{
+			Technique: strings.ToLower(row.Name), Style: "CMOVcc", Options: opts,
+		}, samples, seed)
+		if err != nil {
+			t.Fatalf("%s: InjectCtx: %v", row.Name, err)
+		}
+		served, _, err := reg.RunCell(ctx, session.Key{
+			Workload: workload, Scale: scale, Technique: strings.ToUpper(row.Name),
+			Style: "CMOVcc", CkptInterval: -1,
+		}, session.Spec{Samples: samples, Seed: seed}, opts)
+		if err != nil {
+			t.Fatalf("%s: RunCell: %v", row.Name, err)
+		}
+		m := matrix[row.Name]
+		if m == nil {
+			t.Fatalf("%s: no matrix column", row.Name)
+		}
+		relabeled := *m
+		relabeled.Program = direct.Program
+		want := inject.FormatNormalized(direct)
+		if direct.Technique != row.Name || direct.Totals.Total == 0 {
+			t.Errorf("%s: report labeled %q with %d fired faults", row.Name, direct.Technique, direct.Totals.Total)
+		}
+		if got := inject.FormatNormalized(served); got != want {
+			t.Errorf("%s: session report differs from InjectCtx:\n%s\nwant:\n%s", row.Name, got, want)
+		}
+		if got := inject.FormatNormalized(&relabeled); got != want {
+			t.Errorf("%s: matrix report differs from InjectCtx:\n%s\nwant:\n%s", row.Name, got, want)
+		}
+	}
+}

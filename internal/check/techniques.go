@@ -13,8 +13,6 @@
 package check
 
 import (
-	"fmt"
-
 	"repro/internal/dbt"
 	"repro/internal/isa"
 )
@@ -50,22 +48,6 @@ func emitCheck(e *dbt.Emitter, expected isa.Reg, delta int32) {
 	e.Report()
 	e.Bind(ok)
 	e.Emit(isa.Instr{Op: isa.OpMovRR, RD: isa.ECX, RS1: regSCR}) // restore CX
-}
-
-// New returns the named technique ("EdgCF", "RCF", "ECF", or "none") with
-// the given conditional-update style.
-func New(name string, style dbt.UpdateStyle) (dbt.Technique, error) {
-	switch name {
-	case "EdgCF", "edgcf":
-		return &EdgCF{Style: style}, nil
-	case "RCF", "rcf":
-		return &RCF{Style: style}, nil
-	case "ECF", "ecf":
-		return &ECF{Style: style}, nil
-	case "none", "":
-		return dbt.None{}, nil
-	}
-	return nil, fmt.Errorf("unknown technique %q", name)
 }
 
 // DBTTechniques lists the techniques implemented inside the translator, in

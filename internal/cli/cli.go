@@ -1,14 +1,13 @@
-// Package cli binds the execution-surface flags shared by every cmd/
-// tool: the observability set (-metrics, -progress, -flight,
-// -flight-depth), the profiling pair (-cpuprofile, -memprofile), the
-// campaign knobs (-workers, -ckpt-interval, -backend) that core.Options
-// carries, and the -graph-cache cell cache selector. Binding them in one
-// place keeps the seven tools built on App (cfc-serve among them)
-// presenting an identical surface, and Options() hands the parsed result
-// straight to any campaign entry point that embeds core.Options.
+// Package cli binds the execution-surface flags of the cmd/ tools: every
+// tool built on App takes -metrics, -cpuprofile and -memprofile, and adds
+// only the flag groups it reads (see Group). Binding them in one place
+// keeps each flag's name, default and help the same in every tool, and
+// Options() hands the parsed result straight to any campaign entry point
+// that embeds core.Options.
 package cli
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -23,9 +22,22 @@ import (
 	"repro/internal/obs"
 )
 
+// Group selects flags BindFlags registers beyond the observability and
+// profiling flags every tool takes.
+type Group uint8
+
+// Flag groups, combined with |.
+const (
+	Workers  Group = 1 << iota // -workers
+	Campaign                   // -ckpt-interval, -backend, -progress, -flight, -flight-depth
+	Shard                      // -sample-offset
+	Graph                      // -graph-cache
+)
+
 // App is the shared CLI surface. Zero value is ready to bind; set Workers
 // or CkptInterval first to change a tool's flag defaults (cfc-inject
-// defaults -ckpt-interval to -1, everything else to 0).
+// defaults -ckpt-interval to -1, everything else to 0). Open reads an
+// empty field, bound or not, as its flag's default.
 //
 // Usage: BindFlags before flag.Parse, Open after it, Close on the way
 // out.
@@ -81,37 +93,36 @@ type App struct {
 	tickDone    chan struct{}
 }
 
-// BindFlags registers the shared flags on fs, using the current field
-// values as defaults.
-func (a *App) BindFlags(fs *flag.FlagSet) {
+// BindFlags registers the observability and profiling flags and the
+// given groups on fs, using the current field values as defaults.
+func (a *App) BindFlags(fs *flag.FlagSet, groups Group) {
 	fs.StringVar(&a.MetricsPath, "metrics", a.MetricsPath,
 		"write a metrics snapshot to `file` (.prom = Prometheus text, else JSON)")
-	fs.IntVar(&a.Workers, "workers", a.Workers, "worker goroutines (0 = GOMAXPROCS)")
-	fs.Int64Var(&a.CkptInterval, "ckpt-interval", a.CkptInterval,
-		"checkpoint interval in steps (-1 auto, 0 full replay)")
-	fs.IntVar(&a.SampleOffset, "sample-offset", a.SampleOffset,
-		"first global sample index of this campaign shard (manual fan-out; merge shards with matching seeds)")
 	fs.StringVar(&a.CPUProfile, "cpuprofile", a.CPUProfile, "write a pprof CPU profile to `file`")
 	fs.StringVar(&a.MemProfile, "memprofile", a.MemProfile, "write a pprof heap profile to `file` on exit")
-	if a.Backend == "" {
-		a.Backend = comp.BackendAuto.String()
+	if groups&Workers != 0 {
+		fs.IntVar(&a.Workers, "workers", a.Workers, "worker goroutines (0 = GOMAXPROCS)")
 	}
-	fs.StringVar(&a.Backend, "backend", a.Backend,
-		"execution backend: auto, step or compile (all byte-identical)")
-	fs.DurationVar(&a.Progress, "progress", a.Progress,
-		"print live campaign progress to stderr every `interval` (0 = off)")
-	fs.StringVar(&a.Flight, "flight", a.Flight,
-		"write per-sample flight-recorder dumps (JSONL) for anomalous outcomes to `file`")
-	if a.FlightDepth == 0 {
-		a.FlightDepth = obs.DefaultFlightDepth
+	if groups&Campaign != 0 {
+		fs.Int64Var(&a.CkptInterval, "ckpt-interval", a.CkptInterval,
+			"checkpoint interval in steps (-1 auto, 0 full replay)")
+		fs.StringVar(&a.Backend, "backend", cmp.Or(a.Backend, comp.BackendAuto.String()),
+			"execution backend: auto, step or compile (all byte-identical)")
+		fs.DurationVar(&a.Progress, "progress", a.Progress,
+			"print live campaign progress to stderr every `interval` (0 = off)")
+		fs.StringVar(&a.Flight, "flight", a.Flight,
+			"write per-sample flight-recorder dumps (JSONL) for anomalous outcomes to `file`")
+		fs.IntVar(&a.FlightDepth, "flight-depth", cmp.Or(a.FlightDepth, obs.DefaultFlightDepth),
+			"flight-recorder ring depth: last `n` events kept per dumped sample")
 	}
-	fs.IntVar(&a.FlightDepth, "flight-depth", a.FlightDepth,
-		"flight-recorder ring depth: last `n` events kept per dumped sample")
-	if a.GraphCache == "" {
-		a.GraphCache = "off"
+	if groups&Shard != 0 {
+		fs.IntVar(&a.SampleOffset, "sample-offset", a.SampleOffset,
+			"first global sample index of this campaign shard (manual fan-out; merge shards with matching seeds)")
 	}
-	fs.StringVar(&a.GraphCache, "graph-cache", a.GraphCache,
-		"campaign cell cache: off, on (memory only) or a `directory` to persist under")
+	if groups&Graph != 0 {
+		fs.StringVar(&a.GraphCache, "graph-cache", cmp.Or(a.GraphCache, "off"),
+			"campaign cell cache: off, on (memory only) or a `directory` to persist under")
+	}
 }
 
 // Open creates every output file the flags name (metrics, CPU profile,

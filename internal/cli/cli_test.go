@@ -1,11 +1,14 @@
 package cli
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/comp"
 )
 
 // A failed Open must not leave sinks armed: callers fatal on the error
@@ -100,5 +103,40 @@ func TestMetricsWrittenAtClose(t *testing.T) {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("%s lacks %q:\n%s", name, want, b)
 		}
+	}
+}
+
+// Each flag group registers exactly its flags on top of the ones every
+// tool takes, and Open works with every group unbound.
+func TestFlagGroups(t *testing.T) {
+	for _, tc := range []struct {
+		groups Group
+		want   string // in lexical order, as VisitAll visits
+	}{
+		{0, "cpuprofile memprofile metrics"},
+		{Workers, "cpuprofile memprofile metrics workers"},
+		{Campaign, "backend ckpt-interval cpuprofile flight flight-depth memprofile metrics progress"},
+		{Shard, "cpuprofile memprofile metrics sample-offset"},
+		{Graph, "cpuprofile graph-cache memprofile metrics"},
+	} {
+		fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+		var a App
+		a.BindFlags(fs, tc.groups)
+		var names []string
+		fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+		if got := strings.Join(names, " "); got != tc.want {
+			t.Errorf("group %d binds %q, want %q", tc.groups, got, tc.want)
+		}
+	}
+
+	var a App
+	if err := a.Open(); err != nil {
+		t.Fatalf("Open with no group bound: %v", err)
+	}
+	if o := a.Options(); o.Backend != comp.BackendAuto || a.Graph() != nil {
+		t.Errorf("unbound defaults: backend %v, graph %v", o.Backend, a.Graph())
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -62,11 +62,11 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", uint8(b))
 }
 
-// ParseBackend parses a -backend flag value: "auto" and "compile" both
+// ParseBackend parses a -backend flag value: "auto", "compile" and ""
 // name the compiled backend, "step" the oracle.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "auto", "compile":
+	case "", "auto", "compile":
 		return BackendAuto, nil
 	case "step":
 		return BackendStep, nil

@@ -32,7 +32,9 @@ type Options = inject.Options
 
 // Config selects a protection configuration by name, as the CLIs expose it.
 type Config struct {
-	// Technique: "none", "EdgCF", "RCF" or "ECF".
+	// Technique: "none" (the default), "ECF", "EdgCF" or "RCF" under the
+	// translator, or the static baselines "CFCSS" and "ECCA", which run
+	// natively and read no Style; any letter case (check.Lookup).
 	Technique string
 	// Style: "Jcc" (default) or "CMOVcc".
 	Style string
@@ -73,21 +75,25 @@ func ParsePolicy(s string) (dbt.Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (want ALLBB, RET-BE, RET or END)", s)
 }
 
-// Resolve materializes the configuration.
-func (c Config) Resolve() (dbt.Technique, dbt.Policy, error) {
-	style, err := ParseStyle(c.Style)
+// Resolve materializes the configuration: the technique's table row, its
+// translator instance (nil for a static baseline) and the policy.
+func (c Config) Resolve() (*check.Technique, dbt.Technique, dbt.Policy, error) {
+	row, err := check.Lookup(c.Technique)
 	if err != nil {
-		return nil, 0, err
-	}
-	tech, err := check.New(c.Technique, style)
-	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	pol, err := ParsePolicy(c.Policy)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	return tech, pol, nil
+	if row.New == nil {
+		return row, nil, pol, nil
+	}
+	style, err := ParseStyle(c.Style)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return row, row.New(style), pol, nil
 }
 
 // Workload builds a named SPEC2000-shaped benchmark at the given dynamic
@@ -131,11 +137,15 @@ func RunNative(p *isa.Program, maxSteps uint64) *NativeResult {
 	}
 }
 
-// NewDBT prepares a translator for p under the given configuration.
+// NewDBT prepares a translator for p under the given configuration. A
+// static baseline is an error: it runs natively.
 func NewDBT(p *isa.Program, c Config) (*dbt.DBT, error) {
-	tech, pol, err := c.Resolve()
+	row, tech, pol, err := c.Resolve()
 	if err != nil {
 		return nil, err
+	}
+	if tech == nil {
+		return nil, fmt.Errorf("%s is a static baseline and runs without the translator", row.Name)
 	}
 	return dbt.New(p, dbt.Options{Technique: tech, Policy: pol}), nil
 }
@@ -154,12 +164,13 @@ func AnalyzeErrors(p *isa.Program, maxSteps uint64) (*errmodel.Table, error) {
 	return errmodel.Analyze(p, maxSteps)
 }
 
-// InjectCtx runs a randomized single-fault campaign under the DBT,
-// honoring ctx for cancellation. Execution knobs (Workers, CkptInterval,
-// Metrics, ...) come from c.Options; the report is bit-identical for
-// every worker count.
+// InjectCtx runs a randomized single-fault campaign, under the DBT or,
+// for a static baseline, natively on the instrumented program, honoring
+// ctx for cancellation. Execution knobs (Workers, CkptInterval, Metrics,
+// ...) come from c.Options; the report is bit-identical for every worker
+// count.
 func InjectCtx(ctx context.Context, p *isa.Program, c Config, samples int, seed int64) (*inject.Report, error) {
-	tech, pol, err := c.Resolve()
+	row, tech, pol, err := c.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -168,29 +179,28 @@ func InjectCtx(ctx context.Context, p *isa.Program, c Config, samples int, seed 
 		SampleOffset: c.SampleOffset,
 		Options:      c.Options,
 	}
-	return inject.Execute(ctx, p, icfg)
+	var opts []inject.ExecOption
+	if tech == nil {
+		if p, err = check.InstrumentStatic(p, row.Static); err != nil {
+			return nil, err
+		}
+		opts = append(opts, inject.AsStatic(row.Name))
+	}
+	return inject.Execute(ctx, p, icfg, opts...)
 }
 
 // VerifyScheme model-checks a technique's signature algebra against the
 // paper's sufficient and necessary conditions on a representative graph
 // (Section 4), counting explored states and check verdicts on reg (which
-// may be nil). Valid names: EdgCF, RCF, ECF, CFCSS, ECCA.
+// may be nil). Every technique but "none" has a scheme.
 func VerifyScheme(name string, reg *obs.Registry) (sig.Result, error) {
-	g := &sig.Graph{Succs: [][]sig.BlockID{{1}, {2}, {1, 3}, {0, 4}, {}}}
-	var scheme sig.Scheme
-	switch strings.ToLower(name) {
-	case "edgcf":
-		scheme = sig.EdgCF{}
-	case "rcf":
-		scheme = sig.RCF{}
-	case "ecf":
-		scheme = sig.ECF{}
-	case "cfcss":
-		scheme = sig.NewCFCSS(g)
-	case "ecca":
-		scheme = sig.NewECCA(g)
-	default:
-		return sig.Result{}, fmt.Errorf("unknown scheme %q", name)
+	row, err := check.Lookup(name)
+	if err != nil {
+		return sig.Result{}, err
 	}
-	return sig.VerifyObs(g, scheme, reg), nil
+	if row.Scheme == nil {
+		return sig.Result{}, fmt.Errorf("%s has no signature scheme", row.Name)
+	}
+	g := &sig.Graph{Succs: [][]sig.BlockID{{1}, {2}, {1, 3}, {0, 4}, {}}}
+	return sig.VerifyObs(g, row.Scheme(g), reg), nil
 }

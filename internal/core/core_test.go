@@ -13,9 +13,10 @@ func TestConfigResolve(t *testing.T) {
 		{Technique: "RCF", Style: "CMOVcc", Policy: "RET-BE"},
 		{Technique: "EdgCF", Style: "Jcc", Policy: "END"},
 		{Technique: "ECF", Policy: "RET"},
+		{Technique: "cfcss", Policy: "ALLBB"},
 	}
 	for _, c := range ok {
-		if _, _, err := c.Resolve(); err != nil {
+		if _, _, _, err := c.Resolve(); err != nil {
 			t.Errorf("Resolve(%+v) = %v", c, err)
 		}
 	}
@@ -25,7 +26,7 @@ func TestConfigResolve(t *testing.T) {
 		{Policy: "bogus"},
 	}
 	for _, c := range bad {
-		if _, _, err := c.Resolve(); err == nil {
+		if _, _, _, err := c.Resolve(); err == nil {
 			t.Errorf("Resolve(%+v) should fail", c)
 		}
 	}
@@ -52,6 +53,9 @@ func TestWorkloadFacade(t *testing.T) {
 	}
 	if len(res.Output) != len(nat.Output) || res.Output[0] != nat.Output[0] {
 		t.Error("instrumented output differs from native")
+	}
+	if _, err := RunDBT(p, Config{Technique: "CFCSS"}, 100); err == nil {
+		t.Error("a static baseline should not run under the translator")
 	}
 	if _, err := Workload("nope", 1); err == nil {
 		t.Error("unknown workload should fail")

@@ -135,17 +135,8 @@ func (f *Front) runShard(req *http.Request, body *session.Request, shard session
 	}
 	defer release()
 
-	sreq := session.Request{
-		Workload:     body.Workload,
-		Scale:        body.Scale,
-		Technique:    body.Technique,
-		Style:        body.Style,
-		Policy:       body.Policy,
-		CkptInterval: body.CkptInterval,
-		Workers:      body.Workers,
-		ReturnReport: true,
-		Campaigns:    []session.SpecJSON{shard},
-	}
+	sreq := *body
+	sreq.ProgressMs, sreq.ReturnReport, sreq.Campaigns = 0, true, []session.SpecJSON{shard}
 	raw, err := json.Marshal(sreq)
 	if err != nil {
 		return rec, err

@@ -117,19 +117,6 @@ func tenantOf(req *http.Request) string {
 	return "default"
 }
 
-// keyOf is the routing fingerprint: the same session key string the
-// replicas use for their warm-session and artifact cache identities.
-func keyOf(body *session.Request) string {
-	return session.Key{
-		Workload:     body.Workload,
-		Scale:        body.Scale,
-		Technique:    body.Technique,
-		Style:        body.Style,
-		Policy:       body.Policy,
-		CkptInterval: body.CkptInterval,
-	}.String()
-}
-
 func (f *Front) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	raw, ok := session.ReadBody(w, req)
 	if !ok {
@@ -150,7 +137,7 @@ func (f *Front) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	key := keyOf(&body)
+	key := body.Key().String() // the replicas' session and artifact identity
 	if fanout > 1 {
 		f.fanoutCampaigns(w, req, &body, key, fanout)
 		return

@@ -29,9 +29,9 @@
 //
 // Engine code itself cannot be content-hashed, so two version knobs
 // stand in for it: EngineVersion (bump on any semantics-affecting engine
-// change — every cell invalidates) and TechniqueVersions (bump one
-// technique's entry when only its checker or instrumentation changed —
-// only that technique's cells invalidate). Both fold into the embedded
+// change — every cell invalidates) and each technique's Version in
+// check.Techniques (bump it when only that technique's checker or
+// instrumentation changed — only its cells invalidate). Both fold into the embedded
 // fingerprint but not the file name, so a bump overwrites entries in
 // place instead of orphaning dead files.
 //

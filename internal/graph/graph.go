@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/comp"
 	"repro/internal/fp"
 	"repro/internal/inject"
@@ -25,17 +26,14 @@ import (
 // that evaluates it.
 const EngineVersion = 3
 
-// TechniqueVersions invalidates one technique's cells: bump a technique's
-// entry when only its checker or instrumentation changed, and the other
-// techniques' cached cells stay valid. Techniques not listed here fold in
-// as version 0.
-var TechniqueVersions = map[string]int{
-	"none":  1,
-	"ECF":   1,
-	"EdgCF": 1,
-	"RCF":   1,
-	"CFCSS": 1,
-	"ECCA":  1,
+// TechniqueVersion is the named technique's Version in check.Techniques.
+// An unknown name, which no campaign can run, folds in as version 0.
+func TechniqueVersion(name string) int {
+	t, err := check.Lookup(name)
+	if err != nil {
+		return 0
+	}
+	return t.Version
 }
 
 // CellKey identifies one campaign cell by everything that influences its
@@ -47,7 +45,7 @@ type CellKey struct {
 	Program     string
 	ProgramHash string
 
-	Technique string
+	Technique string // canonical (check.Lookup): every spelling shares a cell
 	Style     string
 	Policy    string
 	Samples   int
@@ -65,9 +63,10 @@ type CellKey struct {
 	MaxSteps     uint64
 }
 
-// KeyFor builds the cell key for a campaign over p. maxSteps is
-// normalized (0 to inject.DefaultMaxSteps) so spellings that run
-// identically share a cell.
+// KeyFor builds the cell key for a campaign over p. The technique takes
+// its canonical name and maxSteps is normalized (0 to
+// inject.DefaultMaxSteps), so spellings that run identically share a
+// cell.
 func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed int64,
 	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
 	return KeyForDigest(p.Name, fp.Program(p), technique, style, policy, samples, seed,
@@ -84,6 +83,9 @@ func KeyForDigest(name, digest, technique, style, policy string, samples int, se
 	}
 	if sampleOffset < 0 {
 		sampleOffset = 0
+	}
+	if t, err := check.Lookup(technique); err == nil {
+		technique = t.Name
 	}
 	return CellKey{
 		Program:      name,
@@ -111,7 +113,7 @@ func (k CellKey) id() string {
 // Fingerprint renders the full cell fingerprint embedded in cache
 // entries: the engine and technique versions plus the key identity.
 func (k CellKey) Fingerprint() string {
-	return k.fingerprintAt(EngineVersion, TechniqueVersions[k.Technique])
+	return k.fingerprintAt(EngineVersion, TechniqueVersion(k.Technique))
 }
 
 // fingerprintAt is Fingerprint under explicit versions, split out so the

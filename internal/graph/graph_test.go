@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/errmodel"
@@ -91,7 +92,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	// Version bumps invalidate without moving the file: same name, new
 	// fingerprint, so the stale entry is overwritten in place.
-	if got := base.fingerprintAt(EngineVersion+1, TechniqueVersions[base.Technique]); got == base.Fingerprint() {
+	if got := base.fingerprintAt(EngineVersion+1, TechniqueVersion(base.Technique)); got == base.Fingerprint() {
 		t.Error("engine version bump did not change the fingerprint")
 	}
 	stale := base
@@ -194,7 +195,7 @@ func TestRunMissThenHit(t *testing.T) {
 func TestEngineVersionBumpInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey(t, testProgram(t))
-	raw := encodeEntry(fakeEntry("RCF"), k.fingerprintAt(EngineVersion-1, TechniqueVersions[k.Technique]))
+	raw := encodeEntry(fakeEntry("RCF"), k.fingerprintAt(EngineVersion-1, TechniqueVersion(k.Technique)))
 	if err := os.WriteFile(filepath.Join(dir, k.fileName()), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +237,7 @@ func TestTechniqueVersionBumpInvalidatesOnlyThatTechnique(t *testing.T) {
 	c.Store(rcf, fakeEntry("RCF"))
 	c.Store(ecf, fakeEntry("ECF"))
 
-	old := TechniqueVersions["RCF"]
-	TechniqueVersions["RCF"] = old + 1
-	defer func() { TechniqueVersions["RCF"] = old }()
+	bumpVersion(t, "RCF")
 
 	reg := obs.NewRegistry()
 	fresh := New(dir)
@@ -250,6 +249,65 @@ func TestTechniqueVersionBumpInvalidatesOnlyThatTechnique(t *testing.T) {
 	}
 	if fresh.Lookup(ecf, reg) == nil {
 		t.Error("unbumped technique's cell was invalidated too")
+	}
+}
+
+// bumpVersion raises the named technique's table version until the test
+// ends.
+func bumpVersion(t *testing.T, name string) {
+	t.Helper()
+	row, err := check.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row.Version++
+	t.Cleanup(func() { row.Version-- })
+}
+
+// Every spelling of a technique keys one cell at the row's version: a
+// lower-case or empty name used to key its own cell at version 0, which a
+// version bump never invalidated.
+func TestTechniqueSpellingsShareOneCell(t *testing.T) {
+	key := func(tech string) CellKey {
+		return KeyForDigest("181.mcf", "d1g35t", tech, "CMOVcc", "ALLBB", 40, 1, 0, -1, comp.BackendAuto, 0)
+	}
+	for _, spellings := range [][]string{{"RCF", "rcf", "Rcf"}, {"none", "", "NONE"}, {"CFCSS", "cfcss", "Cfcss"}} {
+		want := key(spellings[0]).Fingerprint()
+		for _, s := range spellings[1:] {
+			if got := key(s).Fingerprint(); got != want {
+				t.Errorf("%q keys %s, want %s", s, got, want)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	p := testProgram(t)
+	upper := testKey(t, p)
+	lower := KeyFor(p, "rcf", "CMOVcc", "ALLBB", testSamples, testSeed, 0, -1, comp.BackendAuto, 0)
+	New(dir).Store(lower, fakeEntry("RCF"))
+	if New(dir).Lookup(upper, nil) == nil {
+		t.Fatal(`a cell stored as "rcf" does not answer "RCF"`)
+	}
+	bumpVersion(t, "RCF")
+	for _, k := range []CellKey{upper, lower} {
+		if New(dir).Lookup(k, nil) != nil {
+			t.Errorf("%q cell survived RCF's version bump", k.Technique)
+		}
+	}
+}
+
+// Each row's fingerprint for its canonical name is pinned at one fixed
+// key, so cells persisted before the technique table keep answering.
+func TestCanonicalFingerprintsPinned(t *testing.T) {
+	if len(check.Techniques) != 6 {
+		t.Fatalf("%d techniques; pin the new row's fingerprint here", len(check.Techniques))
+	}
+	for _, row := range check.Techniques {
+		k := KeyForDigest("181.mcf", "d1g35t", row.Name, "CMOVcc", "ALLBB", 40, 1, 0, -1, comp.BackendAuto, 0)
+		want := "cell|v3|t1|181.mcf|d1g35t|" + row.Name + "|CMOVcc|ALLBB|s1|n40|o0|i-1|compile|m50000000"
+		if got := k.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %s, want %s", row.Name, got, want)
+		}
 	}
 }
 

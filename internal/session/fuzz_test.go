@@ -6,13 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/ckpt"
 )
 
 // FuzzCampaignRequest fuzzes the campaign wire: DecodeRequest never
 // panics, and every body it accepts is one JSON value (nothing but
-// whitespace after it) within the default limits, each bound checked here
-// on its own rather than through the Limits methods.
+// whitespace after it) naming a technique in its canonical spelling,
+// within the default limits, each bound checked here on its own rather
+// than through the Limits methods.
 func FuzzCampaignRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"workload":"164.gzip","scale":0.05,"technique":"RCF","style":"CMOVcc","policy":"ALLBB","ckpt_interval":-1,"campaigns":[{"seed":1,"samples":200}]}`,
@@ -27,6 +29,7 @@ func FuzzCampaignRequest(f *testing.F) {
 		`{"workload":"x","campaigns":[{"samples":1}]} trailing`,
 		`[]`,
 		``,
+		`{"workload":"x","technique":"Rcf","campaigns":[{"samples":1}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -42,6 +45,9 @@ func FuzzCampaignRequest(f *testing.F) {
 		}
 		if body.Workload == "" || len(body.Campaigns) == 0 {
 			t.Fatalf("accepted a body without a workload or campaigns: %+v", body)
+		}
+		if row, err := check.Lookup(body.Technique); err != nil || row.Name != body.Technique {
+			t.Fatalf("accepted technique %q, which is not a canonical name", body.Technique)
 		}
 		if !(body.Scale >= 0 && body.Scale <= lim.MaxScale) {
 			t.Fatalf("accepted scale %g", body.Scale)

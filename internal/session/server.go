@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/inject"
@@ -180,6 +181,11 @@ type Request struct {
 	ReturnReport bool `json:"return_report"`
 }
 
+// Key is the session key the request runs on.
+func (r Request) Key() Key {
+	return Key{r.Workload, r.Scale, r.Technique, r.Style, r.Policy, r.CkptInterval}
+}
+
 // SpecJSON is one campaign of a batch.
 type SpecJSON struct {
 	Seed    int64 `json:"seed"`
@@ -334,8 +340,10 @@ func handleVersion(w http.ResponseWriter, _ *http.Request) {
 
 // DecodeRequest decodes a POST /v1/campaigns body (DecodeJSON: one value,
 // no unknown fields, no trailing data) and checks it against l: a
-// workload, at least one campaign, and a scale, worker count, checkpoint
-// interval and every campaign's sample range within the limits.
+// workload, a known technique, at least one campaign, and a scale, worker
+// count, checkpoint interval and every campaign's sample range within the
+// limits. The technique comes back in its canonical spelling, so every
+// spelling of one configuration routes to, and runs on, one session.
 func (l Limits) DecodeRequest(raw []byte) (Request, error) {
 	var body Request
 	if err := DecodeJSON(raw, &body); err != nil {
@@ -344,6 +352,11 @@ func (l Limits) DecodeRequest(raw []byte) (Request, error) {
 	if body.Workload == "" {
 		return body, errors.New("workload required")
 	}
+	tech, err := check.Lookup(body.Technique)
+	if err != nil {
+		return body, err
+	}
+	body.Technique = tech.Name
 	if len(body.Campaigns) == 0 {
 		return body, errors.New("at least one campaign required")
 	}
@@ -375,14 +388,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	k := Key{
-		Workload:     body.Workload,
-		Scale:        body.Scale,
-		Technique:    body.Technique,
-		Style:        body.Style,
-		Policy:       body.Policy,
-		CkptInterval: body.CkptInterval,
-	}
+	k := body.Key()
 	ctx := req.Context()
 	// Validate the key without building: campaigns go through RunCell,
 	// where a graph-cache hit must not pay a session build — but a bad

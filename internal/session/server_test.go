@@ -378,6 +378,26 @@ func TestProgressStreamInterleavesCleanly(t *testing.T) {
 	}
 }
 
+// Every spelling of a technique decodes to its canonical name, so the
+// spellings share one session and one report label.
+func TestTechniqueSpellingsShareOneSession(t *testing.T) {
+	srv := &Server{Registry: NewRegistry(Config{})}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, tech := range []string{"rcf", "RCF", "Rcf"} {
+		status, recs, raw := postBatch(t, ts, Request{
+			Workload: testWorkload, Scale: testScale, Technique: tech, Style: "CMOVcc",
+			Campaigns: []SpecJSON{{Seed: 1, Samples: 5}},
+		})
+		if status != http.StatusOK || len(recs) != 1 || recs[0].Technique != "RCF" {
+			t.Fatalf("technique %q: status %d: %s", tech, status, raw)
+		}
+	}
+	if n := srv.Registry.Len(); n != 1 {
+		t.Errorf("%d sessions for one technique, want 1", n)
+	}
+}
+
 // A failing campaign mid-batch ends the stream with an error record; the
 // earlier records still arrive.
 func TestBatchStopsAtFirstError(t *testing.T) {

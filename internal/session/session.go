@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -41,12 +40,12 @@ import (
 // the checkpoint log. Campaign-level knobs (samples, seed, workers) are
 // deliberately absent — they vary per request over the same session.
 type Key struct {
-	Workload     string
-	Scale        float64
-	Technique    string
-	Style        string
-	Policy       string
-	CkptInterval int64
+	Workload     string  `json:"workload"`
+	Scale        float64 `json:"scale"`
+	Technique    string  `json:"technique"`
+	Style        string  `json:"style,omitempty"`
+	Policy       string  `json:"policy,omitempty"`
+	CkptInterval int64   `json:"ckpt_interval"`
 }
 
 // String renders the key as the canonical fingerprint the artifact tier
@@ -87,12 +86,6 @@ func (s *Session) Campaigns() int64 {
 
 // Log returns the session's checkpoint log (nil for full-replay sessions).
 func (s *Session) Log() *ckpt.Log { return s.log }
-
-// Label returns the canonical technique label campaigns report under.
-func (s *Session) Label() string { return s.label }
-
-// CleanSteps returns the length of the clean reference run in steps.
-func (s *Session) CleanSteps() uint64 { return s.cleanSteps }
 
 // Spec is one campaign request against a session.
 type Spec struct {
@@ -314,17 +307,7 @@ func (r *Registry) Validate(k Key) error {
 	if _, err := workloads.ByName(k.Workload); err != nil {
 		return err
 	}
-	if _, err := core.ParsePolicy(k.Policy); err != nil {
-		return err
-	}
-	if _, ok := staticKind(k.Technique); ok {
-		return nil
-	}
-	style, err := core.ParseStyle(k.Style)
-	if err != nil {
-		return err
-	}
-	_, err = check.New(k.Technique, style)
+	_, _, _, err := core.Config{Technique: k.Technique, Style: k.Style, Policy: k.Policy}.Resolve()
 	return err
 }
 
@@ -427,17 +410,6 @@ func (r *Registry) programEntry(workload string, scale float64) (*progEntry, err
 	return pe, pe.err
 }
 
-// staticKind resolves a static-baseline technique name.
-func staticKind(name string) (check.StaticKind, bool) {
-	switch strings.ToUpper(name) {
-	case "CFCSS":
-		return check.StaticCFCSS, true
-	case "ECCA":
-		return check.StaticECCA, true
-	}
-	return 0, false
-}
-
 // build constructs the session for k: program, warm state (a stabilized
 // translator snapshot, or for the static baselines the instrumented
 // program's native warm state) and — for the checkpoint engine — the
@@ -451,27 +423,14 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 		return nil, err
 	}
 	base := pe.prog
-	pol, err := core.ParsePolicy(k.Policy)
+	row, tech, pol, err := core.Config{Technique: k.Technique, Style: k.Style, Policy: k.Policy}.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Key: k, pol: pol, prog: base, label: "none"}
-	if kind, ok := staticKind(k.Technique); ok {
-		s.static = true
-		s.label = kind.String()
-		if s.prog, err = check.InstrumentStatic(base, kind); err != nil {
+	s := &Session{Key: k, tech: tech, pol: pol, prog: base, label: row.Name, static: tech == nil}
+	if s.static {
+		if s.prog, err = check.InstrumentStatic(base, row.Static); err != nil {
 			return nil, err
-		}
-	} else {
-		style, err := core.ParseStyle(k.Style)
-		if err != nil {
-			return nil, err
-		}
-		if s.tech, err = check.New(k.Technique, style); err != nil {
-			return nil, err
-		}
-		if s.tech != nil {
-			s.label = s.tech.Name()
 		}
 	}
 	afp := r.artifactFingerprint(s, pe)
@@ -595,16 +554,11 @@ func (r *Registry) publishArtifact(s *Session, afp string, pe *progEntry) {
 
 // Info describes one warm session for the sessions endpoint.
 type Info struct {
-	Workload     string  `json:"workload"`
-	Scale        float64 `json:"scale"`
-	Technique    string  `json:"technique"`
-	Style        string  `json:"style,omitempty"`
-	Policy       string  `json:"policy,omitempty"`
-	CkptInterval int64   `json:"ckpt_interval"`
-	Campaigns    int64   `json:"campaigns"`
-	CleanSteps   uint64  `json:"clean_steps"`
-	Points       int     `json:"ckpt_points,omitempty"`
-	LogBytes     uint64  `json:"ckpt_bytes,omitempty"`
+	Key
+	Campaigns  int64  `json:"campaigns"`
+	CleanSteps uint64 `json:"clean_steps"`
+	Points     int    `json:"ckpt_points,omitempty"`
+	LogBytes   uint64 `json:"ckpt_bytes,omitempty"`
 }
 
 // List snapshots the warm set, sorted by key fingerprint so the output is
@@ -627,16 +581,7 @@ func (r *Registry) List() []Info {
 	})
 	infos := make([]Info, 0, len(ready))
 	for _, s := range ready {
-		in := Info{
-			Workload:     s.Key.Workload,
-			Scale:        s.Key.Scale,
-			Technique:    s.Key.Technique,
-			Style:        s.Key.Style,
-			Policy:       s.Key.Policy,
-			CkptInterval: s.Key.CkptInterval,
-			Campaigns:    s.Campaigns(),
-			CleanSteps:   s.cleanSteps,
-		}
+		in := Info{Key: s.Key, Campaigns: s.Campaigns(), CleanSteps: s.cleanSteps}
 		if s.log != nil {
 			in.Points = len(s.log.Points)
 			in.LogBytes = s.log.Bytes

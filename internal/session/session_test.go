@@ -298,6 +298,11 @@ func TestValidate(t *testing.T) {
 	if err := r.Validate(testKey("CFCSS", 0)); err != nil {
 		t.Errorf("static technique rejected: %v", err)
 	}
+	for _, tech := range []string{"Rcf", "Cfcss", ""} {
+		if err := r.Validate(testKey(tech, -1)); err != nil {
+			t.Errorf("technique %q rejected: %v", tech, err)
+		}
+	}
 	for name, k := range map[string]Key{
 		"workload":  {Workload: "999.nope", Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB"},
 		"technique": {Workload: testWorkload, Technique: "XYZ", Style: "CMOVcc", Policy: "ALLBB"},
