@@ -118,14 +118,28 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	}
 }
 
-// Each technique's fingerprint is pinned at one fixed key, so artifacts
-// published before the technique table keep restoring.
+// Each technique's fingerprint is pinned at one fixed key in canonical
+// spelling (the session key's rendering), so artifacts published before
+// the technique table keep restoring. The rows that read no style key it
+// as "".
 func TestCanonicalFingerprintsPinned(t *testing.T) {
+	want := map[string]string{
+		"none":  "artifact|v1|e3|t:none.1|181.mcf|0.05|none||ALLBB|-1|prog:d1g35t|max:50000000",
+		"ECF":   "artifact|v1|e3|t:ECF.1|181.mcf|0.05|ECF|CMOVcc|ALLBB|-1|prog:d1g35t|max:50000000",
+		"EdgCF": "artifact|v1|e3|t:EdgCF.1|181.mcf|0.05|EdgCF|CMOVcc|ALLBB|-1|prog:d1g35t|max:50000000",
+		"RCF":   "artifact|v1|e3|t:RCF.1|181.mcf|0.05|RCF|CMOVcc|ALLBB|-1|prog:d1g35t|max:50000000",
+		"CFCSS": "artifact|v1|e3|t:CFCSS.1|181.mcf|0.05|CFCSS||ALLBB|-1|prog:d1g35t|max:50000000",
+		"ECCA":  "artifact|v1|e3|t:ECCA.1|181.mcf|0.05|ECCA||ALLBB|-1|prog:d1g35t|max:50000000",
+	}
 	for _, name := range check.Names(nil) {
-		key := "181.mcf|0.05|" + name + "|CMOVcc|ALLBB|-1"
-		want := "artifact|v1|e3|t:" + name + ".1|" + key + "|prog:d1g35t|max:50000000"
-		if got := Fingerprint(key, name, "d1g35t", 50000000); got != want {
-			t.Errorf("%s: fingerprint %s, want %s", name, got, want)
+		id, err := check.Identify(name, "CMOVcc", "ALLBB")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tech, style, pol := id.Names()
+		key := "181.mcf|0.05|" + tech + "|" + style + "|" + pol + "|-1"
+		if got := Fingerprint(key, tech, "d1g35t", 50000000); got != want[name] {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, want[name])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"net/http"
 
@@ -21,29 +22,21 @@ type BenchRequest struct {
 }
 
 // validate rejects unknown figures and out-of-range suite parameters
-// before any work starts, against the serve mux's shared bounds: one
-// unauthenticated POST must not be able to pin the server on an
+// before any work starts, against the served bounds campaigns obey too:
+// one unauthenticated POST must not be able to pin the server on an
 // arbitrarily large run. Full-scale (1.0) figures belong to cfc-bench
 // batch runs on the machine's own terms.
-func (r BenchRequest) validate(limits session.Limits) error {
-	if err := CheckFigures(r.Figures); err != nil {
-		return err
-	}
-	if err := limits.CheckSamples(r.Samples); err != nil {
-		return err
-	}
-	if err := limits.CheckScale(r.Scale); err != nil {
-		return err
-	}
-	return limits.CheckWorkers(r.Workers)
+func (r BenchRequest) validate() error {
+	return cmp.Or(CheckFigures(r.Figures), session.CheckSamples(r.Samples),
+		session.CheckScale(r.Scale), session.CheckWorkers(r.Workers))
 }
 
 // Handler serves the bench suite over the server's warm-session registry
 // as an NDJSON stream of SuiteFrames, one per line, flushed as produced.
 // The handler lives here rather than in package session because bench
 // already imports session; cfc-serve mounts it on the session server's
-// mux as an extra Route, so it shares the server's request bounds, error
-// shape and batch tracking — the run's Campaign-Id is pollable at
+// mux as an extra Route, so it shares the server's error shape and batch
+// tracking — the run's Campaign-Id is pollable at
 // GET /v1/campaigns/{id}/progress like any campaign batch.
 func Handler(srv *session.Server) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -66,7 +59,7 @@ func Handler(srv *session.Server) http.Handler {
 				return
 			}
 		}
-		if err := req.validate(srv.Limits); err != nil {
+		if err := req.validate(); err != nil {
 			session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 			return
 		}

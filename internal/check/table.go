@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -39,6 +40,67 @@ var Techniques = []Technique{
 		Scheme: func(g *sig.Graph) sig.Scheme { return sig.NewCFCSS(g) }},
 	{Name: "ECCA", Version: 1, Static: StaticECCA,
 		Scheme: func(g *sig.Graph) sig.Scheme { return sig.NewECCA(g) }},
+}
+
+// ReadsStyle reports whether the row's checks read the update style: only
+// a translator row that inserts checks (it has a scheme) emits the
+// conditional update the style shapes.
+func (t *Technique) ReadsStyle() bool { return t.New != nil && t.Scheme != nil }
+
+// Identity is one configuration: the technique's row, the update style
+// and the checking policy.
+type Identity struct {
+	Row    *Technique
+	Style  dbt.UpdateStyle
+	Policy dbt.Policy
+}
+
+// Identify resolves a configuration's technique, style and policy names
+// to its identity. It is the only parser of these names: any letter case,
+// "" for each default (none, Jcc, ALLBB) and the aliases "cmov" and
+// "RETBE". It allocates only to report an error.
+func Identify(technique, style, policy string) (Identity, error) {
+	row, err := Lookup(technique)
+	st, serr := ParseStyle(style)
+	pol, perr := ParsePolicy(policy)
+	if err := cmp.Or(err, serr, perr); err != nil {
+		return Identity{}, err
+	}
+	return Identity{row, st, pol}, nil
+}
+
+// Names spells id canonically, as every key, fingerprint and ring owner
+// names it: the row's name, the style's name when the row reads it and ""
+// otherwise, and the policy's name.
+func (id Identity) Names() (technique, style, policy string) {
+	if id.Row.ReadsStyle() {
+		style = id.Style.String()
+	}
+	return id.Row.Name, style, id.Policy.String()
+}
+
+// ParseStyle resolves an update-style name (see Identify).
+func ParseStyle(s string) (dbt.UpdateStyle, error) {
+	switch {
+	case s == "" || strings.EqualFold(s, dbt.UpdateJcc.String()):
+		return dbt.UpdateJcc, nil
+	case strings.EqualFold(s, dbt.UpdateCmov.String()) || strings.EqualFold(s, "cmov"):
+		return dbt.UpdateCmov, nil
+	}
+	return 0, fmt.Errorf("unknown update style %q (want Jcc or CMOVcc)", s)
+}
+
+// ParsePolicy resolves a checking-policy name (see Identify).
+func ParsePolicy(s string) (dbt.Policy, error) {
+	if strings.EqualFold(s, "RETBE") {
+		return dbt.PolicyRetBE, nil
+	}
+	for _, p := range dbt.Policies() {
+		if s == "" || strings.EqualFold(s, p.String()) { // "" is ALLBB, the first
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want ALLBB, RET-BE, RET or END)", s)
 }
 
 // Lookup resolves a technique name in any letter case, or "" for "none",

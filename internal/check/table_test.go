@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"unicode"
@@ -61,6 +62,61 @@ func TestTechniqueTable(t *testing.T) {
 		if err := lookup(); err == nil || err.Error() != want {
 			t.Errorf("unknown technique: %v, want %q", err, want)
 		}
+	}
+}
+
+// Identify maps every accepted spelling of a configuration to one
+// identity and one canonical spelling, without allocating: the style only
+// for the rows whose translator reads it, which is exactly the rows whose
+// constructor builds a different technique under each style.
+func TestIdentify(t *testing.T) {
+	for i := range check.Techniques {
+		row := &check.Techniques[i]
+		reads := row.New != nil && !reflect.DeepEqual(row.New(dbt.UpdateJcc), row.New(dbt.UpdateCmov))
+		if row.ReadsStyle() != reads {
+			t.Errorf("%s: ReadsStyle() = %v, but its constructor says %v", row.Name, row.ReadsStyle(), reads)
+		}
+	}
+	for _, tc := range []struct {
+		in, want [3]string
+	}{
+		{[3]string{"", "", ""}, [3]string{"none", "", "ALLBB"}},
+		{[3]string{"none", "CMOVcc", "end"}, [3]string{"none", "", "END"}},
+		{[3]string{"rcf", "", ""}, [3]string{"RCF", "Jcc", "ALLBB"}},
+		{[3]string{"RCF", "cmov", "retbe"}, [3]string{"RCF", "CMOVcc", "RET-BE"}},
+		{[3]string{"Edgcf", "CMOVCC", "Ret-Be"}, [3]string{"EdgCF", "CMOVcc", "RET-BE"}},
+		{[3]string{"ECF", "jcc", "ret"}, [3]string{"ECF", "Jcc", "RET"}},
+		{[3]string{"cfcss", "CMOVcc", "allbb"}, [3]string{"CFCSS", "", "ALLBB"}},
+		{[3]string{"ECCA", "Jcc", "Allbb"}, [3]string{"ECCA", "", "ALLBB"}},
+	} {
+		id, err := check.Identify(tc.in[0], tc.in[1], tc.in[2])
+		if err != nil {
+			t.Errorf("Identify%q: %v", tc.in, err)
+			continue
+		}
+		if tech, style, pol := id.Names(); [3]string{tech, style, pol} != tc.want {
+			t.Errorf("Identify%q spelled %q, want %q", tc.in, [3]string{tech, style, pol}, tc.want)
+		}
+	}
+	for _, bad := range []struct {
+		in   [3]string
+		want string
+	}{
+		{[3]string{"zork", "", ""}, `unknown technique "zork" (want none, ECF, EdgCF, RCF, CFCSS, ECCA)`},
+		{[3]string{"CFCSS", "zork", ""}, `unknown update style "zork" (want Jcc or CMOVcc)`},
+		{[3]string{"RCF", "", "RET_BE"}, `unknown policy "RET_BE" (want ALLBB, RET-BE, RET or END)`},
+	} {
+		if _, err := check.Identify(bad.in[0], bad.in[1], bad.in[2]); err == nil || err.Error() != bad.want {
+			t.Errorf("Identify%q: %v, want %q", bad.in, err, bad.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		id, _ := check.Identify("Rcf", "CMOVcc", "ret-be")
+		id.Names()
+		core.ParseStyle("CMOVcc")
+		core.ParsePolicy("allbb")
+	}); n != 0 {
+		t.Errorf("parsing allocates %v times", n)
 	}
 }
 

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/comp"
@@ -34,11 +33,13 @@ type Options = inject.Options
 type Config struct {
 	// Technique: "none" (the default), "ECF", "EdgCF" or "RCF" under the
 	// translator, or the static baselines "CFCSS" and "ECCA", which run
-	// natively and read no Style; any letter case (check.Lookup).
+	// natively.
 	Technique string
-	// Style: "Jcc" (default) or "CMOVcc".
+	// Style: "Jcc" (default) or "CMOVcc"; read only by ECF, EdgCF and
+	// RCF (check.Technique.ReadsStyle).
 	Style string
-	// Policy: "ALLBB" (default), "RET-BE", "RET" or "END".
+	// Policy: "ALLBB" (default), "RET-BE", "RET" or "END". All three take
+	// any letter case (check.Identify).
 	Policy string
 	// SampleOffset shifts injection campaigns onto the global sample range
 	// [SampleOffset, SampleOffset+samples) — one shard of a split campaign
@@ -49,51 +50,23 @@ type Config struct {
 	Options
 }
 
-// ParseStyle resolves an update-style name.
-func ParseStyle(s string) (dbt.UpdateStyle, error) {
-	switch strings.ToLower(s) {
-	case "", "jcc":
-		return dbt.UpdateJcc, nil
-	case "cmov", "cmovcc":
-		return dbt.UpdateCmov, nil
-	}
-	return 0, fmt.Errorf("unknown update style %q (want Jcc or CMOVcc)", s)
-}
+// ParseStyle resolves an update-style name (check.ParseStyle).
+func ParseStyle(s string) (dbt.UpdateStyle, error) { return check.ParseStyle(s) }
 
-// ParsePolicy resolves a checking-policy name.
-func ParsePolicy(s string) (dbt.Policy, error) {
-	switch strings.ToUpper(s) {
-	case "", "ALLBB":
-		return dbt.PolicyAllBB, nil
-	case "RET-BE", "RETBE":
-		return dbt.PolicyRetBE, nil
-	case "RET":
-		return dbt.PolicyRet, nil
-	case "END":
-		return dbt.PolicyEnd, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (want ALLBB, RET-BE, RET or END)", s)
-}
+// ParsePolicy resolves a checking-policy name (check.ParsePolicy).
+func ParsePolicy(s string) (dbt.Policy, error) { return check.ParsePolicy(s) }
 
 // Resolve materializes the configuration: the technique's table row, its
 // translator instance (nil for a static baseline) and the policy.
 func (c Config) Resolve() (*check.Technique, dbt.Technique, dbt.Policy, error) {
-	row, err := check.Lookup(c.Technique)
+	id, err := check.Identify(c.Technique, c.Style, c.Policy)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	pol, err := ParsePolicy(c.Policy)
-	if err != nil {
-		return nil, nil, 0, err
+	if id.Row.New == nil {
+		return id.Row, nil, id.Policy, nil
 	}
-	if row.New == nil {
-		return row, nil, pol, nil
-	}
-	style, err := ParseStyle(c.Style)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return row, row.New(style), pol, nil
+	return id.Row, id.Row.New(id.Style), id.Policy, nil
 }
 
 // Workload builds a named SPEC2000-shaped benchmark at the given dynamic

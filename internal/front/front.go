@@ -124,7 +124,7 @@ func (f *Front) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	}
 	// The replicas' own check, run before admission or any shard: a
 	// request they would refuse never takes a slot or starts a shard.
-	body, err := session.Limits{}.DecodeRequest(raw)
+	body, err := session.DecodeRequest(raw)
 	if err != nil {
 		session.WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -257,19 +259,23 @@ func TestFrontMergedMetrics(t *testing.T) {
 	}
 }
 
-// frontOverFake starts a front over one fake replica that answers
-// /healthz as ready and serves /v1/campaigns with campaigns, so a test
-// controls exactly what the front sees. It returns the front's URL.
-func frontOverFake(t *testing.T, campaigns http.HandlerFunc) string {
+// frontOverFake starts a front over n fake replicas that answer /healthz
+// as ready and serve /v1/campaigns with campaigns, so a test controls
+// exactly what the front sees. It returns the front's URL.
+func frontOverFake(t testing.TB, n int, campaigns http.HandlerFunc) string {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(session.HealthJSON{Status: "ok"})
 	})
 	mux.HandleFunc("POST /v1/campaigns", campaigns)
-	rep := httptest.NewServer(mux)
-	t.Cleanup(rep.Close)
-	f := New(Config{Replicas: []string{rep.URL}})
+	var cfg Config
+	for range n {
+		rep := httptest.NewServer(mux)
+		t.Cleanup(rep.Close)
+		cfg.Replicas = append(cfg.Replicas, rep.URL)
+	}
+	f := New(cfg)
 	f.health.poll()
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
@@ -281,7 +287,7 @@ func frontOverFake(t *testing.T, campaigns http.HandlerFunc) string {
 // reaches a replica.
 func TestFrontRejectsOversizedBody(t *testing.T) {
 	var posts atomic.Int64
-	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+	url := frontOverFake(t, 1, func(w http.ResponseWriter, _ *http.Request) {
 		posts.Add(1)
 		session.WriteError(w, http.StatusInternalServerError, "replica reached")
 	})
@@ -308,7 +314,7 @@ func TestFrontRejectsOversizedBody(t *testing.T) {
 // on both the proxy and the fan-out path, and never reaches a replica.
 func TestFrontRejectsTrailingData(t *testing.T) {
 	var posts atomic.Int64
-	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+	url := frontOverFake(t, 1, func(w http.ResponseWriter, _ *http.Request) {
 		posts.Add(1)
 		session.WriteError(w, http.StatusInternalServerError, "replica reached")
 	})
@@ -333,7 +339,7 @@ func TestFrontRejectsTrailingData(t *testing.T) {
 // A replica's shard reply is read up to a bound: a runaway reply becomes
 // a campaign error record instead of an unbounded buffer in the front.
 func TestFrontBoundsShardReply(t *testing.T) {
-	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+	url := frontOverFake(t, 1, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		json.NewEncoder(w).Encode(session.RecordJSON{Report: strings.Repeat("x", maxShardReplyBytes)})
 	})
@@ -385,26 +391,95 @@ func TestFrontFanoutClampedToOwners(t *testing.T) {
 	}
 }
 
-// A request the replicas would refuse (here a sample count over
-// session.Limits) answers 400 at the front on every path, before any
-// shard starts: the replica sees no request.
+// A request the replicas would refuse (a sample count over the served
+// bound, an unknown workload, style or policy) answers 400 at the front
+// on every path, before admission or any shard: the replica sees no
+// request.
 func TestFrontChecksLimitsBeforeShards(t *testing.T) {
 	var posts atomic.Int64
-	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+	url := frontOverFake(t, 1, func(w http.ResponseWriter, _ *http.Request) {
 		posts.Add(1)
 		session.WriteError(w, http.StatusInternalServerError, "replica reached")
 	})
-	req := batchReq("RCF", session.SpecJSON{Seed: 1, Samples: session.DefaultMaxSamples + 1})
-	for _, path := range []string{"/v1/campaigns", "/v1/campaigns?fanout=2", "/v1/campaigns?fanout=4611686018427387904"} {
-		resp, out := postRaw(t, url+path, req)
-		var e session.ErrorJSON
-		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || !strings.Contains(e.Error, "samples") {
-			t.Errorf("%s: status %d, body %s; want 400 naming the sample limit", path, resp.StatusCode, out)
+	for _, tc := range []struct {
+		want   string // in the error
+		mutate func(*session.Request)
+	}{
+		{"samples", func(r *session.Request) { r.Campaigns[0].Samples = session.DefaultMaxSamples + 1 }},
+		{"workload", func(r *session.Request) { r.Workload = "999.nope" }},
+		{"style", func(r *session.Request) { r.Style = "bogus" }},
+		{"policy", func(r *session.Request) { r.Policy = "bogus" }},
+	} {
+		req := batchReq("RCF", session.SpecJSON{Seed: 1, Samples: 4})
+		tc.mutate(&req)
+		for _, path := range []string{"/v1/campaigns", "/v1/campaigns?fanout=2", "/v1/campaigns?fanout=4611686018427387904"} {
+			resp, out := postRaw(t, url+path, req)
+			var e session.ErrorJSON
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || !strings.Contains(e.Error, tc.want) {
+				t.Errorf("%s: status %d, body %s; want 400 naming the %s", path, resp.StatusCode, out, tc.want)
+			}
 		}
 	}
 	if n := posts.Load(); n != 0 {
 		t.Errorf("replica received %d posts, want 0", n)
 	}
+}
+
+// FuzzFrontCampaign fuzzes the front's body and ?fanout= together over
+// two fake replicas that answer every shard with an error record. The
+// front never panics, answers 400 exactly when session.DecodeRequest
+// refuses the body or the fan-out is not a positive integer, and posts
+// at most min(fan-out, 2) shards: the failed first campaign ends the
+// stream.
+func FuzzFrontCampaign(f *testing.F) {
+	for _, body := range []string{
+		`{"workload":"164.gzip","scale":0.05,"technique":"RCF","style":"CMOVcc","policy":"ALLBB","ckpt_interval":-1,"campaigns":[{"seed":1,"samples":200}]}`,
+		`{"workload":"181.mcf","technique":"cfcss","style":"cmov","policy":"allbb","campaigns":[{"seed":1,"samples":3},{"seed":2,"samples":1}]}`,
+		`{"workload":"176.gcc","technique":"EdgCF","policy":"retbe","campaigns":[{"samples":0}]}`,
+		`{"workload":"x","campaigns":[{"samples":1}]}`,
+		`{"workload":"164.gzip","style":"bogus","campaigns":[{"samples":1}]}`,
+		`{"workload":"164.gzip","campaigns":[{"samples":1,"sample_offset":9223372036854775807}]}`,
+		`{"workload":"164.gzip","campaigns":[{"samples":1}]} trailing`,
+		``,
+	} {
+		for _, fanout := range []string{"", "1", "2", "3", "0", "-1", "x", "4611686018427387904", "99999999999999999999"} {
+			f.Add([]byte(body), fanout)
+		}
+	}
+	var posts atomic.Int64
+	url := frontOverFake(f, 2, func(w http.ResponseWriter, _ *http.Request) {
+		posts.Add(1)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		json.NewEncoder(w).Encode(session.RecordJSON{Error: "replica reached"})
+	})
+	f.Fuzz(func(t *testing.T, raw []byte, fanout string) {
+		if len(raw) > session.MaxRequestBytes {
+			t.Skip("oversized bodies answer 413")
+		}
+		posts.Store(0)
+		resp, err := http.Post(url+"/v1/campaigns?fanout="+neturl.QueryEscape(fanout), "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		n, ferr := 1, error(nil)
+		if fanout != "" {
+			n, ferr = strconv.Atoi(fanout)
+		}
+		_, derr := session.DecodeRequest(raw)
+		refused := derr != nil || ferr != nil || n < 1
+		if (resp.StatusCode == http.StatusBadRequest) != refused {
+			t.Fatalf("status %d for fanout %q and a body DecodeRequest answers %v", resp.StatusCode, fanout, derr)
+		}
+		bound := int64(min(n, 2))
+		if refused {
+			bound = 0
+		}
+		if got := posts.Load(); got > bound {
+			t.Fatalf("fanout %q: %d shard posts, want at most %d", fanout, got, bound)
+		}
+	})
 }
 
 // The proxy streams a reply spanning several of its copy buffers through
@@ -414,7 +489,7 @@ func TestFrontProxyStreamsLargeBody(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i*7 + i>>9)
 	}
-	url := frontOverFake(t, func(w http.ResponseWriter, _ *http.Request) {
+	url := frontOverFake(t, 1, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher := w.(http.Flusher)
 		for rest, n := body, 1000; len(rest) > 0; n *= 3 {

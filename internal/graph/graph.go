@@ -45,7 +45,9 @@ type CellKey struct {
 	Program     string
 	ProgramHash string
 
-	Technique string // canonical (check.Lookup): every spelling shares a cell
+	// Technique, Style and Policy are canonical (check.Identify): every
+	// spelling of one configuration shares a cell.
+	Technique string
 	Style     string
 	Policy    string
 	Samples   int
@@ -63,10 +65,10 @@ type CellKey struct {
 	MaxSteps     uint64
 }
 
-// KeyFor builds the cell key for a campaign over p. The technique takes
-// its canonical name and maxSteps is normalized (0 to
-// inject.DefaultMaxSteps), so spellings that run identically share a
-// cell.
+// KeyFor builds the cell key for a campaign over p. Technique, style and
+// policy take their canonical names (check.Identify) and maxSteps is
+// normalized (0 to inject.DefaultMaxSteps), so spellings that run
+// identically share a cell.
 func KeyFor(p *isa.Program, technique, style, policy string, samples int, seed int64,
 	sampleOffset int, ckptInterval int64, backend comp.Backend, maxSteps uint64) CellKey {
 	return KeyForDigest(p.Name, fp.Program(p), technique, style, policy, samples, seed,
@@ -84,8 +86,8 @@ func KeyForDigest(name, digest, technique, style, policy string, samples int, se
 	if sampleOffset < 0 {
 		sampleOffset = 0
 	}
-	if t, err := check.Lookup(technique); err == nil {
-		technique = t.Name
+	if id, err := check.Identify(technique, style, policy); err == nil {
+		technique, style, policy = id.Names()
 	}
 	return CellKey{
 		Program:      name,

@@ -264,20 +264,32 @@ func bumpVersion(t *testing.T, name string) {
 	t.Cleanup(func() { row.Version-- })
 }
 
-// Every spelling of a technique keys one cell at the row's version: a
-// lower-case or empty name used to key its own cell at version 0, which a
-// version bump never invalidated.
+// Every spelling of a configuration keys one cell at the row's version: a
+// lower-case or empty technique name used to key its own cell at version
+// 0, which a version bump never invalidated, and a style or policy
+// spelling its own cell. Among the spellings: cfc-inject's flag defaults
+// (CMOVcc, ALLBB) and the coverage matrix's (CMOVcc, "") for the static
+// rows, which read no style.
 func TestTechniqueSpellingsShareOneCell(t *testing.T) {
-	key := func(tech string) CellKey {
-		return KeyForDigest("181.mcf", "d1g35t", tech, "CMOVcc", "ALLBB", 40, 1, 0, -1, comp.BackendAuto, 0)
+	key := func(c [3]string) CellKey {
+		return KeyForDigest("181.mcf", "d1g35t", c[0], c[1], c[2], 40, 1, 0, -1, comp.BackendAuto, 0)
 	}
-	for _, spellings := range [][]string{{"RCF", "rcf", "Rcf"}, {"none", "", "NONE"}, {"CFCSS", "cfcss", "Cfcss"}} {
+	for _, spellings := range [][][3]string{
+		{{"RCF", "CMOVcc", "ALLBB"}, {"rcf", "CMOVcc", "ALLBB"}, {"Rcf", "cmov", ""}, {"RCF", "cmovcc", "allbb"}},
+		{{"RCF", "Jcc", "RET-BE"}, {"RCF", "", "retbe"}, {"rcf", "JCC", "Ret-Be"}},
+		{{"none", "", "ALLBB"}, {"", "", ""}, {"NONE", "CMOVcc", "ALLBB"}, {"none", "Jcc", "allbb"}},
+		{{"CFCSS", "", "ALLBB"}, {"cfcss", "CMOVcc", "ALLBB"}, {"Cfcss", "CMOVcc", ""}, {"CFCSS", "jcc", "Allbb"}},
+		{{"ECCA", "", "END"}, {"ecca", "cmov", "end"}},
+	} {
 		want := key(spellings[0]).Fingerprint()
 		for _, s := range spellings[1:] {
 			if got := key(s).Fingerprint(); got != want {
 				t.Errorf("%q keys %s, want %s", s, got, want)
 			}
 		}
+	}
+	if a, b := key([3]string{"RCF", "Jcc", "ALLBB"}), key([3]string{"RCF", "CMOVcc", "ALLBB"}); a == b {
+		t.Error("RCF under Jcc and CMOVcc share a cell")
 	}
 
 	dir := t.TempDir()
@@ -296,17 +308,25 @@ func TestTechniqueSpellingsShareOneCell(t *testing.T) {
 	}
 }
 
-// Each row's fingerprint for its canonical name is pinned at one fixed
-// key, so cells persisted before the technique table keep answering.
+// Each row's fingerprint for its canonical names is pinned at one fixed
+// key, so cells persisted before the technique table keep answering. The
+// rows that read no style key it as "".
 func TestCanonicalFingerprintsPinned(t *testing.T) {
-	if len(check.Techniques) != 6 {
+	want := map[string]string{
+		"none":  "cell|v3|t1|181.mcf|d1g35t|none||ALLBB|s1|n40|o0|i-1|compile|m50000000",
+		"ECF":   "cell|v3|t1|181.mcf|d1g35t|ECF|CMOVcc|ALLBB|s1|n40|o0|i-1|compile|m50000000",
+		"EdgCF": "cell|v3|t1|181.mcf|d1g35t|EdgCF|CMOVcc|ALLBB|s1|n40|o0|i-1|compile|m50000000",
+		"RCF":   "cell|v3|t1|181.mcf|d1g35t|RCF|CMOVcc|ALLBB|s1|n40|o0|i-1|compile|m50000000",
+		"CFCSS": "cell|v3|t1|181.mcf|d1g35t|CFCSS||ALLBB|s1|n40|o0|i-1|compile|m50000000",
+		"ECCA":  "cell|v3|t1|181.mcf|d1g35t|ECCA||ALLBB|s1|n40|o0|i-1|compile|m50000000",
+	}
+	if len(check.Techniques) != len(want) {
 		t.Fatalf("%d techniques; pin the new row's fingerprint here", len(check.Techniques))
 	}
 	for _, row := range check.Techniques {
 		k := KeyForDigest("181.mcf", "d1g35t", row.Name, "CMOVcc", "ALLBB", 40, 1, 0, -1, comp.BackendAuto, 0)
-		want := "cell|v3|t1|181.mcf|d1g35t|" + row.Name + "|CMOVcc|ALLBB|s1|n40|o0|i-1|compile|m50000000"
-		if got := k.Fingerprint(); got != want {
-			t.Errorf("%s: fingerprint %s, want %s", row.Name, got, want)
+		if got := k.Fingerprint(); got != want[row.Name] {
+			t.Errorf("%s: fingerprint %s, want %s", row.Name, got, want[row.Name])
 		}
 	}
 }

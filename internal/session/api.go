@@ -17,8 +17,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Served-request bounds defaults. Full-scale runs belong to the batch
-// CLIs on the machine's own terms, not to an open HTTP port.
+// Served-request bounds, the same on every route and at the front door.
+// Full-scale runs belong to the batch CLIs on the machine's own terms,
+// not to an open HTTP port.
 const (
 	// DefaultMaxSamples bounds per-campaign sample counts accepted over HTTP.
 	DefaultMaxSamples = 1_000_000
@@ -64,76 +65,49 @@ func DecodeJSON(raw []byte, v any) error {
 	return nil
 }
 
-// Limits bounds what one request may ask for. The zero value means the
-// defaults; every route on the serve mux validates through the same
-// instance.
-type Limits struct {
-	MaxSamples int     // 0 = DefaultMaxSamples
-	MaxScale   float64 // 0 = DefaultMaxScale
-	MaxWorkers int     // 0 = DefaultMaxWorkers
-}
-
-// withDefaults fills zero fields.
-func (l Limits) withDefaults() Limits {
-	if l.MaxSamples <= 0 {
-		l.MaxSamples = DefaultMaxSamples
-	}
-	if l.MaxScale <= 0 {
-		l.MaxScale = DefaultMaxScale
-	}
-	if l.MaxWorkers <= 0 {
-		l.MaxWorkers = DefaultMaxWorkers
-	}
-	return l
-}
-
 // CheckSamples validates a per-campaign sample count.
-func (l Limits) CheckSamples(n int) error {
-	l = l.withDefaults()
-	if n < 0 || n > l.MaxSamples {
-		return fmt.Errorf("samples %d out of range [0, %d]", n, l.MaxSamples)
+func CheckSamples(n int) error {
+	if n < 0 || n > DefaultMaxSamples {
+		return fmt.Errorf("samples %d out of range [0, %d]", n, DefaultMaxSamples)
 	}
 	return nil
 }
 
-// CheckSampleRange validates one campaign's global sample range
+// checkSampleRange validates one campaign's global sample range
 // [offset, offset+n) — the sharded form; offset 0 is a plain campaign.
 // The whole range must fit the sample bound, so a fleet of shards can
 // never address more global samples than one direct campaign could.
-func (l Limits) CheckSampleRange(offset, n int) error {
-	if err := l.CheckSamples(n); err != nil {
+func checkSampleRange(offset, n int) error {
+	if err := CheckSamples(n); err != nil {
 		return err
 	}
-	l = l.withDefaults()
-	if offset < 0 || offset > l.MaxSamples-n { // offset+n may overflow
-		return fmt.Errorf("sample range [%d, %d) out of range [0, %d]", offset, offset+n, l.MaxSamples)
+	if offset < 0 || offset > DefaultMaxSamples-n { // offset+n may overflow
+		return fmt.Errorf("sample range [%d, %d) out of range [0, %d]", offset, offset+n, DefaultMaxSamples)
 	}
 	return nil
 }
 
 // CheckScale validates a workload dynamic scale.
-func (l Limits) CheckScale(s float64) error {
-	l = l.withDefaults()
-	if s < 0 || s > l.MaxScale {
-		return fmt.Errorf("scale %g out of range [0, %g]", s, l.MaxScale)
+func CheckScale(s float64) error {
+	if s < 0 || s > DefaultMaxScale {
+		return fmt.Errorf("scale %g out of range [0, %g]", s, DefaultMaxScale)
 	}
 	return nil
 }
 
 // CheckWorkers validates a requested worker fan-out.
-func (l Limits) CheckWorkers(n int) error {
-	l = l.withDefaults()
-	if n < 0 || n > l.MaxWorkers {
-		return fmt.Errorf("workers %d out of range [0, %d]", n, l.MaxWorkers)
+func CheckWorkers(n int) error {
+	if n < 0 || n > DefaultMaxWorkers {
+		return fmt.Errorf("workers %d out of range [0, %d]", n, DefaultMaxWorkers)
 	}
 	return nil
 }
 
-// CheckCkptInterval validates a checkpoint interval: -1 (auto-sized), 0
+// checkCkptInterval validates a checkpoint interval: -1 (auto-sized), 0
 // (full replay) or an explicit spacing of at least ckpt.MinAutoInterval
 // steps. A finer spacing grows the log with the clean run, and every
 // other negative value would name the auto log under a new session key.
-func (l Limits) CheckCkptInterval(iv int64) error {
+func checkCkptInterval(iv int64) error {
 	if iv == -1 || iv == 0 || iv >= ckpt.MinAutoInterval {
 		return nil
 	}
@@ -155,7 +129,7 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // Route is one extra handler mounted on the serve mux by
 // Server.Handler, next to the core campaign routes and behind the same
-// server instance (Limits, Metrics, batch tracking).
+// server instance (Metrics, batch tracking).
 type Route struct {
 	// Pattern is a net/http method-qualified pattern, e.g. "POST /v1/bench".
 	Pattern string

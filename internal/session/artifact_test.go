@@ -180,7 +180,7 @@ func TestArtifactFailureFallsBackToLocalBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	afp := rC.artifactFingerprint(&Session{Key: k, label: "RCF"}, pe)
+	afp := rC.artifactFingerprint(k, pe)
 	if err := badStore.Link(artifact.RefID(afp), artifact.Digest(blob)); err != nil {
 		t.Fatal(err)
 	}

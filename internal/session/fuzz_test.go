@@ -3,6 +3,7 @@ package session
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 
 // FuzzCampaignRequest fuzzes the campaign wire: DecodeRequest never
 // panics, and every body it accepts is one JSON value (nothing but
-// whitespace after it) naming a technique in its canonical spelling,
-// within the default limits, each bound checked here on its own rather
-// than through the Limits methods.
+// whitespace after it) naming its technique, style and policy in their
+// canonical spelling, within the served bounds, each bound checked here
+// on its own rather than through the Check functions. Decoding is
+// idempotent: the accepted request, encoded again, decodes to itself.
 func FuzzCampaignRequest(f *testing.F) {
 	for _, s := range []string{
 		`{"workload":"164.gzip","scale":0.05,"technique":"RCF","style":"CMOVcc","policy":"ALLBB","ckpt_interval":-1,"campaigns":[{"seed":1,"samples":200}]}`,
@@ -30,13 +32,15 @@ func FuzzCampaignRequest(f *testing.F) {
 		`[]`,
 		``,
 		`{"workload":"x","technique":"Rcf","campaigns":[{"samples":1}]}`,
+		`{"workload":"164.gzip","technique":"rcf","style":"cmov","campaigns":[{"samples":1}]}`,
+		`{"workload":"176.gcc","technique":"EdgCF","policy":"retbe","campaigns":[{"samples":1}]}`,
+		`{"workload":"181.mcf","technique":"ECF","policy":"Allbb","campaigns":[{"samples":1}]}`,
+		`{"workload":"181.mcf","technique":"CFCSS","style":"CMOVcc","policy":"allbb","campaigns":[{"samples":1}]}`,
 	} {
 		f.Add([]byte(s))
 	}
-	var l Limits
-	lim := l.withDefaults()
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		body, err := l.DecodeRequest(raw)
+		body, err := DecodeRequest(raw)
 		if err != nil {
 			return
 		}
@@ -46,13 +50,18 @@ func FuzzCampaignRequest(f *testing.F) {
 		if body.Workload == "" || len(body.Campaigns) == 0 {
 			t.Fatalf("accepted a body without a workload or campaigns: %+v", body)
 		}
-		if row, err := check.Lookup(body.Technique); err != nil || row.Name != body.Technique {
-			t.Fatalf("accepted technique %q, which is not a canonical name", body.Technique)
+		id, err := check.Identify(body.Technique, body.Style, body.Policy)
+		if err != nil {
+			t.Fatalf("accepted names %q/%q/%q: %v", body.Technique, body.Style, body.Policy, err)
 		}
-		if !(body.Scale >= 0 && body.Scale <= lim.MaxScale) {
+		if tech, style, pol := id.Names(); tech != body.Technique || style != body.Style || pol != body.Policy {
+			t.Fatalf("accepted %q/%q/%q, whose canonical spelling is %q/%q/%q",
+				body.Technique, body.Style, body.Policy, tech, style, pol)
+		}
+		if !(body.Scale >= 0 && body.Scale <= DefaultMaxScale) {
 			t.Fatalf("accepted scale %g", body.Scale)
 		}
-		if body.Workers < 0 || body.Workers > lim.MaxWorkers {
+		if body.Workers < 0 || body.Workers > DefaultMaxWorkers {
 			t.Fatalf("accepted workers %d", body.Workers)
 		}
 		if iv := body.CkptInterval; iv != -1 && iv != 0 && iv < ckpt.MinAutoInterval {
@@ -60,9 +69,16 @@ func FuzzCampaignRequest(f *testing.F) {
 		}
 		for _, c := range body.Campaigns {
 			if c.Samples < 0 || c.SampleOffset < 0 ||
-				uint64(c.SampleOffset)+uint64(c.Samples) > uint64(lim.MaxSamples) {
+				uint64(c.SampleOffset)+uint64(c.Samples) > uint64(DefaultMaxSamples) {
 				t.Fatalf("accepted sample range [%d, +%d)", c.SampleOffset, c.Samples)
 			}
+		}
+		again, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if twice, err := DecodeRequest(again); err != nil || !reflect.DeepEqual(twice, body) {
+			t.Fatalf("re-encoded request decodes differently (%v)\n got: %+v\nwant: %+v", err, twice, body)
 		}
 	})
 }
@@ -70,15 +86,14 @@ func FuzzCampaignRequest(f *testing.F) {
 // A body with anything but whitespace after its JSON value answers 400;
 // trailing whitespace is fine.
 func TestDecodeRequestRejectsTrailingData(t *testing.T) {
-	const body = `{"workload":"x","campaigns":[{"samples":1}]}`
-	var l Limits
+	const body = `{"workload":"164.gzip","campaigns":[{"samples":1}]}`
 	for _, tail := range []string{" trailing", "{}", ` {"workload":"y"}`, "]", "\x00"} {
-		if _, err := l.DecodeRequest([]byte(body + tail)); err == nil {
+		if _, err := DecodeRequest([]byte(body + tail)); err == nil {
 			t.Errorf("accepted %q after the body", tail)
 		}
 	}
 	for _, tail := range []string{"", "\n", " \r\n\t "} {
-		if _, err := l.DecodeRequest([]byte(body + tail)); err != nil {
+		if _, err := DecodeRequest([]byte(body + tail)); err != nil {
 			t.Errorf("rejected %q after the body: %v", tail, err)
 		}
 	}

@@ -7,6 +7,7 @@
 package session
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/inject"
 	"repro/internal/obs"
+	"repro/internal/workloads"
 )
 
 // Server serves the batch campaign API over a warm-session registry.
@@ -30,9 +32,6 @@ type Server struct {
 	// Metrics backs the /metrics endpoint and is handed to every campaign;
 	// nil disables both.
 	Metrics *obs.Registry
-	// Limits bounds what one request may ask for (zero value = defaults);
-	// extra routes mounted via Handler validate against the same instance.
-	Limits Limits
 
 	// Batch progress tracking: every POST /v1/campaigns registers a
 	// batchProgress under a server-assigned id (echoed in the Campaign-Id
@@ -181,7 +180,8 @@ type Request struct {
 	ReturnReport bool `json:"return_report"`
 }
 
-// Key is the session key the request runs on.
+// Key is the session key the request runs on: canonical for every
+// request DecodeRequest returns.
 func (r Request) Key() Key {
 	return Key{r.Workload, r.Scale, r.Technique, r.Style, r.Policy, r.CkptInterval}
 }
@@ -247,9 +247,9 @@ type RecordJSON struct {
 //	GET  /healthz                     readiness: ok / draining (503) / restoring
 //
 // extra routes mount on the same mux, behind the same server instance —
-// the one place every served surface registers, so request bounds
-// (Limits), the error shape (WriteError) and batch tracking (TrackBatch)
-// are shared rather than duplicated per handler.
+// the one place every served surface registers, so the error shape
+// (WriteError) and batch tracking (TrackBatch) are shared rather than
+// duplicated per handler.
 func (s *Server) Handler(extra ...Route) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/campaigns", s.handleCampaigns)
@@ -339,34 +339,34 @@ func handleVersion(w http.ResponseWriter, _ *http.Request) {
 }
 
 // DecodeRequest decodes a POST /v1/campaigns body (DecodeJSON: one value,
-// no unknown fields, no trailing data) and checks it against l: a
-// workload, a known technique, at least one campaign, and a scale, worker
-// count, checkpoint interval and every campaign's sample range within the
-// limits. The technique comes back in its canonical spelling, so every
-// spelling of one configuration routes to, and runs on, one session.
-func (l Limits) DecodeRequest(raw []byte) (Request, error) {
+// no unknown fields, no trailing data) and checks it without building
+// anything: a known workload, technique, style and policy, at least one
+// campaign, and a scale, worker count, checkpoint interval and every
+// campaign's sample range within the served bounds. The names come back
+// in their canonical spelling (check.Identify), so every spelling of one
+// configuration routes to, and runs on, one session and one cell. It is
+// the one gate at the front door and at the replicas.
+func DecodeRequest(raw []byte) (Request, error) {
 	var body Request
 	if err := DecodeJSON(raw, &body); err != nil {
 		return body, err
 	}
-	if body.Workload == "" {
-		return body, errors.New("workload required")
+	if _, err := workloads.ByName(body.Workload); err != nil {
+		return body, err
 	}
-	tech, err := check.Lookup(body.Technique)
+	id, err := check.Identify(body.Technique, body.Style, body.Policy)
 	if err != nil {
 		return body, err
 	}
-	body.Technique = tech.Name
+	body.Technique, body.Style, body.Policy = id.Names()
 	if len(body.Campaigns) == 0 {
 		return body, errors.New("at least one campaign required")
 	}
-	for _, err := range []error{l.CheckScale(body.Scale), l.CheckWorkers(body.Workers), l.CheckCkptInterval(body.CkptInterval)} {
-		if err != nil {
-			return body, err
-		}
+	if err := cmp.Or(CheckScale(body.Scale), CheckWorkers(body.Workers), checkCkptInterval(body.CkptInterval)); err != nil {
+		return body, err
 	}
 	for _, c := range body.Campaigns {
-		if err := l.CheckSampleRange(c.SampleOffset, c.Samples); err != nil {
+		if err := checkSampleRange(c.SampleOffset, c.Samples); err != nil {
 			return body, err
 		}
 	}
@@ -383,20 +383,13 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := s.Limits.DecodeRequest(raw)
+	body, err := DecodeRequest(raw)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	k := body.Key()
 	ctx := req.Context()
-	// Validate the key without building: campaigns go through RunCell,
-	// where a graph-cache hit must not pay a session build — but a bad
-	// request still deserves a plain status before the stream commits.
-	if err := s.Registry.Validate(k); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 
 	bp := s.registerBatch(len(body.Campaigns))
 	defer bp.done.Store(true)

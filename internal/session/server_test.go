@@ -8,10 +8,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/inject"
 	"repro/internal/obs"
 
@@ -163,7 +165,7 @@ func TestBatchMatchesCLIByteForByte(t *testing.T) {
 // ones with 413, before any campaign runs.
 func TestCampaignValidation(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := &Server{Registry: NewRegistry(Config{Metrics: reg}), Metrics: reg, Limits: Limits{MaxSamples: 100}}
+	srv := &Server{Registry: NewRegistry(Config{Metrics: reg}), Metrics: reg}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -179,9 +181,10 @@ func TestCampaignValidation(t *testing.T) {
 		{"missing workload", func(r *Request) { r.Workload = "" }},
 		{"no campaigns", func(r *Request) { r.Campaigns = nil }},
 		{"negative samples", func(r *Request) { r.Campaigns = []SpecJSON{{Seed: 1, Samples: -1}} }},
-		{"samples over max", func(r *Request) { r.Campaigns = []SpecJSON{{Seed: 1, Samples: 101}} }},
+		{"samples over max", func(r *Request) { r.Campaigns = []SpecJSON{{Seed: 1, Samples: DefaultMaxSamples + 1}} }},
 		{"unknown workload", func(r *Request) { r.Workload = "999.nope" }},
 		{"unknown technique", func(r *Request) { r.Technique = "bogus" }},
+		{"unknown style", func(r *Request) { r.Style = "bogus" }},
 		{"unknown policy", func(r *Request) { r.Policy = "bogus" }},
 		{"ckpt interval below auto", func(r *Request) { r.CkptInterval = -2 }},
 		{"ckpt interval far negative", func(r *Request) { r.CkptInterval = math.MinInt64 }},
@@ -378,23 +381,61 @@ func TestProgressStreamInterleavesCleanly(t *testing.T) {
 	}
 }
 
-// Every spelling of a technique decodes to its canonical name, so the
-// spellings share one session and one report label.
+// Every spelling of a configuration decodes to its canonical names, so
+// the spellings share one session and one report label: ten posts that
+// spell three configurations (CFCSS, which reads no style, and RCF under
+// Jcc and CMOVcc) build three sessions.
 func TestTechniqueSpellingsShareOneSession(t *testing.T) {
 	srv := &Server{Registry: NewRegistry(Config{})}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, tech := range []string{"rcf", "RCF", "Rcf"} {
-		status, recs, raw := postBatch(t, ts, Request{
-			Workload: testWorkload, Scale: testScale, Technique: tech, Style: "CMOVcc",
-			Campaigns: []SpecJSON{{Seed: 1, Samples: 5}},
-		})
-		if status != http.StatusOK || len(recs) != 1 || recs[0].Technique != "RCF" {
-			t.Fatalf("technique %q: status %d: %s", tech, status, raw)
+	spellings := []struct{ style, policy string }{{"", ""}, {"CMOVcc", ""}, {"", "ALLBB"}, {"", "allbb"}, {"jcc", "ALLBB"}}
+	for _, techs := range [][]string{{"CFCSS", "cfcss", "Cfcss"}, {"RCF", "rcf", "Rcf"}} {
+		for i, sp := range spellings {
+			status, recs, raw := postBatch(t, ts, Request{
+				Workload: testWorkload, Scale: testScale, Technique: techs[i%len(techs)],
+				Style: sp.style, Policy: sp.policy,
+				Campaigns: []SpecJSON{{Seed: 1, Samples: 5}},
+			})
+			if status != http.StatusOK || len(recs) != 1 || recs[0].Technique != techs[0] {
+				t.Fatalf("%s %q/%q: status %d: %s", techs[i%len(techs)], sp.style, sp.policy, status, raw)
+			}
 		}
 	}
+	var keys []string
+	for _, in := range srv.Registry.List() {
+		keys = append(keys, in.Key.String())
+	}
+	want := []string{"164.gzip|0.02|CFCSS||ALLBB|0", "164.gzip|0.02|RCF|CMOVcc|ALLBB|0", "164.gzip|0.02|RCF|Jcc|ALLBB|0"}
+	if n := srv.Registry.Len(); n != 3 || !slices.Equal(keys, want) {
+		t.Errorf("%d sessions %q for three configurations, want %q", n, keys, want)
+	}
+}
+
+// A key in the coverage matrix's spelling (style CMOVcc, policy "") handed
+// to RunCell answers from the cell a served request in canonical spelling
+// made, on the same session.
+func TestMatrixSpellingHitsServedCell(t *testing.T) {
+	srv := &Server{Registry: NewRegistry(Config{Graph: graph.New("")})}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	status, recs, raw := postBatch(t, ts, Request{
+		Workload: testWorkload, Scale: testScale, Technique: "CFCSS", Policy: "ALLBB", CkptInterval: -1,
+		Campaigns: []SpecJSON{{Seed: 3, Samples: testSamples}},
+	})
+	if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" || recs[0].Cached {
+		t.Fatalf("served request: status %d: %s", status, raw)
+	}
+	k := Key{Workload: testWorkload, Scale: testScale, Technique: "CFCSS", Style: "CMOVcc", CkptInterval: -1}
+	rep, cached, err := srv.Registry.RunCell(context.Background(), k, Spec{Samples: testSamples, Seed: 3}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cached || inject.FormatNormalized(rep) != recs[0].Report {
+		t.Errorf("matrix-spelled key: cached=%v, report equal=%v; want the served cell", cached, inject.FormatNormalized(rep) == recs[0].Report)
+	}
 	if n := srv.Registry.Len(); n != 1 {
-		t.Errorf("%d sessions for one technique, want 1", n)
+		t.Errorf("%d sessions, want 1", n)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"repro/internal/inject"
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/workloads"
 )
 
 // Key identifies one warm session: everything that shapes the snapshot and
@@ -67,7 +66,6 @@ type Session struct {
 	static     bool
 	tech       dbt.Technique // nil for static baselines
 	pol        dbt.Policy
-	label      string         // canonical technique label ("RCF", "CFCSS", ...)
 	snap       *dbt.Snapshot  // nil for static baselines
 	native     *inject.Native // static baselines only
 	cleanSteps uint64
@@ -114,7 +112,7 @@ func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*injec
 	if s.static {
 		cfg.Policy = s.pol
 		rep, err = inject.Execute(ctx, s.prog, cfg,
-			inject.AsStatic(s.label), inject.WithNative(s.native), inject.WithRecording(s.log))
+			inject.AsStatic(s.Key.Technique), inject.WithNative(s.native), inject.WithRecording(s.log))
 	} else {
 		cfg.Technique, cfg.Policy = s.tech, s.pol
 		rep, err = inject.Execute(ctx, s.prog, cfg,
@@ -209,10 +207,17 @@ func (r *Registry) count(name string) {
 	}
 }
 
-// Session returns the warm session for k, building it on first use. A
-// concurrent second request for the same key waits for the in-flight
-// build instead of duplicating it. ctx bounds the wait and the build.
+// Session returns the warm session for k, building it on first use. k
+// may spell its configuration any way check.Identify accepts: the session
+// is keyed by the canonical names. A concurrent second request for the
+// same key waits for the in-flight build instead of duplicating it. ctx
+// bounds the wait and the build.
 func (r *Registry) Session(ctx context.Context, k Key) (*Session, error) {
+	id, err := check.Identify(k.Technique, k.Style, k.Policy)
+	if err != nil {
+		return nil, err
+	}
+	k.Technique, k.Style, k.Policy = id.Names()
 	r.mu.Lock()
 	if e, ok := r.sessions[k]; ok {
 		r.order = touch(r.order, k)
@@ -297,18 +302,6 @@ func (r *Registry) cellKey(k Key, spec Spec, backend comp.Backend) (graph.CellKe
 	}
 	return graph.KeyForDigest(pe.prog.Name, pe.digest(), k.Technique, k.Style, k.Policy, spec.Samples, spec.Seed,
 		spec.SampleOffset, k.CkptInterval, backend, r.cfg.MaxSteps), nil
-}
-
-// Validate checks a key's campaign-independent fields — workload name,
-// technique, style, policy — without building anything, so the batch API
-// can reject a bad request with a status code before the stream (and any
-// graph-cache consultation) starts.
-func (r *Registry) Validate(k Key) error {
-	if _, err := workloads.ByName(k.Workload); err != nil {
-		return err
-	}
-	_, _, _, err := core.Config{Technique: k.Technique, Style: k.Style, Policy: k.Policy}.Resolve()
-	return err
 }
 
 // touch moves k to the most-recently-used end of an LRU order.
@@ -427,13 +420,13 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Key: k, tech: tech, pol: pol, prog: base, label: row.Name, static: tech == nil}
+	s := &Session{Key: k, tech: tech, pol: pol, prog: base, static: tech == nil}
 	if s.static {
 		if s.prog, err = check.InstrumentStatic(base, row.Static); err != nil {
 			return nil, err
 		}
 	}
-	afp := r.artifactFingerprint(s, pe)
+	afp := r.artifactFingerprint(k, pe)
 	if r.restoreSession(s, afp, base) {
 		return s, nil
 	}
@@ -461,7 +454,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 		if s.log.Stop.Reason != cpu.StopHalt {
 			return nil, fmt.Errorf("%s: clean run ended with %v", k.Workload, s.log.Stop)
 		}
-		inject.PublishRecording(r.cfg.Metrics, s.label)
+		inject.PublishRecording(r.cfg.Metrics, k.Technique)
 	}
 	r.count("session_warm_builds_total")
 	r.publishArtifact(s, afp, pe)
@@ -469,14 +462,14 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 }
 
 // artifactFingerprint derives the warm-artifact identity for the session
-// under construction: the session key plus everything that shapes the
-// warm state but is not in the key (program content, step budget, engine
-// and technique versions). "" disables the tier for this build.
-func (r *Registry) artifactFingerprint(s *Session, pe *progEntry) string {
+// of key k: the key plus everything that shapes the warm state but is not
+// in the key (program content, step budget, engine and technique
+// versions). "" disables the tier for this build.
+func (r *Registry) artifactFingerprint(k Key, pe *progEntry) string {
 	if r.cfg.Artifacts == nil {
 		return ""
 	}
-	return artifact.Fingerprint(s.Key.String(), s.label, pe.digest(), r.cfg.MaxSteps)
+	return artifact.Fingerprint(k.String(), k.Technique, pe.digest(), r.cfg.MaxSteps)
 }
 
 // restoreSession hydrates s from a fetched warm artifact. It reports true

@@ -289,29 +289,41 @@ func TestStaticSessionCampaignsMatchColdInAnyOrder(t *testing.T) {
 	}
 }
 
-// Validate rejects bad campaign-independent fields without building.
+// A decoded request names its configuration canonically whatever its
+// spelling, and a key with a bad name is refused without building
+// anything; so is a request for an unknown workload.
 func TestValidate(t *testing.T) {
-	r := NewRegistry(Config{})
-	if err := r.Validate(testKey("RCF", -1)); err != nil {
-		t.Errorf("valid key rejected: %v", err)
-	}
-	if err := r.Validate(testKey("CFCSS", 0)); err != nil {
-		t.Errorf("static technique rejected: %v", err)
-	}
-	for _, tech := range []string{"Rcf", "Cfcss", ""} {
-		if err := r.Validate(testKey(tech, -1)); err != nil {
-			t.Errorf("technique %q rejected: %v", tech, err)
+	for _, tc := range []struct {
+		in   string
+		want Key
+	}{
+		{`"technique":"RCF","style":"CMOVcc","policy":"ALLBB"`, Key{Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB"}},
+		{`"technique":"Rcf","style":"cmov","policy":"allbb"`, Key{Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB"}},
+		{`"technique":"ecf","policy":"retbe"`, Key{Technique: "ECF", Style: "Jcc", Policy: "RET-BE"}},
+		{`"technique":"Cfcss","style":"CMOVcc"`, Key{Technique: "CFCSS", Policy: "ALLBB"}},
+		{`"style":"jcc","policy":"end"`, Key{Technique: "none", Policy: "END"}},
+	} {
+		tc.want.Workload = testWorkload
+		body, err := DecodeRequest([]byte(`{"workload":"164.gzip",` + tc.in + `,"campaigns":[{"samples":1}]}`))
+		if err != nil || body.Key() != tc.want {
+			t.Errorf("%s: key %+v, %v; want %+v", tc.in, body.Key(), err, tc.want)
 		}
 	}
+	r := NewRegistry(Config{})
 	for name, k := range map[string]Key{
-		"workload":  {Workload: "999.nope", Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB"},
 		"technique": {Workload: testWorkload, Technique: "XYZ", Style: "CMOVcc", Policy: "ALLBB"},
-		"style":     {Workload: testWorkload, Technique: "RCF", Style: "weird", Policy: "ALLBB"},
+		"style":     {Workload: testWorkload, Technique: "CFCSS", Style: "weird", Policy: "ALLBB"},
 		"policy":    {Workload: testWorkload, Technique: "RCF", Style: "CMOVcc", Policy: "nope"},
 	} {
-		if err := r.Validate(k); err == nil {
+		if _, err := r.Session(context.Background(), k); err == nil {
 			t.Errorf("bad %s accepted", name)
 		}
+	}
+	if n := r.Len(); n != 0 {
+		t.Errorf("bad keys left %d sessions", n)
+	}
+	if _, err := DecodeRequest([]byte(`{"workload":"999.nope","campaigns":[{"samples":1}]}`)); err == nil {
+		t.Error("bad workload accepted")
 	}
 }
 

@@ -98,9 +98,12 @@ func All() []Profile {
 	return append(SpecFp(), SpecInt()...)
 }
 
+// profiles is All, built once for ByName.
+var profiles = All()
+
 // ByName looks a profile up by its benchmark name.
 func ByName(name string) (Profile, error) {
-	for _, p := range All() {
+	for _, p := range profiles {
 		if p.Name == name {
 			return p, nil
 		}
