@@ -10,10 +10,10 @@
 // report is bit-identical for every worker count.
 //
 // -ckpt-interval selects the injection engine: 0 replays every sample from
-// the start (the original engine), -1 (the default) checkpoints the clean
-// run at an auto-sized step interval and resumes each sample from the
-// nearest checkpoint, and a positive value sets the interval explicitly.
-// Reports are byte-identical across all settings.
+// the start (the original engine), and -1 (the default) checkpoints the
+// clean run at a spacing derived from its length and resumes each sample
+// from the nearest checkpoint. Reports are byte-identical across both.
+// No other value is accepted.
 package main
 
 import (
@@ -33,6 +33,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/inject"
 	"repro/internal/obs"
+	"repro/internal/session"
 )
 
 func main() {
@@ -57,11 +58,11 @@ func main() {
 
 	if *matrix {
 		reports, err := bench.CoverageMatrix(ctx, bench.CoverageConfig{
-			Scale:   *scale,
-			Samples: *samples,
-			Seed:    *seed,
-			Graph:   app.Graph(),
-			Options: app.Options(),
+			Scale:    *scale,
+			Samples:  *samples,
+			Seed:     *seed,
+			Sessions: session.NewRegistry(session.Config{Metrics: app.Registry(), Graph: app.Graph()}),
+			Options:  app.Options(),
 		})
 		fatalIf(err)
 		// The matrix goes to stdout untouched: with -graph-cache the CI

@@ -66,7 +66,8 @@ type Artifact struct {
 	Static bool
 	// Snapshot is the translator's warm state (nil for static sessions).
 	Snapshot *dbt.SnapshotState
-	// Log is the recorded checkpoint log (nil for replay sessions).
+	// Log is the session's recorded checkpoint log. Every session records
+	// one, so the same artifact serves both engines.
 	Log *ckpt.Log
 }
 

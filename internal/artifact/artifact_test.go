@@ -124,12 +124,12 @@ func TestFingerprintDistinguishes(t *testing.T) {
 // as "".
 func TestCanonicalFingerprintsPinned(t *testing.T) {
 	want := map[string]string{
-		"none":  "artifact|v1|e3|t:none.1|181.mcf|0.05|none||ALLBB|-1|prog:d1g35t|max:50000000",
-		"ECF":   "artifact|v1|e3|t:ECF.1|181.mcf|0.05|ECF|CMOVcc|ALLBB|-1|prog:d1g35t|max:50000000",
-		"EdgCF": "artifact|v1|e3|t:EdgCF.1|181.mcf|0.05|EdgCF|CMOVcc|ALLBB|-1|prog:d1g35t|max:50000000",
-		"RCF":   "artifact|v1|e3|t:RCF.1|181.mcf|0.05|RCF|CMOVcc|ALLBB|-1|prog:d1g35t|max:50000000",
-		"CFCSS": "artifact|v1|e3|t:CFCSS.1|181.mcf|0.05|CFCSS||ALLBB|-1|prog:d1g35t|max:50000000",
-		"ECCA":  "artifact|v1|e3|t:ECCA.1|181.mcf|0.05|ECCA||ALLBB|-1|prog:d1g35t|max:50000000",
+		"none":  "artifact|v1|e3|t:none.1|181.mcf|0.05|none||ALLBB|prog:d1g35t|max:50000000",
+		"ECF":   "artifact|v1|e3|t:ECF.1|181.mcf|0.05|ECF|CMOVcc|ALLBB|prog:d1g35t|max:50000000",
+		"EdgCF": "artifact|v1|e3|t:EdgCF.1|181.mcf|0.05|EdgCF|CMOVcc|ALLBB|prog:d1g35t|max:50000000",
+		"RCF":   "artifact|v1|e3|t:RCF.1|181.mcf|0.05|RCF|CMOVcc|ALLBB|prog:d1g35t|max:50000000",
+		"CFCSS": "artifact|v1|e3|t:CFCSS.1|181.mcf|0.05|CFCSS||ALLBB|prog:d1g35t|max:50000000",
+		"ECCA":  "artifact|v1|e3|t:ECCA.1|181.mcf|0.05|ECCA||ALLBB|prog:d1g35t|max:50000000",
 	}
 	for _, name := range check.Names(nil) {
 		id, err := check.Identify(name, "CMOVcc", "ALLBB")
@@ -137,7 +137,7 @@ func TestCanonicalFingerprintsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		tech, style, pol := id.Names()
-		key := "181.mcf|0.05|" + tech + "|" + style + "|" + pol + "|-1"
+		key := "181.mcf|0.05|" + tech + "|" + style + "|" + pol
 		if got := Fingerprint(key, tech, "d1g35t", 50000000); got != want[name] {
 			t.Errorf("%s: fingerprint %s, want %s", name, got, want[name])
 		}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dbt"
 	"repro/internal/errmodel"
-	"repro/internal/graph"
 	"repro/internal/inject"
 	"repro/internal/isa"
 	"repro/internal/par"
@@ -315,13 +314,11 @@ type CoverageConfig struct {
 	Workloads []string // nil: DefaultCoverageWorkloads
 	// Sessions routes every campaign through a warm-session registry, so
 	// each workload builds once and is shared across all six techniques
-	// (and, when the registry persists checkpoint logs, across processes).
-	// nil uses a private in-memory registry.
+	// (and, when the registry persists checkpoint logs, across processes);
+	// a registry with a cell cache skips cached cells entirely, and the
+	// matrix text is byte-identical either way. nil uses a private
+	// in-memory registry.
 	Sessions *session.Registry
-	// Graph caches whole cells by content key when Sessions is nil (a
-	// provided registry carries its own). A cached cell skips its
-	// campaign entirely; the matrix text is byte-identical either way.
-	Graph *graph.Cache
 	// Options is the shared execution surface (Metrics, Flight, Workers,
 	// CkptInterval, ...), forwarded to every campaign. The classified matrix is
 	// byte-identical for every Workers and CkptInterval value; only the
@@ -348,7 +345,7 @@ func CoverageMatrix(ctx context.Context, cfg CoverageConfig) ([]*inject.Report, 
 	}
 	reg := cfg.Sessions
 	if reg == nil {
-		reg = session.NewRegistry(session.Config{Metrics: cfg.Metrics, Graph: cfg.Graph})
+		reg = session.NewRegistry(session.Config{Metrics: cfg.Metrics})
 	}
 	opts := cfg.Options
 	var reports []*inject.Report
@@ -357,10 +354,7 @@ func CoverageMatrix(ctx context.Context, cfg CoverageConfig) ([]*inject.Report, 
 		merged := &inject.Report{Technique: tech.Name, Program: "suite", ByCat: map[errmodel.Category]*inject.Agg{}}
 		rowCached := true
 		for _, n := range names {
-			k := session.Key{
-				Workload: n, Scale: cfg.Scale, Technique: tech.Name,
-				Style: "CMOVcc", CkptInterval: cfg.CkptInterval,
-			}
+			k := session.Key{Workload: n, Scale: cfg.Scale, Technique: tech.Name, Style: "CMOVcc"}
 			r, cached, err := reg.RunCell(ctx, k, session.Spec{Samples: cfg.Samples, Seed: cfg.Seed}, opts)
 			if err != nil {
 				return nil, err

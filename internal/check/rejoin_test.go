@@ -19,7 +19,8 @@ import (
 // a technique — the four translated ones including none, the native
 // uninstrumented program, or a static CFCSS/ECCA baseline — with a style
 // and policy, a campaign seed, a fault model and a small capture interval
-// (16–128 steps, so samples cross many checkpoints), and optionally a step
+// (16–128 steps, so samples cross many checkpoints; each input also runs
+// at the auto spacing the CLIs and the wire use), and optionally a step
 // budget barely above the clean run's, so a rejoin whose shifted step
 // count overruns it must stay a hang. Both engines must produce the same
 // normalized report, per-sample records, translator stats and campaign
@@ -112,23 +113,25 @@ func FuzzCkptRejoinMatchesReplay(f *testing.F) {
 			return rep, campaignSeries(c.Metrics.Snapshot())
 		}
 		replay, replayMetrics := run(0, 1)
-		ckpt, ckptMetrics := run(16+int64(interval)%113, 2)
-		name := fmt.Sprintf("%s/%s/%s/%v seed %d", prof.Name, ckpt.Technique, style, cfg.Policy, seed)
-		if got, want := inject.FormatNormalized(ckpt), inject.FormatNormalized(replay); got != want {
-			t.Fatalf("%s: normalized report differs from replay\n got:\n%s\nwant:\n%s", name, got, want)
-		}
-		if !reflect.DeepEqual(ckpt.Records, replay.Records) {
-			t.Fatalf("%s: records differ from replay", name)
-		}
-		if ckpt.Translator != replay.Translator {
-			t.Fatalf("%s: translator stats %+v, replay %+v", name, ckpt.Translator, replay.Translator)
-		}
-		if !reflect.DeepEqual(ckptMetrics, replayMetrics) {
-			t.Fatalf("%s: campaign metrics differ from replay\n got: %+v\nwant: %+v", name, ckptMetrics, replayMetrics)
-		}
-		if ckpt.Rejoined > ckpt.Executed || ckpt.Executed+ckpt.ShortOffset+ckpt.ShortLive != ckpt.Samples {
-			t.Fatalf("%s: engine counters %d executed (%d rejoined) + %d + %d for %d samples",
-				name, ckpt.Executed, ckpt.Rejoined, ckpt.ShortOffset, ckpt.ShortLive, ckpt.Samples)
+		for _, iv := range []int64{16 + int64(interval)%113, -1} {
+			ckpt, ckptMetrics := run(iv, 2)
+			name := fmt.Sprintf("%s/%s/%s/%v seed %d interval %d", prof.Name, ckpt.Technique, style, cfg.Policy, seed, iv)
+			if got, want := inject.FormatNormalized(ckpt), inject.FormatNormalized(replay); got != want {
+				t.Fatalf("%s: normalized report differs from replay\n got:\n%s\nwant:\n%s", name, got, want)
+			}
+			if !reflect.DeepEqual(ckpt.Records, replay.Records) {
+				t.Fatalf("%s: records differ from replay", name)
+			}
+			if ckpt.Translator != replay.Translator {
+				t.Fatalf("%s: translator stats %+v, replay %+v", name, ckpt.Translator, replay.Translator)
+			}
+			if !reflect.DeepEqual(ckptMetrics, replayMetrics) {
+				t.Fatalf("%s: campaign metrics differ from replay\n got: %+v\nwant: %+v", name, ckptMetrics, replayMetrics)
+			}
+			if ckpt.Rejoined > ckpt.Executed || ckpt.Executed+ckpt.ShortOffset+ckpt.ShortLive != ckpt.Samples {
+				t.Fatalf("%s: engine counters %d executed (%d rejoined) + %d + %d for %d samples",
+					name, ckpt.Executed, ckpt.Rejoined, ckpt.ShortOffset, ckpt.ShortLive, ckpt.Samples)
+			}
 		}
 	})
 }

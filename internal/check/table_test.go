@@ -163,8 +163,7 @@ func TestTechniqueCampaignsAgree(t *testing.T) {
 			t.Fatalf("%s: InjectCtx: %v", row.Name, err)
 		}
 		served, _, err := reg.RunCell(ctx, session.Key{
-			Workload: workload, Scale: scale, Technique: strings.ToUpper(row.Name),
-			Style: "CMOVcc", CkptInterval: -1,
+			Workload: workload, Scale: scale, Technique: strings.ToUpper(row.Name), Style: "CMOVcc",
 		}, session.Spec{Samples: samples, Seed: seed}, opts)
 		if err != nil {
 			t.Fatalf("%s: RunCell: %v", row.Name, err)

@@ -48,8 +48,9 @@ type App struct {
 	MetricsPath string
 	// Workers is the parsed -workers value (0 = GOMAXPROCS).
 	Workers int
-	// CkptInterval is the parsed -ckpt-interval value (0 full replay,
-	// -1 auto-sized checkpoints, >0 explicit step interval).
+	// CkptInterval is the parsed -ckpt-interval value: the engine, 0 full
+	// replay or -1 checkpoints auto-spaced from the clean run. Open
+	// refuses any other value (core.CheckCkptInterval).
 	CkptInterval int64
 	// SampleOffset is the parsed -sample-offset value: the campaign's
 	// first global sample index, for manual sharding (shard k of a split
@@ -105,7 +106,7 @@ func (a *App) BindFlags(fs *flag.FlagSet, groups Group) {
 	}
 	if groups&Campaign != 0 {
 		fs.Int64Var(&a.CkptInterval, "ckpt-interval", a.CkptInterval,
-			"checkpoint interval in steps (-1 auto, 0 full replay)")
+			"injection engine: -1 checkpoints (spacing derived from the clean run), 0 full replay")
 		fs.StringVar(&a.Backend, "backend", cmp.Or(a.Backend, comp.BackendAuto.String()),
 			"execution backend: auto, step or compile (all byte-identical)")
 		fs.DurationVar(&a.Progress, "progress", a.Progress,
@@ -125,10 +126,14 @@ func (a *App) BindFlags(fs *flag.FlagSet, groups Group) {
 	}
 }
 
-// Open creates every output file the flags name (metrics, CPU profile,
-// flight dumps), so a bad path fails before any work runs, then starts
-// CPU profiling and the progress ticker.
+// Open checks the engine and backend, creates every output file the
+// flags name (metrics, CPU profile, flight dumps), so a bad value or path
+// fails before any work runs, then starts CPU profiling and the progress
+// ticker.
 func (a *App) Open() error {
+	if err := core.CheckCkptInterval(a.CkptInterval); err != nil {
+		return err
+	}
 	b, err := comp.ParseBackend(a.Backend)
 	if err != nil {
 		return err

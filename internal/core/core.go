@@ -56,6 +56,16 @@ func ParseStyle(s string) (dbt.UpdateStyle, error) { return check.ParseStyle(s) 
 // ParsePolicy resolves a checking-policy name (check.ParsePolicy).
 func ParsePolicy(s string) (dbt.Policy, error) { return check.ParsePolicy(s) }
 
+// CheckCkptInterval validates the engine the CLIs and the served wire
+// take: -1 (checkpoints, spaced from the clean run) or 0 (full replay).
+// The spacing is derived, so an explicit one is refused.
+func CheckCkptInterval(iv int64) error {
+	if iv == -1 || iv == 0 {
+		return nil
+	}
+	return fmt.Errorf("checkpoint interval %d: want -1 (auto-spaced checkpoints) or 0 (full replay)", iv)
+}
+
 // Resolve materializes the configuration: the technique's table row, its
 // translator instance (nil for a static baseline) and the policy.
 func (c Config) Resolve() (*check.Technique, dbt.Technique, dbt.Policy, error) {

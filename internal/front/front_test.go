@@ -392,7 +392,8 @@ func TestFrontFanoutClampedToOwners(t *testing.T) {
 }
 
 // A request the replicas would refuse (a sample count over the served
-// bound, an unknown workload, style or policy) answers 400 at the front
+// bound, an unknown workload, style or policy, an explicit checkpoint
+// spacing) answers 400 at the front
 // on every path, before admission or any shard: the replica sees no
 // request.
 func TestFrontChecksLimitsBeforeShards(t *testing.T) {
@@ -409,6 +410,7 @@ func TestFrontChecksLimitsBeforeShards(t *testing.T) {
 		{"workload", func(r *session.Request) { r.Workload = "999.nope" }},
 		{"style", func(r *session.Request) { r.Style = "bogus" }},
 		{"policy", func(r *session.Request) { r.Policy = "bogus" }},
+		{"checkpoint interval", func(r *session.Request) { r.CkptInterval = 512 }},
 	} {
 		req := batchReq("RCF", session.SpecJSON{Seed: 1, Samples: 4})
 		tc.mutate(&req)

@@ -211,12 +211,13 @@ type Options struct {
 	// clone of the warmed translator.
 	Workers int
 	// CkptInterval selects the checkpoint-and-resume engine. 0 disables it
-	// (every sample replays the whole clean prefix); -1 picks a capture
-	// interval automatically from the clean run length; positive values set
-	// the interval in machine steps. The engine records checkpoints during
-	// one clean reference run and restores each sample at the nearest
-	// checkpoint before its fault site, executing only the tail. Reports
-	// are byte-identical to full replay for every Workers value.
+	// (every sample replays the whole clean prefix); -1 derives the capture
+	// spacing from the clean run length (ckpt.AutoInterval). The engine
+	// records checkpoints during one clean reference run and restores each
+	// sample at the nearest checkpoint before its fault site, executing
+	// only the tail. Reports are byte-identical to full replay for every
+	// Workers value. A positive value is a test-only spacing in machine
+	// steps; the CLIs and the wire take only -1 and 0.
 	CkptInterval int64
 	// Backend selects the execution engine (step interpreter, or
 	// block-compiled with direct chaining). The zero value BackendAuto is

@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/ckpt"
 	"repro/internal/obs"
 )
 
@@ -101,17 +100,6 @@ func CheckWorkers(n int) error {
 		return fmt.Errorf("workers %d out of range [0, %d]", n, DefaultMaxWorkers)
 	}
 	return nil
-}
-
-// checkCkptInterval validates a checkpoint interval: -1 (auto-sized), 0
-// (full replay) or an explicit spacing of at least ckpt.MinAutoInterval
-// steps. A finer spacing grows the log with the clean run, and every
-// other negative value would name the auto log under a new session key.
-func checkCkptInterval(iv int64) error {
-	if iv == -1 || iv == 0 || iv >= ckpt.MinAutoInterval {
-		return nil
-	}
-	return fmt.Errorf("ckpt_interval %d: want -1 (auto), 0 (full replay) or at least %d", iv, ckpt.MinAutoInterval)
 }
 
 // ErrorJSON is the API's error body: every route answers failures as

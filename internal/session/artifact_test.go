@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -33,7 +34,7 @@ func TestArtifactColdRestoreOverHTTP(t *testing.T) {
 		t.Run(tech, func(t *testing.T) {
 			srv := httptest.NewServer(artifact.Handler(artifact.NewStore("")))
 			defer srv.Close()
-			k := testKey(tech, -1)
+			k := testKey(tech)
 
 			rA, regA := artifactRegistry(artifact.NewStore(""), srv.URL)
 			sA := mustSession(t, rA, k)
@@ -59,7 +60,7 @@ func TestArtifactColdRestoreOverHTTP(t *testing.T) {
 				t.Errorf("replica B recordings = %d, want 0", got)
 			}
 
-			opts := core.Options{Workers: 2}
+			opts := core.Options{Workers: 2, CkptInterval: -1}
 			repA, err := sA.Run(context.Background(), Spec{Samples: testSamples, Seed: 7}, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -85,15 +86,14 @@ func TestArtifactColdRestoreOverHTTP(t *testing.T) {
 
 // A fresh process on the same artifact directory restores every session
 // shape without any HTTP server: registry B opens its own store on A's
-// directory, performs zero recordings and zero warm builds, and holds A's
-// very log (none for the replay engine, whose artifact carries only the
-// warm state).
+// directory, performs zero recordings and zero warm builds, holds A's
+// very log, and serves campaigns on either engine like A.
 func TestArtifactSharedLocalStore(t *testing.T) {
 	for _, tech := range []string{"RCF", "CFCSS"} {
 		for _, iv := range []int64{0, -1} {
 			t.Run(fmt.Sprintf("%s/iv=%d", tech, iv), func(t *testing.T) {
 				dir := t.TempDir()
-				k := testKey(tech, iv)
+				k := testKey(tech)
 
 				rA, _ := artifactRegistry(artifact.NewStore(dir), "")
 				sA := mustSession(t, rA, k)
@@ -109,18 +109,19 @@ func TestArtifactSharedLocalStore(t *testing.T) {
 				if got := recordings(regB); got != 0 {
 					t.Errorf("recordings = %d, want 0", got)
 				}
-				if (sA.Log() == nil) != (iv == 0) {
-					t.Errorf("log present = %v at interval %d", sA.Log() != nil, iv)
+				if sA.Log() == nil {
+					t.Error("session holds no checkpoint log")
 				}
 				if !reflect.DeepEqual(sB.Log(), sA.Log()) {
 					t.Error("restored log differs from the recorded one")
 				}
 
-				repA, err := sA.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, core.Options{})
+				opts := core.Options{CkptInterval: iv}
+				repA, err := sA.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				repB, err := sB.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, core.Options{})
+				repB, err := sB.Run(context.Background(), Spec{Samples: testSamples, Seed: 3}, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,29 +136,36 @@ func TestArtifactSharedLocalStore(t *testing.T) {
 // Verification failures must degrade to a local build that then serves
 // correct campaigns — a bad artifact never poisons the registry.
 func TestArtifactFailureFallsBackToLocalBuild(t *testing.T) {
-	k := testKey("RCF", -1)
+	k := testKey("RCF")
 
-	// Warm a store, then change the step bound: the fingerprint differs,
-	// so the fetch misses and the registry builds (and republishes).
+	// A blob sealed under another configuration's fingerprint behind k's
+	// ref: the fetch decodes it as stale and the registry builds (and
+	// republishes).
 	store := artifact.NewStore(t.TempDir())
 	rA, _ := artifactRegistry(store, "")
-	mustSession(t, rA, k)
+	other := mustSession(t, rA, testKey("none")).Key
+	pe, err := rA.programEntry(k.Workload, k.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, ok := store.Resolve(artifact.RefID(rA.artifactFingerprint(other, pe)))
+	if !ok {
+		t.Fatal("replica A published no artifact")
+	}
+	if err := store.Link(artifact.RefID(rA.artifactFingerprint(k, pe)), digest); err != nil {
+		t.Fatal(err)
+	}
 
-	regB := obs.NewRegistry()
-	rB := NewRegistry(Config{
-		MaxSteps:  inject.DefaultMaxSteps / 2,
-		Metrics:   regB,
-		Artifacts: &artifact.Client{Local: store, Metrics: regB},
-	})
+	rB, regB := artifactRegistry(store, "")
 	sB := mustSession(t, rB, k)
+	if got := counter(regB, "artifact_fetch_stale_total"); got != 1 {
+		t.Errorf("stale fetches = %d, want 1", got)
+	}
 	if got := counter(regB, "session_restores_total"); got != 0 {
 		t.Errorf("mismatched fingerprint restored: restores = %d, want 0", got)
 	}
 	if got := counter(regB, "session_warm_builds_total"); got != 1 {
 		t.Errorf("warm builds = %d, want 1", got)
-	}
-	if got := counter(regB, "artifact_fetch_misses_total"); got != 1 {
-		t.Errorf("fetch misses = %d, want 1", got)
 	}
 
 	rep, err := sB.Run(context.Background(), Spec{Samples: testSamples, Seed: 7}, core.Options{})
@@ -176,7 +184,7 @@ func TestArtifactFailureFallsBackToLocalBuild(t *testing.T) {
 	rC := NewRegistry(Config{Metrics: regC, Artifacts: &artifact.Client{Local: badStore, Metrics: regC}})
 	// Plant the garbage blob behind the exact fingerprint the registry
 	// will derive for k, so the fetch resolves and fails verification.
-	pe, err := rC.programEntry(k.Workload, k.Scale)
+	pe, err = rC.programEntry(k.Workload, k.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +205,43 @@ func TestArtifactFailureFallsBackToLocalBuild(t *testing.T) {
 	}
 	if rep.Samples != testSamples {
 		t.Errorf("post-corruption session served %d samples, want %d", rep.Samples, testSamples)
+	}
+}
+
+// An artifact published by a replay-only post restores, in a fresh
+// process, a session that serves a checkpoint campaign with zero
+// recordings: every session records its log, whichever engine built it.
+func TestReplayPublishedArtifactServesCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	post := func(iv int64) (*obs.Registry, RecordJSON) {
+		t.Helper()
+		r, reg := artifactRegistry(artifact.NewStore(dir), "")
+		ts := httptest.NewServer((&Server{Registry: r, Metrics: reg}).Handler())
+		defer ts.Close()
+		status, recs, raw := postBatch(t, ts, Request{
+			Workload: testWorkload, Scale: testScale, Technique: "RCF", Style: "CMOVcc", Policy: "ALLBB",
+			CkptInterval: iv, Campaigns: []SpecJSON{{Seed: 5, Samples: testSamples}},
+		})
+		if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" {
+			t.Fatalf("ckpt_interval %d: status %d: %s", iv, status, raw)
+		}
+		return reg, recs[0]
+	}
+	regA, replay := post(0)
+	if got := counter(regA, "artifact_publish_total"); got != 1 {
+		t.Fatalf("replay post published %d artifacts, want 1", got)
+	}
+	regB, ckpt := post(-1)
+	if got := counter(regB, "session_restores_total"); got != 1 {
+		t.Errorf("restores = %d, want 1", got)
+	}
+	if got := counter(regB, "session_warm_builds_total"); got != 0 {
+		t.Errorf("warm builds = %d, want 0", got)
+	}
+	if got := recordings(regB); got != 0 {
+		t.Errorf("recordings = %d, want 0", got)
+	}
+	if ckpt.Executed == 0 || ckpt.Report != replay.Report {
+		t.Errorf("checkpoint campaign executed %d samples; report equal to replay's = %v", ckpt.Executed, ckpt.Report == replay.Report)
 	}
 }

@@ -15,8 +15,8 @@ import (
 // differ in memory size, hand replayers to one another. Every report, and
 // the engine telemetry with it, must equal the same campaign run alone.
 func TestPooledReplayersMatchSequential(t *testing.T) {
-	gzip := Key{Workload: "164.gzip", Scale: 0.05, Technique: "RCF", Style: "Jcc", Policy: "ALLBB", CkptInterval: -1}
-	swim := Key{Workload: "171.swim", Scale: 0.05, Technique: "EdgCF", Style: "CMOVcc", Policy: "RET-BE", CkptInterval: -1}
+	gzip := Key{Workload: "164.gzip", Scale: 0.05, Technique: "RCF", Style: "Jcc", Policy: "ALLBB"}
+	swim := Key{Workload: "171.swim", Scale: 0.05, Technique: "EdgCF", Style: "CMOVcc", Policy: "RET-BE"}
 	reg := NewRegistry(Config{})
 	sessions := map[Key]*Session{gzip: mustSession(t, reg, gzip), swim: mustSession(t, reg, swim)}
 	if a, b := sessions[gzip].Log().MemWords, sessions[swim].Log().MemWords; a == b {
@@ -24,7 +24,7 @@ func TestPooledReplayersMatchSequential(t *testing.T) {
 	}
 	seeds := []int64{1, 2, 3, 4}
 	run := func(k Key, seed int64) string {
-		rep, err := sessions[k].Run(context.Background(), Spec{Samples: 200, Seed: seed}, core.Options{Workers: 2})
+		rep, err := sessions[k].Run(context.Background(), Spec{Samples: 200, Seed: seed}, core.Options{Workers: 2, CkptInterval: -1})
 		if err != nil {
 			t.Error(err)
 			return ""

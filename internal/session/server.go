@@ -157,15 +157,18 @@ func (s *Server) registerBatch(campaigns int) *batchProgress {
 	return bp
 }
 
-// Request is the POST /v1/campaigns body: one session key and the
-// campaigns to run on it.
+// Request is the POST /v1/campaigns body: one session key, the engine and
+// the campaigns to run on it.
 type Request struct {
-	Workload     string  `json:"workload"`
-	Scale        float64 `json:"scale"`
-	Technique    string  `json:"technique"`
-	Style        string  `json:"style"`
-	Policy       string  `json:"policy"`
-	CkptInterval int64   `json:"ckpt_interval"`
+	Workload  string  `json:"workload"`
+	Scale     float64 `json:"scale"`
+	Technique string  `json:"technique"`
+	Style     string  `json:"style"`
+	Policy    string  `json:"policy"`
+	// CkptInterval picks every campaign's engine: -1 resumes samples from
+	// the session's checkpoint log, 0 replays them in full. Either engine
+	// runs on the same session.
+	CkptInterval int64 `json:"ckpt_interval"`
 	// Workers shards each campaign's samples (0 = GOMAXPROCS). Results
 	// are byte-identical for every value.
 	Workers   int        `json:"workers"`
@@ -183,7 +186,7 @@ type Request struct {
 // Key is the session key the request runs on: canonical for every
 // request DecodeRequest returns.
 func (r Request) Key() Key {
-	return Key{r.Workload, r.Scale, r.Technique, r.Style, r.Policy, r.CkptInterval}
+	return Key{r.Workload, r.Scale, r.Technique, r.Style, r.Policy}
 }
 
 // SpecJSON is one campaign of a batch.
@@ -362,7 +365,7 @@ func DecodeRequest(raw []byte) (Request, error) {
 	if len(body.Campaigns) == 0 {
 		return body, errors.New("at least one campaign required")
 	}
-	if err := cmp.Or(CheckScale(body.Scale), CheckWorkers(body.Workers), checkCkptInterval(body.CkptInterval)); err != nil {
+	if err := cmp.Or(CheckScale(body.Scale), CheckWorkers(body.Workers), core.CheckCkptInterval(body.CkptInterval)); err != nil {
 		return body, err
 	}
 	for _, c := range body.Campaigns {
@@ -455,7 +458,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
 			}
 		}()
 	}
-	opts := core.Options{Metrics: s.Metrics, Workers: body.Workers, Progress: bp.tracker}
+	opts := core.Options{Metrics: s.Metrics, Workers: body.Workers, CkptInterval: body.CkptInterval, Progress: bp.tracker}
 	for i, c := range body.Campaigns {
 		bp.campaign.Store(int64(i))
 		rec := RecordJSON{Index: i, Seed: c.Seed, Samples: c.Samples, SampleOffset: c.SampleOffset}

@@ -190,6 +190,8 @@ func TestCampaignValidation(t *testing.T) {
 		{"ckpt interval far negative", func(r *Request) { r.CkptInterval = math.MinInt64 }},
 		{"ckpt interval of one step", func(r *Request) { r.CkptInterval = 1 }},
 		{"ckpt interval below floor", func(r *Request) { r.CkptInterval = ckpt.MinAutoInterval - 1 }},
+		{"ckpt interval explicit", func(r *Request) { r.CkptInterval = ckpt.MinAutoInterval }},
+		{"ckpt interval far positive", func(r *Request) { r.CkptInterval = math.MaxInt64 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,7 +231,7 @@ func TestCampaignValidation(t *testing.T) {
 	})
 
 	t.Run("valid request still accepted", func(t *testing.T) {
-		for _, iv := range []int64{0, -1, ckpt.MinAutoInterval} {
+		for _, iv := range []int64{0, -1} {
 			req := ok
 			req.CkptInterval = iv
 			status, recs, body := postBatch(t, ts, req)
@@ -406,7 +408,7 @@ func TestTechniqueSpellingsShareOneSession(t *testing.T) {
 	for _, in := range srv.Registry.List() {
 		keys = append(keys, in.Key.String())
 	}
-	want := []string{"164.gzip|0.02|CFCSS||ALLBB|0", "164.gzip|0.02|RCF|CMOVcc|ALLBB|0", "164.gzip|0.02|RCF|Jcc|ALLBB|0"}
+	want := []string{"164.gzip|0.02|CFCSS||ALLBB", "164.gzip|0.02|RCF|CMOVcc|ALLBB", "164.gzip|0.02|RCF|Jcc|ALLBB"}
 	if n := srv.Registry.Len(); n != 3 || !slices.Equal(keys, want) {
 		t.Errorf("%d sessions %q for three configurations, want %q", n, keys, want)
 	}
@@ -426,8 +428,8 @@ func TestMatrixSpellingHitsServedCell(t *testing.T) {
 	if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" || recs[0].Cached {
 		t.Fatalf("served request: status %d: %s", status, raw)
 	}
-	k := Key{Workload: testWorkload, Scale: testScale, Technique: "CFCSS", Style: "CMOVcc", CkptInterval: -1}
-	rep, cached, err := srv.Registry.RunCell(context.Background(), k, Spec{Samples: testSamples, Seed: 3}, core.Options{})
+	k := Key{Workload: testWorkload, Scale: testScale, Technique: "CFCSS", Style: "CMOVcc"}
+	rep, cached, err := srv.Registry.RunCell(context.Background(), k, Spec{Samples: testSamples, Seed: 3}, core.Options{CkptInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +471,59 @@ func TestBatchStopsAtFirstError(t *testing.T) {
 	// The server survives the aborted client and serves the next batch.
 	if status, recs, raw := postBatch(t, ts, req); status != http.StatusOK || len(recs) != 3 {
 		t.Fatalf("after aborted client: status %d, %d records: %s", status, len(recs), raw)
+	}
+}
+
+// One configuration posted at ckpt_interval 0 and then -1 runs on one
+// session: one warm build and one recording serve both engines, and each
+// campaign's report equals a cold core.InjectCtx run at the same interval,
+// compiled and engine telemetry included.
+func TestBothEnginesShareOneSession(t *testing.T) {
+	for _, tc := range []struct{ workload, technique string }{{"164.gzip", "RCF"}, {"181.mcf", "CFCSS"}} {
+		t.Run(tc.workload+"/"+tc.technique, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv := &Server{Registry: NewRegistry(Config{Metrics: reg}), Metrics: reg}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			p, err := core.Workload(tc.workload, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, iv := range []int64{0, -1} {
+				status, recs, raw := postBatch(t, ts, Request{
+					Workload: tc.workload, Scale: 0.05, Technique: tc.technique, Style: "CMOVcc", Policy: "ALLBB",
+					CkptInterval: iv, Workers: 1, ReturnReport: true,
+					Campaigns: []SpecJSON{{Seed: 1, Samples: 300}},
+				})
+				if status != http.StatusOK || len(recs) != 1 || recs[0].Error != "" || recs[0].ReportStruct == nil {
+					t.Fatalf("ckpt_interval %d: status %d: %s", iv, status, raw)
+				}
+				cold, err := core.InjectCtx(context.Background(), p, core.Config{
+					Technique: tc.technique, Style: "CMOVcc", Policy: "ALLBB",
+					Options: core.Options{Workers: 1, CkptInterval: iv},
+				}, 300, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				served := *recs[0].ReportStruct
+				served.Elapsed, cold.Elapsed = 0, 0
+				got, want := inject.FormatReport(&served), inject.FormatReport(cold)
+				if got != want {
+					t.Errorf("ckpt_interval %d: served report differs from InjectCtx\n got:\n%s\nwant:\n%s", iv, got, want)
+				}
+				if hasEngine := strings.Contains(got, "\nengine: "); hasEngine != (iv == -1) {
+					t.Errorf("ckpt_interval %d: engine line present = %v\n%s", iv, hasEngine, got)
+				}
+			}
+			if n := srv.Registry.Len(); n != 1 {
+				t.Errorf("%d sessions, want 1", n)
+			}
+			if got := counter(reg, "session_warm_builds_total"); got != 1 {
+				t.Errorf("warm builds = %d, want 1", got)
+			}
+			if got := counter(reg, `ckpt_recordings_total{technique="`+tc.technique+`"}`); got != 1 {
+				t.Errorf("recordings = %d, want 1", got)
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
 // Package session implements the warm-session registry behind the batch
 // injection service: one session per (workload, scale, technique, style,
-// policy, checkpoint-interval) configuration, holding the lazily built
-// program, its warm state (a translator snapshot, or the native warm
-// state of a static baseline) and the recorded checkpoint log so that
-// repeated campaigns pay the warm-up and reference-run cost once. Warm
-// state outlives the process only through the artifact tier (see
+// policy) configuration, holding the lazily built program, its warm state
+// (a translator snapshot, or the native warm state of a static baseline)
+// and the recorded checkpoint log so that repeated campaigns, on either
+// engine, pay the warm-up and reference-run cost once. Warm state
+// outlives the process only through the artifact tier (see
 // internal/artifact): with one configured, a fresh process restores a
 // published session instead of warming and recording it again.
 //
@@ -24,7 +24,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/check"
 	"repro/internal/ckpt"
-	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dbt"
@@ -36,29 +35,27 @@ import (
 )
 
 // Key identifies one warm session: everything that shapes the snapshot and
-// the checkpoint log. Campaign-level knobs (samples, seed, workers) are
-// deliberately absent — they vary per request over the same session.
+// the checkpoint log. Campaign-level knobs (samples, seed, workers, the
+// engine) are deliberately absent — they vary per request over the same
+// session.
 type Key struct {
-	Workload     string  `json:"workload"`
-	Scale        float64 `json:"scale"`
-	Technique    string  `json:"technique"`
-	Style        string  `json:"style,omitempty"`
-	Policy       string  `json:"policy,omitempty"`
-	CkptInterval int64   `json:"ckpt_interval"`
+	Workload  string  `json:"workload"`
+	Scale     float64 `json:"scale"`
+	Technique string  `json:"technique"`
+	Style     string  `json:"style,omitempty"`
+	Policy    string  `json:"policy,omitempty"`
 }
 
 // String renders the key as the canonical fingerprint the artifact tier
 // builds on and the sessions endpoint reports.
 func (k Key) String() string {
-	return fmt.Sprintf("%s|%g|%s|%s|%s|%d",
-		k.Workload, k.Scale, k.Technique, k.Style, k.Policy, k.CkptInterval)
+	return fmt.Sprintf("%s|%g|%s|%s|%s", k.Workload, k.Scale, k.Technique, k.Style, k.Policy)
 }
 
 // Session is one warm configuration: the built (and, for the static
 // baselines, instrumented) program, its warm state (the stabilized
 // translator snapshot, or the native warm state of a static baseline),
-// the clean-run geometry and — when the checkpoint engine is selected —
-// the recorded reference log.
+// the clean-run geometry and the recorded reference log.
 type Session struct {
 	Key Key
 
@@ -69,7 +66,7 @@ type Session struct {
 	snap       *dbt.Snapshot  // nil for static baselines
 	native     *inject.Native // static baselines only
 	cleanSteps uint64
-	log        *ckpt.Log // nil when CkptInterval == 0
+	log        *ckpt.Log // auto-spaced (ckpt.AutoInterval(-1, cleanSteps))
 
 	mu        sync.Mutex
 	campaigns int64
@@ -82,7 +79,7 @@ func (s *Session) Campaigns() int64 {
 	return s.campaigns
 }
 
-// Log returns the session's checkpoint log (nil for full-replay sessions).
+// Log returns the session's checkpoint log.
 func (s *Session) Log() *ckpt.Log { return s.log }
 
 // Spec is one campaign request against a session.
@@ -96,17 +93,21 @@ type Spec struct {
 }
 
 // Run executes one campaign on the warm session. opts carries the
-// per-request execution surface; its CkptInterval is overridden by the
-// session key's (the log was recorded for that interval). The report is
-// byte-identical to a cold cfc-inject run of the same configuration.
+// per-request execution surface, the engine included: CkptInterval -1
+// resumes samples from the session's log, 0 replays them in full (and
+// ignores the log). The log is auto-spaced, so an explicit spacing is
+// refused. The report is byte-identical to a cold cfc-inject run of the
+// same configuration.
 func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*inject.Report, error) {
+	if err := core.CheckCkptInterval(opts.CkptInterval); err != nil {
+		return nil, err
+	}
 	cfg := inject.Config{
 		Samples:      spec.Samples,
 		Seed:         spec.Seed,
 		SampleOffset: spec.SampleOffset,
 		Options:      opts,
 	}
-	cfg.CkptInterval = s.Key.CkptInterval
 	var rep *inject.Report
 	var err error
 	if s.static {
@@ -132,9 +133,6 @@ type Config struct {
 	// evicted when a build would exceed it. It bounds the built programs
 	// (one per workload and scale) the same way. <= 0 means unbounded.
 	MaxSessions int
-	// MaxSteps bounds every clean and reference run (0 =
-	// inject.DefaultMaxSteps).
-	MaxSteps uint64
 	// Metrics, when non-nil, receives the registry's cache accounting
 	// (session_{hits,misses,evictions,warm_builds,restores}_total) plus
 	// the recording counters of every build.
@@ -190,9 +188,6 @@ type progEntry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry(cfg Config) *Registry {
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = inject.DefaultMaxSteps
-	}
 	return &Registry{
 		cfg:      cfg,
 		sessions: map[Key]*entry{},
@@ -262,7 +257,7 @@ func (r *Registry) Graph() *graph.Cache { return r.cfg.Graph }
 // RunCell resolves one campaign cell — Session+Run fused behind the
 // graph cache. With no cache configured it builds the session and runs as
 // always. With one, the cell's content key (program bytes, configuration,
-// engine identity) is looked up first: a hit returns the cached
+// engine identity, from opts) is looked up first: a hit returns the cached
 // normalized report without even building the session; a miss builds,
 // runs, and stores the result for next time. cached reports which path
 // answered. Reports are byte-identical either way, except that cached
@@ -277,7 +272,7 @@ func (r *Registry) RunCell(ctx context.Context, k Key, spec Spec, opts core.Opti
 		rep, err := sess.Run(ctx, spec, opts)
 		return rep, false, err
 	}
-	ck, err := r.cellKey(k, spec, opts.Backend)
+	ck, err := r.cellKey(k, spec, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -292,16 +287,16 @@ func (r *Registry) RunCell(ctx context.Context, k Key, spec Spec, opts core.Opti
 	})
 }
 
-// cellKey is graph.KeyFor for the campaign cell (k, spec) on backend, from
-// the program's memoized digest: a program is hashed once per registry,
-// not once per request.
-func (r *Registry) cellKey(k Key, spec Spec, backend comp.Backend) (graph.CellKey, error) {
+// cellKey is graph.KeyFor for the campaign cell (k, spec) under opts's
+// engine and backend, from the program's memoized digest: a program is
+// hashed once per registry, not once per request.
+func (r *Registry) cellKey(k Key, spec Spec, opts core.Options) (graph.CellKey, error) {
 	pe, err := r.programEntry(k.Workload, k.Scale)
 	if err != nil {
 		return graph.CellKey{}, err
 	}
 	return graph.KeyForDigest(pe.prog.Name, pe.digest(), k.Technique, k.Style, k.Policy, spec.Samples, spec.Seed,
-		spec.SampleOffset, k.CkptInterval, backend, r.cfg.MaxSteps), nil
+		spec.SampleOffset, opts.CkptInterval, opts.Backend, inject.DefaultMaxSteps), nil
 }
 
 // touch moves k to the most-recently-used end of an LRU order.
@@ -405,8 +400,8 @@ func (r *Registry) programEntry(workload string, scale float64) (*progEntry, err
 
 // build constructs the session for k: program, warm state (a stabilized
 // translator snapshot, or for the static baselines the instrumented
-// program's native warm state) and — for the checkpoint engine — the
-// recorded reference log, unless the artifact tier restores all of it.
+// program's native warm state) and the auto-spaced reference log, unless
+// the artifact tier restores all of it.
 func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -430,7 +425,7 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if r.restoreSession(s, afp, base) {
 		return s, nil
 	}
-	wcfg := inject.Config{Technique: s.tech, Policy: pol, MaxSteps: r.cfg.MaxSteps}
+	wcfg := inject.Config{Technique: s.tech, Policy: pol}
 	var clean *dbt.Result
 	if s.static {
 		s.native, clean, err = inject.WarmNative(s.prog, wcfg)
@@ -441,21 +436,19 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 		return nil, err
 	}
 	s.cleanSteps = clean.Steps
-	if k.CkptInterval != 0 {
-		interval := ckpt.AutoInterval(k.CkptInterval, clean.Steps)
-		if s.static {
-			s.log, err = s.native.Record(interval, r.cfg.MaxSteps)
-		} else {
-			s.log, err = ckpt.Record(s.snap, interval, r.cfg.MaxSteps)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if s.log.Stop.Reason != cpu.StopHalt {
-			return nil, fmt.Errorf("%s: clean run ended with %v", k.Workload, s.log.Stop)
-		}
-		inject.PublishRecording(r.cfg.Metrics, k.Technique)
+	interval := ckpt.AutoInterval(-1, clean.Steps)
+	if s.static {
+		s.log, err = s.native.Record(interval, inject.DefaultMaxSteps)
+	} else {
+		s.log, err = ckpt.Record(s.snap, interval, inject.DefaultMaxSteps)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if s.log.Stop.Reason != cpu.StopHalt {
+		return nil, fmt.Errorf("%s: clean run ended with %v", k.Workload, s.log.Stop)
+	}
+	inject.PublishRecording(r.cfg.Metrics, k.Technique)
 	r.count("session_warm_builds_total")
 	r.publishArtifact(s, afp, pe)
 	return s, nil
@@ -469,7 +462,7 @@ func (r *Registry) artifactFingerprint(k Key, pe *progEntry) string {
 	if r.cfg.Artifacts == nil {
 		return ""
 	}
-	return artifact.Fingerprint(k.String(), k.Technique, pe.digest(), r.cfg.MaxSteps)
+	return artifact.Fingerprint(k.String(), k.Technique, pe.digest(), inject.DefaultMaxSteps)
 }
 
 // restoreSession hydrates s from a fetched warm artifact. It reports true
@@ -491,14 +484,11 @@ func (r *Registry) restoreSession(s *Session, afp string, base *isa.Program) boo
 	if a == nil {
 		return false
 	}
-	if a.Static != s.static || a.CleanSteps == 0 {
-		return false
-	}
-	if s.Key.CkptInterval != 0 && (a.Log == nil || !a.Log.Complete()) {
+	if a.Static != s.static || a.CleanSteps == 0 || a.Log == nil || !a.Log.Complete() {
 		return false
 	}
 	if s.static {
-		n, clean, err := inject.WarmNative(s.prog, inject.Config{MaxSteps: r.cfg.MaxSteps})
+		n, clean, err := inject.WarmNative(s.prog, inject.Config{})
 		if err != nil || clean.Steps != a.CleanSteps {
 			return false
 		}
@@ -512,10 +502,7 @@ func (r *Registry) restoreSession(s *Session, afp string, base *isa.Program) boo
 		}
 		s.snap = snap
 	}
-	s.cleanSteps = a.CleanSteps
-	if s.Key.CkptInterval != 0 {
-		s.log = a.Log
-	}
+	s.cleanSteps, s.log = a.CleanSteps, a.Log
 	r.count("session_restores_total")
 	return true
 }
@@ -530,7 +517,7 @@ func (r *Registry) publishArtifact(s *Session, afp string, pe *progEntry) {
 	a := &artifact.Artifact{
 		Key:         s.Key.String(),
 		ProgramHash: pe.digest(),
-		MaxSteps:    r.cfg.MaxSteps,
+		MaxSteps:    inject.DefaultMaxSteps,
 		CleanSteps:  s.cleanSteps,
 		Static:      s.static,
 		Log:         s.log,
@@ -574,12 +561,8 @@ func (r *Registry) List() []Info {
 	})
 	infos := make([]Info, 0, len(ready))
 	for _, s := range ready {
-		in := Info{Key: s.Key, Campaigns: s.Campaigns(), CleanSteps: s.cleanSteps}
-		if s.log != nil {
-			in.Points = len(s.log.Points)
-			in.LogBytes = s.log.Bytes
-		}
-		infos = append(infos, in)
+		infos = append(infos, Info{Key: s.Key, Campaigns: s.Campaigns(), CleanSteps: s.cleanSteps,
+			Points: len(s.log.Points), LogBytes: s.log.Bytes})
 	}
 	return infos
 }

@@ -24,16 +24,13 @@ const (
 	testSamples  = 40
 )
 
-func testKey(tech string, iv int64) Key {
-	return Key{
-		Workload:     testWorkload,
-		Scale:        testScale,
-		Technique:    tech,
-		Style:        "CMOVcc",
-		Policy:       "ALLBB",
-		CkptInterval: iv,
-	}
+func testKey(tech string) Key {
+	return Key{Workload: testWorkload, Scale: testScale, Technique: tech, Style: "CMOVcc", Policy: "ALLBB"}
 }
+
+// ckptOpts runs campaigns on the checkpoint engine: a zero core.Options
+// replays every sample in full.
+var ckptOpts = core.Options{CkptInterval: -1}
 
 func mustSession(t *testing.T, r *Registry, k Key) *Session {
 	t.Helper()
@@ -67,7 +64,7 @@ func TestRegistryHitMissEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewRegistry(Config{MaxSessions: 1, Metrics: reg})
 
-	a, b := testKey("none", 0), testKey("RCF", 0)
+	a, b := testKey("none"), testKey("RCF")
 	first := mustSession(t, r, a)
 	if again := mustSession(t, r, a); again != first {
 		t.Error("second lookup built a new session instead of reusing")
@@ -100,7 +97,7 @@ func TestSessionWarmSetConcurrent(t *testing.T) {
 	techniques := []string{"none", "RCF", "ECF"}
 	spec := Spec{Samples: testSamples, Seed: 3}
 	run := func(r *Registry, tech string) (string, error) {
-		rep, _, err := r.RunCell(context.Background(), testKey(tech, -1), spec, core.Options{Workers: 1})
+		rep, _, err := r.RunCell(context.Background(), testKey(tech), spec, core.Options{Workers: 1, CkptInterval: -1})
 		if err != nil {
 			return "", err
 		}
@@ -139,9 +136,9 @@ func TestSessionWarmSetConcurrent(t *testing.T) {
 func TestRunCellGraphCache(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewRegistry(Config{Metrics: reg, Graph: graph.New("")})
-	k := testKey("RCF", -1)
+	k := testKey("RCF")
 	spec := Spec{Samples: testSamples, Seed: 7}
-	opts := core.Options{Metrics: reg}
+	opts := core.Options{Metrics: reg, CkptInterval: -1}
 
 	rep1, cached1, err := r.RunCell(context.Background(), k, spec, opts)
 	if err != nil {
@@ -171,7 +168,7 @@ func TestRunCellGraphCache(t *testing.T) {
 
 	// Without a cache RunCell is Session+Run: never cached.
 	r2 := NewRegistry(Config{})
-	if _, cached, err := r2.RunCell(context.Background(), k, spec, core.Options{}); err != nil || cached {
+	if _, cached, err := r2.RunCell(context.Background(), k, spec, ckptOpts); err != nil || cached {
 		t.Errorf("uncached RunCell: cached=%v err=%v", cached, err)
 	}
 }
@@ -180,9 +177,9 @@ func TestRunCellGraphCache(t *testing.T) {
 // key must be the one graph.KeyFor derives by hashing the program afresh.
 func TestRunCellKeyMatchesKeyFor(t *testing.T) {
 	r := NewRegistry(Config{Graph: graph.New("")})
-	k := testKey("RCF", -1)
+	k := testKey("RCF")
 	spec := Spec{Samples: testSamples, Seed: 7, SampleOffset: 3}
-	got, err := r.cellKey(k, spec, comp.BackendAuto)
+	got, err := r.cellKey(k, spec, ckptOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +188,11 @@ func TestRunCellKeyMatchesKeyFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := graph.KeyFor(prog, k.Technique, k.Style, k.Policy, spec.Samples, spec.Seed,
-		spec.SampleOffset, k.CkptInterval, comp.BackendAuto, 0)
+		spec.SampleOffset, -1, comp.BackendAuto, 0)
 	if got != want {
 		t.Fatalf("RunCell key differs from graph.KeyFor\n got: %+v\nwant: %+v", got, want)
 	}
-	if _, _, err := r.RunCell(context.Background(), k, spec, core.Options{}); err != nil {
+	if _, _, err := r.RunCell(context.Background(), k, spec, ckptOpts); err != nil {
 		t.Fatal(err)
 	}
 	if r.Graph().Lookup(want, nil) == nil {
@@ -208,7 +205,7 @@ func TestRunCellKeyMatchesKeyFor(t *testing.T) {
 func TestStaticCampaignsReuseNativeWarmState(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewRegistry(Config{Metrics: reg})
-	k := testKey("CFCSS", -1)
+	k := testKey("CFCSS")
 	var native *inject.Native
 	var frozen comp.Stats
 	for i := 0; i < 4; i++ {
@@ -221,7 +218,7 @@ func TestStaticCampaignsReuseNativeWarmState(t *testing.T) {
 		} else if s.native != native {
 			t.Fatalf("campaign %d: session warm state was rebuilt", i)
 		}
-		rep, err := s.Run(context.Background(), Spec{Samples: testSamples, Seed: int64(i)}, core.Options{})
+		rep, err := s.Run(context.Background(), Spec{Samples: testSamples, Seed: int64(i)}, ckptOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +261,10 @@ func TestStaticSessionCampaignsMatchColdInAnyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{Workers: 1}
+	opts := core.Options{Workers: 1, CkptInterval: -1}
 	want := map[int64]string{}
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := inject.Config{Policy: pol, Samples: testSamples, Seed: seed, Options: opts}
-		cfg.CkptInterval = -1
 		rep, err := inject.Execute(context.Background(), p, cfg, inject.AsStatic("CFCSS"))
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +272,7 @@ func TestStaticSessionCampaignsMatchColdInAnyOrder(t *testing.T) {
 		want[seed] = render(rep)
 	}
 	for _, order := range [][]int64{{1, 2, 3}, {3, 1, 2}, {2, 3, 1}} {
-		s := mustSession(t, NewRegistry(Config{}), testKey("CFCSS", -1))
+		s := mustSession(t, NewRegistry(Config{}), testKey("CFCSS"))
 		for _, seed := range order {
 			rep, err := s.Run(context.Background(), Spec{Samples: testSamples, Seed: seed}, opts)
 			if err != nil {
@@ -331,7 +327,7 @@ func TestValidate(t *testing.T) {
 func TestConcurrentBuildsDeduplicate(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewRegistry(Config{Metrics: reg})
-	k := testKey("RCF", 0)
+	k := testKey("RCF")
 
 	const n = 8
 	got := make(chan *Session, n)
@@ -358,7 +354,7 @@ func TestConcurrentBuildsDeduplicate(t *testing.T) {
 // A canceled build must not poison the key: the next request rebuilds.
 func TestCanceledBuildDoesNotPoisonKey(t *testing.T) {
 	r := NewRegistry(Config{})
-	k := testKey("RCF", 0)
+	k := testKey("RCF")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.Session(ctx, k); err == nil {
@@ -392,9 +388,9 @@ func TestProgramTableBounded(t *testing.T) {
 	}{{2, 2}, {0, 3}} {
 		r := NewRegistry(Config{MaxSessions: tc.maxSessions})
 		for _, scale := range scales {
-			k := testKey("RCF", -1)
+			k := testKey("RCF")
 			k.Scale = scale
-			rep, _, err := r.RunCell(context.Background(), k, Spec{Samples: testSamples, Seed: seed}, core.Options{Workers: 1})
+			rep, _, err := r.RunCell(context.Background(), k, Spec{Samples: testSamples, Seed: seed}, core.Options{Workers: 1, CkptInterval: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -418,11 +414,12 @@ func TestProgramTableBounded(t *testing.T) {
 // after it is a hit.
 func TestEvictedCellRecomputes(t *testing.T) {
 	r := NewRegistry(Config{Graph: graph.New("")})
-	k := testKey("RCF", -1)
+	k := testKey("RCF")
 	spec := Spec{Samples: testSamples, Seed: 7}
+	opts := core.Options{Workers: 1, CkptInterval: -1}
 	run := func(wantCached bool) string {
 		t.Helper()
-		rep, cached, err := r.RunCell(context.Background(), k, spec, core.Options{Workers: 1})
+		rep, cached, err := r.RunCell(context.Background(), k, spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +433,7 @@ func TestEvictedCellRecomputes(t *testing.T) {
 	// Crowd the cell out with 1 MiB entries under other seeds, twice as
 	// many each round: a probe that still hits makes the cell the most
 	// recently used again.
-	ck, err := r.cellKey(k, spec, comp.BackendAuto)
+	ck, err := r.cellKey(k, spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
