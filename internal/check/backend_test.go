@@ -225,7 +225,7 @@ func faultBudget(cleanSteps uint64) uint64 { return 2*cleanSteps + 10_000 }
 // statically with kind runs natively, as the checkpoint engine's native
 // campaigns do — the step interpreter against a view of a compiled core
 // frozen over the block starts a clean run on an adaptive engine reached
-// (inject.WarmNative's starts). Every check is a guard, so faults land on
+// (a native inject.Prepared's starts). Every check is a guard, so faults land on
 // guards' jrz branches, jump into guard continuations (a cold entry no
 // block starts at) and fail checks.
 func fuzzNative(t *testing.T, p *isa.Program, kind StaticKind, faultKind uint8, index uint32, bit, reg uint8) {

@@ -81,32 +81,34 @@ func FuzzCkptRejoinMatchesReplay(f *testing.F) {
 			opts = append(opts, inject.AsStatic(kind.String()))
 			cfg.RegFaults = false
 		}
+		exec := func(c inject.Config) (*inject.Report, error) {
+			return inject.Execute(context.Background(), target, c, opts...)
+		}
 		if polSel&8 != 0 {
 			// A budget a few steps past the clean run's own. Warm-up
-			// (a cold translator takes more steps) runs on the loose one.
-			var clean uint64
-			if len(opts) == 0 {
-				snap, _, err := inject.Warm(target, cfg)
-				if err != nil {
-					t.Skip(err)
-				}
-				// The campaigns' reference runs on a snapshot clone.
-				clean = snap.NewDBT().Run(nil, cfg.MaxSteps).Steps
-				opts = append(opts, inject.WithSnapshot(snap, clean))
-			} else {
-				n, res, err := inject.WarmNative(target, cfg)
-				if err != nil {
-					t.Skip(err)
-				}
-				clean = res.Steps
-				opts = append(opts, inject.WithNative(n))
+			// (a cold translator takes more steps) runs on the loose one,
+			// each campaign's reference recording on the tight one.
+			w, err := inject.Prepare(target, cfg, opts...)
+			if err != nil {
+				t.Skip(err)
 			}
-			cfg.MaxSteps = clean + uint64(seed&31)
+			// The campaigns' reference runs on a snapshot clone. A second
+			// state measures it, since Record keeps its log.
+			probe, err := inject.Prepare(target, cfg, opts...)
+			if err != nil {
+				t.Skip(err)
+			}
+			ref, err := probe.Record(probe.CleanSteps(), cfg.MaxSteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.MaxSteps = ref.Final.Steps + uint64(seed&31)
+			exec = func(c inject.Config) (*inject.Report, error) { return w.Run(context.Background(), c) }
 		}
 		run := func(iv int64, workers int) (*inject.Report, *obs.Snapshot) {
 			c := cfg
 			c.CkptInterval, c.Workers, c.Metrics = iv, workers, obs.NewRegistry()
-			rep, err := inject.Execute(context.Background(), target, c, opts...)
+			rep, err := exec(c)
 			if err != nil {
 				t.Fatalf("interval %d: %v", iv, err)
 			}

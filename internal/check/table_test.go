@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/check"
+	"repro/internal/comp"
 	"repro/internal/core"
 	"repro/internal/dbt"
 	"repro/internal/inject"
@@ -130,8 +131,10 @@ func mixedCase(name string) string {
 }
 
 // One small campaign per row reads the same through the library facade,
-// the session registry and the coverage matrix: the normalized reports
-// are equal, except that the matrix labels its program "suite".
+// the session registry and the coverage matrix, on each backend: the
+// normalized reports are equal, except that the matrix labels its program
+// "suite", and the session's engine telemetry and compiled-backend work
+// are the facade's, so a step campaign on a session runs no compiled code.
 func TestTechniqueCampaignsAgree(t *testing.T) {
 	const (
 		workload = "181.mcf"
@@ -140,49 +143,61 @@ func TestTechniqueCampaignsAgree(t *testing.T) {
 		seed     = 3
 	)
 	ctx := context.Background()
-	opts := core.Options{Workers: 2, CkptInterval: -1}
 	p, err := core.Workload(workload, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := session.NewRegistry(session.Config{})
-	matrix := map[string]*inject.Report{}
-	if _, err := bench.CoverageMatrix(ctx, bench.CoverageConfig{
-		Scale: scale, Samples: samples, Seed: seed, Workloads: []string{workload}, Options: opts,
-		OnReport: func(r *inject.Report, _ bool) { matrix[r.Technique] = r },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range check.Techniques {
-		// Lower case on the facade, upper case on the session: any
-		// spelling runs the row.
-		direct, err := core.InjectCtx(ctx, p, core.Config{
-			Technique: strings.ToLower(row.Name), Style: "CMOVcc", Options: opts,
-		}, samples, seed)
-		if err != nil {
-			t.Fatalf("%s: InjectCtx: %v", row.Name, err)
+	for _, backend := range []comp.Backend{comp.BackendAuto, comp.BackendStep} {
+		opts := core.Options{Workers: 2, CkptInterval: -1, Backend: backend}
+		reg := session.NewRegistry(session.Config{})
+		matrix := map[string]*inject.Report{}
+		if _, err := bench.CoverageMatrix(ctx, bench.CoverageConfig{
+			Scale: scale, Samples: samples, Seed: seed, Workloads: []string{workload}, Options: opts,
+			OnReport: func(r *inject.Report, _ bool) { matrix[r.Technique] = r },
+		}); err != nil {
+			t.Fatal(err)
 		}
-		served, _, err := reg.RunCell(ctx, session.Key{
-			Workload: workload, Scale: scale, Technique: strings.ToUpper(row.Name), Style: "CMOVcc",
-		}, session.Spec{Samples: samples, Seed: seed}, opts)
-		if err != nil {
-			t.Fatalf("%s: RunCell: %v", row.Name, err)
-		}
-		m := matrix[row.Name]
-		if m == nil {
-			t.Fatalf("%s: no matrix column", row.Name)
-		}
-		relabeled := *m
-		relabeled.Program = direct.Program
-		want := inject.FormatNormalized(direct)
-		if direct.Technique != row.Name || direct.Totals.Total == 0 {
-			t.Errorf("%s: report labeled %q with %d fired faults", row.Name, direct.Technique, direct.Totals.Total)
-		}
-		if got := inject.FormatNormalized(served); got != want {
-			t.Errorf("%s: session report differs from InjectCtx:\n%s\nwant:\n%s", row.Name, got, want)
-		}
-		if got := inject.FormatNormalized(&relabeled); got != want {
-			t.Errorf("%s: matrix report differs from InjectCtx:\n%s\nwant:\n%s", row.Name, got, want)
+		for _, row := range check.Techniques {
+			// Lower case on the facade, upper case on the session: any
+			// spelling runs the row.
+			direct, err := core.InjectCtx(ctx, p, core.Config{
+				Technique: strings.ToLower(row.Name), Style: "CMOVcc", Options: opts,
+			}, samples, seed)
+			if err != nil {
+				t.Fatalf("%s/%s: InjectCtx: %v", backend, row.Name, err)
+			}
+			served, _, err := reg.RunCell(ctx, session.Key{
+				Workload: workload, Scale: scale, Technique: strings.ToUpper(row.Name), Style: "CMOVcc",
+			}, session.Spec{Samples: samples, Seed: seed}, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: RunCell: %v", backend, row.Name, err)
+			}
+			m := matrix[row.Name]
+			if m == nil {
+				t.Fatalf("%s/%s: no matrix column", backend, row.Name)
+			}
+			relabeled := *m
+			relabeled.Program = direct.Program
+			want := inject.FormatNormalized(direct)
+			if direct.Technique != row.Name || direct.Totals.Total == 0 {
+				t.Errorf("%s/%s: report labeled %q with %d fired faults", backend, row.Name, direct.Technique, direct.Totals.Total)
+			}
+			if got := inject.FormatNormalized(served); got != want {
+				t.Errorf("%s/%s: session report differs from InjectCtx:\n%s\nwant:\n%s", backend, row.Name, got, want)
+			}
+			if got := inject.FormatNormalized(&relabeled); got != want {
+				t.Errorf("%s/%s: matrix report differs from InjectCtx:\n%s\nwant:\n%s", backend, row.Name, got, want)
+			}
+			type work struct {
+				Compiled                                   comp.Stats
+				Executed, Rejoined, ShortOffset, ShortLive int
+			}
+			workOf := func(r *inject.Report) work {
+				return work{r.Compiled, r.Executed, r.Rejoined, r.ShortOffset, r.ShortLive}
+			}
+			if got, want := workOf(served), workOf(direct); got != want {
+				t.Errorf("%s/%s: session work differs from InjectCtx:\n%+v\nwant:\n%+v", backend, row.Name, got, want)
+			}
 		}
 	}
 }

@@ -149,9 +149,9 @@ func Record(snap *dbt.Snapshot, interval, maxSteps uint64) (*Log, error) {
 // RecordStatic performs the clean reference run for native (no translator)
 // execution of p on an unfrozen compiled engine that resumes at each
 // boundary. starts are the block starts, in address order, of the frozen
-// engine samples run on (inject.Native's reached set): besides every
-// interval boundary, the recorder captures the first of them or of the
-// guard continuations (comp.AfterGuard) entered at or after it — the
+// engine samples run on (a native inject.Prepared's reached set): besides
+// every interval boundary, the recorder captures the first of them or of
+// the guard continuations (comp.AfterGuard) entered at or after it — the
 // points that engine's watch sees. Nil starts (samples on the step
 // backend) capture the boundaries only. Native runs share no translator
 // state, so recording never truncates.

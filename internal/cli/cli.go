@@ -108,7 +108,7 @@ func (a *App) BindFlags(fs *flag.FlagSet, groups Group) {
 		fs.Int64Var(&a.CkptInterval, "ckpt-interval", a.CkptInterval,
 			"injection engine: -1 checkpoints (spacing derived from the clean run), 0 full replay")
 		fs.StringVar(&a.Backend, "backend", cmp.Or(a.Backend, comp.BackendAuto.String()),
-			"execution backend: auto, step or compile (all byte-identical)")
+			"execution backend: compile or step (byte-identical reports)")
 		fs.DurationVar(&a.Progress, "progress", a.Progress,
 			"print live campaign progress to stderr every `interval` (0 = off)")
 		fs.StringVar(&a.Flight, "flight", a.Flight,

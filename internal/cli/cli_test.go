@@ -17,7 +17,7 @@ import (
 // path.
 func TestOpenFailureTearsDownSinks(t *testing.T) {
 	dir := t.TempDir()
-	a := &App{Backend: "auto"}
+	a := &App{Backend: "compile"}
 	a.MetricsPath = filepath.Join(dir, "m.json")
 	a.CPUProfile = filepath.Join(dir, "missing", "cpu.prof") // create fails
 	a.Flight = filepath.Join(dir, "flight.jsonl")
@@ -30,7 +30,7 @@ func TestOpenFailureTearsDownSinks(t *testing.T) {
 
 	// An uncreatable -metrics path fails in Open, before any work runs,
 	// and arms nothing after it.
-	m := &App{Backend: "auto"}
+	m := &App{Backend: "compile"}
 	m.MetricsPath = filepath.Join(dir, "missing", "m.json") // create fails
 	m.CPUProfile = filepath.Join(dir, "cpu0.prof")
 	m.Flight = filepath.Join(dir, "flight0.jsonl")
@@ -43,7 +43,7 @@ func TestOpenFailureTearsDownSinks(t *testing.T) {
 	// The flight path is created before the cpuprofile failure only when
 	// flight setup runs first; with the fallible steps ordered, a failed
 	// cpuprofile leaves no armed recorder either way.
-	b := &App{Backend: "auto"}
+	b := &App{Backend: "compile"}
 	b.Flight = filepath.Join(dir, "missing", "flight.jsonl") // create fails
 	b.CPUProfile = filepath.Join(dir, "cpu.prof")
 	b.Progress = time.Millisecond
@@ -57,7 +57,7 @@ func TestOpenFailureTearsDownSinks(t *testing.T) {
 	if _, err := os.Stat(b.CPUProfile); err != nil {
 		t.Errorf("cpu profile file: %v", err)
 	}
-	c := &App{Backend: "auto"}
+	c := &App{Backend: "compile"}
 	c.CPUProfile = filepath.Join(dir, "cpu2.prof")
 	if err := c.Open(); err != nil {
 		t.Fatalf("profiling still active after failed Open: %v", err)
@@ -81,7 +81,7 @@ func checkDisarmed(t *testing.T, a *App) {
 func TestMetricsWrittenAtClose(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"m.json", "m.prom"} {
-		a := &App{Backend: "auto", MetricsPath: filepath.Join(dir, name)}
+		a := &App{Backend: "compile", MetricsPath: filepath.Join(dir, name)}
 		if err := a.Open(); err != nil {
 			t.Fatal(err)
 		}

@@ -62,16 +62,16 @@ func (b Backend) String() string {
 	return fmt.Sprintf("backend(%d)", uint8(b))
 }
 
-// ParseBackend parses a -backend flag value: "auto", "compile" and ""
-// name the compiled backend, "step" the oracle.
+// ParseBackend parses a -backend flag value: "compile" and "" name the
+// compiled backend, "step" the oracle.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "auto", "compile":
+	case "", "compile":
 		return BackendAuto, nil
 	case "step":
 		return BackendStep, nil
 	}
-	return BackendAuto, fmt.Errorf("unknown backend %q (want auto, step or compile)", s)
+	return BackendAuto, fmt.Errorf("unknown backend %q (want compile or step)", s)
 }
 
 // Compiled reports whether the backend uses the compiled tier.

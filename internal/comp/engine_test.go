@@ -231,10 +231,12 @@ func TestParseBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, %v", b.String(), got, err)
 		}
 	}
-	if got, err := ParseBackend("auto"); err != nil || got != BackendAuto {
-		t.Errorf(`ParseBackend("auto") = %v, %v`, got, err)
+	if got, err := ParseBackend(""); err != nil || got != BackendAuto {
+		t.Errorf(`ParseBackend("") = %v, %v`, got, err)
 	}
-	if _, err := ParseBackend("plan"); err == nil {
-		t.Error(`ParseBackend("plan") accepted the retired backend`)
+	for _, retired := range []string{"auto", "plan"} {
+		if _, err := ParseBackend(retired); err == nil {
+			t.Errorf("ParseBackend(%q) accepted a retired backend name", retired)
+		}
 	}
 }

@@ -147,28 +147,39 @@ func AnalyzeErrors(p *isa.Program, maxSteps uint64) (*errmodel.Table, error) {
 	return errmodel.Analyze(p, maxSteps)
 }
 
+// Target resolves c for p into what its campaigns run: the program (p,
+// or for a static baseline its instrumented rewrite), the campaign
+// configuration carrying the technique, policy, sample offset and
+// c.Options, and the options selecting native execution for a static
+// baseline. It is the one place a configuration name becomes a target:
+// InjectCtx runs it cold, the session registry warms it once
+// (inject.Prepare) and serves campaigns from the warm state.
+func (c Config) Target(p *isa.Program) (*isa.Program, inject.Config, []inject.ExecOption, error) {
+	row, tech, pol, err := c.Resolve()
+	if err != nil {
+		return nil, inject.Config{}, nil, err
+	}
+	icfg := inject.Config{Technique: tech, Policy: pol, SampleOffset: c.SampleOffset, Options: c.Options}
+	if tech != nil {
+		return p, icfg, nil, nil
+	}
+	if p, err = check.InstrumentStatic(p, row.Static); err != nil {
+		return nil, inject.Config{}, nil, err
+	}
+	return p, icfg, []inject.ExecOption{inject.AsStatic(row.Name)}, nil
+}
+
 // InjectCtx runs a randomized single-fault campaign, under the DBT or,
 // for a static baseline, natively on the instrumented program, honoring
 // ctx for cancellation. Execution knobs (Workers, CkptInterval, Metrics,
 // ...) come from c.Options; the report is bit-identical for every worker
 // count.
 func InjectCtx(ctx context.Context, p *isa.Program, c Config, samples int, seed int64) (*inject.Report, error) {
-	row, tech, pol, err := c.Resolve()
+	p, icfg, opts, err := c.Target(p)
 	if err != nil {
 		return nil, err
 	}
-	icfg := inject.Config{
-		Technique: tech, Policy: pol, Samples: samples, Seed: seed,
-		SampleOffset: c.SampleOffset,
-		Options:      c.Options,
-	}
-	var opts []inject.ExecOption
-	if tech == nil {
-		if p, err = check.InstrumentStatic(p, row.Static); err != nil {
-			return nil, err
-		}
-		opts = append(opts, inject.AsStatic(row.Name))
-	}
+	icfg.Samples, icfg.Seed = samples, seed
 	return inject.Execute(ctx, p, icfg, opts...)
 }
 

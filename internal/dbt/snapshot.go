@@ -138,7 +138,13 @@ func (s *Snapshot) Stats() Stats { return s.stats }
 // it first changes it — capacity-capped slices make appends copy, own
 // guards in-place writes, and DBT.setBlock materializes the map. Most
 // fault-injection samples never dispatch, so they copy nothing.
-func (s *Snapshot) NewDBT() *DBT {
+func (s *Snapshot) NewDBT() *DBT { return s.NewDBTOn(s.opts.Backend) }
+
+// NewDBTOn is NewDBT for a run on backend b. The step backend clones the
+// snapshot without its compiled view, so the clone interprets every step
+// and counts no compiled work, exactly as a clone of a snapshot warmed on
+// the step backend does; a compiled b keeps the snapshot's own backend.
+func (s *Snapshot) NewDBTOn(b comp.Backend) *DBT {
 	d := &DBT{
 		prog:          s.prog,
 		opts:          s.opts,
@@ -152,7 +158,9 @@ func (s *Snapshot) NewDBT() *DBT {
 		pendingCycles: s.pendingCycles,
 		stats:         s.stats,
 	}
-	if s.comp != nil {
+	if !b.Compiled() {
+		d.opts.Backend = b
+	} else if s.comp != nil {
 		// A per-clone view over the frozen compiled core: fresh stats, own
 		// retired set, aliased onto the clone's cache (re-aliased at every
 		// Advance, so it follows the clone's copy once it owns one). A

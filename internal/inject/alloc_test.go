@@ -44,17 +44,16 @@ func TestWarmNativeCampaignAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, clean, err := WarmNative(p, Config{})
+	w, err := Prepare(p, Config{}, AsStatic("CFCSS"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Config{Samples: 40, Seed: 1, Options: Options{CkptInterval: -1, Workers: 1}}
-	log, err := n.Record(ckpt.AutoInterval(c.CkptInterval, clean.Steps), DefaultMaxSteps)
-	if err != nil {
+	if _, err := w.Record(ckpt.AutoInterval(c.CkptInterval, w.CleanSteps()), DefaultMaxSteps); err != nil {
 		t.Fatal(err)
 	}
 	campaign := func() {
-		if _, err := Execute(context.Background(), p, c, AsStatic("CFCSS"), WithNative(n), WithRecording(log)); err != nil {
+		if _, err := w.Run(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -157,23 +157,20 @@ const (
 )
 
 // runCkpt is the checkpoint engine. The recording run doubles as the
-// clean reference. A non-nil log is a pre-recorded reference (a
-// session-cache hit); nil records one here.
-func (c *campaign) runCkpt(ctx context.Context, t target, cleanSteps uint64, log *ckpt.Log) error {
+// clean reference: w's held log (recorded or restored once per warm
+// state), or else one recorded here for this campaign.
+func (c *campaign) runCkpt(ctx context.Context, t target, w *Prepared) error {
 	cfg := c.cfg
+	log := w.log
 	if log == nil {
 		record := phaseSpan(cfg.Metrics, c.label, "record")
-		interval := ckpt.AutoInterval(cfg.CkptInterval, cleanSteps)
 		var err error
-		log, err = t.record(interval, cfg.MaxSteps)
+		log, err = w.record(ckpt.AutoInterval(cfg.CkptInterval, w.cleanSteps), cfg.MaxSteps)
 		record.End()
 		if err != nil {
-			return fmt.Errorf("%s: %v", c.prog.Name, err)
+			return err
 		}
-		PublishRecording(cfg.Metrics, c.label)
-	}
-	if log.Stop.Reason != cpu.StopHalt {
-		return fmt.Errorf("%s: clean run ended with %v", c.prog.Name, log.Stop)
+		publishRecording(cfg.Metrics, c.label)
 	}
 	c.want, c.branches, c.steps = log.Output, log.Final.DirectBranches, log.Final.Steps
 	if c.branches == 0 {
@@ -324,10 +321,10 @@ func runTail(cfg *Config, r runner, log *ckpt.Log, rp *ckpt.Replayer, k int, m *
 	return r.advance(m, cfg.MaxSteps), -1
 }
 
-// PublishRecording counts one reference-run recording (as opposed to a
+// publishRecording counts one reference-run recording (as opposed to a
 // cache hit that reused a persisted log). The session server's CI smoke
 // asserts this counter stays flat across a warm-cache restart.
-func PublishRecording(reg *obs.Registry, technique string) {
+func publishRecording(reg *obs.Registry, technique string) {
 	if reg == nil {
 		return
 	}

@@ -9,7 +9,11 @@
 // two targets: a warm translator snapshot (the DBT techniques) and the
 // program executed natively (the static CFCSS/ECCA baselines). A target
 // only decides how one sample executes and how its fault is categorized;
-// see target.
+// see target. Both kinds of warm state are one type, Prepared: Prepare
+// (or Restore, from a published artifact) builds it once, Record gives it
+// a reference log, and Run executes any number of campaigns on it, each
+// on its own backend and engine. Execute is Prepare plus Run, and only
+// this package tells a translated state from a native one.
 package inject
 
 import (
@@ -391,15 +395,23 @@ func techName(t dbt.Technique) string {
 	return t.Name()
 }
 
-// run executes the campaign on target t under the report label: the one
+// Run injects cfg.Samples faults into executions from the warm state and
+// classifies every outcome, honoring ctx for cancellation: the one
 // pipeline every entry point funnels into, for translated and native
-// targets alike. cleanSteps is the clean run length the checkpoint
-// interval is derived from; log is an optional pre-recorded reference.
-func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t target, cleanSteps uint64, log *ckpt.Log) (*Report, error) {
+// targets alike. It reads cfg's campaign fields, the backend and the
+// engine included; the technique, policy and body are the state's. Under
+// the checkpoint engine a state holding no log records one for this
+// campaign, spaced by cfg.CkptInterval; a held log serves every spacing.
+func (w *Prepared) Run(ctx context.Context, cfg Config) (*Report, error) {
+	cfg.applyDefaults()
+	if w.static && cfg.RegFaults {
+		return nil, fmt.Errorf("inject: AsStatic cannot inject register faults")
+	}
+	label, t := w.label, w.target(cfg.Backend)
 	rep := &Report{
-		Program:      p.Name,
+		Program:      w.prog.Name,
 		Technique:    label,
-		Policy:       cfg.Policy,
+		Policy:       w.policy,
 		SampleOffset: cfg.SampleOffset,
 		ByCat:        map[errmodel.Category]*Agg{},
 		Workers:      par.Workers(cfg.Workers, cfg.Samples),
@@ -408,7 +420,7 @@ func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t targe
 	rep.WarmTranslator, rep.WarmCompiled = t.baseline()
 	rep.Translator, rep.Compiled = rep.WarmTranslator, rep.WarmCompiled
 
-	c := &campaign{cfg: &cfg, prog: p, label: label, base: rep.WarmTranslator, workers: make([]worker, rep.Workers)}
+	c := &campaign{cfg: &cfg, prog: w.prog, label: label, base: rep.WarmTranslator, workers: make([]worker, rep.Workers)}
 	if cfg.Metrics != nil {
 		c.ns = seriesFor(label)
 	}
@@ -416,7 +428,7 @@ func (cfg Config) run(ctx context.Context, p *isa.Program, label string, t targe
 	start := time.Now()
 	var err error
 	if cfg.CkptInterval != 0 {
-		err = c.runCkpt(ctx, t, cleanSteps, log)
+		err = c.runCkpt(ctx, t, w)
 	} else {
 		err = c.runReplay(ctx, t)
 	}

@@ -32,26 +32,26 @@ func TestCkptNullPageMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, clean, err := WarmNative(p, Config{})
+	warm, err := Prepare(p, Config{}, AsStatic("CFCSS"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Config{Samples: 800, Seed: 7, KeepRecords: true, Options: Options{Workers: 2}}
-	replay, err := Execute(context.Background(), p, c, AsStatic("CFCSS"), WithNative(n))
+	replay, err := warm.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	type telemetry struct{ executed, offset, live, rejoined int }
-	for _, iv := range []int64{-1, int64(clean.Steps / 4)} {
-		log, err := n.Record(ckpt.AutoInterval(iv, clean.Steps), DefaultMaxSteps)
-		if err != nil {
+	clean := warm.CleanSteps()
+	for _, iv := range []int64{-1, int64(clean / 4)} {
+		if _, err := warm.Record(ckpt.AutoInterval(iv, clean), DefaultMaxSteps); err != nil {
 			t.Fatal(err)
 		}
 		var first telemetry
 		for i, w := range []int{1, 2, 4} {
 			cfg := c
 			cfg.Workers, cfg.CkptInterval = w, iv
-			rep, err := Execute(context.Background(), p, cfg, AsStatic("CFCSS"), WithNative(n), WithRecording(log))
+			rep, err := warm.Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,10 +89,12 @@ func TestNullPageReturnTrapsEverywhere(t *testing.T) {
 	cfg := c
 	cfg.Backend = comp.BackendStep
 
-	_, clean, err := WarmNative(static, cfg)
-	if err != nil {
-		t.Fatal(err)
+	m := cpu.New()
+	m.Reset(static)
+	if stop := m.Run(static.Code, DefaultMaxSteps); stop.Reason != cpu.StopHalt {
+		t.Fatalf("clean run: %v", stop)
 	}
+	clean := &dbt.Result{Steps: m.Steps, DirectBranches: m.DirectBranches}
 	native := zeroReturns(&cfg, clean, func(f *cpu.Fault) (*cpu.Machine, func() isa.Instr, func() bool) {
 		m := cpu.New()
 		m.Reset(static)

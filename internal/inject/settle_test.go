@@ -107,11 +107,11 @@ func TestSiteTableBytesPerBranch(t *testing.T) {
 			if p, err = check.InstrumentStatic(p, check.StaticCFCSS); err != nil {
 				t.Fatal(err)
 			}
-			n, clean, err := inject.WarmNative(p, cfg)
+			w, err := inject.Prepare(p, cfg, inject.AsStatic(c.technique))
 			if err != nil {
 				t.Fatal(err)
 			}
-			log, err = n.Record(ckpt.AutoInterval(-1, clean.Steps), inject.DefaultMaxSteps)
+			log, err = w.Record(ckpt.AutoInterval(-1, w.CleanSteps()), inject.DefaultMaxSteps)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -82,27 +82,50 @@ func TestStaticCampaignErrors(t *testing.T) {
 			t.Errorf("AsStatic with %s must fail", name)
 		}
 	}
-	// A native warm state serves native campaigns over its own program only.
-	n, _, err := WarmNative(p, Config{})
+	// A warm native state refuses register faults too, and a restore
+	// refuses pieces of the other kind of state or an incomplete log.
+	w, err := Prepare(p, Config{}, AsStatic("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Execute(context.Background(), p, Config{Samples: 1}, WithNative(n)); err == nil {
-		t.Error("WithNative without AsStatic must fail")
+	if _, err := w.Run(context.Background(), Config{Samples: 1, RegFaults: true}); err == nil {
+		t.Error("a native state must refuse register faults")
 	}
-	other := mustAssemble(t, staticProg)
-	if _, err := Execute(context.Background(), other, Config{Samples: 1}, AsStatic("x"), WithNative(n)); err == nil {
-		t.Error("WithNative warmed on a different program must fail")
+	log, err := w.Record(64, DefaultMaxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, clean, err := Warm(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snap.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, restore := range map[string]func() (*Prepared, error){
+		"native with a snapshot": func() (*Prepared, error) {
+			return Restore(p, Config{}, st, w.CleanSteps(), log, AsStatic("x"))
+		},
+		"translated without one": func() (*Prepared, error) { return Restore(p, Config{}, nil, clean.Steps, log) },
+		"native of another length": func() (*Prepared, error) {
+			return Restore(p, Config{}, nil, w.CleanSteps()+1, log, AsStatic("x"))
+		},
+		"no log": func() (*Prepared, error) { return Restore(p, Config{}, st, clean.Steps, nil) },
+	} {
+		if _, err := restore(); err == nil {
+			t.Errorf("Restore %s must fail", name)
+		}
 	}
 }
 
-// A native campaign started from a pre-built warm state matches a cold one
-// in its classified results and in its compiled-backend telemetry, under
-// both engines and both backends. One warm state serves concurrent
-// campaigns on either backend, as a session's does: step campaigns build
-// no engine, and the first compiled campaign freezes the one engine every
-// later campaign shares. The frozen engine compiles only the blocks the
-// clean run reached, a small part of the program's CFG.
+// A native campaign run on a Prepared warm state matches a cold one in its
+// classified results and in its compiled-backend telemetry, under both
+// engines and both backends. One warm state serves concurrent campaigns
+// on either backend, as a session's does: step campaigns build no engine,
+// and the first compiled campaign freezes the one engine every later
+// campaign shares. The frozen engine compiles only the blocks the clean
+// run reached, a small part of the program's CFG.
 func TestStaticWithNativeMatchesCold(t *testing.T) {
 	prof, err := workloads.ByName("181.mcf")
 	if err != nil {
@@ -116,13 +139,16 @@ func TestStaticWithNativeMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, clean, err := WarmNative(p, Config{})
+	n, err := Prepare(p, Config{}, AsStatic("CFCSS"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.cleanSteps != clean.Steps || clean.DirectBranches == 0 {
-		t.Fatalf("warm state records %d clean steps, clean run %d steps / %d branches",
-			n.cleanSteps, clean.Steps, clean.DirectBranches)
+	clean := cpu.New()
+	clean.Reset(p)
+	if stop := clean.Run(p.Code, DefaultMaxSteps); stop.Reason != cpu.StopHalt || clean.DirectBranches == 0 ||
+		n.CleanSteps() != clean.Steps {
+		t.Fatalf("warm state records %d clean steps, clean run %d steps / %d branches (%v)",
+			n.CleanSteps(), clean.Steps, clean.DirectBranches, stop)
 	}
 	if blocks := len(n.blocks.Starts); len(n.starts) == 0 || len(n.starts) >= blocks {
 		t.Errorf("warm state keeps %d starts of %d CFG blocks, want a non-empty reached subset", len(n.starts), blocks)
@@ -145,7 +171,7 @@ func TestStaticWithNativeMatchesCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			if b == comp.BackendStep {
-				if _, err := Execute(context.Background(), p, c, AsStatic("CFCSS"), WithNative(n)); err != nil {
+				if _, err := n.Run(context.Background(), c); err != nil {
 					t.Fatal(err)
 				}
 				if n.eng != nil {
@@ -163,15 +189,15 @@ func TestStaticWithNativeMatchesCold(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			warm[i], errs[i] = Execute(context.Background(), p, config(r), AsStatic("CFCSS"), WithNative(n))
+			warm[i], errs[i] = n.Run(context.Background(), config(r))
 		}()
 	}
 	wg.Wait()
 	eng := n.engine()
-	if got := newNativeTarget(n, comp.BackendAuto).eng; got != eng || eng == nil || !eng.Frozen() {
+	if got := n.target(comp.BackendAuto).(*nativeTarget).eng; got != eng || eng == nil || !eng.Frozen() {
 		t.Errorf("compiled targets share engine %p, warm state holds %p (frozen %v)", got, eng, eng != nil && eng.Frozen())
 	}
-	if newNativeTarget(n, comp.BackendStep).eng != nil {
+	if n.target(comp.BackendStep).(*nativeTarget).eng != nil {
 		t.Error("a step-backend target holds an engine")
 	}
 	for i, w := range warm {

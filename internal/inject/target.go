@@ -2,7 +2,6 @@ package inject
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cfg"
 	"repro/internal/ckpt"
@@ -22,8 +21,6 @@ import (
 type target interface {
 	// runner returns a sample runner for one worker.
 	runner() runner
-	// record performs the checkpointed clean reference run.
-	record(interval, maxSteps uint64) (*ckpt.Log, error)
 	// baseline is the warm-up work already done (snapshot stats, or the
 	// native freeze), credited to the report once.
 	baseline() (dbt.Stats, comp.Stats)
@@ -78,16 +75,23 @@ func replay(r runner, f *cpu.Fault, maxSteps uint64) *dbt.Result {
 	return res
 }
 
-// snapTarget runs every sample on a private clone of a warm snapshot.
-type snapTarget struct{ snap *dbt.Snapshot }
-
-func (t snapTarget) runner() runner { return &snapRunner{snap: t.snap} }
-
-func (t snapTarget) record(interval, maxSteps uint64) (*ckpt.Log, error) {
-	return ckpt.Record(t.snap, interval, maxSteps)
+// snapTarget runs every sample on a private clone of a warm snapshot, on
+// the campaign's backend.
+type snapTarget struct {
+	snap    *dbt.Snapshot
+	backend comp.Backend
 }
 
-func (t snapTarget) baseline() (dbt.Stats, comp.Stats) { return t.snap.Stats(), t.snap.CompStats() }
+func (t snapTarget) runner() runner { return &snapRunner{t: t} }
+
+// baseline credits the snapshot's compiled work (its freeze) only to a
+// campaign whose clones run compiled.
+func (t snapTarget) baseline() (dbt.Stats, comp.Stats) {
+	if !t.backend.Compiled() {
+		return t.snap.Stats(), comp.Stats{}
+	}
+	return t.snap.Stats(), t.snap.CompStats()
+}
 
 func (t snapTarget) code() []isa.Instr { return t.snap.Code() }
 
@@ -99,18 +103,18 @@ func (t snapTarget) publish(reg *obs.Registry, label string, rep *Report) {
 // snapRunner holds the current sample's snapshot clone and the clone's
 // stats right after resume.
 type snapRunner struct {
-	snap    *dbt.Snapshot
+	t       snapTarget
 	d       *dbt.DBT
 	resumed dbt.Stats
 }
 
 func (r *snapRunner) start(f *cpu.Fault) (*cpu.Machine, *dbt.Result) {
-	r.d = r.snap.NewDBT()
+	r.d = r.t.snap.NewDBTOn(r.t.backend)
 	return r.d.Start(f)
 }
 
 func (r *snapRunner) resume(m *cpu.Machine, pt *ckpt.Point) {
-	r.d = r.snap.NewDBT()
+	r.d = r.t.snap.NewDBTOn(r.t.backend)
 	r.d.Resume(m, pt.Prefix)
 	r.resumed = r.d.StatsSnapshot()
 }
@@ -133,113 +137,56 @@ func (r *snapRunner) blockStart(ip uint32) bool { return r.d.BlockStart(ip) }
 
 func (r *snapRunner) tailWork() dbt.Stats { return r.d.StatsSnapshot().Sub(r.resumed) }
 
-// Native is the warm state of a native target, built once per session by
-// WarmNative and shared read-only by every campaign over the same program.
-// It keeps what campaigns read, sized to what they use: the block starts
-// the clean run entered on an adaptive compiled engine, the program's CFG
-// block starts for classification (4 bytes a block, not the CFG), and one
-// engine frozen over the reached starts, built by the first
-// compiled-backend campaign. Campaigns take per-sample
-// views of that engine, so a warm campaign pays for its samples, not for
-// its program.
-type Native struct {
-	prog       *isa.Program
-	starts     []uint32 // block starts the clean run entered, in address order
-	blocks     errmodel.Blocks
-	cleanSteps uint64
-
-	engOnce sync.Once
-	eng     *comp.Engine // frozen over starts; nil until a compiled campaign asks
-}
-
-// WarmNative performs p's clean native run on cfg's backend and returns
-// the warm state campaigns start from, plus the clean result, whose
-// Steps, DirectBranches and Output are the reference geometry. A compiled
-// backend runs on an unfrozen engine and keeps the block starts it
-// entered, so campaigns freeze only the code the clean run reached, as a
-// translator snapshot freezes only the code its warm-up translated.
-func WarmNative(p *isa.Program, cfg Config) (*Native, *dbt.Result, error) {
-	cfg.applyDefaults()
+// warmNative performs the clean native run of an AsStatic state on c's
+// backend and keeps what campaigns read, sized to what they use. A
+// compiled backend runs on an unfrozen engine and keeps the block starts
+// it entered, so campaigns freeze only the code the clean run reached, as
+// a translator snapshot freezes only the code its warm-up translated. The
+// program's CFG is analyzed once, for its block starts (4 bytes a block),
+// which classify faulty branch targets.
+func (w *Prepared) warmNative(c Config) (*dbt.Result, error) {
+	p := w.prog
 	var eng *comp.Engine
-	if cfg.Backend.Compiled() {
+	if c.Backend.Compiled() {
 		eng = comp.NewEngine(p.Code, nil, 0)
 	}
 	m := cpu.New()
 	m.Reset(p)
-	stop := comp.Run(cfg.Backend, eng, m, p.Code, cfg.MaxSteps)
+	stop := comp.Run(c.Backend, eng, m, p.Code, c.MaxSteps)
 	if stop.Reason != cpu.StopHalt {
-		return nil, nil, fmt.Errorf("%s: clean run ended with %v", p.Name, stop)
+		return nil, fmt.Errorf("%s: clean run ended with %v", p.Name, stop)
 	}
-	clean := &dbt.Result{
-		Stop:           stop,
-		Cycles:         m.Cycles,
-		Steps:          m.Steps,
-		Output:         m.Output,
-		DirectBranches: m.DirectBranches,
-		SigChecks:      m.SigChecks,
-	}
-	return newNative(p, eng.Reached(), m.Steps), clean, nil
-}
-
-// newNative analyzes p's CFG once, keeping its block starts, around the
-// clean run's reached starts and length.
-func newNative(p *isa.Program, starts []uint32, cleanSteps uint64) *Native {
-	return &Native{
-		prog:       p,
-		starts:     starts,
-		blocks:     errmodel.BlocksOf(cfg.Build(p)),
-		cleanSteps: cleanSteps,
-	}
-}
-
-// Record performs the checkpointed clean reference run of the warm
-// program. After every interval boundary it also captures the first block
-// start of the engine its campaigns freeze, where a rejoining sample's
-// watch can see the point.
-func (n *Native) Record(interval, maxSteps uint64) (*ckpt.Log, error) {
-	return ckpt.RecordStatic(n.prog, n.starts, interval, maxSteps)
+	w.starts, w.blocks = eng.Reached(), errmodel.BlocksOf(cfg.Build(p))
+	return &dbt.Result{Stop: stop, Steps: m.Steps}, nil
 }
 
 // engine returns the engine frozen over the reached starts, compiling it
-// on the first call. Its Stats are the freeze's work.
-func (n *Native) engine() *comp.Engine {
-	n.engOnce.Do(func() {
-		n.eng = comp.NewEngine(n.prog.Code, nil, 0)
-		n.eng.Freeze(n.starts)
+// on the first compiled campaign's call. Its Stats are the freeze's work.
+func (w *Prepared) engine() *comp.Engine {
+	w.engOnce.Do(func() {
+		w.eng = comp.NewEngine(w.prog.Code, nil, 0)
+		w.eng.Freeze(w.starts)
 	})
-	return n.eng
+	return w.eng
 }
 
 // nativeTarget runs the program directly on the machine (no translator):
 // the statically instrumented CFCSS/ECCA baselines and unprotected native
 // runs. Faulty branch targets are classified against the program's own
 // CFG block starts. For the compiled backend, the warm state's frozen
-// engine is shared read-only by every worker of every campaign. It
-// compiles only the blocks the clean run reached, not every CFG block
-// start, so a sample that strays off the clean path runs its cold blocks
-// on the step interpreter until its own view promotes them. Each sample
-// takes a fresh per-view engine clone so its counters and cold tier stay
-// its own and merge worker-invariantly.
+// engine (Prepared.engine) is shared read-only by every worker of every
+// campaign. It compiles only the blocks the clean run reached, not every
+// CFG block start, so a sample that strays off the clean path runs its
+// cold blocks on the step interpreter until its own view promotes them.
+// Each sample takes a fresh per-view engine clone so its counters and
+// cold tier stay its own and merge worker-invariantly.
 type nativeTarget struct {
-	warm    *Native
-	backend comp.Backend
-	eng     *comp.Engine // frozen; nil for the step backend
-}
-
-func newNativeTarget(n *Native, backend comp.Backend) *nativeTarget {
-	t := &nativeTarget{warm: n, backend: backend}
-	if backend.Compiled() {
-		t.eng = n.engine()
-	}
-	return t
+	warm *Prepared
+	eng  *comp.Engine // frozen; nil for the step backend
 }
 
 func (t *nativeTarget) runner() runner {
 	return &nativeRunner{t: t, m: cpu.Machine{Costs: cpu.DefaultCosts()}}
-}
-
-func (t *nativeTarget) record(interval, maxSteps uint64) (*ckpt.Log, error) {
-	return t.warm.Record(interval, maxSteps)
 }
 
 // baseline is the one-time compilation work (the freeze), credited to
@@ -284,8 +231,10 @@ func (r *nativeRunner) resume(*cpu.Machine, *ckpt.Point) {
 	}
 }
 
+// advance runs on the sample's view, or with none (the step backend) on
+// the step interpreter.
 func (r *nativeRunner) advance(m *cpu.Machine, maxSteps uint64) cpu.Stop {
-	return comp.Run(r.t.backend, r.v, m, r.t.warm.prog.Code, maxSteps)
+	return r.v.Run(m, r.t.warm.prog.Code, maxSteps)
 }
 
 func (r *nativeRunner) finish(m *cpu.Machine, stop cpu.Stop) *dbt.Result {

@@ -74,8 +74,8 @@ func TestArtifactColdRestoreOverHTTP(t *testing.T) {
 			}
 			// A native session rebuilds its warm state from the code: it
 			// freezes the same reached blocks as the local build.
-			if (sB.native != nil) != (tech == "CFCSS") {
-				t.Errorf("restored session native warm state present = %v", sB.native != nil)
+			if sB.warm.Static() != (tech == "CFCSS") {
+				t.Errorf("restored session native warm state present = %v", sB.warm.Static())
 			}
 			if repB.Compiled != repA.Compiled {
 				t.Errorf("restored compiled stats %+v, local build %+v", repB.Compiled, repA.Compiled)

@@ -1,9 +1,10 @@
 // Package session implements the warm-session registry behind the batch
 // injection service: one session per (workload, scale, technique, style,
-// policy) configuration, holding the lazily built program, its warm state
-// (a translator snapshot, or the native warm state of a static baseline)
-// and the recorded checkpoint log so that repeated campaigns, on either
-// engine, pay the warm-up and reference-run cost once. Warm state
+// policy) configuration, holding the lazily built warm state of its
+// program (an inject.Prepared: a translator snapshot or a static
+// baseline's native state, with its recorded checkpoint log) so that
+// repeated campaigns, on either engine and either backend, pay the
+// warm-up and reference-run cost once. Warm state
 // outlives the process only through the artifact tier (see
 // internal/artifact): with one configured, a fresh process restores a
 // published session instead of warming and recording it again.
@@ -25,8 +26,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/dbt"
 	"repro/internal/fp"
 	"repro/internal/graph"
 	"repro/internal/inject"
@@ -52,35 +51,21 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s|%g|%s|%s|%s", k.Workload, k.Scale, k.Technique, k.Style, k.Policy)
 }
 
-// Session is one warm configuration: the built (and, for the static
-// baselines, instrumented) program, its warm state (the stabilized
-// translator snapshot, or the native warm state of a static baseline),
-// the clean-run geometry and the recorded reference log.
+// Session is one warm configuration: its key and its warm state, which
+// holds the auto-spaced reference log (ckpt.AutoInterval(-1, clean
+// steps)).
 type Session struct {
 	Key Key
 
-	prog       *isa.Program
-	static     bool
-	tech       dbt.Technique // nil for static baselines
-	pol        dbt.Policy
-	snap       *dbt.Snapshot  // nil for static baselines
-	native     *inject.Native // static baselines only
-	cleanSteps uint64
-	log        *ckpt.Log // auto-spaced (ckpt.AutoInterval(-1, cleanSteps))
-
-	mu        sync.Mutex
-	campaigns int64
+	warm      *inject.Prepared
+	campaigns atomic.Int64
 }
 
 // Campaigns returns how many campaigns this session has served.
-func (s *Session) Campaigns() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.campaigns
-}
+func (s *Session) Campaigns() int64 { return s.campaigns.Load() }
 
 // Log returns the session's checkpoint log.
-func (s *Session) Log() *ckpt.Log { return s.log }
+func (s *Session) Log() *ckpt.Log { return s.warm.Log() }
 
 // Spec is one campaign request against a session.
 type Spec struct {
@@ -93,36 +78,23 @@ type Spec struct {
 }
 
 // Run executes one campaign on the warm session. opts carries the
-// per-request execution surface, the engine included: CkptInterval -1
-// resumes samples from the session's log, 0 replays them in full (and
-// ignores the log). The log is auto-spaced, so an explicit spacing is
-// refused. The report is byte-identical to a cold cfc-inject run of the
-// same configuration.
+// per-request execution surface, the engine and backend included:
+// CkptInterval -1 resumes samples from the session's log, 0 replays them
+// in full (and ignores the log). The log is auto-spaced, so an explicit
+// spacing is refused. The report is byte-identical to a cold cfc-inject
+// run of the same configuration.
 func (s *Session) Run(ctx context.Context, spec Spec, opts core.Options) (*inject.Report, error) {
 	if err := core.CheckCkptInterval(opts.CkptInterval); err != nil {
 		return nil, err
 	}
-	cfg := inject.Config{
+	rep, err := s.warm.Run(ctx, inject.Config{
 		Samples:      spec.Samples,
 		Seed:         spec.Seed,
 		SampleOffset: spec.SampleOffset,
 		Options:      opts,
-	}
-	var rep *inject.Report
-	var err error
-	if s.static {
-		cfg.Policy = s.pol
-		rep, err = inject.Execute(ctx, s.prog, cfg,
-			inject.AsStatic(s.Key.Technique), inject.WithNative(s.native), inject.WithRecording(s.log))
-	} else {
-		cfg.Technique, cfg.Policy = s.tech, s.pol
-		rep, err = inject.Execute(ctx, s.prog, cfg,
-			inject.WithSnapshot(s.snap, s.cleanSteps), inject.WithRecording(s.log))
-	}
+	})
 	if err == nil {
-		s.mu.Lock()
-		s.campaigns++
-		s.mu.Unlock()
+		s.campaigns.Add(1)
 	}
 	return rep, err
 }
@@ -398,10 +370,9 @@ func (r *Registry) programEntry(workload string, scale float64) (*progEntry, err
 	return pe, pe.err
 }
 
-// build constructs the session for k: program, warm state (a stabilized
-// translator snapshot, or for the static baselines the instrumented
-// program's native warm state) and the auto-spaced reference log, unless
-// the artifact tier restores all of it.
+// build constructs the session for k: the program, its warm state and
+// the auto-spaced reference log, unless the artifact tier restores all of
+// it. The build's warm-up and recording count on the registry's metrics.
 func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -410,45 +381,24 @@ func (r *Registry) build(ctx context.Context, k Key) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := pe.prog
-	row, tech, pol, err := core.Config{Technique: k.Technique, Style: k.Style, Policy: k.Policy}.Resolve()
+	p, cfg, opts, err := core.Config{
+		Technique: k.Technique, Style: k.Style, Policy: k.Policy,
+		Options: core.Options{Metrics: r.cfg.Metrics},
+	}.Target(pe.prog)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Key: k, tech: tech, pol: pol, prog: base, static: tech == nil}
-	if s.static {
-		if s.prog, err = check.InstrumentStatic(base, row.Static); err != nil {
-			return nil, err
-		}
-	}
+	s := &Session{Key: k}
 	afp := r.artifactFingerprint(k, pe)
-	if r.restoreSession(s, afp, base) {
+	if s.warm = r.restore(afp, p, cfg, opts); s.warm != nil {
 		return s, nil
 	}
-	wcfg := inject.Config{Technique: s.tech, Policy: pol}
-	var clean *dbt.Result
-	if s.static {
-		s.native, clean, err = inject.WarmNative(s.prog, wcfg)
-	} else {
-		s.snap, clean, err = inject.Warm(base, wcfg)
-	}
-	if err != nil {
+	if s.warm, err = inject.Prepare(p, cfg, opts...); err != nil {
 		return nil, err
 	}
-	s.cleanSteps = clean.Steps
-	interval := ckpt.AutoInterval(-1, clean.Steps)
-	if s.static {
-		s.log, err = s.native.Record(interval, inject.DefaultMaxSteps)
-	} else {
-		s.log, err = ckpt.Record(s.snap, interval, inject.DefaultMaxSteps)
-	}
-	if err != nil {
+	if _, err := s.warm.Record(ckpt.AutoInterval(-1, s.warm.CleanSteps()), inject.DefaultMaxSteps); err != nil {
 		return nil, err
 	}
-	if s.log.Stop.Reason != cpu.StopHalt {
-		return nil, fmt.Errorf("%s: clean run ended with %v", k.Workload, s.log.Stop)
-	}
-	inject.PublishRecording(r.cfg.Metrics, k.Technique)
 	r.count("session_warm_builds_total")
 	r.publishArtifact(s, afp, pe)
 	return s, nil
@@ -465,46 +415,29 @@ func (r *Registry) artifactFingerprint(k Key, pe *progEntry) string {
 	return artifact.Fingerprint(k.String(), k.Technique, pe.digest(), inject.DefaultMaxSteps)
 }
 
-// restoreSession hydrates s from a fetched warm artifact. It reports true
-// only when every piece the session needs restored cleanly — any
-// shortfall (no artifact, backend mismatch, missing log, inconsistent
-// snapshot) reports false and the caller builds locally, so a bad
-// artifact can never poison the registry. A restored session performs
-// zero reference recordings and zero block translations; its campaigns
-// are byte-identical to a locally built session's. A static session's
-// native warm state is not shipped: one clean run rebuilds it from the
-// code and must reproduce the artifact's clean-run length.
-func (r *Registry) restoreSession(s *Session, afp string, base *isa.Program) bool {
+// restore rebuilds the warm state of p under cfg and opts from a fetched
+// artifact (inject.Restore). It returns nil on any shortfall (no
+// artifact, a piece missing or inconsistent, a Static flag that is not
+// the state's), and the caller builds locally, so a bad artifact can
+// never poison the registry. A restored session performs zero reference
+// recordings and zero block translations; its campaigns are
+// byte-identical to a locally built session's.
+func (r *Registry) restore(afp string, p *isa.Program, cfg inject.Config, opts []inject.ExecOption) *inject.Prepared {
 	if afp == "" {
-		return false
+		return nil
 	}
 	r.restoring.Add(1)
 	defer r.restoring.Add(-1)
 	a := r.cfg.Artifacts.Fetch(afp)
 	if a == nil {
-		return false
+		return nil
 	}
-	if a.Static != s.static || a.CleanSteps == 0 || a.Log == nil || !a.Log.Complete() {
-		return false
+	w, err := inject.Restore(p, cfg, a.Snapshot, a.CleanSteps, a.Log, opts...)
+	if err != nil || w.Static() != a.Static {
+		return nil
 	}
-	if s.static {
-		n, clean, err := inject.WarmNative(s.prog, inject.Config{})
-		if err != nil || clean.Steps != a.CleanSteps {
-			return false
-		}
-		s.native = n
-	} else {
-		// Zero Backend mirrors the wcfg the local build would have used, so
-		// the restored snapshot executes on the same engine tier.
-		snap, err := dbt.RestoreSnapshot(base, dbt.Options{Technique: s.tech, Policy: s.pol}, a.Snapshot)
-		if err != nil {
-			return false
-		}
-		s.snap = snap
-	}
-	s.cleanSteps, s.log = a.CleanSteps, a.Log
 	r.count("session_restores_total")
-	return true
+	return w
 }
 
 // publishArtifact ships the locally built session to the artifact tier,
@@ -514,22 +447,19 @@ func (r *Registry) publishArtifact(s *Session, afp string, pe *progEntry) {
 	if afp == "" {
 		return
 	}
-	a := &artifact.Artifact{
+	st, err := s.warm.State()
+	if err != nil {
+		return
+	}
+	r.cfg.Artifacts.Publish(&artifact.Artifact{
 		Key:         s.Key.String(),
 		ProgramHash: pe.digest(),
 		MaxSteps:    inject.DefaultMaxSteps,
-		CleanSteps:  s.cleanSteps,
-		Static:      s.static,
-		Log:         s.log,
-	}
-	if s.snap != nil {
-		st, err := s.snap.State()
-		if err != nil {
-			return
-		}
-		a.Snapshot = st
-	}
-	r.cfg.Artifacts.Publish(a, afp)
+		CleanSteps:  s.warm.CleanSteps(),
+		Static:      s.warm.Static(),
+		Log:         s.warm.Log(),
+		Snapshot:    st,
+	}, afp)
 }
 
 // Info describes one warm session for the sessions endpoint.
@@ -561,8 +491,9 @@ func (r *Registry) List() []Info {
 	})
 	infos := make([]Info, 0, len(ready))
 	for _, s := range ready {
-		infos = append(infos, Info{Key: s.Key, Campaigns: s.Campaigns(), CleanSteps: s.cleanSteps,
-			Points: len(s.log.Points), LogBytes: s.log.Bytes})
+		log := s.Log()
+		infos = append(infos, Info{Key: s.Key, Campaigns: s.Campaigns(), CleanSteps: s.warm.CleanSteps(),
+			Points: len(log.Points), LogBytes: log.Bytes})
 	}
 	return infos
 }

@@ -206,16 +206,16 @@ func TestStaticCampaignsReuseNativeWarmState(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewRegistry(Config{Metrics: reg})
 	k := testKey("CFCSS")
-	var native *inject.Native
+	var warm *inject.Prepared
 	var frozen comp.Stats
 	for i := 0; i < 4; i++ {
 		s := mustSession(t, r, k)
-		if s.native == nil {
+		if !s.warm.Static() {
 			t.Fatal("static session holds no native warm state")
 		}
-		if native == nil {
-			native = s.native
-		} else if s.native != native {
+		if warm == nil {
+			warm = s.warm
+		} else if s.warm != warm {
 			t.Fatalf("campaign %d: session warm state was rebuilt", i)
 		}
 		rep, err := s.Run(context.Background(), Spec{Samples: testSamples, Seed: int64(i)}, ckptOpts)
