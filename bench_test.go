@@ -48,7 +48,7 @@ func BenchmarkFigure3Normalized(b *testing.B) {
 // RCF/EdgCF/ECF and reports the suite geomeans.
 func BenchmarkFigure12Slowdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Figure12(benchScale, 0, nil, nil)
+		t, err := bench.Figure12(benchScale, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkFigure12Slowdown(b *testing.B) {
 // BenchmarkFigure14UpdateStyle regenerates the Jcc vs CMOVcc table.
 func BenchmarkFigure14UpdateStyle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Figure14(benchScale, 0, nil, nil)
+		t, err := bench.Figure14(benchScale, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFigure14UpdateStyle(b *testing.B) {
 // BenchmarkFigure15Policies regenerates the checking-policy sweep for RCF.
 func BenchmarkFigure15Policies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Figure15(benchScale, 0, nil, nil)
+		t, err := bench.Figure15(benchScale, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkFigure15Policies(b *testing.B) {
 // native execution (the paper's ~12%).
 func BenchmarkDBTBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, avg, err := bench.DBTBaseline(benchScale, 0, nil, nil)
+		_, avg, err := bench.DBTBaseline(benchScale, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

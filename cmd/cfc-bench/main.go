@@ -11,10 +11,9 @@
 //	-fig latency policy trade-off: slowdown vs coverage vs report latency
 //	-fig all     dbt, 12, 14, 15, ablate, dfc and latency
 //
-// It runs the bench suite that POST /v1/bench serves and prints each
-// figure's table. -workers fans the per-benchmark runs (and campaign
-// samples) across a goroutine pool; results are identical for every
-// worker count.
+// It runs the figures through the bench suite and prints each one's
+// table. -workers fans the per-benchmark runs (and campaign samples)
+// across a goroutine pool; results are identical for every worker count.
 package main
 
 import (
@@ -52,15 +51,9 @@ func main() {
 	fatalIf(app.Open())
 	// The campaign figures (coverage, dfc, latency) run 300 samples from
 	// seed 1.
-	err := bench.RunSuite(context.Background(), bench.SuiteConfig{
+	fatalIf(bench.RunSuite(context.Background(), bench.SuiteConfig{
 		Scale: *scale, Samples: 300, Seed: 1, Figures: figs, Options: app.Options(),
-	}, func(f bench.SuiteFrame) error {
-		if f.Kind == "table" {
-			fmt.Println(f.Text)
-		}
-		return nil
-	})
-	fatalIf(err)
+	}, os.Stdout))
 	fatalIf(app.Close())
 }
 

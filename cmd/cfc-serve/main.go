@@ -9,9 +9,6 @@
 //	                     → NDJSON, one record per campaign as it completes
 //	                       ("progress_ms":N interleaves live progress frames)
 //	GET  /v1/campaigns/{id}/progress   poll a running batch's progress
-//	POST /v1/bench       run the bench suite (figures 12/14/15, baseline,
-//	                     ablations, coverage matrix) through the warm
-//	                     registry → NDJSON rows, tables and span timings
 //	GET  /v1/sessions    warm-session inventory
 //	GET  /v1/version     build and configuration info
 //	GET  /v1/metrics     metrics snapshot as JSON (what cfc-front merges)
@@ -51,7 +48,6 @@ import (
 	"syscall"
 
 	"repro/internal/artifact"
-	"repro/internal/bench"
 	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/session"
@@ -120,16 +116,9 @@ func main() {
 	runCtx, cancelRuns := context.WithCancel(context.Background())
 	defer cancelRuns()
 
-	// One mux: the bench suite (package bench, which imports session)
-	// mounts as an extra route on the session server's own mux, behind the
-	// same request bounds, error shape and batch tracking.
-	mux := srv.Handler(
-		session.Route{Pattern: "POST /v1/bench", Handler: bench.Handler(srv)},
-	)
-
 	hs := &http.Server{
 		Addr:        *addr,
-		Handler:     mux,
+		Handler:     srv.Handler(),
 		BaseContext: func(net.Listener) context.Context { return runCtx },
 	}
 	errc := make(chan error, 1)

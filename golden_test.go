@@ -42,12 +42,7 @@ func benchOutput(t *testing.T, scale float64, figures []string) string {
 	err := bench.RunSuite(context.Background(), bench.SuiteConfig{
 		Scale: scale, Samples: 300, Seed: 1, Figures: figures,
 		Options: core.Options{Workers: 2, CkptInterval: -1},
-	}, func(f bench.SuiteFrame) error {
-		if f.Kind == "table" {
-			out.WriteString(f.Text + "\n")
-		}
-		return nil
-	})
+	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

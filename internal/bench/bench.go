@@ -97,8 +97,8 @@ func dbtCycles(p *isa.Program, tech dbt.Technique, pol dbt.Policy) (uint64, erro
 // buildFn builds the named workload at the given scale. A nil build
 // function builds privately per job (core.Workload); the bench suite
 // passes session.Registry.Program instead, so each workload builds once
-// and is shared across every figure (and with any warm campaign sessions
-// in the same process).
+// and is shared across every figure (and with the coverage matrix's
+// campaign sessions).
 type buildFn func(name string, scale float64) (*isa.Program, error)
 
 // buildOrDefault resolves a nil build function to the private per-job
@@ -114,10 +114,7 @@ func buildOrDefault(build buildFn) buildFn {
 // cycles (cycles(p, c) for configuration c) over the uninstrumented
 // baseline — fanning the workloads across workers, and folds the suite
 // geomeans. Rows come back in workload order whatever the worker count.
-// onRow, when non-nil, receives each row as its job completes (from the
-// worker goroutine, in completion order — callers that stream must
-// serialize).
-func slowdownTable(title string, configs []string, scale float64, workers int, build buildFn, onRow func(SlowdownRow), cycles func(p *isa.Program, c int) (uint64, error)) (*SlowdownTable, error) {
+func slowdownTable(title string, configs []string, scale float64, workers int, build buildFn, cycles func(p *isa.Program, c int) (uint64, error)) (*SlowdownTable, error) {
 	profs := workloads.All()
 	t := &SlowdownTable{Title: title, Configs: configs, Rows: make([]SlowdownRow, len(profs))}
 	bf := buildOrDefault(build)
@@ -140,9 +137,6 @@ func slowdownTable(title string, configs []string, scale float64, workers int, b
 			slow[c] = float64(n) / float64(base)
 		}
 		t.Rows[i] = SlowdownRow{Name: prof.Name, Suite: prof.Suite, Slowdown: slow}
-		if onRow != nil {
-			onRow(t.Rows[i])
-		}
 		return nil
 	})
 	if err != nil {
@@ -154,21 +148,21 @@ func slowdownTable(title string, configs []string, scale float64, workers int, b
 
 // Figure12 measures the per-benchmark slowdown of RCF, EdgCF and ECF
 // (Jcc update style, ALLBB policy) relative to the uninstrumented DBT.
-// build and onRow may be nil (see buildFn and slowdownTable).
-func Figure12(scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
-	return techniqueSlowdowns(dbt.UpdateJcc, scale, workers, build, onRow)
+// build may be nil (see buildFn).
+func Figure12(scale float64, workers int, build buildFn) (*SlowdownTable, error) {
+	return techniqueSlowdowns(dbt.UpdateJcc, scale, workers, build)
 }
 
 // techniqueSlowdowns is Figure 12's measurement under either update
 // style.
-func techniqueSlowdowns(style dbt.UpdateStyle, scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
+func techniqueSlowdowns(style dbt.UpdateStyle, scale float64, workers int, build buildFn) (*SlowdownTable, error) {
 	techs := check.DBTTechniques(style)
 	names := make([]string, len(techs))
 	for i, tc := range techs {
 		names[i] = tc.Name()
 	}
 	title := fmt.Sprintf("Figure 12 - performance slowdown (%v update, ALLBB policy)", style)
-	return slowdownTable(title, names, scale, workers, build, onRow, func(p *isa.Program, c int) (uint64, error) {
+	return slowdownTable(title, names, scale, workers, build, func(p *isa.Program, c int) (uint64, error) {
 		return dbtCycles(p, techs[c], dbt.PolicyAllBB)
 	})
 }
@@ -184,17 +178,11 @@ type Figure14Table struct {
 }
 
 // Figure14 measures geometric-mean slowdowns for both update styles: the
-// Figure 12 measurement once per style. onRow, when non-nil, receives
-// each row with its style's name.
-func Figure14(scale float64, workers int, build buildFn, onRow func(style string, r SlowdownRow)) (*Figure14Table, error) {
+// Figure 12 measurement once per style. build may be nil.
+func Figure14(scale float64, workers int, build buildFn) (*Figure14Table, error) {
 	out := &Figure14Table{Styles: []string{"Jcc", "CMOVcc"}}
 	for si, style := range []dbt.UpdateStyle{dbt.UpdateJcc, dbt.UpdateCmov} {
-		var rowHook func(SlowdownRow)
-		if onRow != nil {
-			name := out.Styles[si]
-			rowHook = func(r SlowdownRow) { onRow(name, r) }
-		}
-		t, err := techniqueSlowdowns(style, scale, workers, build, rowHook)
+		t, err := techniqueSlowdowns(style, scale, workers, build)
 		if err != nil {
 			return nil, err
 		}
@@ -205,15 +193,15 @@ func Figure14(scale float64, workers int, build buildFn, onRow func(style string
 }
 
 // Figure15 measures the RCF technique under the four signature checking
-// policies. build and onRow may be nil.
-func Figure15(scale float64, workers int, build buildFn, onRow func(SlowdownRow)) (*SlowdownTable, error) {
+// policies. build may be nil.
+func Figure15(scale float64, workers int, build buildFn) (*SlowdownTable, error) {
 	pols := dbt.Policies()
 	names := make([]string, len(pols))
 	for i, pol := range pols {
 		names[i] = pol.String()
 	}
 	title := "Figure 15 - RCF slowdown under the checking policies"
-	return slowdownTable(title, names, scale, workers, build, onRow, func(p *isa.Program, c int) (uint64, error) {
+	return slowdownTable(title, names, scale, workers, build, func(p *isa.Program, c int) (uint64, error) {
 		return dbtCycles(p, &check.RCF{Style: dbt.UpdateJcc}, pols[c])
 	})
 }
@@ -228,8 +216,8 @@ type BaselineRow struct {
 }
 
 // DBTBaseline measures the uninstrumented translator against native
-// execution (the paper reports ~12% average). build and onRow may be nil.
-func DBTBaseline(scale float64, workers int, build buildFn, onRow func(BaselineRow)) ([]BaselineRow, float64, error) {
+// execution (the paper reports ~12% average). build may be nil.
+func DBTBaseline(scale float64, workers int, build buildFn) ([]BaselineRow, float64, error) {
 	profs := workloads.All()
 	rows := make([]BaselineRow, len(profs))
 	bf := buildOrDefault(build)
@@ -253,9 +241,6 @@ func DBTBaseline(scale float64, workers int, build buildFn, onRow func(BaselineR
 			Native:   m.Cycles,
 			DBT:      dc,
 			Overhead: float64(dc)/float64(m.Cycles) - 1,
-		}
-		if onRow != nil {
-			onRow(rows[i])
 		}
 		return nil
 	})
@@ -325,11 +310,6 @@ type CoverageConfig struct {
 	// engine-telemetry footer (executed vs short-circuited samples) reflects
 	// which engine ran.
 	core.Options
-	// OnReport, when non-nil, receives each technique's merged report as
-	// it completes — the bench suite streams the matrix row by row.
-	// cached reports that every one of the technique's cells came out of
-	// the graph cache.
-	OnReport func(r *inject.Report, cached bool)
 }
 
 // CoverageMatrix runs fault-injection campaigns for every technique
@@ -352,21 +332,16 @@ func CoverageMatrix(ctx context.Context, cfg CoverageConfig) ([]*inject.Report, 
 	// One column per table row; CMOVcc is the safe update style.
 	for _, tech := range check.Techniques {
 		merged := &inject.Report{Technique: tech.Name, Program: "suite", ByCat: map[errmodel.Category]*inject.Agg{}}
-		rowCached := true
 		for _, n := range names {
 			k := session.Key{Workload: n, Scale: cfg.Scale, Technique: tech.Name, Style: "CMOVcc"}
-			r, cached, err := reg.RunCell(ctx, k, session.Spec{Samples: cfg.Samples, Seed: cfg.Seed}, opts)
+			r, _, err := reg.RunCell(ctx, k, session.Spec{Samples: cfg.Samples, Seed: cfg.Seed}, opts)
 			if err != nil {
 				return nil, err
 			}
-			rowCached = rowCached && cached
 			merged.Add(r)
 			merged.Elapsed += r.Elapsed
 		}
 		reports = append(reports, merged)
-		if cfg.OnReport != nil {
-			cfg.OnReport(merged, rowCached)
-		}
 	}
 	return reports, nil
 }

@@ -28,7 +28,7 @@ func TestGeomean(t *testing.T) {
 }
 
 func TestFigure12Shape(t *testing.T) {
-	tab, err := Figure12(testScale, 2, nil, nil)
+	tab, err := Figure12(testScale, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestFigure14Shape(t *testing.T) {
-	tab, err := Figure14(testScale, 2, nil, nil)
+	tab, err := Figure14(testScale, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFigure14Shape(t *testing.T) {
 }
 
 func TestFigure15Shape(t *testing.T) {
-	tab, err := Figure15(testScale, 2, nil, nil)
+	tab, err := Figure15(testScale, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFigure15Shape(t *testing.T) {
 }
 
 func TestDBTBaselineShape(t *testing.T) {
-	rows, avg, err := DBTBaseline(testScale, 2, nil, nil)
+	rows, avg, err := DBTBaseline(testScale, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

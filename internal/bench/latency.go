@@ -30,7 +30,7 @@ type PolicyRow struct {
 // per-benchmark runs; CkptInterval selects the campaign engine without
 // changing any number); build may be nil.
 func PolicyLatency(ctx context.Context, scale float64, samples int, seed int64, opts inject.Options, build buildFn) ([]PolicyRow, error) {
-	fig15, err := Figure15(scale, opts.Workers, build, nil)
+	fig15, err := Figure15(scale, opts.Workers, build)
 	if err != nil {
 		return nil, err
 	}

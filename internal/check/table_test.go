@@ -150,12 +150,15 @@ func TestTechniqueCampaignsAgree(t *testing.T) {
 	for _, backend := range []comp.Backend{comp.BackendAuto, comp.BackendStep} {
 		opts := core.Options{Workers: 2, CkptInterval: -1, Backend: backend}
 		reg := session.NewRegistry(session.Config{})
-		matrix := map[string]*inject.Report{}
-		if _, err := bench.CoverageMatrix(ctx, bench.CoverageConfig{
+		reports, err := bench.CoverageMatrix(ctx, bench.CoverageConfig{
 			Scale: scale, Samples: samples, Seed: seed, Workloads: []string{workload}, Options: opts,
-			OnReport: func(r *inject.Report, _ bool) { matrix[r.Technique] = r },
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
+		}
+		matrix := map[string]*inject.Report{}
+		for _, r := range reports {
+			matrix[r.Technique] = r
 		}
 		for _, row := range check.Techniques {
 			// Lower case on the facade, upper case on the session: any

@@ -136,9 +136,6 @@ const (
 	condCount
 )
 
-// NumConds is the number of defined condition codes.
-const NumConds = int(condCount)
-
 var condNames = [...]string{
 	CondEQ: "eq", CondNE: "ne", CondLT: "lt", CondLE: "le",
 	CondGT: "gt", CondGE: "ge", CondB: "b", CondBE: "be",

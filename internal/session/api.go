@@ -1,8 +1,7 @@
-// The shared API surface: request bounds, the error shape and batch
-// tracking that every route mounted on the serve mux — the campaign
-// endpoint here and sibling handlers like the bench suite — validates
-// and reports through, so one unauthenticated POST can never pin the
-// server on an absurd run and every error reads the same on the wire.
+// The shared API surface: the request bounds and the error shape that
+// the campaign routes and the front door validate and report through, so
+// one unauthenticated POST can never pin the server on an absurd run and
+// every error reads the same on the wire.
 package session
 
 import (
@@ -12,8 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-
-	"repro/internal/obs"
 )
 
 // Served-request bounds, the same on every route and at the front door.
@@ -48,11 +45,11 @@ func ReadBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 	return nil, false
 }
 
-// DecodeJSON decodes raw, which must hold exactly one JSON value, into v:
+// decodeJSON decodes raw, which must hold exactly one JSON value, into v:
 // it rejects unknown fields and anything but whitespace after the value.
 // Every JSON campaign body, at the replicas and the front door alike, is
-// decoded through it.
-func DecodeJSON(raw []byte, v any) error {
+// decoded through it (DecodeRequest).
+func decodeJSON(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -64,21 +61,14 @@ func DecodeJSON(raw []byte, v any) error {
 	return nil
 }
 
-// CheckSamples validates a per-campaign sample count.
-func CheckSamples(n int) error {
+// checkSampleRange validates one campaign's sample count and its global
+// sample range [offset, offset+n) — the sharded form; offset 0 is a
+// plain campaign. The whole range must fit the sample bound, so a fleet
+// of shards can never address more global samples than one direct
+// campaign could.
+func checkSampleRange(offset, n int) error {
 	if n < 0 || n > DefaultMaxSamples {
 		return fmt.Errorf("samples %d out of range [0, %d]", n, DefaultMaxSamples)
-	}
-	return nil
-}
-
-// checkSampleRange validates one campaign's global sample range
-// [offset, offset+n) — the sharded form; offset 0 is a plain campaign.
-// The whole range must fit the sample bound, so a fleet of shards can
-// never address more global samples than one direct campaign could.
-func checkSampleRange(offset, n int) error {
-	if err := CheckSamples(n); err != nil {
-		return err
 	}
 	if offset < 0 || offset > DefaultMaxSamples-n { // offset+n may overflow
 		return fmt.Errorf("sample range [%d, %d) out of range [0, %d]", offset, offset+n, DefaultMaxSamples)
@@ -86,16 +76,16 @@ func checkSampleRange(offset, n int) error {
 	return nil
 }
 
-// CheckScale validates a workload dynamic scale.
-func CheckScale(s float64) error {
+// checkScale validates a workload dynamic scale.
+func checkScale(s float64) error {
 	if s < 0 || s > DefaultMaxScale {
 		return fmt.Errorf("scale %g out of range [0, %g]", s, DefaultMaxScale)
 	}
 	return nil
 }
 
-// CheckWorkers validates a requested worker fan-out.
-func CheckWorkers(n int) error {
+// checkWorkers validates a requested worker fan-out.
+func checkWorkers(n int) error {
 	if n < 0 || n > DefaultMaxWorkers {
 		return fmt.Errorf("workers %d out of range [0, %d]", n, DefaultMaxWorkers)
 	}
@@ -114,38 +104,3 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(ErrorJSON{Error: fmt.Sprintf(format, args...)})
 }
-
-// Route is one extra handler mounted on the serve mux by
-// Server.Handler, next to the core campaign routes and behind the same
-// server instance (Metrics, batch tracking).
-type Route struct {
-	// Pattern is a net/http method-qualified pattern, e.g. "POST /v1/bench".
-	Pattern string
-	Handler http.Handler
-}
-
-// Batch is a progress-tracked batch handle: its id is pollable at
-// GET /v1/campaigns/{id}/progress until evicted. Sibling routes (the
-// bench suite) track their runs through the same table, so one progress
-// endpoint covers everything the server is doing.
-type Batch struct{ bp *batchProgress }
-
-// TrackBatch registers a batch of n campaigns under a server-assigned
-// id. Callers set the Campaign-Id response header from ID, drive
-// SetCampaign/Tracker as work proceeds, and Finish when done.
-func (s *Server) TrackBatch(n int) *Batch {
-	return &Batch{bp: s.registerBatch(n)}
-}
-
-// ID returns the server-assigned batch id (the Campaign-Id header).
-func (b *Batch) ID() string { return b.bp.id }
-
-// Tracker returns the batch's live progress tracker, suitable for
-// core.Options.Progress.
-func (b *Batch) Tracker() *obs.Progress { return b.bp.tracker }
-
-// SetCampaign records which campaign of the batch is running.
-func (b *Batch) SetCampaign(i int) { b.bp.campaign.Store(int64(i)) }
-
-// Finish marks the batch completed (it stays pollable until evicted).
-func (b *Batch) Finish() { b.bp.done.Store(true) }

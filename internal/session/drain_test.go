@@ -62,12 +62,12 @@ func TestDrainRefusesNewCampaigns(t *testing.T) {
 
 	// An admitted request in flight: drain must wait for it.
 	rec := httptest.NewRecorder()
-	release, ok := srv.Begin(rec)
+	release, ok := srv.begin(rec)
 	if !ok {
-		t.Fatal("Begin refused on a fresh server")
+		t.Fatal("begin refused on a fresh server")
 	}
 	if n := srv.running.Load(); n != 1 {
-		t.Fatalf("running = %d after Begin, want 1", n)
+		t.Fatalf("running = %d after begin, want 1", n)
 	}
 	srv.StartDrain()
 

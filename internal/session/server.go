@@ -42,7 +42,7 @@ type Server struct {
 	batches  map[string]*batchProgress
 	batchIDs []string // registration order, oldest first
 
-	// Drain state: StartDrain flips draining, after which Begin fails fast
+	// Drain state: StartDrain flips draining, after which begin fails fast
 	// with a JSON 503 instead of admitting new work, and DrainWait blocks
 	// until every admitted request releases. draining is guarded by drainMu
 	// (not mu) so a drain check never contends with batch registration.
@@ -52,12 +52,12 @@ type Server struct {
 	running  atomic.Int64 // admitted and not yet released, for /healthz
 }
 
-// Begin admits one work-carrying request (a campaign batch or a bench
-// run). When the server is draining it writes the shared JSON 503 with a
-// Retry-After hint and returns ok=false; otherwise the caller must defer
-// the returned release. Read-only routes (progress, sessions, metrics,
-// health) stay open during a drain and skip Begin.
-func (s *Server) Begin(w http.ResponseWriter) (release func(), ok bool) {
+// begin admits one work-carrying request (a campaign batch). When the
+// server is draining it writes the shared JSON 503 with a Retry-After
+// hint and returns ok=false; otherwise the caller must defer the returned
+// release. Read-only routes (progress, sessions, metrics, health) stay
+// open during a drain and skip begin.
+func (s *Server) begin(w http.ResponseWriter) (release func(), ok bool) {
 	s.drainMu.Lock()
 	if s.draining {
 		s.drainMu.Unlock()
@@ -79,7 +79,7 @@ func (s *Server) Begin(w http.ResponseWriter) (release func(), ok bool) {
 	}, true
 }
 
-// StartDrain stops admitting new work: subsequent Begin calls fail fast
+// StartDrain stops admitting new work: subsequent begin calls fail fast
 // with a JSON 503. In-flight requests keep running; pair with DrainWait.
 func (s *Server) StartDrain() {
 	s.drainMu.Lock()
@@ -248,12 +248,7 @@ type RecordJSON struct {
 //	GET  /v1/metrics                  metrics snapshot as JSON (machine-mergeable)
 //	GET  /metrics                     Prometheus text exposition
 //	GET  /healthz                     readiness: ok / draining (503) / restoring
-//
-// extra routes mount on the same mux, behind the same server instance —
-// the one place every served surface registers, so the error shape
-// (WriteError) and batch tracking (TrackBatch) are shared rather than
-// duplicated per handler.
-func (s *Server) Handler(extra ...Route) http.Handler {
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/campaigns", s.handleCampaigns)
 	mux.HandleFunc("GET /v1/campaigns/{id}/progress", s.handleProgress)
@@ -262,9 +257,6 @@ func (s *Server) Handler(extra ...Route) http.Handler {
 	mux.HandleFunc("GET /v1/metrics", s.handleMetricsJSON)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	for _, r := range extra {
-		mux.Handle(r.Pattern, r.Handler)
-	}
 	return mux
 }
 
@@ -341,7 +333,7 @@ func handleVersion(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(v)
 }
 
-// DecodeRequest decodes a POST /v1/campaigns body (DecodeJSON: one value,
+// DecodeRequest decodes a POST /v1/campaigns body (decodeJSON: one value,
 // no unknown fields, no trailing data) and checks it without building
 // anything: a known workload, technique, style and policy, at least one
 // campaign, and a scale, worker count, checkpoint interval and every
@@ -351,7 +343,7 @@ func handleVersion(w http.ResponseWriter, _ *http.Request) {
 // the one gate at the front door and at the replicas.
 func DecodeRequest(raw []byte) (Request, error) {
 	var body Request
-	if err := DecodeJSON(raw, &body); err != nil {
+	if err := decodeJSON(raw, &body); err != nil {
 		return body, err
 	}
 	if _, err := workloads.ByName(body.Workload); err != nil {
@@ -365,7 +357,7 @@ func DecodeRequest(raw []byte) (Request, error) {
 	if len(body.Campaigns) == 0 {
 		return body, errors.New("at least one campaign required")
 	}
-	if err := cmp.Or(CheckScale(body.Scale), CheckWorkers(body.Workers), core.CheckCkptInterval(body.CkptInterval)); err != nil {
+	if err := cmp.Or(checkScale(body.Scale), checkWorkers(body.Workers), core.CheckCkptInterval(body.CkptInterval)); err != nil {
 		return body, err
 	}
 	for _, c := range body.Campaigns {
@@ -377,7 +369,7 @@ func DecodeRequest(raw []byte) (Request, error) {
 }
 
 func (s *Server) handleCampaigns(w http.ResponseWriter, req *http.Request) {
-	release, ok := s.Begin(w)
+	release, ok := s.begin(w)
 	if !ok {
 		return
 	}

@@ -182,6 +182,10 @@ func TestCampaignValidation(t *testing.T) {
 		{"no campaigns", func(r *Request) { r.Campaigns = nil }},
 		{"negative samples", func(r *Request) { r.Campaigns = []SpecJSON{{Seed: 1, Samples: -1}} }},
 		{"samples over max", func(r *Request) { r.Campaigns = []SpecJSON{{Seed: 1, Samples: DefaultMaxSamples + 1}} }},
+		{"scale over full", func(r *Request) { r.Scale = DefaultMaxScale + 0.5 }},
+		{"negative scale", func(r *Request) { r.Scale = -0.1 }},
+		{"workers over max", func(r *Request) { r.Workers = DefaultMaxWorkers + 1 }},
+		{"negative workers", func(r *Request) { r.Workers = -1 }},
 		{"unknown workload", func(r *Request) { r.Workload = "999.nope" }},
 		{"unknown technique", func(r *Request) { r.Technique = "bogus" }},
 		{"unknown style", func(r *Request) { r.Style = "bogus" }},

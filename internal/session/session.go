@@ -319,8 +319,8 @@ func (r *Registry) evictLocked() {
 
 // Program returns the built workload for (workload, scale), deduplicated
 // with the sessions that use it. The bench suite builds its workloads
-// through the registry so HTTP-driven benchmarks and campaigns share one
-// program build per configuration.
+// through the registry so its figures and the coverage matrix's
+// campaigns share one program build per configuration.
 func (r *Registry) Program(workload string, scale float64) (*isa.Program, error) {
 	pe, err := r.programEntry(workload, scale)
 	if err != nil {
